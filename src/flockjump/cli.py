@@ -42,9 +42,12 @@ def _cmd_travelwave(args):
     from .mean_field import wave_profile, wave_speed
 
     w = parse_rate_string(args.rate)
-    c = wave_speed(w)
+    report = {}
+    c = wave_speed(w, report=report)
     prof = wave_profile(w, c, h=args.h)
     print(f"wave speed c = {c:.12g}")
+    print(f"solver: {report['evaluations']} moment evaluations, "
+          f"final bracket width {report['bracket_width']:.3g}")
     print(f"profile support: [{prof.grid[0]:.6g}, {prof.grid[-1]:.6g}], "
           f"{len(prof.grid)} points, trapz mass {prof.trapz_mass():.12g}, "
           f"mean {prof.trapz_mean():.3e}")

@@ -5,8 +5,10 @@ For mean-one exponential jump lengths the traveling profile is
 rho(x) = K exp(int_0^x (w(s)/c - 1) ds) for any non-constant rate w; the wave
 speed c is pinned by centering the normalized profile. Each rate family exposes
 an exact antiderivative of w, so profile exponents carry no quadrature error;
-only normalizations and moments are integrated numerically (adaptive
-Gauss-Kronrod, forced to subdivide at the rate function's knots).
+only normalizations and moments are integrated numerically, by one composite
+Gauss-Legendre pass with panels split at the profile peak and the rate
+function's knots. The speed is the root of the centered first moment, found by
+Brent's method on a verified sign-change bracket.
 
 The PDE integrator discretizes the jump term by projecting the exponential jump
 law onto the grid cell-by-cell, splitting each cell's mass between its two
@@ -24,6 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.signal import lfilter
 
 from .model import (
@@ -43,7 +46,7 @@ class NonIntegrableError(ModelError):
 
 
 class SolverError(ModelError):
-    """Wave-speed bracketing or bisection failed."""
+    """Wave-speed bracketing or root finding failed."""
 
 
 class StepSizeError(ModelError):
@@ -105,79 +108,83 @@ def _check_speed_bracket(w, c: float):
             f"({w.right_limit}, {w.left_limit}); a constant rate admits no wave")
 
 
+# Doubling steps 2^0 .. 2^99 away from the origin or the peak. A tail's exponent
+# falls at a slope of at least |1 - w(+-inf)/c| >= 2^-53 for any admissible
+# float c, so a drop below 2^46 is reached well inside the last step.
+_STEPS = 2.0 ** np.arange(100)
+# Points of the uniform grid that refines a doubling bracket.
+_REFINE = 256
+# Composite Gauss-Legendre rule for the moments: _PANELS panels on each side of
+# the peak, graded quadratically toward it and further split at rate knots.
+_PANELS = 64
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+
+def _first(hit, what: str) -> int:
+    """Index of the first True in `hit`; SolverError(what) if there is none."""
+    idx = np.flatnonzero(hit)
+    if not idx.size:
+        raise SolverError(what)
+    return int(idx[0])
+
+
 def _exponent_argmax(w, c: float) -> float:
-    """Locate the profile peak: the crossing w(x) = c (the exponent is concave)."""
-    lo, hi = -1.0, 1.0
-    for _ in range(600):
-        if float(w(lo)) > c:
-            break
-        lo *= 2.0
-    else:
-        raise SolverError(f"could not bracket w(x) = {c} on the left")
-    for _ in range(600):
-        if float(w(hi)) < c:
-            break
-        hi *= 2.0
-    else:
-        raise SolverError(f"could not bracket w(x) = {c} on the right")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(w(mid)) > c:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """Locate the profile peak: the crossing w(x) = c (the exponent is concave).
+
+    One vectorized doubling pass brackets the crossing in [-2^i, 2^j] and one
+    uniform grid narrows it to 1/_REFINE of that width. The peak only anchors
+    the exponent and splits the quadrature, so this resolution is enough.
+    """
+    i = _first(w.rate(-_STEPS) > c, f"could not bracket w(x) = {c} on the left")
+    j = _first(w.rate(_STEPS) < c, f"could not bracket w(x) = {c} on the right")
+    xs = np.linspace(-_STEPS[i], _STEPS[j], _REFINE + 1)
+    k = np.count_nonzero(w.rate(xs) > c) - 1
+    return 0.5 * (xs[k] + xs[k + 1])
 
 
-def profile_bounds(w, c: float, drop: float = 60.0):
-    """Interval outside which the profile is below exp(-drop) of its peak."""
+def _profile_frame(w, c: float, drop: float):
+    """(peak, peak exponent, x_lo, x_hi): the profile is below exp(-drop) of its
+    peak outside [x_lo, x_hi], and at most 1/_REFINE of a doubling step beyond it.
+
+    Both tails take one vectorized doubling pass from the peak and one
+    vectorized refinement of the step that crosses the level.
+    """
     _check_speed_bracket(w, c)
     x_star = _exponent_argmax(w, c)
     e_star = float(log_profile(w, c, x_star))
     target = e_star - drop
-
-    def expand(direction):
-        step = 1.0
-        x = x_star + direction * step
-        for _ in range(600):
-            if float(log_profile(w, c, x)) < target:
-                break
-            step *= 2.0
-            x = x_star + direction * step
-        else:
-            raise SolverError("profile tail does not decay; c is outside the admissible bracket")
-        inner, outer = x_star, x
-        for _ in range(80):
-            mid = 0.5 * (inner + outer)
-            if float(log_profile(w, c, mid)) < target:
-                outer = mid
-            else:
-                inner = mid
-        return outer
-
-    return expand(-1.0), expand(+1.0)
+    n = len(_STEPS)
+    e = log_profile(w, c, x_star + np.concatenate([-_STEPS, _STEPS]))
+    msg = "profile tail does not decay; c is outside the admissible bracket"
+    i, j = _first(e[:n] < target, msg), _first(e[n:] < target, msg)
+    inner = np.array([_STEPS[i - 1] if i else 0.0, _STEPS[j - 1] if j else 0.0])
+    outer = np.array([_STEPS[i], _STEPS[j]])
+    sides = x_star + np.array([[-1.0], [1.0]]) * np.linspace(inner, outer, _REFINE + 1).T
+    e = log_profile(w, c, sides)
+    x_lo = sides[0, _first(e[0] < target, msg)]
+    x_hi = sides[1, _first(e[1] < target, msg)]
+    return x_star, e_star, float(x_lo), float(x_hi)
 
 
-def _quad_points(w, lo, hi, extra=()):
-    pts = sorted(p for p in (*w.knots, *extra) if lo < p < hi)
-    return pts or None
+def _moments(w, c: float, frame):
+    """(mass, first moment) of exp(log_profile - peak exponent) over the frame,
+    by one composite Gauss-Legendre pass split at the peak and the knots."""
+    x_star, e_star, x_lo, x_hi = frame
+    grade = np.linspace(0.0, 1.0, _PANELS + 1) ** 2
+    knots = np.asarray(w.knots, dtype=float)
+    edges = np.unique(np.concatenate([
+        x_star + (x_lo - x_star) * grade, x_star + (x_hi - x_star) * grade,
+        knots[(knots > x_lo) & (knots < x_hi)]]))
+    half = 0.5 * np.diff(edges)[:, None]
+    x = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half * _GL_NODES
+    f = np.exp(log_profile(w, c, x) - e_star) * (half * _GL_WEIGHTS)
+    return float(f.sum()), float((x * f).sum())
 
 
 def profile_moments(w, c: float, drop: float = 60.0):
-    """(mass, first moment) of exp(log_profile - peak) by adaptive quadrature."""
-    x_lo, x_hi = profile_bounds(w, c, drop)
-    x_star = _exponent_argmax(w, c)
-    e_star = float(log_profile(w, c, x_star))
-
-    def f0(x):
-        return math.exp(float(log_profile(w, c, x)) - e_star)
-
-    pts = _quad_points(w, x_lo, x_hi, extra=(x_star,))
-    i0, _ = quad(f0, x_lo, x_hi, points=pts, limit=400, epsabs=0.0, epsrel=1e-12)
-    # The moment vanishes at the wave speed, so it needs an absolute floor.
-    i1, _ = quad(lambda x: x * f0(x), x_lo, x_hi, points=pts, limit=400,
-                 epsabs=1e-12 * i0, epsrel=1e-12)
-    return i0, i1, e_star
+    """(mass, first moment, peak exponent) of the profile exp(log_profile - peak)."""
+    frame = _profile_frame(w, c, drop)
+    return (*_moments(w, c, frame), frame[1])
 
 
 @dataclass(frozen=True)
@@ -218,17 +225,17 @@ def wave_profile(w, c: float, h: float = None, drop: float = 60.0,
     The default spacing is 0.005; a discontinuous rate kinks the density, so
     the step family defaults to 0.001 to keep the trapezoid mass within 1e-8.
     """
-    _check_speed_bracket(w, c)
+    frame = _profile_frame(w, c, drop)
+    _x_star, e_star, x_lo, x_hi = frame
     if h is None:
         h = 0.005 if w.continuous else 0.001
     if grid is None:
-        x_lo, x_hi = profile_bounds(w, c, drop)
         # Align nodes with multiples of h so rate knots (integers, 0) fall on nodes.
         j_lo = math.floor(x_lo / h) - 1
         j_hi = math.ceil(x_hi / h) + 1
         grid = h * np.arange(j_lo, j_hi + 1)
     grid = np.asarray(grid, dtype=float)
-    i0, _i1, e_star = profile_moments(w, c, drop)
+    i0, _i1 = _moments(w, c, frame)
     log_norm = -(e_star + math.log(i0))
     exponents = log_profile(w, c, grid) + log_norm
     with np.errstate(under="ignore"):
@@ -245,41 +252,55 @@ def profile_mean(w, c: float, drop: float = 60.0) -> float:
     return i1 / i0
 
 
-def wave_speed(w, mean_tol: float = 1e-10, max_iter: int = 200,
-               report: dict = None) -> float:
+def wave_speed(w, max_iter: int = 200, report: dict = None) -> float:
     """Speed of the traveling wave: the c at which the profile is centered.
 
-    Bisection on the normalized profile's first moment over
-    (w(+inf), w(-inf)); the sign change at the bracket ends is verified (and
-    recorded in `report` if given) rather than assumed from monotonicity.
+    Brent's method (`scipy.optimize.brentq`) on the normalized profile's first
+    moment, over a bracket inside (w(+inf), w(-inf)) found by stepping out from
+    a start value. The sign change at the bracket ends is verified rather than
+    assumed from monotonicity, and the moments computed there are reused. The
+    root is resolved to a bracket of width 1e-13 * max(1, |c|) within
+    `max_iter` Brent steps. If given, `report` receives the bracket, its
+    endpoint means, the number of `profile_mean` calls (`evaluations`) and the
+    width of the final bracket (`bracket_width`).
     """
     w_right, w_left = w.right_limit, w.left_limit
     if not (w_left > w_right):
         raise SolverError("constant rate function has no traveling wave speed")
+
+    means = {}
+
+    def mean(c):
+        if c not in means:
+            means[c] = profile_mean(w, c)
+        return means[c]
 
     if math.isfinite(w_left):
         c0 = 0.5 * (w_left + w_right)
     else:
         c0 = max(float(w(0.0)), 2.0 * w_right + 1.0)
 
-    # Expand upward until the centered moment goes negative.
-    c_hi = c0
+    # Expand upward until the centered moment goes negative; every c passed on
+    # the way has a non-negative moment and tightens the lower end.
+    c_lo = c_hi = c0
     for _ in range(200):
-        if profile_mean(w, c_hi) < 0:
+        if mean(c_hi) < 0:
             break
+        c_lo = c_hi
         c_hi = 0.5 * (c_hi + w_left) if math.isfinite(w_left) else 2.0 * c_hi
     else:
         raise SolverError(f"no c with negative profile mean found below w(-inf)={w_left}")
     # Expand downward (toward w(+inf)) until the moment goes positive.
-    c_lo = c0
     for _ in range(200):
-        if profile_mean(w, c_lo) > 0:
+        if mean(c_lo) > 0:
             break
+        if mean(c_lo) < 0:
+            c_hi = c_lo
         c_lo = 0.5 * (c_lo + w_right)
     else:
         raise SolverError(f"no c with positive profile mean found above w(+inf)={w_right}")
 
-    m_lo, m_hi = profile_mean(w, c_lo), profile_mean(w, c_hi)
+    m_lo, m_hi = mean(c_lo), mean(c_hi)
     if not (m_lo > 0 > m_hi):
         raise SolverError(
             f"bracket endpoints do not straddle zero moment: "
@@ -288,18 +309,19 @@ def wave_speed(w, mean_tol: float = 1e-10, max_iter: int = 200,
         report.update(bracket=(c_lo, c_hi), endpoint_means=(m_lo, m_hi),
                       moment_decreasing=m_lo > m_hi)
 
-    c = 0.5 * (c_lo + c_hi)
-    for _ in range(max_iter):
-        c = 0.5 * (c_lo + c_hi)
-        m = profile_mean(w, c)
-        if abs(m) < mean_tol:
-            break
-        if m > 0:
-            c_lo = c
-        else:
-            c_hi = c
-        if c_hi - c_lo < 1e-13 * max(1.0, abs(c)):
-            break
+    # brentq stops once its bracket is narrower than xtol + rtol * |c|.
+    c, res = brentq(mean, c_lo, c_hi, xtol=5e-14, rtol=5e-14, maxiter=max_iter,
+                    full_output=True, disp=False)
+    if not res.converged:
+        raise SolverError(f"Brent iteration did not converge in {max_iter} steps "
+                          f"on [{c_lo}, {c_hi}]: {res.flag}")
+    if report is not None:
+        # The final bracket is the tightest sign change among the evaluated c,
+        # or the root itself when its moment is exactly zero.
+        pts = sorted(means.items())
+        width = 0.0 if means[c] == 0 else min(
+            c2 - c1 for (c1, m1), (c2, m2) in zip(pts, pts[1:]) if m1 * m2 < 0)
+        report.update(evaluations=len(means), bracket_width=width)
     return c
 
 

@@ -221,6 +221,7 @@ def test_cli_travelwave(capsys, tmp_path):
     assert rc == 0
     text = capsys.readouterr().out
     assert "wave speed c = 1.5" in text
+    assert "moment evaluations, final bracket width" in text
     assert out.read_text().splitlines()[0] == "x,density"
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import flockjump as fj
 from flockjump.mean_field import (
@@ -21,8 +22,11 @@ from flockjump.mean_field import (
     pde_integrate,
     pde_step,
     pde_step_general,
+    log_profile,
     piecewise_gauss_exp_pdf,
     profile_mean,
+    profile_moments,
+    stationary_wave,
     upper_gamma_regularized,
     wave_equation_residual,
     wave_profile,
@@ -111,6 +115,109 @@ def test_wave_speed_inside_limits():
               fj.PiecewiseLinearRate(3.0, 1.0)):
         c = wave_speed(w)
         assert w.right_limit < c < w.left_limit
+
+
+# Families over their admissible speed brackets (w(+inf), w(-inf)); the
+# exponential rate is unbounded on the left, so 3 w(0) closes its bracket.
+SPEED_BRACKETS = {
+    "step": (fj.StepRate(2.0, 1.0), 1.0, 2.0),
+    "pwl": (fj.PiecewiseLinearRate(2.0, 1.0), 1.0, 2.0),
+    "arccot": (fj.ArccotRate(), 0.0, math.pi),
+    "exp": (fj.ExponentialRate(1.0), 0.0, 3.0),
+    "tabulated": (fj.TabulatedRate(grid=(-1.5, -0.5, 0.5, 1.5), values=(2.5, 2.0, 1.4, 1.0)),
+                  1.0, 2.5),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SPEED_BRACKETS))
+def test_wave_speed_evaluation_budget(family):
+    w = SPEED_BRACKETS[family][0]
+    report = {}
+    c = wave_speed(w, report=report)
+    assert report["evaluations"] <= 20
+    assert 0.0 <= report["bracket_width"] <= 1e-13 * max(1.0, abs(c))
+
+
+def test_wave_speed_iteration_guard():
+    with pytest.raises(SolverError, match="did not converge"):
+        wave_speed(fj.ExponentialRate(1.0), max_iter=2)
+
+
+@pytest.mark.parametrize("a,b", [(2.0, 1.0), (2.5, 1.18), (3.0, 0.5)])
+def test_tabulated_speed_matches_piecewise_linear(a, b):
+    # The two-point table interpolates linearly on [-1, 1] and is flat outside:
+    # it is PiecewiseLinearRate(a, b), whose profile is symmetric at (a+b)/2.
+    w = fj.TabulatedRate(grid=(-1.0, 1.0), values=(a, b))
+    assert wave_speed(w) == pytest.approx(0.5 * (a + b), abs=1e-10)
+    assert stationary_wave(w).c == pytest.approx(0.5 * (a + b), abs=1e-10)
+    assert wave_equation_residual(w) <= 1e-6
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [1.01, 1.001])
+def test_wave_speed_narrow_step_gap(a):
+    # Tails decay at (a-1)/(a+1): the profile is thousands of units wide.
+    assert wave_speed(fj.StepRate(a, 1.0)) == pytest.approx(0.5 * (a + 1.0), abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# profile moments against an adaptive-quadrature reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_moments(w, c, drop=60.0):
+    """(log mass, mean) of exp(log_profile) by two adaptive Gauss-Kronrod
+    passes split at the knots and the peak; the peak and the tail bounds come
+    from scalar doubling and bisection."""
+    lo, hi = -1.0, 1.0
+    while float(w(lo)) <= c:
+        lo *= 2.0
+    while float(w(hi)) >= c:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(w(mid)) > c:
+            lo = mid
+        else:
+            hi = mid
+    x_star = 0.5 * (lo + hi)
+    e_star = float(log_profile(w, c, x_star))
+    target = e_star - drop
+
+    def bound(direction):
+        step = 1.0
+        while float(log_profile(w, c, x_star + direction * step)) >= target:
+            step *= 2.0
+        inner, outer = x_star, x_star + direction * step
+        for _ in range(80):
+            mid = 0.5 * (inner + outer)
+            if float(log_profile(w, c, mid)) < target:
+                outer = mid
+            else:
+                inner = mid
+        return outer
+
+    x_lo, x_hi = bound(-1.0), bound(+1.0)
+
+    def f0(x):
+        return math.exp(float(log_profile(w, c, x)) - e_star)
+
+    pts = sorted(p for p in (*w.knots, x_star) if x_lo < p < x_hi) or None
+    i0, _ = quad(f0, x_lo, x_hi, points=pts, limit=400, epsabs=0.0, epsrel=1e-12)
+    i1, _ = quad(lambda x: x * f0(x), x_lo, x_hi, points=pts, limit=400,
+                 epsabs=1e-12 * i0, epsrel=1e-12)
+    return math.log(i0) + e_star, i1 / i0
+
+
+@pytest.mark.parametrize("frac", [0.1, 0.3, 0.5, 0.7, 0.9])
+@pytest.mark.parametrize("family", sorted(SPEED_BRACKETS))
+def test_profile_moments_match_adaptive_reference(family, frac):
+    w, c_min, c_max = SPEED_BRACKETS[family]
+    c = c_min + frac * (c_max - c_min)
+    i0, i1, e_star = profile_moments(w, c)
+    log_mass_ref, mean_ref = _reference_moments(w, c)
+    assert abs(math.expm1(math.log(i0) + e_star - log_mass_ref)) <= 1e-12
+    assert abs(i1 / i0 - mean_ref) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
