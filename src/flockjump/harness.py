@@ -12,21 +12,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, asdict, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
 from . import measures, mean_field, sim
-from .model import (
-    ArccotRate,
-    DeterministicJump,
-    ExponentialJump,
-    ExponentialRate,
-    ModelError,
-    PiecewiseLinearRate,
-    StepRate,
-    TabulatedRate,
-)
+from .model import RATE_FAMILIES, DeterministicJump, ExponentialJump, ModelError
 
 
 class ConfigError(ModelError):
@@ -38,47 +30,51 @@ class FitError(ModelError):
 
 
 # ---------------------------------------------------------------------------
-# rate / jump-length spec serialization
+# rate / jump-length spec parsing
 # ---------------------------------------------------------------------------
 
-_RATE_FAMILIES = {
-    "exponential": ExponentialRate,
-    "step": StepRate,
-    "piecewise_linear": PiecewiseLinearRate,
-    "arccot": ArccotRate,
-    "tabulated": TabulatedRate,
-}
+
+def _rate_param(key, kind, val):
+    """Coerce one rate parameter to its field type (a float or a tuple of floats)."""
+    try:
+        if kind is float:
+            return float(val)
+        if kind is tuple and not isinstance(val, str):
+            return tuple(float(x) for x in val)
+    except (TypeError, ValueError):
+        pass
+    expected = "a number" if kind is float else "a list of numbers"
+    raise ConfigError(f"rate.{key}: expected {expected}, got {val!r}")
 
 
 def rate_spec_from_dict(d: dict):
+    """Build a rate family from {"family": name, **parameters}.
+
+    The parameters are the fields of the family's dataclass in RATE_FAMILIES;
+    a field without a default is required, and any other key is an error.
+    """
     if not isinstance(d, dict) or "family" not in d:
         raise ConfigError("rate: needs a 'family' key")
     fam = d["family"]
-    if fam == "exponential":
-        return ExponentialRate(beta=float(d.get("beta", 1.0)))
-    if fam == "step":
-        return StepRate(a=float(d["a"]), b=float(d["b"]))
-    if fam == "piecewise_linear":
-        return PiecewiseLinearRate(a=float(d["a"]), b=float(d["b"]))
-    if fam == "arccot":
-        return ArccotRate()
-    if fam == "tabulated":
-        return TabulatedRate(grid=tuple(d["grid"]), values=tuple(d["values"]))
-    raise ConfigError(f"rate.family: unknown family {fam!r}")
-
-
-def rate_spec_to_dict(w) -> dict:
-    if isinstance(w, ExponentialRate):
-        return {"family": "exponential", "beta": w.beta}
-    if isinstance(w, StepRate):
-        return {"family": "step", "a": w.a, "b": w.b}
-    if isinstance(w, PiecewiseLinearRate):
-        return {"family": "piecewise_linear", "a": w.a, "b": w.b}
-    if isinstance(w, ArccotRate):
-        return {"family": "arccot"}
-    if isinstance(w, TabulatedRate):
-        return {"family": "tabulated", "grid": list(w.grid), "values": list(w.values)}
-    raise ConfigError(f"rate: cannot serialize {type(w).__name__}")
+    cls = RATE_FAMILIES.get(fam) if isinstance(fam, str) else None
+    if cls is None:
+        raise ConfigError(f"rate.family: unknown family {fam!r}; have {sorted(RATE_FAMILIES)}")
+    kinds = get_type_hints(cls)
+    defaults = {f.name: f.default for f in fields(cls)}
+    for key in d:
+        if key != "family" and key not in defaults:
+            raise ConfigError(f"rate.{key}: not a parameter of the {fam} family "
+                              f"(parameters: {', '.join(defaults) or 'none'})")
+    params = {}
+    for name, default in defaults.items():
+        if name in d:
+            params[name] = _rate_param(name, kinds[name], d[name])
+        elif default is MISSING:
+            raise ConfigError(f"rate.{name}: required by the {fam} family")
+    try:
+        return cls(**params)
+    except ModelError as exc:
+        raise ConfigError(f"rate: {exc}") from exc
 
 
 def length_spec_from_dict(d: dict):
@@ -89,14 +85,6 @@ def length_spec_from_dict(d: dict):
         return DeterministicJump()
     raise ConfigError(f"length.family: unknown family {fam!r} "
                       "(custom densities are constructed in code, not from config)")
-
-
-def length_spec_to_dict(z) -> dict:
-    if isinstance(z, ExponentialJump):
-        return {"family": "exponential"}
-    if isinstance(z, DeterministicJump):
-        return {"family": "deterministic"}
-    raise ConfigError(f"length: cannot serialize {type(z).__name__}")
 
 
 def parse_rate_string(text: str):
@@ -150,6 +138,9 @@ class ExperimentConfig:
             raise ConfigError(f"observations: must be >= 1, got {self.observations}")
         if not 0.0 < self.fit_window <= 1.0:
             raise ConfigError(f"fit_window: must be in (0, 1], got {self.fit_window}")
+        if self.engine != "auto" and self.engine not in sim.ENGINES:
+            raise ConfigError(f"engine: unknown engine {self.engine!r}; "
+                              f"have 'auto', {', '.join(map(repr, sim.ENGINES))}")
         rate_spec_from_dict(self.rate)
         length_spec_from_dict(self.length)
         kind = self.initial.get("kind", "zeros")

@@ -11,7 +11,9 @@ precision. Jump lengths are normalized to mean 1 with a finite third moment.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,8 +37,36 @@ class DomainError(ModelError):
 # ---------------------------------------------------------------------------
 
 
+class RateFamily:
+    """Base of the jump-rate families.
+
+    A family is a frozen dataclass whose fields are its parameters. It supplies
+    the vectorized `rate(x)` and its exact antiderivative `integral(x)` from 0,
+    the limits `left_limit` (sup w, as x -> -inf) and `right_limit` (inf w), and
+    overrides `continuous`, `knots` (points where w or its derivative jumps)
+    and `scalar_rate` where the defaults below do not fit. Registering the
+    class in RATE_FAMILIES makes it available to configs under its name.
+    """
+
+    continuous: ClassVar[bool] = True
+    knots: ClassVar[tuple] = ()
+
+    def __call__(self, x):
+        return self.rate(x)
+
+    @property
+    def default_engine(self) -> str:
+        """Engine `simulate` picks for engine="auto": thinning needs a finite sup w."""
+        return "bounded" if math.isfinite(self.left_limit) else "reference"
+
+    def scalar_rate(self):
+        """Pure-Python w(d) for one float d, called once per thinning proposal."""
+        rate = self.rate
+        return lambda d: float(rate(d))
+
+
 @dataclass(frozen=True)
-class ExponentialRate:
+class ExponentialRate(RateFamily):
     """w(x) = exp(-beta*x). Unbounded on the left, vanishes on the right."""
 
     beta: float = 1.0
@@ -45,17 +75,9 @@ class ExponentialRate:
         if not (self.beta > 0 and math.isfinite(self.beta)):
             raise ModelError(f"beta must be positive and finite, got {self.beta}")
 
-    bounded = False
-    continuous = True
-    knots: tuple = ()
-
-    @property
-    def left_limit(self):
-        return math.inf
-
-    @property
-    def right_limit(self):
-        return 0.0
+    default_engine = "exponential"
+    left_limit = math.inf
+    right_limit = 0.0
 
     def rate(self, x):
         z = np.clip(np.multiply(self.beta, x), -EXP_CLAMP, EXP_CLAMP)
@@ -66,22 +88,18 @@ class ExponentialRate:
         z = np.clip(np.multiply(self.beta, x), -EXP_CLAMP, EXP_CLAMP)
         return (1.0 - np.exp(-z)) / self.beta
 
-    def __call__(self, x):
-        return self.rate(x)
-
 
 @dataclass(frozen=True)
-class StepRate:
+class StepRate(RateFamily):
     """w(x) = a for x < 0, b for x >= 0, with a > b > 0."""
 
-    a: float = 2.0
-    b: float = 1.0
+    a: float
+    b: float
 
     def __post_init__(self):
         if not (self.a > self.b > 0):
             raise ModelError(f"step rates need a > b > 0, got a={self.a}, b={self.b}")
 
-    bounded = True
     continuous = False
     knots = (0.0,)
 
@@ -99,23 +117,22 @@ class StepRate:
     def integral(self, x):
         return np.where(np.less(x, 0.0), self.a * np.asarray(x), self.b * np.asarray(x))
 
-    def __call__(self, x):
-        return self.rate(x)
+    def scalar_rate(self):
+        a, b = self.a, self.b
+        return lambda d: a if d < 0.0 else b
 
 
 @dataclass(frozen=True)
-class PiecewiseLinearRate:
+class PiecewiseLinearRate(RateFamily):
     """Continuous rate: a left of -1, b right of 1, linear in between (a > b > 0)."""
 
-    a: float = 2.0
-    b: float = 1.0
+    a: float
+    b: float
 
     def __post_init__(self):
         if not (self.a > self.b > 0):
             raise ModelError(f"piecewise-linear rates need a > b > 0, got a={self.a}, b={self.b}")
 
-    bounded = True
-    continuous = True
     knots = (-1.0, 1.0)
 
     @property
@@ -141,25 +158,26 @@ class PiecewiseLinearRate:
         return np.where(x < -1.0, at_lo + a * (x + 1.0),
                         np.where(x > 1.0, at_hi + b * (x - 1.0), mid))
 
-    def __call__(self, x):
-        return self.rate(x)
+    def scalar_rate(self):
+        a, b = self.a, self.b
+        slope, mid = 0.5 * (a - b), 0.5 * (a + b)
+
+        def rate(d):
+            if d < -1.0:
+                return a
+            if d > 1.0:
+                return b
+            return mid - slope * d
+
+        return rate
 
 
 @dataclass(frozen=True)
-class ArccotRate:
+class ArccotRate(RateFamily):
     """w(x) = arccot(x) on (0, pi), the smooth monotone example."""
 
-    bounded = True
-    continuous = True
-    knots: tuple = ()
-
-    @property
-    def left_limit(self):
-        return math.pi
-
-    @property
-    def right_limit(self):
-        return 0.0
+    left_limit = math.pi
+    right_limit = 0.0
 
     def rate(self, x):
         return 0.5 * math.pi - np.arctan(x)
@@ -168,22 +186,21 @@ class ArccotRate:
         x = np.asarray(x, dtype=float)
         return x * (0.5 * math.pi - np.arctan(x)) + 0.5 * np.log1p(x * x)
 
-    def __call__(self, x):
-        return self.rate(x)
+    def scalar_rate(self):
+        half_pi, atan = 0.5 * math.pi, math.atan
+        return lambda d: half_pi - atan(d)
 
 
 @dataclass(frozen=True)
-class TabulatedRate:
+class TabulatedRate(RateFamily):
     """Bounded rate given by a table, linearly interpolated, flat beyond the grid.
 
-    The flat extension keeps the rate bounded and non-increasing; the declared
-    left limit must equal the supremum of the tabulated values.
+    The flat extension keeps the rate bounded and non-increasing, so the limits
+    are the first and last tabulated values.
     """
 
     grid: tuple
     values: tuple
-    left_limit: float = None
-    right_limit: float = None
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -198,19 +215,14 @@ class TabulatedRate:
             raise ModelError("tabulated values must be non-increasing")
         object.__setattr__(self, "grid", tuple(float(x) for x in g))
         object.__setattr__(self, "values", tuple(float(x) for x in v))
-        if self.left_limit is None:
-            object.__setattr__(self, "left_limit", float(v[0]))
-        if self.right_limit is None:
-            object.__setattr__(self, "right_limit", float(v[-1]))
-        if self.left_limit != float(v[0]):
-            raise ModelError(
-                f"declared left limit {self.left_limit} != sup of values {v[0]}")
-        if self.right_limit != float(v[-1]):
-            raise ModelError(
-                f"declared right limit {self.right_limit} != last value {v[-1]}")
 
-    bounded = True
-    continuous = True
+    @property
+    def left_limit(self):
+        return self.values[0]
+
+    @property
+    def right_limit(self):
+        return self.values[-1]
 
     @property
     def knots(self):
@@ -239,11 +251,29 @@ class TabulatedRate:
 
         return cum_from_left(x) - cum_from_left(0.0)
 
-    def __call__(self, x):
-        return self.rate(x)
+    def scalar_rate(self):
+        g, v = list(self.grid), list(self.values)
+
+        def rate(d):
+            if d <= g[0]:
+                return v[0]
+            if d >= g[-1]:
+                return v[-1]
+            j = bisect_left(g, d)
+            gl, gr = g[j - 1], g[j]
+            return v[j - 1] + (v[j] - v[j - 1]) * (d - gl) / (gr - gl)
+
+        return rate
 
 
-RATE_FAMILIES = (ExponentialRate, StepRate, PiecewiseLinearRate, ArccotRate, TabulatedRate)
+# The only map from a config family name to its class.
+RATE_FAMILIES = {
+    "exponential": ExponentialRate,
+    "step": StepRate,
+    "piecewise_linear": PiecewiseLinearRate,
+    "arccot": ArccotRate,
+    "tabulated": TabulatedRate,
+}
 
 
 def constant_rate(a: float, half_width: float = 1.0) -> TabulatedRate:

@@ -22,23 +22,12 @@ exact) and re-synchronize it from the positions every RESUM_INTERVAL events.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    DeterministicJump,
-    ExponentialRate,
-    ModelError,
-    RESUM_INTERVAL,
-    StepRate,
-    PiecewiseLinearRate,
-    ArccotRate,
-    TabulatedRate,
-    SystemState,
-    initial_state,
-)
+from .model import ExponentialRate, ModelError, RESUM_INTERVAL, SystemState, initial_state
 
 _BATCH = 1 << 14
 
@@ -164,55 +153,6 @@ class _Observer:
             self.pos += 1
 
 
-def _scalar_rate(w):
-    """Pure-Python scalar rate evaluation for the hot thinning loop."""
-    if isinstance(w, StepRate):
-        a, b = w.a, w.b
-        return lambda d: a if d < 0.0 else b
-    if isinstance(w, PiecewiseLinearRate):
-        a, b = w.a, w.b
-        slope, mid = 0.5 * (a - b), 0.5 * (a + b)
-
-        def rate(d):
-            if d < -1.0:
-                return a
-            if d > 1.0:
-                return b
-            return mid - slope * d
-
-        return rate
-    if isinstance(w, ArccotRate):
-        half_pi, atan = 0.5 * math.pi, math.atan
-        return lambda d: half_pi - atan(d)
-    if isinstance(w, ExponentialRate):
-        beta, exp = w.beta, math.exp
-        return lambda d: exp(-beta * d) if beta * d > -700.0 else math.exp(700.0)
-    if isinstance(w, TabulatedRate):
-        g, v = list(w.grid), list(w.values)
-
-        def rate(d):
-            if d <= g[0]:
-                return v[0]
-            if d >= g[-1]:
-                return v[-1]
-            j = bisect_left(g, d)
-            gl, gr = g[j - 1], g[j]
-            return v[j - 1] + (v[j] - v[j - 1]) * (d - gl) / (gr - gl)
-
-        return rate
-    return lambda d: float(w.rate(d))
-
-
-def _resolve_engine(engine, w):
-    if engine == "auto":
-        if isinstance(w, ExponentialRate):
-            return "exponential"
-        if w.bounded and math.isfinite(w.left_limit):
-            return "bounded"
-        return "reference"
-    return engine
-
-
 def simulate(w, z, n: int, *, T: float = None, max_events: int = None,
              rng=None, seed: int = None, init="zeros", observer=None,
              observe_times=None, observations: int = 1000,
@@ -227,6 +167,15 @@ def simulate(w, z, n: int, *, T: float = None, max_events: int = None,
         raise ModelError("need a horizon T or an event cap")
     if T is not None and T < 0:
         raise ModelError("T must be >= 0")
+    if engine == "auto":
+        engine = w.default_engine
+    if engine not in ENGINES:
+        raise UnsupportedSpecError(
+            f"engine: unknown engine {engine!r}; have 'auto', {', '.join(map(repr, ENGINES))}")
+    if engine == "bounded" and not math.isfinite(w.left_limit):
+        raise UnsupportedSpecError("thinning engine needs a bounded rate function")
+    if engine == "exponential" and not isinstance(w, ExponentialRate):
+        raise UnsupportedSpecError("exponential engine only runs the exponential family")
     if rng is None:
         rng = np.random.default_rng(seed)
     state0 = initial_state(n, init, rng)
@@ -236,20 +185,19 @@ def simulate(w, z, n: int, *, T: float = None, max_events: int = None,
         observe_times = np.linspace(0.0, T, max(observations, 1))
     if observe_times is not None:
         observe_times = np.unique(np.asarray(observe_times, dtype=float))
-    engine = _resolve_engine(engine, w)
-    if engine == "bounded" and not (w.bounded and math.isfinite(w.left_limit)):
-        raise UnsupportedSpecError("thinning engine needs a bounded rate function")
-    if engine == "exponential" and not isinstance(w, ExponentialRate):
-        raise UnsupportedSpecError("exponential engine only runs the exponential family")
-    runner = {"reference": _run_reference, "bounded": _run_bounded,
-              "exponential": _run_exponential}[engine]
-    return runner(w, z, state0, T, max_events, rng,
-                  _Observer(observe_times, observer), log_events)
+    return ENGINES[engine](w, z, state0, T, max_events, rng,
+                           _Observer(observe_times, observer), log_events)
 
 
 # ---------------------------------------------------------------------------
 # engines
 # ---------------------------------------------------------------------------
+
+
+def _log_columns():
+    """Event-log columns (times, indices, lengths, centers) as typed arrays, which
+    hold 8 bytes an entry instead of a reference to a boxed float."""
+    return array("d"), array("q"), array("d"), array("d")
 
 
 def _finish(state, engine, events, t, c0, truncated, logs, proposals=0):
@@ -271,7 +219,7 @@ def _run_reference(w, z, state, T, max_events, rng, obs, log_events):
     c0 = m
     t = 0.0
     events = 0
-    logs = ([], [], [], []) if log_events else None
+    logs = _log_columns() if log_events else None
     positions_view = lambda: pos.copy()
     horizon = math.inf if T is None else T
     truncated = False
@@ -317,11 +265,10 @@ def _run_bounded(w, z, state, T, max_events, rng, obs, log_events):
     c0 = m
     a = float(w.left_limit)
     lam = n * a
-    rate = _scalar_rate(w)
-    deterministic = isinstance(z, DeterministicJump)
+    rate = w.scalar_rate()
     t = 0.0
     events = proposals = 0
-    logs = ([], [], [], []) if log_events else None
+    logs = _log_columns() if log_events else None
     positions_view = lambda: np.asarray(pos)
     horizon = math.inf if T is None else T
     truncated = False
@@ -335,15 +282,10 @@ def _run_bounded(w, z, state, T, max_events, rng, obs, log_events):
             truncated = T is not None and t < horizon
             break
         if cursor >= _BATCH:
-            waits = rng.standard_exponential(_BATCH)
-            idxs = rng.integers(0, n, _BATCH)
-            accs = rng.random(_BATCH)
-            zbuf = None if deterministic else z.sample(rng, _BATCH)
-            waits = waits.tolist()
-            idxs = idxs.tolist()
-            accs = accs.tolist()
-            if zbuf is not None:
-                zbuf = zbuf.tolist()
+            waits = rng.standard_exponential(_BATCH).tolist()
+            idxs = rng.integers(0, n, _BATCH).tolist()
+            accs = rng.random(_BATCH).tolist()
+            zbuf = z.sample(rng, _BATCH).tolist()
             cursor = 0
         t_next = t + waits[cursor] / lam
         if t_next > horizon:
@@ -354,7 +296,7 @@ def _run_bounded(w, z, state, T, max_events, rng, obs, log_events):
         i = idxs[cursor]
         accepted = accs[cursor] * a <= rate(pos[i] - m)
         if accepted:
-            length = 1.0 if deterministic else zbuf[cursor]
+            length = zbuf[cursor]
             pos[i] += length
             m += length * inv_n
             events += 1
@@ -381,11 +323,9 @@ def _run_exponential(w, z, state, T, max_events, rng, obs, log_events):
     pos = state.positions.tolist()
     m = state.center
     c0 = m
-    deterministic = isinstance(z, DeterministicJump)
-    det_factor = math.exp(-beta) if deterministic else None
     t = 0.0
     events = 0
-    logs = ([], [], [], []) if log_events else None
+    logs = _log_columns() if log_events else None
     positions_view = lambda: np.asarray(pos)
     horizon = math.inf if T is None else T
     truncated = False
@@ -428,7 +368,7 @@ def _run_exponential(w, z, state, T, max_events, rng, obs, log_events):
             break
         if wait_cursor >= _BATCH:
             waits = rng.standard_exponential(_BATCH).tolist()
-            zbuf = None if deterministic else rng.standard_exponential(_BATCH).tolist()
+            zbuf = z.sample(rng, _BATCH).tolist()
             wait_cursor = 0
         R = S * exp_(beta * (m - ref))
         if not (R > 0.0 and math.isfinite(R)):
@@ -452,11 +392,11 @@ def _run_exponential(w, z, state, T, max_events, rng, obs, log_events):
             sel_cursor += 1
             if ok:
                 break
-        length = 1.0 if deterministic else zbuf[wait_cursor - 1]
+        length = zbuf[wait_cursor - 1]
         pos[i] += length
         m += length * inv_n
         ui = u[i]
-        new_u = ui * det_factor if deterministic else ui * exp_(-beta * length)
+        new_u = ui * exp_(-beta * length)
         S += new_u - ui
         u[i] = new_u
         events += 1
@@ -475,6 +415,10 @@ def _run_exponential(w, z, state, T, max_events, rng, obs, log_events):
     state.positions = np.asarray(pos)
     state.pos_sum = m * n
     return _finish(state, "exponential", events, t, c0, truncated, logs)
+
+
+ENGINES = {"reference": _run_reference, "bounded": _run_bounded,
+           "exponential": _run_exponential}
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +458,7 @@ def simulate_coupled(w, z, n: int, *, proposals: int = None, T: float = None,
     `increment_windows`-piece partition of [0, T] using exact (fsum) sums of
     the logged jump lengths, so a zero violation count carries no tolerance.
     """
-    if not (w.bounded and math.isfinite(w.left_limit)):
+    if not math.isfinite(w.left_limit):
         raise UnsupportedSpecError(
             "the dominating coupling needs a bounded rate function (sup w = a < inf)")
     if proposals is None and T is None:
@@ -526,8 +470,7 @@ def simulate_coupled(w, z, n: int, *, proposals: int = None, T: float = None,
     m = math.fsum(base) / n
     a = float(w.left_limit)
     lam = n * a
-    rate = _scalar_rate(w)
-    deterministic = isinstance(z, DeterministicJump)
+    rate = w.scalar_rate()
     inv_n = 1.0 / n
 
     t = 0.0
@@ -544,7 +487,7 @@ def simulate_coupled(w, z, n: int, *, proposals: int = None, T: float = None,
             break
         t = t_next
         i = int(rng.integers(0, n))
-        length = 1.0 if deterministic else float(z.sample(rng))
+        length = float(z.sample(rng))
         dom[i] += length
         if rng.random() * a <= rate(base[i] - m):
             base[i] += length

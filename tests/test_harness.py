@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from flockjump.harness import (
     parse_rate_string,
     preset_config,
     rate_spec_from_dict,
-    rate_spec_to_dict,
     run_scenario,
     save_config,
 )
@@ -32,12 +33,36 @@ from flockjump.harness import (
 # ---------------------------------------------------------------------------
 
 
-def test_rate_spec_roundtrip():
-    specs = [fj.ExponentialRate(1.5), fj.StepRate(2.0, 1.0),
-             fj.PiecewiseLinearRate(3.0, 2.0), fj.ArccotRate(),
-             fj.TabulatedRate(grid=(-1.0, 1.0), values=(2.0, 1.0))]
-    for w in specs:
-        assert rate_spec_from_dict(rate_spec_to_dict(w)) == w
+def test_rate_spec_from_dict():
+    cases = [({"family": "exponential", "beta": 1.5}, fj.ExponentialRate(1.5)),
+             ({"family": "exponential"}, fj.ExponentialRate(1.0)),
+             ({"family": "step", "a": 2, "b": 1}, fj.StepRate(2.0, 1.0)),
+             ({"family": "piecewise_linear", "a": 3.0, "b": 2.0}, fj.PiecewiseLinearRate(3.0, 2.0)),
+             ({"family": "arccot"}, fj.ArccotRate()),
+             ({"family": "tabulated", "grid": [-1, 1], "values": [2.0, 1.0]},
+              fj.TabulatedRate(grid=(-1.0, 1.0), values=(2.0, 1.0)))]
+    for d, w in cases:
+        assert rate_spec_from_dict(d) == w
+
+
+@pytest.mark.parametrize("bad, key", [
+    ({"family": "step", "a": 2}, "rate.b"),
+    ({"family": "arccot", "beta": 3}, "rate.beta"),
+    ({"family": "exponential", "beta": "x"}, "rate.beta"),
+    ({"family": "tabulated", "grid": [0.0, 1.0], "values": 2.0}, "rate.values"),
+    ({"family": "step", "a": 1.0, "b": 2.0}, "rate: step rates need a > b"),
+    ({"family": "nope"}, "rate.family"),
+    ({"family": ["step"]}, "rate.family"),
+    ("step:a=2,b=1,c=5", "rate.c"),
+], ids=["missing-key", "extra-key", "not-a-number", "not-a-list", "invalid-values",
+        "unknown-family", "family-not-a-string", "extra-key-in-string"])
+def test_bad_rate_spec_names_the_key(bad, key):
+    build = parse_rate_string if isinstance(bad, str) else rate_spec_from_dict
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        build(bad)
+    if isinstance(bad, dict):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            ExperimentConfig(scenario="t", n=10, rate=bad)
 
 
 def test_parse_rate_string():
@@ -86,6 +111,8 @@ def test_config_errors_name_keys():
     with pytest.raises(ConfigError, match="initial.positions"):
         config_from_dict({**_minimal(),
                           "initial": {"kind": "explicit", "positions": [1.0]}})
+    with pytest.raises(ConfigError, match="engine: unknown engine 'bogus'"):
+        config_from_dict({**_minimal(), "engine": "bogus"})
 
 
 def test_config_save_load_roundtrip_byte_identical(tmp_path):
@@ -197,6 +224,37 @@ def test_run_scenario_emits_events_csv_when_logged(tmp_path):
     assert (d / "events.csv").exists()
     lines = (d / "events.csv").read_text().splitlines()
     assert lines[0] == "time,particle_index,jump_length,center_of_mass"
+
+
+def _bundle_digest(outdir):
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(outdir)):
+        with open(os.path.join(outdir, name), "rb") as fh:
+            digest.update(name.encode() + b"\0" + fh.read() + b"\0")
+    return digest.hexdigest()
+
+
+# sha256 of the small-preset bundles at their preset seeds, hashed file by file
+# in name order. They pin the random stream and every output byte, so a
+# refactor that moves either shows here. The first two are the baselines in
+# perfbench/METRICS.md; the deterministic-jump runs with an event log cover the
+# jump-law and event-log paths of the exponential and bounded engines.
+PRESET_DIGESTS = [
+    ("fig4_6_small", {}, "999571d47907199184d27f451add4d2af251b2f0b3715a886377101c4384eda7"),
+    ("fig7_9_small", {}, "940f1748441623c90230878fb02f6103cba76cfbafdc00d04fe7d0ea3b49d3a6"),
+    ("fig4_6_small", {"length": {"family": "deterministic"}, "log_events": True},
+     "ebe7090d169d2d0b484ce6e3200c35b4df0ae567ba09d460688166c0717dca96"),
+    ("fig7_9_small", {"length": {"family": "deterministic"}, "log_events": True},
+     "270fe90a6d2f21ba6155305d080e6c94f4cd72bf1ec6a167448aac7437b430ed"),
+]
+
+
+@pytest.mark.parametrize("preset, overrides, expected", PRESET_DIGESTS,
+                         ids=["fig4_6_small", "fig7_9_small",
+                              "fig4_6_small-deterministic", "fig7_9_small-deterministic"])
+def test_preset_bundle_digest(tmp_path, preset, overrides, expected):
+    run_scenario(preset_config(preset, **overrides), outdir=tmp_path)
+    assert _bundle_digest(tmp_path) == expected
 
 
 def test_ks_histogram_vs_cdf_consistency():

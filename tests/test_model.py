@@ -53,8 +53,8 @@ def test_tabulated_validation():
         fj.TabulatedRate(grid=(0.0, 1.0), values=(1.0, 2.0))       # increasing
     with pytest.raises(ModelError):
         fj.TabulatedRate(grid=(1.0, 0.0), values=(2.0, 1.0))       # grid not ascending
-    with pytest.raises(ModelError):
-        fj.TabulatedRate(grid=(0.0, 1.0), values=(2.0, 1.0), left_limit=5.0)
+    w = fj.TabulatedRate(grid=(0.0, 1.0), values=(2.0, 1.0))
+    assert (w.left_limit, w.right_limit) == (2.0, 1.0)            # limits follow the table
 
 
 def test_rate_parameter_validation():
@@ -64,6 +64,32 @@ def test_rate_parameter_validation():
         fj.ExponentialRate(-1.0)
     with pytest.raises(ModelError):
         fj.PiecewiseLinearRate(1.0, 1.0)
+    with pytest.raises(TypeError):
+        fj.ArccotRate(knots=(3.0,))                # knots belong to the family, not the instance
+
+
+def test_rate_families_registry_and_engine_defaults():
+    assert set(fj.model.RATE_FAMILIES) == {
+        "exponential", "step", "piecewise_linear", "arccot", "tabulated"}
+    assert all(issubclass(cls, fj.model.RateFamily) for cls in fj.model.RATE_FAMILIES.values())
+    engines = {type(w).__name__: w.default_engine for w in ALL_RATES}
+    assert engines == {"ExponentialRate": "exponential", "StepRate": "bounded",
+                       "PiecewiseLinearRate": "bounded", "ArccotRate": "bounded",
+                       "TabulatedRate": "bounded"}
+
+
+@pytest.mark.parametrize("w", ALL_RATES, ids=lambda w: type(w).__name__)
+def test_scalar_rate_matches_vectorized_rate(w):
+    knots = sorted(w.knots)
+    mids = [0.5 * (lo + hi) for lo, hi in zip(knots, knots[1:])]
+    tails = [-50.0, -5.0, -1.5, -0.3, 0.0, 0.3, 1.5, 5.0, 50.0]
+    if knots:
+        tails += [knots[0] - 0.25, knots[-1] + 0.25]
+    rate = w.scalar_rate()
+    for x in knots + mids + tails:
+        got = rate(x)
+        assert type(got) is float
+        assert got == pytest.approx(float(w.rate(x)), rel=1e-15, abs=1e-15), x
 
 
 @pytest.mark.parametrize("w", ALL_RATES, ids=lambda w: type(w).__name__)

@@ -142,6 +142,13 @@ def test_engine_validation():
     with pytest.raises(ModelError):
         fj.simulate(fj.StepRate(2.0, 1.0), fj.DeterministicJump(), 5, seed=8)
 
+    def no_work(rng, n):
+        raise AssertionError("initial state built before the engine was checked")
+
+    with pytest.raises(UnsupportedSpecError, match="engine: unknown engine 'bogus'"):
+        fj.simulate(fj.StepRate(2.0, 1.0), fj.DeterministicJump(), 5, T=1.0,
+                    seed=8, engine="bogus", init=("iid", no_work))
+
 
 def test_explicit_initial_positions():
     init = np.array([0.0, 5.0, 10.0])
@@ -185,6 +192,20 @@ def test_engines_agree_on_two_particle_occupancy_exponential():
         res = fj.simulate(w, fj.DeterministicJump(), 2, max_events=150_000,
                           seed=12, engine=engine, log_events=True)
         assert occupancy_tv(gap_occupancy(res.log), pi) < 0.02
+
+
+@pytest.mark.parametrize("engine, w", [("exponential", fj.ExponentialRate(1.0)),
+                                        ("bounded", fj.StepRate(2.0, 1.0)),
+                                        ("reference", fj.ExponentialRate(1.0))])
+def test_engines_draw_from_the_jump_law(engine, w):
+    # Uniform[0, 2] lengths: mean 1, variance 1/3, never longer than 2.
+    z = fj.CustomDensityJump(density=lambda u: np.where((u >= 0) & (u <= 2), 0.5, 0.0),
+                             sampler=lambda rng, size: rng.uniform(0.0, 2.0, size),
+                             third_moment=2.0, upper=2.0)
+    res = fj.simulate(w, z, 50, max_events=5000, seed=1, engine=engine, log_events=True)
+    assert np.all(res.log.lengths <= 2.0)
+    se = math.sqrt(1.0 / 3.0 / len(res.log))
+    assert abs(res.log.lengths.mean() - 1.0) < 4 * se
 
 
 def test_exchangeability_of_labels():
