@@ -11,6 +11,9 @@ Verbs:
 
 Rate SPEC strings: 'exponential:beta=1', 'step:a=2,b=1',
 'piecewise_linear:a=2,b=1', 'arccot'.
+
+A model or configuration error is reported as one line on stderr,
+"flockjump: error: <message>", with exit status 2.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import os
 import sys
 
 import numpy as np
+
+from .model import ModelError
 
 
 def _cmd_simulate(args):
@@ -103,7 +108,7 @@ def _cmd_extremes(args):
 
 
 def _cmd_pde(args):
-    from .harness import rate_spec_from_dict, write_pde_diagnostics_csv
+    from .harness import ConfigError, rate_spec_from_dict, write_pde_diagnostics_csv
     from .mean_field import DensityField, pde_integrate, wave_profile, wave_speed
 
     with open(args.config) as fh:
@@ -124,7 +129,7 @@ def _cmd_pde(args):
         field = DensityField.gaussian(grid, center=float(init.get("center", 0.0)),
                                       sigma=float(init.get("sigma", 0.1)))
     else:
-        raise SystemExit(f"unknown initial kind {init['kind']!r}")
+        raise ConfigError(f"initial.kind: unknown kind {init['kind']!r}")
     final, diags = pde_integrate(field, w, T=T, dt=dt, wave=prof,
                                  samples=int(cfg.get("samples", 200)))
     print(f"wave speed c = {c:.8g}")
@@ -192,7 +197,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_accept)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ModelError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ value) evolves like the mean-field particle with rate e^{beta(ct - y)}, and
 Y(T) - (1/beta) log N(T) converges to the (uncentered) generalized Gumbel law.
 Only the top k+1 pool values are retained: the jump of the k-th maximum is
 exactly the gap between the new k-th and (k+1)-st largest values, so deeper
-order statistics never matter.
+order statistics never matter. Every pool value is drawn, but only draws above
+the ledger's floor reach Python: each batch is scanned once in chunks that
+grow with the pool index, so a run does O(k log N) Python steps.
 """
 
 from __future__ import annotations
@@ -99,16 +101,29 @@ def simulate_record(pool: RecordPool, T: float, rng,
                     batch: int = _ARRIVAL_BATCH) -> RecordPath:
     """Advance the pool to time T, recording every jump of Y = k * Y_k.
 
-    Arrivals are processed in index batches (their order within a batch is
-    irrelevant to the maxima); a candidate must beat the current k-th maximum,
-    and the threshold only rises, so filtering each batch against the entry
-    threshold is exact.
+    Arrivals are drawn in index batches and each batch is walked once, in
+    chunks twice as long as the pool before them (at least 16 draws). A draw
+    can change the ledger only if it beats its smallest entry, top[k], and
+    that floor only rises, so filtering a chunk against its value at the chunk
+    start keeps every draw that matters; those are absorbed in index order.
+    About 2(k+1) draws pass per chunk, so a run costs O(k log N) Python steps
+    on top of the O(N) draws.
     """
+    if T < pool.t:
+        raise DomainError(f"T={T} is before the pool's time t={pool.t}; "
+                          "a record path only runs forward")
     beta, c, k = pool.beta, pool.c, pool.k
     n_final = pool_size(beta, c, T)
+    n0 = pool_size(beta, c, 0.0)
     top = list(pool.top)                        # kept descending throughout
     count = pool.pool_count
     times, values, jumps = [], [], []
+
+    def record(j_index: int, yk: float):
+        # arrival_time(j_index, beta, c), operation for operation
+        times.append(0.0 if j_index <= n0 else math.log((j_index - 1) * beta * c) / (beta * c))
+        values.append(k * yk)
+
     if len(top) >= k:
         times.append(pool.t)
         values.append(k * top[k - 1])
@@ -118,8 +133,7 @@ def simulate_record(pool: RecordPool, T: float, rng,
             top.append(v)
             top.sort(reverse=True)
             if len(top) == k:
-                times.append(arrival_time(j_index, beta, c))
-                values.append(k * top[k - 1])
+                record(j_index, top[k - 1])
             return
         if v <= top[k - 1]:
             if len(top) < k + 1:
@@ -134,39 +148,24 @@ def simulate_record(pool: RecordPool, T: float, rng,
             lo += 1
         top.insert(lo, v)
         del top[k + 1:]
-        new_yk = top[k - 1]
-        times.append(arrival_time(j_index, beta, c))
-        values.append(k * new_yk)
-        jumps.append(new_yk - old_yk)
+        record(j_index, top[k - 1])
+        jumps.append(top[k - 1] - old_yk)
 
-    j = count
     while count < n_final:
         b = min(batch, n_final - count)
         draws = rng.standard_exponential(b)
-        start = 0
-        while len(top) < k + 1 and start < b:
-            absorb(float(draws[start]), j + start + 1)
-            start += 1
-        if start < b:
-            sub = draws[start:]
-            # The entry threshold only rises within the batch, so filtering
-            # against its value at the batch start is a superset of the true
-            # record candidates.
-            cand = np.nonzero(sub > top[k - 1])[0]
-            for ci in cand:
-                v = float(sub[ci])
-                if v > top[k - 1]:
-                    absorb(v, j + start + int(ci) + 1)
-            # Draws below the final k-th maximum can still displace the stored
-            # (k+1)-st value; the strict inequality excludes absorbed records
-            # (ties between distinct draws have probability zero).
-            below = sub[sub < top[k - 1]]
-            if below.size:
-                rest = float(below.max())
-                if rest > top[k]:
-                    top[k] = rest
+        s = 0
+        while s < b:
+            if len(top) > k:
+                floor, e = top[k], min(b, s + max(16, 2 * (count + s)))
+            else:                               # filling the ledger: every draw counts
+                floor, e = -math.inf, min(b, s + k + 1 - len(top))
+            chunk = draws[s:e]
+            idx = (chunk > floor).nonzero()[0]
+            for i, v in zip(idx.tolist(), chunk[idx].tolist()):
+                absorb(v, count + s + i + 1)
+            s = e
         count += b
-        j = count
     out = replace(pool, top=top, pool_count=count, t=T)
     return RecordPath(times=np.asarray(times), values=np.asarray(values),
                       yk_jumps=np.asarray(jumps), pool=out)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import get_type_hints
@@ -78,6 +79,14 @@ def rate_spec_from_dict(d: dict):
 
 
 def length_spec_from_dict(d: dict):
+    """Build a jump-length law from {"family": "exponential" | "deterministic"};
+    both laws have mean one and take no parameters."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"length: expected a dict such as {{'family': 'exponential'}}, "
+                          f"got {d!r}")
+    for key in d:
+        if key != "family":
+            raise ConfigError(f"length.{key}: the length families take no parameters")
     fam = d.get("family", "exponential")
     if fam == "exponential":
         return ExponentialJump()
@@ -105,6 +114,14 @@ def parse_rate_string(text: str):
 # ---------------------------------------------------------------------------
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 @dataclass
 class ExperimentConfig:
     scenario: str
@@ -125,12 +142,17 @@ class ExperimentConfig:
     outdir: str = None
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_integer(self.n) or self.n < 1:
             raise ConfigError(f"n: must be an integer >= 1, got {self.n!r}")
-        if self.T < 0:
-            raise ConfigError(f"T: must be >= 0, got {self.T}")
+        if not _is_finite(self.T) or self.T < 0:
+            raise ConfigError(f"T: must be a finite number >= 0, got {self.T!r}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed: must be an integer >= 0, got {self.seed!r}")
+        if (not isinstance(self.window, (tuple, list)) or len(self.window) != 2
+                or not all(map(_is_finite, self.window))):
+            raise ConfigError(f"histogram.window: needs two finite numbers, got {self.window!r}")
         self.window = tuple(float(x) for x in self.window)
-        if len(self.window) != 2 or not self.window[0] < self.window[1]:
+        if not self.window[0] < self.window[1]:
             raise ConfigError(f"histogram.window: needs a0 < a1, got {self.window}")
         if self.bins is not None and self.bins < 1:
             raise ConfigError(f"histogram.bins: must be >= 1, got {self.bins}")
@@ -138,10 +160,11 @@ class ExperimentConfig:
             raise ConfigError(f"observations: must be >= 1, got {self.observations}")
         if not 0.0 < self.fit_window <= 1.0:
             raise ConfigError(f"fit_window: must be in (0, 1], got {self.fit_window}")
-        if self.engine != "auto" and self.engine not in sim.ENGINES:
-            raise ConfigError(f"engine: unknown engine {self.engine!r}; "
-                              f"have 'auto', {', '.join(map(repr, sim.ENGINES))}")
-        rate_spec_from_dict(self.rate)
+        w = rate_spec_from_dict(self.rate)
+        try:
+            sim.check_engine(w, self.engine)
+        except sim.UnsupportedSpecError as exc:
+            raise ConfigError(str(exc)) from exc
         length_spec_from_dict(self.length)
         kind = self.initial.get("kind", "zeros")
         if kind not in ("zeros", "explicit", "iid_uniform", "iid_normal"):
@@ -188,9 +211,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     missing = {"scenario", "n", "rate"} - set(d)
     if missing:
         raise ConfigError(f"missing required config keys: {sorted(missing)}")
-    d = dict(d)
-    if "window" in d:
-        d["window"] = tuple(d["window"])
     return ExperimentConfig(**d)
 
 

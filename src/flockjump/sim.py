@@ -153,6 +153,29 @@ class _Observer:
             self.pos += 1
 
 
+def check_engine(w, engine: str = "auto") -> str:
+    """The engine `simulate` runs for rate family w: w's default for "auto".
+
+    Raises UnsupportedSpecError, its message starting "engine:", for an unknown
+    name or an engine that cannot run w: thinning needs a bounded rate, and the
+    exponential engine runs only the exponential family.
+    """
+    if engine == "auto":
+        return w.default_engine
+    if not isinstance(engine, str) or engine not in ENGINES:
+        raise UnsupportedSpecError(
+            f"engine: unknown engine {engine!r}; have 'auto', {', '.join(map(repr, ENGINES))}")
+    if engine == "bounded" and not math.isfinite(w.left_limit):
+        raise UnsupportedSpecError(
+            f"engine: the bounded (thinning) engine needs a bounded rate function, "
+            f"and {type(w).__name__} is unbounded")
+    if engine == "exponential" and not isinstance(w, ExponentialRate):
+        raise UnsupportedSpecError(
+            f"engine: the exponential engine only runs the exponential family, "
+            f"not {type(w).__name__}")
+    return engine
+
+
 def simulate(w, z, n: int, *, T: float = None, max_events: int = None,
              rng=None, seed: int = None, init="zeros", observer=None,
              observe_times=None, observations: int = 1000,
@@ -167,15 +190,7 @@ def simulate(w, z, n: int, *, T: float = None, max_events: int = None,
         raise ModelError("need a horizon T or an event cap")
     if T is not None and T < 0:
         raise ModelError("T must be >= 0")
-    if engine == "auto":
-        engine = w.default_engine
-    if engine not in ENGINES:
-        raise UnsupportedSpecError(
-            f"engine: unknown engine {engine!r}; have 'auto', {', '.join(map(repr, ENGINES))}")
-    if engine == "bounded" and not math.isfinite(w.left_limit):
-        raise UnsupportedSpecError("thinning engine needs a bounded rate function")
-    if engine == "exponential" and not isinstance(w, ExponentialRate):
-        raise UnsupportedSpecError("exponential engine only runs the exponential family")
+    engine = check_engine(w, engine)
     if rng is None:
         rng = np.random.default_rng(seed)
     state0 = initial_state(n, init, rng)

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import flockjump as fj
 from flockjump import extremes as ex
@@ -112,6 +114,131 @@ def test_record_top_matches_brute_force_small():
     # the whole (k+1)-ledger must match the true top order statistics
     assert path.pool.top == pytest.approx(allv[: k + 1], abs=0.0)
     assert path.values[-1] == pytest.approx(k * allv[k - 1])
+
+
+def _reference_simulate_record(pool, T, rng, batch=ex._ARRIVAL_BATCH):
+    """`simulate_record` as it was before the chunked pass: a fill loop, a
+    per-candidate loop filtered against the k-th maximum at the batch start,
+    and a separate pass for the (k+1)-st entry. Kept as the bit-identity
+    reference for the current sampler."""
+    beta, c, k = pool.beta, pool.c, pool.k
+    n_final = ex.pool_size(beta, c, T)
+    top = list(pool.top)
+    count = pool.pool_count
+    times, values, jumps = [], [], []
+    if len(top) >= k:
+        times.append(pool.t)
+        values.append(k * top[k - 1])
+
+    def absorb(v, j_index):
+        if len(top) < k:
+            top.append(v)
+            top.sort(reverse=True)
+            if len(top) == k:
+                times.append(ex.arrival_time(j_index, beta, c))
+                values.append(k * top[k - 1])
+            return
+        if v <= top[k - 1]:
+            if len(top) < k + 1:
+                top.append(v)
+            elif v > top[k]:
+                top[k] = v
+            return
+        old_yk = top[k - 1]
+        lo = 0
+        while lo < k and top[lo] >= v:
+            lo += 1
+        top.insert(lo, v)
+        del top[k + 1:]
+        new_yk = top[k - 1]
+        times.append(ex.arrival_time(j_index, beta, c))
+        values.append(k * new_yk)
+        jumps.append(new_yk - old_yk)
+
+    j = count
+    while count < n_final:
+        b = min(batch, n_final - count)
+        draws = rng.standard_exponential(b)
+        start = 0
+        while len(top) < k + 1 and start < b:
+            absorb(float(draws[start]), j + start + 1)
+            start += 1
+        if start < b:
+            sub = draws[start:]
+            cand = np.nonzero(sub > top[k - 1])[0]
+            for ci in cand:
+                v = float(sub[ci])
+                if v > top[k - 1]:
+                    absorb(v, j + start + int(ci) + 1)
+            below = sub[sub < top[k - 1]]
+            if below.size:
+                rest = float(below.max())
+                if rest > top[k]:
+                    top[k] = rest
+        count += b
+        j = count
+    out = replace(pool, top=top, pool_count=count, t=T)
+    return ex.RecordPath(times=np.asarray(times), values=np.asarray(values),
+                         yk_jumps=np.asarray(jumps), pool=out)
+
+
+@pytest.mark.parametrize("batch", [64, ex._ARRIVAL_BATCH])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_record_path_bit_identical_to_reference(k, batch):
+    # same draws, same path: every output equal with ==, over 300 runs, with
+    # each run advanced in two legs so the second starts from a used pool
+    beta = 1.0 / k
+    c = wave_c(beta)
+    T1 = math.log(300 * beta * c) / (beta * c)
+    T2 = math.log(3000 * beta * c) / (beta * c)
+    for run in range(300):
+        rngs = [np.random.default_rng([k, batch, run]) for _ in range(2)]
+        legs = []
+        for sim, rng in zip((ex.simulate_record, _reference_simulate_record), rngs):
+            pool = ex.new_pool(beta, c, rng)
+            first = sim(pool, T1, rng, batch=batch)
+            legs.append((first, sim(first.pool, T2, rng, batch=batch)))
+        for new, old in zip(*legs):
+            assert new.times.tolist() == old.times.tolist()
+            assert new.values.tolist() == old.values.tolist()
+            assert new.yk_jumps.tolist() == old.yk_jumps.tolist()
+            assert new.pool.top == old.pool.top
+            assert new.pool.pool_count == old.pool.pool_count
+            assert new.pool.t == old.pool.t
+        assert rngs[0].random() == rngs[1].random()         # same number of draws
+
+
+def test_simulate_record_rejects_a_past_horizon():
+    rng = np.random.default_rng(0)
+    path = ex.simulate_record(ex.new_pool(1.0, 1.0, rng), 5.0, rng)
+    assert path.pool.pool_count == 149
+    with pytest.raises(DomainError, match="T=1.0"):
+        ex.simulate_record(path.pool, 1.0, rng)
+    same = ex.simulate_record(path.pool, 5.0, rng)           # T == pool.t: no draws
+    assert same.pool.pool_count == 149 and same.times.tolist() == [5.0]
+
+
+@pytest.mark.parametrize("pool_target", [30, 500])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_record_ledger_matches_exact_order_statistic_law(k, pool_target):
+    # Renyi (1953): the j-th largest of N unit exponentials is -log Beta(j, N-j+1),
+    # so P(top[j-1] <= x) = Beta(j, N-j+1).sf(e^{-x}) for every ledger slot j <= k+1
+    beta = 1.0 / k
+    c = wave_c(beta)
+    T = math.log(pool_target * beta * c) / (beta * c) + 1e-9
+    n_final = ex.pool_size(beta, c, T)
+    runs = 20_000
+    rng = np.random.default_rng(1953 + 10 * k + pool_target)
+    tops = np.empty((runs, k + 1))
+    for r in range(runs):
+        path = ex.simulate_record(ex.new_pool(beta, c, rng), T, rng)
+        assert path.pool.pool_count == n_final
+        tops[r] = path.pool.top
+    tol = 1.95 / math.sqrt(runs)          # Kolmogorov 0.999 quantile, per slot
+    for j in range(1, k + 2):
+        law = stats.beta(j, n_final - j + 1)
+        ks = ms.ks_distance(tops[:, j - 1], lambda x: law.sf(np.exp(-x)))
+        assert ks <= tol, (j, ks)
 
 
 def test_generalized_gumbel_pdf_values():

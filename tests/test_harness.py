@@ -9,6 +9,7 @@ import pytest
 
 import flockjump as fj
 from flockjump import cli
+from flockjump.sim import UnsupportedSpecError
 from flockjump.harness import (
     ConfigError,
     ExperimentConfig,
@@ -113,6 +114,42 @@ def test_config_errors_name_keys():
                           "initial": {"kind": "explicit", "positions": [1.0]}})
     with pytest.raises(ConfigError, match="engine: unknown engine 'bogus'"):
         config_from_dict({**_minimal(), "engine": "bogus"})
+
+
+@pytest.mark.parametrize("override, key", [
+    ({"length": "exponential"}, "length:"),
+    ({"length": {"family": "deterministic", "mean": 2}}, "length.mean"),
+    ({"T": math.nan}, "T:"),
+    ({"T": math.inf}, "T:"),
+    ({"T": "5"}, "T:"),
+    ({"n": True}, "n:"),
+    ({"n": 10.0}, "n:"),
+    ({"seed": "x"}, "seed:"),
+    ({"seed": 1.5}, "seed:"),
+    ({"window": (-10.0, math.inf)}, "histogram.window"),
+    ({"window": (math.nan, 1.0)}, "histogram.window"),
+    ({"window": 5}, "histogram.window"),
+    ({"engine": "exponential", "rate": {"family": "step", "a": 2, "b": 1}}, "engine:"),
+    ({"engine": "bounded"}, "engine:"),
+])
+def test_config_rejects_bad_values_naming_the_key(override, key):
+    with pytest.raises(ConfigError, match="^" + re.escape(key)):
+        config_from_dict({**_minimal(), **override})
+
+
+def test_config_engine_rule_is_the_simulators():
+    # ExperimentConfig and sim.simulate apply the one rule in sim.check_engine
+    step = {"family": "step", "a": 2, "b": 1}
+    for rate, engine in ((step, "exponential"), (_minimal()["rate"], "bounded")):
+        with pytest.raises(UnsupportedSpecError) as sim_err:
+            fj.simulate(rate_spec_from_dict(rate), fj.ExponentialJump(), 5, T=1.0,
+                        seed=1, engine=engine)
+        with pytest.raises(ConfigError) as cfg_err:
+            config_from_dict({**_minimal(), "rate": rate, "engine": engine})
+        assert str(cfg_err.value) == str(sim_err.value)
+    for rate, engine in ((step, "bounded"), (step, "reference"), (step, "auto"),
+                         (_minimal()["rate"], "exponential")):
+        config_from_dict({**_minimal(), "rate": rate, "engine": engine})
 
 
 def test_config_save_load_roundtrip_byte_identical(tmp_path):
@@ -315,6 +352,34 @@ def test_cli_simulate_and_pde(capsys, tmp_path):
     assert rc == 0
     assert (tmp_path / "pde" / "pde_diagnostics.csv").exists()
     assert (tmp_path / "pde" / "final_density.csv").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["extremes", "--beta", "0.4", "--T", "3"], "k = 1/beta a positive integer"),
+    (["extremes", "--beta", "1", "--T", "80"], "exceeds 2^62"),
+    (["travelwave", "--rate", "nope"], "rate.family"),
+    (["gap", "--rate", "step:a=2"], "rate.b"),
+])
+def test_cli_reports_model_errors_in_one_line(capsys, argv, message):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("flockjump: error: ")
+    assert message in captured.err and "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_cli_reports_config_errors(capsys, tmp_path):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({**_minimal(), "rate": {"family": "step", "a": 2, "b": 1},
+                                "engine": "exponential"}))
+    assert cli.main(["simulate", str(cfgp), "--outdir", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("flockjump: error: engine: ")
+    assert not (tmp_path / "run").exists()
+    pde_path = tmp_path / "pde.json"
+    pde_path.write_text(json.dumps({"rate": {"family": "exponential", "beta": 1.0},
+                                    "initial": {"kind": "bogus"}}))
+    assert cli.main(["pde", str(pde_path)]) == 2
+    assert capsys.readouterr().err.startswith("flockjump: error: initial.kind: ")
 
 
 def test_cli_accept_single_criterion(capsys):

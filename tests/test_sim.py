@@ -5,7 +5,7 @@ import pytest
 
 import flockjump as fj
 from flockjump.model import ModelError
-from flockjump.sim import StallError, UnsupportedSpecError, total_rate, step
+from flockjump.sim import StallError, UnsupportedSpecError, check_engine, total_rate, step
 from flockjump.two_particle import gap_chain, gap_stationary_pmf
 
 
@@ -148,6 +148,23 @@ def test_engine_validation():
     with pytest.raises(UnsupportedSpecError, match="engine: unknown engine 'bogus'"):
         fj.simulate(fj.StepRate(2.0, 1.0), fj.DeterministicJump(), 5, T=1.0,
                     seed=8, engine="bogus", init=("iid", no_work))
+
+
+def test_check_engine():
+    step, expo = fj.StepRate(2.0, 1.0), fj.ExponentialRate(1.0)
+    assert check_engine(step) == "bounded"
+    assert check_engine(expo) == "exponential"
+    assert check_engine(fj.ArccotRate()) == "bounded"
+    for w in (step, expo):
+        assert check_engine(w, "reference") == "reference"
+    assert check_engine(step, "bounded") == "bounded"
+    assert check_engine(expo, "exponential") == "exponential"
+    with pytest.raises(UnsupportedSpecError, match="^engine: the bounded"):
+        check_engine(expo, "bounded")
+    with pytest.raises(UnsupportedSpecError, match="^engine: the exponential engine"):
+        check_engine(step, "exponential")
+    with pytest.raises(UnsupportedSpecError, match="^engine: unknown engine"):
+        check_engine(step, ["bounded"])
 
 
 def test_explicit_initial_positions():
