@@ -19,7 +19,6 @@ A model or configuration error is reported as one line on stderr,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -108,34 +107,25 @@ def _cmd_extremes(args):
 
 
 def _cmd_pde(args):
-    from .harness import ConfigError, rate_spec_from_dict, write_pde_diagnostics_csv
+    from .harness import pde_config_from_dict, read_json, write_pde_diagnostics_csv
     from .mean_field import DensityField, pde_integrate, wave_profile, wave_speed
 
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    w = rate_spec_from_dict(cfg["rate"])
-    h = float(cfg.get("h", 0.01))
-    dt = float(cfg.get("dt", 1e-3))
-    T = float(cfg.get("T", 10.0))
+    cfg = pde_config_from_dict(read_json(args.config))
+    w, h, dt, T = cfg["rate"], cfg["h"], cfg["dt"], cfg["T"]
     c = wave_speed(w)
     prof = wave_profile(w, c)
-    lo = float(cfg.get("x_min", -6.0))
-    hi = float(cfg.get("x_max", 25.0))
-    grid = np.arange(lo, hi + h / 2, h)
-    init = cfg.get("initial", {"kind": "wave"})
+    grid = np.arange(cfg["x_min"], cfg["x_max"] + h / 2, h)
+    init = cfg["initial"]
     if init.get("kind", "wave") == "wave":
         field = DensityField.from_profile(prof, grid=grid)
-    elif init["kind"] == "gaussian":
+    else:
         field = DensityField.gaussian(grid, center=float(init.get("center", 0.0)),
                                       sigma=float(init.get("sigma", 0.1)))
-    else:
-        raise ConfigError(f"initial.kind: unknown kind {init['kind']!r}")
-    final, diags = pde_integrate(field, w, T=T, dt=dt, wave=prof,
-                                 samples=int(cfg.get("samples", 200)))
+    final, diags = pde_integrate(field, w, T=T, dt=dt, wave=prof, samples=cfg["samples"])
     print(f"wave speed c = {c:.8g}")
     print(f"mass drift per unit time: {diags.mass_drift_per_unit_time():.3e}")
     print(f"final mean: {final.mean:.6g};  W1 to wave (shape): {diags.w1_shape[-1]:.3e}")
-    outdir = cfg.get("outdir")
+    outdir = cfg["outdir"]
     if outdir:
         os.makedirs(outdir, exist_ok=True)
         write_pde_diagnostics_csv(diags, os.path.join(outdir, "pde_diagnostics.csv"))

@@ -14,6 +14,7 @@ grow with the pool index, so a run does O(k log N) Python steps.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -112,6 +113,8 @@ def simulate_record(pool: RecordPool, T: float, rng,
     if T < pool.t:
         raise DomainError(f"T={T} is before the pool's time t={pool.t}; "
                           "a record path only runs forward")
+    if not (isinstance(batch, numbers.Integral) and batch >= 1):
+        raise DomainError(f"batch must be an integer >= 1, got {batch!r}")
     beta, c, k = pool.beta, pool.c, pool.k
     n_final = pool_size(beta, c, T)
     n0 = pool_size(beta, c, 0.0)

@@ -30,6 +30,10 @@ class FitError(ModelError):
     """Degenerate speed-fit window."""
 
 
+# fewest mean-path samples the speed fit accepts in its trailing window
+FIT_MIN_SAMPLES = 10
+
+
 # ---------------------------------------------------------------------------
 # rate / jump-length spec parsing
 # ---------------------------------------------------------------------------
@@ -144,8 +148,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not _is_integer(self.n) or self.n < 1:
             raise ConfigError(f"n: must be an integer >= 1, got {self.n!r}")
-        if not _is_finite(self.T) or self.T < 0:
-            raise ConfigError(f"T: must be a finite number >= 0, got {self.T!r}")
+        if not _is_finite(self.T) or self.T <= 0:
+            # at T = 0 every observation falls at t = 0 and the speed fit has no spread
+            raise ConfigError(f"T: must be a finite number > 0, got {self.T!r}")
         if not _is_integer(self.seed) or self.seed < 0:
             raise ConfigError(f"seed: must be an integer >= 0, got {self.seed!r}")
         if (not isinstance(self.window, (tuple, list)) or len(self.window) != 2
@@ -154,23 +159,29 @@ class ExperimentConfig:
         self.window = tuple(float(x) for x in self.window)
         if not self.window[0] < self.window[1]:
             raise ConfigError(f"histogram.window: needs a0 < a1, got {self.window}")
-        if self.bins is not None and self.bins < 1:
-            raise ConfigError(f"histogram.bins: must be >= 1, got {self.bins}")
-        if self.observations < 1:
-            raise ConfigError(f"observations: must be >= 1, got {self.observations}")
-        if not 0.0 < self.fit_window <= 1.0:
-            raise ConfigError(f"fit_window: must be in (0, 1], got {self.fit_window}")
+        if self.bins is not None and not (_is_integer(self.bins) and self.bins >= 1):
+            raise ConfigError(f"histogram.bins: must be an integer >= 1, got {self.bins!r}")
+        if not (_is_finite(self.fit_window) and 0.0 < self.fit_window <= 1.0):
+            raise ConfigError(f"fit_window: must be a number in (0, 1], got {self.fit_window!r}")
+        if not _is_integer(self.observations):
+            raise ConfigError(f"observations: must be an integer, got {self.observations!r}")
+        in_fit = self.observations - math.floor(self.observations * (1.0 - self.fit_window))
+        if in_fit < FIT_MIN_SAMPLES:
+            raise ConfigError(
+                f"observations: the speed fit needs >= {FIT_MIN_SAMPLES} samples in its "
+                f"trailing window (fit_window={self.fit_window}), and {self.observations} "
+                f"observations put {in_fit} there")
+        if not (_is_finite(self.burn_in) and 0.0 <= self.burn_in <= self.T):
+            raise ConfigError(f"burn_in: must be a number in [0, T], got {self.burn_in!r}")
+        if self.snapshot_time is not None and not _is_finite(self.snapshot_time):
+            raise ConfigError(f"snapshot_time: must be a finite number, got {self.snapshot_time!r}")
         w = rate_spec_from_dict(self.rate)
         try:
             sim.check_engine(w, self.engine)
         except sim.UnsupportedSpecError as exc:
             raise ConfigError(str(exc)) from exc
         length_spec_from_dict(self.length)
-        kind = self.initial.get("kind", "zeros")
-        if kind not in ("zeros", "explicit", "iid_uniform", "iid_normal"):
-            raise ConfigError(f"initial.kind: unknown kind {kind!r}")
-        if kind == "explicit" and len(self.initial.get("positions", [])) != self.n:
-            raise ConfigError("initial.positions: must list exactly n positions")
+        _check_initial(self.initial, self.n)
 
     @property
     def nbins(self) -> int:
@@ -191,10 +202,39 @@ class ExperimentConfig:
         if kind == "iid_uniform":
             lo, hi = float(self.initial["lo"]), float(self.initial["hi"])
             return ("iid", lambda rng, n: rng.uniform(lo, hi, n))
-        if kind == "iid_normal":
-            mu, sd = float(self.initial.get("mean", 0.0)), float(self.initial.get("sd", 1.0))
-            return ("iid", lambda rng, n: rng.normal(mu, sd, n))
-        raise ConfigError(f"initial.kind: unknown kind {kind!r}")
+        mu, sd = float(self.initial.get("mean", 0.0)), float(self.initial.get("sd", 1.0))
+        return ("iid", lambda rng, n: rng.normal(mu, sd, n))
+
+
+# initial.kind -> (required keys, optional keys); every value is a finite number
+# except the explicit position list
+_INITIAL_KEYS = {"zeros": ((), ()), "explicit": (("positions",), ()),
+                 "iid_uniform": (("lo", "hi"), ()), "iid_normal": ((), ("mean", "sd"))}
+
+
+def _check_initial(d, n: int):
+    if not isinstance(d, dict):
+        raise ConfigError(f"initial: expected a dict such as {{'kind': 'zeros'}}, got {d!r}")
+    kind = d.get("kind", "zeros")
+    if not isinstance(kind, str) or kind not in _INITIAL_KEYS:
+        raise ConfigError(f"initial.kind: unknown kind {kind!r}; have {sorted(_INITIAL_KEYS)}")
+    required, optional = _INITIAL_KEYS[kind]
+    for key, val in d.items():
+        if key == "kind":
+            continue
+        if key not in required + optional:
+            raise ConfigError(f"initial.{key}: not a key of initial kind {kind!r}")
+        if key != "positions" and not _is_finite(val):
+            raise ConfigError(f"initial.{key}: must be a finite number, got {val!r}")
+    for key in required:
+        if key not in d:
+            raise ConfigError(f"initial.{key}: required by initial kind {kind!r}")
+    if kind == "explicit":
+        pos = d["positions"]
+        if not (isinstance(pos, (list, tuple)) and len(pos) == n and all(map(_is_finite, pos))):
+            raise ConfigError("initial.positions: must list exactly n finite positions")
+    if kind == "iid_normal" and not d.get("sd", 1.0) >= 0:
+        raise ConfigError(f"initial.sd: must be >= 0, got {d['sd']}")
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -218,13 +258,68 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def load_config(path) -> ExperimentConfig:
+def read_json(path) -> dict:
+    """A JSON object from a config file; ConfigError if it is anything else."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file does not parse as JSON: {exc}") from exc
-    return config_from_dict(raw)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file must hold a JSON object, got {type(raw).__name__}")
+    return raw
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(read_json(path))
+
+
+# `flockjump pde` numeric settings and their defaults
+_PDE_NUMBERS = {"h": 0.01, "dt": 1e-3, "T": 10.0, "x_min": -6.0, "x_max": 25.0}
+
+
+def pde_config_from_dict(d: dict) -> dict:
+    """Check a `flockjump pde` config and fill in its defaults.
+
+    Returns the settings with `rate` built into its rate family; every bad or
+    missing value is a ConfigError naming its key.
+    """
+    extra = set(d) - {"rate", "initial", "samples", "outdir", *_PDE_NUMBERS}
+    if extra:
+        raise ConfigError(f"unknown config keys: {sorted(extra)}")
+    if "rate" not in d:
+        raise ConfigError("rate: required, e.g. {'family': 'exponential', 'beta': 1.0}")
+    out = {"rate": rate_spec_from_dict(d["rate"]), "outdir": d.get("outdir")}
+    for key, default in _PDE_NUMBERS.items():
+        val = d.get(key, default)
+        if not _is_finite(val):
+            raise ConfigError(f"{key}: must be a finite number, got {val!r}")
+        out[key] = float(val)
+    for key in ("h", "dt"):
+        if not out[key] > 0:
+            raise ConfigError(f"{key}: must be > 0, got {out[key]}")
+    if out["T"] < 0:
+        raise ConfigError(f"T: must be >= 0, got {out['T']}")
+    if not out["x_min"] < out["x_max"]:
+        raise ConfigError(f"x_max: must exceed x_min, got {out['x_min']} and {out['x_max']}")
+    samples = d.get("samples", 200)
+    if not (_is_integer(samples) and samples >= 1):
+        raise ConfigError(f"samples: must be an integer >= 1, got {samples!r}")
+    out["samples"] = samples
+    init = d.get("initial", {"kind": "wave"})
+    if not isinstance(init, dict):
+        raise ConfigError(f"initial: expected a dict such as {{'kind': 'wave'}}, got {init!r}")
+    kind = init.get("kind", "wave")
+    if kind == "gaussian":
+        for key, default in (("center", 0.0), ("sigma", 0.1)):
+            if not _is_finite(init.get(key, default)):
+                raise ConfigError(f"initial.{key}: must be a finite number, got {init[key]!r}")
+        if not init.get("sigma", 0.1) > 0:
+            raise ConfigError(f"initial.sigma: must be > 0, got {init['sigma']!r}")
+    elif kind != "wave":
+        raise ConfigError(f"initial.kind: unknown kind {kind!r}; have 'wave', 'gaussian'")
+    out["initial"] = init
+    return out
 
 
 def save_config(cfg: ExperimentConfig, path):
@@ -270,8 +365,8 @@ def fit_speed(times, means, window_fraction: float = 0.5):
     start = int(math.floor(len(times) * (1.0 - window_fraction)))
     t = times[start:]
     y = means[start:]
-    if len(t) < 10:
-        raise FitError(f"speed fit needs >= 10 samples in the window, got {len(t)}")
+    if len(t) < FIT_MIN_SAMPLES:
+        raise FitError(f"speed fit needs >= {FIT_MIN_SAMPLES} samples in the window, got {len(t)}")
     tc = t - t.mean()
     denom = float(np.dot(tc, tc))
     if denom == 0.0:

@@ -472,7 +472,7 @@ def initial_state(n: int, init="zeros", rng=None) -> SystemState:
         if pos.shape != (n,):
             raise ModelError("iid sampler must return n positions")
     else:
-        pos = np.asarray(init, dtype=float)
+        pos = np.array(init, dtype=float)           # a copy: engines move it in place
         if pos.shape != (n,):
             raise ModelError(f"explicit initial positions must have length n={n}")
     return SystemState(positions=pos)

@@ -218,6 +218,18 @@ def test_simulate_record_rejects_a_past_horizon():
     assert same.pool.pool_count == 149 and same.times.tolist() == [5.0]
 
 
+@pytest.mark.parametrize("batch", [0, -3, 2.5])
+def test_simulate_record_rejects_a_batch_below_one(batch):
+    # a batch of zero draws never advances the pool; the check comes before any draw
+    class NoDraws:
+        def __getattr__(self, name):
+            raise AssertionError(f"rng.{name} used before the batch was checked")
+
+    pool = ex.new_pool(1.0, 1.0, np.random.default_rng(0))
+    with pytest.raises(DomainError, match="batch"):
+        ex.simulate_record(pool, 5.0, NoDraws(), batch=batch)
+
+
 @pytest.mark.parametrize("pool_target", [30, 500])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_record_ledger_matches_exact_order_statistic_law(k, pool_target):

@@ -131,6 +131,24 @@ def test_config_errors_name_keys():
     ({"window": 5}, "histogram.window"),
     ({"engine": "exponential", "rate": {"family": "step", "a": 2, "b": 1}}, "engine:"),
     ({"engine": "bounded"}, "engine:"),
+    ({"bins": "x"}, "histogram.bins:"),
+    ({"bins": 0}, "histogram.bins:"),
+    ({"observations": "5"}, "observations:"),
+    ({"observations": 18}, "observations:"),        # 9 samples in the fit window
+    ({"observations": 40, "fit_window": 0.2}, "observations:"),
+    ({"fit_window": "a"}, "fit_window:"),
+    ({"fit_window": 0.0}, "fit_window:"),
+    ({"burn_in": "x"}, "burn_in:"),
+    ({"burn_in": 150.0}, "burn_in:"),               # past the horizon T = 100
+    ({"snapshot_time": "x"}, "snapshot_time:"),
+    ({"snapshot_time": math.nan}, "snapshot_time:"),
+    ({"initial": "zeros"}, "initial:"),
+    ({"initial": {"kind": "iid_uniform", "lo": 0.0}}, "initial.hi:"),
+    ({"initial": {"kind": "iid_uniform", "lo": 0.0, "hi": "1"}}, "initial.hi:"),
+    ({"initial": {"kind": "iid_normal", "sd": -1.0}}, "initial.sd:"),
+    ({"initial": {"kind": "zeros", "lo": 0.0}}, "initial.lo:"),
+    ({"initial": {"kind": "explicit", "positions": ["a"] * 10}}, "initial.positions:"),
+    ({"T": 0}, "T:"),
 ])
 def test_config_rejects_bad_values_naming_the_key(override, key):
     with pytest.raises(ConfigError, match="^" + re.escape(key)):
@@ -380,6 +398,26 @@ def test_cli_reports_config_errors(capsys, tmp_path):
                                     "initial": {"kind": "bogus"}}))
     assert cli.main(["pde", str(pde_path)]) == 2
     assert capsys.readouterr().err.startswith("flockjump: error: initial.kind: ")
+    rate = {"family": "exponential", "beta": 1.0}
+    for cfg, key in (({"T": 1}, "rate"),
+                     ({"rate": rate, "h": "x"}, "h"),
+                     ({"rate": rate, "dt": "x"}, "dt"),
+                     ({"rate": rate, "dt": 0}, "dt"),
+                     ({"rate": rate, "T": "x"}, "T"),
+                     ({"rate": rate, "x_min": "x"}, "x_min"),
+                     ({"rate": rate, "x_max": None}, "x_max"),
+                     ({"rate": rate, "x_min": 5, "x_max": 1}, "x_max"),
+                     ({"rate": rate, "samples": "x"}, "samples"),
+                     ({"rate": rate, "initial": "wave"}, "initial"),
+                     ({"rate": rate, "initial": {"kind": "gaussian", "sigma": 0}},
+                      "initial.sigma"),
+                     ({"rate": rate, "bogus": 1}, "unknown config keys"),
+                     ([rate], "config file")):
+        pde_path.write_text(json.dumps(cfg))
+        assert cli.main(["pde", str(pde_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"flockjump: error: {key}"), (cfg, err)
+        assert err.count("\n") == 1
 
 
 def test_cli_accept_single_criterion(capsys):

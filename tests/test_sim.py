@@ -2,10 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import flockjump as fj
 from flockjump.model import ModelError
-from flockjump.sim import StallError, UnsupportedSpecError, check_engine, total_rate, step
+from flockjump.sim import (
+    DIRECT_MAX_N,
+    StallError,
+    UnsupportedSpecError,
+    check_engine,
+    step,
+    total_rate,
+)
 from flockjump.two_particle import gap_chain, gap_stationary_pmf
 
 
@@ -79,6 +87,89 @@ def test_two_particle_first_transition_rates():
     phat = ups / trials
     se = math.sqrt(p_up_expected * (1 - p_up_expected) / trials)
     assert abs(phat - p_up_expected) < 4 * se + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one-step exact law
+# ---------------------------------------------------------------------------
+
+
+def one_step_transforms(engine, w, n, seeds, steps):
+    """Probability-integral transforms of each event's holding time and index.
+
+    Each seed runs `steps` events from its own random explicit configuration.
+    Given the configuration x just before an event, the holding time is
+    Exp(R) with R = sum_i w(x_i - m) and the index is i with probability
+    w(x_i - m)/R; the first event is the max_events=1 law, and the later ones
+    see weights that a jump has changed. Under the exact law both transforms
+    are iid Uniform(0, 1); the index one ranks the particles by rate and is
+    randomized within the selected particle's cell.
+    """
+    z = fj.ExponentialJump()
+    jitter = np.random.default_rng(20_000 + n)
+    hold, index = [], []
+    for seed in seeds:
+        init = np.random.default_rng([n, seed]).uniform(0.0, 3.0, n)
+        res = fj.simulate(w, z, n, max_events=steps, seed=1000 * n + seed, init=init,
+                          engine=engine, log_events=True)
+        assert len(res.log) == steps
+        pos, t = init.copy(), 0.0
+        for k in range(steps):
+            rates = np.asarray(w.rate(pos - pos.mean()), dtype=float)
+            R = rates.sum()
+            hold.append(-math.expm1(-R * (res.log.times[k] - t)))
+            # cells in decreasing-rate order, so that weights that are wrong
+            # for the particles that jumped last shift the transform
+            i = res.log.indices[k]
+            order = np.argsort(-rates, kind="stable")
+            j = int(np.flatnonzero(order == i)[0])
+            cum = np.concatenate([[0.0], np.cumsum(rates[order]) / R])
+            index.append(cum[j] + jitter.random() * (cum[j + 1] - cum[j]))
+            pos[i] += res.log.lengths[k]
+            t = res.log.times[k]
+    return np.asarray(hold), np.asarray(index)
+
+
+ONE_STEP_CASES = [
+    ("reference", fj.ExponentialRate(1.0), 5),
+    ("reference", fj.ArccotRate(), 5),
+    ("bounded", fj.StepRate(2.0, 1.0), 5),
+    ("bounded", fj.ArccotRate(), 7),
+    ("exponential", fj.ExponentialRate(1.0), 2),                   # direct selection
+    ("exponential", fj.ExponentialRate(2.0), DIRECT_MAX_N),        # direct selection
+    ("exponential", fj.ExponentialRate(1.0), DIRECT_MAX_N + 1),    # frozen table
+]
+
+
+@pytest.mark.parametrize("engine, w, n", ONE_STEP_CASES,
+                         ids=[f"{e}-{type(w).__name__}-n{n}" for e, w, n in ONE_STEP_CASES])
+def test_one_step_exact_law(engine, w, n):
+    # 200 seeds x 30 events; KS of the holding times against Exp(R) and
+    # chi-square of the index against w_i/R in ten equiprobable cells, each
+    # at the 0.999 level
+    hold, index = one_step_transforms(engine, w, n, range(1, 201), 30)
+    assert stats.kstest(hold, "uniform").pvalue > 1e-3
+    counts, _ = np.histogram(index, bins=10, range=(0.0, 1.0))
+    assert stats.chisquare(counts).pvalue > 1e-3
+
+
+def test_stall_errors_name_the_true_cause():
+    # two particles 1500 apart at beta = 1: the trailing weight is e^750, which
+    # is not a finite double, on either selector of the exponential engine
+    w = fj.ExponentialRate(1.0)
+    for init in ([0.0, 1500.0], [0.0] + [1500.0] * DIRECT_MAX_N):
+        with np.errstate(over="ignore"), pytest.raises(StallError, match="overflowed"):
+            fj.simulate(w, fj.DeterministicJump(), len(init), T=1.0, seed=1,
+                        init=np.asarray(init), engine="exponential")
+
+    class Vanishing:
+        # every weight underflows: a real underflow keeps its message. (The
+        # exponential family cannot underflow: the rearmost weight is >= 1.)
+        def rate(self, x):
+            return np.exp(-800.0 - np.abs(x))
+
+    with pytest.raises(StallError, match="underflowed to zero"):
+        fj.simulate(Vanishing(), fj.DeterministicJump(), 2, T=1.0, seed=1, engine="reference")
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +259,13 @@ def test_check_engine():
 
 
 def test_explicit_initial_positions():
-    init = np.array([0.0, 5.0, 10.0])
-    res = fj.simulate(fj.StepRate(2.0, 1.0), fj.DeterministicJump(), 3, T=0.5,
-                      init=init, seed=9, engine="bounded")
-    assert res.initial_center == pytest.approx(5.0)
-    assert np.all(res.state.positions >= init)      # paths are monotone
-    assert np.all(init == np.array([0.0, 5.0, 10.0]))   # input not mutated
+    for engine in ("bounded", "reference"):
+        init = np.array([0.0, 5.0, 10.0])
+        res = fj.simulate(fj.StepRate(2.0, 1.0), fj.DeterministicJump(), 3, T=0.5,
+                          init=init, seed=9, engine=engine)
+        assert res.initial_center == pytest.approx(5.0)
+        assert np.all(res.state.positions >= init)      # paths are monotone
+        assert np.all(init == np.array([0.0, 5.0, 10.0]))   # input not mutated
 
 
 def test_event_count_dominated_by_poisson_bound():
