@@ -26,12 +26,9 @@ from .model import (
 from .sim import (
     CoupledResult,
     EventLog,
-    EventRecord,
     SimulationResult,
     simulate,
     simulate_coupled,
-    step,
-    total_rate,
 )
 from .two_particle import (
     GapChain,

@@ -43,8 +43,9 @@ class RateFamily:
     A family is a frozen dataclass whose fields are its parameters. It supplies
     the vectorized `rate(x)` and its exact antiderivative `integral(x)` from 0,
     the limits `left_limit` (sup w, as x -> -inf) and `right_limit` (inf w), and
-    overrides `continuous`, `knots` (points where w or its derivative jumps)
-    and `scalar_rate` where the defaults below do not fit. Registering the
+    overrides `continuous`, `knots` (points where w or its derivative jumps),
+    `scalar_rate`, `kernel_rate` and `rate_overflows` where the defaults
+    below do not fit. Registering the
     class in RATE_FAMILIES makes it available to configs under its name.
     """
 
@@ -64,6 +65,15 @@ class RateFamily:
         rate = self.rate
         return lambda d: float(rate(d))
 
+    def kernel_rate(self):
+        """(name, parameters) of the compiled kernel's w, operation for operation
+        as `scalar_rate()`, or None when the kernel has none for this family."""
+        return None
+
+    def rate_overflows(self, x) -> bool:
+        """Whether w exceeds, somewhere on x, what `rate` can return exactly."""
+        return False
+
 
 @dataclass(frozen=True)
 class ExponentialRate(RateFamily):
@@ -82,6 +92,12 @@ class ExponentialRate(RateFamily):
     def rate(self, x):
         z = np.clip(np.multiply(self.beta, x), -EXP_CLAMP, EXP_CLAMP)
         return np.exp(-z)
+
+    def rate_overflows(self, x) -> bool:
+        # rate() clips beta*x from below at -EXP_CLAMP. (Clipping above only
+        # replaces a weight below e^-700 by e^-700; next to the rearmost
+        # particle's weight, at least 1, neither changes a double.)
+        return bool(np.any(np.multiply(self.beta, x) < -EXP_CLAMP))
 
     def integral(self, x):
         """Exact antiderivative of w from 0 to x: (1 - exp(-beta*x)) / beta."""
@@ -120,6 +136,9 @@ class StepRate(RateFamily):
     def scalar_rate(self):
         a, b = self.a, self.b
         return lambda d: a if d < 0.0 else b
+
+    def kernel_rate(self):
+        return "step", (self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -171,6 +190,10 @@ class PiecewiseLinearRate(RateFamily):
 
         return rate
 
+    def kernel_rate(self):
+        a, b = self.a, self.b
+        return "piecewise_linear", (a, b, 0.5 * (a + b), 0.5 * (a - b))
+
 
 @dataclass(frozen=True)
 class ArccotRate(RateFamily):
@@ -189,6 +212,9 @@ class ArccotRate(RateFamily):
     def scalar_rate(self):
         half_pi, atan = 0.5 * math.pi, math.atan
         return lambda d: half_pi - atan(d)
+
+    def kernel_rate(self):
+        return "arccot", (0.5 * math.pi,)
 
 
 @dataclass(frozen=True)
@@ -264,6 +290,9 @@ class TabulatedRate(RateFamily):
             return v[j - 1] + (v[j] - v[j - 1]) * (d - gl) / (gr - gl)
 
         return rate
+
+    def kernel_rate(self):
+        return "tabulated", self.grid + self.values
 
 
 # The only map from a config family name to its class.

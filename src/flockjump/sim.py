@@ -23,16 +23,30 @@ Three exactly-equivalent engines:
 
 All engines keep the center of mass via m += Z/n (the per-event identity is
 exact) and re-synchronize it from the positions every RESUM_INTERVAL events.
+
+The per-event loop of the bounded engine (step, piecewise-linear, arccot and
+tabulated rates) and of the exponential engine (both selectors) runs compiled,
+in ``_kernel.c``; the reference engine, and a bounded family whose
+``kernel_rate()`` is None, run in Python. The kernel consumes the random
+batches this module draws, in the Python loops' order and sizes, and performs
+their floating-point operations in their order (libm exp and atan, CPython's
+correctly rounded fsum), so paths, event logs, observer calls and bundles are
+bit-identical to the Python loops'. The shared library is built with gcc at
+the first run of a compiled engine and cached in this package's
+``__pycache__`` (see ``kernel``); where it cannot be built, the Python loops
+(``_bounded_loop``, ``_exponential_loop``) run instead.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .model import ExponentialRate, ModelError, RESUM_INTERVAL, SystemState, initial_state
 
 _BATCH = 1 << 14
@@ -51,14 +65,6 @@ class UnsupportedSpecError(ModelError):
     """The requested engine cannot run this rate family."""
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    time: float
-    particle_index: int
-    jump_length: float
-    new_center: float
-
-
 @dataclass
 class EventLog:
     """Columnar event log (one entry per accepted jump)."""
@@ -70,10 +76,6 @@ class EventLog:
 
     def __len__(self):
         return len(self.times)
-
-    def record(self, k: int) -> EventRecord:
-        return EventRecord(float(self.times[k]), int(self.indices[k]),
-                           float(self.lengths[k]), float(self.centers[k]))
 
     def write_csv(self, path):
         with open(path, "w") as fh:
@@ -94,37 +96,6 @@ class SimulationResult:
     state: SystemState
     proposals: int = 0
     log: EventLog = None
-
-
-def total_rate(state: SystemState, w) -> float:
-    """Sum of w(x_i - m) over the configuration; finite and positive."""
-    rates = np.asarray(w.rate(state.positions - state.center), dtype=float)
-    R = float(rates.sum())
-    if not math.isfinite(R):
-        raise ArithmeticError("total jump rate is not finite")
-    if R <= 0.0:
-        raise StallError("total jump rate underflowed to zero")
-    return R
-
-
-def step(state: SystemState, w, z, rng) -> EventRecord:
-    """One exact event on `state`: exponential holding time at the total rate,
-    selection proportional to the per-particle rates, one forward jump."""
-    rel = state.positions - state.center
-    rates = np.asarray(w.rate(rel), dtype=float)
-    R = float(rates.sum())
-    if not math.isfinite(R):
-        raise ArithmeticError("total jump rate is not finite")
-    if R <= 0.0:
-        raise StallError("total jump rate underflowed to zero")
-    dt = rng.standard_exponential() / R
-    # Cumulative-probability selection; boundary ties resolve to the lower index.
-    u = rng.random() * R
-    i = int(min(np.searchsorted(np.cumsum(rates), u, side="left"), state.n - 1))
-    length = float(z.sample(rng))
-    state.apply_jump(i, length, new_time=state.time + dt)
-    return EventRecord(time=state.time, particle_index=i, jump_length=length,
-                       new_center=state.center)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +197,13 @@ def _log_columns():
     return array("d"), array("q"), array("d"), array("d")
 
 
-def _finish(state, engine, events, t, c0, truncated, logs, proposals=0):
+def _first_batch(max_events):
+    """Size of a run's first random batch: a run capped below _BATCH events
+    never needs a full one."""
+    return _BATCH if max_events is None else min(_BATCH, max_events)
+
+
+def _finish(state, engine, events, t, c0, truncated, logs, proposals):
     state.time = t
     state.resum()
     log = None
@@ -249,11 +226,15 @@ def _run_reference(w, z, state, T, max_events, rng, obs, log_events):
     positions_view = lambda: pos.copy()
     horizon = math.inf if T is None else T
     truncated = False
+    next_obs = obs.next_time()
     while True:
         if max_events is not None and events >= max_events:
             truncated = T is not None and t < horizon
             break
-        rates = np.asarray(w.rate(pos - m), dtype=float)
+        rel = pos - m
+        if w.rate_overflows(rel):
+            raise StallError("jump rate overflowed; configuration too spread out")
+        rates = np.asarray(w.rate(rel), dtype=float)
         R = float(rates.sum())
         if not math.isfinite(R):
             raise ArithmeticError("total jump rate is not finite")
@@ -263,7 +244,9 @@ def _run_reference(w, z, state, T, max_events, rng, obs, log_events):
         if t_next > horizon:
             t = horizon
             break
-        obs.emit_before(t_next, positions_view, m)
+        if next_obs < t_next:
+            obs.emit_before(t_next, positions_view, m)
+            next_obs = obs.next_time()
         t = t_next
         u = rng.random() * R
         i = int(min(np.searchsorted(np.cumsum(rates), u, side="left"), n - 1))
@@ -278,13 +261,43 @@ def _run_reference(w, z, state, T, max_events, rng, obs, log_events):
             logs[1].append(i)
             logs[2].append(length)
             logs[3].append(m)
-        obs.emit_at(t, positions_view, m)
+        if t == next_obs:
+            obs.emit_at(t, positions_view, m)
+            next_obs = obs.next_time()
     obs.emit_through(min(horizon, t), positions_view, m)
     state.pos_sum = m * n
-    return _finish(state, "reference", events, t, c0, truncated, logs)
+    return _finish(state, "reference", events, t, c0, truncated, logs, events)
 
 
 def _run_bounded(w, z, state, T, max_events, rng, obs, log_events):
+    spec = w.kernel_rate()
+    lib = kernel.load() if spec is not None else None
+    if lib is None:
+        return _bounded_loop(w, z, state, T, max_events, rng, obs, log_events)
+    n = state.n
+    a = float(w.left_limit)
+    name, params = spec
+    pos = np.array(state.positions, dtype=float)
+    run = _kernel_run(state, T, max_events, obs, family=kernel.RATE_CODES[name],
+                      n_rate_params=len(params), a=a, lam=n * a)
+    run.bind(pos=pos, rate_params=np.array(params, dtype=float))
+    size = _first_batch(max_events)
+
+    def refill(code):           # EXIT_BATCH, the only exit left to this engine
+        nonlocal size
+        waits = rng.standard_exponential(size)
+        targets = rng.integers(0, n, size)
+        accs = rng.random(size)
+        run.bind(waits=waits, targets=targets, uniforms=accs,
+                 lengths=np.ascontiguousarray(z.sample(rng, size), dtype=float))
+        run.batch, run.cursor, size = size, 0, _BATCH
+
+    return _drive(lib.fj_bounded, run, "bounded", pos, state, T, obs, log_events, refill)
+
+
+def _bounded_loop(w, z, state, T, max_events, rng, obs, log_events):
+    """The bounded engine in Python, for families without a C rate or where
+    the kernel cannot be built; the kernel reproduces it bit for bit."""
     n = state.n
     pos = state.positions.tolist()
     m = state.center
@@ -299,25 +312,30 @@ def _run_bounded(w, z, state, T, max_events, rng, obs, log_events):
     horizon = math.inf if T is None else T
     truncated = False
     inv_n = 1.0 / n
+    next_obs = obs.next_time()
 
-    waits = idxs = accs = zbuf = None
-    cursor = _BATCH
+    size = _first_batch(max_events)
+    waits = idxs = accs = zbuf = ()
+    cursor = 0
 
     while True:
         if max_events is not None and events >= max_events:
             truncated = T is not None and t < horizon
             break
-        if cursor >= _BATCH:
-            waits = rng.standard_exponential(_BATCH).tolist()
-            idxs = rng.integers(0, n, _BATCH).tolist()
-            accs = rng.random(_BATCH).tolist()
-            zbuf = z.sample(rng, _BATCH).tolist()
+        if cursor >= len(waits):
+            waits = rng.standard_exponential(size).tolist()
+            idxs = rng.integers(0, n, size).tolist()
+            accs = rng.random(size).tolist()
+            zbuf = z.sample(rng, size).tolist()
             cursor = 0
+            size = _BATCH
         t_next = t + waits[cursor] / lam
         if t_next > horizon:
             t = horizon
             break
-        obs.emit_before(t_next, positions_view, m)
+        if next_obs < t_next:
+            obs.emit_before(t_next, positions_view, m)
+            next_obs = obs.next_time()
         t = t_next
         i = idxs[cursor]
         accepted = accs[cursor] * a <= rate(pos[i] - m)
@@ -335,8 +353,9 @@ def _run_bounded(w, z, state, T, max_events, rng, obs, log_events):
                 logs[3].append(m)
         proposals += 1
         cursor += 1
-        if accepted:
+        if accepted and t == next_obs:
             obs.emit_at(t, positions_view, m)
+            next_obs = obs.next_time()
     obs.emit_through(min(horizon, t), positions_view, m)
     state.positions = np.asarray(pos)
     state.pos_sum = m * n
@@ -353,14 +372,100 @@ def _check_weight_total(total, what):
         raise StallError(f"{what} underflowed to zero")
 
 
+# The exponential engine keeps live weights u_i = exp(-beta*(x_i - ref)) with
+# total S; ref is rebased to m when S falls below half its value S0 at the
+# last rebase. Direct selection keeps u exact and re-sums S after every jump;
+# the frozen-table selector updates u and S incrementally and proposes from
+# the table built at the rebase (cum, u_frozen), with selection batches sized
+# to the expected draws per rebuild cycle (~n ln2/beta events).
+
+
+def _direct_weights(pos, ref, beta):
+    """The direct selector's weights by libm exp, and their fsum; the total is
+    inf when either overflows."""
+    try:
+        u = [math.exp(-beta * (x - ref)) for x in pos]
+        return u, math.fsum(u)
+    except OverflowError:
+        return None, math.inf
+
+
+def _table_weights(pos, ref, beta):
+    """The frozen table's weights, by numpy, and their total."""
+    u = np.exp(-beta * (np.asarray(pos) - ref))
+    return u, float(u.sum())
+
+
+def _selection_batch(n):
+    return int(min(_BATCH, max(64, 4 * n)))
+
+
 def _run_exponential(w, z, state, T, max_events, rng, obs, log_events):
+    lib = kernel.load()
+    if lib is None:
+        return _exponential_loop(w, z, state, T, max_events, rng, obs, log_events)
+    n = state.n
+    beta = w.beta
+    direct = n <= DIRECT_MAX_N
+    sel_batch = _selection_batch(n)
+    pos = np.array(state.positions, dtype=float)
+    run = _kernel_run(state, T, max_events, obs, direct=direct, beta=beta,
+                      sel_batch=sel_batch, sel_cursor=sel_batch)
+    run.bind(pos=pos)
+
+    def rebuild():
+        run.ref = run.m
+        if direct:
+            u, S0 = _direct_weights(pos.tolist(), run.ref, beta)
+        else:
+            u, S0 = _table_weights(pos, run.ref, beta)
+        _check_weight_total(S0, "selection weights")
+        run.S = run.S0 = S0
+        if direct:
+            run.bind(u=np.array(u))
+        else:
+            run.bind(u=u.copy(), u_frozen=u, cum=np.cumsum(u))
+            run.sel_cursor = sel_batch
+
+    rebuild()
+    size = _first_batch(max_events)
+
+    def on_exit(code):
+        nonlocal size
+        if code == kernel.EXIT_BATCH:
+            waits = rng.standard_exponential(size)
+            run.bind(waits=waits, lengths=np.ascontiguousarray(z.sample(rng, size), dtype=float))
+            if direct:
+                run.bind(uniforms=rng.random(size))
+            run.batch, run.cursor, size = size, 0, _BATCH
+        elif code == kernel.EXIT_SELECT:
+            picks = rng.random(sel_batch) * run.S0
+            run.bind(sel_u=picks, sel_acc=rng.random(sel_batch))
+            run.sel_cursor = 0
+        elif code == kernel.EXIT_REBUILD:
+            rebuild()
+            if run.t == run.next_obs:
+                obs.emit_at(run.t, pos.copy, run.m)
+                run.next_obs = obs.next_time()
+        elif code == kernel.EXIT_RATE_STALL:
+            _check_weight_total(run.value, "total jump rate")
+        else:
+            _check_weight_total(run.value, "selection weights")
+
+    return _drive(lib.fj_exponential, run, "exponential", pos, state, T, obs, log_events,
+                  on_exit)
+
+
+def _exponential_loop(w, z, state, T, max_events, rng, obs, log_events):
+    """The exponential engine in Python, where the kernel cannot be built; the
+    kernel reproduces it bit for bit."""
     n = state.n
     beta = w.beta
     pos = state.positions.tolist()
     m = state.center
     c0 = m
     t = 0.0
-    events = 0
+    events = proposals = 0
     logs = _log_columns() if log_events else None
     positions_view = lambda: np.asarray(pos)
     horizon = math.inf if T is None else T
@@ -368,46 +473,37 @@ def _run_exponential(w, z, state, T, max_events, rng, obs, log_events):
     inv_n = 1.0 / n
     exp_ = math.exp
     fsum = math.fsum
+    next_obs = obs.next_time()
 
-    # Live weights u_i = exp(-beta*(x_i - ref)) with total S; ref is rebased to m
-    # when S falls below half its value S0 at the last rebase. Direct selection
-    # keeps u exact and re-sums S after every jump; the frozen-table selector
-    # updates u and S incrementally and proposes from the table built at the
-    # rebase (cum, u_stale), sized to the expected draws per rebuild cycle
-    # (~n ln2/beta events).
     direct = n <= DIRECT_MAX_N
-    sel_batch = int(min(_BATCH, max(64, 4 * n)))
+    sel_batch = _selection_batch(n)
     ref = m
     u = None
-    u_stale = None
+    u_frozen = None
     cum = None
     S = S0 = 0.0
 
     def rebuild():
-        nonlocal ref, u, u_stale, cum, S, S0, sel, acc, sel_cursor
+        nonlocal ref, u, u_frozen, cum, S, S0, sel, acc, sel_cursor
         ref = m
         if direct:
-            try:
-                u = [exp_(-beta * (x - ref)) for x in pos]
-                S0 = fsum(u)
-            except OverflowError:
-                S0 = math.inf
+            u, S0 = _direct_weights(pos, ref, beta)
         else:
-            u_np = np.exp(-beta * (np.asarray(pos) - ref))
-            S0 = float(u_np.sum())
+            u_np, S0 = _table_weights(pos, ref, beta)
         _check_weight_total(S0, "selection weights")
         S = S0
         if not direct:
             cum = np.cumsum(u_np)
-            u_stale = u_np.tolist()
-            u = u_stale.copy()
+            u_frozen = u_np.tolist()
+            u = u_frozen.copy()
             sel = acc = None
             sel_cursor = sel_batch
 
     sel = acc = None
     sel_cursor = sel_batch
-    waits = zbuf = ubuf = None
-    wait_cursor = _BATCH
+    size = _first_batch(max_events)
+    waits = zbuf = ubuf = ()
+    wait_cursor = 0
     last = n - 1
     rebuild()
 
@@ -415,12 +511,13 @@ def _run_exponential(w, z, state, T, max_events, rng, obs, log_events):
         if max_events is not None and events >= max_events:
             truncated = T is not None and t < horizon
             break
-        if wait_cursor >= _BATCH:
-            waits = rng.standard_exponential(_BATCH).tolist()
-            zbuf = z.sample(rng, _BATCH).tolist()
+        if wait_cursor >= len(waits):
+            waits = rng.standard_exponential(size).tolist()
+            zbuf = z.sample(rng, size).tolist()
             if direct:
-                ubuf = rng.random(_BATCH).tolist()
+                ubuf = rng.random(size).tolist()
             wait_cursor = 0
+            size = _BATCH
         R = S * exp_(beta * (m - ref))
         if not (R > 0.0 and math.isfinite(R)):
             _check_weight_total(R, "total jump rate")
@@ -428,7 +525,9 @@ def _run_exponential(w, z, state, T, max_events, rng, obs, log_events):
         if t_next > horizon:
             t = horizon
             break
-        obs.emit_before(t_next, positions_view, m)
+        if next_obs < t_next:
+            obs.emit_before(t_next, positions_view, m)
+            next_obs = obs.next_time()
         t = t_next
         wait_cursor += 1
         if direct:
@@ -439,6 +538,7 @@ def _run_exponential(w, z, state, T, max_events, rng, obs, log_events):
             while run <= target and i < last:
                 i += 1
                 run += u[i]
+            proposals += 1
         else:
             # selection: propose from the frozen table, thin by u_now / u_frozen
             while True:
@@ -448,8 +548,9 @@ def _run_exponential(w, z, state, T, max_events, rng, obs, log_events):
                     acc = rng.random(sel_batch).tolist()
                     sel_cursor = 0
                 i = sel[sel_cursor]
-                ok = acc[sel_cursor] * u_stale[i] <= u[i]
+                ok = acc[sel_cursor] * u_frozen[i] <= u[i]
                 sel_cursor += 1
+                proposals += 1
                 if ok:
                     break
         length = zbuf[wait_cursor - 1]
@@ -474,11 +575,65 @@ def _run_exponential(w, z, state, T, max_events, rng, obs, log_events):
             rebuild()
         elif S < 0.5 * S0:
             rebuild()
-        obs.emit_at(t, positions_view, m)
+        if t == next_obs:
+            obs.emit_at(t, positions_view, m)
+            next_obs = obs.next_time()
     obs.emit_through(min(horizon, t), positions_view, m)
     state.positions = np.asarray(pos)
     state.pos_sum = m * n
-    return _finish(state, "exponential", events, t, c0, truncated, logs)
+    return _finish(state, "exponential", events, t, c0, truncated, logs, proposals)
+
+
+def _kernel_run(state, T, max_events, obs, **fields):
+    """The kernel's record for one run from `state`, with the fields every
+    engine sets."""
+    n = state.n
+    return kernel.Run(n=n, inv_n=1.0 / n, horizon=math.inf if T is None else T,
+                      max_events=-1 if max_events is None else max_events,
+                      resum_interval=RESUM_INTERVAL, m=state.center,
+                      next_obs=obs.next_time(), **fields)
+
+
+def _drive(entry, run, engine, pos, state, T, obs, log_events, on_exit):
+    """Call the kernel entry until the horizon or the event cap stops it.
+
+    The exits every engine shares are handled here: the observer, the event
+    log (the kernel writes each call's events to a chunk that is appended
+    here; a call runs at most one batch, so _BATCH entries hold it) and the
+    exceptions of math.exp and math.fsum. on_exit(code) handles the rest.
+    """
+    c0 = run.m
+    logs = chunk = None
+    if log_events:
+        logs = _log_columns()
+        chunk = (np.empty(_BATCH), np.empty(_BATCH, dtype=np.int64),
+                 np.empty(_BATCH), np.empty(_BATCH))
+        run.bind(log_t=chunk[0], log_i=chunk[1], log_z=chunk[2], log_m=chunk[3])
+    record = ctypes.byref(run)
+    while True:
+        code = entry(record)
+        if run.log_len:
+            for column, part in zip(logs, chunk):
+                column.frombytes(part[:run.log_len].view(np.uint8))
+            run.log_len = 0
+        if code == kernel.EXIT_OBSERVE_BEFORE:
+            obs.emit_before(run.value, pos.copy, run.m)
+            run.next_obs = obs.next_time()
+        elif code == kernel.EXIT_OBSERVE_AT:
+            obs.emit_at(run.t, pos.copy, run.m)
+            run.next_obs = obs.next_time()
+        elif code in (kernel.EXIT_CAP, kernel.EXIT_HORIZON):
+            break
+        elif code in kernel.ERRORS:
+            exc, message = kernel.ERRORS[code]
+            raise exc(message)
+        else:
+            on_exit(code)
+    truncated = code == kernel.EXIT_CAP and T is not None and run.t < run.horizon
+    obs.emit_through(min(run.horizon, run.t), pos.copy, run.m)
+    state.positions = pos
+    state.pos_sum = run.m * state.n
+    return _finish(state, engine, run.events, run.t, c0, truncated, logs, run.proposals)
 
 
 ENGINES = {"reference": _run_reference, "bounded": _run_bounded,

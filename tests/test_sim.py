@@ -5,14 +5,12 @@ import pytest
 from scipy import stats
 
 import flockjump as fj
-from flockjump.model import ModelError
+from flockjump.model import ModelError, RateFamily
 from flockjump.sim import (
     DIRECT_MAX_N,
     StallError,
     UnsupportedSpecError,
     check_engine,
-    step,
-    total_rate,
 )
 from flockjump.two_particle import gap_chain, gap_stationary_pmf
 
@@ -37,39 +35,39 @@ def occupancy_tv(occ, pi):
 # ---------------------------------------------------------------------------
 
 
+def one_event(w, z, init, seed=1, engine="reference", **kwargs):
+    return fj.simulate(w, z, len(init), max_events=1, seed=seed, init=np.asarray(init, dtype=float),
+                       engine=engine, log_events=True, **kwargs)
+
+
 def test_total_rate_examples():
-    st = fj.SystemState(positions=np.zeros(2))
+    # The reference engine's first holding time is E/R, where E is the seed's
+    # first standard exponential (explicit positions draw nothing).
+    def total_rate(init, w, seed=1):
+        res = one_event(w, fj.DeterministicJump(), init, seed)
+        return np.random.default_rng(seed).standard_exponential() / res.log.times[0]
+
     w = fj.StepRate(2.0, 1.0)
-    assert total_rate(st, w) == pytest.approx(2 * 1.0)      # both at the center, w(0)=b
-    st1 = fj.SystemState(positions=np.array([7.3]))
-    assert total_rate(st1, w) == pytest.approx(1.0)         # lone particle sits at m
+    assert total_rate(np.zeros(2), w) == pytest.approx(2 * 1.0)     # both at the center, w(0)=b
+    assert total_rate([7.3], w) == pytest.approx(1.0)               # lone particle sits at m
     # bounded rate: total <= n a
-    rng = np.random.default_rng(0)
-    stn = fj.SystemState(positions=rng.normal(0, 3, 300))
-    assert total_rate(stn, w) <= 300 * 2.0
+    spread = np.random.default_rng(0).normal(0, 3, 300)
+    assert total_rate(spread, w) <= 300 * 2.0 * (1 + 1e-12)
 
 
 def test_step_moves_exactly_one_particle_forward():
-    rng = np.random.default_rng(1)
-    st = fj.SystemState(positions=np.array([0.0, 1.0, 2.0]))
-    before = st.positions.copy()
-    t_before = st.time
-    ev = step(st, fj.ExponentialRate(1.0), fj.ExponentialJump(), rng)
-    moved = st.positions != before
-    assert moved.sum() == 1
-    assert st.positions[ev.particle_index] == before[ev.particle_index] + ev.jump_length
-    assert ev.jump_length >= 0
-    assert st.time > t_before
-    assert ev.new_center - before.mean() == pytest.approx(ev.jump_length / 3, abs=1e-12)
-
-
-def test_lone_particle_holding_times():
-    # a lone particle always sits at its own center: rate w(0)
-    w = fj.StepRate(2.0, 1.0)
-    res = fj.simulate(w, fj.DeterministicJump(), 1, max_events=40_000, seed=2,
-                      engine="bounded", log_events=True)
-    holds = np.diff(np.concatenate([[0.0], res.log.times]))
-    assert holds.mean() == pytest.approx(1.0 / 1.0, rel=0.01)
+    before = np.array([0.0, 1.0, 2.0])
+    for engine, w in (("reference", fj.ExponentialRate(1.0)),
+                      ("exponential", fj.ExponentialRate(1.0)),
+                      ("bounded", fj.ArccotRate())):
+        res = one_event(w, fj.ExponentialJump(), before, engine=engine)
+        i, length = res.log.indices[0], res.log.lengths[0]
+        moved = res.state.positions != before
+        assert res.events == 1 and moved.sum() == 1
+        assert res.state.positions[i] == before[i] + length
+        assert length >= 0
+        assert res.final_time == res.log.times[0] > 0.0
+        assert res.log.centers[0] - before.mean() == pytest.approx(length / 3, abs=1e-12)
 
 
 def test_two_particle_first_transition_rates():
@@ -81,12 +79,20 @@ def test_two_particle_first_transition_rates():
     ups = 0
     trials = 4000
     for _ in range(trials):
-        st = fj.SystemState(positions=np.array([0.0, float(k)]))
-        ev = step(st, w, fj.DeterministicJump(), rng)
-        ups += 1 if ev.particle_index == 1 else 0
+        res = one_event(w, fj.DeterministicJump(), [0.0, float(k)], seed=None, rng=rng)
+        ups += 1 if res.log.indices[0] == 1 else 0
     phat = ups / trials
     se = math.sqrt(p_up_expected * (1 - p_up_expected) / trials)
     assert abs(phat - p_up_expected) < 4 * se + 1e-12
+
+
+def test_lone_particle_holding_times():
+    # a lone particle always sits at its own center: rate w(0)
+    w = fj.StepRate(2.0, 1.0)
+    res = fj.simulate(w, fj.DeterministicJump(), 1, max_events=40_000, seed=2,
+                      engine="bounded", log_events=True)
+    holds = np.diff(np.concatenate([[0.0], res.log.times]))
+    assert holds.mean() == pytest.approx(1.0 / 1.0, rel=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +161,16 @@ def test_one_step_exact_law(engine, w, n):
 
 def test_stall_errors_name_the_true_cause():
     # two particles 1500 apart at beta = 1: the trailing weight is e^750, which
-    # is not a finite double, on either selector of the exponential engine
+    # is not a finite double, on either selector of the exponential engine and
+    # past the reference engine's clamp of beta*x at -EXP_CLAMP = -700
     w = fj.ExponentialRate(1.0)
-    for init in ([0.0, 1500.0], [0.0] + [1500.0] * DIRECT_MAX_N):
-        with np.errstate(over="ignore"), pytest.raises(StallError, match="overflowed"):
-            fj.simulate(w, fj.DeterministicJump(), len(init), T=1.0, seed=1,
-                        init=np.asarray(init), engine="exponential")
+    for engine in ("exponential", "reference"):
+        for init in ([0.0, 1500.0], [0.0] + [1500.0] * DIRECT_MAX_N):
+            with np.errstate(over="ignore"), pytest.raises(StallError, match="overflowed"):
+                fj.simulate(w, fj.DeterministicJump(), len(init), T=1.0, seed=1,
+                            init=np.asarray(init), engine=engine)
 
-    class Vanishing:
+    class Vanishing(RateFamily):
         # every weight underflows: a real underflow keeps its message. (The
         # exponential family cannot underflow: the rearmost weight is >= 1.)
         def rate(self, x):
@@ -339,6 +347,19 @@ def test_mean_path_speed_matches_wave_speed():
     w = fj.StepRate(2.0, 1.0)
     res = fj.simulate(w, fj.ExponentialJump(), 2000, T=50.0, seed=14, engine="bounded")
     assert (res.final_center - res.initial_center) / 50.0 == pytest.approx(1.5, rel=0.05)
+
+
+def test_proposals_count_every_candidate():
+    # every engine proposes at least once per event; the thinning selectors
+    # (bounded, frozen table) reject some proposals, the exact ones none
+    z = fj.ExponentialJump()
+    for engine, w, n, rejects in (("reference", fj.ExponentialRate(1.0), 20, False),
+                                  ("bounded", fj.StepRate(2.0, 1.0), 20, True),
+                                  ("exponential", fj.ExponentialRate(1.0), 2, False),
+                                  ("exponential", fj.ExponentialRate(1.0), 1000, True)):
+        res = fj.simulate(w, z, n, T=2.0, seed=22, engine=engine)
+        assert res.events > 0
+        assert res.proposals > res.events if rejects else res.proposals == res.events
 
 
 def test_resum_interval_consistency():
