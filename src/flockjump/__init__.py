@@ -16,12 +16,7 @@ from .model import (
     StepRate,
     SystemState,
     TabulatedRate,
-    center_of_mass,
-    constant_rate,
     initial_state,
-    rate_eval,
-    rate_integral,
-    sample_jump,
 )
 from .sim import (
     CoupledResult,
@@ -35,7 +30,6 @@ from .two_particle import (
     GapDensity,
     boundary_limit_check,
     gap_chain,
-    gap_density_exp_rate,
     gap_rates,
     gap_stationary_pmf,
     gap_stationary_via_generator,
@@ -49,7 +43,6 @@ from .mean_field import (
     gumbel_wave_pdf,
     laplace_wave_cdf,
     laplace_wave_pdf,
-    mean_speed,
     mean_speed_arrays,
     pde_integrate,
     pde_step,
@@ -77,7 +70,6 @@ from .measures import (
     residual_A,
     residual_path,
     residual_scaling,
-    time_average,
     wasserstein1,
 )
 from .harness import (

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import DomainError, ModelError
-from .mean_field import digamma, upper_gamma_regularized, _numeric_cdf
+from .mean_field import upper_gamma_regularized, _numeric_cdf
 
 _POOL_CAP_LOG = 62 * math.log(2.0)   # keep the pool inside 2^62
 _ARRIVAL_BATCH = 1 << 16
@@ -211,7 +211,3 @@ def generalized_gumbel_cdf(beta: float, x):
         return upper_gamma_regularized(int(round(k)), z)
     return _numeric_cdf(lambda t: generalized_gumbel_pdf(beta, t), -30.0 / beta, 80.0)(x)
 
-
-def center_shift(beta: float) -> float:
-    """Shift psi(1/beta)/beta: adding it to the uncentered variable centers it."""
-    return digamma(1.0 / beta) / beta

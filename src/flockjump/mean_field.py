@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.signal import lfilter
 
@@ -37,8 +36,6 @@ from .model import (
     PiecewiseLinearRate,
     StepRate,
 )
-
-EULER_GAMMA = 0.5772156649015329
 
 
 class NonIntegrableError(ModelError):
@@ -473,11 +470,6 @@ def mean_speed_arrays(grid, values, m: float, w) -> float:
     return float(np.trapezoid(w.rate(grid - m) * np.asarray(values, dtype=float), grid))
 
 
-def mean_speed(field: "DensityField", w) -> float:
-    """Speed of the mean for a density field (the field must be normalized)."""
-    return mean_speed_arrays(field.grid, field.values, field.mean, w)
-
-
 # ---------------------------------------------------------------------------
 # traveling-wave equation residual (verification of the profile construction)
 # ---------------------------------------------------------------------------
@@ -610,44 +602,6 @@ def pde_step(field: DensityField, w, dt: float) -> DensityField:
     s = np.asarray(w.rate(field.grid - m), dtype=float) * field.values
     new_values = field.values + dt * (_jump_flux(s, field.h) - s)
     return DensityField(grid=field.grid, values=new_values, time=field.time + dt)
-
-
-def pde_step_general(field: DensityField, w, kernel_weights: np.ndarray, dt: float) -> DensityField:
-    """Euler step with an arbitrary jump-kernel weight vector (O(grid^2) convolution).
-
-    Not acceptance-tested; provided for non-exponential jump laws. Build the
-    weights with `jump_kernel_weights`.
-    """
-    wmax = _stability_limit(w, field.grid, field.mean)
-    if dt > 0.5 / wmax:
-        raise StepSizeError(f"dt={dt} exceeds the stability budget {0.5 / wmax:.3g}")
-    m = field.mean
-    s = np.asarray(w.rate(field.grid - m), dtype=float) * field.values
-    conv = np.convolve(s, kernel_weights)[: len(s)]
-    new_values = field.values + dt * (conv - s)
-    return DensityField(grid=field.grid, values=new_values, time=field.time + dt)
-
-
-def jump_kernel_weights(phi, h: float, tail_tol: float = 1e-14, max_cells: int = 100_000):
-    """Mass/mean-preserving node weights for a general jump density phi on [0, inf)."""
-    weights = [0.0]
-    d = 0
-    total = 0.0
-    while d < max_cells:
-        lo, hi = d * h, (d + 1) * h
-        mass, _ = quad(phi, lo, hi, limit=100)
-        if mass > 0:
-            m1, _ = quad(lambda u: u * phi(u), lo, hi, limit=100)
-            theta = (m1 / mass - lo) / h
-            weights[d] += (1.0 - theta) * mass
-            weights.append(theta * mass)
-        else:
-            weights.append(0.0)
-        total += mass
-        if 1.0 - total < tail_tol and d > 2:
-            break
-        d += 1
-    return np.asarray(weights)
 
 
 @dataclass

@@ -151,13 +151,6 @@ class TimeAverager:
                          counts=counts / total)
 
 
-def time_average(times, hists, burn_in: float = 0.0) -> Histogram:
-    avg = TimeAverager(burn_in=burn_in)
-    for t, hh in zip(times, hists):
-        avg.add(t, hh)
-    return avg.finalize()
-
-
 # ---------------------------------------------------------------------------
 # distances
 # ---------------------------------------------------------------------------
@@ -180,26 +173,6 @@ def wasserstein1(mu, nu) -> float:
     fx = np.searchsorted(x, allv[:-1], side="right") / x.size
     fy = np.searchsorted(y, allv[:-1], side="right") / y.size
     return float(np.sum(np.abs(fx - fy) * np.diff(allv)))
-
-
-def wasserstein1_weighted(values, weights, cdf) -> float:
-    """W1 between a weighted empirical law (e.g. dwell-time-weighted gap levels)
-    and an absolutely continuous law given by its CDF, via |F1 - F2| integral."""
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values)
-    v = values[order]
-    wts = np.asarray(weights, dtype=float)[order]
-    cum = np.cumsum(wts) / wts.sum()
-    mids = 0.5 * (v[1:] + v[:-1])
-    # Piecewise: between consecutive support points the empirical CDF is constant.
-    segs = np.abs(cum[:-1] - np.asarray(cdf(mids))) * np.diff(v)
-    return float(np.sum(segs))
-
-
-def w1_from_cdfs(xs, f1, f2) -> float:
-    """Trapezoid integral of |F1 - F2| on a common grid."""
-    xs = np.asarray(xs, dtype=float)
-    return float(np.trapezoid(np.abs(np.asarray(f1) - np.asarray(f2)), xs))
 
 
 def ks_distance(samples, cdf, weights=None) -> float:

@@ -1,4 +1,4 @@
-"""Jump-rate families, jump-length laws, and the shared particle configuration state.
+"""Jump-rate families, jump-length laws, and the particle configuration.
 
 The jump rate w is a positive, non-increasing function of a particle's position
 relative to the center of mass; particles behind the center jump faster. Five
@@ -6,22 +6,20 @@ rate families are supported (exponential, step, piecewise-linear, arccot, and a
 bounded tabulated function), each exposing both a pointwise evaluation and the
 exact antiderivative of w from 0, which the traveling-wave solver needs at full
 precision. Jump lengths are normalized to mean 1 with a finite third moment.
+`initial_state` builds a run's starting positions as a validated SystemState.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 # exp(-beta*x) overflows double precision past ~709; clamp the exponent well inside.
 EXP_CLAMP = 700.0
-
-# Full re-summation cadence for the cached position sum (bounds float drift).
-RESUM_INTERVAL = 100_000
 
 
 class ModelError(ValueError):
@@ -305,29 +303,6 @@ RATE_FAMILIES = {
 }
 
 
-def constant_rate(a: float, half_width: float = 1.0) -> TabulatedRate:
-    """Flat tabulated rate w == a (useful as the degenerate bounded case)."""
-    return TabulatedRate(grid=(-half_width, half_width), values=(a, a))
-
-
-def rate_eval(spec, x):
-    """Evaluate the jump rate w(x); rejects non-finite arguments."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("rate_eval requires finite x")
-    out = spec.rate(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
-def rate_integral(spec, x):
-    """Exact integral of w from 0 to x (closed form per family)."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("rate_integral requires finite x")
-    out = spec.integral(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # jump length laws (EZ = 1, finite third moment)
 # ---------------------------------------------------------------------------
@@ -418,11 +393,6 @@ class CustomDensityJump:
         return f(x[..., None] + u) @ wts
 
 
-def sample_jump(spec, rng):
-    """Draw a single jump length (>= 0) from the specified law."""
-    return spec.sample(rng)
-
-
 # ---------------------------------------------------------------------------
 # particle configuration state
 # ---------------------------------------------------------------------------
@@ -430,26 +400,20 @@ def sample_jump(spec, rng):
 
 @dataclass
 class SystemState:
-    """Positions of the n particles, the simulation clock, and a cached sum.
+    """Positions of the n particles: a non-empty 1-d array of finite floats.
 
-    The position sum is updated incrementally (O(1) per jump) and re-summed
-    every RESUM_INTERVAL events to bound floating-point drift. Confined to a
-    single simulation run; not shared across threads.
+    The engines keep the center of mass themselves; `center` re-sums it from
+    the positions.
     """
 
     positions: np.ndarray
-    time: float = 0.0
-    pos_sum: float = field(default=None)
-    _events_since_resum: int = field(default=0, repr=False)
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
         if self.positions.ndim != 1 or self.positions.size == 0:
             raise DomainError("SystemState needs a non-empty 1-d position array")
-        if self.pos_sum is None:
-            self.pos_sum = float(self.positions.sum())
-        if self.time < 0:
-            raise DomainError("time must be >= 0")
+        if not np.all(np.isfinite(self.positions)):
+            raise DomainError("positions must be finite")
 
     @property
     def n(self) -> int:
@@ -457,31 +421,7 @@ class SystemState:
 
     @property
     def center(self) -> float:
-        return self.pos_sum / self.positions.size
-
-    def apply_jump(self, index: int, length: float, new_time: float = None):
-        """Move one particle forward and refresh the cached sum."""
-        if length < 0:
-            raise ModelError(f"jump length must be >= 0, got {length}")
-        if new_time is not None:
-            if new_time < self.time:
-                raise ModelError("time must be non-decreasing")
-            self.time = new_time
-        self.positions[index] += length
-        self.pos_sum += length
-        self._events_since_resum += 1
-        if self._events_since_resum >= RESUM_INTERVAL:
-            self.pos_sum = float(self.positions.sum())
-            self._events_since_resum = 0
-
-    def resum(self):
-        self.pos_sum = float(self.positions.sum())
-        self._events_since_resum = 0
-
-
-def center_of_mass(state: SystemState) -> float:
-    """Mean position m = pos_sum / n."""
-    return state.center
+        return float(self.positions.sum()) / self.positions.size
 
 
 def initial_state(n: int, init="zeros", rng=None) -> SystemState:

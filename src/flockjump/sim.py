@@ -7,8 +7,9 @@ Three exactly-equivalent engines:
   O(n) per event; the correctness oracle for the fast engines.
 * ``bounded`` -- constant-rate thinning for bounded rate families: proposals
   arrive at rate n*a (a = sup w), the target particle is uniform, and each
-  proposal is accepted with probability w(x_i - m)/a. This is the dominating
-  coupling construction, so the coupled run shares it.
+  proposal is accepted with probability w(x_i - m)/a. ``simulate_coupled``
+  runs the same construction as a dominating coupled pair, in a loop of its
+  own that draws one random number at a time.
 * ``exponential`` -- for w(x) = exp(-beta*x) the selection weights factor as
   C(m) * exp(-beta*x_i), so they are independent of m and only decrease when a
   particle jumps. The selector is picked once per run from n. Up to
@@ -16,13 +17,16 @@ Three exactly-equivalent engines:
   kept exact, re-summed after every jump and scanned linearly against one
   uniform per event. Above it, proposals drawn from a frozen weight table are
   thinned by u_now/u_frozen (exact), and the table is rebuilt when the live
-  total falls below half the frozen total. The crossover was measured: at
-  n = 2 the direct scan runs 4.4x faster than the table, which is rebuilt
-  every ~2.4 events there, and the two break even between n = 24 (beta = 1)
-  and n = 32 (beta = 2).
+  total falls below half the frozen total. The crossover was measured on the
+  Python loops: at n = 2 the direct scan runs 4.4x faster than the table,
+  which is rebuilt every ~2.4 events there, and the two break even between
+  n = 24 (beta = 1) and n = 32 (beta = 2). On the compiled kernel, where the
+  table still rebuilds in Python, the direct scan stays faster up to about
+  n = 64 at beta = 1, so DIRECT_MAX_N sits below the kernel's crossover.
 
 All engines keep the center of mass via m += Z/n (the per-event identity is
-exact) and re-synchronize it from the positions every RESUM_INTERVAL events.
+exact) and re-sum it as math.fsum(positions) * (1/n) every RESUM_INTERVAL
+events; a run's initial and final centers are positions.sum() / n.
 
 The per-event loop of the bounded engine (step, piecewise-linear, arccot and
 tabulated rates) and of the exponential engine (both selectors) runs compiled,
@@ -47,9 +51,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .model import ExponentialRate, ModelError, RESUM_INTERVAL, SystemState, initial_state
+from .model import ExponentialRate, ModelError, SystemState, initial_state
 
 _BATCH = 1 << 14
+
+# Every engine re-sums the center of mass from the positions this often,
+# which bounds the drift of its incremental updates.
+RESUM_INTERVAL = 100_000
 
 # The exponential engine selects by a linear scan of the live weights up to
 # this many particles and by thinning a frozen weight table above it: the scan
@@ -204,8 +212,6 @@ def _first_batch(max_events):
 
 
 def _finish(state, engine, events, t, c0, truncated, logs, proposals):
-    state.time = t
-    state.resum()
     log = None
     if logs is not None:
         log = EventLog(times=np.asarray(logs[0]), indices=np.asarray(logs[1], dtype=np.int64),
@@ -226,6 +232,7 @@ def _run_reference(w, z, state, T, max_events, rng, obs, log_events):
     positions_view = lambda: pos.copy()
     horizon = math.inf if T is None else T
     truncated = False
+    inv_n = 1.0 / n
     next_obs = obs.next_time()
     while True:
         if max_events is not None and events >= max_events:
@@ -255,7 +262,7 @@ def _run_reference(w, z, state, T, max_events, rng, obs, log_events):
         m += length / n
         events += 1
         if events % RESUM_INTERVAL == 0:
-            m = float(pos.sum()) / n
+            m = math.fsum(pos) * inv_n
         if logs is not None:
             logs[0].append(t)
             logs[1].append(i)
@@ -265,7 +272,6 @@ def _run_reference(w, z, state, T, max_events, rng, obs, log_events):
             obs.emit_at(t, positions_view, m)
             next_obs = obs.next_time()
     obs.emit_through(min(horizon, t), positions_view, m)
-    state.pos_sum = m * n
     return _finish(state, "reference", events, t, c0, truncated, logs, events)
 
 
@@ -358,7 +364,6 @@ def _bounded_loop(w, z, state, T, max_events, rng, obs, log_events):
             next_obs = obs.next_time()
     obs.emit_through(min(horizon, t), positions_view, m)
     state.positions = np.asarray(pos)
-    state.pos_sum = m * n
     return _finish(state, "bounded", events, t, c0, truncated, logs, proposals)
 
 
@@ -580,7 +585,6 @@ def _exponential_loop(w, z, state, T, max_events, rng, obs, log_events):
             next_obs = obs.next_time()
     obs.emit_through(min(horizon, t), positions_view, m)
     state.positions = np.asarray(pos)
-    state.pos_sum = m * n
     return _finish(state, "exponential", events, t, c0, truncated, logs, proposals)
 
 
@@ -632,7 +636,6 @@ def _drive(entry, run, engine, pos, state, T, obs, log_events, on_exit):
     truncated = code == kernel.EXIT_CAP and T is not None and run.t < run.horizon
     obs.emit_through(min(run.horizon, run.t), pos.copy, run.m)
     state.positions = pos
-    state.pos_sum = run.m * state.n
     return _finish(state, engine, run.events, run.t, c0, truncated, logs, run.proposals)
 
 
@@ -655,26 +658,25 @@ class CoupledResult:
     dominating_positions: np.ndarray
     position_violations: int
     increment_violations: int
-    times: np.ndarray
-    targets: np.ndarray
-    lengths: np.ndarray
-    accepted_mask: np.ndarray
 
     @property
     def acceptance_fraction(self) -> float:
         return self.accepted / self.proposals if self.proposals else 0.0
 
 
+# Pieces of [0, t] over which simulate_coupled checks increment dominance.
+_INCREMENT_WINDOWS = 10
+
+
 def simulate_coupled(w, z, n: int, *, proposals: int = None, T: float = None,
-                     rng=None, seed: int = None, init="zeros",
-                     increment_windows: int = 10) -> CoupledResult:
+                     rng=None, seed: int = None, init="zeros") -> CoupledResult:
     """Run the dominating coupled pair (x, x-tilde) from a common start.
 
     The dominating layer jumps at rate a per particle; the base layer accepts
     each proposal with probability w(x_i - m)/a and, when it does, jumps the
     same length. Position dominance is checked at every proposal epoch; the
-    interval increment dominance is verified per particle over an
-    `increment_windows`-piece partition of [0, T] using exact (fsum) sums of
+    interval increment dominance is verified per particle over a
+    _INCREMENT_WINDOWS-piece partition of [0, t] using exact (fsum) sums of
     the logged jump lengths, so a zero violation count carries no tolerance.
     """
     if not math.isfinite(w.left_limit):
@@ -708,18 +710,17 @@ def simulate_coupled(w, z, n: int, *, proposals: int = None, T: float = None,
         i = int(rng.integers(0, n))
         length = float(z.sample(rng))
         dom[i] += length
-        if rng.random() * a <= rate(base[i] - m):
+        ok = rng.random() * a <= rate(base[i] - m)
+        if ok:
             base[i] += length
             m += length * inv_n
             accepted += 1
-            accmask.append(True)
-        else:
-            accmask.append(False)
         if dom[i] < base[i]:
             pos_violations += 1
         times.append(t)
         targets.append(i)
         lengths.append(length)
+        accmask.append(ok)
         count += 1
 
     times = np.asarray(times)
@@ -731,9 +732,10 @@ def simulate_coupled(w, z, n: int, *, proposals: int = None, T: float = None,
     # the dominating layer's summed jumps must weakly exceed the base layer's.
     inc_violations = 0
     if len(times):
-        edges = np.linspace(0.0, t, increment_windows + 1)
-        window = np.clip(np.searchsorted(edges, times, side="right") - 1, 0, increment_windows - 1)
-        for wi in range(increment_windows):
+        edges = np.linspace(0.0, t, _INCREMENT_WINDOWS + 1)
+        window = np.clip(np.searchsorted(edges, times, side="right") - 1, 0,
+                         _INCREMENT_WINDOWS - 1)
+        for wi in range(_INCREMENT_WINDOWS):
             in_w = window == wi
             for i in np.unique(targets[in_w]):
                 sel = in_w & (targets == i)
@@ -745,5 +747,4 @@ def simulate_coupled(w, z, n: int, *, proposals: int = None, T: float = None,
     return CoupledResult(
         n=n, proposals=count, accepted=accepted, final_time=t,
         base_positions=np.asarray(base), dominating_positions=np.asarray(dom),
-        position_violations=pos_violations, increment_violations=inc_violations,
-        times=times, targets=targets, lengths=lengths, accepted_mask=accmask)
+        position_violations=pos_violations, increment_violations=inc_violations)

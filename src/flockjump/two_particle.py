@@ -178,16 +178,6 @@ class GapDensity:
         return xs, cum
 
 
-def gap_density_exp_rate(beta: float, g) -> float:
-    """Normalized stationary gap density value p(g)."""
-    if not (beta > 0 and math.isfinite(beta)):
-        raise DomainError(f"beta must be positive, got {beta}")
-    if np.any(np.asarray(g) < 0):
-        raise DomainError("gap must be >= 0")
-    out = GapDensity(beta).pdf(g)
-    return float(out) if np.isscalar(g) else out
-
-
 def master_residual(p, beta: float, g: float) -> float:
     """Right-hand side of the stationary gap master equation at g.
 

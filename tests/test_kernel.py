@@ -122,9 +122,9 @@ ERROR_CASES = [
     # direct selector, rebuilt after every event: the laggard's weight reaches e^1000
     ("exponential", fj.ExponentialRate(1.0), np.zeros(3), FixedJump(1500.0), 1,
      ("StallError", "selection weights overflowed; configuration too spread out")),
-    # the resum meets inf and -inf, or overflows
+    # a non-finite start is refused before any engine runs; the resum overflows
     ("bounded", fj.StepRate(2.0, 1.0), np.array([math.inf, -math.inf, 0.0]),
-     fj.ExponentialJump(), 13, ("ValueError", "-inf + inf in fsum")),
+     fj.ExponentialJump(), 13, ("DomainError", "positions must be finite")),
     ("bounded", fj.StepRate(2.0, 1.0), np.array([1e308, 1e308, 0.0]),
      fj.ExponentialJump(), 13, ("OverflowError", "intermediate overflow in fsum")),
 ]

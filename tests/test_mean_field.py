@@ -15,13 +15,11 @@ from flockjump.mean_field import (
     digamma,
     gumbel_wave_cdf,
     gumbel_wave_pdf,
-    jump_kernel_weights,
     laplace_wave_cdf,
     laplace_wave_pdf,
     mean_speed_arrays,
     pde_integrate,
     pde_step,
-    pde_step_general,
     log_profile,
     piecewise_gauss_exp_pdf,
     profile_mean,
@@ -105,9 +103,9 @@ def test_wave_speed_reports_bracket():
     assert report["moment_decreasing"]
 
 
-def test_wave_speed_constant_rate_fails():
+def test_wave_speed_constant_rate_fails(flat_rate):
     with pytest.raises(SolverError):
-        wave_speed(fj.constant_rate(1.0))
+        wave_speed(flat_rate(1.0))
 
 
 def test_wave_speed_inside_limits():
@@ -225,11 +223,11 @@ def test_profile_moments_match_adaptive_reference(family, frac):
 # ---------------------------------------------------------------------------
 
 
-def test_profile_speed_bracket_validation():
+def test_profile_speed_bracket_validation(flat_rate):
     with pytest.raises(NonIntegrableError):
         wave_profile(fj.StepRate(2.0, 1.0), 2.5)
     with pytest.raises(NonIntegrableError):
-        wave_profile(fj.constant_rate(1.0), 1.0)
+        wave_profile(flat_rate(1.0), 1.0)
 
 
 def test_step_profile_is_laplace():
@@ -342,11 +340,11 @@ def test_upper_gamma_regularized():
 # ---------------------------------------------------------------------------
 
 
-def test_mean_speed_constant_rate_exact():
+def test_mean_speed_constant_rate_exact(flat_rate):
     grid = np.linspace(-10, 10, 2001)
     vals = np.exp(-0.5 * grid ** 2)
     vals /= np.trapezoid(vals, grid)
-    flat = fj.constant_rate(1.7)
+    flat = flat_rate(1.7)
     assert mean_speed_arrays(grid, vals, 0.0, flat) == pytest.approx(1.7, abs=1e-12)
 
 
@@ -458,6 +456,38 @@ def test_pde_step_bounded_rate_fixed_window():
                                 track_window=False)
     assert diag.mass_drift_per_unit_time() <= 1e-8
     assert diag.w1_moving[-1] <= 0.1
+
+
+def jump_kernel_weights(phi, h: float, tail_tol: float = 1e-14, max_cells: int = 100_000):
+    """Mass/mean-preserving node weights for a general jump density phi on [0, inf)."""
+    weights = [0.0]
+    d = 0
+    total = 0.0
+    while d < max_cells:
+        lo, hi = d * h, (d + 1) * h
+        mass, _ = quad(phi, lo, hi, limit=100)
+        if mass > 0:
+            m1, _ = quad(lambda u: u * phi(u), lo, hi, limit=100)
+            theta = (m1 / mass - lo) / h
+            weights[d] += (1.0 - theta) * mass
+            weights.append(theta * mass)
+        else:
+            weights.append(0.0)
+        total += mass
+        if 1.0 - total < tail_tol and d > 2:
+            break
+        d += 1
+    return np.asarray(weights)
+
+
+def pde_step_general(field, w, kernel_weights, dt):
+    """Euler step of the mean-field equation with an arbitrary jump-kernel
+    weight vector, by an O(grid^2) convolution: an independent oracle for
+    pde_step's O(grid) recursion."""
+    s = np.asarray(w.rate(field.grid - field.mean), dtype=float) * field.values
+    conv = np.convolve(s, kernel_weights)[: len(s)]
+    return DensityField(grid=field.grid, values=field.values + dt * (conv - s),
+                        time=field.time + dt)
 
 
 def test_pde_general_kernel_matches_exponential():

@@ -1,11 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import flockjump as fj
-from flockjump.model import ModelError, RateFamily
+from flockjump import sim
+from flockjump.model import DomainError, ModelError, RateFamily
 from flockjump.sim import (
     DIRECT_MAX_N,
     StallError,
@@ -266,6 +268,21 @@ def test_check_engine():
         check_engine(step, ["bounded"])
 
 
+@pytest.mark.parametrize("init", [np.array([math.inf, -math.inf, 0.0]),
+                                  ("iid", lambda rng, n: [math.nan] * n)],
+                         ids=["explicit", "iid"])
+@pytest.mark.parametrize("engine, w", [("reference", fj.StepRate(2.0, 1.0)),
+                                       ("bounded", fj.StepRate(2.0, 1.0)),
+                                       ("exponential", fj.ExponentialRate(1.0))])
+def test_non_finite_start_is_refused_before_the_engine_runs(engine, w, init):
+    def never(*args):
+        raise AssertionError("the engine ran on a non-finite start")
+
+    with mock.patch.dict(sim.ENGINES, {engine: never}), \
+            pytest.raises(DomainError, match="positions must be finite"):
+        fj.simulate(w, fj.ExponentialJump(), 3, T=5.0, seed=1, init=init, engine=engine)
+
+
 def test_explicit_initial_positions():
     for engine in ("bounded", "reference"):
         init = np.array([0.0, 5.0, 10.0])
@@ -369,6 +386,40 @@ def test_resum_interval_consistency():
     assert res.final_center == pytest.approx(float(res.state.positions.mean()), rel=1e-12)
 
 
+CENTER_CASES = [("reference", fj.ArccotRate(), 7),
+                ("bounded", fj.StepRate(2.0, 1.0), 7),
+                ("exponential", fj.ExponentialRate(1.0), 7),                  # direct selection
+                ("exponential", fj.ExponentialRate(1.0), DIRECT_MAX_N + 6)]   # frozen table
+
+
+@pytest.mark.parametrize("engine, w, n", CENTER_CASES,
+                         ids=["reference", "bounded", "exponential-direct", "exponential-table"])
+def test_logged_centers_track_the_exact_center(engine, w, n):
+    # With a resum every 97 events, replay the event log over the start. Every
+    # logged center is within 97 roundings of the exact fsum(positions) * (1/n),
+    # and the center logged at a resum is that exact value bit for bit. The
+    # exponential engine logs its center before it re-sums, so there the exact
+    # value shows one event later, plus that event's jump.
+    interval = 97
+    init = np.random.default_rng(n).uniform(0.0, 3.0, n)
+    with mock.patch.object(sim, "RESUM_INTERVAL", interval):
+        res = fj.simulate(w, fj.ExponentialJump(), n, max_events=20 * interval + 1, seed=23,
+                          init=init, engine=engine, log_events=True)
+    pos, inv_n = init.tolist(), 1.0 / n
+    exact = []
+    for i, length in zip(res.log.indices, res.log.lengths):
+        pos[i] += length
+        exact.append(math.fsum(pos) * inv_n)
+    exact, centers, lengths = np.asarray(exact), res.log.centers, res.log.lengths
+    assert np.all(np.abs(centers - exact) <= interval * 2.0**-52 * np.maximum(1.0, np.abs(exact)))
+    resums = np.arange(interval, len(exact), interval) - 1          # log rows of events 97 k
+    assert len(resums) == 20
+    if engine == "exponential":
+        assert np.array_equal(centers[resums + 1], exact[resums] + lengths[resums + 1] * inv_n)
+    else:
+        assert np.array_equal(centers[resums], exact[resums])
+
+
 # ---------------------------------------------------------------------------
 # event-log CSV
 # ---------------------------------------------------------------------------
@@ -408,8 +459,8 @@ def test_coupled_dominance_zero_violations():
     assert np.all(cr.dominating_positions >= cr.base_positions)
 
 
-def test_coupled_flat_rate_identical_paths():
-    flat = fj.constant_rate(1.5)
+def test_coupled_flat_rate_identical_paths(flat_rate):
+    flat = flat_rate(1.5)
     cr = fj.simulate_coupled(flat, fj.ExponentialJump(), 10, proposals=20_000, seed=19)
     assert cr.acceptance_fraction == 1.0
     assert np.array_equal(cr.base_positions, cr.dominating_positions)

@@ -9,7 +9,6 @@ from flockjump.two_particle import (
     NonNormalizableError,
     boundary_limit_check,
     gap_chain,
-    gap_density_exp_rate,
     gap_rates,
     gap_stationary_pmf,
     gap_stationary_via_generator,
@@ -18,7 +17,7 @@ from flockjump.two_particle import (
 from flockjump.model import DomainError
 
 
-def test_gap_rates_examples():
+def test_gap_rates_examples(flat_rate):
     w = fj.StepRate(2.0, 1.0)
     up0, _ = gap_rates(w, 0)
     assert up0 == pytest.approx(2 * 1.0)        # 2 w(0), w(0) = b
@@ -26,7 +25,7 @@ def test_gap_rates_examples():
     up, down = gap_rates(we, 1)
     assert up == pytest.approx(math.exp(-1.0))
     assert down == pytest.approx(math.exp(1.0))
-    flat = fj.constant_rate(1.3)
+    flat = flat_rate(1.3)
     up, down = gap_rates(flat, 3)
     assert up == down == pytest.approx(1.3)
     with pytest.raises(DomainError):
@@ -78,9 +77,9 @@ def test_generator_solve_agrees():
         assert np.max(np.abs(pi - pi_q)) < 1e-10
 
 
-def test_constant_rate_not_normalizable():
+def test_constant_rate_not_normalizable(flat_rate):
     with pytest.raises(NonNormalizableError):
-        gap_chain(fj.constant_rate(1.0), hard_cap=2000)
+        gap_chain(flat_rate(1.0), hard_cap=2000)
 
 
 def test_gap_density_beta2():
@@ -104,9 +103,7 @@ def test_gap_density_normalization_all_betas():
         total, _ = quad(dens.pdf, 0, 200, limit=400)
         assert total == pytest.approx(1.0, abs=1e-8)
     with pytest.raises(DomainError):
-        gap_density_exp_rate(-1.0, 0.5)
-    with pytest.raises(DomainError):
-        gap_density_exp_rate(1.0, -0.5)
+        GapDensity(-1.0)
 
 
 def test_master_residual_analytic_solutions():
