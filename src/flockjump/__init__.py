@@ -65,9 +65,7 @@ from .measures import (
     IDENTITY,
     TestFunction,
     build_histogram,
-    default_test_functions,
     ks_distance,
-    residual_A,
     residual_path,
     residual_scaling,
     wasserstein1,

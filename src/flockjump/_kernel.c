@@ -1,13 +1,15 @@
 /*
- * Compiled event loop of the bounded and exponential engines (flockjump.sim).
+ * Compiled loops of flockjump: the event loop of the bounded and exponential
+ * engines (flockjump.sim) and the explicit Euler step of the mean-field PDE
+ * (flockjump.mean_field).
  *
- * Python draws every random number, in the order and batch sizes of the
- * Python loops in sim.py, and this code consumes the batches.  Each entry
- * point runs events until something only Python can do is due, stores the
- * loop state back into the fj_run record and returns the reason (EXIT_*):
- * a batch ran out, an observation time was reached, a frozen weight table
- * must be rebuilt (np.exp may differ from libm exp in the last ulp), the
- * horizon or the event cap was hit, or a total was not finite.
+ * Event loop.  Python draws every random number, in the order and batch
+ * sizes of the Python loops in sim.py, and this code consumes the batches.
+ * Each entry point runs events until something only Python can do is due,
+ * stores the loop state back into the fj_run record and returns the reason
+ * (EXIT_*): a batch ran out, an observation time was reached, a frozen
+ * weight table must be rebuilt (np.exp may differ from libm exp in the last
+ * ulp), the horizon or the event cap was hit, or a total was not finite.
  *
  * Every operation is the one the Python loop performs, in the same order,
  * on IEEE doubles: build with -ffp-contract=off and without -ffast-math, so
@@ -15,6 +17,12 @@
  * math.exp and math.atan call, and fsum is CPython's math.fsum, whose result
  * is correctly rounded and therefore unique.  The event log, the final state
  * and the observer's view are then bit-identical to the Python loop's.
+ *
+ * PDE step.  fj_pde runs whole Euler steps of the numpy loop in
+ * mean_field.py, one pass over the grid each, until Python has to track the
+ * window, record a sample or raise.  It is exact to a tolerance, not to the
+ * bit: numpy's vectorized exp and arctan, np.interp's formula and
+ * np.trapezoid's pairwise sum round differently from libm and a running sum.
  */
 
 #include <math.h>
@@ -35,7 +43,8 @@ enum {
     EXIT_FSUM_OVERFLOW,   /* math.fsum raises OverflowError */
 };
 
-enum { RATE_STEP, RATE_PIECEWISE_LINEAR, RATE_ARCCOT, RATE_TABULATED };
+/* RATE_EXPONENTIAL has no thinning engine (its sup is infinite): fj_pde only. */
+enum { RATE_STEP, RATE_PIECEWISE_LINEAR, RATE_ARCCOT, RATE_TABULATED, RATE_EXPONENTIAL };
 
 /* Mirrored field by field by kernel.Run. */
 typedef struct {
@@ -167,11 +176,11 @@ static double checked_exp(double x, int *range)
 
 /* w(d), operation for operation as the family's scalar_rate() in model.py:
    step (a, b); piecewise linear (a, b, mid, slope); arccot (pi/2);
-   tabulated (grid[k], values[k]). */
-static double rate(const fj_run *r, double d)
+   tabulated (grid[k], values[k]); exponential (beta, EXP_CLAMP), as
+   ExponentialRate.rate: exp(-clip(beta d, -EXP_CLAMP, EXP_CLAMP)). */
+static inline double rate(int32_t family, const double *p, int64_t n_params, double d)
 {
-    const double *p = r->rate_params;
-    switch (r->family) {
+    switch (family) {
     case RATE_STEP:
         return d < 0.0 ? p[0] : p[1];
     case RATE_PIECEWISE_LINEAR:
@@ -182,8 +191,16 @@ static double rate(const fj_run *r, double d)
         return p[2] - p[3] * d;
     case RATE_ARCCOT:
         return p[0] - atan(d);
+    case RATE_EXPONENTIAL: {
+        double z = p[0] * d;
+        if (z < -p[1])
+            z = -p[1];
+        else if (z > p[1])
+            z = p[1];
+        return exp(-z);
+    }
     default: {  /* RATE_TABULATED */
-        int64_t k = r->n_rate_params / 2, lo = 0, hi = k;
+        int64_t k = n_params / 2, lo = 0, hi = k;
         const double *g = p, *v = p + k;
         if (d <= g[0])
             return v[0];
@@ -243,7 +260,8 @@ int fj_bounded(fj_run *r)
         }
         t = t_next;
         int64_t i = r->targets[c];
-        int accepted = r->uniforms[c] * r->a <= rate(r, pos[i] - m);
+        int accepted = r->uniforms[c] * r->a
+            <= rate(r->family, r->rate_params, r->n_rate_params, pos[i] - m);
         if (accepted) {
             double z = r->lengths[c];
             pos[i] += z;
@@ -413,5 +431,90 @@ int fj_exponential(fj_run *r)
 out:
     r->cursor = c;
     r->sel_cursor = sc;
+    return code;
+}
+
+/* Exits of fj_pde. */
+enum {
+    PDE_STEPS,      /* the requested steps ran */
+    PDE_SHIFT,      /* track: the window is due to shift; the step is done */
+    PDE_UNSTABLE,   /* dt > 0.5 / w(grid[0] - m) before a step; value = that w */
+    PDE_NOT_FINITE, /* the mass or the mean after a step is not finite */
+};
+
+/* Mirrored field by field by kernel.Pde. */
+typedef struct {
+    int32_t family;             /* RATE_* */
+    int32_t track;              /* exit with PDE_SHIFT once the window is due to move */
+    const double *rate_params;
+    int64_t n_rate_params;
+    const double *grid;
+    double *values;             /* updated in place */
+    int64_t len;
+    double dt, h;
+    double r, w0, c1;           /* jump kernel: mean_field._exp_kernel(h) */
+    double offset0;             /* the shift is due once (m - grid[0] - offset0) / h >= 1 */
+    int64_t steps;              /* run at most this many steps */
+    double mass, m;             /* trapezoid mass and mean of values, after each step */
+    int64_t done;               /* steps this call ran */
+    double value;               /* detail of the exit, see PDE_* */
+} fj_pde_run;
+
+/* Euler steps of d rho/dt = J(s) - s with s = w(x - m) rho, where J spreads
+   s by the geometric node weights W_0 = w0, W_d = c1 r^(d-1): one pass per
+   step computes s, the tail sum of J by its recursion, the update in place
+   and the trapezoid mass and first moment that give the next m. */
+int fj_pde(fj_pde_run *p)
+{
+    const int32_t family = p->family;
+    const double *params = p->rate_params, *g = p->grid;
+    const int64_t n_params = p->n_rate_params, len = p->len;
+    const double dt = p->dt, r = p->r, w0 = p->w0, c1 = p->c1;
+    double *v = p->values;
+    double m = p->m, mass = p->mass;
+    int64_t k;
+    int code = PDE_STEPS;
+
+    for (k = 0; k < p->steps; k++) {
+        double wmax = rate(family, params, n_params, g[0] - m);
+        if (dt > 0.5 / wmax) {
+            p->value = wmax;
+            code = PDE_UNSTABLE;
+            break;
+        }
+        /* tail_j = sum_{d >= 1} r^(d-1) s_(j-d) = s_(j-1) + r tail_(j-1) */
+        double tail = 0.0, s_prev = 0.0, v_prev = 0.0, gv_prev = 0.0;
+        double sum0 = 0.0, sum1 = 0.0;
+        for (int64_t j = 0; j < len; j++) {
+            double s = rate(family, params, n_params, g[j] - m) * v[j];
+            tail = s_prev + r * tail;
+            double vj = v[j] + dt * ((w0 * s + c1 * tail) - s);
+            double gv = g[j] * vj;
+            if (j) {
+                double d = g[j] - g[j - 1];
+                sum0 += d * (vj + v_prev);
+                sum1 += d * (gv + gv_prev);
+            }
+            v[j] = vj;
+            s_prev = s;
+            v_prev = vj;
+            gv_prev = gv;
+        }
+        mass = 0.5 * sum0;
+        m = 0.5 * sum1 / mass;
+        if (!(isfinite(mass) && isfinite(m))) {
+            k++;
+            code = PDE_NOT_FINITE;
+            break;
+        }
+        if (p->track && (m - g[0] - p->offset0) / p->h >= 1.0) {
+            k++;
+            code = PDE_SHIFT;
+            break;
+        }
+    }
+    p->mass = mass;
+    p->m = m;
+    p->done = k;
     return code;
 }

@@ -70,10 +70,6 @@ class RecordPool:
             return -math.inf
         return self.top[self.k - 1]
 
-    @property
-    def y(self) -> float:
-        return self.k * self.y_k
-
 
 def new_pool(beta: float, c: float, rng) -> RecordPool:
     """Start the pool at t = 0 with N(0) draws."""

@@ -1,8 +1,11 @@
-"""Build and load the compiled event kernel (`_kernel.c`) through ctypes.
+"""Build and load the compiled kernel (`_kernel.c`) through ctypes.
 
-The kernel runs the per-event loop of the bounded and exponential engines on
-random batches that `sim` draws, and `sim` falls back to its Python loops
-when `load()` returns None. The shared library is built with gcc on first
+The kernel holds two loops. The event loop of the bounded and exponential
+engines runs on random batches that `sim` draws and is bit-identical to the
+Python loops, which `sim` falls back to when `load()` returns None. The
+explicit Euler step of the mean-field PDE (`fj_pde`) runs `mean_field`'s
+numpy step to a tolerance, not to the bit, and `mean_field` falls back to the
+numpy step in the same way. The shared library is built with gcc on first
 use, not at import, and cached as `__pycache__/_kernel-<key>.so` next to
 this file, where the key is a sha256 of the source, the compiler and the
 flags; a build goes to a temporary file that is renamed into place, so
@@ -24,8 +27,8 @@ import numpy as np
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CC = "gcc"
-# No -ffast-math or -march, and no fused multiply-add: every operation must
-# round as the Python loop's does.
+# No -ffast-math or -march, and no fused multiply-add: every operation of the
+# event loop must round as the Python loop's does.
 _FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 # Exit codes of fj_bounded and fj_exponential (the EXIT_* enum of _kernel.c).
@@ -40,26 +43,47 @@ ERRORS = {
     EXIT_FSUM_OVERFLOW: (OverflowError, "intermediate overflow in fsum"),
 }
 
+# Exit codes of fj_pde (the PDE_* enum of _kernel.c).
+PDE_STEPS, PDE_SHIFT, PDE_UNSTABLE, PDE_NOT_FINITE = range(4)
+
 # Rate families with a C rate, by the name their kernel_rate() gives.
-RATE_CODES = {"step": 0, "piecewise_linear": 1, "arccot": 2, "tabulated": 3}
+RATE_CODES = {"step": 0, "piecewise_linear": 1, "arccot": 2, "tabulated": 3, "exponential": 4}
 
 _P = ctypes.c_void_p
 _I64 = ctypes.c_int64
 _F64 = ctypes.c_double
 
-# Pointer fields and the dtype of the array each may point at.
-_ARRAYS = {"rate_params": np.float64, "pos": np.float64, "waits": np.float64,
-           "lengths": np.float64, "uniforms": np.float64, "targets": np.int64,
-           "u": np.float64, "u_frozen": np.float64, "cum": np.float64,
-           "sel_u": np.float64, "sel_acc": np.float64, "log_t": np.float64,
-           "log_z": np.float64, "log_m": np.float64, "log_i": np.int64}
+
+class _Record(ctypes.Structure):
+    """A C record that points at numpy arrays. `_arrays` maps each pointer
+    field to the dtype of the array it may point at; `bind` attaches arrays
+    and keeps them alive for as long as the record points at them."""
+
+    _arrays = {}
+
+    def __init__(self, **fields):
+        super().__init__(**fields)
+        self.arrays = {}
+
+    def bind(self, **arrays):
+        """Point the named fields at 1-d C-contiguous arrays of their dtype."""
+        for name, arr in arrays.items():
+            if arr.dtype != self._arrays[name] or arr.ndim != 1 or not arr.flags.c_contiguous:
+                raise TypeError(f"kernel field {name} needs a contiguous 1-d "
+                                f"{np.dtype(self._arrays[name])} array, got {arr.dtype} {arr.shape}")
+            self.arrays[name] = arr
+            setattr(self, name, arr.ctypes.data)
 
 
-class Run(ctypes.Structure):
+class Run(_Record):
     """The fj_run record of `_kernel.c`: the loop state one engine run shares
-    with the kernel. Numpy arrays are attached with `bind`, which keeps them
-    alive for as long as the record points at them."""
+    with the kernel."""
 
+    _arrays = {"rate_params": np.float64, "pos": np.float64, "waits": np.float64,
+               "lengths": np.float64, "uniforms": np.float64, "targets": np.int64,
+               "u": np.float64, "u_frozen": np.float64, "cum": np.float64,
+               "sel_u": np.float64, "sel_acc": np.float64, "log_t": np.float64,
+               "log_z": np.float64, "log_m": np.float64, "log_i": np.int64}
     _fields_ = [
         ("n", _I64), ("inv_n", _F64), ("horizon", _F64), ("max_events", _I64),
         ("resum_interval", _I64), ("family", ctypes.c_int32), ("direct", ctypes.c_int32),
@@ -76,18 +100,20 @@ class Run(ctypes.Structure):
         ("value", _F64),
     ]
 
-    def __init__(self, **fields):
-        super().__init__(**fields)
-        self.arrays = {}
 
-    def bind(self, **arrays):
-        """Point the named fields at 1-d C-contiguous arrays of their dtype."""
-        for name, arr in arrays.items():
-            if arr.dtype != _ARRAYS[name] or arr.ndim != 1 or not arr.flags.c_contiguous:
-                raise TypeError(f"kernel field {name} needs a contiguous 1-d "
-                                f"{np.dtype(_ARRAYS[name])} array, got {arr.dtype} {arr.shape}")
-            self.arrays[name] = arr
-            setattr(self, name, arr.ctypes.data)
+class Pde(_Record):
+    """The fj_pde_run record of `_kernel.c`: the grid, values and mean that
+    one PDE integration shares with the kernel."""
+
+    _arrays = {"rate_params": np.float64, "grid": np.float64, "values": np.float64}
+    _fields_ = [
+        ("family", ctypes.c_int32), ("track", ctypes.c_int32),
+        ("rate_params", _P), ("n_rate_params", _I64),
+        ("grid", _P), ("values", _P), ("len", _I64),
+        ("dt", _F64), ("h", _F64), ("r", _F64), ("w0", _F64), ("c1", _F64),
+        ("offset0", _F64), ("steps", _I64),
+        ("mass", _F64), ("m", _F64), ("done", _I64), ("value", _F64),
+    ]
 
 
 def _build(cc: str) -> Path:
@@ -117,10 +143,9 @@ def _load(cc: str):
         lib = ctypes.CDLL(str(_build(cc)))
     except (OSError, subprocess.SubprocessError):
         return None
-    run = ctypes.POINTER(Run)
-    for name in ("fj_bounded", "fj_exponential"):
+    for name, record in (("fj_bounded", Run), ("fj_exponential", Run), ("fj_pde", Pde)):
         fn = getattr(lib, name)
-        fn.argtypes = [run]
+        fn.argtypes = [ctypes.POINTER(record)]
         fn.restype = ctypes.c_int
     lib.fj_fsum.argtypes = [_P, _I64, ctypes.POINTER(_F64)]
     lib.fj_fsum.restype = ctypes.c_int

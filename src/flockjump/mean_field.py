@@ -16,10 +16,22 @@ nodes so that mass and the within-cell mean are preserved exactly. The
 resulting kernel is geometric in the node offset, so the update runs in O(grid)
 via a left-to-right recursion, and discrete mass conservation plus the discrete
 speed-of-mean identity hold to floating-point roundoff by construction.
+
+The Euler step runs compiled (`fj_pde` in `_kernel.c`) for every family whose
+`kernel_rate()` is not None, which covers the five built-in ones: one pass over
+the grid per step computes the rate, the jump flux, the update in place and the
+trapezoid mass and mean, and returns to Python only when the window must move,
+a diagnostics sample is due or the step fails. It is not bit-identical to the
+numpy step (`_Euler._numpy_steps`): numpy's vectorized exp and arctan, np.interp
+and np.trapezoid's pairwise sum round differently from libm and a running sum.
+Values, mass and mean agree to 1e-12, and grids, sample times and errors are the
+same (`tests/test_kernel.py`). Where the kernel cannot be built, or for a family
+without a C rate, the numpy step runs instead.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,6 +40,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.signal import lfilter
 
+from . import kernel
 from .model import (
     ArccotRate,
     DomainError,
@@ -518,9 +531,28 @@ def wave_equation_residual(w, c: float = None, h: float = 0.002, drop: float = 5
 # ---------------------------------------------------------------------------
 
 
+def _checked_mass(grid, values) -> float:
+    """Trapezoid mass of `values` on `grid`: ModelError unless they are
+    matching 1-d arrays, DomainError unless the values and the mass are finite
+    and the mass positive, the conditions for a mean."""
+    if grid.shape != values.shape or grid.ndim != 1:
+        raise ModelError("grid and values must be matching 1-d arrays")
+    if not np.all(np.isfinite(values)):
+        raise DomainError("density values are not finite")
+    mass = float(np.trapezoid(values, grid))
+    if not (mass > 0 and math.isfinite(mass)):
+        raise DomainError(f"density mass is not finite and positive: {mass}")
+    return mass
+
+
 @dataclass
 class DensityField:
-    """Density samples on a uniform absolute grid; the mean is the grid first moment."""
+    """Density samples on a uniform absolute grid; the mean is the grid first moment.
+
+    The values and their trapezoid mass must be finite and the mass positive
+    (DomainError otherwise), so that the mean, and with it a PDE step, is
+    defined.
+    """
 
     grid: np.ndarray
     values: np.ndarray
@@ -529,8 +561,7 @@ class DensityField:
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.grid.shape != self.values.shape or self.grid.ndim != 1:
-            raise ModelError("grid and values must be matching 1-d arrays")
+        _checked_mass(self.grid, self.values)
 
     @property
     def h(self) -> float:
@@ -586,22 +617,102 @@ def _jump_flux(s: np.ndarray, h: float) -> np.ndarray:
     return w0 * s + c1 * tail
 
 
-def _stability_limit(w, grid, m: float) -> float:
-    # w is non-increasing, so its sup over the grid sits at the left edge.
-    return float(w.rate(grid[0] - m))
+class _Euler:
+    """Explicit Euler steps of the mean-field equation with Exp(1) jumps.
+
+    Holds the window (`grid`, `values`) and its trapezoid `mass` and mean `m`.
+    A step runs compiled (`fj_pde` in `_kernel.c`) when the kernel loads and
+    the family has a `kernel_rate()`, and as the numpy loop `_numpy_steps`
+    otherwise; the two agree to roundoff, not to the bit. With `track_window`
+    a run stops after any step that leaves the mean a cell or more ahead of
+    where it sat in the first window, for `pde_integrate` to move the window.
+    """
+
+    def __init__(self, w, grid, values, dt: float, track_window: bool = False):
+        grid = np.array(grid, dtype=float)
+        values = np.array(values, dtype=float)
+        self.w, self.dt, self.track = w, dt, track_window
+        self.mass = _checked_mass(grid, values)
+        self.h = float(grid[1] - grid[0])
+        self.m = float(np.trapezoid(grid * values, grid) / self.mass)
+        self.offset0 = self.m - grid[0]     # window geometry preserved as the wave moves
+        spec = w.kernel_rate()
+        lib = kernel.load() if spec is not None else None
+        self._run = None
+        if lib is not None:
+            name, params = spec
+            r, w0, c1 = _exp_kernel(self.h)
+            self._fj_pde = lib.fj_pde
+            self._run = kernel.Pde(family=kernel.RATE_CODES[name], track=track_window,
+                                   n_rate_params=len(params), dt=dt, h=self.h,
+                                   r=r, w0=w0, c1=c1, offset0=self.offset0)
+            self._run.bind(rate_params=np.array(params, dtype=float))
+        self.set_window(grid, values)
+
+    def set_window(self, grid: np.ndarray, values: np.ndarray):
+        """Continue on a new window: contiguous float arrays the steps own."""
+        self.grid, self.values = grid, values
+        if self._run is not None:
+            self._run.bind(grid=grid, values=values)
+            self._run.len = len(grid)
+
+    def advance(self, steps: int, t: float):
+        """Run up to `steps` steps from time t; returns (steps run, time after
+        them, whether the window is due to shift). Raises StepSizeError before
+        a step with dt > 0.5 / w at the left edge, the sup of the
+        non-increasing w over the grid, and DomainError after a step that
+        leaves the mass or mean not finite."""
+        run = self._run
+        if run is None:
+            done, code, wmax = self._numpy_steps(steps)
+        else:
+            run.steps, run.m, run.mass = steps, self.m, self.mass
+            code = self._fj_pde(ctypes.byref(run))
+            done, wmax, self.m, self.mass = run.done, run.value, run.m, run.mass
+        for _ in range(done):
+            t += self.dt
+        if code == kernel.PDE_UNSTABLE:
+            raise StepSizeError(
+                f"dt={self.dt} exceeds the stability budget 0.5/sup w = {0.5 / wmax:.3g} "
+                f"at t={t:.4g}; shrink dt, or trim the left edge of the grid "
+                "(pde_integrate's track_window trims it once it is empty)")
+        if code == kernel.PDE_NOT_FINITE:
+            raise DomainError(f"density mass {self.mass} or mean {self.m} is not finite "
+                              f"at t={t:.4g}")
+        return done, t, code == kernel.PDE_SHIFT
+
+    def _numpy_steps(self, steps: int):
+        """The numpy step, the kernel's fallback and oracle: (steps run,
+        kernel.PDE_* exit, w at the left edge)."""
+        w, dt, h = self.w, self.dt, self.h
+        grid, values, m, mass = self.grid, self.values, self.m, self.mass
+        done, code, wmax = 0, kernel.PDE_STEPS, math.nan
+        while done < steps:
+            wmax = float(w.rate(grid[0] - m))
+            if dt > 0.5 / wmax:
+                code = kernel.PDE_UNSTABLE
+                break
+            s = np.asarray(w.rate(grid - m), dtype=float) * values
+            values = values + dt * (_jump_flux(s, h) - s)
+            mass = float(np.trapezoid(values, grid))
+            m = float(np.trapezoid(grid * values, grid) / mass)
+            done += 1
+            if not (math.isfinite(mass) and math.isfinite(m)):
+                code = kernel.PDE_NOT_FINITE
+                break
+            if self.track and (m - grid[0] - self.offset0) / h >= 1.0:
+                code = kernel.PDE_SHIFT
+                break
+        self.values, self.m, self.mass = values, m, mass
+        return done, code, wmax
 
 
 def pde_step(field: DensityField, w, dt: float) -> DensityField:
-    """One explicit Euler step of the mean-field equation with Exp(1) jumps."""
-    wmax = _stability_limit(w, field.grid, field.mean)
-    if dt > 0.5 / wmax:
-        raise StepSizeError(
-            f"dt={dt} exceeds the stability budget 0.5/sup w = {0.5 / wmax:.3g}; "
-            "shrink dt or trim the left edge of the grid")
-    m = field.mean
-    s = np.asarray(w.rate(field.grid - m), dtype=float) * field.values
-    new_values = field.values + dt * (_jump_flux(s, field.h) - s)
-    return DensityField(grid=field.grid, values=new_values, time=field.time + dt)
+    """One explicit Euler step of the mean-field equation with Exp(1) jumps:
+    the step, and the stability check, of `pde_integrate`."""
+    euler = _Euler(w, field.grid, field.values, dt)
+    _, t, _ = euler.advance(1, field.time)
+    return DensityField(grid=euler.grid, values=euler.values, time=t)
 
 
 @dataclass
@@ -639,64 +750,50 @@ def pde_integrate(field: DensityField, w, T: float, dt: float,
     mean advances. Mass drift is reported in the diagnostics, never silently
     corrected.
     """
-    grid = field.grid.copy()
-    values = field.values.copy()
-    h = field.h
-    t = field.time
+    euler = _Euler(w, field.grid, field.values, dt, track_window)
+    t = t0 = field.time
+    m0 = euler.m
     n_steps = int(round(T / dt))
     sample_every = max(1, n_steps // max(samples, 1))
-    m0 = field.mean
-    t0 = t
 
     times, masses, means, speeds = [], [], [], []
     w1s, w1m = [], []
     trimmed = 0.0
 
-    def record(m, mass, spd):
+    def record():
+        grid, values, m = euler.grid, euler.values, euler.m
         times.append(t)
-        masses.append(mass)
+        masses.append(euler.mass)
         means.append(m)
-        speeds.append(spd)
+        speeds.append(mean_speed_arrays(grid, values, m, w))
         if wave is not None:
             w1s.append(_w1_grid_vs_callable(grid, values, lambda x: wave.density_at(x, shift=m)))
             w1m.append(_w1_grid_vs_callable(
                 grid, values, lambda x: wave.density_at(x, shift=m0 + wave.c * (t - t0))))
 
-    mass = float(np.trapezoid(values, grid))
-    m = float(np.trapezoid(grid * values, grid) / mass)
-    offset0 = m - grid[0]            # window geometry preserved as the wave moves
-    record(m, mass, mean_speed_arrays(grid, values, m, w))
-
-    for step in range(1, n_steps + 1):
-        wmax = float(w.rate(grid[0] - m))
-        if dt > 0.5 / wmax:
-            raise StepSizeError(
-                f"dt={dt} exceeds the stability budget {0.5 / wmax:.3g} at t={t:.4g}; "
-                "widen the window or enable track_window")
-        s = np.asarray(w.rate(grid - m), dtype=float) * values
-        values = values + dt * (_jump_flux(s, h) - s)
-        t += dt
-        mass = float(np.trapezoid(values, grid))
-        m = float(np.trapezoid(grid * values, grid) / mass)
-
-        if track_window:
-            shift_cells = int((m - grid[0] - offset0) / h)
-            if shift_cells >= 1:
-                k = shift_cells
-                dropped = values[:k]
-                if np.any(np.abs(dropped) > 1e-30):
-                    # Never drop cells that still carry mass; widen instead
-                    # (the stability check will fail loudly if dt is too big
-                    # for the resulting window).
-                    grid = np.concatenate([grid, grid[-1] + h * np.arange(1, k + 1)])
-                    values = np.concatenate([values, np.zeros(k)])
-                else:
-                    trimmed += float(dropped.sum())
-                    grid = grid + k * h
-                    values = np.concatenate([values[k:], np.zeros(k)])
-
-        if step % sample_every == 0 or step == n_steps:
-            record(m, mass, mean_speed_arrays(grid, values, m, w))
+    record()
+    step = 0
+    while step < n_steps:
+        due = min(n_steps, (step // sample_every + 1) * sample_every)
+        done, t, shift = euler.advance(due - step, t)
+        step += done
+        if shift:
+            grid, values, h = euler.grid, euler.values, euler.h
+            k = int((euler.m - grid[0] - euler.offset0) / h)       # >= 1
+            dropped = values[:k]
+            if np.any(np.abs(dropped) > 1e-30):
+                # Never drop cells that still carry mass; widen instead
+                # (the stability check will fail loudly if dt is too big
+                # for the resulting window).
+                grid = np.concatenate([grid, grid[-1] + h * np.arange(1, k + 1)])
+                values = np.concatenate([values, np.zeros(k)])
+            else:
+                trimmed += float(dropped.sum())
+                grid = grid + k * h
+                values = np.concatenate([values[k:], np.zeros(k)])
+            euler.set_window(grid, values)
+        if step == due:
+            record()
 
     diags = PdeDiagnostics(
         t=np.asarray(times), mass=np.asarray(masses), mean=np.asarray(means),
@@ -704,4 +801,4 @@ def pde_integrate(field: DensityField, w, T: float, dt: float,
         w1_shape=np.asarray(w1s) if wave is not None else None,
         w1_moving=np.asarray(w1m) if wave is not None else None,
         trimmed_mass=trimmed)
-    return DensityField(grid=grid, values=values, time=t), diags
+    return DensityField(grid=euler.grid, values=euler.values, time=t), diags

@@ -60,9 +60,6 @@ class Histogram:
     def out_count(self) -> float:
         return self.out_below + self.out_above
 
-    def inside_fraction(self) -> float:
-        return 1.0 - self.out_count / self.n_samples
-
     def bin_mass(self) -> np.ndarray:
         return self.values * self.h
 
@@ -214,18 +211,6 @@ class TestFunction:
 IDENTITY = TestFunction(name="id", is_identity=True)
 
 
-def default_test_functions():
-    """Identity plus bounded continuous probes: tanh ramps and Gaussian bumps."""
-    fns = [IDENTITY]
-    for s in (1.0, 3.0):
-        fns.append(TestFunction(name=f"tanh_s{s:g}",
-                                fn=(lambda s: lambda x: np.tanh(np.asarray(x) / s))(s)))
-    for c in (-4.0, -2.0, 0.0, 2.0, 4.0):
-        fns.append(TestFunction(name=f"bump_c{c:g}",
-                                fn=(lambda c: lambda x: np.exp(-0.5 * (np.asarray(x) - c) ** 2))(c)))
-    return fns
-
-
 @dataclass
 class ResidualPath:
     value: float      # A_{t,f} at the requested horizon
@@ -242,13 +227,17 @@ def _g_of(f: TestFunction, z):
 
 def residual_path(initial_positions, log: _sim.EventLog, f: TestFunction,
                   w, z, t_end: float) -> ResidualPath:
-    """A_{s,f} along the trajectory, summed exactly over inter-event intervals.
+    """A_{s,f} = <f, mu(s)> - <f, mu(0)> - int_0^s <g_f w(. - m_u), mu(u)> du
+    along the trajectory up to s = t_end >= 0, summed exactly over inter-event
+    intervals; `.value` is A_{t_end,f}, which is 0 at t_end = 0.
 
     The bracket <g_f(x) w(x - m)> is piecewise constant between events, so the
     time integral is a finite sum. Dispatches to an incremental update for the
     identity function with step rates (the large-n scaling study); the generic
     path re-evaluates the bracket after each event.
     """
+    if t_end < 0:
+        raise DomainError(f"t_end must be >= 0, got {t_end}")
     if len(log) and log.times[0] < 0:
         raise DomainError("event log must start at time >= 0")
     if f.is_identity and isinstance(w, StepRate):
@@ -349,15 +338,6 @@ def _residual_id_step(initial_positions, log, w, t_end):
     value = m - F0 - integral
     sup = max(sup, abs(value))
     return ResidualPath(value=value, sup_abs=sup, t=t_end)
-
-
-def residual_A(initial_positions, log: _sim.EventLog, f: TestFunction, w, z, t: float) -> float:
-    """A_{t,f}: <f, mu(t)> - <f, mu(0)> - int_0^t <g_f w(. - m_s), mu(s)> ds."""
-    if t < 0:
-        raise DomainError("t must be >= 0")
-    if t == 0.0:
-        return 0.0
-    return residual_path(initial_positions, log, f, w, z, t).value
 
 
 @dataclass

@@ -64,8 +64,16 @@ class RateFamily:
         return lambda d: float(rate(d))
 
     def kernel_rate(self):
-        """(name, parameters) of the compiled kernel's w, operation for operation
-        as `scalar_rate()`, or None when the kernel has none for this family."""
+        """(name, parameters) of the compiled kernel's w, or None when the
+        kernel has none for this family.
+
+        The bounded engine's compiled loop evaluates it where the Python loop
+        calls `scalar_rate()`, so it must round the same, operation for
+        operation: runs are bit-identical. The compiled PDE step
+        (`mean_field.pde_integrate`) evaluates it where the numpy step calls
+        `rate()`, and there it only has to agree to a tolerance. A family
+        without one runs both in Python.
+        """
         return None
 
     def rate_overflows(self, x) -> bool:
@@ -90,6 +98,10 @@ class ExponentialRate(RateFamily):
     def rate(self, x):
         z = np.clip(np.multiply(self.beta, x), -EXP_CLAMP, EXP_CLAMP)
         return np.exp(-z)
+
+    def kernel_rate(self):
+        # For the PDE step only: no thinning engine runs an unbounded rate.
+        return "exponential", (self.beta, EXP_CLAMP)
 
     def rate_overflows(self, x) -> bool:
         # rate() clips beta*x from below at -EXP_CLAMP. (Clipping above only

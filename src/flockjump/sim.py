@@ -24,8 +24,8 @@ Three exactly-equivalent engines:
   table still rebuilds in Python, the direct scan stays faster up to about
   n = 64 at beta = 1, so DIRECT_MAX_N sits below the kernel's crossover.
 
-All engines keep the center of mass via m += Z/n (the per-event identity is
-exact) and re-sum it as math.fsum(positions) * (1/n) every RESUM_INTERVAL
+All engines keep the center of mass via m += Z * (1/n) (the per-event
+identity is exact) and re-sum it as math.fsum(positions) * (1/n) every RESUM_INTERVAL
 events; a run's initial and final centers are positions.sum() / n.
 
 The per-event loop of the bounded engine (step, piecewise-linear, arccot and
@@ -259,7 +259,7 @@ def _run_reference(w, z, state, T, max_events, rng, obs, log_events):
         i = int(min(np.searchsorted(np.cumsum(rates), u, side="left"), n - 1))
         length = float(z.sample(rng))
         pos[i] += length
-        m += length / n
+        m += length * inv_n
         events += 1
         if events % RESUM_INTERVAL == 0:
             m = math.fsum(pos) * inv_n

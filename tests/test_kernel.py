@@ -1,12 +1,16 @@
-"""The compiled event kernel against the Python loops it replaces.
+"""The compiled kernel against the Python loops it replaces.
 
-The Python loops of the bounded and exponential engines run when the kernel
-cannot be built; pointing the loader at a compiler that does not exist forces
-them. Every comparison is bit for bit.
+The Python loops of the bounded and exponential engines, and the numpy step
+of the mean-field PDE, run when the kernel cannot be built; pointing the
+loader at a compiler that does not exist forces them. Every comparison of the
+event loop is bit for bit; the PDE step agrees to 1e-12, on the same grids
+and times.
 """
 
 import ctypes
 import math
+import shutil
+import subprocess
 from unittest import mock
 
 import numpy as np
@@ -16,6 +20,8 @@ from hypothesis import strategies as st
 
 import flockjump as fj
 from flockjump import kernel, sim
+from flockjump import mean_field as mf
+from flockjump.model import DomainError
 
 
 def python_loops():
@@ -58,6 +64,14 @@ def test_kernel_builds():
     assert kernel.load() is lib                       # built once per process
     cached = list(kernel._SOURCE.parent.glob("__pycache__/_kernel-*.so"))
     assert cached
+
+
+@pytest.mark.skipif(shutil.which(kernel._CC) is None, reason="no C compiler")
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    cmd = [kernel._CC, *kernel._FLAGS, "-Wall", "-Wextra", "-Werror",
+           "-o", str(tmp_path / "kernel.so"), str(kernel._SOURCE), "-lm"]
+    out = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 BOUNDED = [fj.StepRate(2.0, 1.0), fj.PiecewiseLinearRate(2.0, 1.0), fj.ArccotRate(),
@@ -251,3 +265,191 @@ def test_c_fsum_matches_math_fsum(values, random):
     mirrored = values + [-x for x in random.sample(values, len(values))]
     for xs in (values, mirrored):
         assert same_sum(c_fsum(xs), py_fsum(xs))
+
+
+# ---------------------------------------------------------------------------
+# mean-field PDE step
+# ---------------------------------------------------------------------------
+
+PDE_FAMILIES = [fj.StepRate(2.1, 1.0), fj.PiecewiseLinearRate(2.2, 1.0), fj.ArccotRate(),
+                fj.TabulatedRate(grid=(-1.5, -0.5, 0.5, 1.5), values=(2.5, 2.0, 1.4, 1.0)),
+                fj.ExponentialRate(1.0)]
+PDE_IDS = [type(w).__name__ for w in PDE_FAMILIES]
+
+
+def pde_outcome(field, w, **kwargs):
+    """pde_integrate's (final field, diagnostics), or the (exception, message)
+    it raised."""
+    try:
+        return mf.pde_integrate(field, w, **kwargs)
+    except mf.ModelError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def pde_both(field, w, **kwargs):
+    with python_loops():
+        expected = pde_outcome(field, w, **kwargs)
+    return expected, pde_outcome(field, w, **kwargs)
+
+
+def assert_pde_close(expected, got, tol=1e-12):
+    """Equal grids and times, bit for bit; values, mass, mean and speed within
+    tol, relative to the largest value and to max(1, |mean|, |speed|)."""
+    (f1, d1), (f2, d2) = expected, got
+    assert np.array_equal(f1.grid, f2.grid)
+    assert bits(f1.time) == bits(f2.time)
+    assert d1.t.tobytes() == d2.t.tobytes()
+    assert np.max(np.abs(f1.values - f2.values)) <= tol * np.max(np.abs(f1.values))
+    assert np.max(np.abs(d1.mass - d2.mass)) <= tol
+    assert np.all(np.abs(d1.mean - d2.mean) <= tol * np.maximum(1.0, np.abs(d1.mean)))
+    assert np.all(np.abs(d1.speed - d2.speed) <= tol * np.maximum(1.0, np.abs(d1.speed)))
+    assert abs(d1.trimmed_mass - d2.trimmed_mass) <= tol
+
+
+def gaussian_start(w, left=-6.0, right=30.0, h=0.02, center=0.0, sigma=0.1):
+    """A Gaussian on [left, right] and a dt at 40% of the stability budget."""
+    field = mf.DensityField.gaussian(np.arange(left, right + h / 2, h), center, sigma)
+    return field, 0.2 / float(w.rate(left - field.mean))
+
+
+@pytest.mark.parametrize("track_window", [True, False])
+@pytest.mark.parametrize("w", PDE_FAMILIES, ids=PDE_IDS)
+def test_pde_kernel_matches_numpy_step(w, track_window):
+    field, dt = gaussian_start(w)
+    expected, got = pde_both(field, w, T=0.5, dt=dt, samples=7, track_window=track_window)
+    assert_pde_close(expected, got)
+    if track_window:        # the left edge carries no mass, so the window trims
+        assert got[0].grid[0] > field.grid[0] and len(got[0].grid) == len(field.grid)
+    else:
+        assert np.array_equal(got[0].grid, field.grid)
+
+
+def test_pde_kernel_matches_numpy_step_when_the_window_widens():
+    # live mass at the left edge: the window may not drop it, so it widens
+    w = fj.StepRate(2.0, 1.0)
+    field, dt = gaussian_start(w, left=-3.0, right=12.0, center=-2.5, sigma=1.0)
+    expected, got = pde_both(field, w, T=0.5, dt=dt, samples=5)
+    assert_pde_close(expected, got)
+    assert got[0].grid[0] == field.grid[0] and len(got[0].grid) > len(field.grid)
+
+
+def test_pde_kernel_raises_the_step_size_error_of_the_numpy_step():
+    # the exponential rate at the left edge grows as the mean advances: the
+    # budget breaks mid-run, at the same step and with the same message
+    w = fj.ExponentialRate(1.0)
+    field, dt = gaussian_start(w, right=20.0)
+    expected, got = pde_both(field, w, T=2.0, dt=dt, track_window=False)
+    assert expected[0] == "StepSizeError" and got == expected
+    # a widened window keeps its left edge, so the budget breaks there too
+    field, dt = gaussian_start(w, left=-3.0, right=12.0, center=-2.5, sigma=1.0)
+    expected, got = pde_both(field, w, T=2.0, dt=dt)
+    assert expected[0] == "StepSizeError" and got == expected
+    with python_loops():
+        expected = pde_outcome(field, w, T=1.0, dt=1.0)
+    assert pde_outcome(field, w, T=1.0, dt=1.0) == expected
+    assert "at t=0;" in expected[1]
+
+
+@pytest.mark.parametrize("w", PDE_FAMILIES, ids=PDE_IDS)
+def test_pde_kernel_step_matches_numpy_step(w):
+    field, dt = gaussian_start(w, sigma=0.5)
+    for _ in range(3):
+        with python_loops():
+            expected = mf.pde_step(field, w, dt)
+        got = mf.pde_step(field, w, dt)
+        assert bits(got.time) == bits(expected.time)
+        assert np.max(np.abs(got.values - expected.values)) <= 1e-12 * np.max(expected.values)
+        field = got
+    with python_loops(), pytest.raises(mf.StepSizeError) as expected:
+        mf.pde_step(field, w, 1.0)
+    with pytest.raises(mf.StepSizeError) as got:
+        mf.pde_step(field, w, 1.0)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("w", PDE_FAMILIES, ids=PDE_IDS)
+def test_pde_at_t0_leaves_the_values_unchanged(w):
+    field, dt = gaussian_start(w)
+    for final, diag in pde_both(field, w, T=0.0, dt=dt):
+        assert np.array_equal(final.values, field.values) and final.time == 0.0
+        assert len(diag.t) == 1
+
+
+def test_pde_runs_on_the_kernel():
+    assert kernel.load() is not None
+    with mock.patch.object(mf._Euler, "_numpy_steps", side_effect=AssertionError):
+        for w in PDE_FAMILIES:
+            field, dt = gaussian_start(w)
+            mf.pde_integrate(field, w, T=0.05, dt=dt)
+            mf.pde_step(field, w, dt)
+
+
+def test_failed_build_falls_back_to_the_numpy_step():
+    w = fj.ArccotRate()
+    field, dt = gaussian_start(w)
+    expected, got = pde_both(field, w, T=0.3, dt=dt, samples=4)
+    assert_pde_close(expected, got)
+    # a family with no C rate runs the same numpy step, bit for bit
+    with mock.patch.object(fj.ArccotRate, "kernel_rate", return_value=None):
+        final, diag = mf.pde_integrate(field, w, T=0.3, dt=dt, samples=4)
+    assert final.values.tobytes() == expected[0].values.tobytes()
+    assert diag.mean.tobytes() == expected[1].mean.tobytes()
+    assert kernel.load() is not None                  # the real compiler's build is kept
+
+
+def test_a_bad_density_fails_before_any_step():
+    grid = np.linspace(-1.0, 1.0, 101)
+    bad = {"values are not finite": (DomainError, np.where(grid > 0.5, math.nan, 1.0)),
+           "mass is not finite and positive: 0.0": (DomainError, np.zeros_like(grid)),
+           "matching 1-d arrays": (mf.ModelError, np.ones(len(grid) - 1))}
+    w = fj.StepRate(2.0, 1.0)
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="positive: inf"):
+        mf.DensityField(grid, np.full_like(grid, 1e308))
+    for cause, (error, values) in bad.items():
+        with pytest.raises(error, match=cause):
+            mf.DensityField(grid, values)
+        field = mf.DensityField.gaussian(grid, sigma=0.3)
+        field.values = values                         # changed after construction
+        for fallback in (False, True):
+            with mock.patch.object(kernel, "_CC", "/nonexistent/bin/gcc" if fallback
+                                   else kernel._CC), np.errstate(all="raise"):
+                with pytest.raises(error, match=cause):
+                    mf.pde_integrate(field, w, T=0.1, dt=1e-3)
+                with pytest.raises(error, match=cause):
+                    mf.pde_step(field, w, 1e-3)
+
+
+def test_a_step_that_overflows_fails_on_both_paths():
+    # finite values and mass whose jump flux overflows in the first step
+    grid = np.linspace(0.0, 1.5, 16)
+    field = mf.DensityField(grid, np.full_like(grid, 6e307))
+    with np.errstate(all="ignore"):
+        expected, got = pde_both(field, fj.StepRate(2.0, 1.0), T=0.01, dt=1e-3)
+    assert expected[0] == "DomainError" and "not finite at t=0.001" in expected[1]
+    assert got == expected
+
+
+@st.composite
+def pde_cases(draw):
+    w = draw(st.sampled_from(PDE_FAMILIES))
+    h = draw(st.floats(0.005, 0.05))
+    offset = draw(st.floats(0.0, 1.0)) * h
+    grid = offset + h * np.arange(math.floor(-4.0 / h), math.ceil(12.0 / h))
+    field = mf.DensityField.gaussian(grid, sigma=0.3)
+    dt = draw(st.floats(0.05, 0.9)) * 0.5 / float(w.rate(grid[0] - field.mean))
+    steps = draw(st.integers(0, 60))
+    kwargs = {"T": steps * dt, "dt": dt, "samples": draw(st.integers(1, 9)),
+              "track_window": draw(st.booleans())}
+    return field, w, kwargs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(pde_cases())
+def test_pde_kernel_matches_numpy_step_on_random_cases(case):
+    field, w, kwargs = case
+    expected, got = pde_both(field, w, **kwargs)
+    if isinstance(expected[0], str):
+        assert got == expected
+    else:
+        assert_pde_close(expected, got)

@@ -26,7 +26,7 @@ def test_histogram_basic_counting():
     assert h.out_above == 1          # 10.0, bins are right-open
     # mass identity is an exact counting identity
     assert h.values.sum() * h.h + h.out_count / h.n_samples == pytest.approx(1.0, abs=1e-15)
-    assert h.inside_fraction() == pytest.approx(4 / 6)
+    assert 1.0 - h.out_count / h.n_samples == pytest.approx(4 / 6)      # inside fraction
 
 
 def test_histogram_all_in_one_bin():
@@ -178,8 +178,21 @@ def test_ks_weighted_matches_unweighted():
 # ---------------------------------------------------------------------------
 
 
+def default_test_functions():
+    """Identity plus bounded continuous probes: tanh ramps and Gaussian bumps."""
+    fns = [ms.IDENTITY]
+    for s in (1.0, 3.0):
+        fns.append(ms.TestFunction(name=f"tanh_s{s:g}",
+                                   fn=(lambda s: lambda x: np.tanh(np.asarray(x) / s))(s)))
+    for c in (-4.0, -2.0, 0.0, 2.0, 4.0):
+        fns.append(ms.TestFunction(
+            name=f"bump_c{c:g}",
+            fn=(lambda c: lambda x: np.exp(-0.5 * (np.asarray(x) - c) ** 2))(c)))
+    return fns
+
+
 def test_default_test_function_set():
-    fns = ms.default_test_functions()
+    fns = default_test_functions()
     # identity + tanh(x/s) for s in {1, 3} + five Gaussian bumps
     assert len(fns) == 8
     assert fns[0].is_identity
@@ -198,10 +211,25 @@ def _run(w, z, n, T, seed, engine="bounded"):
     return fj.simulate(w, z, n, T=T, seed=seed, engine=engine, log_events=True)
 
 
+def residual_A(initial_positions, log, f, w, z, t):
+    """A_{t,f} at the horizon t."""
+    return ms.residual_path(initial_positions, log, f, w, z, t).value
+
+
 def test_residual_zero_at_t0():
     w, z = fj.StepRate(2.0, 1.0), fj.DeterministicJump()
     res = _run(w, z, 10, 2.0, 30)
-    assert ms.residual_A(np.zeros(10), res.log, ms.IDENTITY, w, z, 0.0) == 0.0
+    for f in (ms.IDENTITY, default_test_functions()[1]):
+        path = ms.residual_path(np.zeros(10), res.log, f, w, z, 0.0)
+        assert path.value == 0.0 and path.sup_abs == 0.0
+
+
+def test_residual_rejects_a_negative_horizon():
+    w, z = fj.StepRate(2.0, 1.0), fj.DeterministicJump()
+    res = _run(w, z, 10, 2.0, 30)
+    for f in (ms.IDENTITY, default_test_functions()[1]):
+        with pytest.raises(DomainError, match="t_end must be >= 0"):
+            ms.residual_path(np.zeros(10), res.log, f, w, z, -0.5)
 
 
 def test_residual_constant_rate_poisson_oracle(flat_rate):
@@ -213,7 +241,7 @@ def test_residual_constant_rate_poisson_oracle(flat_rate):
     gains, As = [], []
     for seed in range(60):
         res = _run(flat, z, n, T, 300 + seed)
-        A = ms.residual_A(np.zeros(n), res.log, ms.IDENTITY, flat, z, T)
+        A = residual_A(np.zeros(n), res.log, ms.IDENTITY, flat, z, T)
         assert A == pytest.approx(res.final_center - 1.5 * T, abs=1e-10)
         gains.append(n * (res.final_center - res.initial_center))
         As.append(A)
@@ -229,7 +257,7 @@ def test_residual_identity_mean_zero_many_seeds():
     vals = []
     for seed in range(50):
         res = _run(w, z, 25, 5.0, 400 + seed)
-        vals.append(ms.residual_A(np.zeros(25), res.log, ms.IDENTITY, w, z, 5.0))
+        vals.append(residual_A(np.zeros(25), res.log, ms.IDENTITY, w, z, 5.0))
     vals = np.asarray(vals)
     assert abs(vals.mean()) <= 3 * vals.std(ddof=1) / math.sqrt(len(vals))
 
@@ -249,23 +277,23 @@ def test_residual_schedule_invariance():
     # from the same event log always gives the identical value
     w, z = fj.StepRate(2.0, 1.0), fj.DeterministicJump()
     res = _run(w, z, 15, 3.0, 31)
-    a1 = ms.residual_A(np.zeros(15), res.log, ms.IDENTITY, w, z, 3.0)
-    a2 = ms.residual_A(np.zeros(15), res.log, ms.IDENTITY, w, z, 3.0)
+    a1 = residual_A(np.zeros(15), res.log, ms.IDENTITY, w, z, 3.0)
+    a2 = residual_A(np.zeros(15), res.log, ms.IDENTITY, w, z, 3.0)
     assert a1 == a2
     # and evaluating at an intermediate horizon uses only the covered prefix
-    a_half = ms.residual_A(np.zeros(15), res.log, ms.IDENTITY, w, z, 1.5)
+    a_half = residual_A(np.zeros(15), res.log, ms.IDENTITY, w, z, 1.5)
     assert math.isfinite(a_half)
 
 
 def test_residual_bounded_f_moment_bound():
     # for |f| <= 1: E M_n(t)^2 <= 4 a t / n
     w, z = fj.StepRate(2.0, 1.0), fj.ExponentialJump()
-    f = ms.default_test_functions()[1]          # tanh(x)
+    f = default_test_functions()[1]             # tanh(x)
     n, T = 50, 3.0
     vals = []
     for seed in range(40):
         res = _run(w, z, n, T, 600 + seed)
-        vals.append(ms.residual_A(np.zeros(n), res.log, f, w, z, T))
+        vals.append(residual_A(np.zeros(n), res.log, f, w, z, T))
     vals = np.asarray(vals)
     bound = 4 * 2.0 * T / n
     s2 = float(np.mean(vals ** 2))

@@ -399,7 +399,8 @@ def test_logged_centers_track_the_exact_center(engine, w, n):
     # logged center is within 97 roundings of the exact fsum(positions) * (1/n),
     # and the center logged at a resum is that exact value bit for bit. The
     # exponential engine logs its center before it re-sums, so there the exact
-    # value shows one event later, plus that event's jump.
+    # value shows one event later, plus that event's jump. Between resums every
+    # engine advances the center by the same expression, length * (1/n).
     interval = 97
     init = np.random.default_rng(n).uniform(0.0, 3.0, n)
     with mock.patch.object(sim, "RESUM_INTERVAL", interval):
@@ -416,8 +417,14 @@ def test_logged_centers_track_the_exact_center(engine, w, n):
     assert len(resums) == 20
     if engine == "exponential":
         assert np.array_equal(centers[resums + 1], exact[resums] + lengths[resums + 1] * inv_n)
+        resummed = resums + 1
     else:
         assert np.array_equal(centers[resums], exact[resums])
+        resummed = resums
+    before = np.concatenate([[res.initial_center], centers[:-1]])
+    stepped = np.setdiff1d(np.arange(len(centers)), resummed)
+    assert len(stepped) == len(centers) - 20
+    assert np.array_equal(centers[stepped], before[stepped] + lengths[stepped] * inv_n)
 
 
 # ---------------------------------------------------------------------------
