@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import DomainError, ModelError
-from .mean_field import upper_gamma_regularized, _numeric_cdf
+# The limit law; `mean_field` centers it into the exponential family's wave.
+from .mean_field import generalized_gumbel_cdf, generalized_gumbel_pdf  # noqa: F401
 
 _POOL_CAP_LOG = 62 * math.log(2.0)   # keep the pool inside 2^62
 _ARRIVAL_BATCH = 1 << 16
@@ -63,12 +64,6 @@ class RecordPool:
     top: list                 # descending, at most k+1 entries
     pool_count: int
     t: float = 0.0
-
-    @property
-    def y_k(self) -> float:
-        if len(self.top) < self.k:
-            return -math.inf
-        return self.top[self.k - 1]
 
 
 def new_pool(beta: float, c: float, rng) -> RecordPool:
@@ -178,32 +173,3 @@ def sample_final_uncentered(beta: float, c: float, T: float, runs: int, rng) -> 
         path = simulate_record(pool, T, rng)
         out[r] = path.uncentered_final()
     return out
-
-
-# ---------------------------------------------------------------------------
-# generalized Gumbel limit law (uncentered form)
-# ---------------------------------------------------------------------------
-
-
-def generalized_gumbel_pdf(beta: float, x):
-    """Density of the limit of Y(t) - (1/beta) log N(t):
-    (beta / Gamma(1/beta)) exp(-x - e^{-beta x})."""
-    if beta <= 0:
-        raise DomainError("beta must be positive")
-    x = np.asarray(x, dtype=float)
-    with np.errstate(under="ignore", over="ignore"):
-        z = np.exp(-np.clip(beta * x, -700.0, 700.0))
-        out = (beta / math.gamma(1.0 / beta)) * np.exp(-x - z)
-    return out
-
-
-def generalized_gumbel_cdf(beta: float, x):
-    """CDF of the uncentered limit; closed Poisson-tail form at integer 1/beta."""
-    k = 1.0 / beta
-    x = np.asarray(x, dtype=float)
-    if abs(k - round(k)) < 1e-12:
-        with np.errstate(over="ignore"):
-            z = np.exp(-np.clip(beta * x, -700.0, 700.0))
-        return upper_gamma_regularized(int(round(k)), z)
-    return _numeric_cdf(lambda t: generalized_gumbel_pdf(beta, t), -30.0 / beta, 80.0)(x)
-

@@ -8,7 +8,10 @@ an exact antiderivative of w, so profile exponents carry no quadrature error;
 only normalizations and moments are integrated numerically, by one composite
 Gauss-Legendre pass with panels split at the profile peak and the rate
 function's knots. The speed is the root of the centered first moment, found by
-Brent's method on a verified sign-change bracket.
+Brent's method on a verified sign-change bracket. A family's stationary wave
+is the law its `stationary_law()` names in `_LAWS` (the generalized Gumbel law,
+Laplace, or the exact profile at a known speed), and the exact profile at the
+solved speed where it names none.
 
 The PDE integrator discretizes the jump term by projecting the exponential jump
 law onto the grid cell-by-cell, splitting each cell's mass between its two
@@ -41,14 +44,7 @@ from scipy.optimize import brentq
 from scipy.signal import lfilter
 
 from . import kernel
-from .model import (
-    ArccotRate,
-    DomainError,
-    ExponentialRate,
-    ModelError,
-    PiecewiseLinearRate,
-    StepRate,
-)
+from .model import ArccotRate, DomainError, ModelError, PiecewiseLinearRate
 
 
 class NonIntegrableError(ModelError):
@@ -197,6 +193,16 @@ def profile_moments(w, c: float, drop: float = 60.0):
     return (*_moments(w, c, frame), frame[1])
 
 
+@lru_cache(maxsize=128)
+def _normalization(w, c: float, drop: float):
+    """(log K, x_lo, x_hi): K normalizes the profile at speed c to mass one,
+    and the profile is below exp(-drop) of its peak outside [x_lo, x_hi].
+    Bounded: `wave_profile` adds an entry for every (w, c, drop) it builds."""
+    frame = _profile_frame(w, c, drop)
+    i0, _i1 = _moments(w, c, frame)
+    return -(frame[1] + math.log(i0)), frame[2], frame[3]
+
+
 @dataclass(frozen=True)
 class WaveProfile:
     """Gridded traveling-wave density with exact off-grid evaluation.
@@ -208,7 +214,6 @@ class WaveProfile:
     grid: np.ndarray
     values: np.ndarray
     c: float
-    K: float
     w: object
     log_norm: float
 
@@ -228,33 +233,26 @@ class WaveProfile:
         return float(np.trapezoid(self.grid * self.values, self.grid))
 
 
-def wave_profile(w, c: float, h: float = None, drop: float = 60.0,
-                 grid: np.ndarray = None) -> WaveProfile:
+def wave_profile(w, c: float, h: float = None, drop: float = 60.0) -> WaveProfile:
     """Construct the normalized traveling-wave profile at speed c.
 
     The default spacing is 0.005; a discontinuous rate kinks the density, so
     the step family defaults to 0.001 to keep the trapezoid mass within 1e-8.
     """
-    frame = _profile_frame(w, c, drop)
-    _x_star, e_star, x_lo, x_hi = frame
+    log_norm, x_lo, x_hi = _normalization(w, c, drop)
     if h is None:
         h = 0.005 if w.continuous else 0.001
-    if grid is None:
-        # Align nodes with multiples of h so rate knots (integers, 0) fall on nodes.
-        j_lo = math.floor(x_lo / h) - 1
-        j_hi = math.ceil(x_hi / h) + 1
-        grid = h * np.arange(j_lo, j_hi + 1)
-    grid = np.asarray(grid, dtype=float)
-    i0, _i1 = _moments(w, c, frame)
-    log_norm = -(e_star + math.log(i0))
+    # Align nodes with multiples of h so rate knots (integers, 0) fall on nodes.
+    j_lo = math.floor(x_lo / h) - 1
+    j_hi = math.ceil(x_hi / h) + 1
+    grid = h * np.arange(j_lo, j_hi + 1)
     exponents = log_profile(w, c, grid) + log_norm
     with np.errstate(under="ignore"):
         values = np.exp(exponents)
     tz = np.trapezoid(values, grid)
     if not (tz > 0 and math.isfinite(tz)):
         raise NonIntegrableError("profile is not normalizable on the requested grid")
-    return WaveProfile(grid=grid, values=values, c=c, K=math.exp(log_norm),
-                       w=w, log_norm=log_norm)
+    return WaveProfile(grid=grid, values=values, c=c, w=w, log_norm=log_norm)
 
 
 def profile_mean(w, c: float, drop: float = 60.0) -> float:
@@ -336,32 +334,49 @@ def wave_speed(w, max_iter: int = 200, report: dict = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# closed-form stationary densities (exponential jump lengths)
+# stationary laws (exponential jump lengths)
 # ---------------------------------------------------------------------------
 
 
-def gumbel_wave_pdf(beta: float, x):
-    """Stationary density for w(x) = e^{-beta x}: generalized Gumbel, centered."""
+def generalized_gumbel_pdf(beta: float, x):
+    """Generalized Gumbel density (beta / Gamma(1/beta)) exp(-x - e^{-beta x}),
+    uncentered: the limit law of the record process (`extremes`)."""
     if beta <= 0:
         raise DomainError("beta must be positive")
-    s = digamma(1.0 / beta) / beta
-    y = np.asarray(x, dtype=float) - s
+    x = np.asarray(x, dtype=float)
     with np.errstate(under="ignore", over="ignore"):
-        z = np.exp(-np.clip(beta * y, -700.0, 700.0))
-        out = (beta / math.gamma(1.0 / beta)) * np.exp(-y - z)
+        z = np.exp(-np.clip(beta * x, -700.0, 700.0))
+        out = (beta / math.gamma(1.0 / beta)) * np.exp(-x - z)
     return out
 
 
-def gumbel_wave_cdf(beta: float, x):
-    """CDF of the centered generalized Gumbel wave (closed form at integer 1/beta)."""
-    s = digamma(1.0 / beta) / beta
-    y = np.asarray(x, dtype=float) - s
+def generalized_gumbel_cdf(beta: float, x):
+    """CDF of the uncentered generalized Gumbel law; closed Poisson-tail form at
+    integer 1/beta."""
     k = 1.0 / beta
+    x = np.asarray(x, dtype=float)
     if abs(k - round(k)) < 1e-12:
         with np.errstate(over="ignore"):
-            z = np.exp(-np.clip(beta * y, -700.0, 700.0))
+            z = np.exp(-np.clip(beta * x, -700.0, 700.0))
         return upper_gamma_regularized(int(round(k)), z)
-    return _numeric_cdf(lambda t: gumbel_wave_pdf(beta, t), -20.0 / beta - 5.0, 60.0)(x)
+    return _numeric_cdf(lambda t: generalized_gumbel_pdf(beta, t), -30.0 / beta, 80.0)(x)
+
+
+def gumbel_wave_pdf(beta: float, x):
+    """Stationary density for w(x) = e^{-beta x}: the generalized Gumbel law,
+    moved by s = psi(1/beta)/beta to mean zero."""
+    return generalized_gumbel_pdf(beta, np.asarray(x, dtype=float) - _gumbel_shift(beta))
+
+
+def gumbel_wave_cdf(beta: float, x):
+    """CDF of the centered generalized Gumbel wave."""
+    return generalized_gumbel_cdf(beta, np.asarray(x, dtype=float) - _gumbel_shift(beta))
+
+
+def _gumbel_shift(beta: float) -> float:
+    if beta <= 0:
+        raise DomainError("beta must be positive")
+    return digamma(1.0 / beta) / beta
 
 
 def laplace_wave_pdf(a: float, b: float, x):
@@ -377,60 +392,64 @@ def laplace_wave_cdf(a: float, b: float, x):
                     1.0 - 0.5 * np.exp(-r * np.where(x >= 0, x, 0.0)))
 
 
-@lru_cache(maxsize=None)
-def _piecewise_gauss_exp_norm(a: float, b: float) -> float:
-    w = PiecewiseLinearRate(a, b)
-    c = 0.5 * (a + b)
-    i0, _, e_star = profile_moments(w, c)
-    # exponent at 0 is 0, so K = 1 / integral of exp(exponent)
-    return 1.0 / (i0 * math.exp(e_star))
+def _numeric_cdf(pdf, lo: float, hi: float, npts: int = 120_001):
+    """CDF of `pdf` by the trapezoid rule on npts points of [lo, hi],
+    normalized there: 0 left of lo, 1 right of hi. The table is built at the
+    first call."""
+
+    @lru_cache(maxsize=None)
+    def table():
+        xs = np.linspace(lo, hi, npts)
+        vals = np.asarray(pdf(xs), dtype=float)
+        h = xs[1] - xs[0]
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * h)])
+        return xs, np.clip(cum / cum[-1], 0.0, 1.0)
+
+    def cdf(x):
+        return np.interp(x, *table(), left=0.0, right=1.0)
+
+    return cdf
 
 
-def piecewise_gauss_exp_pdf(a: float, b: float, x):
-    """Example density for the piecewise-linear rate: Gaussian core, exponential tails."""
-    w = PiecewiseLinearRate(a, b)
-    c = 0.5 * (a + b)
-    return _piecewise_gauss_exp_norm(a, b) * np.exp(log_profile(w, c, x))
+def _gumbel_law(beta: float):
+    return (math.exp(-digamma(1.0 / beta)) / beta,
+            lambda x: gumbel_wave_pdf(beta, x), lambda x: gumbel_wave_cdf(beta, x))
 
 
-@lru_cache(maxsize=None)
-def _arccot_norm() -> float:
-    w = ArccotRate()
-    c = 0.5 * math.pi
-    i0, _, e_star = profile_moments(w, c)
-    return 1.0 / (i0 * math.exp(e_star))
+def _laplace_law(a: float, b: float):
+    return (0.5 * (a + b), lambda x: laplace_wave_pdf(a, b, x),
+            lambda x: laplace_wave_cdf(a, b, x))
 
 
-def arccot_wave_pdf(x):
-    """Stationary density for the arccot rate at its symmetric speed pi/2."""
-    w = ArccotRate()
-    return _arccot_norm() * np.exp(log_profile(w, 0.5 * math.pi, x))
+def _exact_law(w, c: float):
+    """(c, pdf, cdf) of the normalized exact profile at speed c; the cdf is
+    numeric on the frame outside which the profile is below e^-60 of its peak.
+    The normalization is cached on (w, c), so a law built twice integrates
+    once."""
+    log_norm, lo, hi = _normalization(w, c, 60.0)
+
+    def pdf(x):
+        return np.exp(log_profile(w, c, x) + log_norm)
+
+    return c, pdf, _numeric_cdf(pdf, lo, hi)
+
+
+# The stationary laws, by the name `RateFamily.stationary_law()` returns; each
+# builds (speed, pdf, cdf) from the parameters it returns with the name.
+_LAWS = {
+    "generalized_gumbel": _gumbel_law,
+    "laplace": _laplace_law,
+    # Gaussian core on [-1, 1], exponential tails
+    "piecewise_gauss_exp": lambda a, b: _exact_law(PiecewiseLinearRate(a, b), 0.5 * (a + b)),
+    "arccot": lambda: _exact_law(ArccotRate(), 0.5 * math.pi),
+}
 
 
 def closed_form_density(family: str, x, **params):
-    """Evaluate one of the named closed-form stationary densities."""
-    if family == "generalized_gumbel":
-        return gumbel_wave_pdf(params["beta"], x)
-    if family == "laplace":
-        return laplace_wave_pdf(params["a"], params["b"], x)
-    if family == "piecewise_gauss_exp":
-        return piecewise_gauss_exp_pdf(params["a"], params["b"], x)
-    if family == "arccot":
-        return arccot_wave_pdf(x)
-    raise DomainError(f"unknown closed-form family {family!r}")
-
-
-def _numeric_cdf(pdf, lo: float, hi: float, npts: int = 120_001):
-    xs = np.linspace(lo, hi, npts)
-    vals = np.asarray(pdf(xs), dtype=float)
-    h = xs[1] - xs[0]
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * h)])
-    cum = np.clip(cum / cum[-1], 0.0, 1.0)
-
-    def cdf(x):
-        return np.interp(x, xs, cum, left=0.0, right=1.0)
-
-    return cdf
+    """Evaluate the stationary density `_LAWS[family]` builds from `params`."""
+    if family not in _LAWS:
+        raise DomainError(f"unknown closed-form family {family!r}")
+    return _LAWS[family](**params)[1](x)
 
 
 @dataclass(frozen=True)
@@ -444,32 +463,14 @@ class StationaryWave:
 
 
 def stationary_wave(w) -> StationaryWave:
-    """Closed-form stationary wave when the family has one, numeric otherwise."""
-    if isinstance(w, ExponentialRate):
-        beta = w.beta
-        c = math.exp(-digamma(1.0 / beta)) / beta
-        return StationaryWave(c=c, pdf=lambda x: gumbel_wave_pdf(beta, x),
-                              cdf=lambda x: gumbel_wave_cdf(beta, x),
-                              label=f"generalized_gumbel(beta={beta})")
-    if isinstance(w, StepRate):
-        a, b = w.a, w.b
-        return StationaryWave(c=0.5 * (a + b), pdf=lambda x: laplace_wave_pdf(a, b, x),
-                              cdf=lambda x: laplace_wave_cdf(a, b, x),
-                              label=f"laplace(a={a},b={b})")
-    if isinstance(w, PiecewiseLinearRate):
-        a, b = w.a, w.b
-        cdf = _numeric_cdf(lambda x: piecewise_gauss_exp_pdf(a, b, x), -60.0, 60.0)
-        return StationaryWave(c=0.5 * (a + b), pdf=lambda x: piecewise_gauss_exp_pdf(a, b, x),
-                              cdf=cdf, label=f"piecewise_gauss_exp(a={a},b={b})")
-    if isinstance(w, ArccotRate):
-        cdf = _numeric_cdf(arccot_wave_pdf, -80.0, 120.0)
-        return StationaryWave(c=0.5 * math.pi, pdf=arccot_wave_pdf, cdf=cdf, label="arccot")
-    # Generic bounded family: solve for the speed and use the exact profile.
-    c = wave_speed(w)
-    prof = wave_profile(w, c)
-    lo, hi = prof.grid[0], prof.grid[-1]
-    cdf = _numeric_cdf(prof.density_at, lo, hi)
-    return StationaryWave(c=c, pdf=prof.density_at, cdf=cdf, label=f"numeric({type(w).__name__})")
+    """The law in `_LAWS` that `w.stationary_law()` names; where it names none,
+    the exact profile at the speed `wave_speed(w)` solves for."""
+    law = w.stationary_law()
+    if law is None:
+        return StationaryWave(*_exact_law(w, wave_speed(w)), label=f"numeric({type(w).__name__})")
+    name, params = law
+    args = ",".join(f"{key}={val}" for key, val in params.items())
+    return StationaryWave(*_LAWS[name](**params), label=f"{name}({args})" if args else name)
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +625,9 @@ class _Euler:
     A step runs compiled (`fj_pde` in `_kernel.c`) when the kernel loads and
     the family has a `kernel_rate()`, and as the numpy loop `_numpy_steps`
     otherwise; the two agree to roundoff, not to the bit. With `track_window`
-    a run stops after any step that leaves the mean a cell or more ahead of
-    where it sat in the first window, for `pde_integrate` to move the window.
+    a run stops after any step that leaves the mean a cell or more further
+    from the left edge than `offset0`, for `pde_integrate` to move the window
+    or, where it must keep the left edge, to widen it and advance `offset0`.
     """
 
     def __init__(self, w, grid, values, dt: float, track_window: bool = False):
@@ -645,16 +647,18 @@ class _Euler:
             self._fj_pde = lib.fj_pde
             self._run = kernel.Pde(family=kernel.RATE_CODES[name], track=track_window,
                                    n_rate_params=len(params), dt=dt, h=self.h,
-                                   r=r, w0=w0, c1=c1, offset0=self.offset0)
+                                   r=r, w0=w0, c1=c1)
             self._run.bind(rate_params=np.array(params, dtype=float))
         self.set_window(grid, values)
 
     def set_window(self, grid: np.ndarray, values: np.ndarray):
-        """Continue on a new window: contiguous float arrays the steps own."""
+        """Continue on a new window, contiguous float arrays the steps own, and
+        the current `offset0`."""
         self.grid, self.values = grid, values
         if self._run is not None:
             self._run.bind(grid=grid, values=values)
             self._run.len = len(grid)
+            self._run.offset0 = self.offset0
 
     def advance(self, steps: int, t: float):
         """Run up to `steps` steps from time t; returns (steps run, time after
@@ -787,6 +791,7 @@ def pde_integrate(field: DensityField, w, T: float, dt: float,
                 # for the resulting window).
                 grid = np.concatenate([grid, grid[-1] + h * np.arange(1, k + 1)])
                 values = np.concatenate([values, np.zeros(k)])
+                euler.offset0 += k * h          # the left edge stays behind
             else:
                 trimmed += float(dropped.sum())
                 grid = grid + k * h

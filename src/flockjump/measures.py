@@ -358,7 +358,7 @@ class ScalingStudy:
 
 
 def residual_scaling(ns, seeds: int, t: float, w, z, f: TestFunction = IDENTITY,
-                     base_seed: int = 0, init="zeros") -> ScalingStudy:
+                     base_seed: int = 0) -> ScalingStudy:
     """Fit the n-scaling of the sup residual: slope of log RMS sup|A| vs log n.
 
     Runs `seeds` independent trajectories per population size with the bounded
@@ -368,13 +368,12 @@ def residual_scaling(ns, seeds: int, t: float, w, z, f: TestFunction = IDENTITY,
     values = {}
     sups = {}
     for n in ns:
-        init_pos = np.zeros(n) if init == "zeros" else np.asarray(init, dtype=float)
+        init_pos = np.zeros(n)
         vals = np.empty(seeds)
         sup = np.empty(seeds)
         for s in range(seeds):
             rng = np.random.default_rng(base_seed + 1000 * n + s)
-            res = _sim.simulate(w, z, n, T=t, rng=rng, init=init_pos if init != "zeros" else "zeros",
-                                engine="bounded", log_events=True)
+            res = _sim.simulate(w, z, n, T=t, rng=rng, engine="bounded", log_events=True)
             path = residual_path(init_pos, res.log, f, w, z, t)
             vals[s] = path.value
             sup[s] = path.sup_abs

@@ -42,9 +42,9 @@ class RateFamily:
     the vectorized `rate(x)` and its exact antiderivative `integral(x)` from 0,
     the limits `left_limit` (sup w, as x -> -inf) and `right_limit` (inf w), and
     overrides `continuous`, `knots` (points where w or its derivative jumps),
-    `scalar_rate`, `kernel_rate` and `rate_overflows` where the defaults
-    below do not fit. Registering the
-    class in RATE_FAMILIES makes it available to configs under its name.
+    `scalar_rate`, `kernel_rate`, `stationary_law` and `rate_overflows` where
+    the defaults below do not fit. Registering the class in RATE_FAMILIES
+    makes it available to configs under its name.
     """
 
     continuous: ClassVar[bool] = True
@@ -76,6 +76,12 @@ class RateFamily:
         """
         return None
 
+    def stationary_law(self):
+        """(name, parameters) of the family's stationary wave in
+        `mean_field._LAWS`, or None for the numeric wave: the exact profile at
+        the speed `mean_field.wave_speed` solves for."""
+        return None
+
     def rate_overflows(self, x) -> bool:
         """Whether w exceeds, somewhere on x, what `rate` can return exactly."""
         return False
@@ -102,6 +108,9 @@ class ExponentialRate(RateFamily):
     def kernel_rate(self):
         # For the PDE step only: no thinning engine runs an unbounded rate.
         return "exponential", (self.beta, EXP_CLAMP)
+
+    def stationary_law(self):
+        return "generalized_gumbel", {"beta": self.beta}
 
     def rate_overflows(self, x) -> bool:
         # rate() clips beta*x from below at -EXP_CLAMP. (Clipping above only
@@ -149,6 +158,9 @@ class StepRate(RateFamily):
 
     def kernel_rate(self):
         return "step", (self.a, self.b)
+
+    def stationary_law(self):
+        return "laplace", {"a": self.a, "b": self.b}
 
 
 @dataclass(frozen=True)
@@ -204,6 +216,9 @@ class PiecewiseLinearRate(RateFamily):
         a, b = self.a, self.b
         return "piecewise_linear", (a, b, 0.5 * (a + b), 0.5 * (a - b))
 
+    def stationary_law(self):
+        return "piecewise_gauss_exp", {"a": self.a, "b": self.b}
+
 
 @dataclass(frozen=True)
 class ArccotRate(RateFamily):
@@ -225,6 +240,9 @@ class ArccotRate(RateFamily):
 
     def kernel_rate(self):
         return "arccot", (0.5 * math.pi,)
+
+    def stationary_law(self):
+        return "arccot", {}
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .model import ExponentialRate, ModelError, SystemState, initial_state
+from .model import ModelError, SystemState, initial_state
 
 _BATCH = 1 << 14
 
@@ -131,13 +131,10 @@ class _Observer:
             self.callback(self.times[self.pos], positions(), m)
             self.pos += 1
 
-    def emit_at(self, t_event, positions, m):
-        # A tie with an event time sees the post-event (right-continuous) state.
-        while self.pending() and self.times[self.pos] == t_event:
-            self.callback(self.times[self.pos], positions(), m)
-            self.pos += 1
-
     def emit_through(self, t_final, positions, m):
+        # At the end of a run, and after an event at t_final once every earlier
+        # time is emitted: then it emits the ties, which see the post-event
+        # (right-continuous) state.
         while self.pending() and self.times[self.pos] <= t_final:
             self.callback(self.times[self.pos], positions(), m)
             self.pos += 1
@@ -147,22 +144,21 @@ def check_engine(w, engine: str = "auto") -> str:
     """The engine `simulate` runs for rate family w: w's default for "auto".
 
     Raises UnsupportedSpecError, its message starting "engine:", for an unknown
-    name or an engine that cannot run w: thinning needs a bounded rate, and the
-    exponential engine runs only the exponential family.
+    name or an engine that cannot run w. The reference engine runs every
+    family; a fast engine runs only the families it is the default of
+    (`RateFamily.default_engine`): thinning needs a bounded rate, and the
+    exponential engine the exponential family.
     """
     if engine == "auto":
         return w.default_engine
     if not isinstance(engine, str) or engine not in ENGINES:
         raise UnsupportedSpecError(
             f"engine: unknown engine {engine!r}; have 'auto', {', '.join(map(repr, ENGINES))}")
-    if engine == "bounded" and not math.isfinite(w.left_limit):
+    if engine != "reference" and engine != w.default_engine:
+        able = sorted({"reference", w.default_engine})
         raise UnsupportedSpecError(
-            f"engine: the bounded (thinning) engine needs a bounded rate function, "
-            f"and {type(w).__name__} is unbounded")
-    if engine == "exponential" and not isinstance(w, ExponentialRate):
-        raise UnsupportedSpecError(
-            f"engine: the exponential engine only runs the exponential family, "
-            f"not {type(w).__name__}")
+            f"engine: the {engine} engine cannot run {type(w).__name__}; "
+            f"engines that can: {', '.join(map(repr, able))}")
     return engine
 
 
@@ -269,7 +265,7 @@ def _run_reference(w, z, state, T, max_events, rng, obs, log_events):
             logs[2].append(length)
             logs[3].append(m)
         if t == next_obs:
-            obs.emit_at(t, positions_view, m)
+            obs.emit_through(t, positions_view, m)
             next_obs = obs.next_time()
     obs.emit_through(min(horizon, t), positions_view, m)
     return _finish(state, "reference", events, t, c0, truncated, logs, events)
@@ -360,7 +356,7 @@ def _bounded_loop(w, z, state, T, max_events, rng, obs, log_events):
         proposals += 1
         cursor += 1
         if accepted and t == next_obs:
-            obs.emit_at(t, positions_view, m)
+            obs.emit_through(t, positions_view, m)
             next_obs = obs.next_time()
     obs.emit_through(min(horizon, t), positions_view, m)
     state.positions = np.asarray(pos)
@@ -450,7 +446,7 @@ def _run_exponential(w, z, state, T, max_events, rng, obs, log_events):
         elif code == kernel.EXIT_REBUILD:
             rebuild()
             if run.t == run.next_obs:
-                obs.emit_at(run.t, pos.copy, run.m)
+                obs.emit_through(run.t, pos.copy, run.m)
                 run.next_obs = obs.next_time()
         elif code == kernel.EXIT_RATE_STALL:
             _check_weight_total(run.value, "total jump rate")
@@ -581,7 +577,7 @@ def _exponential_loop(w, z, state, T, max_events, rng, obs, log_events):
         elif S < 0.5 * S0:
             rebuild()
         if t == next_obs:
-            obs.emit_at(t, positions_view, m)
+            obs.emit_through(t, positions_view, m)
             next_obs = obs.next_time()
     obs.emit_through(min(horizon, t), positions_view, m)
     state.positions = np.asarray(pos)
@@ -624,7 +620,7 @@ def _drive(entry, run, engine, pos, state, T, obs, log_events, on_exit):
             obs.emit_before(run.value, pos.copy, run.m)
             run.next_obs = obs.next_time()
         elif code == kernel.EXIT_OBSERVE_AT:
-            obs.emit_at(run.t, pos.copy, run.m)
+            obs.emit_through(run.t, pos.copy, run.m)
             run.next_obs = obs.next_time()
         elif code in (kernel.EXIT_CAP, kernel.EXIT_HORIZON):
             break

@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
+from .mean_field import _numeric_cdf
 from .model import DomainError, ModelError
 
 QUAD_ABS_TOL = 1e-10
@@ -160,22 +161,13 @@ class GapDensity:
     def cdf(self, g):
         """CDF on [0, inf); exactly tanh(g) at beta = 2, dense-grid quadrature otherwise."""
         g = np.asarray(g, dtype=float)
-        if self.beta == 2.0:
-            out = np.tanh(np.maximum(g, 0.0))
-        else:
-            xs, cum = self._cdf_table()
-            out = np.interp(g, xs, cum, left=0.0, right=1.0)
+        out = np.tanh(np.maximum(g, 0.0)) if self.beta == 2.0 else self._cdf()(g)
         return float(out) if out.ndim == 0 else out
 
     @lru_cache(maxsize=None)
-    def _cdf_table(self):
+    def _cdf(self):
         G = (18.0 * math.log(10.0) + 10.0) / (1.0 + 0.5 * self.beta)
-        xs = np.linspace(0.0, G, 60_001)
-        vals = self.pdf(xs)
-        h = xs[1] - xs[0]
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * h)])
-        cum = np.minimum(cum / cum[-1], 1.0)  # pin the truncated tail
-        return xs, cum
+        return _numeric_cdf(self.pdf, 0.0, G, 60_001)
 
 
 def master_residual(p, beta: float, g: float) -> float:

@@ -10,7 +10,6 @@ from flockjump.mean_field import (
     NonIntegrableError,
     SolverError,
     StepSizeError,
-    arccot_wave_pdf,
     closed_form_density,
     digamma,
     gumbel_wave_cdf,
@@ -21,7 +20,6 @@ from flockjump.mean_field import (
     pde_integrate,
     pde_step,
     log_profile,
-    piecewise_gauss_exp_pdf,
     profile_mean,
     profile_moments,
     stationary_wave,
@@ -30,7 +28,8 @@ from flockjump.mean_field import (
     wave_profile,
     wave_speed,
 )
-from flockjump.model import DomainError
+from flockjump.model import RATE_FAMILIES, DomainError
+from flockjump.sim import ENGINES, UnsupportedSpecError, check_engine
 
 GAMMA = 0.5772156649015329
 
@@ -285,24 +284,29 @@ def test_laplace_coefficient():
 def test_piecewise_gauss_exp_density():
     # continuous at |x| = 1 and matches the profile construction pointwise
     a, b = 2.0, 1.0
-    left = piecewise_gauss_exp_pdf(a, b, 1.0 - 1e-12)
-    right = piecewise_gauss_exp_pdf(a, b, 1.0 + 1e-12)
+
+    def pdf(x):
+        return closed_form_density("piecewise_gauss_exp", x, a=a, b=b)
+
+    left = pdf(1.0 - 1e-12)
+    right = pdf(1.0 + 1e-12)
     assert abs(left - right) <= 1e-12
     prof = wave_profile(fj.PiecewiseLinearRate(a, b), 1.5)
     xs = np.linspace(-6, 6, 201)
-    assert np.max(np.abs(piecewise_gauss_exp_pdf(a, b, xs) - prof.density_at(xs))) < 1e-10
+    assert np.max(np.abs(pdf(xs) - prof.density_at(xs))) < 1e-10
     from scipy.integrate import quad
 
-    total, _ = quad(lambda x: float(piecewise_gauss_exp_pdf(a, b, x)), -90, 90,
-                    points=[-1, 0, 1], limit=300)
+    total, _ = quad(lambda x: float(pdf(x)), -90, 90, points=[-1, 0, 1], limit=300)
     assert total == pytest.approx(1.0, abs=1e-8)
 
 
 def test_arccot_density_symmetric():
     xs = np.linspace(0.1, 10, 40)
-    assert np.allclose(arccot_wave_pdf(xs), arccot_wave_pdf(-xs), rtol=1e-10)
+    assert np.allclose(closed_form_density("arccot", xs), closed_form_density("arccot", -xs),
+                       rtol=1e-10)
     prof = wave_profile(fj.ArccotRate(), math.pi / 2)
-    assert np.max(np.abs(arccot_wave_pdf(prof.grid) - prof.density_at(prof.grid))) < 1e-12
+    assert np.max(np.abs(closed_form_density("arccot", prof.grid)
+                         - prof.density_at(prof.grid))) < 1e-12
 
 
 def test_closed_form_dispatcher():
@@ -312,6 +316,51 @@ def test_closed_form_dispatcher():
         pytest.approx(float(laplace_wave_pdf(2.0, 1.0, 0.3)))
     with pytest.raises(DomainError):
         closed_form_density("nope", 0.0)
+
+
+# One instance of every registered family; the table is the benchmark's base
+# table. A family added to RATE_FAMILIES must be added here.
+FAMILY_CASES = {
+    "exponential": fj.ExponentialRate(0.8),
+    "step": fj.StepRate(2.0, 1.0),
+    "piecewise_linear": fj.PiecewiseLinearRate(2.0, 1.0),
+    "arccot": fj.ArccotRate(),
+    "tabulated": fj.TabulatedRate(grid=(-1.5, -0.5, 0.5, 1.5), values=(2.5, 2.0, 1.4, 1.0)),
+}
+
+
+def test_family_cases_cover_every_family():
+    assert set(FAMILY_CASES) == set(RATE_FAMILIES)
+
+
+@pytest.mark.parametrize("family", sorted(RATE_FAMILIES))
+def test_every_family_has_a_stationary_wave_and_engines(family):
+    w = FAMILY_CASES[family]
+    wave = stationary_wave(w)
+    assert abs(wave.c - wave_speed(w)) <= 1e-10
+    cdf = wave.cdf(np.linspace(-80.0, 80.0, 4001))
+    assert np.all(np.diff(cdf) >= 0)
+    assert cdf[0] <= 1e-6 and cdf[-1] >= 1.0 - 1e-6
+    accepted = set()
+    for engine in ("auto", *ENGINES):
+        try:
+            check_engine(w, engine)
+            accepted.add(engine)
+        except UnsupportedSpecError:
+            pass
+    assert accepted == {"auto", w.default_engine, "reference"}
+
+
+@pytest.mark.parametrize("name, params, w", [
+    ("generalized_gumbel", {"beta": 0.8}, fj.ExponentialRate(0.8)),
+    ("laplace", {"a": 2.0, "b": 1.0}, fj.StepRate(2.0, 1.0)),
+    ("piecewise_gauss_exp", {"a": 2.0, "b": 1.0}, fj.PiecewiseLinearRate(2.0, 1.0)),
+    ("arccot", {}, fj.ArccotRate()),
+])
+def test_closed_form_density_is_the_stationary_wave_pdf(name, params, w):
+    assert w.stationary_law() == (name, params)
+    xs = np.linspace(-10.0, 30.0, 4001)
+    assert np.array_equal(closed_form_density(name, xs, **params), stationary_wave(w).pdf(xs))
 
 
 def test_gumbel_cdf_integer_k():
@@ -456,6 +505,19 @@ def test_pde_step_bounded_rate_fixed_window():
                                 track_window=False)
     assert diag.mass_drift_per_unit_time() <= 1e-8
     assert diag.w1_moving[-1] <= 0.1
+
+
+@pytest.mark.parametrize("T", [2.0, 5.0])
+def test_pde_window_widens_only_as_far_as_the_mean_moves(T):
+    # The left edge carries mass above 1e-30, so the window widens instead of
+    # moving: by one cell for each cell the mean advances, not without end.
+    w, h = fj.StepRate(2.0, 1.0), 0.02
+    grid = np.arange(-3.0, 40.0 + h / 2, h)
+    f0 = DensityField.gaussian(grid, center=-2.5, sigma=0.08)
+    final, diag = pde_integrate(f0, w, T=T, dt=0.1)
+    assert final.values[0] > 1e-30
+    assert len(final.grid) <= len(grid) + math.ceil((final.mean - f0.mean) / h) + 1
+    assert diag.mass_drift_per_unit_time() <= 1e-8
 
 
 def jump_kernel_weights(phi, h: float, tail_tol: float = 1e-14, max_cells: int = 100_000):
