@@ -19,13 +19,12 @@ A model or configuration error is reported as one line on stderr,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
 import numpy as np
 
-from .model import ModelError
+from .model import ExponentialRate, ModelError
 
 
 def _cmd_simulate(args):
@@ -87,10 +86,10 @@ def _cmd_gap(args):
 
 def _cmd_extremes(args):
     from .extremes import new_pool, simulate_record
-    from .mean_field import digamma
+    from .mean_field import stationary_wave
 
     beta = args.beta
-    c = args.c if args.c is not None else math.exp(-digamma(1.0 / beta)) / beta
+    c = args.c if args.c is not None else stationary_wave(ExponentialRate(beta)).c
     rng = np.random.default_rng(args.seed)
     pool = new_pool(beta, c, rng)
     path = simulate_record(pool, args.T, rng)
@@ -116,11 +115,10 @@ def _cmd_pde(args):
     prof = wave_profile(w, c)
     grid = np.arange(cfg["x_min"], cfg["x_max"] + h / 2, h)
     init = cfg["initial"]
-    if init.get("kind", "wave") == "wave":
+    if init["kind"] == "wave":
         field = DensityField.from_profile(prof, grid=grid)
     else:
-        field = DensityField.gaussian(grid, center=float(init.get("center", 0.0)),
-                                      sigma=float(init.get("sigma", 0.1)))
+        field = DensityField.gaussian(grid, center=init["center"], sigma=init["sigma"])
     final, diags = pde_integrate(field, w, T=T, dt=dt, wave=prof, samples=cfg["samples"])
     print(f"wave speed c = {c:.8g}")
     print(f"mass drift per unit time: {diags.mass_drift_per_unit_time():.3e}")

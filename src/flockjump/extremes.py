@@ -68,6 +68,8 @@ class RecordPool:
 
 def new_pool(beta: float, c: float, rng) -> RecordPool:
     """Start the pool at t = 0 with N(0) draws."""
+    if not (beta > 0 and math.isfinite(beta)):
+        raise DomainError(f"beta must be positive and finite, got {beta}")
     k = 1.0 / beta
     if abs(k - round(k)) > 1e-9 or k < 1:
         raise DomainError(f"the record connection needs k = 1/beta a positive integer, got 1/beta={k}")

@@ -3,8 +3,9 @@
 
 A run bundle directory contains `config.snapshot` (canonical JSON),
 `summary.json`, `hist_timeavg.csv`, `hist_snapshot.csv`, `mean_path.csv`, and
-optionally `events.csv`. Every float serializes as shortest-round-trip decimal
-(17 significant digits), so (config, seed) determines every output byte.
+optionally `events.csv`. CSV floats are written `.17g` (round-trips, but 0.1
+is 0.10000000000000001), JSON floats as Python's shortest round-trip repr, so
+(config, seed) determines every output byte.
 """
 
 from __future__ import annotations
@@ -276,6 +277,8 @@ def load_config(path) -> ExperimentConfig:
 
 # `flockjump pde` numeric settings and their defaults
 _PDE_NUMBERS = {"h": 0.01, "dt": 1e-3, "T": 10.0, "x_min": -6.0, "x_max": 25.0}
+# initial.kind -> its numeric keys and their defaults
+_PDE_INITIAL = {"wave": {}, "gaussian": {"center": 0.0, "sigma": 0.1}}
 
 
 def pde_config_from_dict(d: dict) -> dict:
@@ -310,15 +313,20 @@ def pde_config_from_dict(d: dict) -> dict:
     if not isinstance(init, dict):
         raise ConfigError(f"initial: expected a dict such as {{'kind': 'wave'}}, got {init!r}")
     kind = init.get("kind", "wave")
-    if kind == "gaussian":
-        for key, default in (("center", 0.0), ("sigma", 0.1)):
-            if not _is_finite(init.get(key, default)):
-                raise ConfigError(f"initial.{key}: must be a finite number, got {init[key]!r}")
-        if not init.get("sigma", 0.1) > 0:
-            raise ConfigError(f"initial.sigma: must be > 0, got {init['sigma']!r}")
-    elif kind != "wave":
+    if not isinstance(kind, str) or kind not in _PDE_INITIAL:
         raise ConfigError(f"initial.kind: unknown kind {kind!r}; have 'wave', 'gaussian'")
-    out["initial"] = init
+    known = _PDE_INITIAL[kind]
+    extra = sorted(set(init) - {"kind", *known})
+    if extra:
+        raise ConfigError(f"initial.{extra[0]}: unknown key for kind {kind!r}")
+    out["initial"] = {"kind": kind}
+    for key, default in known.items():
+        val = init.get(key, default)
+        if not _is_finite(val):
+            raise ConfigError(f"initial.{key}: must be a finite number, got {val!r}")
+        out["initial"][key] = float(val)
+    if kind == "gaussian" and not out["initial"]["sigma"] > 0:
+        raise ConfigError(f"initial.sigma: must be > 0, got {init['sigma']!r}")
     return out
 
 

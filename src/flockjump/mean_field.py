@@ -753,6 +753,11 @@ def pde_integrate(field: DensityField, w, T: float, dt: float,
     the right, keeping the explicit-Euler stability budget satisfiable as the
     mean advances. Mass drift is reported in the diagnostics, never silently
     corrected.
+
+    The right edge is never checked against the density: it keeps its
+    starting distance ahead of the mean (or stays put without
+    `track_window`), and jump mass that lands past it is lost, which shows
+    only as mass drift.
     """
     euler = _Euler(w, field.grid, field.values, dt, track_window)
     t = t0 = field.time

@@ -46,7 +46,7 @@ class Histogram:
     n_samples: float
     out_below: float
     out_above: float
-    counts: np.ndarray = None
+    counts: np.ndarray
 
     @property
     def h(self) -> float:
@@ -137,8 +137,7 @@ class TimeAverager:
         below = above = nsamp = 0.0
         for wgt, hh in zip(weights, self._hists):
             values += wgt * hh.values
-            if hh.counts is not None:
-                counts += wgt * hh.counts
+            counts += wgt * hh.counts
             below += wgt * hh.out_below
             above += wgt * hh.out_above
             nsamp += wgt * hh.n_samples
@@ -345,16 +344,8 @@ class ScalingStudy:
     ns: list
     rms_sup: list
     values: dict            # n -> array of A_{t,f} end values across seeds
-    sups: dict              # n -> array of sup_s |A_{s,f}|
     slope: float
     intercept: float
-
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("n,seed,sup_residual\n")
-            for n in self.ns:
-                for seed, sup in enumerate(self.sups[n]):
-                    fh.write(f"{n},{seed},{sup:.17g}\n")
 
 
 def residual_scaling(ns, seeds: int, t: float, w, z, f: TestFunction = IDENTITY,
@@ -366,7 +357,6 @@ def residual_scaling(ns, seeds: int, t: float, w, z, f: TestFunction = IDENTITY,
     """
     rms = []
     values = {}
-    sups = {}
     for n in ns:
         init_pos = np.zeros(n)
         vals = np.empty(seeds)
@@ -378,10 +368,9 @@ def residual_scaling(ns, seeds: int, t: float, w, z, f: TestFunction = IDENTITY,
             vals[s] = path.value
             sup[s] = path.sup_abs
         values[n] = vals
-        sups[n] = sup
         rms.append(float(np.sqrt(np.mean(sup ** 2))))
     lx = np.log(np.asarray(ns, dtype=float))
     ly = np.log(np.asarray(rms))
     slope, intercept = np.polyfit(lx, ly, 1)
-    return ScalingStudy(ns=list(ns), rms_sup=rms, values=values, sups=sups,
+    return ScalingStudy(ns=list(ns), rms_sup=rms, values=values,
                         slope=float(slope), intercept=float(intercept))

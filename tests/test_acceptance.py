@@ -6,6 +6,9 @@ full-size preset runs and long PDE/extreme-value runs carry the
 seconds at their stated tolerances plus quick variants of the slow ones.
 """
 
+import math
+import numbers
+
 import pytest
 
 from flockjump import acceptance as acc
@@ -20,7 +23,25 @@ def _run(number, quick=False):
     result = acc.run_criterion(number, quick=quick)
     print()
     print(result.line())
+    for label, s, t, *_ in result.checks:
+        assert isinstance(s, numbers.Real) and isinstance(t, numbers.Real), label
+    assert result.passed == all(s <= t for _, s, t, *_ in result.checks)
     assert result.passed, result.detail
+
+
+def test_check_pass_rule_and_line():
+    def result(*checks):
+        return acc.CriterionResult(number=0, title="t", checks=list(checks))
+
+    assert not result(("nan", math.nan, 1.0)).passed
+    assert not result(("ok", 0.0, 1.0), ("nan", math.nan, 1.0)).passed
+    assert not result(("over", 0.5000000000000001, 0.5)).passed
+    assert result(("equal", 0.5, 0.5)).passed
+    assert result(("count", 0, 0)).passed
+    assert not result(("count", 1, 0)).passed
+    line = result(("a", 0.25, 0.5, "note a"), ("b", 0, 0), ("c", 1e-9, 1e-8, None)).line()
+    assert line.startswith("[PASS] criterion  0: t")
+    assert line.endswith("-- a: 0.25 (tol 0.5), note a; b: 0 (tol 0); c: 1e-09 (tol 1e-08)")
 
 
 @pytest.mark.parametrize("number", [n for n in FULL if n not in SLOW])

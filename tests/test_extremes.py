@@ -50,6 +50,9 @@ def test_new_pool_requires_integer_k():
     rng = np.random.default_rng(0)
     with pytest.raises(DomainError):
         ex.new_pool(0.4, 1.0, rng)
+    for beta in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="beta must be positive and finite"):
+            ex.new_pool(beta, 1.0, rng)
     pool = ex.new_pool(0.5, wave_c(0.5), rng)
     assert pool.k == 2
 

@@ -377,6 +377,12 @@ def test_cli_simulate_and_pde(capsys, tmp_path):
     (["extremes", "--beta", "1", "--T", "80"], "exceeds 2^62"),
     (["travelwave", "--rate", "nope"], "rate.family"),
     (["gap", "--rate", "step:a=2"], "rate.b"),
+    (["extremes", "--beta", "0", "--T", "1"], "beta must be positive and finite"),
+    (["extremes", "--beta", "0", "--T", "1", "--c", "1"], "beta must be positive and finite"),
+    (["extremes", "--beta", "-1", "--T", "1"], "beta must be positive and finite"),
+    (["extremes", "--beta", "-1", "--T", "1", "--c", "1"], "beta must be positive and finite"),
+    (["extremes", "--beta", "nan", "--T", "1"], "beta must be positive and finite"),
+    (["extremes", "--beta", "nan", "--T", "1", "--c", "1"], "beta must be positive and finite"),
 ])
 def test_cli_reports_model_errors_in_one_line(capsys, argv, message):
     assert cli.main(argv) == 2
@@ -412,6 +418,9 @@ def test_cli_reports_config_errors(capsys, tmp_path):
                      ({"rate": rate, "initial": {"kind": "gaussian", "sigma": 0}},
                       "initial.sigma"),
                      ({"rate": rate, "bogus": 1}, "unknown config keys"),
+                     ({"rate": rate, "initial": {"kind": "gaussian", "centre": 3.0, "sigma": 0.5}},
+                      "initial.centre"),
+                     ({"rate": rate, "initial": {"kind": "wave", "sigma": 0.5}}, "initial.sigma"),
                      ([rate], "config file")):
         pde_path.write_text(json.dumps(cfg))
         assert cli.main(["pde", str(pde_path)]) == 2

@@ -314,14 +314,9 @@ def test_residual_fast_path_nonzero_initial_positions():
         assert fast.sup_abs == pytest.approx(gen.sup_abs, abs=1e-12)
 
 
-def test_residual_scaling_slope(tmp_path):
+def test_residual_scaling_slope():
     w, z = fj.StepRate(2.0, 1.0), fj.DeterministicJump()
     study = ms.residual_scaling([50, 200, 800], seeds=12, t=6.0, w=w, z=z, base_seed=700)
     assert -0.75 <= study.slope <= -0.25
     assert all(r > 0 for r in study.rms_sup)
     assert study.rms_sup[0] > study.rms_sup[-1]      # decreasing in n
-    out = tmp_path / "scaling.csv"
-    study.write_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "n,seed,sup_residual"
-    assert len(lines) == 1 + 3 * 12
