@@ -7,9 +7,11 @@
  * sizes of the Python loops in sim.py, and this code consumes the batches.
  * Each entry point runs events until something only Python can do is due,
  * stores the loop state back into the fj_run record and returns the reason
- * (EXIT_*): a batch ran out, an observation time was reached, a frozen
- * weight table must be rebuilt (np.exp may differ from libm exp in the last
- * ulp), the horizon or the event cap was hit, or a total was not finite.
+ * (EXIT_*): a batch ran out, an observation time was reached, the horizon or
+ * the event cap was hit, or a total was not finite.  The exponential engine
+ * selects on a binary sum tree of its weights: fj_exp_rebase builds it
+ * before the first event, and the loop calls it again whenever the total
+ * has halved and at every resum, so no rebuild returns to Python.
  *
  * Every operation is the one the Python loop performs, in the same order,
  * on IEEE doubles: build with -ffp-contract=off and without -ffast-math, so
@@ -31,13 +33,11 @@
 enum {
     EXIT_CAP,             /* events reached max_events */
     EXIT_HORIZON,         /* the next event falls after the horizon; t = horizon */
-    EXIT_BATCH,           /* the wait batch is used up, at the start of an event */
-    EXIT_SELECT,          /* the selection batch is used up, inside an event */
+    EXIT_BATCH,           /* the batch is used up, at the start of an event */
     EXIT_OBSERVE_BEFORE,  /* next_obs < value = the next event time */
     EXIT_OBSERVE_AT,      /* an event landed exactly on next_obs */
-    EXIT_REBUILD,         /* the frozen table is due for a rebuild; the event is done */
     EXIT_RATE_STALL,      /* value = the total jump rate, not finite and positive */
-    EXIT_WEIGHT_STALL,    /* value = the rebuilt weight total, not finite and positive */
+    EXIT_WEIGHT_STALL,    /* value = the rebased weight total, not finite and positive */
     EXIT_EXP_RANGE,       /* exp overflowed: math.exp raises OverflowError */
     EXIT_FSUM_INF,        /* math.fsum raises ValueError("-inf + inf in fsum") */
     EXIT_FSUM_OVERFLOW,   /* math.fsum raises OverflowError */
@@ -55,7 +55,6 @@ typedef struct {
     int64_t max_events;         /* -1 without a cap */
     int64_t resum_interval;
     int32_t family;             /* bounded: RATE_* */
-    int32_t direct;             /* exponential: direct selector (1) or frozen table (0) */
     const double *rate_params;  /* bounded: see rate() */
     int64_t n_rate_params;
     double a, lam;              /* bounded: sup w and the proposal rate n a */
@@ -67,17 +66,15 @@ typedef struct {
     double next_obs;            /* +inf when nothing is left to observe */
     /* batches drawn in Python: one entry per proposal (bounded) or event */
     const double *waits, *lengths;
-    const double *uniforms;     /* bounded: acceptance; direct: selection */
+    const double *uniforms;     /* bounded: acceptance; exponential: selection */
     const int64_t *targets;     /* bounded: proposed particle */
     int64_t batch, cursor;
-    /* exponential selection: live weights u = exp(-beta (x - ref)), total S */
-    double *u;
-    const double *u_frozen, *cum;   /* table path: weights and cumsum at the rebuild */
-    double S, S0, ref;
-    const double *sel_u, *sel_acc;  /* table path: rng.random() * S0 and thinning draws */
-    int64_t sel_batch, sel_cursor;
-    int32_t selecting;          /* an event is waiting for selection draws */
-    int32_t unused;
+    /* exponential: a sum tree with leaves tree[leaves + k] = exp(-beta (x_k -
+       ref)), 0 on the padding, and tree[j] = tree[2j] + tree[2j+1] above them;
+       tree[1] is the total, S0 its value at the last rebase */
+    double *tree;
+    int64_t leaves;             /* a power of two >= n */
+    double S0, ref;
     /* event-log chunk, written from 0 each call; log_t == NULL: no log */
     double *log_t, *log_z, *log_m;
     int64_t *log_i;
@@ -291,146 +288,114 @@ int fj_bounded(fj_run *r)
     return code;
 }
 
-/* Direct selector's rebuild: rebase the live weights to ref = m and re-sum
-   them; an overflow, caught as OverflowError in Python, makes S0 infinite. */
-static int rebuild_direct(fj_run *r)
+/* Rebase the exponential engine's tree to ref = m: recompute every leaf and
+   then every parent.  An overflow, caught as OverflowError in Python, makes
+   the total infinite. */
+int fj_exp_rebase(fj_run *r)
 {
-    double S0 = INFINITY;
+    double *tree = r->tree;
+    const int64_t P = r->leaves;
     int range = 0;
     r->ref = r->m;
     for (int64_t k = 0; k < r->n && !range; k++)
-        r->u[k] = checked_exp(-r->beta * (r->pos[k] - r->ref), &range);
-    if (!range && fsum(r->u, r->n, &S0))
-        S0 = INFINITY;
+        tree[P + k] = checked_exp(-r->beta * (r->pos[k] - r->ref), &range);
+    for (int64_t j = P - 1; j >= 1 && !range; j--)
+        tree[j] = tree[2 * j] + tree[2 * j + 1];
+    double S0 = range ? INFINITY : tree[1];
     if (!(S0 > 0.0 && isfinite(S0))) {
         r->value = S0;
         return EXIT_WEIGHT_STALL;
     }
-    r->S = r->S0 = S0;
+    r->S0 = S0;
     return 0;
 }
 
 int fj_exponential(fj_run *r)
 {
-    double *pos = r->pos, *u = r->u;
-    const int64_t n = r->n, last = n - 1;
+    double *pos = r->pos, *tree = r->tree;
+    const int64_t P = r->leaves;
     const double beta = r->beta;
-    int64_t c = r->cursor, sc = r->sel_cursor;
+    double t = r->t;
+    int64_t events = r->events, c = r->cursor;
     int code;
 
     for (;;) {
-        if (!r->selecting) {
-            if (r->max_events >= 0 && r->events >= r->max_events) {
-                code = EXIT_CAP;
-                break;
-            }
-            if (c >= r->batch) {
-                code = EXIT_BATCH;
-                break;
-            }
-            int range = 0;
-            double R = r->S * checked_exp(beta * (r->m - r->ref), &range);
-            if (range) {
-                code = EXIT_EXP_RANGE;
-                break;
-            }
-            if (!(R > 0.0 && isfinite(R))) {
-                r->value = R;
-                code = EXIT_RATE_STALL;
-                break;
-            }
-            double t_next = r->t + r->waits[c] / R;
-            if (t_next > r->horizon) {
-                r->t = r->horizon;
-                code = EXIT_HORIZON;
-                break;
-            }
-            if (r->next_obs < t_next) {
-                r->value = t_next;
-                code = EXIT_OBSERVE_BEFORE;
-                break;
-            }
-            r->t = t_next;
-            c++;
+        if (r->max_events >= 0 && events >= r->max_events) {
+            code = EXIT_CAP;
+            break;
         }
-        int64_t i;
-        if (r->direct) {
-            /* first index whose running weight sum exceeds U*S (the last on round-off) */
-            double target = r->uniforms[c - 1] * r->S, run = u[0];
-            i = 0;
-            while (run <= target && i < last) {
-                i++;
-                run += u[i];
-            }
-            r->proposals++;
-        } else {
-            /* propose from the frozen table, thin by u_now / u_frozen */
-            int ok;
-            do {
-                if (sc >= r->sel_batch) {
-                    r->selecting = 1;
-                    code = EXIT_SELECT;
-                    goto out;
-                }
-                int64_t lo = 0, hi = n;     /* searchsorted(cum, sel_u[sc], "left") */
-                double v = r->sel_u[sc];
-                while (lo < hi) {
-                    int64_t mid = (lo + hi) / 2;
-                    if (r->cum[mid] < v)
-                        lo = mid + 1;
-                    else
-                        hi = mid;
-                }
-                i = lo < last ? lo : last;
-                ok = r->sel_acc[sc] * r->u_frozen[i] <= u[i];
-                sc++;
-                r->proposals++;
-            } while (!ok);
-            r->selecting = 0;
+        if (c >= r->batch) {
+            code = EXIT_BATCH;
+            break;
         }
-        double z = r->lengths[c - 1];
+        int range = 0;
+        double S = tree[1];
+        double R = S * checked_exp(beta * (r->m - r->ref), &range);
+        if (range) {
+            code = EXIT_EXP_RANGE;
+            break;
+        }
+        if (!(R > 0.0 && isfinite(R))) {
+            r->value = R;
+            code = EXIT_RATE_STALL;
+            break;
+        }
+        double t_next = t + r->waits[c] / R;
+        if (t_next > r->horizon) {
+            t = r->horizon;
+            code = EXIT_HORIZON;
+            break;
+        }
+        if (r->next_obs < t_next) {
+            r->value = t_next;
+            code = EXIT_OBSERVE_BEFORE;
+            break;
+        }
+        t = t_next;
+        /* descend to the leaf whose share of [0, S) holds U*S, never into a
+           subtree of total 0 (padding, underflowed leaves, round-off) */
+        double target = r->uniforms[c] * S;
+        int64_t j = 1;
+        while (j < P) {
+            j *= 2;
+            if (target >= tree[j] && tree[j + 1] > 0.0) {
+                target -= tree[j];
+                j++;
+            }
+        }
+        int64_t i = j - P;
+        double z = r->lengths[c];
+        c++;
         pos[i] += z;
         r->m += z * r->inv_n;
-        if (r->direct) {
-            /* pos[i] only grew, so this exp cannot overflow */
-            u[i] = exp(-beta * (pos[i] - r->ref));
-            code = fsum(u, n, &r->S);
-            if (code)
-                break;
-        } else {
-            double ui = u[i];
-            double new_u = ui * exp(-beta * z);
-            r->S += new_u - ui;
-            u[i] = new_u;
-        }
-        r->events++;
-        log_event(r, r->t, i, z, r->m);
-        int due = r->S < 0.5 * r->S0;
-        if (r->events % r->resum_interval == 0) {
+        /* pos[i] only grew, so this exp cannot overflow */
+        tree[j] = exp(-beta * (pos[i] - r->ref));
+        for (j /= 2; j >= 1; j /= 2)
+            tree[j] = tree[2 * j] + tree[2 * j + 1];
+        events++;
+        int due = tree[1] < 0.5 * r->S0;
+        if (events % r->resum_interval == 0) {
             double s;
-            code = fsum(pos, n, &s);
+            code = fsum(pos, r->n, &s);
             if (code)
                 break;
             r->m = s * r->inv_n;
             due = 1;
         }
+        log_event(r, t, i, z, r->m);
         if (due) {
-            if (!r->direct) {
-                code = EXIT_REBUILD;
-                break;
-            }
-            code = rebuild_direct(r);
+            code = fj_exp_rebase(r);
             if (code)
                 break;
         }
-        if (r->t == r->next_obs) {
+        if (t == r->next_obs) {
             code = EXIT_OBSERVE_AT;
             break;
         }
     }
-out:
+    r->t = t;
+    r->events = r->proposals = events;     /* every proposal is an event */
     r->cursor = c;
-    r->sel_cursor = sc;
     return code;
 }
 

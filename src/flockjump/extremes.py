@@ -33,8 +33,8 @@ class HorizonError(ModelError):
 
 def pool_size(beta: float, c: float, t: float) -> int:
     """N(t) = ceil(e^{beta c t} / (beta c)), at least 1."""
-    if t < 0:
-        raise DomainError("t must be >= 0")
+    if not (0.0 <= t < math.inf):
+        raise DomainError(f"T must be finite and >= 0, got {t}")
     if not (beta * c > 0):
         raise DomainError("beta * c must be positive")
     log_pool = beta * c * t - math.log(beta * c)

@@ -3,7 +3,9 @@
 The kernel holds two loops. The event loop of the bounded and exponential
 engines runs on random batches that `sim` draws and is bit-identical to the
 Python loops, which `sim` falls back to when `load()` returns None. The
-explicit Euler step of the mean-field PDE (`fj_pde`) runs `mean_field`'s
+exponential engine's sum tree of selection weights is built and rebased in C
+(`fj_exp_rebase`, with libm exp as in the Python loop), so a run leaves the
+kernel only to refill a batch, to observe or to raise. The explicit Euler step of the mean-field PDE (`fj_pde`) runs `mean_field`'s
 numpy step to a tolerance, not to the bit, and `mean_field` falls back to the
 numpy step in the same way. The shared library is built with gcc on first
 use, not at import, and cached as `__pycache__/_kernel-<key>.so` next to
@@ -32,9 +34,8 @@ _CC = "gcc"
 _FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 # Exit codes of fj_bounded and fj_exponential (the EXIT_* enum of _kernel.c).
-(EXIT_CAP, EXIT_HORIZON, EXIT_BATCH, EXIT_SELECT, EXIT_OBSERVE_BEFORE, EXIT_OBSERVE_AT,
- EXIT_REBUILD, EXIT_RATE_STALL, EXIT_WEIGHT_STALL, EXIT_EXP_RANGE, EXIT_FSUM_INF,
- EXIT_FSUM_OVERFLOW) = range(12)
+(EXIT_CAP, EXIT_HORIZON, EXIT_BATCH, EXIT_OBSERVE_BEFORE, EXIT_OBSERVE_AT, EXIT_RATE_STALL,
+ EXIT_WEIGHT_STALL, EXIT_EXP_RANGE, EXIT_FSUM_INF, EXIT_FSUM_OVERFLOW) = range(10)
 
 # The exceptions math.exp and math.fsum raise where the kernel exits with these.
 ERRORS = {
@@ -81,21 +82,18 @@ class Run(_Record):
 
     _arrays = {"rate_params": np.float64, "pos": np.float64, "waits": np.float64,
                "lengths": np.float64, "uniforms": np.float64, "targets": np.int64,
-               "u": np.float64, "u_frozen": np.float64, "cum": np.float64,
-               "sel_u": np.float64, "sel_acc": np.float64, "log_t": np.float64,
-               "log_z": np.float64, "log_m": np.float64, "log_i": np.int64}
+               "tree": np.float64, "log_t": np.float64, "log_z": np.float64,
+               "log_m": np.float64, "log_i": np.int64}
     _fields_ = [
         ("n", _I64), ("inv_n", _F64), ("horizon", _F64), ("max_events", _I64),
-        ("resum_interval", _I64), ("family", ctypes.c_int32), ("direct", ctypes.c_int32),
+        ("resum_interval", _I64), ("family", ctypes.c_int32),
         ("rate_params", _P), ("n_rate_params", _I64), ("a", _F64), ("lam", _F64),
         ("beta", _F64),
         ("pos", _P), ("t", _F64), ("m", _F64), ("events", _I64), ("proposals", _I64),
         ("next_obs", _F64),
         ("waits", _P), ("lengths", _P), ("uniforms", _P), ("targets", _P),
         ("batch", _I64), ("cursor", _I64),
-        ("u", _P), ("u_frozen", _P), ("cum", _P), ("S", _F64), ("S0", _F64), ("ref", _F64),
-        ("sel_u", _P), ("sel_acc", _P), ("sel_batch", _I64), ("sel_cursor", _I64),
-        ("selecting", ctypes.c_int32), ("unused", ctypes.c_int32),
+        ("tree", _P), ("leaves", _I64), ("S0", _F64), ("ref", _F64),
         ("log_t", _P), ("log_z", _P), ("log_m", _P), ("log_i", _P), ("log_len", _I64),
         ("value", _F64),
     ]
@@ -143,7 +141,8 @@ def _load(cc: str):
         lib = ctypes.CDLL(str(_build(cc)))
     except (OSError, subprocess.SubprocessError):
         return None
-    for name, record in (("fj_bounded", Run), ("fj_exponential", Run), ("fj_pde", Pde)):
+    for name, record in (("fj_bounded", Run), ("fj_exponential", Run),
+                         ("fj_exp_rebase", Run), ("fj_pde", Pde)):
         fn = getattr(lib, name)
         fn.argtypes = [ctypes.POINTER(record)]
         fn.restype = ctypes.c_int

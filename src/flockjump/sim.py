@@ -11,25 +11,22 @@ Three exactly-equivalent engines:
   runs the same construction as a dominating coupled pair, in a loop of its
   own that draws one random number at a time.
 * ``exponential`` -- for w(x) = exp(-beta*x) the selection weights factor as
-  C(m) * exp(-beta*x_i), so they are independent of m and only decrease when a
-  particle jumps. The selector is picked once per run from n. Up to
-  DIRECT_MAX_N particles it is Gillespie's direct method: the live weights are
-  kept exact, re-summed after every jump and scanned linearly against one
-  uniform per event. Above it, proposals drawn from a frozen weight table are
-  thinned by u_now/u_frozen (exact), and the table is rebuilt when the live
-  total falls below half the frozen total. The crossover was measured on the
-  Python loops: at n = 2 the direct scan runs 4.4x faster than the table,
-  which is rebuilt every ~2.4 events there, and the two break even between
-  n = 24 (beta = 1) and n = 32 (beta = 2). On the compiled kernel, where the
-  table still rebuilds in Python, the direct scan stays faster up to about
-  n = 64 at beta = 1, so DIRECT_MAX_N sits below the kernel's crossover.
+  exp(beta*(m - ref)) * exp(-beta*(x_i - ref)), so a move of the center
+  changes no relative weight and only the jumper's weight changes (it
+  decreases). The leaves of a binary sum tree hold exp(-beta*(x_i - ref)) and
+  each parent the sum of its children (Wong & Easton 1980). An event draws one
+  uniform and descends from the root to the jumper, sets its leaf and
+  recomputes its ancestors from their children: exact selection in O(log n),
+  with no thinning, so every proposal is an event. The tree is rebased to
+  ref = m when its total falls below half its value at the last rebase, and
+  at every resum.
 
 All engines keep the center of mass via m += Z * (1/n) (the per-event
 identity is exact) and re-sum it as math.fsum(positions) * (1/n) every RESUM_INTERVAL
 events; a run's initial and final centers are positions.sum() / n.
 
 The per-event loop of the bounded engine (step, piecewise-linear, arccot and
-tabulated rates) and of the exponential engine (both selectors) runs compiled,
+tabulated rates) and of the exponential engine (its rebase included) runs compiled,
 in ``_kernel.c``; the reference engine, and a bounded family whose
 ``kernel_rate()`` is None, run in Python. The kernel consumes the random
 batches this module draws, in the Python loops' order and sizes, and performs
@@ -58,11 +55,6 @@ _BATCH = 1 << 14
 # Every engine re-sums the center of mass from the positions this often,
 # which bounds the drift of its incremental updates.
 RESUM_INTERVAL = 100_000
-
-# The exponential engine selects by a linear scan of the live weights up to
-# this many particles and by thinning a frozen weight table above it: the scan
-# costs O(n) per event, the table a rebuild every ~n ln2/beta events.
-DIRECT_MAX_N = 24
 
 
 class StallError(ModelError):
@@ -373,81 +365,31 @@ def _check_weight_total(total, what):
         raise StallError(f"{what} underflowed to zero")
 
 
-# The exponential engine keeps live weights u_i = exp(-beta*(x_i - ref)) with
-# total S; ref is rebased to m when S falls below half its value S0 at the
-# last rebase. Direct selection keeps u exact and re-sums S after every jump;
-# the frozen-table selector updates u and S incrementally and proposes from
-# the table built at the rebase (cum, u_frozen), with selection batches sized
-# to the expected draws per rebuild cycle (~n ln2/beta events).
-
-
-def _direct_weights(pos, ref, beta):
-    """The direct selector's weights by libm exp, and their fsum; the total is
-    inf when either overflows."""
-    try:
-        u = [math.exp(-beta * (x - ref)) for x in pos]
-        return u, math.fsum(u)
-    except OverflowError:
-        return None, math.inf
-
-
-def _table_weights(pos, ref, beta):
-    """The frozen table's weights, by numpy, and their total."""
-    u = np.exp(-beta * (np.asarray(pos) - ref))
-    return u, float(u.sum())
-
-
-def _selection_batch(n):
-    return int(min(_BATCH, max(64, 4 * n)))
+def _tree_leaves(n):
+    """Leaves of the exponential engine's sum tree: the least power of two >= n.
+    Leaf k sits at index leaves + k, the root at 1, and the padding holds 0."""
+    return 1 << (n - 1).bit_length()
 
 
 def _run_exponential(w, z, state, T, max_events, rng, obs, log_events):
     lib = kernel.load()
     if lib is None:
         return _exponential_loop(w, z, state, T, max_events, rng, obs, log_events)
-    n = state.n
-    beta = w.beta
-    direct = n <= DIRECT_MAX_N
-    sel_batch = _selection_batch(n)
+    leaves = _tree_leaves(state.n)
     pos = np.array(state.positions, dtype=float)
-    run = _kernel_run(state, T, max_events, obs, direct=direct, beta=beta,
-                      sel_batch=sel_batch, sel_cursor=sel_batch)
-    run.bind(pos=pos)
-
-    def rebuild():
-        run.ref = run.m
-        if direct:
-            u, S0 = _direct_weights(pos.tolist(), run.ref, beta)
-        else:
-            u, S0 = _table_weights(pos, run.ref, beta)
-        _check_weight_total(S0, "selection weights")
-        run.S = run.S0 = S0
-        if direct:
-            run.bind(u=np.array(u))
-        else:
-            run.bind(u=u.copy(), u_frozen=u, cum=np.cumsum(u))
-            run.sel_cursor = sel_batch
-
-    rebuild()
+    run = _kernel_run(state, T, max_events, obs, beta=w.beta, leaves=leaves)
+    run.bind(pos=pos, tree=np.zeros(2 * leaves))
+    if lib.fj_exp_rebase(ctypes.byref(run)):
+        _check_weight_total(run.value, "selection weights")
     size = _first_batch(max_events)
 
     def on_exit(code):
         nonlocal size
         if code == kernel.EXIT_BATCH:
             waits = rng.standard_exponential(size)
-            run.bind(waits=waits, lengths=np.ascontiguousarray(z.sample(rng, size), dtype=float))
-            if direct:
-                run.bind(uniforms=rng.random(size))
+            lengths = np.ascontiguousarray(z.sample(rng, size), dtype=float)
+            run.bind(waits=waits, lengths=lengths, uniforms=rng.random(size))
             run.batch, run.cursor, size = size, 0, _BATCH
-        elif code == kernel.EXIT_SELECT:
-            picks = rng.random(sel_batch) * run.S0
-            run.bind(sel_u=picks, sel_acc=rng.random(sel_batch))
-            run.sel_cursor = 0
-        elif code == kernel.EXIT_REBUILD:
-            rebuild()
-            if run.t == run.next_obs:
-                obs.emit_through(run.t, pos.copy, run.m)
-                run.next_obs = obs.next_time()
         elif code == kernel.EXIT_RATE_STALL:
             _check_weight_total(run.value, "total jump rate")
         else:
@@ -466,63 +408,56 @@ def _exponential_loop(w, z, state, T, max_events, rng, obs, log_events):
     m = state.center
     c0 = m
     t = 0.0
-    events = proposals = 0
+    events = 0
     logs = _log_columns() if log_events else None
     positions_view = lambda: np.asarray(pos)
     horizon = math.inf if T is None else T
     truncated = False
     inv_n = 1.0 / n
     exp_ = math.exp
-    fsum = math.fsum
     next_obs = obs.next_time()
 
-    direct = n <= DIRECT_MAX_N
-    sel_batch = _selection_batch(n)
-    ref = m
-    u = None
-    u_frozen = None
-    cum = None
-    S = S0 = 0.0
+    leaves = _tree_leaves(n)
+    tree = [0.0] * (2 * leaves)
+    ref = S0 = 0.0
 
-    def rebuild():
-        nonlocal ref, u, u_frozen, cum, S, S0, sel, acc, sel_cursor
+    def rebase():
+        # as fj_exp_rebase: every leaf, then every parent; math.exp raises
+        # where libm exp overflows
+        nonlocal ref, S0
         ref = m
-        if direct:
-            u, S0 = _direct_weights(pos, ref, beta)
+        try:
+            for k, x in enumerate(pos):
+                tree[leaves + k] = exp_(-beta * (x - ref))
+        except OverflowError:
+            total = math.inf
         else:
-            u_np, S0 = _table_weights(pos, ref, beta)
-        _check_weight_total(S0, "selection weights")
-        S = S0
-        if not direct:
-            cum = np.cumsum(u_np)
-            u_frozen = u_np.tolist()
-            u = u_frozen.copy()
-            sel = acc = None
-            sel_cursor = sel_batch
+            for j in range(leaves - 1, 0, -1):
+                tree[j] = tree[2 * j] + tree[2 * j + 1]
+            total = tree[1]
+        _check_weight_total(total, "selection weights")
+        S0 = total
 
-    sel = acc = None
-    sel_cursor = sel_batch
+    rebase()
     size = _first_batch(max_events)
     waits = zbuf = ubuf = ()
-    wait_cursor = 0
-    last = n - 1
-    rebuild()
+    cursor = 0
 
     while True:
         if max_events is not None and events >= max_events:
             truncated = T is not None and t < horizon
             break
-        if wait_cursor >= len(waits):
+        if cursor >= len(waits):
             waits = rng.standard_exponential(size).tolist()
             zbuf = z.sample(rng, size).tolist()
-            if direct:
-                ubuf = rng.random(size).tolist()
-            wait_cursor = 0
+            ubuf = rng.random(size).tolist()
+            cursor = 0
             size = _BATCH
+        S = tree[1]
         R = S * exp_(beta * (m - ref))
         if not (R > 0.0 and math.isfinite(R)):
             _check_weight_total(R, "total jump rate")
-        t_next = t + waits[wait_cursor] / R
+        t_next = t + waits[cursor] / R
         if t_next > horizon:
             t = horizon
             break
@@ -530,58 +465,43 @@ def _exponential_loop(w, z, state, T, max_events, rng, obs, log_events):
             obs.emit_before(t_next, positions_view, m)
             next_obs = obs.next_time()
         t = t_next
-        wait_cursor += 1
-        if direct:
-            # first index whose running weight sum exceeds U*S (the last on round-off)
-            target = ubuf[wait_cursor - 1] * S
-            i = 0
-            run = u[0]
-            while run <= target and i < last:
-                i += 1
-                run += u[i]
-            proposals += 1
-        else:
-            # selection: propose from the frozen table, thin by u_now / u_frozen
-            while True:
-                if sel_cursor >= sel_batch:
-                    picks = np.searchsorted(cum, rng.random(sel_batch) * S0, side="left")
-                    sel = np.minimum(picks, n - 1).tolist()
-                    acc = rng.random(sel_batch).tolist()
-                    sel_cursor = 0
-                i = sel[sel_cursor]
-                ok = acc[sel_cursor] * u_frozen[i] <= u[i]
-                sel_cursor += 1
-                proposals += 1
-                if ok:
-                    break
-        length = zbuf[wait_cursor - 1]
+        # descend to the leaf whose share of [0, S) holds U*S, never into a
+        # subtree of total 0 (padding, underflowed leaves, round-off)
+        target = ubuf[cursor] * S
+        j = 1
+        while j < leaves:
+            j *= 2
+            if target >= tree[j] and tree[j + 1] > 0.0:
+                target -= tree[j]
+                j += 1
+        i = j - leaves
+        length = zbuf[cursor]
+        cursor += 1
         pos[i] += length
         m += length * inv_n
-        if direct:
-            u[i] = exp_(-beta * (pos[i] - ref))
-            S = fsum(u)
-        else:
-            ui = u[i]
-            new_u = ui * exp_(-beta * length)
-            S += new_u - ui
-            u[i] = new_u
+        tree[j] = exp_(-beta * (pos[i] - ref))
+        j //= 2
+        while j:
+            tree[j] = tree[2 * j] + tree[2 * j + 1]
+            j //= 2
         events += 1
+        due = tree[1] < 0.5 * S0
+        if events % RESUM_INTERVAL == 0:
+            m = math.fsum(pos) * inv_n
+            due = True
         if logs is not None:
             logs[0].append(t)
             logs[1].append(i)
             logs[2].append(length)
             logs[3].append(m)
-        if events % RESUM_INTERVAL == 0:
-            m = math.fsum(pos) * inv_n
-            rebuild()
-        elif S < 0.5 * S0:
-            rebuild()
+        if due:
+            rebase()
         if t == next_obs:
             obs.emit_through(t, positions_view, m)
             next_obs = obs.next_time()
     obs.emit_through(min(horizon, t), positions_view, m)
     state.positions = np.asarray(pos)
-    return _finish(state, "exponential", events, t, c0, truncated, logs, proposals)
+    return _finish(state, "exponential", events, t, c0, truncated, logs, events)
 
 
 def _kernel_run(state, T, max_events, obs, **fields):

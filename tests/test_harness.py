@@ -295,10 +295,10 @@ def _bundle_digest(outdir):
 # perfbench/METRICS.md; the deterministic-jump runs with an event log cover the
 # jump-law and event-log paths of the exponential and bounded engines.
 PRESET_DIGESTS = [
-    ("fig4_6_small", {}, "999571d47907199184d27f451add4d2af251b2f0b3715a886377101c4384eda7"),
+    ("fig4_6_small", {}, "b0eb46dd12029506667714b2f6a07fa735c8386769adff4c9018ee9a3c703ea2"),
     ("fig7_9_small", {}, "940f1748441623c90230878fb02f6103cba76cfbafdc00d04fe7d0ea3b49d3a6"),
     ("fig4_6_small", {"length": {"family": "deterministic"}, "log_events": True},
-     "ebe7090d169d2d0b484ce6e3200c35b4df0ae567ba09d460688166c0717dca96"),
+     "38b67d047b14146486912a379ecbaff8f25f58cd13f1fc3c0ec6dea6a54a1320"),
     ("fig7_9_small", {"length": {"family": "deterministic"}, "log_events": True},
      "270fe90a6d2f21ba6155305d080e6c94f4cd72bf1ec6a167448aac7437b430ed"),
 ]
@@ -383,6 +383,8 @@ def test_cli_simulate_and_pde(capsys, tmp_path):
     (["extremes", "--beta", "-1", "--T", "1", "--c", "1"], "beta must be positive and finite"),
     (["extremes", "--beta", "nan", "--T", "1"], "beta must be positive and finite"),
     (["extremes", "--beta", "nan", "--T", "1", "--c", "1"], "beta must be positive and finite"),
+    (["extremes", "--beta", "1", "--T", "nan"], "T must be finite and >= 0, got nan"),
+    (["extremes", "--beta", "1", "--T", "inf"], "T must be finite and >= 0, got inf"),
 ])
 def test_cli_reports_model_errors_in_one_line(capsys, argv, message):
     assert cli.main(argv) == 2

@@ -7,6 +7,7 @@ event loop is bit for bit; the PDE step agrees to 1e-12, on the same grids
 and times.
 """
 
+import contextlib
 import ctypes
 import math
 import shutil
@@ -127,13 +128,13 @@ class FixedJump:
 
 
 ERROR_CASES = [
-    # frozen table: one jump of 10^6 puts exp(beta (m - ref)) past the double range
+    # n = 25: one jump of 10^6 puts exp(beta (m - ref)) past the double range
     ("exponential", fj.ExponentialRate(1.0), np.zeros(25), FixedJump(1e6), 100_000,
      ("OverflowError", "math range error")),
-    # direct selector: a NaN length makes the total jump rate NaN
+    # n = 2: a NaN length makes the total jump rate NaN
     ("exponential", fj.ExponentialRate(1.0), np.zeros(2), FixedJump(math.nan), 100_000,
      ("StallError", "total jump rate is NaN; positions must be finite")),
-    # direct selector, rebuilt after every event: the laggard's weight reaches e^1000
+    # n = 3, rebased after every event: the laggard's weight reaches e^1000
     ("exponential", fj.ExponentialRate(1.0), np.zeros(3), FixedJump(1500.0), 1,
      ("StallError", "selection weights overflowed; configuration too spread out")),
     # a non-finite start is refused before any engine runs; the resum overflows
@@ -149,6 +150,39 @@ def test_kernel_raises_what_the_python_loop_raises(engine, w, init, z, resum, er
     with mock.patch.object(sim, "RESUM_INTERVAL", resum), np.errstate(all="ignore"):
         expected, got = both(w, z, len(init), T=50.0, seed=3, init=init, engine=engine)
     assert got == expected == error
+
+
+class TopUniforms:
+    """A generator whose every uniform is 1 - 2^-53, the largest below 1: the
+    selection target U*S then sits at the top of the weight total, next to
+    the padding leaves of the exponential engine's sum tree."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def standard_exponential(self, size=None):
+        return self.rng.standard_exponential(size)
+
+    def random(self, size=None):
+        return np.full(size, 1.0 - 2.0**-53)
+
+
+# Starts whose first target, by round-off in the descent's subtractions, is
+# not below the sum of the real leaves of a subtree padded on its right.
+PADDED_STARTS = [(3, 39), (5, 802), (25, 489)]
+
+
+@pytest.mark.parametrize("n, start", PADDED_STARTS, ids=[f"n{n}" for n, _ in PADDED_STARTS])
+def test_tree_descent_never_selects_a_padding_leaf(n, start):
+    init = np.random.default_rng([n, start]).uniform(0.0, 3.0, n)
+    runs = []
+    for loop in (python_loops(), contextlib.nullcontext()):
+        with loop:
+            res = fj.simulate(fj.ExponentialRate(1.0), fj.ExponentialJump(), n, max_events=500,
+                              rng=TopUniforms(n), init=init, log_events=True)
+        assert res.events == 500 and res.log.indices.max() < n
+        runs.append(res.log.indices.tobytes())
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,7 @@ from scipy import stats
 import flockjump as fj
 from flockjump import sim
 from flockjump.model import DomainError, ModelError, RateFamily
-from flockjump.sim import (
-    DIRECT_MAX_N,
-    StallError,
-    UnsupportedSpecError,
-    check_engine,
-)
+from flockjump.sim import StallError, UnsupportedSpecError, check_engine
 from flockjump.two_particle import gap_chain, gap_stationary_pmf
 
 
@@ -143,9 +138,10 @@ ONE_STEP_CASES = [
     ("reference", fj.ArccotRate(), 5),
     ("bounded", fj.StepRate(2.0, 1.0), 5),
     ("bounded", fj.ArccotRate(), 7),
-    ("exponential", fj.ExponentialRate(1.0), 2),                   # direct selection
-    ("exponential", fj.ExponentialRate(2.0), DIRECT_MAX_N),        # direct selection
-    ("exponential", fj.ExponentialRate(1.0), DIRECT_MAX_N + 1),    # frozen table
+    ("exponential", fj.ExponentialRate(1.0), 2),        # sum tree: a power of two
+    ("exponential", fj.ExponentialRate(2.0), 24),       # padded to 32 leaves
+    ("exponential", fj.ExponentialRate(1.0), 25),       # padded to 32 leaves
+    ("exponential", fj.ExponentialRate(1.0), 1000),     # padded to 1024 leaves
 ]
 
 
@@ -163,11 +159,11 @@ def test_one_step_exact_law(engine, w, n):
 
 def test_stall_errors_name_the_true_cause():
     # two particles 1500 apart at beta = 1: the trailing weight is e^750, which
-    # is not a finite double, on either selector of the exponential engine and
+    # is not a finite double, at n = 2 and n = 25 on the exponential engine and
     # past the reference engine's clamp of beta*x at -EXP_CLAMP = -700
     w = fj.ExponentialRate(1.0)
     for engine in ("exponential", "reference"):
-        for init in ([0.0, 1500.0], [0.0] + [1500.0] * DIRECT_MAX_N):
+        for init in ([0.0, 1500.0], [0.0] + [1500.0] * 24):
             with np.errstate(over="ignore"), pytest.raises(StallError, match="overflowed"):
                 fj.simulate(w, fj.DeterministicJump(), len(init), T=1.0, seed=1,
                             init=np.asarray(init), engine=engine)
@@ -367,13 +363,13 @@ def test_mean_path_speed_matches_wave_speed():
 
 
 def test_proposals_count_every_candidate():
-    # every engine proposes at least once per event; the thinning selectors
-    # (bounded, frozen table) reject some proposals, the exact ones none
+    # every engine proposes at least once per event; the thinning engine
+    # (bounded) rejects some proposals, the exact ones none
     z = fj.ExponentialJump()
     for engine, w, n, rejects in (("reference", fj.ExponentialRate(1.0), 20, False),
                                   ("bounded", fj.StepRate(2.0, 1.0), 20, True),
                                   ("exponential", fj.ExponentialRate(1.0), 2, False),
-                                  ("exponential", fj.ExponentialRate(1.0), 1000, True)):
+                                  ("exponential", fj.ExponentialRate(1.0), 1000, False)):
         res = fj.simulate(w, z, n, T=2.0, seed=22, engine=engine)
         assert res.events > 0
         assert res.proposals > res.events if rejects else res.proposals == res.events
@@ -388,19 +384,18 @@ def test_resum_interval_consistency():
 
 CENTER_CASES = [("reference", fj.ArccotRate(), 7),
                 ("bounded", fj.StepRate(2.0, 1.0), 7),
-                ("exponential", fj.ExponentialRate(1.0), 7),                  # direct selection
-                ("exponential", fj.ExponentialRate(1.0), DIRECT_MAX_N + 6)]   # frozen table
+                ("exponential", fj.ExponentialRate(1.0), 7),
+                ("exponential", fj.ExponentialRate(1.0), 30)]
 
 
 @pytest.mark.parametrize("engine, w, n", CENTER_CASES,
-                         ids=["reference", "bounded", "exponential-direct", "exponential-table"])
+                         ids=["reference", "bounded", "exponential-n7", "exponential-n30"])
 def test_logged_centers_track_the_exact_center(engine, w, n):
     # With a resum every 97 events, replay the event log over the start. Every
     # logged center is within 97 roundings of the exact fsum(positions) * (1/n),
-    # and the center logged at a resum is that exact value bit for bit. The
-    # exponential engine logs its center before it re-sums, so there the exact
-    # value shows one event later, plus that event's jump. Between resums every
-    # engine advances the center by the same expression, length * (1/n).
+    # and the center logged at a resum is that exact value bit for bit: every
+    # engine re-sums before it logs. Between resums every engine advances the
+    # center by the same expression, length * (1/n).
     interval = 97
     init = np.random.default_rng(n).uniform(0.0, 3.0, n)
     with mock.patch.object(sim, "RESUM_INTERVAL", interval):
@@ -415,14 +410,9 @@ def test_logged_centers_track_the_exact_center(engine, w, n):
     assert np.all(np.abs(centers - exact) <= interval * 2.0**-52 * np.maximum(1.0, np.abs(exact)))
     resums = np.arange(interval, len(exact), interval) - 1          # log rows of events 97 k
     assert len(resums) == 20
-    if engine == "exponential":
-        assert np.array_equal(centers[resums + 1], exact[resums] + lengths[resums + 1] * inv_n)
-        resummed = resums + 1
-    else:
-        assert np.array_equal(centers[resums], exact[resums])
-        resummed = resums
+    assert np.array_equal(centers[resums], exact[resums])
     before = np.concatenate([[res.initial_center], centers[:-1]])
-    stepped = np.setdiff1d(np.arange(len(centers)), resummed)
+    stepped = np.setdiff1d(np.arange(len(centers)), resums)
     assert len(stepped) == len(centers) - 20
     assert np.array_equal(centers[stepped], before[stepped] + lengths[stepped] * inv_n)
 
