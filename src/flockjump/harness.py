@@ -110,7 +110,7 @@ def parse_rate_string(text: str):
             key, _, val = part.partition("=")
             if not val:
                 raise ConfigError(f"rate string: malformed parameter {part!r}")
-            d[key.strip()] = float(val)
+            d[key.strip()] = val
     return rate_spec_from_dict(d)
 
 

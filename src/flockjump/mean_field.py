@@ -239,9 +239,11 @@ def wave_profile(w, c: float, h: float = None, drop: float = 60.0) -> WaveProfil
     The default spacing is 0.005; a discontinuous rate kinks the density, so
     the step family defaults to 0.001 to keep the trapezoid mass within 1e-8.
     """
-    log_norm, x_lo, x_hi = _normalization(w, c, drop)
     if h is None:
         h = 0.005 if w.continuous else 0.001
+    elif not (h > 0 and math.isfinite(h)):
+        raise DomainError(f"h must be finite and > 0, got {h!r}")
+    log_norm, x_lo, x_hi = _normalization(w, c, drop)
     # Align nodes with multiples of h so rate knots (integers, 0) fall on nodes.
     j_lo = math.floor(x_lo / h) - 1
     j_hi = math.ceil(x_hi / h) + 1

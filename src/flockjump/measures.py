@@ -4,18 +4,18 @@ test-function residual A_{t,f} whose fluctuations vanish like n^{-1/2}.
 
 The residual integral is a finite sum over inter-event intervals (the
 empirical measure is piecewise constant in time), so its value is exact given
-the event log and does not depend on any observation schedule.
+the event log and does not depend on any observation schedule. One loop walks
+the log for every family and test function; only the bracket's update differs.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DomainError, ModelError, StepRate
+from .model import DomainError, ModelError
 from . import sim as _sim
 
 
@@ -199,15 +199,16 @@ def ks_distance(samples, cdf, weights=None) -> float:
 class TestFunction:
     name: str
     fn: object = None           # None marks the identity
-    is_identity: bool = False
+
+    @property
+    def is_identity(self) -> bool:
+        return self.fn is None
 
     def __call__(self, x):
-        if self.is_identity:
-            return np.asarray(x, dtype=float)
-        return self.fn(x)
+        return np.asarray(x, dtype=float) if self.fn is None else self.fn(x)
 
 
-IDENTITY = TestFunction(name="id", is_identity=True)
+IDENTITY = TestFunction(name="id")
 
 
 @dataclass
@@ -217,11 +218,27 @@ class ResidualPath:
     t: float
 
 
-def _g_of(f: TestFunction, z):
-    """g_f(x) = E f(x+Z) - f(x); identically 1 for the identity (EZ = 1)."""
-    if f.is_identity:
-        return None
-    return lambda x: np.asarray(z.expect_shifted(f, x), dtype=float) - np.asarray(f(x), dtype=float)
+class _Reevaluated:
+    """<g_f(x) w(x - m)> evaluated from all n positions after each event, in
+    O(n); g_f(x) = E f(x + Z) - f(x) is identically 1 for the identity."""
+
+    def __init__(self, w, f, z, positions, m):
+        self._w, self._f, self._z = w, f, z
+        self._pos = np.array(positions, dtype=float)
+        self.value = self._at(m)
+
+    def _at(self, m):
+        f, pos = self._f, self._pos
+        wv = np.asarray(self._w.rate(pos - m), dtype=float)
+        if not f.is_identity:
+            g = np.asarray(self._z.expect_shifted(f, pos), dtype=float) - np.asarray(f(pos), dtype=float)
+            wv = g * wv
+        return float(wv.mean())
+
+    def jump(self, i, x_old, x_new, m_new):
+        self._pos[i] = x_new
+        self.value = self._at(m_new)
+        return self.value
 
 
 def residual_path(initial_positions, log: _sim.EventLog, f: TestFunction,
@@ -231,112 +248,42 @@ def residual_path(initial_positions, log: _sim.EventLog, f: TestFunction,
     intervals; `.value` is A_{t_end,f}, which is 0 at t_end = 0.
 
     The bracket <g_f(x) w(x - m)> is piecewise constant between events, so the
-    time integral is a finite sum. Dispatches to an incremental update for the
-    identity function with step rates (the large-n scaling study); the generic
-    path re-evaluates the bracket after each event.
+    time integral is a finite sum. For the identity it is the mean rate, kept
+    by `w.mean_rate` when the family has one; otherwise it is re-evaluated
+    after each event. The center starts at fsum(x)/n and moves by z * (1/n).
     """
     if t_end < 0:
         raise DomainError(f"t_end must be >= 0, got {t_end}")
     if len(log) and log.times[0] < 0:
         raise DomainError("event log must start at time >= 0")
-    if f.is_identity and isinstance(w, StepRate):
-        return _residual_id_step(initial_positions, log, w, t_end)
-    return _residual_generic(initial_positions, log, f, w, z, t_end)
-
-
-def _residual_generic(initial_positions, log, f, w, z, t_end):
-    pos = np.asarray(initial_positions, dtype=float).copy()
-    n = pos.size
-    m = float(pos.mean())
-    g = _g_of(f, z)
-
-    def bracket():
-        wv = np.asarray(w.rate(pos - m), dtype=float)
-        if g is None:
-            return float(wv.mean())
-        return float(np.mean(g(pos) * wv))
-
-    def f_mean():
-        return m if f.is_identity else float(np.mean(f(pos)))
-
-    F0 = f_mean()
-    G = bracket()
-    integral = 0.0
-    t_prev = 0.0
-    F = F0
-    sup = 0.0
-    for k in range(len(log)):
-        te = float(log.times[k])
+    xs = [float(x) for x in initial_positions]
+    n = len(xs)
+    inv_n = 1.0 / n
+    m = math.fsum(xs) / n
+    identity = f.is_identity
+    bracket = w.mean_rate(xs, m) if identity else None
+    if bracket is None:
+        bracket = _Reevaluated(w, f, z, xs, m)
+    F0 = F = m if identity else float(np.mean(f(np.asarray(xs))))
+    G = bracket.value
+    integral = t_prev = sup = 0.0
+    columns = [memoryview(np.ascontiguousarray(col, dtype=dtype)) for col, dtype in
+               ((log.times, np.float64), (log.indices, np.int64), (log.lengths, np.float64))]
+    for te, i, zlen in zip(*columns):
         if te > t_end:
             break
         integral += G * (te - t_prev)
         t_prev = te
         sup = max(sup, abs(F - F0 - integral))       # value just before the jump
-        i = int(log.indices[k])
-        zlen = float(log.lengths[k])
-        if not f.is_identity:
-            F += (float(f(pos[i] + zlen)) - float(f(pos[i]))) / n
-        pos[i] += zlen
-        m += zlen / n
-        if f.is_identity:
-            F = m
-        G = bracket()
+        x_old = xs[i]
+        x_new = xs[i] = x_old + zlen
+        m += zlen * inv_n
+        F = m if identity else F + (float(f(x_new)) - float(f(x_old))) / n
+        G = bracket.jump(i, x_old, x_new, m)
         sup = max(sup, abs(F - F0 - integral))       # value just after the jump
     integral += G * (t_end - t_prev)
     value = F - F0 - integral
-    sup = max(sup, abs(value))
-    return ResidualPath(value=value, sup_abs=sup, t=t_end)
-
-
-def _residual_id_step(initial_positions, log, w, t_end):
-    """Incremental bracket for f = Id with a step rate: <w> = (a p + b (n-p))/n,
-    where p counts particles strictly behind the center of mass."""
-    a, b = w.a, w.b
-    pos0 = [float(x) for x in initial_positions]
-    n = len(pos0)
-    srt = sorted(pos0)
-    positions = list(pos0)
-    m = math.fsum(pos0) / n
-    p = bisect_left(srt, m)
-    # entries equal to m are "ahead" (w(0) = b); bisect_left counts strictly-less
-    while p < n and srt[p] < m:
-        p += 1
-    G = (a * p + b * (n - p)) / n
-    F0 = m
-    integral = 0.0
-    t_prev = 0.0
-    sup = 0.0
-    inv_n = 1.0 / n
-    times, indices, lengths = log.times, log.indices, log.lengths
-    for k in range(len(times)):
-        te = times[k]
-        if te > t_end:
-            break
-        integral += G * (te - t_prev)
-        t_prev = te
-        sup = max(sup, abs(m - F0 - integral))
-        i = int(indices[k])
-        zlen = lengths[k]
-        x_old = positions[i]
-        j = bisect_left(srt, x_old)
-        del srt[j]
-        if j < p:
-            p -= 1
-        m_new = m + zlen * inv_n
-        while p < n - 1 and srt[p] < m_new:
-            p += 1
-        x_new = x_old + zlen
-        positions[i] = x_new
-        insort(srt, x_new)
-        if x_new < m_new:
-            p += 1
-        m = m_new
-        G = (a * p + b * (n - p)) * inv_n
-        sup = max(sup, abs(m - F0 - integral))
-    integral += G * (t_end - t_prev)
-    value = m - F0 - integral
-    sup = max(sup, abs(value))
-    return ResidualPath(value=value, sup_abs=sup, t=t_end)
+    return ResidualPath(value=value, sup_abs=max(sup, abs(value)), t=t_end)
 
 
 @dataclass

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import ClassVar
 
 import numpy as np
@@ -42,9 +43,9 @@ class RateFamily:
     the vectorized `rate(x)` and its exact antiderivative `integral(x)` from 0,
     the limits `left_limit` (sup w, as x -> -inf) and `right_limit` (inf w), and
     overrides `continuous`, `knots` (points where w or its derivative jumps),
-    `scalar_rate`, `kernel_rate`, `stationary_law` and `rate_overflows` where
-    the defaults below do not fit. Registering the class in RATE_FAMILIES
-    makes it available to configs under its name.
+    `scalar_rate`, `kernel_rate`, `stationary_law`, `mean_rate` and
+    `rate_overflows` where the defaults below do not fit. Registering the
+    class in RATE_FAMILIES makes it available to configs under its name.
     """
 
     continuous: ClassVar[bool] = True
@@ -80,6 +81,13 @@ class RateFamily:
         """(name, parameters) of the family's stationary wave in
         `mean_field._LAWS`, or None for the numeric wave: the exact profile at
         the speed `mean_field.wave_speed` solves for."""
+        return None
+
+    def mean_rate(self, positions, m):
+        """<w(. - m)> over `positions`, updated per event, or None (then
+        `measures.residual_path` re-evaluates w at every position). It has
+        `.value` and `.jump(i, x_old, x_new, m_new)`, which moves particle i
+        and the center (m_new >= m) and returns the new value."""
         return None
 
     def rate_overflows(self, x) -> bool:
@@ -161,6 +169,43 @@ class StepRate(RateFamily):
 
     def stationary_law(self):
         return "laplace", {"a": self.a, "b": self.b}
+
+    def mean_rate(self, positions, m):
+        return _StepMeanRate(self.a, self.b, positions, m)
+
+
+class _StepMeanRate:
+    """(a p + b (n - p)) / n, where p counts the particles strictly behind m.
+
+    The others sit in a min-heap of (x, i, version). A jump bumps the jumper's
+    version, which makes its old entry stale, and pushes it back if it lands
+    at or ahead of m. The center never falls, so the entries it passes are
+    popped, and the current ones counted into p: O(log n) per event.
+    """
+
+    def __init__(self, a, b, positions, m):
+        self._a, self._b, self._m, self._n = a, b, m, len(positions)
+        self._inv_n = 1.0 / self._n
+        self._versions = [0] * self._n
+        self._heap = [(float(x), i, 0) for i, x in enumerate(positions) if not x < m]
+        heapify(self._heap)
+        # The heap can be empty: three particles at 0.1 have m > 0.1.
+        self._p = p = self._n - len(self._heap)
+        self.value = (a * p + b * (self._n - p)) / self._n
+
+    def jump(self, i, x_old, x_new, m_new):
+        heap, versions, p = self._heap, self._versions, self._p
+        if x_old < self._m:
+            p -= 1
+        versions[i] += 1
+        heappush(heap, (x_new, i, versions[i]))
+        while heap and heap[0][0] < m_new:
+            _, j, v = heappop(heap)
+            if v == versions[j]:
+                p += 1
+        self._p, self._m = p, m_new
+        self.value = (self._a * p + self._b * (self._n - p)) * self._inv_n
+        return self.value
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 
@@ -164,17 +165,20 @@ def simulate(w, z, n: int, *, T: float = None, max_events: int = None,
     equispaced samples on [0, T]) with the right-continuous state. Hitting the
     event cap before T sets `truncated` in the summary rather than failing.
     """
-    if T is None and max_events is None:
-        raise ModelError("need a horizon T or an event cap")
-    if T is not None and T < 0:
-        raise ModelError("T must be >= 0")
+    if max_events is not None and not (isinstance(max_events, numbers.Integral)
+                                       and not isinstance(max_events, bool) and max_events >= 0):
+        raise ModelError(f"max_events must be an integer >= 0, got {max_events!r}")
+    if T is not None and not T >= 0:
+        raise ModelError(f"T must be >= 0 and not NaN, got {T!r}")
+    if max_events is None and (T is None or T == math.inf):
+        raise ModelError(f"T = {T} needs an event cap max_events")
     engine = check_engine(w, engine)
     if rng is None:
         rng = np.random.default_rng(seed)
     state0 = initial_state(n, init, rng)
     if observer is not None and observe_times is None:
-        if T is None:
-            raise ModelError("observer on a default grid needs a horizon T")
+        if T is None or T == math.inf:
+            raise ModelError("observer on a default grid needs a finite horizon T")
         observe_times = np.linspace(0.0, T, max(observations, 1))
     if observe_times is not None:
         observe_times = np.unique(np.asarray(observe_times, dtype=float))

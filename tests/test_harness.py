@@ -385,6 +385,12 @@ def test_cli_simulate_and_pde(capsys, tmp_path):
     (["extremes", "--beta", "nan", "--T", "1", "--c", "1"], "beta must be positive and finite"),
     (["extremes", "--beta", "1", "--T", "nan"], "T must be finite and >= 0, got nan"),
     (["extremes", "--beta", "1", "--T", "inf"], "T must be finite and >= 0, got inf"),
+    (["travelwave", "--rate", "step:a=2,b=1", "--h", "0"], "h must be finite and > 0, got 0.0"),
+    (["travelwave", "--rate", "step:a=2,b=1", "--h", "nan"], "h must be finite and > 0, got nan"),
+    (["travelwave", "--rate", "step:a=2,b=1", "--h", "-0.01"], "h must be finite and > 0, got -0.01"),
+    (["travelwave", "--rate", "step:a=2,b=1", "--h", "inf"], "h must be finite and > 0, got inf"),
+    (["travelwave", "--rate", "step:a=x,b=1"], "rate.a: expected a number, got 'x'"),
+    (["gap", "--rate", "step:a=2,b=x"], "rate.b: expected a number, got 'x'"),
 ])
 def test_cli_reports_model_errors_in_one_line(capsys, argv, message):
     assert cli.main(argv) == 2

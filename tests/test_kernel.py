@@ -10,6 +10,7 @@ and times.
 import contextlib
 import ctypes
 import math
+import re
 import shutil
 import subprocess
 from unittest import mock
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 import flockjump as fj
 from flockjump import kernel, sim
 from flockjump import mean_field as mf
-from flockjump.model import DomainError
+from flockjump.model import DomainError, ModelError
 
 
 def python_loops():
@@ -115,6 +116,49 @@ def test_failed_build_falls_back_to_the_python_loops():
                                  observe=np.linspace(0.0, 5.0, 11), log_events=True)
             assert got == expected
     assert kernel.load() is not None                  # the real compiler's build is kept
+
+
+class NoDraws:
+    """An rng that fails any draw: every engine draws before its first event,
+    so a run that reaches an engine fails at once instead of running on."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"an engine ran (rng.{name})")
+
+
+ENGINE_FAMILIES = [("reference", fj.StepRate(2.0, 1.0)), ("bounded", fj.StepRate(2.0, 1.0)),
+                   ("exponential", fj.ExponentialRate(1.0))]
+BAD_STOPS = [
+    ({"max_events": -1}, "max_events must be an integer >= 0, got -1"),
+    ({"T": 1.0, "max_events": True}, "max_events must be an integer >= 0, got True"),
+    ({"max_events": 2.5}, "max_events must be an integer >= 0, got 2.5"),
+    ({"T": math.nan}, "T must be >= 0 and not NaN, got nan"),
+    ({"T": math.nan, "max_events": 10}, "T must be >= 0 and not NaN, got nan"),
+    ({"T": -1.0}, "T must be >= 0 and not NaN, got -1.0"),
+    ({"T": math.inf}, "T = inf needs an event cap max_events"),
+    ({}, "T = None needs an event cap max_events"),
+]
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "python"])
+@pytest.mark.parametrize("engine, w", ENGINE_FAMILIES, ids=[e for e, _ in ENGINE_FAMILIES])
+@pytest.mark.parametrize("stop, message", BAD_STOPS, ids=[str(s) for s, _ in BAD_STOPS])
+def test_simulate_refuses_a_stop_it_cannot_run(compiled, engine, w, stop, message):
+    with contextlib.nullcontext() if compiled else python_loops():
+        with pytest.raises(ModelError, match=re.escape(message)):
+            fj.simulate(w, fj.ExponentialJump(), 5, rng=NoDraws(), engine=engine, **stop)
+
+
+@pytest.mark.parametrize("engine, w", ENGINE_FAMILIES, ids=[e for e, _ in ENGINE_FAMILIES])
+def test_zero_events_and_a_capped_infinite_horizon_run_alike_on_both_loops(engine, w):
+    for stop, events in (({"max_events": 0}, 0), ({"T": math.inf, "max_events": np.int64(40)}, 40)):
+        expected, got = both(w, fj.ExponentialJump(), 5, seed=3, engine=engine, log_events=True,
+                             **stop)
+        assert got == expected
+        assert expected[1] == events
+    with pytest.raises(ModelError, match="observer on a default grid needs a finite horizon T"):
+        fj.simulate(w, fj.ExponentialJump(), 5, T=math.inf, max_events=40, rng=NoDraws(),
+                    engine=engine, observer=lambda t, pos, m: None)
 
 
 class FixedJump:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import flockjump as fj
 from flockjump import measures as ms
@@ -202,6 +204,14 @@ def test_default_test_function_set():
         assert np.all(np.abs(vals) <= 1.0)      # bounded by 1 in absolute value
 
 
+def test_test_function_is_the_identity_exactly_when_it_has_no_fn():
+    assert ms.TestFunction("f").is_identity
+    assert ms.TestFunction("f")(np.array([1.5])) == 1.5
+    assert not ms.TestFunction("f", fn=np.tanh).is_identity
+    with pytest.raises(TypeError):
+        ms.TestFunction("f", fn=np.tanh, is_identity=True)
+
+
 # ---------------------------------------------------------------------------
 # residual A_{t,f}
 # ---------------------------------------------------------------------------
@@ -262,14 +272,28 @@ def test_residual_identity_mean_zero_many_seeds():
     assert abs(vals.mean()) <= 3 * vals.std(ddof=1) / math.sqrt(len(vals))
 
 
+class ReevaluatedStep(fj.StepRate):
+    """A step rate without its incremental mean rate: residual_path then
+    re-evaluates the bracket from every position after each event."""
+
+    def mean_rate(self, positions, m):
+        return None
+
+
+def assert_step_residuals_agree(init, log, t_end):
+    init = np.asarray(init, dtype=float)
+    w, z = fj.StepRate(2.0, 1.0), fj.ExponentialJump()
+    fast = ms.residual_path(init, log, ms.IDENTITY, w, z, t_end)
+    gen = ms.residual_path(init, log, ms.IDENTITY, ReevaluatedStep(2.0, 1.0), z, t_end)
+    assert fast.value == pytest.approx(gen.value, abs=1e-12)
+    assert fast.sup_abs == pytest.approx(gen.sup_abs, abs=1e-12)
+
+
 def test_residual_fast_path_matches_generic():
     w, z = fj.StepRate(2.0, 1.0), fj.ExponentialJump()
     for seed in range(10):
         res = _run(w, z, 30, 4.0, 500 + seed)
-        fast = ms._residual_id_step(np.zeros(30), res.log, w, 4.0)
-        gen = ms._residual_generic(np.zeros(30), res.log, ms.IDENTITY, w, z, 4.0)
-        assert fast.value == pytest.approx(gen.value, abs=1e-12)
-        assert fast.sup_abs == pytest.approx(gen.sup_abs, abs=1e-12)
+        assert_step_residuals_agree(np.zeros(30), res.log, 4.0)
 
 
 def test_residual_schedule_invariance():
@@ -302,16 +326,39 @@ def test_residual_bounded_f_moment_bound():
 
 
 def test_residual_fast_path_nonzero_initial_positions():
-    # ties and spread in the starting configuration exercise the pointer logic
+    # ties and spread in the starting configuration exercise the heap; three
+    # particles at 0.1 all start behind m = fsum(x)/n > 0.1
     w, z = fj.StepRate(2.0, 1.0), fj.ExponentialJump()
-    init = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 2.5, -3.0, 4.0, 4.0, 4.0])
-    for seed in range(5):
-        res = fj.simulate(w, z, 10, T=6.0, seed=800 + seed, init=init.copy(),
-                          engine="bounded", log_events=True)
-        fast = ms._residual_id_step(init, res.log, w, 6.0)
-        gen = ms._residual_generic(init, res.log, ms.IDENTITY, w, z, 6.0)
-        assert fast.value == pytest.approx(gen.value, abs=1e-12)
-        assert fast.sup_abs == pytest.approx(gen.sup_abs, abs=1e-12)
+    starts = [np.array([0.0, 0.0, 0.0, 1.0, 1.0, 2.5, -3.0, 4.0, 4.0, 4.0]), np.full(3, 0.1)]
+    assert math.fsum(starts[1]) / 3 > 0.1
+    for init in starts:
+        for seed in range(5):
+            res = fj.simulate(w, z, init.size, T=6.0, seed=800 + seed, init=init.copy(),
+                              engine="bounded", log_events=True)
+            assert_step_residuals_agree(init, res.log, 6.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from([-1.0, 0.0, 0.1, 1 / 3, 2.5]), min_size=1, max_size=40),
+       st.lists(st.tuples(st.integers(0, 39), st.sampled_from([0.0, 1e-3, 0.37, 1.0])),
+                max_size=60))
+@example([0.1] * 3, [(0, 0.0), (1, 0.0), (2, 1.0)])       # every particle behind m
+def test_step_mean_rate_counts_the_particles_behind_the_center(start, jumps):
+    a, b = 2.0, 0.5
+    pos = np.asarray(start)
+    n = pos.size
+    m = math.fsum(pos) / n
+    tracker = fj.StepRate(a, b).mean_rate(pos, m)
+    p = np.count_nonzero(pos < m)
+    assert tracker.value == (a * p + b * (n - p)) / n
+    for i, zlen in jumps:
+        i %= n
+        x_old = pos[i]
+        pos[i] = x_old + zlen
+        m += zlen * (1.0 / n)
+        value = tracker.jump(i, x_old, pos[i], m)
+        p = np.count_nonzero(pos < m)
+        assert value == tracker.value == (a * p + b * (n - p)) * (1.0 / n)
 
 
 def test_residual_scaling_slope():
