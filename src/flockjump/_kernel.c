@@ -3,22 +3,24 @@
  * engines (flockjump.sim) and the explicit Euler step of the mean-field PDE
  * (flockjump.mean_field).
  *
- * Event loop.  Python draws every random number, in the order and batch
- * sizes of the Python loops in sim.py, and this code consumes the batches.
- * Each entry point runs events until something only Python can do is due,
- * stores the loop state back into the fj_run record and returns the reason
- * (EXIT_*): a batch ran out, an observation time was reached, the horizon or
- * the event cap was hit, or a total was not finite.  The exponential engine
- * selects on a binary sum tree of its weights: fj_exp_rebase builds it
- * before the first event, and the loop calls it again whenever the total
- * has halved and at every resum, so no rebuild returns to Python.
+ * Event loop.  Python draws every random number, in each engine's one
+ * refill in sim.py, and this code consumes the batches.  Each entry point is
+ * a step function that sim._drive calls: it runs events until something
+ * only Python can do is due, stores the loop state back into the fj_run
+ * record and returns the reason (EXIT_*): a batch ran out, an observation
+ * time was reached, the horizon or the event cap was hit, or a total was not
+ * finite.  The exponential engine selects on a binary sum tree of its
+ * weights: fj_exp_rebase builds it before the first event, and the loop
+ * calls it again whenever the total has halved and at every resum, so no
+ * rebuild returns to Python.
  *
- * Every operation is the one the Python loop performs, in the same order,
- * on IEEE doubles: build with -ffp-contract=off and without -ffast-math, so
- * that no multiply-add is fused.  exp and atan are the libm functions that
- * math.exp and math.atan call, and fsum is CPython's math.fsum, whose result
- * is correctly rounded and therefore unique.  The event log, the final state
- * and the observer's view are then bit-identical to the Python loop's.
+ * Every operation is the one the Python twin (sim._bounded_steps,
+ * sim._exponential_steps) performs, in the same order, on IEEE doubles:
+ * build with -ffp-contract=off and without -ffast-math, so that no
+ * multiply-add is fused.  exp and atan are the libm functions that math.exp
+ * and math.atan call, and fsum is CPython's math.fsum, whose result is
+ * correctly rounded and therefore unique.  The event log, the final state
+ * and the observer's view are then bit-identical to the Python twin's.
  *
  * PDE step.  fj_pde runs whole Euler steps of the numpy loop in
  * mean_field.py, one pass over the grid each, until Python has to track the
@@ -402,7 +404,7 @@ int fj_exponential(fj_run *r)
 /* Exits of fj_pde. */
 enum {
     PDE_STEPS,      /* the requested steps ran */
-    PDE_SHIFT,      /* track: the window is due to shift; the step is done */
+    PDE_SHIFT,      /* the window is due to shift; the step is done */
     PDE_UNSTABLE,   /* dt > 0.5 / w(grid[0] - m) before a step; value = that w */
     PDE_NOT_FINITE, /* the mass or the mean after a step is not finite */
 };
@@ -410,7 +412,6 @@ enum {
 /* Mirrored field by field by kernel.Pde. */
 typedef struct {
     int32_t family;             /* RATE_* */
-    int32_t track;              /* exit with PDE_SHIFT once the window is due to move */
     const double *rate_params;
     int64_t n_rate_params;
     const double *grid;
@@ -472,7 +473,7 @@ int fj_pde(fj_pde_run *p)
             code = PDE_NOT_FINITE;
             break;
         }
-        if (p->track && (m - g[0] - p->offset0) / p->h >= 1.0) {
+        if ((m - g[0] - p->offset0) / p->h >= 1.0) {
             k++;
             code = PDE_SHIFT;
             break;

@@ -176,6 +176,8 @@ class ExperimentConfig:
             raise ConfigError(f"burn_in: must be a number in [0, T], got {self.burn_in!r}")
         if self.snapshot_time is not None and not _is_finite(self.snapshot_time):
             raise ConfigError(f"snapshot_time: must be a finite number, got {self.snapshot_time!r}")
+        if not isinstance(self.log_events, bool):
+            raise ConfigError(f"log_events: must be true or false, got {self.log_events!r}")
         w = rate_spec_from_dict(self.rate)
         try:
             sim.check_engine(w, self.engine)

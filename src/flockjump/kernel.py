@@ -1,11 +1,14 @@
 """Build and load the compiled kernel (`_kernel.c`) through ctypes.
 
-The kernel holds two loops. The event loop of the bounded and exponential
-engines runs on random batches that `sim` draws and is bit-identical to the
-Python loops, which `sim` falls back to when `load()` returns None. The
-exponential engine's sum tree of selection weights is built and rebased in C
-(`fj_exp_rebase`, with libm exp as in the Python loop), so a run leaves the
-kernel only to refill a batch, to observe or to raise. The explicit Euler step of the mean-field PDE (`fj_pde`) runs `mean_field`'s
+The kernel holds two loops. `fj_bounded` and `fj_exponential` are step
+functions of the bounded and exponential engines: each runs events on a `Run`
+record until `sim._drive`, the one driver of every engine, must act, and
+returns the reason (EXIT_*). Their exit-for-exit Python twins in `sim` run on
+the same record and random batches, with bit-identical results, when `load()`
+returns None. The exponential engine's sum tree of selection weights is built
+and rebased in C (`fj_exp_rebase`, with libm exp as in the Python twin), so a
+run leaves the kernel only to refill a batch, to observe, to stop or to raise.
+The explicit Euler step of the mean-field PDE (`fj_pde`) runs `mean_field`'s
 numpy step to a tolerance, not to the bit, and `mean_field` falls back to the
 numpy step in the same way. The shared library is built with gcc on first
 use, not at import, and cached as `__pycache__/_kernel-<key>.so` next to
@@ -30,10 +33,10 @@ import numpy as np
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CC = "gcc"
 # No -ffast-math or -march, and no fused multiply-add: every operation of the
-# event loop must round as the Python loop's does.
+# event steps must round as their Python twins' do.
 _FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
-# Exit codes of fj_bounded and fj_exponential (the EXIT_* enum of _kernel.c).
+# Exit codes of the event steps, compiled and Python (the EXIT_* enum of _kernel.c).
 (EXIT_CAP, EXIT_HORIZON, EXIT_BATCH, EXIT_OBSERVE_BEFORE, EXIT_OBSERVE_AT, EXIT_RATE_STALL,
  EXIT_WEIGHT_STALL, EXIT_EXP_RANGE, EXIT_FSUM_INF, EXIT_FSUM_OVERFLOW) = range(10)
 
@@ -105,7 +108,7 @@ class Pde(_Record):
 
     _arrays = {"rate_params": np.float64, "grid": np.float64, "values": np.float64}
     _fields_ = [
-        ("family", ctypes.c_int32), ("track", ctypes.c_int32),
+        ("family", ctypes.c_int32),
         ("rate_params", _P), ("n_rate_params", _I64),
         ("grid", _P), ("values", _P), ("len", _I64),
         ("dt", _F64), ("h", _F64), ("r", _F64), ("w0", _F64), ("c1", _F64),

@@ -626,16 +626,18 @@ class _Euler:
     Holds the window (`grid`, `values`) and its trapezoid `mass` and mean `m`.
     A step runs compiled (`fj_pde` in `_kernel.c`) when the kernel loads and
     the family has a `kernel_rate()`, and as the numpy loop `_numpy_steps`
-    otherwise; the two agree to roundoff, not to the bit. With `track_window`
-    a run stops after any step that leaves the mean a cell or more further
-    from the left edge than `offset0`, for `pde_integrate` to move the window
-    or, where it must keep the left edge, to widen it and advance `offset0`.
+    otherwise; the two agree to roundoff, not to the bit. A run stops after
+    any step that leaves the mean a cell or more further from the left edge
+    than `offset0`, for `pde_integrate` to move the window or, where it must
+    keep the left edge, to widen it and advance `offset0`.
     """
 
-    def __init__(self, w, grid, values, dt: float, track_window: bool = False):
+    def __init__(self, w, grid, values, dt: float):
+        if not (math.isfinite(dt) and dt > 0):
+            raise DomainError(f"dt must be finite and > 0, got {dt!r}")
         grid = np.array(grid, dtype=float)
         values = np.array(values, dtype=float)
-        self.w, self.dt, self.track = w, dt, track_window
+        self.w, self.dt = w, dt
         self.mass = _checked_mass(grid, values)
         self.h = float(grid[1] - grid[0])
         self.m = float(np.trapezoid(grid * values, grid) / self.mass)
@@ -647,9 +649,8 @@ class _Euler:
             name, params = spec
             r, w0, c1 = _exp_kernel(self.h)
             self._fj_pde = lib.fj_pde
-            self._run = kernel.Pde(family=kernel.RATE_CODES[name], track=track_window,
-                                   n_rate_params=len(params), dt=dt, h=self.h,
-                                   r=r, w0=w0, c1=c1)
+            self._run = kernel.Pde(family=kernel.RATE_CODES[name], n_rate_params=len(params),
+                                   dt=dt, h=self.h, r=r, w0=w0, c1=c1)
             self._run.bind(rate_params=np.array(params, dtype=float))
         self.set_window(grid, values)
 
@@ -681,7 +682,7 @@ class _Euler:
             raise StepSizeError(
                 f"dt={self.dt} exceeds the stability budget 0.5/sup w = {0.5 / wmax:.3g} "
                 f"at t={t:.4g}; shrink dt, or trim the left edge of the grid "
-                "(pde_integrate's track_window trims it once it is empty)")
+                "(pde_integrate trims it once it is empty)")
         if code == kernel.PDE_NOT_FINITE:
             raise DomainError(f"density mass {self.mass} or mean {self.m} is not finite "
                               f"at t={t:.4g}")
@@ -706,7 +707,7 @@ class _Euler:
             if not (math.isfinite(mass) and math.isfinite(m)):
                 code = kernel.PDE_NOT_FINITE
                 break
-            if self.track and (m - grid[0] - self.offset0) / h >= 1.0:
+            if (m - grid[0] - self.offset0) / h >= 1.0:
                 code = kernel.PDE_SHIFT
                 break
         self.values, self.m, self.mass = values, m, mass
@@ -745,23 +746,23 @@ def _w1_grid_vs_callable(grid, values, pdf) -> float:
 
 
 def pde_integrate(field: DensityField, w, T: float, dt: float,
-                  samples: int = 200, wave: WaveProfile = None,
-                  track_window: bool = True) -> tuple:
+                  samples: int = 200, wave: WaveProfile = None) -> tuple:
     """Integrate the mean-field equation to horizon T.
 
     Returns (final DensityField, PdeDiagnostics). The active window follows the
-    wave when `track_window`: left cells are dropped only once their density is
-    below 1e-30 (the trimmed total is reported), and zero cells are appended on
-    the right, keeping the explicit-Euler stability budget satisfiable as the
-    mean advances. Mass drift is reported in the diagnostics, never silently
-    corrected.
+    wave: left cells are dropped only once their density is below 1e-30 (the
+    trimmed total is reported), and zero cells are appended on the right,
+    keeping the explicit-Euler stability budget satisfiable as the mean
+    advances. Mass drift is reported in the diagnostics, never silently
+    corrected. T must be finite and >= 0, and dt finite and > 0.
 
     The right edge is never checked against the density: it keeps its
-    starting distance ahead of the mean (or stays put without
-    `track_window`), and jump mass that lands past it is lost, which shows
-    only as mass drift.
+    starting distance ahead of the mean, and jump mass that lands past it is
+    lost, which shows only as mass drift.
     """
-    euler = _Euler(w, field.grid, field.values, dt, track_window)
+    if not (math.isfinite(T) and T >= 0):
+        raise DomainError(f"T must be finite and >= 0, got {T!r}")
+    euler = _Euler(w, field.grid, field.values, dt)
     t = t0 = field.time
     m0 = euler.m
     n_steps = int(round(T / dt))

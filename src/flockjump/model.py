@@ -12,6 +12,7 @@ precision. Jump lengths are normalized to mean 1 with a finite third moment.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -68,7 +69,7 @@ class RateFamily:
         """(name, parameters) of the compiled kernel's w, or None when the
         kernel has none for this family.
 
-        The bounded engine's compiled loop evaluates it where the Python loop
+        The bounded engine's compiled step evaluates it where the Python step
         calls `scalar_rate()`, so it must round the same, operation for
         operation: runs are bit-identical. The compiled PDE step
         (`mean_field.pde_integrate`) evaluates it where the numpy step calls
@@ -504,7 +505,10 @@ def initial_state(n: int, init="zeros", rng=None) -> SystemState:
 
     init is "zeros" (every particle at 0), an explicit position list/array, or
     ("iid", sampler) where sampler(rng, n) draws the initial positions.
+    n must be an integer >= 1.
     """
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
+        raise ModelError(f"n must be an integer >= 1, got {n!r}")
     if isinstance(init, str):
         if init != "zeros":
             raise ModelError(f"unknown initial condition {init!r}")

@@ -25,22 +25,26 @@ All engines keep the center of mass via m += Z * (1/n) (the per-event
 identity is exact) and re-sum it as math.fsum(positions) * (1/n) every RESUM_INTERVAL
 events; a run's initial and final centers are positions.sum() / n.
 
-The per-event loop of the bounded engine (step, piecewise-linear, arccot and
-tabulated rates) and of the exponential engine (its rebase included) runs compiled,
-in ``_kernel.c``; the reference engine, and a bounded family whose
-``kernel_rate()`` is None, run in Python. The kernel consumes the random
-batches this module draws, in the Python loops' order and sizes, and performs
-their floating-point operations in their order (libm exp and atan, CPython's
+Every engine is a step function on the kernel's record (``kernel.Run``): it
+runs events until ``_drive``, the one driver, must refill a random batch,
+call the observer, stop or raise, and returns the reason, a
+``kernel.EXIT_*`` code. The bounded step (step, piecewise-linear, arccot and
+tabulated rates) and the exponential step (its rebase included) run compiled,
+as ``fj_bounded`` and ``fj_exponential`` in ``_kernel.c``. They consume the
+batches of the engine's one refill and perform the floating-point operations
+of their exit-for-exit Python twins, ``_bounded_steps`` and
+``_exponential_steps``, in their order (libm exp and atan, CPython's
 correctly rounded fsum), so paths, event logs, observer calls and bundles are
-bit-identical to the Python loops'. The shared library is built with gcc at
-the first run of a compiled engine and cached in this package's
-``__pycache__`` (see ``kernel``); where it cannot be built, the Python loops
-(``_bounded_loop``, ``_exponential_loop``) run instead.
+bit-identical. The twins run for a bounded family whose ``kernel_rate()`` is
+None and where the library, built with gcc at the first run of a compiled
+engine and cached in ``__pycache__`` (see ``kernel``), cannot be built. The
+reference step draws per event and has no compiled twin.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import numbers
 from array import array
@@ -105,32 +109,25 @@ class SimulationResult:
 
 
 class _Observer:
-    """Emits the right-continuous state at scheduled times."""
+    """Calls callback(t, positions, m) at each scheduled time t, with the
+    right-continuous state; without a callback nothing is scheduled."""
 
     def __init__(self, times, callback):
-        self.times = list(times) if times is not None else []
+        self.times = list(times) if callback is not None else []
         self.callback = callback
-        self.pos = 0
-
-    def pending(self):
-        return self.callback is not None and self.pos < len(self.times)
+        self.k = 0
 
     def next_time(self):
-        return self.times[self.pos] if self.pending() else math.inf
+        return self.times[self.k] if self.k < len(self.times) else math.inf
 
-    def emit_before(self, t_event, positions, m):
-        # Observation times strictly before the next event see the current state.
-        while self.pending() and self.times[self.pos] < t_event:
-            self.callback(self.times[self.pos], positions(), m)
-            self.pos += 1
-
-    def emit_through(self, t_final, positions, m):
-        # At the end of a run, and after an event at t_final once every earlier
-        # time is emitted: then it emits the ties, which see the post-event
-        # (right-continuous) state.
-        while self.pending() and self.times[self.pos] <= t_final:
-            self.callback(self.times[self.pos], positions(), m)
-            self.pos += 1
+    def emit(self, t, positions, m, ties):
+        """Emit the times before t, and with `ties` those equal to t. Before an
+        event at t they see the pre-event state; after it, or at the end of a
+        run, the ties see the post-event (right-continuous) state."""
+        while self.k < len(self.times) and (self.times[self.k] < t or
+                                            ties and self.times[self.k] == t):
+            self.callback(self.times[self.k], positions(), m)
+            self.k += 1
 
 
 def check_engine(w, engine: str = "auto") -> str:
@@ -173,190 +170,190 @@ def simulate(w, z, n: int, *, T: float = None, max_events: int = None,
     if max_events is None and (T is None or T == math.inf):
         raise ModelError(f"T = {T} needs an event cap max_events")
     engine = check_engine(w, engine)
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    state0 = initial_state(n, init, rng)
     if observer is not None and observe_times is None:
         if T is None or T == math.inf:
             raise ModelError("observer on a default grid needs a finite horizon T")
         observe_times = np.linspace(0.0, T, max(observations, 1))
     if observe_times is not None:
         observe_times = np.unique(np.asarray(observe_times, dtype=float))
+        bad = observe_times[~np.isfinite(observe_times)]
+        if bad.size:
+            raise ModelError(f"observe_times must be finite, got {bad.tolist()}")
+    if rng is None:
+        rng = np.random.default_rng(seed)
+    state0 = initial_state(n, init, rng)
     return ENGINES[engine](w, z, state0, T, max_events, rng,
                            _Observer(observe_times, observer), log_events)
 
 
 # ---------------------------------------------------------------------------
-# engines
+# engines: step functions on a kernel.Run record, and their one driver
 # ---------------------------------------------------------------------------
 
+_UNBOUND = np.empty(0)
 
-def _log_columns():
-    """Event-log columns (times, indices, lengths, centers) as typed arrays, which
-    hold 8 bytes an entry instead of a reference to a boxed float."""
-    return array("d"), array("q"), array("d"), array("d")
-
-
-def _first_batch(max_events):
-    """Size of a run's first random batch: a run capped below _BATCH events
-    never needs a full one."""
-    return _BATCH if max_events is None else min(_BATCH, max_events)
+# The stall exits, by what the total in run.value is.
+_STALLS = {kernel.EXIT_RATE_STALL: "total jump rate",
+           kernel.EXIT_WEIGHT_STALL: "selection weights"}
 
 
-def _finish(state, engine, events, t, c0, truncated, logs, proposals):
-    log = None
-    if logs is not None:
-        log = EventLog(times=np.asarray(logs[0]), indices=np.asarray(logs[1], dtype=np.int64),
-                       lengths=np.asarray(logs[2]), centers=np.asarray(logs[3]))
-    return SimulationResult(n=state.n, engine=engine, events=events, final_time=t,
-                            initial_center=c0, final_center=state.center,
-                            truncated=truncated, state=state, proposals=proposals, log=log)
+def _record(state, T, max_events, **fields):
+    """The record of one run from `state`, with the fields every engine sets
+    and a copy of the positions bound to `pos`."""
+    n = state.n
+    run = kernel.Run(n=n, inv_n=1.0 / n, horizon=math.inf if T is None else T,
+                     max_events=-1 if max_events is None else max_events,
+                     resum_interval=RESUM_INTERVAL, m=state.center, **fields)
+    run.bind(pos=np.array(state.positions, dtype=float))
+    return run
+
+
+def _views(run, *fields):
+    """Memoryviews of the arrays bound to run's fields (empty while unbound):
+    a Python step reads its batch and writes its log chunk through them."""
+    return [memoryview(run.arrays.get(field, _UNBOUND)) for field in fields]
+
+
+def _batches(run, max_events, draw):
+    """The refill of a batched engine: bind the arrays draw(size) returns, by
+    field name, as the next batch. A run capped below _BATCH events never
+    needs a full batch, so its first one is cut to the cap."""
+    size = _BATCH if max_events is None else min(_BATCH, max_events)
+
+    def refill():
+        nonlocal size
+        run.bind(**draw(size))
+        run.batch, run.cursor, size = size, 0, _BATCH
+
+    return refill
 
 
 def _run_reference(w, z, state, T, max_events, rng, obs, log_events):
-    n = state.n
-    pos = state.positions
-    m = state.center
-    c0 = m
-    t = 0.0
-    events = 0
-    logs = _log_columns() if log_events else None
-    positions_view = lambda: pos.copy()
-    horizon = math.inf if T is None else T
-    truncated = False
-    inv_n = 1.0 / n
-    next_obs = obs.next_time()
-    while True:
-        if max_events is not None and events >= max_events:
-            truncated = T is not None and t < horizon
-            break
-        rel = pos - m
-        if w.rate_overflows(rel):
-            raise StallError("jump rate overflowed; configuration too spread out")
-        rates = np.asarray(w.rate(rel), dtype=float)
-        R = float(rates.sum())
-        if not math.isfinite(R):
-            raise ArithmeticError("total jump rate is not finite")
-        if R <= 0.0:
-            raise StallError("total jump rate underflowed to zero")
-        t_next = t + rng.standard_exponential() / R
-        if t_next > horizon:
-            t = horizon
-            break
-        if next_obs < t_next:
-            obs.emit_before(t_next, positions_view, m)
-            next_obs = obs.next_time()
-        t = t_next
-        u = rng.random() * R
-        i = int(min(np.searchsorted(np.cumsum(rates), u, side="left"), n - 1))
-        length = float(z.sample(rng))
-        pos[i] += length
-        m += length * inv_n
-        events += 1
-        if events % RESUM_INTERVAL == 0:
-            m = math.fsum(pos) * inv_n
-        if logs is not None:
-            logs[0].append(t)
-            logs[1].append(i)
-            logs[2].append(length)
-            logs[3].append(m)
-        if t == next_obs:
-            obs.emit_through(t, positions_view, m)
-            next_obs = obs.next_time()
-    obs.emit_through(min(horizon, t), positions_view, m)
-    return _finish(state, "reference", events, t, c0, truncated, logs, events)
+    run = _record(state, T, max_events)
+    step = functools.partial(_reference_steps, run, w, z, rng)
+    return _drive(step, run, "reference", state, T, obs, log_events, lambda: None)
 
 
-def _run_bounded(w, z, state, T, max_events, rng, obs, log_events):
-    spec = w.kernel_rate()
-    lib = kernel.load() if spec is not None else None
-    if lib is None:
-        return _bounded_loop(w, z, state, T, max_events, rng, obs, log_events)
-    n = state.n
-    a = float(w.left_limit)
-    name, params = spec
-    pos = np.array(state.positions, dtype=float)
-    run = _kernel_run(state, T, max_events, obs, family=kernel.RATE_CODES[name],
-                      n_rate_params=len(params), a=a, lam=n * a)
-    run.bind(pos=pos, rate_params=np.array(params, dtype=float))
-    size = _first_batch(max_events)
-
-    def refill(code):           # EXIT_BATCH, the only exit left to this engine
-        nonlocal size
-        waits = rng.standard_exponential(size)
-        targets = rng.integers(0, n, size)
-        accs = rng.random(size)
-        run.bind(waits=waits, targets=targets, uniforms=accs,
-                 lengths=np.ascontiguousarray(z.sample(rng, size), dtype=float))
-        run.batch, run.cursor, size = size, 0, _BATCH
-
-    return _drive(lib.fj_bounded, run, "bounded", pos, state, T, obs, log_events, refill)
-
-
-def _bounded_loop(w, z, state, T, max_events, rng, obs, log_events):
-    """The bounded engine in Python, for families without a C rate or where
-    the kernel cannot be built; the kernel reproduces it bit for bit."""
-    n = state.n
-    pos = state.positions.tolist()
-    m = state.center
-    c0 = m
-    a = float(w.left_limit)
-    lam = n * a
-    rate = w.scalar_rate()
-    t = 0.0
-    events = proposals = 0
-    logs = _log_columns() if log_events else None
-    positions_view = lambda: np.asarray(pos)
-    horizon = math.inf if T is None else T
-    truncated = False
-    inv_n = 1.0 / n
-    next_obs = obs.next_time()
-
-    size = _first_batch(max_events)
-    waits = idxs = accs = zbuf = ()
-    cursor = 0
-
-    while True:
-        if max_events is not None and events >= max_events:
-            truncated = T is not None and t < horizon
-            break
-        if cursor >= len(waits):
-            waits = rng.standard_exponential(size).tolist()
-            idxs = rng.integers(0, n, size).tolist()
-            accs = rng.random(size).tolist()
-            zbuf = z.sample(rng, size).tolist()
-            cursor = 0
-            size = _BATCH
-        t_next = t + waits[cursor] / lam
-        if t_next > horizon:
-            t = horizon
-            break
-        if next_obs < t_next:
-            obs.emit_before(t_next, positions_view, m)
-            next_obs = obs.next_time()
-        t = t_next
-        i = idxs[cursor]
-        accepted = accs[cursor] * a <= rate(pos[i] - m)
-        if accepted:
-            length = zbuf[cursor]
+def _reference_steps(run, w, z, rng):
+    """The reference engine's step: recompute every rate, then draw the wait,
+    the uniform that selects and the length, one event at a time. An event
+    whose time falls after an observation keeps that time in run.value, with
+    run.cursor = 1, and the next call takes it instead of drawing again. The
+    step exits with EXIT_BATCH once the log chunk is full."""
+    pos = run.arrays["pos"]
+    lt, li, lz, lm = _views(run, "log_t", "log_i", "log_z", "log_m")
+    logging = run.log_t is not None
+    n, inv_n, horizon, max_events = run.n, run.inv_n, run.horizon, run.max_events
+    resum, next_obs, kept = run.resum_interval, run.next_obs, run.cursor
+    t, m, events, k = run.t, run.m, run.events, 0
+    try:
+        while True:
+            if 0 <= max_events <= events:
+                return kernel.EXIT_CAP
+            if logging and k == len(lt):
+                return kernel.EXIT_BATCH
+            rel = pos - m
+            if w.rate_overflows(rel):
+                raise StallError("jump rate overflowed; configuration too spread out")
+            rates = np.asarray(w.rate(rel), dtype=float)
+            R = float(rates.sum())
+            if not math.isfinite(R):
+                raise ArithmeticError("total jump rate is not finite")
+            if R <= 0.0:
+                raise StallError("total jump rate underflowed to zero")
+            if kept:
+                t_next, kept = run.value, 0
+            else:
+                t_next = t + rng.standard_exponential() / R
+            if t_next > horizon:
+                t = horizon
+                return kernel.EXIT_HORIZON
+            if next_obs < t_next:
+                run.value, kept = t_next, 1
+                return kernel.EXIT_OBSERVE_BEFORE
+            t = t_next
+            u = rng.random() * R
+            i = int(min(np.searchsorted(np.cumsum(rates), u, side="left"), n - 1))
+            length = float(z.sample(rng))
             pos[i] += length
             m += length * inv_n
             events += 1
-            if events % RESUM_INTERVAL == 0:
+            if events % resum == 0:
                 m = math.fsum(pos) * inv_n
-            if logs is not None:
-                logs[0].append(t)
-                logs[1].append(i)
-                logs[2].append(length)
-                logs[3].append(m)
-        proposals += 1
-        cursor += 1
-        if accepted and t == next_obs:
-            obs.emit_through(t, positions_view, m)
-            next_obs = obs.next_time()
-    obs.emit_through(min(horizon, t), positions_view, m)
-    state.positions = np.asarray(pos)
-    return _finish(state, "bounded", events, t, c0, truncated, logs, proposals)
+            if logging:
+                lt[k], li[k], lz[k], lm[k] = t, i, length, m
+                k += 1
+            if t == next_obs:
+                return kernel.EXIT_OBSERVE_AT
+    finally:
+        run.t, run.m, run.events, run.proposals = t, m, events, events
+        run.cursor, run.log_len = kept, k
+
+
+def _run_bounded(w, z, state, T, max_events, rng, obs, log_events):
+    n = state.n
+    a = float(w.left_limit)
+    run = _record(state, T, max_events, a=a, lam=n * a)
+    spec = w.kernel_rate()
+    lib = kernel.load() if spec is not None else None
+    if lib is None:
+        step = functools.partial(_bounded_steps, run, w.scalar_rate())
+    else:
+        name, params = spec
+        run.family, run.n_rate_params = kernel.RATE_CODES[name], len(params)
+        run.bind(rate_params=np.array(params, dtype=float))
+        step = functools.partial(lib.fj_bounded, ctypes.byref(run))
+    refill = _batches(run, max_events, lambda size: dict(
+        waits=rng.standard_exponential(size), targets=rng.integers(0, n, size),
+        uniforms=rng.random(size),
+        lengths=np.ascontiguousarray(z.sample(rng, size), dtype=float)))
+    return _drive(step, run, "bounded", state, T, obs, log_events, refill)
+
+
+def _bounded_steps(run, rate):
+    """fj_bounded in Python, exit for exit, for a family without a C rate or
+    where the kernel cannot be built."""
+    pos = run.arrays["pos"].tolist()
+    waits, targets, uniforms, lengths, lt, li, lz, lm = _views(
+        run, "waits", "targets", "uniforms", "lengths", "log_t", "log_i", "log_z", "log_m")
+    logging = run.log_t is not None
+    inv_n, horizon, max_events, resum = run.inv_n, run.horizon, run.max_events, run.resum_interval
+    a, lam, next_obs, batch = run.a, run.lam, run.next_obs, run.batch
+    t, m, events, proposals, c, k = run.t, run.m, run.events, run.proposals, run.cursor, 0
+    try:
+        while True:
+            if 0 <= max_events <= events:
+                return kernel.EXIT_CAP
+            if c >= batch:
+                return kernel.EXIT_BATCH
+            t_next = t + waits[c] / lam
+            if t_next > horizon:
+                t = horizon
+                return kernel.EXIT_HORIZON
+            if next_obs < t_next:
+                run.value = t_next
+                return kernel.EXIT_OBSERVE_BEFORE
+            t = t_next
+            i = targets[c]
+            accepted = uniforms[c] * a <= rate(pos[i] - m)
+            if accepted:
+                length = lengths[c]
+                pos[i] += length
+                m += length * inv_n
+                events += 1
+                if events % resum == 0:
+                    m = math.fsum(pos) * inv_n
+                if logging:
+                    lt[k], li[k], lz[k], lm[k] = t, i, length, m
+                    k += 1
+            proposals += 1
+            c += 1
+            if accepted and t == next_obs:
+                return kernel.EXIT_OBSERVE_AT
+    finally:
+        run.arrays["pos"][:] = pos
+        run.t, run.m, run.events, run.proposals = t, m, events, proposals
+        run.cursor, run.log_len = c, k
 
 
 def _check_weight_total(total, what):
@@ -369,194 +366,177 @@ def _check_weight_total(total, what):
         raise StallError(f"{what} underflowed to zero")
 
 
-def _tree_leaves(n):
-    """Leaves of the exponential engine's sum tree: the least power of two >= n.
-    Leaf k sits at index leaves + k, the root at 1, and the padding holds 0."""
-    return 1 << (n - 1).bit_length()
-
-
 def _run_exponential(w, z, state, T, max_events, rng, obs, log_events):
+    # the sum tree's leaves: the least power of two >= n
+    leaves = 1 << (state.n - 1).bit_length()
+    run = _record(state, T, max_events, beta=w.beta, leaves=leaves)
+    run.bind(tree=np.zeros(2 * leaves))
     lib = kernel.load()
     if lib is None:
-        return _exponential_loop(w, z, state, T, max_events, rng, obs, log_events)
-    leaves = _tree_leaves(state.n)
-    pos = np.array(state.positions, dtype=float)
-    run = _kernel_run(state, T, max_events, obs, beta=w.beta, leaves=leaves)
-    run.bind(pos=pos, tree=np.zeros(2 * leaves))
-    if lib.fj_exp_rebase(ctypes.byref(run)):
-        _check_weight_total(run.value, "selection weights")
-    size = _first_batch(max_events)
-
-    def on_exit(code):
-        nonlocal size
-        if code == kernel.EXIT_BATCH:
-            waits = rng.standard_exponential(size)
-            lengths = np.ascontiguousarray(z.sample(rng, size), dtype=float)
-            run.bind(waits=waits, lengths=lengths, uniforms=rng.random(size))
-            run.batch, run.cursor, size = size, 0, _BATCH
-        elif code == kernel.EXIT_RATE_STALL:
-            _check_weight_total(run.value, "total jump rate")
-        else:
-            _check_weight_total(run.value, "selection weights")
-
-    return _drive(lib.fj_exponential, run, "exponential", pos, state, T, obs, log_events,
-                  on_exit)
+        rebase = functools.partial(_exp_rebase, run)
+        step = functools.partial(_exponential_steps, run)
+    else:
+        rebase = functools.partial(lib.fj_exp_rebase, ctypes.byref(run))
+        step = functools.partial(lib.fj_exponential, ctypes.byref(run))
+    code = rebase()
+    if code:
+        _check_weight_total(run.value, _STALLS[code])
+    refill = _batches(run, max_events, lambda size: dict(
+        waits=rng.standard_exponential(size),
+        lengths=np.ascontiguousarray(z.sample(rng, size), dtype=float),
+        uniforms=rng.random(size)))
+    return _drive(step, run, "exponential", state, T, obs, log_events, refill)
 
 
-def _exponential_loop(w, z, state, T, max_events, rng, obs, log_events):
-    """The exponential engine in Python, where the kernel cannot be built; the
-    kernel reproduces it bit for bit."""
-    n = state.n
-    beta = w.beta
-    pos = state.positions.tolist()
-    m = state.center
-    c0 = m
-    t = 0.0
-    events = 0
-    logs = _log_columns() if log_events else None
-    positions_view = lambda: np.asarray(pos)
-    horizon = math.inf if T is None else T
-    truncated = False
-    inv_n = 1.0 / n
+def _rebase(pos, tree, leaves, beta, ref):
+    """Rebase the sum tree, as lists, to ref: every leaf, then every parent.
+    Returns the total, inf where math.exp overflows (libm exp's inf in C)."""
     exp_ = math.exp
-    next_obs = obs.next_time()
+    try:
+        for k, x in enumerate(pos):
+            tree[leaves + k] = exp_(-beta * (x - ref))
+    except OverflowError:
+        return math.inf
+    for j in range(leaves - 1, 0, -1):
+        tree[j] = tree[2 * j] + tree[2 * j + 1]
+    return tree[1]
 
-    leaves = _tree_leaves(n)
-    tree = [0.0] * (2 * leaves)
-    ref = S0 = 0.0
 
-    def rebase():
-        # as fj_exp_rebase: every leaf, then every parent; math.exp raises
-        # where libm exp overflows
-        nonlocal ref, S0
-        ref = m
-        try:
-            for k, x in enumerate(pos):
-                tree[leaves + k] = exp_(-beta * (x - ref))
-        except OverflowError:
-            total = math.inf
-        else:
-            for j in range(leaves - 1, 0, -1):
-                tree[j] = tree[2 * j] + tree[2 * j + 1]
-            total = tree[1]
-        _check_weight_total(total, "selection weights")
-        S0 = total
+def _exp_rebase(run):
+    """fj_exp_rebase in Python."""
+    tree = run.arrays["tree"].tolist()
+    run.ref = run.m
+    S0 = _rebase(run.arrays["pos"].tolist(), tree, run.leaves, run.beta, run.ref)
+    if not (S0 > 0.0 and S0 < math.inf):
+        run.value = S0
+        return kernel.EXIT_WEIGHT_STALL
+    run.arrays["tree"][:] = tree
+    run.S0 = S0
+    return 0
 
-    rebase()
-    size = _first_batch(max_events)
-    waits = zbuf = ubuf = ()
-    cursor = 0
 
-    while True:
-        if max_events is not None and events >= max_events:
-            truncated = T is not None and t < horizon
-            break
-        if cursor >= len(waits):
-            waits = rng.standard_exponential(size).tolist()
-            zbuf = z.sample(rng, size).tolist()
-            ubuf = rng.random(size).tolist()
-            cursor = 0
-            size = _BATCH
-        S = tree[1]
-        R = S * exp_(beta * (m - ref))
-        if not (R > 0.0 and math.isfinite(R)):
-            _check_weight_total(R, "total jump rate")
-        t_next = t + waits[cursor] / R
-        if t_next > horizon:
-            t = horizon
-            break
-        if next_obs < t_next:
-            obs.emit_before(t_next, positions_view, m)
-            next_obs = obs.next_time()
-        t = t_next
-        # descend to the leaf whose share of [0, S) holds U*S, never into a
-        # subtree of total 0 (padding, underflowed leaves, round-off)
-        target = ubuf[cursor] * S
-        j = 1
-        while j < leaves:
-            j *= 2
-            if target >= tree[j] and tree[j + 1] > 0.0:
-                target -= tree[j]
-                j += 1
-        i = j - leaves
-        length = zbuf[cursor]
-        cursor += 1
-        pos[i] += length
-        m += length * inv_n
-        tree[j] = exp_(-beta * (pos[i] - ref))
-        j //= 2
-        while j:
-            tree[j] = tree[2 * j] + tree[2 * j + 1]
+def _exponential_steps(run):
+    """fj_exponential in Python, exit for exit, where the kernel cannot be
+    built. The positions and the tree are lists while it runs."""
+    pos, tree = run.arrays["pos"].tolist(), run.arrays["tree"].tolist()
+    waits, lengths, uniforms, lt, li, lz, lm = _views(
+        run, "waits", "lengths", "uniforms", "log_t", "log_i", "log_z", "log_m")
+    logging = run.log_t is not None
+    inv_n, horizon, max_events, resum = run.inv_n, run.horizon, run.max_events, run.resum_interval
+    beta, leaves, next_obs, batch = run.beta, run.leaves, run.next_obs, run.batch
+    t, m, ref, S0, events, c, k = run.t, run.m, run.ref, run.S0, run.events, run.cursor, 0
+    exp_ = math.exp
+    try:
+        while True:
+            if 0 <= max_events <= events:
+                return kernel.EXIT_CAP
+            if c >= batch:
+                return kernel.EXIT_BATCH
+            S = tree[1]
+            R = S * exp_(beta * (m - ref))
+            if not (R > 0.0 and R < math.inf):
+                run.value = R
+                return kernel.EXIT_RATE_STALL
+            t_next = t + waits[c] / R
+            if t_next > horizon:
+                t = horizon
+                return kernel.EXIT_HORIZON
+            if next_obs < t_next:
+                run.value = t_next
+                return kernel.EXIT_OBSERVE_BEFORE
+            t = t_next
+            # descend to the leaf whose share of [0, S) holds U*S, never into a
+            # subtree of total 0 (padding, underflowed leaves, round-off)
+            target = uniforms[c] * S
+            j = 1
+            while j < leaves:
+                j *= 2
+                if target >= tree[j] and tree[j + 1] > 0.0:
+                    target -= tree[j]
+                    j += 1
+            i = j - leaves
+            length = lengths[c]
+            c += 1
+            pos[i] += length
+            m += length * inv_n
+            tree[j] = exp_(-beta * (pos[i] - ref))
             j //= 2
-        events += 1
-        due = tree[1] < 0.5 * S0
-        if events % RESUM_INTERVAL == 0:
-            m = math.fsum(pos) * inv_n
-            due = True
-        if logs is not None:
-            logs[0].append(t)
-            logs[1].append(i)
-            logs[2].append(length)
-            logs[3].append(m)
-        if due:
-            rebase()
-        if t == next_obs:
-            obs.emit_through(t, positions_view, m)
-            next_obs = obs.next_time()
-    obs.emit_through(min(horizon, t), positions_view, m)
-    state.positions = np.asarray(pos)
-    return _finish(state, "exponential", events, t, c0, truncated, logs, events)
+            while j:
+                tree[j] = tree[2 * j] + tree[2 * j + 1]
+                j //= 2
+            events += 1
+            due = tree[1] < 0.5 * S0
+            if events % resum == 0:
+                m = math.fsum(pos) * inv_n
+                due = True
+            if logging:
+                lt[k], li[k], lz[k], lm[k] = t, i, length, m
+                k += 1
+            if due:
+                ref = m
+                S0 = _rebase(pos, tree, leaves, beta, ref)
+                if not (S0 > 0.0 and S0 < math.inf):
+                    run.value = S0
+                    return kernel.EXIT_WEIGHT_STALL
+            if t == next_obs:
+                return kernel.EXIT_OBSERVE_AT
+    finally:
+        run.arrays["pos"][:] = pos
+        run.arrays["tree"][:] = tree
+        run.t, run.m, run.ref, run.S0 = t, m, ref, S0
+        run.events = run.proposals = events
+        run.cursor, run.log_len = c, k
 
 
-def _kernel_run(state, T, max_events, obs, **fields):
-    """The kernel's record for one run from `state`, with the fields every
-    engine sets."""
-    n = state.n
-    return kernel.Run(n=n, inv_n=1.0 / n, horizon=math.inf if T is None else T,
-                      max_events=-1 if max_events is None else max_events,
-                      resum_interval=RESUM_INTERVAL, m=state.center,
-                      next_obs=obs.next_time(), **fields)
+def _drive(step, run, engine, state, T, obs, log_events, refill):
+    """Call step() until the horizon or the event cap stops the run, and
+    build the result.
 
-
-def _drive(entry, run, engine, pos, state, T, obs, log_events, on_exit):
-    """Call the kernel entry until the horizon or the event cap stops it.
-
-    The exits every engine shares are handled here: the observer, the event
-    log (the kernel writes each call's events to a chunk that is appended
-    here; a call runs at most one batch, so _BATCH entries hold it) and the
-    exceptions of math.exp and math.fsum. on_exit(code) handles the rest.
+    step() runs events on `run` and returns a kernel.EXIT_* code. Only here,
+    for every engine, are the exits handled: the observer is called, the
+    events a call wrote to the log chunk are appended to the log (a batched
+    step runs at most one batch a call and the reference step stops at a full
+    chunk, so _BATCH entries hold them), refill() binds the next batch, and
+    the errors are raised.
     """
-    c0 = run.m
+    c0, pos, run.next_obs = run.m, run.arrays["pos"], obs.next_time()
     logs = chunk = None
     if log_events:
-        logs = _log_columns()
+        logs = array("d"), array("q"), array("d"), array("d")
         chunk = (np.empty(_BATCH), np.empty(_BATCH, dtype=np.int64),
                  np.empty(_BATCH), np.empty(_BATCH))
         run.bind(log_t=chunk[0], log_i=chunk[1], log_z=chunk[2], log_m=chunk[3])
-    record = ctypes.byref(run)
     while True:
-        code = entry(record)
+        code = step()
         if run.log_len:
             for column, part in zip(logs, chunk):
                 column.frombytes(part[:run.log_len].view(np.uint8))
             run.log_len = 0
         if code == kernel.EXIT_OBSERVE_BEFORE:
-            obs.emit_before(run.value, pos.copy, run.m)
+            obs.emit(run.value, pos.copy, run.m, ties=False)
             run.next_obs = obs.next_time()
         elif code == kernel.EXIT_OBSERVE_AT:
-            obs.emit_through(run.t, pos.copy, run.m)
+            obs.emit(run.t, pos.copy, run.m, ties=True)
             run.next_obs = obs.next_time()
         elif code in (kernel.EXIT_CAP, kernel.EXIT_HORIZON):
             break
+        elif code == kernel.EXIT_BATCH:
+            refill()
         elif code in kernel.ERRORS:
             exc, message = kernel.ERRORS[code]
             raise exc(message)
         else:
-            on_exit(code)
+            _check_weight_total(run.value, _STALLS[code])
     truncated = code == kernel.EXIT_CAP and T is not None and run.t < run.horizon
-    obs.emit_through(min(run.horizon, run.t), pos.copy, run.m)
+    obs.emit(min(run.horizon, run.t), pos.copy, run.m, ties=True)
     state.positions = pos
-    return _finish(state, engine, run.events, run.t, c0, truncated, logs, run.proposals)
+    log = None
+    if logs is not None:
+        log = EventLog(times=np.asarray(logs[0]), indices=np.asarray(logs[1], dtype=np.int64),
+                       lengths=np.asarray(logs[2]), centers=np.asarray(logs[3]))
+    return SimulationResult(n=state.n, engine=engine, events=run.events, final_time=run.t,
+                            initial_center=c0, final_center=state.center, truncated=truncated,
+                            state=state, proposals=run.proposals, log=log)
 
 
 ENGINES = {"reference": _run_reference, "bounded": _run_bounded,

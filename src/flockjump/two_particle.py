@@ -53,24 +53,25 @@ class GapChain:
     down: np.ndarray    # down[k] = Q_{k,k-1}, 1 <= k <= kmax (down[0] = 0)
 
 
-def gap_chain(w, kmax: int = None, tail_tol: float = 1e-14, hard_cap: int = 20_000) -> GapChain:
+_TAIL_TOL = 1e-14       # gap_chain's truncation: see its docstring
+
+
+def gap_chain(w, hard_cap: int = 20_000) -> GapChain:
     """Build the truncated gap chain, growing kmax until the stationary product
-    term falls below tail_tol of the running sum (both example families decay
-    at least geometrically). Constant rates never decay and raise."""
-    if kmax is None:
-        # log of pi_k / pi_0: log 2 + sum log w(i/2) - sum log w(-i/2)
-        log_term = math.log(2.0) + math.log(float(w(0.0))) - math.log(float(w(-0.5)))
-        log_sum = float(np.logaddexp(0.0, log_term))
-        k = 1
-        while log_term - log_sum >= math.log(tail_tol):
-            k += 1
-            if k > hard_cap:
-                raise NonNormalizableError(
-                    "gap chain tail does not decay; the chain is not positive recurrent "
-                    "(constant rates give a null-recurrent gap)")
-            log_term += math.log(float(w(0.5 * (k - 1)))) - math.log(float(w(-0.5 * k)))
-            log_sum = float(np.logaddexp(log_sum, log_term))
-        kmax = k
+    term falls below _TAIL_TOL of the running sum (both example families
+    decay at least geometrically). Constant rates never decay and raise."""
+    # log of pi_k / pi_0: log 2 + sum log w(i/2) - sum log w(-i/2)
+    log_term = math.log(2.0) + math.log(float(w(0.0))) - math.log(float(w(-0.5)))
+    log_sum = float(np.logaddexp(0.0, log_term))
+    kmax = 1
+    while log_term - log_sum >= math.log(_TAIL_TOL):
+        kmax += 1
+        if kmax > hard_cap:
+            raise NonNormalizableError(
+                "gap chain tail does not decay; the chain is not positive recurrent "
+                "(constant rates give a null-recurrent gap)")
+        log_term += math.log(float(w(0.5 * (kmax - 1)))) - math.log(float(w(-0.5 * kmax)))
+        log_sum = float(np.logaddexp(log_sum, log_term))
     up = np.empty(kmax + 1)
     down = np.empty(kmax + 1)
     for k in range(kmax + 1):

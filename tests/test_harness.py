@@ -149,6 +149,8 @@ def test_config_errors_name_keys():
     ({"initial": {"kind": "zeros", "lo": 0.0}}, "initial.lo:"),
     ({"initial": {"kind": "explicit", "positions": ["a"] * 10}}, "initial.positions:"),
     ({"T": 0}, "T:"),
+    ({"log_events": "false"}, "log_events:"),
+    ({"log_events": 1}, "log_events:"),
 ])
 def test_config_rejects_bad_values_naming_the_key(override, key):
     with pytest.raises(ConfigError, match="^" + re.escape(key)):

@@ -1,6 +1,6 @@
-"""The compiled kernel against the Python loops it replaces.
+"""The compiled kernel against its Python twins.
 
-The Python loops of the bounded and exponential engines, and the numpy step
+The Python steps of the bounded and exponential engines, and the numpy step
 of the mean-field PDE, run when the kernel cannot be built; pointing the
 loader at a compiler that does not exist forces them. Every comparison of the
 event loop is bit for bit; the PDE step agrees to 1e-12, on the same grids
@@ -27,7 +27,7 @@ from flockjump.model import DomainError, ModelError
 
 
 def python_loops():
-    """Context in which the kernel fails to build, so the Python loops run."""
+    """Context in which the kernel fails to build, so the Python steps run."""
     return mock.patch.object(kernel, "_CC", "/nonexistent/bin/gcc")
 
 
@@ -101,8 +101,8 @@ def test_one_step_law_runs_on_the_kernel():
     # kernel whenever the kernel builds
     assert kernel.load() is not None
     for engine, w in (("bounded", fj.StepRate(2.0, 1.0)), ("exponential", fj.ExponentialRate(1.0))):
-        with mock.patch.object(sim, "_bounded_loop", side_effect=AssertionError), \
-                mock.patch.object(sim, "_exponential_loop", side_effect=AssertionError):
+        with mock.patch.object(sim, "_bounded_steps", side_effect=AssertionError), \
+                mock.patch.object(sim, "_exponential_steps", side_effect=AssertionError):
             fj.simulate(w, fj.ExponentialJump(), 30, max_events=30, seed=1, engine=engine)
 
 
@@ -137,6 +137,14 @@ BAD_STOPS = [
     ({"T": -1.0}, "T must be >= 0 and not NaN, got -1.0"),
     ({"T": math.inf}, "T = inf needs an event cap max_events"),
     ({}, "T = None needs an event cap max_events"),
+    ({"n": 2.5, "T": 1.0}, "n must be an integer >= 1, got 2.5"),
+    ({"n": "4", "T": 1.0}, "n must be an integer >= 1, got '4'"),
+    ({"n": -3, "T": 1.0}, "n must be an integer >= 1, got -3"),
+    ({"n": 0, "T": 1.0}, "n must be an integer >= 1, got 0"),
+    ({"n": True, "T": 1.0}, "n must be an integer >= 1, got True"),
+    ({"T": 1.0, "observe_times": [0.5, math.nan]}, "observe_times must be finite, got [nan]"),
+    ({"T": 1.0, "observe_times": [math.inf, 0.5, -math.inf]},
+     "observe_times must be finite, got [-inf, inf]"),
 ]
 
 
@@ -146,7 +154,7 @@ BAD_STOPS = [
 def test_simulate_refuses_a_stop_it_cannot_run(compiled, engine, w, stop, message):
     with contextlib.nullcontext() if compiled else python_loops():
         with pytest.raises(ModelError, match=re.escape(message)):
-            fj.simulate(w, fj.ExponentialJump(), 5, rng=NoDraws(), engine=engine, **stop)
+            fj.simulate(w, fj.ExponentialJump(), **{"n": 5, **stop}, rng=NoDraws(), engine=engine)
 
 
 @pytest.mark.parametrize("engine, w", ENGINE_FAMILIES, ids=[e for e, _ in ENGINE_FAMILIES])
@@ -390,16 +398,18 @@ def gaussian_start(w, left=-6.0, right=30.0, h=0.02, center=0.0, sigma=0.1):
     return field, 0.2 / float(w.rate(left - field.mean))
 
 
-@pytest.mark.parametrize("track_window", [True, False])
+@pytest.mark.parametrize("trims", [True, False])
 @pytest.mark.parametrize("w", PDE_FAMILIES, ids=PDE_IDS)
-def test_pde_kernel_matches_numpy_step(w, track_window):
-    field, dt = gaussian_start(w)
-    expected, got = pde_both(field, w, T=0.5, dt=dt, samples=7, track_window=track_window)
+def test_pde_kernel_matches_numpy_step(w, trims):
+    # the window trims while its left edge carries no mass, and widens while it does
+    start = {} if trims else {"left": -3.0, "center": -2.5, "sigma": 0.08}
+    field, dt = gaussian_start(w, **start)
+    expected, got = pde_both(field, w, T=0.5, dt=dt, samples=7)
     assert_pde_close(expected, got)
-    if track_window:        # the left edge carries no mass, so the window trims
+    if trims:
         assert got[0].grid[0] > field.grid[0] and len(got[0].grid) == len(field.grid)
     else:
-        assert np.array_equal(got[0].grid, field.grid)
+        assert got[0].grid[0] == field.grid[0] and len(got[0].grid) > len(field.grid)
 
 
 def test_pde_kernel_matches_numpy_step_when_the_window_widens():
@@ -412,13 +422,10 @@ def test_pde_kernel_matches_numpy_step_when_the_window_widens():
 
 
 def test_pde_kernel_raises_the_step_size_error_of_the_numpy_step():
-    # the exponential rate at the left edge grows as the mean advances: the
-    # budget breaks mid-run, at the same step and with the same message
+    # a widened window keeps its left edge, where the exponential rate grows as
+    # the mean advances: the budget breaks mid-run, at the same step and with
+    # the same message
     w = fj.ExponentialRate(1.0)
-    field, dt = gaussian_start(w, right=20.0)
-    expected, got = pde_both(field, w, T=2.0, dt=dt, track_window=False)
-    assert expected[0] == "StepSizeError" and got == expected
-    # a widened window keeps its left edge, so the budget breaks there too
     field, dt = gaussian_start(w, left=-3.0, right=12.0, center=-2.5, sigma=1.0)
     expected, got = pde_both(field, w, T=2.0, dt=dt)
     assert expected[0] == "StepSizeError" and got == expected
@@ -497,6 +504,32 @@ def test_a_bad_density_fails_before_any_step():
                     mf.pde_step(field, w, 1e-3)
 
 
+BAD_PDE_TIMES = [
+    ({"dt": -1e-3}, "dt must be finite and > 0, got -0.001"),
+    ({"dt": 0.0}, "dt must be finite and > 0, got 0.0"),
+    ({"dt": math.nan}, "dt must be finite and > 0, got nan"),
+    ({"dt": math.inf}, "dt must be finite and > 0, got inf"),
+    ({"T": -1.0}, "T must be finite and >= 0, got -1.0"),
+    ({"T": math.nan}, "T must be finite and >= 0, got nan"),
+    ({"T": math.inf}, "T must be finite and >= 0, got inf"),
+]
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "numpy"])
+@pytest.mark.parametrize("bad, message", BAD_PDE_TIMES, ids=[str(b) for b, _ in BAD_PDE_TIMES])
+def test_pde_refuses_a_bad_dt_or_T_before_any_step(compiled, bad, message):
+    w = fj.StepRate(2.0, 1.0)
+    field, dt = gaussian_start(w)
+    kwargs = {"T": 0.1, "dt": dt, **bad}
+    with contextlib.nullcontext() if compiled else python_loops(), \
+            mock.patch.object(mf._Euler, "advance", side_effect=AssertionError):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            mf.pde_integrate(field, w, **kwargs)
+        if "dt" in bad:
+            with pytest.raises(DomainError, match=re.escape(message)):
+                mf.pde_step(field, w, kwargs["dt"])
+
+
 def test_a_step_that_overflows_fails_on_both_paths():
     # finite values and mass whose jump flux overflows in the first step
     grid = np.linspace(0.0, 1.5, 16)
@@ -516,8 +549,7 @@ def pde_cases(draw):
     field = mf.DensityField.gaussian(grid, sigma=0.3)
     dt = draw(st.floats(0.05, 0.9)) * 0.5 / float(w.rate(grid[0] - field.mean))
     steps = draw(st.integers(0, 60))
-    kwargs = {"T": steps * dt, "dt": dt, "samples": draw(st.integers(1, 9)),
-              "track_window": draw(st.booleans())}
+    kwargs = {"T": steps * dt, "dt": dt, "samples": draw(st.integers(1, 9))}
     return field, w, kwargs
 
 

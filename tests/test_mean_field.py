@@ -495,14 +495,15 @@ def test_pde_step_size_guard():
 
 def test_pde_step_bounded_rate_fixed_window():
     # Laplace tails decay at rate 1/3, so the window must be wide for the
-    # mass budget; bounded rates need no window tracking.
+    # mass budget; the left tail carries mass, so the left edge stays fixed
+    # and the window widens.
     w = fj.StepRate(2.0, 1.0)
     c = wave_speed(w)
     prof = wave_profile(w, c)
     grid = np.arange(-60.0, 70.0, 0.02)
     f = DensityField.from_profile(prof, grid=grid)
-    final, diag = pde_integrate(f, w, T=3.0, dt=1e-2, samples=10, wave=prof,
-                                track_window=False)
+    final, diag = pde_integrate(f, w, T=3.0, dt=1e-2, samples=10, wave=prof)
+    assert final.grid[0] == grid[0]
     assert diag.mass_drift_per_unit_time() <= 1e-8
     assert diag.w1_moving[-1] <= 0.1
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from unittest import mock
 
@@ -415,6 +416,49 @@ def test_logged_centers_track_the_exact_center(engine, w, n):
     stepped = np.setdiff1d(np.arange(len(centers)), resums)
     assert len(stepped) == len(centers) - 20
     assert np.array_equal(centers[stepped], before[stepped] + lengths[stepped] * inv_n)
+
+
+# The reference engine's stream: (family, jump law, n, stop, observation times,
+# resum interval, start). The runs stop by T, by the cap and by both (either
+# first); the observation times fall between events, and one run starts off
+# zero and re-sums every 97 events.
+REFERENCE_RUNS = [
+    (fj.ExponentialRate(1.0), fj.ExponentialJump(), 5, {"T": 3.0},
+     np.linspace(0.0, 3.3, 12), 100_000, "zeros"),
+    (fj.ArccotRate(), fj.ExponentialJump(), 12, {"max_events": 800},
+     np.linspace(0.05, 20.0, 9), 100_000, "zeros"),
+    (fj.StepRate(2.0, 1.0), fj.DeterministicJump(), 8, {"T": 50.0, "max_events": 300},
+     np.linspace(0.0, 50.0, 7), 100_000, "zeros"),
+    (fj.StepRate(2.0, 1.0), fj.ExponentialJump(), 4, {"T": 2.0, "max_events": 10**6},
+     np.linspace(0.0, 2.0, 5), 100_000, "zeros"),
+    (fj.ExponentialRate(0.5), fj.ExponentialJump(), 30, {"max_events": 1000},
+     np.linspace(0.01, 9.0, 4), 97, np.random.default_rng(30).uniform(0.0, 3.0, 30)),
+]
+REFERENCE_DIGEST = "0c5b7bbc4edda5a7234a755438f8b7fd9c9f847a67ac35c51e2a49f19d56a5db"
+
+
+def test_reference_engine_digest():
+    # sha256 over everything the reference runs show: the log columns, the
+    # final positions, proposals, truncated, the final time and center, and
+    # every observer call. It pins the reference engine's random stream.
+    digest = hashlib.sha256()
+    for seed, (w, z, n, stop, times, interval, init) in enumerate(REFERENCE_RUNS, start=40):
+        calls = []
+
+        def observe(t, pos, m):
+            calls.append(np.float64(t).tobytes() + pos.tobytes() + np.float64(m).tobytes())
+
+        with mock.patch.object(sim, "RESUM_INTERVAL", interval):
+            res = fj.simulate(w, z, n, seed=seed, init=init, engine="reference", log_events=True,
+                              observe_times=times, observer=observe, **stop)
+        for col in (res.log.times, res.log.indices, res.log.lengths, res.log.centers):
+            digest.update(col.tobytes())
+        digest.update(res.state.positions.tobytes())
+        digest.update(repr((res.events, res.proposals, res.truncated, res.final_time.hex(),
+                            float(res.final_center).hex())).encode())
+        for call in calls:
+            digest.update(call)
+    assert digest.hexdigest() == REFERENCE_DIGEST
 
 
 # ---------------------------------------------------------------------------
