@@ -40,8 +40,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.signal import lfilter
 
 from . import kernel
 from .model import ArccotRate, DomainError, ModelError, PiecewiseLinearRate
@@ -274,6 +272,8 @@ def wave_speed(w, max_iter: int = 200, report: dict = None) -> float:
     endpoint means, the number of `profile_mean` calls (`evaluations`) and the
     width of the final bracket (`bracket_width`).
     """
+    from scipy.optimize import brentq
+
     w_right, w_left = w.right_limit, w.left_limit
     if not (w_left > w_right):
         raise SolverError("constant rate function has no traveling wave speed")
@@ -499,6 +499,8 @@ def wave_equation_residual(w, c: float = None, h: float = 0.002, drop: float = 5
     the left-to-right exponential recursion. Nodes whose stencils straddle a
     rate knot are skipped (one-sided limits satisfy the equation separately).
     """
+    from scipy.signal import lfilter
+
     if c is None:
         c = wave_speed(w)
     prof = wave_profile(w, c, h=h, drop=drop)
@@ -612,6 +614,8 @@ def _exp_kernel(h: float):
 
 def _jump_flux(s: np.ndarray, h: float) -> np.ndarray:
     """conv_j = sum_d W_d s_{j-d} via the geometric recursion (O(grid))."""
+    from scipy.signal import lfilter
+
     r, w0, c1 = _exp_kernel(h)
     shifted = np.empty_like(s)
     shifted[0] = 0.0

@@ -152,6 +152,18 @@ def check_engine(w, engine: str = "auto") -> str:
     return engine
 
 
+def _check_stop(T, cap, name):
+    """Refuse a stop no run reaches: a cap (named `name`) that is not an integer
+    >= 0, a NaN or negative T, or an unbounded T with no cap."""
+    if cap is not None and not (isinstance(cap, numbers.Integral)
+                                and not isinstance(cap, bool) and cap >= 0):
+        raise ModelError(f"{name} must be an integer >= 0, got {cap!r}")
+    if T is not None and not T >= 0:
+        raise ModelError(f"T must be >= 0 and not NaN, got {T!r}")
+    if cap is None and (T is None or T == math.inf):
+        raise ModelError(f"T = {T} needs an event cap {name}")
+
+
 def simulate(w, z, n: int, *, T: float = None, max_events: int = None,
              rng=None, seed: int = None, init="zeros", observer=None,
              observe_times=None, observations: int = 1000,
@@ -162,13 +174,7 @@ def simulate(w, z, n: int, *, T: float = None, max_events: int = None,
     equispaced samples on [0, T]) with the right-continuous state. Hitting the
     event cap before T sets `truncated` in the summary rather than failing.
     """
-    if max_events is not None and not (isinstance(max_events, numbers.Integral)
-                                       and not isinstance(max_events, bool) and max_events >= 0):
-        raise ModelError(f"max_events must be an integer >= 0, got {max_events!r}")
-    if T is not None and not T >= 0:
-        raise ModelError(f"T must be >= 0 and not NaN, got {T!r}")
-    if max_events is None and (T is None or T == math.inf):
-        raise ModelError(f"T = {T} needs an event cap max_events")
+    _check_stop(T, max_events, "max_events")
     engine = check_engine(w, engine)
     if observer is not None and observe_times is None:
         if T is None or T == math.inf:
@@ -582,8 +588,7 @@ def simulate_coupled(w, z, n: int, *, proposals: int = None, T: float = None,
     if not math.isfinite(w.left_limit):
         raise UnsupportedSpecError(
             "the dominating coupling needs a bounded rate function (sup w = a < inf)")
-    if proposals is None and T is None:
-        raise ModelError("need a proposal cap or horizon T")
+    _check_stop(T, proposals, "proposals")
     if rng is None:
         rng = np.random.default_rng(seed)
     base = initial_state(n, init, rng).positions.tolist()

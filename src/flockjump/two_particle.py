@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .mean_field import _numeric_cdf
 from .model import DomainError, ModelError
@@ -135,6 +134,8 @@ def _unnormalized_gap_density(beta: float, g):
 
 @lru_cache(maxsize=None)
 def _gap_normalizer(beta: float) -> float:
+    from scipy.integrate import quad
+
     # Tail decays like exp(-(1+beta/2) g); truncate where it is < 1e-18.
     G = (18.0 * math.log(10.0) + 10.0) / (1.0 + 0.5 * beta)
     val, err = quad(lambda y: float(_unnormalized_gap_density(beta, y)), 0.0, G,
@@ -183,6 +184,8 @@ def master_residual(p, beta: float, g: float) -> float:
     admissible p decays like exp(-(1+beta/2) y), beating the e^{(beta/2-1) y}
     weight by e^{-2y}.
     """
+    from scipy.integrate import quad
+
     if g < 0:
         raise DomainError("gap must be >= 0")
     half = 0.5 * beta
@@ -206,6 +209,8 @@ def boundary_limit_check(beta: float):
     weighted integral. The analytic density's decay rate 1 + beta/2 always beats
     the weight's growth rate beta/2 - 1, so the integral converges.
     """
+    from scipy.integrate import quad
+
     dens = GapDensity(beta)
     lhs = float(dens.pdf(0.0))
     G = (19.0 * math.log(10.0)) / 2.0 + 10.0

@@ -3,6 +3,10 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,6 +441,44 @@ def test_cli_reports_config_errors(capsys, tmp_path):
         err = capsys.readouterr().err
         assert err.startswith(f"flockjump: error: {key}"), (cfg, err)
         assert err.count("\n") == 1
+
+
+# Everything the particle system and the record process need, in one process:
+# scipy serves only the wave solver and residual, the PDE's numpy step, the gap
+# laws and CustomDensityJump.
+NO_SCIPY_SCRIPT = textwrap.dedent("""
+    import json, sys
+    from pathlib import Path
+
+    import numpy as np
+
+    import flockjump as fj
+    from flockjump import cli, extremes
+    from flockjump.harness import preset_config, run_scenario
+
+    out = Path(sys.argv[1])
+    for engine, w in (("reference", fj.ArccotRate()), ("bounded", fj.StepRate(2.0, 1.0)),
+                      ("exponential", fj.ExponentialRate(1.0))):
+        fj.simulate(w, fj.ExponentialJump(), 20, T=2.0, seed=1, engine=engine,
+                    observer=lambda t, pos, m: None, log_events=True)
+    for preset in ("fig4_6_small", "fig7_9_small"):
+        run_scenario(preset_config(preset, T=2.0), outdir=out / preset)
+    extremes.sample_final_uncentered(1.0, 1.0, 5.0, 3, np.random.default_rng(1))
+    assert cli.main(["extremes", "--beta", "1", "--T", "5", "--seed", "1",
+                     "--out", str(out / "record.csv")]) == 0
+    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+""")
+
+
+def test_particles_and_the_record_process_load_no_scipy(tmp_path):
+    src = str(Path(fj.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert (tmp_path / "fig4_6_small" / "summary.json").exists()
 
 
 def test_cli_accept_single_criterion(capsys):

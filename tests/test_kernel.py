@@ -157,6 +157,18 @@ def test_simulate_refuses_a_stop_it_cannot_run(compiled, engine, w, stop, messag
             fj.simulate(w, fj.ExponentialJump(), **{"n": 5, **stop}, rng=NoDraws(), engine=engine)
 
 
+# The stop rows of BAD_STOPS, with simulate_coupled's cap in place of max_events.
+COUPLED_STOPS = [({"proposals" if k == "max_events" else k: v for k, v in stop.items()},
+                  message.replace("max_events", "proposals"))
+                 for stop, message in BAD_STOPS if not stop.keys() & {"n", "observe_times"}]
+
+
+@pytest.mark.parametrize("stop, message", COUPLED_STOPS, ids=[str(s) for s, _ in COUPLED_STOPS])
+def test_simulate_coupled_refuses_a_stop_it_cannot_run(stop, message):
+    with pytest.raises(ModelError, match=re.escape(message)):
+        fj.simulate_coupled(fj.StepRate(2.0, 1.0), fj.ExponentialJump(), 5, **stop, rng=NoDraws())
+
+
 @pytest.mark.parametrize("engine, w", ENGINE_FAMILIES, ids=[e for e, _ in ENGINE_FAMILIES])
 def test_zero_events_and_a_capped_infinite_horizon_run_alike_on_both_loops(engine, w):
     for stop, events in (({"max_events": 0}, 0), ({"T": math.inf, "max_events": np.int64(40)}, 40)):
@@ -297,6 +309,22 @@ def test_kernel_matches_python_loop_on_random_cases(case):
             grid = grid + list(times[::ties])
         expected, got = both(w, z, n, observe=np.asarray(grid), log_events=True, **kwargs)
     assert got == expected
+    if len(expected) == 2:                            # the run raised
+        return
+    # The identities of test_sim's test_logged_centers_track_the_exact_center:
+    # the log's times strictly increase; the centre logged at event
+    # RESUM_INTERVAL * k is fsum(positions replayed over the start) * (1/n)
+    # bit for bit; every other row adds length * (1/n) to the centre before it.
+    times, indices, lengths, centers = (np.frombuffer(col, dtype) for col, dtype in
+                                        zip(expected[8], (float, np.int64, float, float)))
+    assert np.all(np.diff(times) > 0)
+    pos, inv_n, interval = kwargs["init"].tolist(), 1.0 / n, constants["RESUM_INTERVAL"]
+    before = np.frombuffer(expected[5], float)[0]
+    for k, (i, length, center) in enumerate(zip(indices, lengths, centers), start=1):
+        pos[i] += length
+        exact = math.fsum(pos) * inv_n if k % interval == 0 else before + length * inv_n
+        assert center == exact, (k, center, exact)
+        before = center
 
 
 # ---------------------------------------------------------------------------
