@@ -1,6 +1,7 @@
 /*
  * Compiled loops of flockjump: the event loop of the bounded and exponential
- * engines (flockjump.sim) and the explicit Euler step of the mean-field PDE
+ * engines (flockjump.sim), the martingale-residual walk of the step rate
+ * (flockjump.measures) and the explicit Euler step of the mean-field PDE
  * (flockjump.mean_field).
  *
  * Event loop.  Python draws every random number, in each engine's one
@@ -21,6 +22,15 @@
  * and math.atan call, and fsum is CPython's math.fsum, whose result is
  * correctly rounded and therefore unique.  The event log, the final state
  * and the observer's view are then bit-identical to the Python twin's.
+ *
+ * Residual walk.  fj_residual walks a whole event log in one call: the
+ * identity residual A_{t,id} of measures.residual_path for the step rate,
+ * whose bracket counts the particles behind the center with the min-heap
+ * of model._StepMeanRate.  It repeats every float operation of that loop in
+ * its order, so value and sup are the loop's to the bit.  Its positions,
+ * versions and heap are scratch arrays of the record; it allocates nothing,
+ * writes no array but those, and stops with an exit code instead of reading
+ * or writing outside them.
  *
  * PDE step.  fj_pde runs whole Euler steps of the numpy loop in
  * mean_field.py, one pass over the grid each, until Python has to track the
@@ -483,4 +493,149 @@ int fj_pde(fj_pde_run *p)
     p->m = m;
     p->done = k;
     return code;
+}
+
+/* Exits of fj_residual. */
+enum {
+    RESIDUAL_DONE,       /* value and sup hold the walk's result */
+    RESIDUAL_BAD_INDEX,  /* log_i[events] lies outside [0, n); nothing was indexed with it */
+    RESIDUAL_HEAP_FULL,  /* the heap would outgrow heap_cap */
+};
+
+/* Mirrored field by field by kernel.Residual. */
+typedef struct {
+    int64_t n;
+    double inv_n;
+    double a, b;                /* step rate: w = a behind m, b at or ahead of it */
+    double t_end;
+    double m;                   /* fsum(pos) / n, the center at time 0 */
+    const double *log_t, *log_z;
+    const int64_t *log_i;
+    int64_t log_len;
+    /* scratch owned by the record: the positions, copied in by the caller and
+       moved by the walk; a version per particle; and a 1-based min-heap of
+       (x, i, version) entries, ordered by x alone.  Python's heap also
+       orders ties by i and version, but every entry below the center is
+       popped after each event, whatever the order, so both heaps hold the
+       same entries after every event and count the same p. */
+    double *pos;
+    int64_t *versions;
+    double *heap_x;
+    int64_t *heap_i, *heap_v;
+    int64_t heap_cap;           /* length of the heap arrays: entries 1 .. heap_cap - 1 */
+    int64_t events;             /* events walked, or the event the walk stopped at */
+    double value, sup;          /* A at t_end and sup over s <= t_end of |A_s| */
+} fj_residual_walk;
+
+/* Push (x, i, v) onto the heap of *size entries; 0 when it is full. */
+static int heap_push(fj_residual_walk *r, int64_t *size, double x, int64_t i, int64_t v)
+{
+    double *hx = r->heap_x;
+    int64_t *hi = r->heap_i, *hv = r->heap_v;
+    if (*size + 1 >= r->heap_cap)
+        return 0;
+    int64_t j = ++*size;
+    for (; j > 1 && x < hx[j / 2]; j /= 2) {
+        hx[j] = hx[j / 2];
+        hi[j] = hi[j / 2];
+        hv[j] = hv[j / 2];
+    }
+    hx[j] = x;
+    hi[j] = i;
+    hv[j] = v;
+    return 1;
+}
+
+/* Remove the smallest entry of a non-empty heap: the last entry fills the
+   hole at the root and sinks. */
+static void heap_pop(fj_residual_walk *r, int64_t *size)
+{
+    double *hx = r->heap_x;
+    int64_t *hi = r->heap_i, *hv = r->heap_v;
+    const int64_t last = (*size)--, len = *size;
+    const double x = hx[last];
+    const int64_t i = hi[last], v = hv[last];
+    int64_t j = 1, k;
+    while ((k = 2 * j) <= len) {
+        if (k < len && hx[k + 1] < hx[k])
+            k++;
+        if (!(hx[k] < x))
+            break;
+        hx[j] = hx[k];
+        hi[j] = hi[k];
+        hv[j] = hv[k];
+        j = k;
+    }
+    hx[j] = x;
+    hi[j] = i;
+    hv[j] = v;
+}
+
+/* Python's max(sup, d): d replaces sup only when it is larger, never a NaN. */
+static inline double py_max(double sup, double d)
+{
+    return d > sup ? d : sup;
+}
+
+/* A_{s,id} = m(s) - m(0) - int_0^s <w(. - m_u)> du along the event log up to
+   s = t_end, for the step rate, operation for operation as the loop of
+   measures.residual_path with model._StepMeanRate as its bracket: p counts
+   the particles strictly behind m, the others sit in the heap, and the
+   entries the center passes are popped and, if current, counted. */
+int fj_residual(fj_residual_walk *r)
+{
+    const int64_t n = r->n;
+    const double inv_n = r->inv_n, a = r->a, b = r->b, t_end = r->t_end;
+    double *pos = r->pos;
+    int64_t *versions = r->versions;
+    double m = r->m;
+    const double F0 = m;
+    int64_t size = 0, e;
+
+    for (int64_t k = 0; k < n; k++) {
+        versions[k] = 0;
+        if (!(pos[k] < m) && !heap_push(r, &size, pos[k], k, 0)) {
+            r->events = 0;
+            return RESIDUAL_HEAP_FULL;
+        }
+    }
+    int64_t p = n - size;
+    double G = (a * (double)p + b * (double)(n - p)) / (double)n;
+    double integral = 0.0, t_prev = 0.0, sup = 0.0;
+    for (e = 0; e < r->log_len; e++) {
+        double te = r->log_t[e];
+        if (te > t_end)
+            break;
+        int64_t i = r->log_i[e];
+        if (i < 0 || i >= n) {
+            r->events = e;
+            return RESIDUAL_BAD_INDEX;
+        }
+        integral += G * (te - t_prev);
+        t_prev = te;
+        sup = py_max(sup, fabs(m - F0 - integral));     /* just before the jump */
+        double z = r->log_z[e];
+        double x_old = pos[i];
+        double x_new = pos[i] = x_old + z;
+        if (x_old < m)
+            p--;
+        m += z * inv_n;
+        if (!heap_push(r, &size, x_new, i, ++versions[i])) {
+            r->events = e;
+            return RESIDUAL_HEAP_FULL;
+        }
+        while (size && r->heap_x[1] < m) {
+            int64_t j = r->heap_i[1], v = r->heap_v[1];
+            heap_pop(r, &size);
+            if (v == versions[j])
+                p++;
+        }
+        G = (a * (double)p + b * (double)(n - p)) * inv_n;
+        sup = py_max(sup, fabs(m - F0 - integral));     /* just after the jump */
+    }
+    integral += G * (t_end - t_prev);
+    r->value = m - F0 - integral;
+    r->sup = py_max(sup, fabs(r->value));
+    r->events = e;
+    return RESIDUAL_DONE;
 }

@@ -1,13 +1,16 @@
 """Build and load the compiled kernel (`_kernel.c`) through ctypes.
 
-The kernel holds two loops. `fj_bounded` and `fj_exponential` are step
-functions of the bounded and exponential engines: each runs events on a `Run`
-record until `sim._drive`, the one driver of every engine, must act, and
+The kernel holds three kinds of loop. `fj_bounded` and `fj_exponential` are
+step functions of the bounded and exponential engines: each runs events on a
+`Run` record until `sim._drive`, the one driver of every engine, must act, and
 returns the reason (EXIT_*). Their exit-for-exit Python twins in `sim` run on
 the same record and random batches, with bit-identical results, when `load()`
 returns None. The exponential engine's sum tree of selection weights is built
 and rebased in C (`fj_exp_rebase`, with libm exp as in the Python twin), so a
 run leaves the kernel only to refill a batch, to observe, to stop or to raise.
+`fj_residual` walks an event log for `measures.residual_path`: the identity
+residual of the step rate, on a `Residual` record whose scratch arrays it
+owns, bit-identical to the Python loop, which runs when `load()` returns None.
 The explicit Euler step of the mean-field PDE (`fj_pde`) runs `mean_field`'s
 numpy step to a tolerance, not to the bit, and `mean_field` falls back to the
 numpy step in the same way. The shared library is built with gcc on first
@@ -33,7 +36,7 @@ import numpy as np
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CC = "gcc"
 # No -ffast-math or -march, and no fused multiply-add: every operation of the
-# event steps must round as their Python twins' do.
+# event steps and the residual walk must round as their Python twins' do.
 _FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 # Exit codes of the event steps, compiled and Python (the EXIT_* enum of _kernel.c).
@@ -49,6 +52,9 @@ ERRORS = {
 
 # Exit codes of fj_pde (the PDE_* enum of _kernel.c).
 PDE_STEPS, PDE_SHIFT, PDE_UNSTABLE, PDE_NOT_FINITE = range(4)
+
+# Exit codes of fj_residual (the RESIDUAL_* enum of _kernel.c).
+RESIDUAL_DONE, RESIDUAL_BAD_INDEX, RESIDUAL_HEAP_FULL = range(3)
 
 # Rate families with a C rate, by the name their kernel_rate() gives.
 RATE_CODES = {"step": 0, "piecewise_linear": 1, "arccot": 2, "tabulated": 3, "exponential": 4}
@@ -117,6 +123,22 @@ class Pde(_Record):
     ]
 
 
+class Residual(_Record):
+    """The fj_residual_walk record of `_kernel.c`: the event log, the step
+    rate and the scratch of one martingale-residual walk
+    (`measures.residual_path`)."""
+
+    _arrays = {"log_t": np.float64, "log_z": np.float64, "log_i": np.int64,
+               "pos": np.float64, "versions": np.int64, "heap_x": np.float64,
+               "heap_i": np.int64, "heap_v": np.int64}
+    _fields_ = [
+        ("n", _I64), ("inv_n", _F64), ("a", _F64), ("b", _F64), ("t_end", _F64), ("m", _F64),
+        ("log_t", _P), ("log_z", _P), ("log_i", _P), ("log_len", _I64),
+        ("pos", _P), ("versions", _P), ("heap_x", _P), ("heap_i", _P), ("heap_v", _P),
+        ("heap_cap", _I64), ("events", _I64), ("value", _F64), ("sup", _F64),
+    ]
+
+
 def _build(cc: str) -> Path:
     """Path of the cached library for compiler cc, building it if needed."""
     source = _SOURCE.read_bytes()
@@ -145,7 +167,8 @@ def _load(cc: str):
     except (OSError, subprocess.SubprocessError):
         return None
     for name, record in (("fj_bounded", Run), ("fj_exponential", Run),
-                         ("fj_exp_rebase", Run), ("fj_pde", Pde)):
+                         ("fj_exp_rebase", Run), ("fj_pde", Pde),
+                         ("fj_residual", Residual)):
         fn = getattr(lib, name)
         fn.argtypes = [ctypes.POINTER(record)]
         fn.restype = ctypes.c_int

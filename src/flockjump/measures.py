@@ -6,15 +6,20 @@ The residual integral is a finite sum over inter-event intervals (the
 empirical measure is piecewise constant in time), so its value is exact given
 the event log and does not depend on any observation schedule. One loop walks
 the log for every family and test function; only the bracket's update differs.
+For the identity and the step rate the walk also runs compiled (`fj_residual`
+in `_kernel.c`), bit-identical to that loop, which stays as the fallback and
+the oracle. Every input is checked before the walk.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .model import DomainError, ModelError
 from . import sim as _sim
 
@@ -241,6 +246,45 @@ class _Reevaluated:
         return self.value
 
 
+def _walk_input(initial_positions, log: _sim.EventLog, t_end: float):
+    """(start, times, indices, lengths) of a residual walk as contiguous
+    float64 and int64 arrays, each input refused with a DomainError that
+    names it unless the walk is defined on it."""
+    if not (t_end >= 0 and math.isfinite(t_end)):
+        raise DomainError(f"t_end must be >= 0 and finite, got {t_end}")
+    start = np.array(initial_positions, dtype=float)
+    if start.ndim != 1 or start.size == 0:
+        raise DomainError("initial positions must be a non-empty 1-d array, "
+                          f"got shape {start.shape}")
+    bad = start[~np.isfinite(start)]
+    if bad.size:
+        raise DomainError(f"initial positions must be finite, got {np.unique(bad).tolist()}")
+    times, indices, lengths = (np.ascontiguousarray(col, dtype=dtype) for col, dtype in
+                               ((log.times, np.float64), (log.indices, np.int64),
+                                (log.lengths, np.float64)))
+    if not times.ndim == indices.ndim == lengths.ndim == 1 \
+            or not times.size == indices.size == lengths.size:
+        raise DomainError("event log columns must be 1-d and of one length, got shapes "
+                          f"{times.shape}, {indices.shape}, {lengths.shape}")
+    if times.size and not times[0] >= 0:
+        raise DomainError(f"event log must start at time >= 0, got {times[0]}")
+    down = np.flatnonzero(~(times[1:] >= times[:-1]))
+    if down.size:
+        k = int(down[0]) + 1
+        raise DomainError(f"event log times must not decrease, got times[{k}] = {times[k]} "
+                          f"after {times[k - 1]}")
+    bad = indices[(indices < 0) | (indices >= start.size)]
+    if bad.size:
+        raise DomainError(f"event log indices must lie in [0, n) = [0, {start.size}), "
+                          f"got {np.unique(bad).tolist()}")
+    # The step bracket assumes the center never falls.
+    bad = lengths[~(np.isfinite(lengths) & (lengths >= 0))]
+    if bad.size:
+        raise DomainError(f"event log jump lengths must be finite and >= 0, "
+                          f"got {np.unique(bad).tolist()}")
+    return start, times, indices, lengths
+
+
 def residual_path(initial_positions, log: _sim.EventLog, f: TestFunction,
                   w, z, t_end: float) -> ResidualPath:
     """A_{s,f} = <f, mu(s)> - <f, mu(0)> - int_0^s <g_f w(. - m_u), mu(u)> du
@@ -251,25 +295,31 @@ def residual_path(initial_positions, log: _sim.EventLog, f: TestFunction,
     time integral is a finite sum. For the identity it is the mean rate, kept
     by `w.mean_rate` when the family has one; otherwise it is re-evaluated
     after each event. The center starts at fsum(x)/n and moves by z * (1/n).
+    A mean rate that declares `kernel_step`, the step rate's (a, b), walks the
+    log compiled (`fj_residual` in `_kernel.c`) when the kernel loads, with
+    every float operation of this loop in its order, so the result is the same
+    to the bit. A t_end that is not finite and >= 0, a start that is not
+    finite, and a log whose times decrease, whose indices fall outside
+    [0, n) or whose jump lengths are not finite and >= 0 raise DomainError
+    before any work.
     """
-    if t_end < 0:
-        raise DomainError(f"t_end must be >= 0, got {t_end}")
-    if len(log) and log.times[0] < 0:
-        raise DomainError("event log must start at time >= 0")
-    xs = [float(x) for x in initial_positions]
+    start, times, indices, lengths = _walk_input(initial_positions, log, t_end)
+    xs = start.tolist()
     n = len(xs)
     inv_n = 1.0 / n
     m = math.fsum(xs) / n
     identity = f.is_identity
     bracket = w.mean_rate(xs, m) if identity else None
+    step = getattr(bracket, "kernel_step", None)
+    lib = kernel.load() if step is not None else None
+    if lib is not None:
+        return _compiled_step_walk(lib, step, start, m, times, indices, lengths, t_end)
     if bracket is None:
         bracket = _Reevaluated(w, f, z, xs, m)
-    F0 = F = m if identity else float(np.mean(f(np.asarray(xs))))
+    F0 = F = m if identity else float(np.mean(f(start)))
     G = bracket.value
     integral = t_prev = sup = 0.0
-    columns = [memoryview(np.ascontiguousarray(col, dtype=dtype)) for col, dtype in
-               ((log.times, np.float64), (log.indices, np.int64), (log.lengths, np.float64))]
-    for te, i, zlen in zip(*columns):
+    for te, i, zlen in zip(*map(memoryview, (times, indices, lengths))):
         if te > t_end:
             break
         integral += G * (te - t_prev)
@@ -284,6 +334,22 @@ def residual_path(initial_positions, log: _sim.EventLog, f: TestFunction,
     integral += G * (t_end - t_prev)
     value = F - F0 - integral
     return ResidualPath(value=value, sup_abs=max(sup, abs(value)), t=t_end)
+
+
+def _compiled_step_walk(lib, step, start, m, times, indices, lengths, t_end) -> ResidualPath:
+    """The identity walk of `residual_path` for the step rate (a, b) = step,
+    in `fj_residual`, on scratch arrays that the record owns."""
+    n, cap = start.size, start.size + times.size + 1
+    a, b = step
+    run = kernel.Residual(n=n, inv_n=1.0 / n, a=a, b=b, t_end=t_end, m=m,
+                          log_len=times.size, heap_cap=cap)
+    run.bind(log_t=times, log_i=indices, log_z=lengths, pos=start,
+             versions=np.empty(n, dtype=np.int64), heap_x=np.empty(cap),
+             heap_i=np.empty(cap, dtype=np.int64), heap_v=np.empty(cap, dtype=np.int64))
+    code = lib.fj_residual(ctypes.byref(run))
+    if code != kernel.RESIDUAL_DONE:
+        raise ModelError(f"fj_residual stopped at event {run.events} with exit {code}")
+    return ResidualPath(value=run.value, sup_abs=run.sup, t=t_end)
 
 
 @dataclass

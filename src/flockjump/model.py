@@ -88,7 +88,10 @@ class RateFamily:
         """<w(. - m)> over `positions`, updated per event, or None (then
         `measures.residual_path` re-evaluates w at every position). It has
         `.value` and `.jump(i, x_old, x_new, m_new)`, which moves particle i
-        and the center (m_new >= m) and returns the new value."""
+        and the center (m_new >= m) and returns the new value. A bracket
+        whose `kernel_step` is a step rate's (a, b) is also run compiled, by
+        `fj_residual` in `_kernel.c`, which must then give its values to the
+        bit."""
         return None
 
     def rate_overflows(self, x) -> bool:
@@ -182,9 +185,11 @@ class _StepMeanRate:
     version, which makes its old entry stale, and pushes it back if it lands
     at or ahead of m. The center never falls, so the entries it passes are
     popped, and the current ones counted into p: O(log n) per event.
+    `fj_residual` in `_kernel.c` repeats it in C from `kernel_step`.
     """
 
     def __init__(self, a, b, positions, m):
+        self.kernel_step = (a, b)
         self._a, self._b, self._m, self._n = a, b, m, len(positions)
         self._inv_n = 1.0 / self._n
         self._versions = [0] * self._n

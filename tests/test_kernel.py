@@ -1,10 +1,10 @@
 """The compiled kernel against its Python twins.
 
-The Python steps of the bounded and exponential engines, and the numpy step
-of the mean-field PDE, run when the kernel cannot be built; pointing the
-loader at a compiler that does not exist forces them. Every comparison of the
-event loop is bit for bit; the PDE step agrees to 1e-12, on the same grids
-and times.
+The Python steps of the bounded and exponential engines, the Python loop of
+the martingale residual, and the numpy step of the mean-field PDE, run when
+the kernel cannot be built; pointing the loader at a compiler that does not
+exist forces them. Every comparison of the event loop and the residual walk
+is bit for bit; the PDE step agrees to 1e-12, on the same grids and times.
 """
 
 import contextlib
@@ -21,8 +21,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import flockjump as fj
-from flockjump import kernel, sim
+from flockjump import kernel, model, sim
 from flockjump import mean_field as mf
+from flockjump import measures as ms
 from flockjump.model import DomainError, ModelError
 
 
@@ -591,3 +592,140 @@ def test_pde_kernel_matches_numpy_step_on_random_cases(case):
         assert got == expected
     else:
         assert_pde_close(expected, got)
+
+
+# ---------------------------------------------------------------------------
+# martingale residual: the compiled step walk against the Python loop
+# ---------------------------------------------------------------------------
+
+
+def make_log(times, indices, lengths):
+    return sim.EventLog(times=np.asarray(times, dtype=float),
+                        indices=np.asarray(indices, dtype=np.int64),
+                        lengths=np.asarray(lengths, dtype=float),
+                        centers=np.zeros(len(times)))
+
+
+def residual_bits(start, log, w, t_end):
+    path = ms.residual_path(start, log, ms.IDENTITY, w, fj.DeterministicJump(), t_end)
+    return bits(path.value), bits(path.sup_abs), path.t
+
+
+def residual_both(start, log, w, t_end):
+    with python_loops():
+        expected = residual_bits(start, log, w, t_end)
+    return expected, residual_bits(start, log, w, t_end)
+
+
+@st.composite
+def walks(draw):
+    """A step rate, a start with ties, a log of random jumps (ties in time and
+    zero lengths included) and a horizon at 0, before, at, between or after
+    the events."""
+    a, b = draw(st.sampled_from([(2.0, 1.0), (3.7, 0.3), (1.5, 1.25)]))
+    start = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.1, 1 / 3, 2.5, 7.0]),
+                          min_size=1, max_size=40))
+    n = len(start)
+    jumps = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.sampled_from([0.0, 1e-3, 0.37, 1.0, 2.5]),
+                                    st.sampled_from([0.0, 0.01, 0.25, 1 / 3])),
+                          max_size=120))
+    times = np.cumsum([0.05] + [gap for _, _, gap in jumps])[1:]
+    log = make_log(times, [i for i, _, _ in jumps], [z for _, z, _ in jumps])
+    horizon = st.floats(0.0, 1.2 * float(times[-1]) if len(times) else 1.0)
+    t_end = draw(st.one_of(st.just(0.0), horizon,
+                           st.sampled_from(times.tolist()) if len(times) else horizon))
+    return fj.StepRate(a, b), np.asarray(start), log, t_end
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(walks())
+def test_compiled_residual_walk_matches_the_python_loop(walk):
+    w, start, log, t_end = walk
+    expected, got = residual_both(start, log, w, t_end)
+    assert got == expected
+
+
+def test_failed_build_falls_back_to_the_python_residual_loop():
+    w, z = fj.StepRate(2.0, 1.0), fj.DeterministicJump()
+    init = np.array([0.0, 0.0, 1.0, -2.0, 0.5, 0.5, 3.0])
+    with python_loops():
+        assert kernel.load() is None
+    for n, start in ((3, np.zeros(3)), (7, init), (400, np.zeros(400))):
+        res = fj.simulate(w, z, n, T=10.0, seed=n, init=start.copy(), engine="bounded",
+                          log_events=True)
+        for t_end in (10.0, 10.0 / 3, float(res.log.times[len(res.log) // 2]), 0.0):
+            expected, got = residual_both(start, res.log, w, t_end)
+            assert got == expected
+    assert kernel.load() is not None                  # the real compiler's build is kept
+
+
+def test_residual_path_walks_the_step_rate_on_the_kernel():
+    assert kernel.load() is not None
+    w, z = fj.StepRate(2.0, 1.0), fj.DeterministicJump()
+    res = fj.simulate(w, z, 50, T=5.0, seed=2, engine="bounded", log_events=True)
+    with mock.patch.object(model._StepMeanRate, "jump", side_effect=AssertionError):
+        ms.residual_path(np.zeros(50), res.log, ms.IDENTITY, w, z, 5.0)
+        with python_loops(), pytest.raises(AssertionError):
+            ms.residual_path(np.zeros(50), res.log, ms.IDENTITY, w, z, 5.0)
+
+
+def test_compiled_residual_walk_stays_inside_its_arrays():
+    # residual_path refuses these inputs itself; called directly, the walk
+    # stops at the event it cannot run and indexes nothing with it. Jumps of
+    # the particle at 10 leave every entry it had in the heap.
+    lib = kernel.load()
+    start = np.array([0.0, 0.0, 0.0, 10.0])
+
+    def walk(indices, heap_cap):
+        log = make_log([0.5, 1.0, 1.5], indices, [1.0, 1.0, 1.0])
+        run = kernel.Residual(n=4, inv_n=0.25, a=2.0, b=1.0, t_end=2.0, m=2.5, log_len=3,
+                              heap_cap=heap_cap)
+        run.bind(log_t=log.times, log_i=log.indices, log_z=log.lengths, pos=start.copy(),
+                 versions=np.empty(4, dtype=np.int64), heap_x=np.empty(heap_cap),
+                 heap_i=np.empty(heap_cap, dtype=np.int64),
+                 heap_v=np.empty(heap_cap, dtype=np.int64))
+        return lib.fj_residual(ctypes.byref(run)), run.events
+
+    assert walk([3, 3, 3], 8) == (kernel.RESIDUAL_DONE, 3)
+    assert walk([3, -1, 3], 8) == (kernel.RESIDUAL_BAD_INDEX, 1)
+    assert walk([3, 3, 4], 8) == (kernel.RESIDUAL_BAD_INDEX, 2)
+    assert walk([3, 3, 3], 4) == (kernel.RESIDUAL_HEAP_FULL, 2)
+    assert walk([3, 3, 3], 1) == (kernel.RESIDUAL_HEAP_FULL, 0)
+
+
+# A start of five particles and a three-event log, and one bad input each.
+GOOD_WALK = {"start": [0.0] * 5, "times": [0.5, 1.0, 1.5], "indices": [0, 3, 4],
+             "lengths": [1.0, 0.5, 2.0], "t_end": 2.0}
+BAD_WALKS = [
+    ({"t_end": math.nan}, "t_end must be >= 0 and finite, got nan"),
+    ({"t_end": math.inf}, "t_end must be >= 0 and finite, got inf"),
+    ({"start": []}, "initial positions must be a non-empty 1-d array, got shape (0,)"),
+    ({"start": [0.0, 0.0, math.nan, 0.0, 0.0]}, "initial positions must be finite, got [nan]"),
+    ({"start": [0.0, math.inf, 0.0, -math.inf, 0.0]},
+     "initial positions must be finite, got [-inf, inf]"),
+    ({"indices": [0, -1, 4]}, "event log indices must lie in [0, n) = [0, 5), got [-1]"),
+    ({"indices": [0, 5, 4]}, "event log indices must lie in [0, n) = [0, 5), got [5]"),
+    ({"indices": [0, 3]}, "event log columns must be 1-d and of one length, got shapes "
+                          "(3,), (2,), (3,)"),
+    ({"times": [0.5, 1.5, 1.0]}, "event log times must not decrease, got times[2] = 1.0 after 1.5"),
+    ({"times": [0.5, math.nan, 1.0]},
+     "event log times must not decrease, got times[1] = nan after 0.5"),
+    ({"times": [math.nan, 1.0, 1.5]}, "event log must start at time >= 0, got nan"),
+    ({"lengths": [1.0, -0.5, 2.0]}, "event log jump lengths must be finite and >= 0, got [-0.5]"),
+    ({"lengths": [1.0, math.nan, math.inf]},
+     "event log jump lengths must be finite and >= 0, got [inf, nan]"),
+]
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "python"])
+@pytest.mark.parametrize("bad, message", BAD_WALKS, ids=[str(b) for b, _ in BAD_WALKS])
+def test_residual_path_refuses_a_walk_it_cannot_run(compiled, bad, message):
+    walk = {**GOOD_WALK, **bad}
+    log = make_log(walk["times"], walk["indices"], walk["lengths"])
+    w = fj.StepRate(2.0, 1.0)
+    for f in (ms.IDENTITY, ms.TestFunction("tanh", fn=np.tanh)):
+        with contextlib.nullcontext() if compiled else python_loops(), \
+                mock.patch.object(fj.StepRate, "mean_rate", side_effect=AssertionError):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                ms.residual_path(walk["start"], log, f, w, fj.DeterministicJump(), walk["t_end"])
