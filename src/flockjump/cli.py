@@ -93,9 +93,9 @@ def _cmd_extremes(args):
     rng = np.random.default_rng(args.seed)
     pool = new_pool(beta, c, rng)
     path = simulate_record(pool, args.T, rng)
+    final = path.uncentered_final()
     print(f"k = {pool.k}, c = {c:.6g}, pool size at T: {path.pool.pool_count}")
-    print(f"jumps of Y: {len(path.yk_jumps)}, "
-          f"Y(T) - (1/beta) log N(T) = {path.uncentered_final():.6g}")
+    print(f"jumps of Y: {len(path.yk_jumps)}, Y(T) - (1/beta) log N(T) = {final:.6g}")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("t,Y\n")

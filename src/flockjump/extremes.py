@@ -4,11 +4,19 @@ A pool of i.i.d. unit exponentials grows so that N(t) = ceil(e^{beta c t} /
 (beta c)); with k = 1/beta a positive integer, Y(t) = k * (k-th largest pool
 value) evolves like the mean-field particle with rate e^{beta(ct - y)}, and
 Y(T) - (1/beta) log N(T) converges to the (uncentered) generalized Gumbel law.
-Only the top k+1 pool values are retained: the jump of the k-th maximum is
-exactly the gap between the new k-th and (k+1)-st largest values, so deeper
-order statistics never matter. Every pool value is drawn, but only draws above
-the ledger's floor reach Python: each batch is scanned once in chunks that
-grow with the pool index, so a run does O(k log N) Python steps.
+
+`simulate_record` follows the whole jump path. Only the top k+1 pool values
+are retained: the jump of the k-th maximum is exactly the gap between the new
+k-th and (k+1)-st largest values, so deeper order statistics never matter.
+Every pool value is drawn, but only draws above the ledger's floor reach
+Python: each batch is scanned once in chunks that grow with the pool index,
+so a run does O(k log N) Python steps.
+
+`sample_final_uncentered` needs only Y(T), which is k times one order
+statistic of the N(T) draws. It draws them in chunks and keeps a running
+top k with numpy, so a run does O(N / batch) Python steps and walks no
+ledger. Both consume the generator identically, so for the same seed they
+give the same Y(T) to the bit.
 """
 
 from __future__ import annotations
@@ -35,8 +43,8 @@ def pool_size(beta: float, c: float, t: float) -> int:
     """N(t) = ceil(e^{beta c t} / (beta c)), at least 1."""
     if not (0.0 <= t < math.inf):
         raise DomainError(f"T must be finite and >= 0, got {t}")
-    if not (beta * c > 0):
-        raise DomainError("beta * c must be positive")
+    if not (0 < beta * c < math.inf):
+        raise DomainError(f"beta * c must be positive and finite, got {beta * c}")
     log_pool = beta * c * t - math.log(beta * c)
     if log_pool > _POOL_CAP_LOG:
         raise HorizonError(
@@ -66,14 +74,25 @@ class RecordPool:
     t: float = 0.0
 
 
-def new_pool(beta: float, c: float, rng) -> RecordPool:
-    """Start the pool at t = 0 with N(0) draws."""
+def _record_k(beta: float) -> int:
+    """k = 1/beta, which the record connection needs to be a positive integer."""
     if not (beta > 0 and math.isfinite(beta)):
         raise DomainError(f"beta must be positive and finite, got {beta}")
     k = 1.0 / beta
     if abs(k - round(k)) > 1e-9 or k < 1:
         raise DomainError(f"the record connection needs k = 1/beta a positive integer, got 1/beta={k}")
-    k = int(round(k))
+    return int(round(k))
+
+
+def _check_holds_k(n: int, k: int) -> None:
+    if n < k:
+        raise DomainError(f"the pool holds N(T) = {n} values, fewer than k = {k}, "
+                          "so its k-th largest is undefined; raise c or T")
+
+
+def new_pool(beta: float, c: float, rng) -> RecordPool:
+    """Start the pool at t = 0 with N(0) draws."""
+    k = _record_k(beta)
     n0 = pool_size(beta, c, 0.0)
     draws = sorted(rng.standard_exponential(n0), reverse=True)
     return RecordPool(k=k, beta=beta, c=c, top=draws[: k + 1], pool_count=n0)
@@ -87,7 +106,8 @@ class RecordPath:
     pool: RecordPool
 
     def uncentered_final(self) -> float:
-        """Y(T) - (1/beta) log N(T)."""
+        """Y(T) - (1/beta) log N(T); Y(T) needs a pool of at least k values."""
+        _check_holds_k(self.pool.pool_count, self.pool.k)
         return float(self.values[-1]) - math.log(self.pool.pool_count) / self.pool.beta
 
 
@@ -167,11 +187,49 @@ def simulate_record(pool: RecordPool, T: float, rng,
                       yk_jumps=np.asarray(jumps), pool=out)
 
 
+def _top(values: np.ndarray, k: int) -> np.ndarray:
+    """The k largest entries of `values` (all of them if it has no more),
+    partitioned in place, in no particular order."""
+    if values.size > k:
+        values.partition(values.size - k)
+        values = values[values.size - k:]
+    return values
+
+
+def _kth_largest(k: int, n: int, rng, batch: int = _ARRIVAL_BATCH):
+    """The k-th largest of n fresh unit exponentials, drawn in chunks of at
+    most `batch` so that memory stays O(batch): a running max for k = 1,
+    otherwise the top k of each chunk merged into the running top k."""
+    top = None
+    while n:
+        draws = rng.standard_exponential(min(batch, n))
+        n -= draws.size
+        if k == 1:
+            best = draws.max()
+            top = best if top is None else max(top, best)
+        else:
+            draws = _top(draws, k)
+            top = draws if top is None else _top(np.concatenate((top, draws)), k)
+    return top if k == 1 else top.min()
+
+
 def sample_final_uncentered(beta: float, c: float, T: float, runs: int, rng) -> np.ndarray:
-    """Y(T) - (1/beta) log N(T) over independent runs (the Gumbel-limit sample)."""
+    """Y(T) - (1/beta) log N(T) over independent runs (the Gumbel-limit sample).
+
+    Y(T) is k times the k-th largest of the N(T) pool values, so each run
+    draws its pool and keeps only a running top k; no path is built. The
+    draws are those of `new_pool` and `simulate_record` in the same order,
+    so each sample equals that run's `RecordPath.uncentered_final()` to the
+    bit and the generator ends in the same state. Every argument is checked
+    before the first draw; a pool smaller than k at T raises DomainError.
+    """
+    k = _record_k(beta)
+    n = pool_size(beta, c, T)
+    _check_holds_k(n, k)
+    if not (isinstance(runs, numbers.Integral) and runs >= 0):
+        raise DomainError(f"runs must be an integer >= 0, got {runs!r}")
+    shift = math.log(n) / beta
     out = np.empty(runs)
     for r in range(runs):
-        pool = new_pool(beta, c, rng)
-        path = simulate_record(pool, T, rng)
-        out[r] = path.uncentered_final()
+        out[r] = k * _kth_largest(k, n, rng) - shift
     return out

@@ -185,21 +185,28 @@ class _StepMeanRate:
     version, which makes its old entry stale, and pushes it back if it lands
     at or ahead of m. The center never falls, so the entries it passes are
     popped, and the current ones counted into p: O(log n) per event.
-    `fj_residual` in `_kernel.c` repeats it in C from `kernel_step`.
+    `fj_residual` in `_kernel.c` repeats it in C from `kernel_step`, so the
+    heap is built on the first `jump`, not here, and a compiled walk never
+    pays for it.
     """
 
     def __init__(self, a, b, positions, m):
         self.kernel_step = (a, b)
         self._a, self._b, self._m, self._n = a, b, m, len(positions)
         self._inv_n = 1.0 / self._n
-        self._versions = [0] * self._n
-        self._heap = [(float(x), i, 0) for i, x in enumerate(positions) if not x < m]
-        heapify(self._heap)
-        # The heap can be empty: three particles at 0.1 have m > 0.1.
-        self._p = p = self._n - len(self._heap)
+        self._start = list(positions)       # the caller may move its own copy
+        self._heap = None
+        # p can be n: three particles at 0.1 have m > 0.1.
+        self._p = p = sum(1 for x in self._start if x < m)
         self.value = (a * p + b * (self._n - p)) / self._n
 
     def jump(self, i, x_old, x_new, m_new):
+        if self._heap is None:
+            self._versions = [0] * self._n
+            self._heap = [(float(x), j, 0) for j, x in enumerate(self._start)
+                          if not x < self._m]
+            heapify(self._heap)
+            self._start = None
         heap, versions, p = self._heap, self._versions, self._p
         if x_old < self._m:
             p -= 1

@@ -226,16 +226,99 @@ def test_simulate_record_rejects_a_past_horizon():
     assert same.pool.pool_count == 149 and same.times.tolist() == [5.0]
 
 
+class NoDraws:
+    """A generator that fails on first use: the call under test must refuse
+    its input before it draws."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} used before the input was checked")
+
+
 @pytest.mark.parametrize("batch", [0, -3, 2.5])
 def test_simulate_record_rejects_a_batch_below_one(batch):
     # a batch of zero draws never advances the pool; the check comes before any draw
-    class NoDraws:
-        def __getattr__(self, name):
-            raise AssertionError(f"rng.{name} used before the batch was checked")
-
     pool = ex.new_pool(1.0, 1.0, np.random.default_rng(0))
     with pytest.raises(DomainError, match="batch"):
         ex.simulate_record(pool, 5.0, NoDraws(), batch=batch)
+
+
+def _path_final_uncentered(beta, c, T, runs, rng):
+    """The Gumbel-limit sample as the record path gives it, one run at a time."""
+    return np.array([ex.simulate_record(ex.new_pool(beta, c, rng), T, rng).uncentered_final()
+                     for _ in range(runs)])
+
+
+@pytest.mark.parametrize("pool_target", [3000, 100_000])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sample_final_uncentered_bit_identical_to_the_record_path(k, pool_target):
+    # the order-statistic sampler against new_pool -> simulate_record ->
+    # uncentered_final: the same bytes, and the generator ends in the same
+    # state, so both drew the same number of values. A pool of 10^5 draws
+    # more than one _ARRIVAL_BATCH per run.
+    beta = 1.0 / k
+    c = wave_c(beta)
+    T = math.log(pool_target * beta * c) / (beta * c) + 1e-9
+    assert (ex.pool_size(beta, c, T) > ex._ARRIVAL_BATCH) == (pool_target > ex._ARRIVAL_BATCH)
+    runs = 20 if pool_target < ex._ARRIVAL_BATCH else 3
+    for seed in (0, 1, 2, 3):
+        rngs = [np.random.default_rng([k, pool_target, seed]) for _ in range(2)]
+        new = ex.sample_final_uncentered(beta, c, T, runs, rngs[0])
+        old = _path_final_uncentered(beta, c, T, runs, rngs[1])
+        assert new.tobytes() == old.tobytes()
+        assert rngs[0].random() == rngs[1].random()
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7, 64])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_kth_largest_matches_a_sort_for_any_chunking(k, batch):
+    # chunks smaller than k, equal to it and larger, merged into the running top k
+    for n in (k, k + 1, 50, 131):
+        rngs = [np.random.default_rng([k, batch, n]) for _ in range(2)]
+        got = ex._kth_largest(k, n, rngs[0], batch=batch)
+        assert got == np.sort(rngs[1].standard_exponential(n))[n - k]
+        assert rngs[0].random() == rngs[1].random()
+
+
+@pytest.mark.parametrize("args, error, match", [
+    ((0.0, 1.0, 5.0, 10), DomainError, "beta must be positive and finite"),
+    ((math.nan, 1.0, 5.0, 10), DomainError, "beta must be positive and finite"),
+    ((math.inf, 1.0, 5.0, 10), DomainError, "beta must be positive and finite"),
+    ((0.4, 1.0, 5.0, 10), DomainError, "k = 1/beta a positive integer"),
+    ((2.0, 1.0, 5.0, 10), DomainError, "k = 1/beta a positive integer"),
+    ((1.0, 1.0, math.nan, 10), DomainError, "T must be finite and >= 0, got nan"),
+    ((1.0, 1.0, -1.0, 10), DomainError, "T must be finite and >= 0"),
+    ((1.0, 1.0, math.inf, 10), DomainError, "T must be finite and >= 0"),
+    ((1.0, 0.0, 5.0, 10), DomainError, "beta \\* c must be positive and finite"),
+    ((1.0, math.inf, 5.0, 10), DomainError, "beta \\* c must be positive and finite"),
+    ((1.0, 1.0, 60.0, 10), ex.HorizonError, "exceeds 2\\^62"),
+    ((0.5, 5.0, 0.0, 10), DomainError, "N\\(T\\) = 1 values, fewer than k = 2"),
+    ((1.0 / 3.0, 5.0, 0.5, 10), DomainError, "N\\(T\\) = 2 values, fewer than k = 3"),
+    ((1.0, 1.0, 5.0, -1), DomainError, "runs must be an integer >= 0, got -1"),
+    ((1.0, 1.0, 5.0, 2.5), DomainError, "runs must be an integer >= 0, got 2.5"),
+])
+def test_sample_final_uncentered_checks_before_any_draw(args, error, match):
+    with pytest.raises(error, match=match):
+        ex.sample_final_uncentered(*args, rng=NoDraws())
+
+
+def test_uncentered_final_needs_k_pool_values():
+    # the path is defined (Y has not started), but Y(T) is not
+    rng = np.random.default_rng(0)
+    path = ex.simulate_record(ex.new_pool(0.5, 5.0, rng), 0.0, rng)
+    assert path.pool.pool_count == 1 and path.values.size == 0
+    with pytest.raises(DomainError, match="N\\(T\\) = 1 values, fewer than k = 2"):
+        path.uncentered_final()
+
+
+def test_sample_final_uncentered_on_the_smallest_pool():
+    # N(T) = k: Y(T) is k times the smallest of k draws; zero runs draw nothing
+    assert ex.sample_final_uncentered(1.0, 1.0, 5.0, 0, NoDraws()).shape == (0,)
+    beta, c, T = 0.5, 1.0, 0.0
+    assert ex.pool_size(beta, c, T) == 2
+    rngs = [np.random.default_rng(8) for _ in range(2)]
+    got = ex.sample_final_uncentered(beta, c, T, 4, rngs[0])
+    want = [2 * rngs[1].standard_exponential(2).min() - math.log(2) / beta for _ in range(4)]
+    assert got.tolist() == want
 
 
 @pytest.mark.parametrize("pool_target", [30, 500])
@@ -259,6 +342,20 @@ def test_record_ledger_matches_exact_order_statistic_law(k, pool_target):
         law = stats.beta(j, n_final - j + 1)
         ks = ms.ks_distance(tops[:, j - 1], lambda x: law.sf(np.exp(-x)))
         assert ks <= tol, (j, ks)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sample_final_uncentered_matches_exact_order_statistic_law(k):
+    # the sample is k Y_k - k log N with Y_k ~ -log Beta(k, N-k+1) (Renyi 1953)
+    beta = 1.0 / k
+    c = wave_c(beta)
+    T = math.log(500 * beta * c) / (beta * c) + 1e-9
+    n = ex.pool_size(beta, c, T)
+    runs = 20_000
+    smp = ex.sample_final_uncentered(beta, c, T, runs, np.random.default_rng(1953 + k))
+    law = stats.beta(k, n - k + 1)
+    ks = ms.ks_distance(smp / k + math.log(n), lambda x: law.sf(np.exp(-x)))
+    assert ks <= 1.95 / math.sqrt(runs), ks          # Kolmogorov 0.999 quantile
 
 
 def test_generalized_gumbel_pdf_values():

@@ -391,6 +391,7 @@ def test_cli_simulate_and_pde(capsys, tmp_path):
     (["extremes", "--beta", "nan", "--T", "1", "--c", "1"], "beta must be positive and finite"),
     (["extremes", "--beta", "1", "--T", "nan"], "T must be finite and >= 0, got nan"),
     (["extremes", "--beta", "1", "--T", "inf"], "T must be finite and >= 0, got inf"),
+    (["extremes", "--beta", "0.5", "--T", "0", "--c", "5"], "N(T) = 1 values, fewer than k = 2"),
     (["travelwave", "--rate", "step:a=2,b=1", "--h", "0"], "h must be finite and > 0, got 0.0"),
     (["travelwave", "--rate", "step:a=2,b=1", "--h", "nan"], "h must be finite and > 0, got nan"),
     (["travelwave", "--rate", "step:a=2,b=1", "--h", "-0.01"], "h must be finite and > 0, got -0.01"),

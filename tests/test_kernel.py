@@ -668,6 +668,11 @@ def test_residual_path_walks_the_step_rate_on_the_kernel():
         ms.residual_path(np.zeros(50), res.log, ms.IDENTITY, w, z, 5.0)
         with python_loops(), pytest.raises(AssertionError):
             ms.residual_path(np.zeros(50), res.log, ms.IDENTITY, w, z, 5.0)
+    # the Python heap is built on the bracket's first jump, which the compiled walk never makes
+    with mock.patch.object(model, "heapify", side_effect=AssertionError):
+        ms.residual_path(np.zeros(50), res.log, ms.IDENTITY, w, z, 5.0)
+        with python_loops(), pytest.raises(AssertionError):
+            ms.residual_path(np.zeros(50), res.log, ms.IDENTITY, w, z, 5.0)
 
 
 def test_compiled_residual_walk_stays_inside_its_arrays():
