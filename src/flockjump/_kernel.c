@@ -9,19 +9,20 @@
  * a step function that sim._drive calls: it runs events until something
  * only Python can do is due, stores the loop state back into the fj_run
  * record and returns the reason (EXIT_*): a batch ran out, an observation
- * time was reached, the horizon or the event cap was hit, or a total was not
- * finite.  The exponential engine selects on a binary sum tree of its
- * weights: fj_exp_rebase builds it before the first event, and the loop
- * calls it again whenever the total has halved and at every resum, so no
- * rebuild returns to Python.
+ * time was reached, the center of mass is due to be re-summed, the horizon
+ * or the event cap was hit, or a total was not finite.  sim._drive does
+ * the re-sum itself, correctly rounded in Python, and sets S0 = inf.  The
+ * exponential engine selects on a binary sum tree of its weights, and its
+ * loop rebuilds the tree (exp_rebase) whenever the total is below half of
+ * S0: before the first event, when the total has halved and after each
+ * re-sum, so no rebuild returns to Python.
  *
  * Every operation is the one the Python twin (sim._bounded_steps,
  * sim._exponential_steps) performs, in the same order, on IEEE doubles:
  * build with -ffp-contract=off and without -ffast-math, so that no
  * multiply-add is fused.  exp and atan are the libm functions that math.exp
- * and math.atan call, and fsum is CPython's math.fsum, whose result is
- * correctly rounded and therefore unique.  The event log, the final state
- * and the observer's view are then bit-identical to the Python twin's.
+ * and math.atan call.  The event log, the final state and the observer's
+ * view are then bit-identical to the Python twin's.
  *
  * Residual walk.  fj_residual walks a whole event log in one call: the
  * identity residual A_{t,id} of measures.residual_path for the step rate,
@@ -48,11 +49,10 @@ enum {
     EXIT_BATCH,           /* the batch is used up, at the start of an event */
     EXIT_OBSERVE_BEFORE,  /* next_obs < value = the next event time */
     EXIT_OBSERVE_AT,      /* an event landed exactly on next_obs */
+    EXIT_RESUM,           /* the logged event brought events to a multiple of resum_interval */
     EXIT_RATE_STALL,      /* value = the total jump rate, not finite and positive */
     EXIT_WEIGHT_STALL,    /* value = the rebased weight total, not finite and positive */
     EXIT_EXP_RANGE,       /* exp overflowed: math.exp raises OverflowError */
-    EXIT_FSUM_INF,        /* math.fsum raises ValueError("-inf + inf in fsum") */
-    EXIT_FSUM_OVERFLOW,   /* math.fsum raises OverflowError */
 };
 
 /* RATE_EXPONENTIAL has no thinning engine (its sup is infinite): fj_pde only. */
@@ -83,7 +83,8 @@ typedef struct {
     int64_t batch, cursor;
     /* exponential: a sum tree with leaves tree[leaves + k] = exp(-beta (x_k -
        ref)), 0 on the padding, and tree[j] = tree[2j] + tree[2j+1] above them;
-       tree[1] is the total, S0 its value at the last rebase */
+       tree[1] is the total, S0 its value at the last rebase, or inf when a
+       rebase is due (the first event, a re-summed center) */
     double *tree;
     int64_t leaves;             /* a power of two >= n */
     double S0, ref;
@@ -93,86 +94,6 @@ typedef struct {
     int64_t log_len;
     double value;               /* detail of the exit, see EXIT_* */
 } fj_run;
-
-/* Non-overlapping partials occupy distinct bits of the 2098 binary places of
-   a double (2^-1074 .. 2^1023), so there are never more than 2098. */
-#define FSUM_PARTIALS 2100
-
-/* CPython's math.fsum (Modules/mathmodule.c): Shewchuk's exact partials,
-   then the correctly rounded sum, ties to even across partials.  Returns 0,
-   or the EXIT_FSUM_* code of the exception math.fsum raises. */
-static int fsum(const double *xs, int64_t len, double *out)
-{
-    double p[FSUM_PARTIALS];
-    int64_t i, j, k, n = 0;
-    double x, y, t, hi, yr, lo = 0.0, xsave, special_sum = 0.0, inf_sum = 0.0;
-
-    for (k = 0; k < len; k++) {
-        x = xs[k];
-        xsave = x;
-        for (i = j = 0; j < n; j++) {
-            y = p[j];
-            if (fabs(x) < fabs(y)) {
-                t = x;
-                x = y;
-                y = t;
-            }
-            hi = x + y;
-            yr = hi - x;
-            lo = y - yr;
-            if (lo != 0.0)
-                p[i++] = lo;
-            x = hi;
-        }
-        n = i;
-        if (x != 0.0) {
-            if (!isfinite(x)) {
-                /* from intermediate overflow, or from an inf or nan summand */
-                if (isfinite(xsave))
-                    return EXIT_FSUM_OVERFLOW;
-                if (isinf(xsave))
-                    inf_sum += xsave;
-                special_sum += xsave;
-                n = 0;
-            } else {
-                p[n++] = x;
-            }
-        }
-    }
-    if (special_sum != 0.0) {
-        if (isnan(inf_sum))
-            return EXIT_FSUM_INF;
-        *out = special_sum;
-        return 0;
-    }
-    hi = 0.0;
-    if (n > 0) {
-        hi = p[--n];
-        while (n > 0) {
-            x = hi;
-            y = p[--n];
-            hi = x + y;
-            yr = hi - x;
-            lo = y - yr;
-            if (lo != 0.0)
-                break;
-        }
-        if (n > 0 && ((lo < 0.0 && p[n - 1] < 0.0) || (lo > 0.0 && p[n - 1] > 0.0))) {
-            y = lo * 2.0;
-            x = hi + y;
-            yr = x - hi;
-            if (y == yr)
-                hi = x;
-        }
-    }
-    *out = hi;
-    return 0;
-}
-
-int fj_fsum(const double *xs, int64_t len, double *out)
-{
-    return fsum(xs, len, out);
-}
 
 /* libm exp, with the overflow that makes math.exp raise reported in *range. */
 static double checked_exp(double x, int *range)
@@ -276,17 +197,14 @@ int fj_bounded(fj_run *r)
             pos[i] += z;
             m += z * r->inv_n;
             events++;
-            if (events % r->resum_interval == 0) {
-                double s;
-                code = fsum(pos, r->n, &s);
-                if (code)
-                    break;
-                m = s * r->inv_n;
-            }
             log_event(r, t, i, z, m);
         }
         proposals++;
         c++;
+        if (accepted && events % r->resum_interval == 0) {
+            code = EXIT_RESUM;
+            break;
+        }
         if (accepted && t == r->next_obs) {
             code = EXIT_OBSERVE_AT;
             break;
@@ -303,7 +221,7 @@ int fj_bounded(fj_run *r)
 /* Rebase the exponential engine's tree to ref = m: recompute every leaf and
    then every parent.  An overflow, caught as OverflowError in Python, makes
    the total infinite. */
-int fj_exp_rebase(fj_run *r)
+static int exp_rebase(fj_run *r)
 {
     double *tree = r->tree;
     const int64_t P = r->leaves;
@@ -332,6 +250,12 @@ int fj_exponential(fj_run *r)
     int code;
 
     for (;;) {
+        /* the first build (S0 = inf), a halved total, a resum (S0 = inf) */
+        if (tree[1] < 0.5 * r->S0) {
+            code = exp_rebase(r);
+            if (code)
+                break;
+        }
         if (r->max_events >= 0 && events >= r->max_events) {
             code = EXIT_CAP;
             break;
@@ -385,20 +309,10 @@ int fj_exponential(fj_run *r)
         for (j /= 2; j >= 1; j /= 2)
             tree[j] = tree[2 * j] + tree[2 * j + 1];
         events++;
-        int due = tree[1] < 0.5 * r->S0;
-        if (events % r->resum_interval == 0) {
-            double s;
-            code = fsum(pos, r->n, &s);
-            if (code)
-                break;
-            r->m = s * r->inv_n;
-            due = 1;
-        }
         log_event(r, t, i, z, r->m);
-        if (due) {
-            code = fj_exp_rebase(r);
-            if (code)
-                break;
+        if (events % r->resum_interval == 0) {
+            code = EXIT_RESUM;
+            break;
         }
         if (t == r->next_obs) {
             code = EXIT_OBSERVE_AT;
@@ -508,7 +422,7 @@ typedef struct {
     double inv_n;
     double a, b;                /* step rate: w = a behind m, b at or ahead of it */
     double t_end;
-    double m;                   /* fsum(pos) / n, the center at time 0 */
+    double m;                   /* the exact mean of pos, the center at time 0 */
     const double *log_t, *log_z;
     const int64_t *log_i;
     int64_t log_len;

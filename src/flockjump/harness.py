@@ -147,6 +147,10 @@ class ExperimentConfig:
     outdir: str = None
 
     def __post_init__(self):
+        if not isinstance(self.scenario, str):
+            raise ConfigError(f"scenario: must be a string, got {self.scenario!r}")
+        if self.outdir is not None and not isinstance(self.outdir, str):
+            raise ConfigError(f"outdir: must be a string or null, got {self.outdir!r}")
         if not _is_integer(self.n) or self.n < 1:
             raise ConfigError(f"n: must be an integer >= 1, got {self.n!r}")
         if not _is_finite(self.T) or self.T <= 0:
@@ -294,7 +298,10 @@ def pde_config_from_dict(d: dict) -> dict:
         raise ConfigError(f"unknown config keys: {sorted(extra)}")
     if "rate" not in d:
         raise ConfigError("rate: required, e.g. {'family': 'exponential', 'beta': 1.0}")
-    out = {"rate": rate_spec_from_dict(d["rate"]), "outdir": d.get("outdir")}
+    outdir = d.get("outdir")
+    if outdir is not None and not isinstance(outdir, str):
+        raise ConfigError(f"outdir: must be a string or null, got {outdir!r}")
+    out = {"rate": rate_spec_from_dict(d["rate"]), "outdir": outdir}
     for key, default in _PDE_NUMBERS.items():
         val = d.get(key, default)
         if not _is_finite(val):

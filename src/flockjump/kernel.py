@@ -5,9 +5,11 @@ step functions of the bounded and exponential engines: each runs events on a
 `Run` record until `sim._drive`, the one driver of every engine, must act, and
 returns the reason (EXIT_*). Their exit-for-exit Python twins in `sim` run on
 the same record and random batches, with bit-identical results, when `load()`
-returns None. The exponential engine's sum tree of selection weights is built
-and rebased in C (`fj_exp_rebase`, with libm exp as in the Python twin), so a
-run leaves the kernel only to refill a batch, to observe, to stop or to raise.
+returns None. A run leaves the kernel only to refill a batch, to observe, to
+re-sum the center of mass (EXIT_RESUM: `_drive` re-sums it with math.fsum and
+sets S0 = inf), to stop or to raise. The exponential engine's sum tree of
+selection weights is built and rebased inside `fj_exponential`, with libm exp
+as in the Python twin, whenever its total is below half of S0.
 `fj_residual` walks an event log for `measures.residual_path`: the identity
 residual of the step rate, on a `Residual` record whose scratch arrays it
 owns, bit-identical to the Python loop, which runs when `load()` returns None.
@@ -40,14 +42,12 @@ _CC = "gcc"
 _FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 # Exit codes of the event steps, compiled and Python (the EXIT_* enum of _kernel.c).
-(EXIT_CAP, EXIT_HORIZON, EXIT_BATCH, EXIT_OBSERVE_BEFORE, EXIT_OBSERVE_AT, EXIT_RATE_STALL,
- EXIT_WEIGHT_STALL, EXIT_EXP_RANGE, EXIT_FSUM_INF, EXIT_FSUM_OVERFLOW) = range(10)
+(EXIT_CAP, EXIT_HORIZON, EXIT_BATCH, EXIT_OBSERVE_BEFORE, EXIT_OBSERVE_AT, EXIT_RESUM,
+ EXIT_RATE_STALL, EXIT_WEIGHT_STALL, EXIT_EXP_RANGE) = range(9)
 
-# The exceptions math.exp and math.fsum raise where the kernel exits with these.
+# The exceptions math.exp raises where the kernel exits with these.
 ERRORS = {
     EXIT_EXP_RANGE: (OverflowError, "math range error"),
-    EXIT_FSUM_INF: (ValueError, "-inf + inf in fsum"),
-    EXIT_FSUM_OVERFLOW: (OverflowError, "intermediate overflow in fsum"),
 }
 
 # Exit codes of fj_pde (the PDE_* enum of _kernel.c).
@@ -167,13 +167,10 @@ def _load(cc: str):
     except (OSError, subprocess.SubprocessError):
         return None
     for name, record in (("fj_bounded", Run), ("fj_exponential", Run),
-                         ("fj_exp_rebase", Run), ("fj_pde", Pde),
-                         ("fj_residual", Residual)):
+                         ("fj_pde", Pde), ("fj_residual", Residual)):
         fn = getattr(lib, name)
         fn.argtypes = [ctypes.POINTER(record)]
         fn.restype = ctypes.c_int
-    lib.fj_fsum.argtypes = [_P, _I64, ctypes.POINTER(_F64)]
-    lib.fj_fsum.restype = ctypes.c_int
     return lib
 
 

@@ -180,8 +180,11 @@ def ks_distance(samples, cdf, weights=None) -> float:
     """Two-sided Kolmogorov-Smirnov statistic of samples against a model CDF.
 
     With `weights`, the empirical CDF steps by the normalized weights
-    (time-weighted stationary sampling)."""
+    (time-weighted stationary sampling). An empty sample, or weights whose
+    sum is not positive, raise DomainError naming the input."""
     samples = np.asarray(samples, dtype=float)
+    if samples.size == 0:
+        raise DomainError("samples: the KS distance needs at least one sample")
     order = np.argsort(samples)
     s = samples[order]
     if weights is None:
@@ -189,8 +192,11 @@ def ks_distance(samples, cdf, weights=None) -> float:
         prev = np.arange(0, s.size) / s.size
     else:
         wts = np.asarray(weights, dtype=float)[order]
-        cum = np.cumsum(wts) / wts.sum()
-        prev = cum - wts / wts.sum()
+        total = wts.sum()
+        if not total > 0.0:
+            raise DomainError(f"weights: must have a positive sum, got {total}")
+        cum = np.cumsum(wts) / total
+        prev = cum - wts / total
     model = np.asarray(cdf(s), dtype=float)
     return float(max(np.max(np.abs(cum - model)), np.max(np.abs(prev - model))))
 
@@ -365,8 +371,9 @@ def residual_scaling(ns, seeds: int, t: float, w, z, f: TestFunction = IDENTITY,
                      base_seed: int = 0) -> ScalingStudy:
     """Fit the n-scaling of the sup residual: slope of log RMS sup|A| vs log n.
 
-    Runs `seeds` independent trajectories per population size with the bounded
-    engine and evaluates the residual path exactly; the expected slope is -1/2.
+    Runs `seeds` independent trajectories per population size with the
+    family's default engine and evaluates the residual path exactly; the
+    expected slope is -1/2.
     """
     rms = []
     values = {}
@@ -376,7 +383,7 @@ def residual_scaling(ns, seeds: int, t: float, w, z, f: TestFunction = IDENTITY,
         sup = np.empty(seeds)
         for s in range(seeds):
             rng = np.random.default_rng(base_seed + 1000 * n + s)
-            res = _sim.simulate(w, z, n, T=t, rng=rng, engine="bounded", log_events=True)
+            res = _sim.simulate(w, z, n, T=t, rng=rng, log_events=True)
             path = residual_path(init_pos, res.log, f, w, z, t)
             vals[s] = path.value
             sup[s] = path.sup_abs

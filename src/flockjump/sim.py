@@ -17,28 +17,30 @@ Three exactly-equivalent engines:
   each parent the sum of its children (Wong & Easton 1980). An event draws one
   uniform and descends from the root to the jumper, sets its leaf and
   recomputes its ancestors from their children: exact selection in O(log n),
-  with no thinning, so every proposal is an event. The tree is rebased to
-  ref = m when its total falls below half its value at the last rebase, and
-  at every resum.
+  with no thinning, so every proposal is an event. The tree is rebuilt at
+  ref = m whenever its total is below half of S0, its value at the last
+  rebuild: S0 = inf before the first event and after every resum.
 
 All engines keep the center of mass via m += Z * (1/n) (the per-event
-identity is exact) and re-sum it as math.fsum(positions) * (1/n) every RESUM_INTERVAL
-events; a run's initial and final centers are positions.sum() / n.
+identity is exact). Every RESUM_INTERVAL events the step exits with
+``kernel.EXIT_RESUM`` and ``_drive`` re-sums it as math.fsum(positions) *
+(1/n), the one place any engine does; a run's initial and final centers are
+positions.sum() / n.
 
 Every engine is a step function on the kernel's record (``kernel.Run``): it
 runs events until ``_drive``, the one driver, must refill a random batch,
-call the observer, stop or raise, and returns the reason, a
-``kernel.EXIT_*`` code. The bounded step (step, piecewise-linear, arccot and
-tabulated rates) and the exponential step (its rebase included) run compiled,
-as ``fj_bounded`` and ``fj_exponential`` in ``_kernel.c``. They consume the
-batches of the engine's one refill and perform the floating-point operations
-of their exit-for-exit Python twins, ``_bounded_steps`` and
-``_exponential_steps``, in their order (libm exp and atan, CPython's
-correctly rounded fsum), so paths, event logs, observer calls and bundles are
-bit-identical. The twins run for a bounded family whose ``kernel_rate()`` is
-None and where the library, built with gcc at the first run of a compiled
-engine and cached in ``__pycache__`` (see ``kernel``), cannot be built. The
-reference step draws per event and has no compiled twin.
+call the observer, re-sum the center, stop or raise, and returns the reason,
+a ``kernel.EXIT_*`` code. The bounded step (step, piecewise-linear, arccot
+and tabulated rates) and the exponential step (its rebuild included) run
+compiled, as ``fj_bounded`` and ``fj_exponential`` in ``_kernel.c``. They
+consume the batches of the engine's one refill and perform the
+floating-point operations of their exit-for-exit Python twins,
+``_bounded_steps`` and ``_exponential_steps``, in their order (libm exp and
+atan), so paths, event logs, observer calls and bundles are bit-identical.
+The twins run for a bounded family whose ``kernel_rate()`` is None and where
+the library, built with gcc at the first run of a compiled engine and cached
+in ``__pycache__`` (see ``kernel``), cannot be built. The reference step
+draws per event and has no compiled twin.
 """
 
 from __future__ import annotations
@@ -209,7 +211,7 @@ def _record(state, T, max_events, **fields):
     n = state.n
     run = kernel.Run(n=n, inv_n=1.0 / n, horizon=math.inf if T is None else T,
                      max_events=-1 if max_events is None else max_events,
-                     resum_interval=RESUM_INTERVAL, m=state.center, **fields)
+                     resum_interval=RESUM_INTERVAL, m=state.center, S0=math.inf, **fields)
     run.bind(pos=np.array(state.positions, dtype=float))
     return run
 
@@ -284,11 +286,11 @@ def _reference_steps(run, w, z, rng):
             pos[i] += length
             m += length * inv_n
             events += 1
-            if events % resum == 0:
-                m = math.fsum(pos) * inv_n
             if logging:
                 lt[k], li[k], lz[k], lm[k] = t, i, length, m
                 k += 1
+            if events % resum == 0:
+                return kernel.EXIT_RESUM
             if t == next_obs:
                 return kernel.EXIT_OBSERVE_AT
     finally:
@@ -347,13 +349,13 @@ def _bounded_steps(run, rate):
                 pos[i] += length
                 m += length * inv_n
                 events += 1
-                if events % resum == 0:
-                    m = math.fsum(pos) * inv_n
                 if logging:
                     lt[k], li[k], lz[k], lm[k] = t, i, length, m
                     k += 1
             proposals += 1
             c += 1
+            if accepted and events % resum == 0:
+                return kernel.EXIT_RESUM
             if accepted and t == next_obs:
                 return kernel.EXIT_OBSERVE_AT
     finally:
@@ -379,14 +381,9 @@ def _run_exponential(w, z, state, T, max_events, rng, obs, log_events):
     run.bind(tree=np.zeros(2 * leaves))
     lib = kernel.load()
     if lib is None:
-        rebase = functools.partial(_exp_rebase, run)
         step = functools.partial(_exponential_steps, run)
     else:
-        rebase = functools.partial(lib.fj_exp_rebase, ctypes.byref(run))
         step = functools.partial(lib.fj_exponential, ctypes.byref(run))
-    code = rebase()
-    if code:
-        _check_weight_total(run.value, _STALLS[code])
     refill = _batches(run, max_events, lambda size: dict(
         waits=rng.standard_exponential(size),
         lengths=np.ascontiguousarray(z.sample(rng, size), dtype=float),
@@ -408,19 +405,6 @@ def _rebase(pos, tree, leaves, beta, ref):
     return tree[1]
 
 
-def _exp_rebase(run):
-    """fj_exp_rebase in Python."""
-    tree = run.arrays["tree"].tolist()
-    run.ref = run.m
-    S0 = _rebase(run.arrays["pos"].tolist(), tree, run.leaves, run.beta, run.ref)
-    if not (S0 > 0.0 and S0 < math.inf):
-        run.value = S0
-        return kernel.EXIT_WEIGHT_STALL
-    run.arrays["tree"][:] = tree
-    run.S0 = S0
-    return 0
-
-
 def _exponential_steps(run):
     """fj_exponential in Python, exit for exit, where the kernel cannot be
     built. The positions and the tree are lists while it runs."""
@@ -434,6 +418,13 @@ def _exponential_steps(run):
     exp_ = math.exp
     try:
         while True:
+            # the first build (S0 = inf), a halved total, a resum (S0 = inf)
+            if tree[1] < 0.5 * S0:
+                ref = m
+                S0 = _rebase(pos, tree, leaves, beta, ref)
+                if not (S0 > 0.0 and S0 < math.inf):
+                    run.value = S0
+                    return kernel.EXIT_WEIGHT_STALL
             if 0 <= max_events <= events:
                 return kernel.EXIT_CAP
             if c >= batch:
@@ -471,19 +462,11 @@ def _exponential_steps(run):
                 tree[j] = tree[2 * j] + tree[2 * j + 1]
                 j //= 2
             events += 1
-            due = tree[1] < 0.5 * S0
-            if events % resum == 0:
-                m = math.fsum(pos) * inv_n
-                due = True
             if logging:
                 lt[k], li[k], lz[k], lm[k] = t, i, length, m
                 k += 1
-            if due:
-                ref = m
-                S0 = _rebase(pos, tree, leaves, beta, ref)
-                if not (S0 > 0.0 and S0 < math.inf):
-                    run.value = S0
-                    return kernel.EXIT_WEIGHT_STALL
+            if events % resum == 0:
+                return kernel.EXIT_RESUM
             if t == next_obs:
                 return kernel.EXIT_OBSERVE_AT
     finally:
@@ -499,11 +482,12 @@ def _drive(step, run, engine, state, T, obs, log_events, refill):
     build the result.
 
     step() runs events on `run` and returns a kernel.EXIT_* code. Only here,
-    for every engine, are the exits handled: the observer is called, the
-    events a call wrote to the log chunk are appended to the log (a batched
-    step runs at most one batch a call and the reference step stops at a full
-    chunk, so _BATCH entries hold them), refill() binds the next batch, and
-    the errors are raised.
+    for every engine, are the exits handled: the center is re-summed (and
+    written over the centre of the last log row, the event that made it due),
+    the observer is called, the events a call wrote to the log chunk are
+    appended to the log (a batched step runs at most one batch a call and the
+    reference step stops at a full chunk, so _BATCH entries hold them),
+    refill() binds the next batch, and the errors are raised.
     """
     c0, pos, run.next_obs = run.m, run.arrays["pos"], obs.next_time()
     logs = chunk = None
@@ -514,6 +498,11 @@ def _drive(step, run, engine, state, T, obs, log_events, refill):
         run.bind(log_t=chunk[0], log_i=chunk[1], log_z=chunk[2], log_m=chunk[3])
     while True:
         code = step()
+        if code == kernel.EXIT_RESUM:
+            run.m = math.fsum(pos) * run.inv_n
+            if run.log_len:
+                chunk[3][run.log_len - 1] = run.m
+            run.S0 = math.inf
         if run.log_len:
             for column, part in zip(logs, chunk):
                 column.frombytes(part[:run.log_len].view(np.uint8))
@@ -521,7 +510,7 @@ def _drive(step, run, engine, state, T, obs, log_events, refill):
         if code == kernel.EXIT_OBSERVE_BEFORE:
             obs.emit(run.value, pos.copy, run.m, ties=False)
             run.next_obs = obs.next_time()
-        elif code == kernel.EXIT_OBSERVE_AT:
+        elif code in (kernel.EXIT_OBSERVE_AT, kernel.EXIT_RESUM):
             obs.emit(run.t, pos.copy, run.m, ties=True)
             run.next_obs = obs.next_time()
         elif code in (kernel.EXIT_CAP, kernel.EXIT_HORIZON):

@@ -10,9 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import flockjump as fj
 from flockjump import cli
+from flockjump.model import RATE_FAMILIES
 from flockjump.sim import UnsupportedSpecError
 from flockjump.harness import (
     ConfigError,
@@ -26,6 +29,7 @@ from flockjump.harness import (
     length_spec_from_dict,
     load_config,
     parse_rate_string,
+    pde_config_from_dict,
     preset_config,
     rate_spec_from_dict,
     run_scenario,
@@ -159,6 +163,119 @@ def test_config_errors_name_keys():
 def test_config_rejects_bad_values_naming_the_key(override, key):
     with pytest.raises(ConfigError, match="^" + re.escape(key)):
         config_from_dict({**_minimal(), **override})
+
+
+@pytest.mark.parametrize("override, key", [
+    ({"scenario": None}, "scenario:"),
+    ({"scenario": 5}, "scenario:"),
+    ({"outdir": 5}, "outdir:"),
+    ({"outdir": ["runs"]}, "outdir:"),
+])
+def test_config_checks_scenario_and_outdir(override, key):
+    # a bad outdir fails here, not in write_bundle after the whole simulation
+    with pytest.raises(ConfigError, match="^" + re.escape(key)):
+        config_from_dict({**_minimal(), **override})
+    with pytest.raises(ConfigError, match="^" + re.escape(key)):
+        ExperimentConfig(**{**_minimal(), **override})
+
+
+# One bad value per key, for the property test below: a wrong type, NaN, inf
+# or a value out of the key's range. The base configs are _minimal() and the
+# PDE's {"rate": exponential}; no value listed is one they accept.
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+NOT_A_NUMBER = st.one_of(st.text(max_size=4), st.booleans(), st.lists(st.integers(), max_size=2),
+                         st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+NOT_A_STRING = st.one_of(st.integers(), st.floats(), st.booleans(),
+                         st.lists(st.text(max_size=3), max_size=2))
+NOT_A_DICT = st.one_of(st.none(), st.integers(), st.text(max_size=6),
+                       st.lists(st.integers(), max_size=2))
+NOT_AN_INTEGER = st.one_of(st.none(), NOT_A_NUMBER, st.floats())
+BAD_RATE = st.one_of(
+    NOT_A_DICT, st.just({}),
+    st.fixed_dictionaries({"family": st.text(max_size=8).filter(lambda f: f not in RATE_FAMILIES)}),
+    st.fixed_dictionaries({"family": st.just("exponential"),
+                           "beta": st.one_of(NON_FINITE, st.floats(max_value=0.0), st.none())}))
+BAD_CONFIG = {
+    "scenario": st.one_of(st.none(), NOT_A_STRING),
+    "n": st.one_of(NOT_AN_INTEGER, st.integers(max_value=0)),
+    "rate": BAD_RATE,
+    "length": st.one_of(NOT_A_DICT, st.fixed_dictionaries({"family": st.text(max_size=8).filter(
+        lambda f: f not in ("exponential", "deterministic"))})),
+    "T": st.one_of(st.none(), NOT_A_NUMBER, NON_FINITE, st.floats(max_value=0.0),
+                   st.integers(max_value=0)),
+    "seed": st.one_of(NOT_AN_INTEGER, st.integers(max_value=-1)),
+    "observations": st.one_of(NOT_AN_INTEGER, st.integers(max_value=18)),
+    "window": st.one_of(st.none(), st.integers(), st.text(max_size=2),
+                        st.lists(st.floats(-5, 5), max_size=4).filter(lambda w: len(w) != 2),
+                        st.tuples(NON_FINITE, st.floats(-5, 5)),
+                        st.tuples(st.floats(-5, 5), st.floats(-5, 5)).filter(
+                            lambda w: not w[0] < w[1])),
+    "bins": st.one_of(NOT_A_NUMBER, st.floats(), st.integers(max_value=0)),
+    "initial": st.one_of(NOT_A_DICT, st.fixed_dictionaries({"kind": st.text(max_size=8).filter(
+        lambda k: k not in ("zeros", "explicit", "iid_uniform", "iid_normal"))})),
+    "snapshot_time": st.one_of(NOT_A_NUMBER, NON_FINITE),
+    "burn_in": st.one_of(st.none(), NOT_A_NUMBER, NON_FINITE,
+                         st.floats(max_value=0.0, exclude_max=True), st.floats(min_value=100.5)),
+    "fit_window": st.one_of(st.none(), NOT_A_NUMBER, NON_FINITE, st.floats(max_value=0.0),
+                            st.floats(min_value=1.0, exclude_min=True)),
+    "engine": st.one_of(st.none(), NOT_A_STRING, st.just("bounded"),
+                        st.text(max_size=8).filter(
+                            lambda e: e not in ("auto", "reference", "exponential"))),
+    "log_events": st.one_of(st.none(), st.integers(), st.floats(), st.text(max_size=5)),
+    "outdir": NOT_A_STRING,
+}
+BAD_PDE_CONFIG = {
+    "rate": BAD_RATE,
+    "h": st.one_of(st.none(), NOT_A_NUMBER, NON_FINITE, st.floats(max_value=0.0)),
+    "dt": st.one_of(st.none(), NOT_A_NUMBER, NON_FINITE, st.floats(max_value=0.0)),
+    "T": st.one_of(st.none(), NOT_A_NUMBER, NON_FINITE,
+                   st.floats(max_value=0.0, exclude_max=True)),
+    # x_min has no range of its own: the pair's order is x_max's check
+    "x_min": st.one_of(st.none(), NOT_A_NUMBER, NON_FINITE),
+    "x_max": st.one_of(st.none(), NOT_A_NUMBER, NON_FINITE, st.floats(max_value=-6.0)),
+    "samples": st.one_of(NOT_AN_INTEGER, st.integers(max_value=0)),
+    "initial": st.one_of(
+        NOT_A_DICT, st.fixed_dictionaries({"kind": st.text(max_size=8).filter(
+            lambda k: k not in ("wave", "gaussian"))}),
+        st.fixed_dictionaries({"kind": st.just("gaussian"),
+                               "sigma": st.one_of(NON_FINITE, st.floats(max_value=0.0))})),
+    "outdir": NOT_A_STRING,
+}
+# the keys whose messages name them as histogram settings
+KEY_NAMES = {"window": "histogram.window", "bins": "histogram.bins"}
+
+
+def one_bad_key(table):
+    return st.sampled_from(sorted(table)).flatmap(
+        lambda key: st.tuples(st.just(key), table[key]))
+
+
+def assert_names_key(exc, key):
+    name = KEY_NAMES.get(key, key)
+    message = str(exc.value)
+    assert message.startswith(name) and message[len(name)] in ":.", (key, message)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(one_bad_key(BAD_CONFIG))
+@example(("scenario", None))
+@example(("outdir", 5))
+def test_config_names_the_one_bad_key(case):
+    key, value = case
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({**_minimal(), key: value})
+    assert_names_key(exc, key)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(one_bad_key(BAD_PDE_CONFIG))
+@example(("outdir", 5))
+def test_pde_config_names_the_one_bad_key(case):
+    key, value = case
+    base = {"rate": {"family": "exponential", "beta": 1.0}}
+    with pytest.raises(ConfigError) as exc:
+        pde_config_from_dict({**base, key: value})
+    assert_names_key(exc, key)
 
 
 def test_config_engine_rule_is_the_simulators():

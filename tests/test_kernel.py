@@ -77,6 +77,15 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     assert out.returncode == 0, out.stderr
 
 
+@pytest.mark.skipif(shutil.which("nm") is None, reason="no nm")
+def test_kernel_exports_only_its_entry_points():
+    lib = kernel.load()
+    out = subprocess.run(["nm", "-D", "--defined-only", lib._name],
+                         capture_output=True, text=True, timeout=60, check=True)
+    exported = {line.split()[-1] for line in out.stdout.splitlines() if " T " in line}
+    assert exported == {"fj_bounded", "fj_exponential", "fj_pde", "fj_residual"}
+
+
 BOUNDED = [fj.StepRate(2.0, 1.0), fj.PiecewiseLinearRate(2.0, 1.0), fj.ArccotRate(),
            fj.TabulatedRate(grid=(-1.0, 0.0, 1.5), values=(2.5, 1.5, 0.5))]
 MATRIX = [("bounded", w) for w in BOUNDED] + [("exponential", fj.ExponentialRate(1.0))]
@@ -250,6 +259,27 @@ def test_tree_descent_never_selects_a_padding_leaf(n, start):
     assert runs[0] == runs[1]
 
 
+def test_exponential_tree_is_rebuilt_at_the_start_and_after_every_resum():
+    # The step's one trigger, tree[1] < S0 / 2, also fires when _drive sets
+    # S0 = inf: at the first event and after each resum, at ref = the
+    # re-summed centre. At n = 1000 the total halves only every ~700 events.
+    refs = []
+
+    def rebase(pos, tree, leaves, beta, ref):
+        refs.append(ref)
+        return real(pos, tree, leaves, beta, ref)
+
+    real = sim._rebase
+    init = np.random.default_rng(4).uniform(0.0, 1.0, 1000)
+    with python_loops(), mock.patch.object(sim, "_rebase", rebase), \
+            mock.patch.object(sim, "RESUM_INTERVAL", 13):
+        res = fj.simulate(fj.ExponentialRate(1.0), fj.ExponentialJump(), 1000, max_events=200,
+                          seed=5, init=init, log_events=True)
+    resummed = res.log.centers[12::13].tolist()
+    assert len(resummed) == 15
+    assert refs == [res.initial_center, *resummed]
+
+
 # ---------------------------------------------------------------------------
 # property test: random families, sizes, seeds, configurations and grids
 # ---------------------------------------------------------------------------
@@ -326,60 +356,6 @@ def test_kernel_matches_python_loop_on_random_cases(case):
         exact = math.fsum(pos) * inv_n if k % interval == 0 else before + length * inv_n
         assert center == exact, (k, center, exact)
         before = center
-
-
-# ---------------------------------------------------------------------------
-# fsum
-# ---------------------------------------------------------------------------
-
-
-def c_fsum(values):
-    """The kernel's fsum: its value, or the (exception, message) of its error."""
-    arr = np.ascontiguousarray(values, dtype=float)
-    out = ctypes.c_double()
-    code = kernel.load().fj_fsum(arr.ctypes.data, len(arr), ctypes.byref(out))
-    return kernel.ERRORS[code] if code else out.value
-
-
-def py_fsum(values):
-    try:
-        return math.fsum(values)
-    except (OverflowError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
-def same_sum(a, b):
-    if isinstance(a, float) and isinstance(b, float):
-        return bits(a) == bits(b) or (math.isnan(a) and math.isnan(b))
-    return a == b
-
-
-ADVERSARIAL = [
-    [], [0.0], [-0.0], [1e-16, 1.0, 1e16], [1.0, 1e100, 1.0, -1e100],
-    [2.0**53, 1.0, -2.0**53], [2.0**53, -0.5, -2.0**-54], [1e308, 1e308, -1e308],
-    [math.inf, -math.inf], [math.inf, 1.0], [math.nan, 1.0], [math.inf, math.nan],
-    [5e-324, 5e-324, -5e-324], [2.2250738585072014e-308, -5e-324] * 3,
-    [0.1] * 10, [1.0, -1e-16, 1e-32], [1.7976931348623157e308, 9.979201547673598e291],
-]
-
-
-@pytest.mark.parametrize("values", ADVERSARIAL)
-def test_c_fsum_matches_math_fsum_on_adversarial_lists(values):
-    assert same_sum(c_fsum(values), py_fsum(values))
-
-
-finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                   st.floats(-1e-300, 1e-300), st.floats(-1e6, 1e6),
-                   st.sampled_from([5e-324, -5e-324, 1e308, -1e308, 2.0**53, 1e-16]))
-
-
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.one_of(finite, st.floats()), max_size=60), st.randoms(use_true_random=False))
-def test_c_fsum_matches_math_fsum(values, random):
-    # with the negatives of a shuffled copy appended: heavy cancellation
-    mirrored = values + [-x for x in random.sample(values, len(values))]
-    for xs in (values, mirrored):
-        assert same_sum(c_fsum(xs), py_fsum(xs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -173,6 +174,19 @@ def test_ks_weighted_matches_unweighted():
     a = ms.ks_distance(x, cdf)
     b = ms.ks_distance(x, cdf, weights=np.ones_like(x))
     assert a == pytest.approx(b, abs=1e-12)
+
+
+@pytest.mark.parametrize("samples, weights, message", [
+    ([], None, "samples: the KS distance needs at least one sample"),
+    ([], [], "samples: the KS distance needs at least one sample"),
+    ([0.5, 1.5], [0.0, 0.0], "weights: must have a positive sum, got 0.0"),
+    ([0.5, 1.5], [1.0, -1.0], "weights: must have a positive sum, got 0.0"),
+    ([0.5, 1.5], [1.0, math.nan], "weights: must have a positive sum, got nan"),
+])
+def test_ks_refuses_what_it_cannot_score(samples, weights, message):
+    cdf = lambda x: np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+        ms.ks_distance(samples, cdf, weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -367,3 +381,12 @@ def test_residual_scaling_slope():
     assert -0.75 <= study.slope <= -0.25
     assert all(r > 0 for r in study.rms_sup)
     assert study.rms_sup[0] > study.rms_sup[-1]      # decreasing in n
+
+
+def test_residual_scaling_runs_the_familys_default_engine():
+    # the exponential family has no bounded engine; its own engine runs
+    study = ms.residual_scaling([4, 8], seeds=3, t=1.0, w=fj.ExponentialRate(1.0),
+                                z=fj.ExponentialJump(), base_seed=11)
+    assert study.ns == [4, 8] and len(study.rms_sup) == 2
+    assert all(r > 0 and math.isfinite(r) for r in study.rms_sup)
+    assert math.isfinite(study.slope)
