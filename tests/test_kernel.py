@@ -342,20 +342,55 @@ def test_kernel_matches_python_loop_on_random_cases(case):
     assert got == expected
     if len(expected) == 2:                            # the run raised
         return
-    # The identities of test_sim's test_logged_centers_track_the_exact_center:
-    # the log's times strictly increase; the centre logged at event
-    # RESUM_INTERVAL * k is fsum(positions replayed over the start) * (1/n)
-    # bit for bit; every other row adds length * (1/n) to the centre before it.
+    assert_log_replays(expected, kwargs["init"], constants["RESUM_INTERVAL"])
+
+
+def assert_log_replays(expected, init, interval):
+    """The identities of test_sim's test_logged_centers_track_the_exact_center,
+    on the logged outcome of a run from `init`: the log's times strictly
+    increase; the centre logged at event interval * k is fsum(positions
+    replayed over the start) * (1/n) bit for bit; every other row adds
+    length * (1/n) to the centre before it."""
     times, indices, lengths, centers = (np.frombuffer(col, dtype) for col, dtype in
                                         zip(expected[8], (float, np.int64, float, float)))
     assert np.all(np.diff(times) > 0)
-    pos, inv_n, interval = kwargs["init"].tolist(), 1.0 / n, constants["RESUM_INTERVAL"]
+    pos, inv_n = init.tolist(), 1.0 / len(init)
     before = np.frombuffer(expected[5], float)[0]
     for k, (i, length, center) in enumerate(zip(indices, lengths, centers), start=1):
         pos[i] += length
         exact = math.fsum(pos) * inv_n if k % interval == 0 else before + length * inv_n
         assert center == exact, (k, center, exact)
         before = center
+
+
+# Starts whose sum is hard to get exactly: cancellation, absorption, the
+# double range's ends, subnormals, and non-finite values (refused up front).
+ADVERSARIAL_STARTS = [
+    [0.0], [-0.0], [1e-16, 1.0, 1e16], [1.0, 1e100, 1.0, -1e100],
+    [2.0**53, 1.0, -2.0**53], [2.0**53, -0.5, -2.0**-54], [1e308, 1e308, -1e308],
+    [math.inf, -math.inf], [math.inf, 1.0], [math.nan, 1.0], [math.inf, math.nan],
+    [5e-324, 5e-324, -5e-324], [2.2250738585072014e-308, -5e-324] * 3,
+    [0.1] * 10, [1.0, -1e-16, 1e-32], [1.7976931348623157e308, 9.979201547673598e291],
+]
+
+
+@pytest.mark.parametrize("engine, w", ENGINE_FAMILIES, ids=[e for e, _ in ENGINE_FAMILIES])
+@pytest.mark.parametrize("start", ADVERSARIAL_STARTS)
+def test_resum_after_every_event_is_exact_from_adversarial_starts(engine, w, start):
+    # With RESUM_INTERVAL = 1 every event exits to _drive's math.fsum resum,
+    # and the exponential step rebuilds its tree before every event. Both
+    # loops show the same run or raise the same error (a non-finite start,
+    # an overflowing resum or overflowing weights); a run's log replays.
+    init = np.array(start)
+    with mock.patch.object(sim, "RESUM_INTERVAL", 1), np.errstate(all="ignore"):
+        expected, got = both(w, fj.ExponentialJump(), len(init), max_events=40, seed=3,
+                             init=init, engine=engine, log_events=True)
+    assert got == expected
+    if len(expected) == 2:                            # the run raised
+        assert expected[0] in ("DomainError", "OverflowError", "StallError")
+        return
+    assert expected[1] == 40
+    assert_log_replays(expected, init, 1)
 
 
 # ---------------------------------------------------------------------------
