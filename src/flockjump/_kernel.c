@@ -1,8 +1,8 @@
 /*
  * Compiled loops of flockjump: the event loop of the bounded and exponential
- * engines (flockjump.sim), the martingale-residual walk of the step rate
- * (flockjump.measures) and the explicit Euler step of the mean-field PDE
- * (flockjump.mean_field).
+ * engines (flockjump.sim), the martingale-residual walk of the step rate and
+ * the binning of one centered histogram (flockjump.measures), and the
+ * explicit Euler step of the mean-field PDE (flockjump.mean_field).
  *
  * Event loop.  Python draws every random number, in each engine's one
  * refill in sim.py, and this code consumes the batches.  Each entry point is
@@ -32,6 +32,11 @@
  * versions and heap are scratch arrays of the record; it allocates nothing,
  * writes no array but those, and stops with an exit code instead of reading
  * or writing outside them.
+ *
+ * Histogram.  fj_histogram bins one observation, the x_j - m, into the
+ * bins of [a0, a1) with the operations of measures._numpy_bins in their
+ * order, so its counts, below and above are that numpy body's to the bit.
+ * It adds into a counts row the caller owns and writes nothing else.
  *
  * PDE step.  fj_pde runs whole Euler steps of the numpy loop in
  * mean_field.py, one pass over the grid each, until Python has to track the
@@ -552,4 +557,50 @@ int fj_residual(fj_residual_walk *r)
     r->sup = py_max(sup, fabs(r->value));
     r->events = e;
     return RESIDUAL_DONE;
+}
+
+/* Exits of fj_histogram. */
+enum {
+    HIST_DONE,      /* every x_j - m was binned, below or above */
+    HIST_NAN,       /* some x_j - m was NaN: in no bin and not outside */
+};
+
+/* Mirrored field by field by kernel.Bins. */
+typedef struct {
+    const double *pos;          /* n positions */
+    int64_t n;
+    double m, a0, a1;           /* the center and the window [a0, a1) */
+    int64_t nbins;
+    double *counts;             /* nbins counts, added into */
+    int64_t below, above;       /* positions with x - m < a0, with x - m >= a1 */
+} fj_bins;
+
+/* Bin x_j - m into the nbins bins of width h = (a1 - a0) / nbins: the
+   left-closed bin floor((x_j - m - a0) / h), clipped to nbins - 1, as the
+   numpy body of measures._numpy_bins computes it.  Inside the window
+   x_j - m - a0 >= 0, so the truncation to int64_t is that floor. */
+int fj_histogram(fj_bins *b)
+{
+    const double *pos = b->pos;
+    const double m = b->m, a0 = b->a0, a1 = b->a1;
+    const double h = (a1 - a0) / (double)b->nbins;
+    const int64_t last = b->nbins - 1;
+    double *counts = b->counts;
+    int64_t below = 0, above = 0, binned = 0;
+
+    for (int64_t j = 0; j < b->n; j++) {
+        double c = pos[j] - m;
+        if (c < a0) {
+            below++;
+        } else if (c >= a1) {
+            above++;
+        } else if (c >= a0) {      /* false only for NaN */
+            int64_t k = (int64_t)((c - a0) / h);
+            counts[k < last ? k : last] += 1.0;
+            binned++;
+        }
+    }
+    b->below = below;
+    b->above = above;
+    return below + above + binned == b->n ? HIST_DONE : HIST_NAN;
 }

@@ -160,12 +160,12 @@ class ExperimentConfig:
             raise ConfigError(f"seed: must be an integer >= 0, got {self.seed!r}")
         if (not isinstance(self.window, (tuple, list)) or len(self.window) != 2
                 or not all(map(_is_finite, self.window))):
-            raise ConfigError(f"histogram.window: needs two finite numbers, got {self.window!r}")
+            raise ConfigError(f"window: needs two finite numbers, got {self.window!r}")
         self.window = tuple(float(x) for x in self.window)
         if not self.window[0] < self.window[1]:
-            raise ConfigError(f"histogram.window: needs a0 < a1, got {self.window}")
+            raise ConfigError(f"window: needs a0 < a1, got {self.window}")
         if self.bins is not None and not (_is_integer(self.bins) and self.bins >= 1):
-            raise ConfigError(f"histogram.bins: must be an integer >= 1, got {self.bins!r}")
+            raise ConfigError(f"bins: must be an integer >= 1, got {self.bins!r}")
         if not (_is_finite(self.fit_window) and 0.0 < self.fit_window <= 1.0):
             raise ConfigError(f"fit_window: must be a number in (0, 1], got {self.fit_window!r}")
         if not _is_integer(self.observations):
@@ -313,7 +313,10 @@ def pde_config_from_dict(d: dict) -> dict:
     if out["T"] < 0:
         raise ConfigError(f"T: must be >= 0, got {out['T']}")
     if not out["x_min"] < out["x_max"]:
-        raise ConfigError(f"x_max: must exceed x_min, got {out['x_min']} and {out['x_max']}")
+        # name the key the config set: x_min alone, against the default x_max
+        if "x_max" in d:
+            raise ConfigError(f"x_max: must exceed x_min, got {out['x_min']} and {out['x_max']}")
+        raise ConfigError(f"x_min: must be below x_max = {out['x_max']}, got {out['x_min']}")
     samples = d.get("samples", 200)
     if not (_is_integer(samples) and samples >= 1):
         raise ConfigError(f"samples: must be an integer >= 1, got {samples!r}")
@@ -442,17 +445,17 @@ def run_scenario(cfg: ExperimentConfig, outdir=None) -> ScenarioResult:
     nbins = cfg.nbins
     snapshot_time = cfg.snapshot_time if cfg.snapshot_time is not None else 0.5 * cfg.T
 
-    averager = measures.TimeAverager(burn_in=cfg.burn_in)
+    averager = measures.TimeAverager(a0, a1, nbins, samples=cfg.observations,
+                                     burn_in=cfg.burn_in)
     mean_times, mean_path = [], []
-    snapshot = {"hist": None, "err": math.inf, "t": None}
+    snapshot = {"row": None, "err": math.inf, "t": None}
 
     def observer(t, positions, m):
-        hist = measures.build_histogram(positions, m, a0, a1, nbins)
-        averager.add(t, hist)
+        row = averager.add(t, positions, m)
         mean_times.append(t)
         mean_path.append(m)
         if abs(t - snapshot_time) < snapshot["err"]:
-            snapshot["hist"] = hist
+            snapshot["row"] = row
             snapshot["err"] = abs(t - snapshot_time)
             snapshot["t"] = t
 
@@ -462,6 +465,7 @@ def run_scenario(cfg: ExperimentConfig, outdir=None) -> ScenarioResult:
 
     wave = mean_field.stationary_wave(w)
     hist_avg = averager.finalize()
+    hist_snapshot = averager.histogram(snapshot["row"])
     slope, stderr = fit_speed(mean_times, mean_path, cfg.fit_window)
 
     summary = {
@@ -482,13 +486,13 @@ def run_scenario(cfg: ExperimentConfig, outdir=None) -> ScenarioResult:
         "speed_rel_err": abs(slope - wave.c) / wave.c,
         "ks_timeavg": ks_histogram_vs_cdf(hist_avg, wave.cdf),
         "w1_timeavg": w1_histogram_vs_cdf(hist_avg, wave.cdf),
-        "ks_snapshot": ks_histogram_vs_cdf(snapshot["hist"], wave.cdf),
+        "ks_snapshot": ks_histogram_vs_cdf(hist_snapshot, wave.cdf),
         "snapshot_time": snapshot["t"],
         "out_of_window_fraction_timeavg": hist_avg.out_count / hist_avg.n_samples,
     }
 
     out = ScenarioResult(config=cfg, summary=summary, hist_timeavg=hist_avg,
-                         hist_snapshot=snapshot["hist"],
+                         hist_snapshot=hist_snapshot,
                          mean_times=np.asarray(mean_times), mean_path=np.asarray(mean_path),
                          sim_result=result)
     if outdir is not None:

@@ -1,6 +1,6 @@
 """Build and load the compiled kernel (`_kernel.c`) through ctypes.
 
-The kernel holds three kinds of loop. `fj_bounded` and `fj_exponential` are
+The kernel holds four kinds of loop. `fj_bounded` and `fj_exponential` are
 step functions of the bounded and exponential engines: each runs events on a
 `Run` record until `sim._drive`, the one driver of every engine, must act, and
 returns the reason (EXIT_*). Their exit-for-exit Python twins in `sim` run on
@@ -13,14 +13,17 @@ as in the Python twin, whenever its total is below half of S0.
 `fj_residual` walks an event log for `measures.residual_path`: the identity
 residual of the step rate, on a `Residual` record whose scratch arrays it
 owns, bit-identical to the Python loop, which runs when `load()` returns None.
-The explicit Euler step of the mean-field PDE (`fj_pde`) runs `mean_field`'s
-numpy step to a tolerance, not to the bit, and `mean_field` falls back to the
-numpy step in the same way. The shared library is built with gcc on first
-use, not at import, and cached as `__pycache__/_kernel-<key>.so` next to
-this file, where the key is a sha256 of the source, the compiler and the
-flags; a build goes to a temporary file that is renamed into place, so
-concurrent builds never expose a partial library. Any failure to build or
-load gives None.
+`fj_histogram` bins one observation for `measures` (`build_histogram` and
+`TimeAverager.add`) into a counts row the caller owns, on a `Bins` record;
+its counts, below and above are those of the numpy body, which runs when
+`load()` returns None, to the bit. The explicit Euler step of the
+mean-field PDE (`fj_pde`) runs `mean_field`'s numpy step to a tolerance,
+not to the bit, and `mean_field` falls back to the numpy step in the same
+way. The shared library is built with gcc on first use, not at import,
+and cached as `__pycache__/_kernel-<key>.so` next to this file, where the
+key is a sha256 of the source, the compiler and the flags; a build goes to
+a temporary file that is renamed into place, so concurrent builds never
+expose a partial library. Any failure to build or load gives None.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ PDE_STEPS, PDE_SHIFT, PDE_UNSTABLE, PDE_NOT_FINITE = range(4)
 
 # Exit codes of fj_residual (the RESIDUAL_* enum of _kernel.c).
 RESIDUAL_DONE, RESIDUAL_BAD_INDEX, RESIDUAL_HEAP_FULL = range(3)
+
+# Exit codes of fj_histogram (the HIST_* enum of _kernel.c).
+HIST_DONE, HIST_NAN = range(2)
 
 # Rate families with a C rate, by the name their kernel_rate() gives.
 RATE_CODES = {"step": 0, "piecewise_linear": 1, "arccot": 2, "tabulated": 3, "exponential": 4}
@@ -139,6 +145,17 @@ class Residual(_Record):
     ]
 
 
+class Bins(_Record):
+    """The fj_bins record of `_kernel.c`: one observation, its window and
+    the counts row `fj_histogram` adds it into."""
+
+    _arrays = {"pos": np.float64, "counts": np.float64}
+    _fields_ = [
+        ("pos", _P), ("n", _I64), ("m", _F64), ("a0", _F64), ("a1", _F64), ("nbins", _I64),
+        ("counts", _P), ("below", _I64), ("above", _I64),
+    ]
+
+
 def _build(cc: str) -> Path:
     """Path of the cached library for compiler cc, building it if needed."""
     source = _SOURCE.read_bytes()
@@ -167,7 +184,8 @@ def _load(cc: str):
     except (OSError, subprocess.SubprocessError):
         return None
     for name, record in (("fj_bounded", Run), ("fj_exponential", Run),
-                         ("fj_pde", Pde), ("fj_residual", Residual)):
+                         ("fj_pde", Pde), ("fj_residual", Residual),
+                         ("fj_histogram", Bins)):
         fn = getattr(lib, name)
         fn.argtypes = [ctypes.POINTER(record)]
         fn.restype = ctypes.c_int

@@ -2,6 +2,12 @@
 averages, the 1-Wasserstein and Kolmogorov-Smirnov distances, and the
 test-function residual A_{t,f} whose fluctuations vanish like n^{-1/2}.
 
+A time average bins each observation into one row of a preallocated counts
+matrix, compiled (`fj_histogram` in `_kernel.c`) with the numpy body of
+`_numpy_bins` as the fallback and the oracle, to the bit, and builds a
+`Histogram` only for one chosen sample and for the average; `build_histogram`
+is the one-shot form on the same binning.
+
 The residual integral is a finite sum over inter-event intervals (the
 empirical measure is piecewise constant in time), so its value is exact given
 the event log and does not depend on any observation schedule. One loop walks
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,16 +88,25 @@ class Histogram:
                 fh.write(f"{edges[j]:.17g},{edges[j + 1]:.17g},{self.values[j]:.17g}\n")
 
 
-def build_histogram(positions, m: float, a0: float, a1: float, nbins: int = None) -> Histogram:
-    """Bin the centered positions x_i - m into [a0, a1); default nbins = 2 sqrt(n)."""
-    if not a0 < a1:
-        raise DomainError("histogram window needs a0 < a1")
-    positions = np.asarray(positions, dtype=float)
-    n = positions.size
-    if nbins is None:
-        nbins = default_bins(n)
-    if nbins < 1:
-        raise DomainError("nbins must be >= 1")
+def _check_window(a0, a1, nbins) -> int:
+    """nbins as an int, once the window [a0, a1) and nbins make finite bins
+    of positive width; otherwise DomainError naming the bad argument."""
+    if not (isinstance(nbins, numbers.Integral) and not isinstance(nbins, bool) and nbins >= 1):
+        raise DomainError(f"nbins: must be an integer >= 1, got {nbins!r}")
+    nbins = int(nbins)
+    if not (all(isinstance(x, numbers.Real) and math.isfinite(x) for x in (a0, a1)) and a0 < a1):
+        raise DomainError(f"a0, a1: the histogram window needs finite a0 < a1, got {a0!r}, {a1!r}")
+    h = (a1 - a0) / nbins
+    if not (0.0 < h < math.inf):
+        raise DomainError(f"a0, a1: the bin width (a1 - a0) / nbins = {h!r} must be "
+                          "finite and > 0")
+    return nbins
+
+
+def _numpy_bins(positions, m, a0, a1, nbins, row):
+    """Add the positions x with x - m in [a0, a1) into their bins of `row`,
+    the numpy body of `fj_histogram`; (below, above, unbinned) counts the
+    positions under the window, at or over a1, and with x - m NaN."""
     centered = positions - m
     h = (a1 - a0) / nbins
     inside = (centered >= a0) & (centered < a1)
@@ -98,58 +114,122 @@ def build_histogram(positions, m: float, a0: float, a1: float, nbins: int = None
     above = int(np.count_nonzero(centered >= a1))
     idx = np.floor((centered[inside] - a0) / h).astype(np.int64)
     np.clip(idx, 0, nbins - 1, out=idx)
-    counts = np.bincount(idx, minlength=nbins).astype(float)
-    return Histogram(a0=a0, a1=a1, nbins=nbins, values=counts / (n * h),
-                     n_samples=float(n), out_below=float(below), out_above=float(above),
-                     counts=counts)
+    row += np.bincount(idx, minlength=nbins)
+    return below, above, positions.size - below - above - idx.size
+
+
+def _ordered_sum(x):
+    """Sum of x over axis 0 added in order, x[0] + x[1] + ..., in place of x:
+    `np.cumsum` accumulates in order, where `sum` may add pairwise."""
+    return np.cumsum(x, axis=0, out=x)[-1]
+
+
+def build_histogram(positions, m: float, a0: float, a1: float, nbins: int = None) -> Histogram:
+    """Bin the centered positions x_i - m into [a0, a1); default nbins = 2 sqrt(n).
+
+    No positions, a NaN position, an m that is not finite, a window that is
+    not finite a0 < a1 and an nbins that is not an integer >= 1 raise
+    DomainError naming the argument, and no histogram is made."""
+    positions = np.ascontiguousarray(positions, dtype=float)
+    if nbins is None:
+        nbins = default_bins(positions.size)
+    averager = TimeAverager(a0, a1, nbins, samples=1)
+    return averager.histogram(averager.add(0.0, positions, m))
 
 
 class TimeAverager:
-    """Time average of a histogram stream.
+    """Time average of the centered histograms of a stream of observations.
 
     Each sample represents the piecewise-constant state on the neighborhood up
     to the midpoints of the adjacent sample times, so equispaced samples get
-    equal weight (two samples average to their bin-wise mean). A burn-in prefix
-    can be discarded.
+    equal weight (two samples average to their bin-wise mean). Samples before
+    `burn_in` are kept, so that `histogram(k)` can make any one of them, but
+    they are not averaged.
+
+    `add` bins each observation into the next row of a (samples x nbins)
+    counts matrix, compiled (`fj_histogram` in `_kernel.c`) when the kernel
+    loads and by `_numpy_bins` otherwise, to the same bits, and keeps its
+    time, size and counts below and above the window beside it. A `Histogram`
+    is made only by `histogram` and `finalize`.
     """
 
-    def __init__(self, burn_in: float = 0.0):
+    def __init__(self, a0: float, a1: float, nbins: int, samples: int, burn_in: float = 0.0):
+        self.nbins = _check_window(a0, a1, nbins)
+        self.a0, self.a1 = a0, a1
+        self._h = (a1 - a0) / self.nbins
         self.burn_in = burn_in
-        self._times = []
-        self._hists = []
+        self._counts = np.zeros((samples, self.nbins))
+        self._samples = []          # (t, n, below, above) of each row
+        self._lib = kernel.load()
+        if self._lib is not None:
+            self._bins = kernel.Bins(a0=a0, a1=a1, nbins=self.nbins)
+            self._bins_ref = ctypes.byref(self._bins)
+            self._row0 = self._counts.ctypes.data
 
-    def add(self, t: float, hist: Histogram):
-        if self._times and t < self._times[-1]:
+    def add(self, t: float, positions, m: float) -> int:
+        """Bin the observation (t, positions, m) into the next row and return
+        its index. Samples must arrive in time order. An m that is not
+        finite, no positions or a NaN position raise DomainError naming the
+        argument, and leave the averager as it was."""
+        k = len(self._samples)
+        if k and t < self._samples[-1][0]:
             raise ModelError("histogram samples must arrive in time order")
-        if t >= self.burn_in:
-            self._times.append(t)
-            self._hists.append(hist)
+        if k == len(self._counts):
+            raise ModelError(f"the averager holds {k} samples, and all are taken")
+        if not math.isfinite(m):
+            raise DomainError(f"m: must be finite, got {m!r}")
+        positions = np.ascontiguousarray(positions, dtype=float)
+        if positions.size == 0:
+            raise DomainError("positions: the histogram needs at least one position")
+        if self._lib is None:
+            below, above, unbinned = _numpy_bins(positions, m, self.a0, self.a1, self.nbins,
+                                                 self._counts[k])
+        else:
+            bins = self._bins
+            bins.pos = positions.ctypes.data
+            bins.n = positions.size
+            bins.m = m
+            bins.counts = self._row0 + 8 * self.nbins * k
+            unbinned = self._lib.fj_histogram(self._bins_ref) != kernel.HIST_DONE
+            below, above = bins.below, bins.above
+        if unbinned:
+            self._counts[k] = 0.0
+            raise DomainError("positions: must not be NaN")
+        self._samples.append((t, positions.size, below, above))
+        return k
+
+    def histogram(self, k: int) -> Histogram:
+        """The histogram of observation k alone."""
+        _t, n, below, above = self._samples[k]
+        counts = self._counts[k].copy()
+        return Histogram(a0=self.a0, a1=self.a1, nbins=self.nbins,
+                         values=counts / (n * self._h), n_samples=float(n),
+                         out_below=float(below), out_above=float(above), counts=counts)
 
     def finalize(self) -> Histogram:
-        if not self._hists:
+        """The time average of the samples at or after burn_in; the weighted
+        rows and scalars are summed in sample order."""
+        size = len(self._samples)
+        samples = np.array(self._samples, dtype=float).reshape(size, 4)
+        first = int(np.searchsorted(samples[:, 0], self.burn_in, side="left"))
+        if first == size:
             raise ModelError("no histogram samples to average")
-        if len(self._hists) == 1:
-            return self._hists[0]
-        t = np.asarray(self._times)
+        if first == size - 1:
+            return self.histogram(first)
+        t, n, below, above = samples[first:].T
         weights = np.empty_like(t)
         weights[0] = 0.5 * (t[1] - t[0])
         weights[-1] = 0.5 * (t[-1] - t[-2])
         weights[1:-1] = 0.5 * (t[2:] - t[:-2])
         total = weights.sum()
-        first = self._hists[0]
-        values = np.zeros_like(first.values)
-        counts = np.zeros_like(first.values)
-        below = above = nsamp = 0.0
-        for wgt, hh in zip(weights, self._hists):
-            values += wgt * hh.values
-            counts += wgt * hh.counts
-            below += wgt * hh.out_below
-            above += wgt * hh.out_above
-            nsamp += wgt * hh.n_samples
-        return Histogram(a0=first.a0, a1=first.a1, nbins=first.nbins,
-                         values=values / total, n_samples=nsamp / total,
-                         out_below=below / total, out_above=above / total,
-                         counts=counts / total)
+        counts = self._counts[first:size]
+        column = weights[:, None]
+        rows = np.divide(counts, n[:, None] * self._h)      # one scratch matrix
+        values = _ordered_sum(np.multiply(column, rows, out=rows)) / total
+        counts = _ordered_sum(np.multiply(column, counts, out=rows)) / total
+        below, above, nsamp = (_ordered_sum(weights * col) / total for col in (below, above, n))
+        return Histogram(a0=self.a0, a1=self.a1, nbins=self.nbins, values=values,
+                         n_samples=nsamp, out_below=below, out_above=above, counts=counts)
 
 
 # ---------------------------------------------------------------------------

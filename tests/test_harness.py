@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flockjump as fj
-from flockjump import cli
+from flockjump import cli, kernel
 from flockjump.model import RATE_FAMILIES
 from flockjump.sim import UnsupportedSpecError
 from flockjump.harness import (
@@ -109,7 +110,7 @@ def test_minimal_config_defaults():
 
 
 def test_config_errors_name_keys():
-    with pytest.raises(ConfigError, match="histogram.window"):
+    with pytest.raises(ConfigError, match="window:"):
         config_from_dict({**_minimal(), "window": (3.0, -3.0)})
     with pytest.raises(ConfigError, match="n:"):
         config_from_dict({**_minimal(), "n": 0})
@@ -134,13 +135,13 @@ def test_config_errors_name_keys():
     ({"n": 10.0}, "n:"),
     ({"seed": "x"}, "seed:"),
     ({"seed": 1.5}, "seed:"),
-    ({"window": (-10.0, math.inf)}, "histogram.window"),
-    ({"window": (math.nan, 1.0)}, "histogram.window"),
-    ({"window": 5}, "histogram.window"),
+    ({"window": (-10.0, math.inf)}, "window:"),
+    ({"window": (math.nan, 1.0)}, "window:"),
+    ({"window": 5}, "window:"),
     ({"engine": "exponential", "rate": {"family": "step", "a": 2, "b": 1}}, "engine:"),
     ({"engine": "bounded"}, "engine:"),
-    ({"bins": "x"}, "histogram.bins:"),
-    ({"bins": 0}, "histogram.bins:"),
+    ({"bins": "x"}, "bins:"),
+    ({"bins": 0}, "bins:"),
     ({"observations": "5"}, "observations:"),
     ({"observations": 18}, "observations:"),        # 9 samples in the fit window
     ({"observations": 40, "fit_window": 0.2}, "observations:"),
@@ -230,8 +231,8 @@ BAD_PDE_CONFIG = {
     "dt": st.one_of(st.none(), NOT_A_NUMBER, NON_FINITE, st.floats(max_value=0.0)),
     "T": st.one_of(st.none(), NOT_A_NUMBER, NON_FINITE,
                    st.floats(max_value=0.0, exclude_max=True)),
-    # x_min has no range of its own: the pair's order is x_max's check
-    "x_min": st.one_of(st.none(), NOT_A_NUMBER, NON_FINITE),
+    # at or past the default x_max = 25, which x_min alone is checked against
+    "x_min": st.one_of(st.none(), NOT_A_NUMBER, NON_FINITE, st.floats(min_value=25.0)),
     "x_max": st.one_of(st.none(), NOT_A_NUMBER, NON_FINITE, st.floats(max_value=-6.0)),
     "samples": st.one_of(NOT_AN_INTEGER, st.integers(max_value=0)),
     "initial": st.one_of(
@@ -241,19 +242,14 @@ BAD_PDE_CONFIG = {
                                "sigma": st.one_of(NON_FINITE, st.floats(max_value=0.0))})),
     "outdir": NOT_A_STRING,
 }
-# the keys whose messages name them as histogram settings
-KEY_NAMES = {"window": "histogram.window", "bins": "histogram.bins"}
-
-
 def one_bad_key(table):
     return st.sampled_from(sorted(table)).flatmap(
         lambda key: st.tuples(st.just(key), table[key]))
 
 
 def assert_names_key(exc, key):
-    name = KEY_NAMES.get(key, key)
     message = str(exc.value)
-    assert message.startswith(name) and message[len(name)] in ":.", (key, message)
+    assert message.startswith(key) and message[len(key)] in ":.", (key, message)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -270,6 +266,7 @@ def test_config_names_the_one_bad_key(case):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(one_bad_key(BAD_PDE_CONFIG))
 @example(("outdir", 5))
+@example(("x_min", 30))
 def test_pde_config_names_the_one_bad_key(case):
     key, value = case
     base = {"rate": {"family": "exponential", "beta": 1.0}}
@@ -435,6 +432,17 @@ def test_preset_bundle_digest(tmp_path, preset, overrides, expected):
     assert _bundle_digest(tmp_path) == expected
 
 
+@pytest.mark.parametrize("preset, overrides, expected", PRESET_DIGESTS,
+                         ids=["fig4_6_small", "fig7_9_small",
+                              "fig4_6_small-deterministic", "fig7_9_small-deterministic"])
+def test_preset_bundle_digest_without_the_kernel(tmp_path, preset, overrides, expected):
+    # the Python engine steps and the numpy histogram body write the same bytes
+    with mock.patch.object(kernel, "_CC", "/nonexistent/bin/gcc"):
+        assert kernel.load() is None
+        run_scenario(preset_config(preset, **overrides), outdir=tmp_path)
+    assert _bundle_digest(tmp_path) == expected
+
+
 def test_ks_histogram_vs_cdf_consistency():
     # histogram of exact Laplace draws vs the Laplace cdf should be small
     rng = np.random.default_rng(0)
@@ -545,6 +553,7 @@ def test_cli_reports_config_errors(capsys, tmp_path):
                      ({"rate": rate, "x_min": "x"}, "x_min"),
                      ({"rate": rate, "x_max": None}, "x_max"),
                      ({"rate": rate, "x_min": 5, "x_max": 1}, "x_max"),
+                     ({"rate": rate, "x_min": 30}, "x_min"),
                      ({"rate": rate, "samples": "x"}, "samples"),
                      ({"rate": rate, "initial": "wave"}, "initial"),
                      ({"rate": rate, "initial": {"kind": "gaussian", "sigma": 0}},

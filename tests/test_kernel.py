@@ -17,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import flockjump as fj
@@ -83,7 +83,7 @@ def test_kernel_exports_only_its_entry_points():
     out = subprocess.run(["nm", "-D", "--defined-only", lib._name],
                          capture_output=True, text=True, timeout=60, check=True)
     exported = {line.split()[-1] for line in out.stdout.splitlines() if " T " in line}
-    assert exported == {"fj_bounded", "fj_exponential", "fj_pde", "fj_residual"}
+    assert exported == {"fj_bounded", "fj_exponential", "fj_pde", "fj_residual", "fj_histogram"}
 
 
 BOUNDED = [fj.StepRate(2.0, 1.0), fj.PiecewiseLinearRate(2.0, 1.0), fj.ArccotRate(),
@@ -745,3 +745,82 @@ def test_residual_path_refuses_a_walk_it_cannot_run(compiled, bad, message):
                 mock.patch.object(fj.StepRate, "mean_rate", side_effect=AssertionError):
             with pytest.raises(DomainError, match=re.escape(message)):
                 ms.residual_path(walk["start"], log, f, w, fj.DeterministicJump(), walk["t_end"])
+
+
+# ---------------------------------------------------------------------------
+# histogram binning
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def observations(draw):
+    """(positions, m, a0, a1, nbins) whose centered positions x - m fall on
+    the window's edges and interior bin edges a0 + k h, just under a1 (where
+    (x - m - a0) / h can round up to nbins), far outside it, at +-inf or
+    NaN, around centers as large as 1e15."""
+    nbins = draw(st.integers(1, 300))
+    a0 = draw(st.floats(-50.0, 50.0))
+    a1 = a0 + draw(st.floats(1e-3, 100.0))
+    h = (a1 - a0) / nbins
+    m = draw(st.one_of(st.just(0.0), st.floats(-1e3, 1e3), st.floats(-1e15, 1e15),
+                       st.sampled_from([1e15, -1e15, 2.0 ** 50 + 0.5])))
+    centered = st.one_of(
+        st.sampled_from([a0, a1, math.nextafter(a1, -math.inf), math.nextafter(a0, -math.inf)]),
+        st.integers(0, nbins).map(lambda k: a0 + k * h),
+        st.floats(a0, a1),
+        st.floats(allow_nan=False),
+        st.sampled_from([math.inf, -math.inf, math.nan]))
+    positions = draw(st.lists(centered.map(lambda c: c + m), min_size=1, max_size=60))
+    return np.array(positions), m, a0, a1, nbins
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(observations())
+@example((np.array([math.nextafter(1.0, 0.0)]), 0.0, 0.0, 1.0, 3))   # quotient 3.0: clipped
+@example((np.array([1e15 + 0.125, 1e15 - 10.0, 1e15 + 10.0]), 1e15, -10.0, 10.0, 64))
+def test_fj_histogram_is_the_numpy_body(case):
+    positions, m, a0, a1, nbins = case
+    expected = np.zeros(nbins)
+    below, above, unbinned = ms._numpy_bins(positions, m, a0, a1, nbins, expected)
+    got = np.zeros(nbins)
+    bins = kernel.Bins(n=positions.size, m=m, a0=a0, a1=a1, nbins=nbins)
+    bins.bind(pos=positions, counts=got)
+    code = kernel.load().fj_histogram(ctypes.byref(bins))
+    assert got.tobytes() == expected.tobytes()
+    assert (bins.below, bins.above) == (below, above)
+    assert code == (kernel.HIST_NAN if unbinned else kernel.HIST_DONE)
+    assert expected.sum() + below + above + unbinned == positions.size
+
+
+BAD_HISTOGRAMS = [
+    (([], 0.0, -1.0, 1.0), "positions:"),
+    (([0.0], 0.0, -1.0, 1.0, 2.5), "nbins:"),
+    (([0.0], 0.0, -1.0, 1.0, True), "nbins:"),
+    (([0.0], 0.0, -1.0, 1.0, 0), "nbins:"),
+    (([0.0, math.nan], 0.0, -1.0, 1.0), "positions:"),
+    (([0.0], math.nan, -1.0, 1.0), "m:"),
+    (([0.0], math.inf, -1.0, 1.0), "m:"),
+    (([0.0], 0.0, 1.0, -1.0), "a0, a1:"),
+    (([0.0], 0.0, -math.inf, 1.0), "a0, a1:"),
+    (([0.0], 0.0, -1e308, 1e308, 2), "a0, a1:"),      # the bin width overflows
+    (([0.0], 0.0, 0.0, 5e-324, 3), "a0, a1:"),        # the bin width underflows to 0
+]
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "python"])
+@pytest.mark.parametrize("args, name", BAD_HISTOGRAMS, ids=[n for _, n in BAD_HISTOGRAMS])
+def test_build_histogram_names_the_bad_argument(compiled, args, name):
+    with contextlib.nullcontext() if compiled else python_loops():
+        with pytest.raises(DomainError) as exc:
+            ms.build_histogram(*args)
+    assert str(exc.value).startswith(name)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "python"])
+def test_refused_observation_leaves_the_averager_as_it_was(compiled):
+    with contextlib.nullcontext() if compiled else python_loops():
+        avg = ms.TimeAverager(0.0, 1.0, 2, samples=2)
+        with pytest.raises(DomainError, match="positions"):
+            avg.add(0.0, [0.1, 0.6, math.nan], 0.0)
+        assert avg.add(0.0, [0.9], 0.0) == 0
+    assert avg.finalize().counts.tolist() == [0.0, 1.0]

@@ -56,41 +56,95 @@ def test_histogram_window_validation():
         ms.build_histogram(np.zeros(3), 0.0, 1.0, -1.0)
 
 
-def time_average(times, hists, burn_in=0.0):
-    avg = ms.TimeAverager(burn_in=burn_in)
-    for t, hh in zip(times, hists):
-        avg.add(t, hh)
+def time_average(times, positions, burn_in=0.0):
+    avg = ms.TimeAverager(0.0, 1.0, 2, samples=len(times), burn_in=burn_in)
+    for t, pos in zip(times, positions):
+        avg.add(t, np.array([pos]), 0.0)
     return avg.finalize()
 
 
+def one(pos):
+    return ms.build_histogram(np.array([pos]), 0.0, 0.0, 1.0, nbins=2)
+
+
 def test_time_average_single_and_equal_weights():
-    h1 = ms.build_histogram(np.array([0.1]), 0.0, 0.0, 1.0, nbins=2)
-    h2 = ms.build_histogram(np.array([0.9]), 0.0, 0.0, 1.0, nbins=2)
-    single = time_average([3.0], [h1])
+    h1, h2, h3 = one(0.1), one(0.9), one(0.5)
+    single = time_average([3.0], [0.1])
     assert np.array_equal(single.values, h1.values)
-    avg = time_average([0.0, 1.0], [h1, h2])
+    avg = time_average([0.0, 1.0], [0.1, 0.9])
     assert np.allclose(avg.values, 0.5 * (h1.values + h2.values))
     # equispaced samples: interior full weight, endpoints half (time integral
     # of the piecewise-constant interpolation)
-    h3 = ms.build_histogram(np.array([0.5]), 0.0, 0.0, 1.0, nbins=2)
-    avg3 = time_average([0.0, 1.0, 2.0], [h1, h2, h3])
+    avg3 = time_average([0.0, 1.0, 2.0], [0.1, 0.9, 0.5])
     assert np.allclose(avg3.values,
                        0.25 * h1.values + 0.5 * h2.values + 0.25 * h3.values)
 
 
 def test_time_average_requires_order():
-    h1 = ms.build_histogram(np.array([0.1]), 0.0, 0.0, 1.0, nbins=2)
-    avg = ms.TimeAverager()
-    avg.add(1.0, h1)
+    avg = ms.TimeAverager(0.0, 1.0, 2, samples=2)
+    avg.add(1.0, [0.1], 0.0)
     with pytest.raises(ModelError):
-        avg.add(0.5, h1)
+        avg.add(0.5, [0.1], 0.0)
 
 
 def test_time_average_burn_in():
-    h1 = ms.build_histogram(np.array([0.1]), 0.0, 0.0, 1.0, nbins=2)
-    h2 = ms.build_histogram(np.array([0.9]), 0.0, 0.0, 1.0, nbins=2)
-    avg = time_average([0.0, 10.0, 11.0], [h1, h2, h2], burn_in=5.0)
-    assert np.array_equal(avg.values, h2.values)
+    avg = time_average([0.0, 10.0, 11.0], [0.1, 0.9, 0.9], burn_in=5.0)
+    assert np.array_equal(avg.values, one(0.9).values)
+
+
+def test_time_average_keeps_burn_in_rows_for_histogram():
+    avg = ms.TimeAverager(0.0, 1.0, 2, samples=3, burn_in=5.0)
+    rows = [avg.add(t, [x], 0.0) for t, x in ((0.0, 0.1), (10.0, 0.9), (11.0, 0.9))]
+    assert rows == [0, 1, 2]
+    assert np.array_equal(avg.histogram(0).values, one(0.1).values)
+    with pytest.raises(ModelError, match="all are taken"):
+        avg.add(12.0, [0.5], 0.0)
+
+
+def test_time_average_without_samples_after_burn_in():
+    avg = ms.TimeAverager(0.0, 1.0, 2, samples=1, burn_in=5.0)
+    avg.add(1.0, [0.1], 0.0)
+    with pytest.raises(ModelError, match="no histogram samples"):
+        avg.finalize()
+
+
+def reference_average(times, hists):
+    """The time average as a loop over per-sample histograms, adding each
+    weighted histogram in sample order."""
+    t = np.asarray(times)
+    weights = np.empty_like(t)
+    weights[0] = 0.5 * (t[1] - t[0])
+    weights[-1] = 0.5 * (t[-1] - t[-2])
+    weights[1:-1] = 0.5 * (t[2:] - t[:-2])
+    total = weights.sum()
+    values = np.zeros_like(hists[0].values)
+    counts = np.zeros_like(hists[0].values)
+    below = above = nsamp = 0.0
+    for wgt, hh in zip(weights, hists):
+        values += wgt * hh.values
+        counts += wgt * hh.counts
+        below += wgt * hh.out_below
+        above += wgt * hh.out_above
+        nsamp += wgt * hh.n_samples
+    return values / total, counts / total, below / total, above / total, nsamp / total
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 60), st.integers(1, 40), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_time_average_is_the_sample_order_loop_to_the_bit(samples, nbins, n, seed):
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.exponential(size=samples))
+    avg = ms.TimeAverager(-2.0, 3.0, nbins, samples=samples)
+    hists = []
+    for t in times:
+        pos, m = rng.normal(0.0, 2.0, n), float(rng.normal())
+        avg.add(t, pos, m)
+        hists.append(ms.build_histogram(pos, m, -2.0, 3.0, nbins))
+    got = avg.finalize()
+    values, counts, below, above, nsamp = reference_average(times, hists)
+    assert got.values.tobytes() == values.tobytes()
+    assert got.counts.tobytes() == counts.tobytes()
+    assert (got.out_below, got.out_above, got.n_samples) == (below, above, nsamp)
 
 
 # ---------------------------------------------------------------------------
