@@ -20,7 +20,8 @@ from typing import get_type_hints
 import numpy as np
 
 from . import measures, mean_field, sim
-from .model import RATE_FAMILIES, DeterministicJump, ExponentialJump, ModelError
+from .model import (RATE_FAMILIES, DeterministicJump, ExponentialJump, ModelError,
+                    is_finite_number)
 
 
 class ConfigError(ModelError):
@@ -47,7 +48,7 @@ def _rate_param(key, kind, val):
             return float(val)
         if kind is tuple and not isinstance(val, str):
             return tuple(float(x) for x in val)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     expected = "a number" if kind is float else "a list of numbers"
     raise ConfigError(f"rate.{key}: expected {expected}, got {val!r}")
@@ -123,10 +124,6 @@ def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-def _is_finite(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-
-
 @dataclass
 class ExperimentConfig:
     scenario: str
@@ -153,20 +150,20 @@ class ExperimentConfig:
             raise ConfigError(f"outdir: must be a string or null, got {self.outdir!r}")
         if not _is_integer(self.n) or self.n < 1:
             raise ConfigError(f"n: must be an integer >= 1, got {self.n!r}")
-        if not _is_finite(self.T) or self.T <= 0:
+        if not is_finite_number(self.T) or self.T <= 0:
             # at T = 0 every observation falls at t = 0 and the speed fit has no spread
             raise ConfigError(f"T: must be a finite number > 0, got {self.T!r}")
         if not _is_integer(self.seed) or self.seed < 0:
             raise ConfigError(f"seed: must be an integer >= 0, got {self.seed!r}")
         if (not isinstance(self.window, (tuple, list)) or len(self.window) != 2
-                or not all(map(_is_finite, self.window))):
+                or not all(map(is_finite_number, self.window))):
             raise ConfigError(f"window: needs two finite numbers, got {self.window!r}")
         self.window = tuple(float(x) for x in self.window)
         if not self.window[0] < self.window[1]:
             raise ConfigError(f"window: needs a0 < a1, got {self.window}")
         if self.bins is not None and not (_is_integer(self.bins) and self.bins >= 1):
             raise ConfigError(f"bins: must be an integer >= 1, got {self.bins!r}")
-        if not (_is_finite(self.fit_window) and 0.0 < self.fit_window <= 1.0):
+        if not (is_finite_number(self.fit_window) and 0.0 < self.fit_window <= 1.0):
             raise ConfigError(f"fit_window: must be a number in (0, 1], got {self.fit_window!r}")
         if not _is_integer(self.observations):
             raise ConfigError(f"observations: must be an integer, got {self.observations!r}")
@@ -176,9 +173,9 @@ class ExperimentConfig:
                 f"observations: the speed fit needs >= {FIT_MIN_SAMPLES} samples in its "
                 f"trailing window (fit_window={self.fit_window}), and {self.observations} "
                 f"observations put {in_fit} there")
-        if not (_is_finite(self.burn_in) and 0.0 <= self.burn_in <= self.T):
+        if not (is_finite_number(self.burn_in) and 0.0 <= self.burn_in <= self.T):
             raise ConfigError(f"burn_in: must be a number in [0, T], got {self.burn_in!r}")
-        if self.snapshot_time is not None and not _is_finite(self.snapshot_time):
+        if self.snapshot_time is not None and not is_finite_number(self.snapshot_time):
             raise ConfigError(f"snapshot_time: must be a finite number, got {self.snapshot_time!r}")
         if not isinstance(self.log_events, bool):
             raise ConfigError(f"log_events: must be true or false, got {self.log_events!r}")
@@ -231,14 +228,15 @@ def _check_initial(d, n: int):
             continue
         if key not in required + optional:
             raise ConfigError(f"initial.{key}: not a key of initial kind {kind!r}")
-        if key != "positions" and not _is_finite(val):
+        if key != "positions" and not is_finite_number(val):
             raise ConfigError(f"initial.{key}: must be a finite number, got {val!r}")
     for key in required:
         if key not in d:
             raise ConfigError(f"initial.{key}: required by initial kind {kind!r}")
     if kind == "explicit":
         pos = d["positions"]
-        if not (isinstance(pos, (list, tuple)) and len(pos) == n and all(map(_is_finite, pos))):
+        if not (isinstance(pos, (list, tuple)) and len(pos) == n
+                and all(map(is_finite_number, pos))):
             raise ConfigError("initial.positions: must list exactly n finite positions")
     if kind == "iid_normal" and not d.get("sd", 1.0) >= 0:
         raise ConfigError(f"initial.sd: must be >= 0, got {d['sd']}")
@@ -304,7 +302,7 @@ def pde_config_from_dict(d: dict) -> dict:
     out = {"rate": rate_spec_from_dict(d["rate"]), "outdir": outdir}
     for key, default in _PDE_NUMBERS.items():
         val = d.get(key, default)
-        if not _is_finite(val):
+        if not is_finite_number(val):
             raise ConfigError(f"{key}: must be a finite number, got {val!r}")
         out[key] = float(val)
     for key in ("h", "dt"):
@@ -334,7 +332,7 @@ def pde_config_from_dict(d: dict) -> dict:
     out["initial"] = {"kind": kind}
     for key, default in known.items():
         val = init.get(key, default)
-        if not _is_finite(val):
+        if not is_finite_number(val):
             raise ConfigError(f"initial.{key}: must be a finite number, got {val!r}")
         out["initial"][key] = float(val)
     if kind == "gaussian" and not out["initial"]["sigma"] > 0:

@@ -749,6 +749,9 @@ def _w1_grid_vs_callable(grid, values, pdf) -> float:
     return float(np.trapezoid(np.abs(f1 - f2), grid))
 
 
+RIGHT_EDGE_SHARE = 1e-11     # of the mass, in the window's last unit of length
+
+
 def pde_integrate(field: DensityField, w, T: float, dt: float,
                   samples: int = 200, wave: WaveProfile = None) -> tuple:
     """Integrate the mean-field equation to horizon T.
@@ -760,13 +763,17 @@ def pde_integrate(field: DensityField, w, T: float, dt: float,
     advances. Mass drift is reported in the diagnostics, never silently
     corrected. T must be finite and >= 0, and dt finite and > 0.
 
-    The right edge is never checked against the density: it keeps its
-    starting distance ahead of the mean, and jump mass that lands past it is
-    lost, which shows only as mass drift.
+    Jump mass that lands past the right edge is lost. So wherever the window
+    moves or a sample is due, never inside a run of steps, it grows by half
+    its length on the right once its last unit of length holds more than
+    RIGHT_EDGE_SHARE of the mass. What still runs off is the jumps from that
+    last unit, and the bulk's jumps straight past the edge, e^{-d} of its jump
+    rate at distance d; both show as mass drift.
     """
     if not (math.isfinite(T) and T >= 0):
         raise DomainError(f"T must be finite and >= 0, got {T!r}")
     euler = _Euler(w, field.grid, field.values, dt)
+    edge = max(1, round(1.0 / euler.h))     # cells in the window's last unit of length
     t = t0 = field.time
     m0 = euler.m
     n_steps = int(round(T / dt))
@@ -809,6 +816,12 @@ def pde_integrate(field: DensityField, w, T: float, dt: float,
                 grid = grid + k * h
                 values = np.concatenate([values[k:], np.zeros(k)])
             euler.set_window(grid, values)
+        # past the right edge jump mass is lost: see the docstring
+        if ((shift or step == due)
+                and euler.h * euler.values[-edge:].sum() > RIGHT_EDGE_SHARE * euler.mass):
+            grid, values, k = euler.grid, euler.values, len(euler.grid) // 2
+            euler.set_window(np.concatenate([grid, grid[-1] + euler.h * np.arange(1, k + 1)]),
+                             np.concatenate([values, np.zeros(k)]))
         if step == due:
             record()
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .model import DomainError, ModelError
+from .model import DomainError, ModelError, is_finite_number
 from . import sim as _sim
 
 
@@ -94,7 +94,7 @@ def _check_window(a0, a1, nbins) -> int:
     if not (isinstance(nbins, numbers.Integral) and not isinstance(nbins, bool) and nbins >= 1):
         raise DomainError(f"nbins: must be an integer >= 1, got {nbins!r}")
     nbins = int(nbins)
-    if not (all(isinstance(x, numbers.Real) and math.isfinite(x) for x in (a0, a1)) and a0 < a1):
+    if not (is_finite_number(a0) and is_finite_number(a1) and a0 < a1):
         raise DomainError(f"a0, a1: the histogram window needs finite a0 < a1, got {a0!r}, {a1!r}")
     h = (a1 - a0) / nbins
     if not (0.0 < h < math.inf):

@@ -32,6 +32,17 @@ class DomainError(ModelError):
     """Argument outside the operation's domain."""
 
 
+def is_finite_number(x) -> bool:
+    """x is a real number other than a bool, finite as a float: an int past the
+    float range counts as not finite, where math.isfinite raises OverflowError."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 # ---------------------------------------------------------------------------
 # jump rate families
 # ---------------------------------------------------------------------------

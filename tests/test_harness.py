@@ -180,10 +180,11 @@ def test_config_checks_scenario_and_outdir(override, key):
         ExperimentConfig(**{**_minimal(), **override})
 
 
-# One bad value per key, for the property test below: a wrong type, NaN, inf
-# or a value out of the key's range. The base configs are _minimal() and the
-# PDE's {"rate": exponential}; no value listed is one they accept.
-NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# One bad value per key, for the property test below: a wrong type, NaN, inf,
+# an int past the float range or a value out of the key's range. The base
+# configs are _minimal() and the PDE's {"rate": exponential}; no value listed
+# is one they accept.
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400])
 NOT_A_NUMBER = st.one_of(st.text(max_size=4), st.booleans(), st.lists(st.integers(), max_size=2),
                          st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
 NOT_A_STRING = st.one_of(st.integers(), st.floats(), st.booleans(),
@@ -256,6 +257,9 @@ def assert_names_key(exc, key):
 @given(one_bad_key(BAD_CONFIG))
 @example(("scenario", None))
 @example(("outdir", 5))
+@example(("T", 10**400))
+@example(("window", (-1.0, 10**400)))
+@example(("rate", {"family": "exponential", "beta": 10**400}))
 def test_config_names_the_one_bad_key(case):
     key, value = case
     with pytest.raises(ConfigError) as exc:
@@ -267,6 +271,7 @@ def test_config_names_the_one_bad_key(case):
 @given(one_bad_key(BAD_PDE_CONFIG))
 @example(("outdir", 5))
 @example(("x_min", 30))
+@example(("dt", 10**400))
 def test_pde_config_names_the_one_bad_key(case):
     key, value = case
     base = {"rate": {"family": "exponential", "beta": 1.0}}
@@ -570,9 +575,10 @@ def test_cli_reports_config_errors(capsys, tmp_path):
         assert err.count("\n") == 1
 
 
-# Everything the particle system and the record process need, in one process:
-# scipy serves only the wave solver and residual, the PDE's numpy step, the gap
-# laws and CustomDensityJump.
+# Everything the particle system, the record process and the two-particle gap
+# laws need, in one process: scipy serves only the wave solver and residual,
+# the PDE's numpy step, the gap master-equation and boundary oracles and
+# CustomDensityJump.
 NO_SCIPY_SCRIPT = textwrap.dedent("""
     import json, sys
     from pathlib import Path
@@ -580,7 +586,7 @@ NO_SCIPY_SCRIPT = textwrap.dedent("""
     import numpy as np
 
     import flockjump as fj
-    from flockjump import cli, extremes
+    from flockjump import acceptance, cli, extremes
     from flockjump.harness import preset_config, run_scenario
 
     out = Path(sys.argv[1])
@@ -593,6 +599,12 @@ NO_SCIPY_SCRIPT = textwrap.dedent("""
     extremes.sample_final_uncentered(1.0, 1.0, 5.0, 3, np.random.default_rng(1))
     assert cli.main(["extremes", "--beta", "1", "--T", "5", "--seed", "1",
                      "--out", str(out / "record.csv")]) == 0
+    for beta in (0.5, 1.0, 2.0, 4.0):
+        fj.GapDensity(beta).pdf(np.linspace(0.0, 5.0, 11))
+        fj.GapDensity(beta).cdf(np.linspace(0.0, 5.0, 11))
+    fj.gap_stationary_pmf(fj.gap_chain(fj.StepRate(2.0, 1.0)))
+    assert cli.main(["gap", "--rate", "step:a=2,b=1", "--beta", "1"]) == 0
+    acceptance.crit_06_two_particle_continuous_gap(quick=True)
     print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """)
 

@@ -461,6 +461,15 @@ def test_pde_kernel_matches_numpy_step_when_the_window_widens():
     assert got[0].grid[0] == field.grid[0] and len(got[0].grid) > len(field.grid)
 
 
+def test_pde_kernel_matches_numpy_step_when_the_right_edge_widens():
+    # the Laplace tail reaches the right edge: both steps widen it alike
+    w = fj.StepRate(2.0, 1.0)
+    field, dt = gaussian_start(w, left=-3.0, right=12.0, center=-2.5, sigma=1.0)
+    expected, got = pde_both(field, w, T=2.0, dt=dt, samples=20)
+    assert_pde_close(expected, got)
+    assert got[0].grid[-1] - got[0].mean > 2 * (field.grid[-1] - field.mean)
+
+
 def test_pde_kernel_raises_the_step_size_error_of_the_numpy_step():
     # a widened window keeps its left edge, where the exponential rate grows as
     # the mean advances: the budget breaks mid-run, at the same step and with
@@ -804,6 +813,8 @@ BAD_HISTOGRAMS = [
     (([0.0], 0.0, -math.inf, 1.0), "a0, a1:"),
     (([0.0], 0.0, -1e308, 1e308, 2), "a0, a1:"),      # the bin width overflows
     (([0.0], 0.0, 0.0, 5e-324, 3), "a0, a1:"),        # the bin width underflows to 0
+    (([0.0], 0.0, -1.0, 10**400), "a0, a1:"),         # ints past the float range
+    (([0.0], 0.0, -10**400, 1.0), "a0, a1:"),
 ]
 
 

@@ -521,6 +521,25 @@ def test_pde_window_widens_only_as_far_as_the_mean_moves(T):
     assert diag.mass_drift_per_unit_time() <= 1e-8
 
 
+def test_pde_window_widens_on_the_right_before_jump_mass_runs_off():
+    # The Laplace wave's right tail decays at rate 1/3, so a window 14.5 ahead
+    # of the mean loses jump mass past its right edge: 6e-5 of the node sum
+    # h*sum(v) by T = 2 and 5.8e-4 by T = 5 with the edge kept at that
+    # distance. The node sum is otherwise conserved to roundoff. What is still
+    # lost is the bulk's jumps straight past the edge in the first steps,
+    # about e^-14.5 of its jump rate each, before the tail reaches the last
+    # unit of the window; after that nothing more runs off.
+    w, h = fj.StepRate(2.0, 1.0), 0.02
+    grid = np.arange(-3.0, 12.0 + h / 2, h)
+    f0 = DensityField.gaussian(grid, center=-2.5, sigma=1.0)
+    f2, _ = pde_integrate(f0, w, T=2.0, dt=0.1)
+    f5, _ = pde_integrate(f2, w, T=3.0, dt=0.1)
+    assert f5.grid[0] == grid[0]
+    assert f5.grid[-1] - f5.mean > 2 * (grid[-1] - f0.mean)
+    assert abs(h * f2.values.sum() - h * f0.values.sum()) <= 2e-7
+    assert abs(h * f5.values.sum() - h * f2.values.sum()) <= 1e-10
+
+
 def jump_kernel_weights(phi, h: float, tail_tol: float = 1e-14, max_cells: int = 100_000):
     """Mass/mean-preserving node weights for a general jump density phi on [0, inf)."""
     weights = [0.0]

@@ -106,6 +106,37 @@ def test_gap_density_normalization_all_betas():
         GapDensity(-1.0)
 
 
+def _quad_inf(f):
+    from scipy.integrate import quad
+
+    return quad(f, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+
+
+@pytest.mark.parametrize("beta", [1e-3, 0.01, 0.05, 0.5, 1.0, 2.0, 4.0, 50.0])
+def test_closed_form_normalizer_matches_quadrature(beta):
+    from flockjump.two_particle import _unnormalized_gap_density
+
+    mass = _quad_inf(lambda y: float(_unnormalized_gap_density(beta, y)))
+    assert GapDensity(beta).normalizer == pytest.approx(1.0 / mass, rel=1e-11)
+
+
+def test_closed_form_normalizer_is_two_over_pi_at_beta_1():
+    assert GapDensity(1.0).normalizer == 2.0 / math.pi
+
+
+@pytest.mark.parametrize("beta", [1e-3, 0.01, 0.03])
+def test_small_beta_density_and_cdf_hold_their_whole_mass(beta):
+    # the density's bulk spans ~ (2/beta)/sqrt(1 + 2/beta), far beyond the
+    # tail-decay cut (18 ln 10 + 10)/(1 + beta/2) that large beta allows
+    from scipy.integrate import quad
+
+    dens = GapDensity(beta)
+    assert _quad_inf(dens.pdf) == pytest.approx(1.0, abs=1e-10)
+    for g in (1.0, 10.0, 50.0, 150.0, 400.0, 2000.0):
+        exact = quad(dens.pdf, 0.0, g, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+        assert dens.cdf(g) == pytest.approx(exact, abs=1e-8)
+
+
 def test_master_residual_analytic_solutions():
     for beta in (1.0, 2.0, 4.0):
         dens = GapDensity(beta)
