@@ -43,6 +43,12 @@
  * window, record a sample or raise.  It is exact to a tolerance, not to the
  * bit: numpy's vectorized exp and arctan, np.interp's formula and
  * np.trapezoid's pairwise sum round differently from libm and a running sum.
+ * The arccot and exponential rates come from a table of w(grid[j] - ref), a
+ * scratch array of the record, rebuilt whenever the mean m is more than 1/32
+ * (exponential: 1/(32 beta)) from ref, so that a pass makes no libm call:
+ * the exponential takes one exp per step, e^(beta (m - ref)), and arccot an
+ * odd series of atan.  Exponential nodes within 1 of the clip at EXP_CLAMP,
+ * |beta (grid[j] - ref)| >= EXP_CLAMP - 1, keep the direct clipped rate.
  */
 
 #include <math.h>
@@ -353,21 +359,106 @@ typedef struct {
     double mass, m;             /* trapezoid mass and mean of values, after each step */
     int64_t done;               /* steps this call ran */
     double value;               /* detail of the exit, see PDE_* */
+    /* arccot and exponential: rates[j] = w(grid[j] - ref) for lo <= j < hi,
+       scratch of len entries; ref = nan makes the next step rebuild it */
+    double *rates;
+    double ref;
+    int64_t lo, hi;
 } fj_pde_run;
+
+/* The table is rebuilt once |m - ref| (exponential: beta |m - ref|) would
+   pass PDE_TABLE_BOUND.  Exponential nodes with |beta (grid[j] - ref)| above
+   EXP_CLAMP - PDE_CLAMP_MARGIN, where the clip could bind for such an m,
+   stay outside [lo, hi) and take the direct rate(). */
+#define PDE_TABLE_BOUND (1.0 / 32.0)
+#define PDE_CLAMP_MARGIN 1.0
+
+/* Tabulate w(grid[j] - m) at ref = m. */
+static void pde_tabulate(fj_pde_run *p, double m)
+{
+    const double *g = p->grid, *params = p->rate_params;
+    double *t = p->rates;
+    const int64_t len = p->len;
+    int64_t j;
+    p->ref = m;
+    p->lo = 0;
+    p->hi = len;
+    if (p->family == RATE_ARCCOT) {
+        for (j = 0; j < len; j++)
+            t[j] = params[0] - atan(g[j] - m);
+        return;
+    }
+    const double beta = params[0], edge = params[1] - PDE_CLAMP_MARGIN;
+    for (j = 0; j < len; j++) {
+        double z = beta * (g[j] - m);
+        if (z <= -edge) {
+            p->lo = j + 1;
+        } else if (z >= edge) {
+            p->hi = j;
+            break;
+        } else {
+            t[j] = exp(-z);
+        }
+    }
+}
+
+/* atan z for |z| <= PDE_TABLE_BOUND (1 + 2^-12): the odd Taylor series
+   through z^11, whose truncation error is below 1e-20, summed in pairs
+   (Estrin's scheme) to keep the chain of dependent operations short. */
+static inline double atan_small(double z)
+{
+    double z2 = z * z, z4 = z2 * z2;
+    double p01 = 1.0 - z2 * (1.0 / 3), p23 = 1.0 / 5 - z2 * (1.0 / 7),
+           p45 = 1.0 / 9 - z2 * (1.0 / 11);
+    return z * (p01 + z4 * (p23 + z4 * p45));
+}
+
+/* The running state of one step's pass over the grid. */
+typedef struct {
+    double tail, s_prev, v_prev, gv_prev, sum0, sum1;
+} pde_pass;
+
+/* Node j of the pass, with w = w(grid[j] - m): s = w v[j], the tail sum of
+   J by its recursion tail_j = sum_{d >= 1} r^(d-1) s_(j-d) = s_(j-1) +
+   r tail_(j-1), the update of v[j] in place and the trapezoid sums. */
+static inline void pde_node(pde_pass *a, const double *g, double *v, int64_t j, double w,
+                            double dt, double r, double w0, double c1)
+{
+    double s = w * v[j];
+    a->tail = a->s_prev + r * a->tail;
+    double vj = v[j] + dt * ((w0 * s + c1 * a->tail) - s);
+    double gv = g[j] * vj;
+    if (j) {
+        double d = g[j] - g[j - 1];
+        a->sum0 += d * (vj + a->v_prev);
+        a->sum1 += d * (gv + a->gv_prev);
+    }
+    v[j] = vj;
+    a->s_prev = s;
+    a->v_prev = vj;
+    a->gv_prev = gv;
+}
 
 /* Euler steps of d rho/dt = J(s) - s with s = w(x - m) rho, where J spreads
    s by the geometric node weights W_0 = w0, W_d = c1 r^(d-1): one pass per
-   step computes s, the tail sum of J by its recursion, the update in place
-   and the trapezoid mass and first moment that give the next m. */
+   step computes s, the tail sum of J, the update in place and the trapezoid
+   mass and first moment that give the next m.  Arccot and exponential take
+   w(grid[j] - m) from the table rates[j] = w(grid[j] - ref), with one exp
+   per step or no libm call in the pass:
+     exponential  e^(-beta (g - m)) = rates[j] e^(beta (m - ref));
+     arccot       pi/2 - atan(u - d) = rates[j] + atan(d / (1 + u (u - d)))
+                  with u = g - ref, d = m - ref, |d| <= PDE_TABLE_BOUND. */
 int fj_pde(fj_pde_run *p)
 {
     const int32_t family = p->family;
     const double *params = p->rate_params, *g = p->grid;
     const int64_t n_params = p->n_rate_params, len = p->len;
     const double dt = p->dt, r = p->r, w0 = p->w0, c1 = p->c1;
+    const int tabulated = family == RATE_ARCCOT || family == RATE_EXPONENTIAL;
+    const double *t = p->rates;
     double *v = p->values;
     double m = p->m, mass = p->mass;
-    int64_t k;
+    int64_t j, k;
     int code = PDE_STEPS;
 
     for (k = 0; k < p->steps; k++) {
@@ -377,26 +468,36 @@ int fj_pde(fj_pde_run *p)
             code = PDE_UNSTABLE;
             break;
         }
-        /* tail_j = sum_{d >= 1} r^(d-1) s_(j-d) = s_(j-1) + r tail_(j-1) */
-        double tail = 0.0, s_prev = 0.0, v_prev = 0.0, gv_prev = 0.0;
-        double sum0 = 0.0, sum1 = 0.0;
-        for (int64_t j = 0; j < len; j++) {
-            double s = rate(family, params, n_params, g[j] - m) * v[j];
-            tail = s_prev + r * tail;
-            double vj = v[j] + dt * ((w0 * s + c1 * tail) - s);
-            double gv = g[j] * vj;
-            if (j) {
-                double d = g[j] - g[j - 1];
-                sum0 += d * (vj + v_prev);
-                sum1 += d * (gv + gv_prev);
+        pde_pass a = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+        if (!tabulated) {
+            for (j = 0; j < len; j++)
+                pde_node(&a, g, v, j, rate(family, params, n_params, g[j] - m), dt, r, w0, c1);
+        } else {
+            double d = m - p->ref;
+            if (!(fabs(family == RATE_EXPONENTIAL ? params[0] * d : d) <= PDE_TABLE_BOUND)) {
+                pde_tabulate(p, m);
+                d = 0.0;
             }
-            v[j] = vj;
-            s_prev = s;
-            v_prev = vj;
-            gv_prev = gv;
+            const double ref = p->ref;
+            const int64_t lo = p->lo, hi = p->hi;
+            for (j = 0; j < lo; j++)
+                pde_node(&a, g, v, j, rate(family, params, n_params, g[j] - m), dt, r, w0, c1);
+            if (family == RATE_EXPONENTIAL) {
+                const double f = exp(params[0] * d);
+                for (; j < hi; j++)
+                    pde_node(&a, g, v, j, t[j] * f, dt, r, w0, c1);
+            } else {
+                for (; j < hi; j++) {
+                    double u = g[j] - ref;
+                    pde_node(&a, g, v, j, t[j] + atan_small(d / (1.0 + u * (g[j] - m))),
+                             dt, r, w0, c1);
+                }
+            }
+            for (; j < len; j++)
+                pde_node(&a, g, v, j, rate(family, params, n_params, g[j] - m), dt, r, w0, c1);
         }
-        mass = 0.5 * sum0;
-        m = 0.5 * sum1 / mass;
+        mass = 0.5 * a.sum0;
+        m = 0.5 * a.sum1 / mass;
         if (!(isfinite(mass) && isfinite(m))) {
             k++;
             code = PDE_NOT_FINITE;

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import DomainError, ModelError
+from .model import DomainError, ModelError, is_finite_number
 # The limit law; `mean_field` centers it into the exponential family's wave.
 from .mean_field import generalized_gumbel_cdf, generalized_gumbel_pdf  # noqa: F401
 
@@ -76,7 +76,7 @@ class RecordPool:
 
 def _record_k(beta: float) -> int:
     """k = 1/beta, which the record connection needs to be a positive integer."""
-    if not (beta > 0 and math.isfinite(beta)):
+    if not (is_finite_number(beta) and beta > 0):
         raise DomainError(f"beta must be positive and finite, got {beta}")
     k = 1.0 / beta
     if abs(k - round(k)) > 1e-9 or k < 1:

@@ -23,7 +23,8 @@ way. The shared library is built with gcc on first use, not at import,
 and cached as `__pycache__/_kernel-<key>.so` next to this file, where the
 key is a sha256 of the source, the compiler and the flags; a build goes to
 a temporary file that is renamed into place, so concurrent builds never
-expose a partial library. Any failure to build or load gives None.
+expose a partial library, and a successful build removes the cache's other
+`_kernel-*.so` files. Any failure to build or load gives None.
 """
 
 from __future__ import annotations
@@ -116,9 +117,15 @@ class Run(_Record):
 
 class Pde(_Record):
     """The fj_pde_run record of `_kernel.c`: the grid, values and mean that
-    one PDE integration shares with the kernel."""
+    one PDE integration shares with the kernel, and `rates`, a scratch array
+    of one entry per grid node that `fj_pde` owns. For the arccot and
+    exponential families it holds the table w(grid[j] - ref), which the
+    kernel rebuilds once the mean is more than 1/32 (exponential: 1/(32
+    beta)) from ref, and on the first step after `ref` is set to nan, as it
+    must be whenever the grid changes."""
 
-    _arrays = {"rate_params": np.float64, "grid": np.float64, "values": np.float64}
+    _arrays = {"rate_params": np.float64, "grid": np.float64, "values": np.float64,
+               "rates": np.float64}
     _fields_ = [
         ("family", ctypes.c_int32),
         ("rate_params", _P), ("n_rate_params", _I64),
@@ -126,6 +133,7 @@ class Pde(_Record):
         ("dt", _F64), ("h", _F64), ("r", _F64), ("w0", _F64), ("c1", _F64),
         ("offset0", _F64), ("steps", _I64),
         ("mass", _F64), ("m", _F64), ("done", _I64), ("value", _F64),
+        ("rates", _P), ("ref", _F64), ("lo", _I64), ("hi", _I64),
     ]
 
 
@@ -174,6 +182,9 @@ def _build(cc: str) -> Path:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+    for stale in cache.glob("_kernel-*.so"):       # builds of other sources or flags
+        if stale != lib:
+            stale.unlink(missing_ok=True)
     return lib
 
 

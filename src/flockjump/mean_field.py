@@ -24,9 +24,16 @@ The Euler step runs compiled (`fj_pde` in `_kernel.c`) for every family whose
 `kernel_rate()` is not None, which covers the five built-in ones: one pass over
 the grid per step computes the rate, the jump flux, the update in place and the
 trapezoid mass and mean, and returns to Python only when the window must move,
-a diagnostics sample is due or the step fails. It is not bit-identical to the
-numpy step (`_Euler._numpy_steps`): numpy's vectorized exp and arctan, np.interp
-and np.trapezoid's pairwise sum round differently from libm and a running sum.
+a diagnostics sample is due or the step fails. For arccot and the exponential
+it takes w(x_j - m) from a table of w(x_j - ref), rebuilt on each new window
+and once |m - ref| (exponential: beta |m - ref|) passes 1/32. e^{-beta(x - m)}
+is then the entry times one e^{beta(m - ref)} a step, and arccot(u - d) the
+entry plus atan(d / (1 + u(u - d))) by its odd series through the 11th power,
+with u = x - ref and d = m - ref. Exponential nodes within 1 of the EXP_CLAMP
+clip, |beta(x_j - ref)| >= EXP_CLAMP - 1, keep the direct clipped rate. The
+step is not bit-identical to the numpy step (`_Euler._numpy_steps`): numpy's
+vectorized exp and arctan, np.interp and np.trapezoid's pairwise sum round
+differently from libm, the table and a running sum.
 Values, mass and mean agree to 1e-12, and grids, sample times and errors are the
 same (`tests/test_kernel.py`). Where the kernel cannot be built, or for a family
 without a C rate, the numpy step runs instead.
@@ -42,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernel
-from .model import ArccotRate, DomainError, ModelError, PiecewiseLinearRate
+from .model import ArccotRate, DomainError, ModelError, PiecewiseLinearRate, is_finite_number
 
 
 class NonIntegrableError(ModelError):
@@ -68,7 +75,7 @@ def digamma(x: float) -> float:
     Upward recurrence psi(x+1) = psi(x) + 1/x pushes the argument above 7,
     then the standard asymptotic series; absolute error below 1e-10.
     """
-    if not (x > 0 and math.isfinite(x)):
+    if not (is_finite_number(x) and x > 0):
         raise DomainError(f"digamma requires x > 0, got {x}")
     acc = 0.0
     while x < 7.0:
@@ -239,7 +246,7 @@ def wave_profile(w, c: float, h: float = None, drop: float = 60.0) -> WaveProfil
     """
     if h is None:
         h = 0.005 if w.continuous else 0.001
-    elif not (h > 0 and math.isfinite(h)):
+    elif not (is_finite_number(h) and h > 0):
         raise DomainError(f"h must be finite and > 0, got {h!r}")
     log_norm, x_lo, x_hi = _normalization(w, c, drop)
     # Align nodes with multiples of h so rate knots (integers, 0) fall on nodes.
@@ -505,8 +512,7 @@ def wave_equation_residual(w, c: float = None, h: float = 0.002, drop: float = 5
         c = wave_speed(w)
     prof = wave_profile(w, c, h=h, drop=drop)
     grid = prof.grid
-    rho = prof.density_at(grid)
-    wv = np.asarray(w.rate(grid), dtype=float)
+    rho = prof.values       # density_at(grid), by the same expression
 
     # Per-cell integral of w(y) rho(y) e^{-(x_{j+1} - y)} by 2-pt Gauss-Legendre.
     gl = 1.0 / math.sqrt(3.0)
@@ -521,13 +527,13 @@ def wave_equation_residual(w, c: float = None, h: float = 0.002, drop: float = 5
     conv[0] = 0.0
     conv[1:] = lfilter([1.0], [1.0, -decay], contrib)
 
-    # 5-point derivative, skipping stencils that straddle a knot.
-    idx = np.arange(2, len(grid) - 2)
-    drho = (rho[idx - 2] - 8 * rho[idx - 1] + 8 * rho[idx + 1] - rho[idx + 2]) / (12 * h)
-    resid = -c * drho + wv[idx] * rho[idx] - conv[idx]
-    keep = np.ones(len(idx), dtype=bool)
+    # 5-point derivative at the inner nodes, skipping stencils that straddle a knot.
+    inner = grid[2:-2]
+    drho = (rho[:-4] - 8 * rho[1:-3] + 8 * rho[3:-1] - rho[4:]) / (12 * h)
+    resid = -c * drho + np.asarray(w.rate(inner), dtype=float) * rho[2:-2] - conv[2:-2]
+    keep = np.ones(len(inner), dtype=bool)
     for knot in w.knots:
-        keep &= np.abs(grid[idx] - knot) > 2.5 * h
+        keep &= np.abs(inner - knot) > 2.5 * h
     return float(np.max(np.abs(resid[keep])))
 
 
@@ -637,7 +643,7 @@ class _Euler:
     """
 
     def __init__(self, w, grid, values, dt: float):
-        if not (math.isfinite(dt) and dt > 0):
+        if not (is_finite_number(dt) and dt > 0):
             raise DomainError(f"dt must be finite and > 0, got {dt!r}")
         grid = np.array(grid, dtype=float)
         values = np.array(values, dtype=float)
@@ -660,12 +666,13 @@ class _Euler:
 
     def set_window(self, grid: np.ndarray, values: np.ndarray):
         """Continue on a new window, contiguous float arrays the steps own, and
-        the current `offset0`."""
+        the current `offset0`; the kernel rebuilds its rate table at the next
+        step."""
         self.grid, self.values = grid, values
-        if self._run is not None:
-            self._run.bind(grid=grid, values=values)
-            self._run.len = len(grid)
-            self._run.offset0 = self.offset0
+        run = self._run
+        if run is not None:
+            run.bind(grid=grid, values=values, rates=np.empty(len(grid)))
+            run.len, run.offset0, run.ref = len(grid), self.offset0, math.nan
 
     def advance(self, steps: int, t: float):
         """Run up to `steps` steps from time t; returns (steps run, time after
@@ -770,7 +777,7 @@ def pde_integrate(field: DensityField, w, T: float, dt: float,
     last unit, and the bulk's jumps straight past the edge, e^{-d} of its jump
     rate at distance d; both show as mass drift.
     """
-    if not (math.isfinite(T) and T >= 0):
+    if not (is_finite_number(T) and T >= 0):
         raise DomainError(f"T must be finite and >= 0, got {T!r}")
     euler = _Euler(w, field.grid, field.values, dt)
     edge = max(1, round(1.0 / euler.h))     # cells in the window's last unit of length

@@ -176,7 +176,11 @@ class TimeAverager:
             raise ModelError("histogram samples must arrive in time order")
         if k == len(self._counts):
             raise ModelError(f"the averager holds {k} samples, and all are taken")
-        if not math.isfinite(m):
+        try:
+            finite = math.isfinite(m)
+        except OverflowError:       # an int past the float range
+            finite = False
+        if not finite:
             raise DomainError(f"m: must be finite, got {m!r}")
         positions = np.ascontiguousarray(positions, dtype=float)
         if positions.size == 0:

@@ -117,8 +117,8 @@ class ExponentialRate(RateFamily):
     beta: float = 1.0
 
     def __post_init__(self):
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ModelError(f"beta must be positive and finite, got {self.beta}")
+        if not (is_finite_number(self.beta) and self.beta > 0):
+            raise DomainError(f"beta must be positive and finite, got {self.beta}")
 
     default_engine = "exponential"
     left_limit = math.inf

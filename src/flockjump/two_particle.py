@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .mean_field import _numeric_cdf
-from .model import DomainError, ModelError
+from .model import DomainError, ModelError, is_finite_number
 
 QUAD_ABS_TOL = 1e-10
 
@@ -165,7 +165,7 @@ class GapDensity:
     beta: float
 
     def __post_init__(self):
-        if not (self.beta > 0 and math.isfinite(self.beta)):
+        if not (is_finite_number(self.beta) and self.beta > 0):
             raise DomainError(f"beta must be positive, got {self.beta}")
 
     @property
@@ -194,10 +194,13 @@ def master_residual(p, beta: float, g: float) -> float:
                   + e^{-g} int_0^g p(y) cosh((beta/2 - 1) y) dy
                   + cosh(g) int_g^inf p(y) e^{(beta/2 - 1) y} dy
 
-    Vanishes iff p is stationary. Each integral is adaptive quadrature with
-    absolute tolerance 1e-10; the improper tail converges because every
-    admissible p decays like exp(-(1+beta/2) y), beating the e^{(beta/2-1) y}
-    weight by e^{-2y}.
+    Vanishes iff p is stationary. e^{-g} and cosh(g) are taken inside the
+    integrals, so each integral is a term of the residual itself, and the
+    absolute tolerance 1e-10 of its adaptive quadrature bounds the error of
+    the residual. (Applied outside, at small beta and large g, the first
+    integral grows like e^{(1 - beta/2) g} before e^{-g} cancels it.) The
+    improper tail converges because every admissible p decays like
+    exp(-(1+beta/2) y), beating the e^{(beta/2 - 1) y} weight by e^{-2y}.
     """
     from scipy.integrate import quad
 
@@ -205,16 +208,19 @@ def master_residual(p, beta: float, g: float) -> float:
         raise DomainError("gap must be >= 0")
     half = 0.5 * beta
     term1 = -float(p(g)) * math.cosh(half * g)
-    int1, err1 = quad(lambda y: float(p(y)) * math.cosh((half - 1.0) * y), 0.0, g,
-                      epsabs=QUAD_ABS_TOL, limit=200)
+    # e^{-g} cosh(a y) = (e^{a y - g} + e^{-a y - g}) / 2 and
+    # cosh(g) e^{a y} = (e^{a y + g} + e^{a y - g}) / 2, a = beta/2 - 1
+    a = half - 1.0
+    int1, err1 = quad(lambda y: float(p(y)) * 0.5 * (math.exp(a * y - g) + math.exp(-a * y - g)),
+                      0.0, g, epsabs=QUAD_ABS_TOL, limit=200)
     # Split the infinite tail where the integrand is ~1e-19 of its scale.
     G = max(g + (19.0 * math.log(10.0)) / 2.0 + 10.0, _sech_cut(beta))
-    int2, err2 = quad(lambda y: float(p(y)) * math.exp((half - 1.0) * y), g, G,
-                      epsabs=QUAD_ABS_TOL, limit=200)
+    int2, err2 = quad(lambda y: float(p(y)) * 0.5 * (math.exp(a * y + g) + math.exp(a * y - g)),
+                      g, G, epsabs=QUAD_ABS_TOL, limit=200)
     achieved = err1 + err2
     if achieved > 1e-7:
         raise ArithmeticError(f"master-equation quadrature did not converge (error {achieved:.3g})")
-    return term1 + math.exp(-g) * int1 + math.cosh(g) * int2
+    return term1 + int1 + int2
 
 
 def boundary_limit_check(beta: float):

@@ -295,6 +295,7 @@ def test_kth_largest_matches_a_sort_for_any_chunking(k, batch):
     ((1.0 / 3.0, 5.0, 0.5, 10), DomainError, "N\\(T\\) = 2 values, fewer than k = 3"),
     ((1.0, 1.0, 5.0, -1), DomainError, "runs must be an integer >= 0, got -1"),
     ((1.0, 1.0, 5.0, 2.5), DomainError, "runs must be an integer >= 0, got 2.5"),
+    ((10**400, 1.0, 5.0, 10), DomainError, "beta must be positive and finite"),   # int past float
 ])
 def test_sample_final_uncentered_checks_before_any_draw(args, error, match):
     with pytest.raises(error, match=match):

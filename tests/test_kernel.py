@@ -70,6 +70,22 @@ def test_kernel_builds():
 
 
 @pytest.mark.skipif(shutil.which(kernel._CC) is None, reason="no C compiler")
+def test_a_build_prunes_the_stale_builds_of_its_cache(tmp_path):
+    source = tmp_path / "_kernel.c"
+    shutil.copyfile(kernel._SOURCE, source)
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    stale = [cache / "_kernel-0123456789abcdef.so", cache / "_kernel-fedcba9876543210.so"]
+    kept = [cache / "tmp1234.so", cache / "other.so"]     # a build in progress, another file
+    for path in stale + kept:
+        path.write_bytes(b"")
+    with mock.patch.object(kernel, "_SOURCE", source):
+        lib = kernel._build(kernel._CC)
+    assert lib.parent == cache and lib.stat().st_size > 0
+    assert sorted(cache.iterdir()) == sorted([lib, *kept])
+
+
+@pytest.mark.skipif(shutil.which(kernel._CC) is None, reason="no C compiler")
 def test_kernel_source_compiles_without_warnings(tmp_path):
     cmd = [kernel._CC, *kernel._FLAGS, "-Wall", "-Wextra", "-Werror",
            "-o", str(tmp_path / "kernel.so"), str(kernel._SOURCE), "-lm"]
@@ -470,6 +486,57 @@ def test_pde_kernel_matches_numpy_step_when_the_right_edge_widens():
     assert got[0].grid[-1] - got[0].mean > 2 * (field.grid[-1] - field.mean)
 
 
+def kernel_euler(w, field, dt):
+    """An _Euler on the kernel, for a look at its rate table after a run."""
+    euler = mf._Euler(w, field.grid, field.values, dt)
+    assert euler._run is not None
+    return euler
+
+
+@pytest.mark.parametrize("left", [-0.25, -23.4], ids=["right", "both"])
+def test_pde_kernel_matches_numpy_step_inside_the_clamp_margin(left):
+    # beta = 30: the nodes more than 699/30 from the table's ref, here the
+    # window's far right (and far left), keep the direct clipped rate
+    w = fj.ExponentialRate(30.0)
+    field, dt = gaussian_start(w, left=left, right=25.0, sigma=0.02)
+    T = 0.02 if left > -1.0 else 10 * dt
+    expected, got = pde_both(field, w, T=T, dt=dt, samples=4)
+    assert_pde_close(expected, got)
+    euler = kernel_euler(w, field, dt)
+    euler.advance(1, 0.0)
+    run, edge = euler._run, (model.EXP_CLAMP - 1.0) / w.beta
+    assert run.hi < len(field.grid) and field.grid[run.hi] - run.ref >= edge
+    assert field.grid[run.hi - 1] - run.ref < edge
+    assert (run.lo > 0) == (left < -1.0)
+    if run.lo:
+        assert field.grid[run.lo - 1] - run.ref <= -edge < field.grid[run.lo] - run.ref
+
+
+@pytest.mark.parametrize("w", [fj.ArccotRate(), fj.ExponentialRate(1.0)], ids=["arccot", "exp"])
+def test_pde_kernel_rebuilds_its_rate_table_within_one_call(w):
+    # h = 0.05, dt = 0.005: the mean moves 0.008-0.009 a step and passes the
+    # table's bound of 1/32 before it moves a cell, so the table is rebuilt
+    # inside one run of steps
+    field, _ = gaussian_start(w, left=-3.0, h=0.05, sigma=0.3)
+    dt = 0.005
+    expected, got = pde_both(field, w, T=0.5, dt=dt, samples=3)
+    assert_pde_close(expected, got)
+    euler = kernel_euler(w, field, dt)
+    m0 = euler.m
+    _, _, shift = euler.advance(10**6, 0.0)
+    assert shift and euler._run.ref - m0 > 1.0 / 32
+
+
+def test_pde_kernel_matches_numpy_step_for_arccot_far_from_the_mean():
+    # arccot nodes up to 1e3 from the mean, where atan(u) is 1e-3 from pi/2
+    w = fj.ArccotRate()
+    field = mf.DensityField.gaussian(np.arange(-1000.0, 1000.25, 0.5), sigma=2.0)
+    dt = 0.2 / float(w.rate(field.grid[0] - field.mean))
+    expected, got = pde_both(field, w, T=3.0, dt=dt, samples=5)
+    assert_pde_close(expected, got)
+    assert got[0].grid[-1] - got[0].mean > 990.0
+
+
 def test_pde_kernel_raises_the_step_size_error_of_the_numpy_step():
     # a widened window keeps its left edge, where the exponential rate grows as
     # the mean advances: the budget breaks mid-run, at the same step and with
@@ -561,11 +628,14 @@ BAD_PDE_TIMES = [
     ({"T": -1.0}, "T must be finite and >= 0, got -1.0"),
     ({"T": math.nan}, "T must be finite and >= 0, got nan"),
     ({"T": math.inf}, "T must be finite and >= 0, got inf"),
+    ({"T": 10**400}, f"T must be finite and >= 0, got {10**400}"),      # ints past the float range
+    ({"dt": 10**400}, f"dt must be finite and > 0, got {10**400}"),
 ]
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "numpy"])
-@pytest.mark.parametrize("bad, message", BAD_PDE_TIMES, ids=[str(b) for b, _ in BAD_PDE_TIMES])
+@pytest.mark.parametrize("bad, message", BAD_PDE_TIMES,
+                         ids=[str(b).replace(str(10**400), "10**400") for b, _ in BAD_PDE_TIMES])
 def test_pde_refuses_a_bad_dt_or_T_before_any_step(compiled, bad, message):
     w = fj.StepRate(2.0, 1.0)
     field, dt = gaussian_start(w)
@@ -815,6 +885,7 @@ BAD_HISTOGRAMS = [
     (([0.0], 0.0, 0.0, 5e-324, 3), "a0, a1:"),        # the bin width underflows to 0
     (([0.0], 0.0, -1.0, 10**400), "a0, a1:"),         # ints past the float range
     (([0.0], 0.0, -10**400, 1.0), "a0, a1:"),
+    (([0.0], 10**400, -1.0, 1.0), "m:"),
 ]
 
 

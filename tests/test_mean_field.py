@@ -58,10 +58,14 @@ def test_digamma_against_lgamma_finite_difference():
 
 
 def test_digamma_domain():
-    with pytest.raises(DomainError):
-        digamma(0.0)
-    with pytest.raises(DomainError):
-        digamma(-2.0)
+    for x in (0.0, -2.0, 10**400):                # and an int past the float range
+        with pytest.raises(DomainError, match="digamma requires x > 0"):
+            digamma(x)
+
+
+def test_wave_profile_refuses_an_int_past_the_float_range():
+    with pytest.raises(DomainError, match="h must be finite and > 0"):
+        wave_profile(fj.StepRate(2.0, 1.0), 1.5, h=10**400)
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,9 @@ def test_tabulated_validation():
 def test_rate_parameter_validation():
     with pytest.raises(ModelError):
         fj.StepRate(1.0, 2.0)
-    with pytest.raises(ModelError):
-        fj.ExponentialRate(-1.0)
+    for beta in (-1.0, 10**400):                  # and an int past the float range
+        with pytest.raises(DomainError, match="beta must be positive and finite"):
+            fj.ExponentialRate(beta)
     with pytest.raises(ModelError):
         fj.PiecewiseLinearRate(1.0, 1.0)
     with pytest.raises(TypeError):

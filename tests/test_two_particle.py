@@ -102,8 +102,9 @@ def test_gap_density_normalization_all_betas():
         dens = GapDensity(beta)
         total, _ = quad(dens.pdf, 0, 200, limit=400)
         assert total == pytest.approx(1.0, abs=1e-8)
-    with pytest.raises(DomainError):
-        GapDensity(-1.0)
+    for beta in (-1.0, 10**400):                  # and an int past the float range
+        with pytest.raises(DomainError, match="beta must be positive"):
+            GapDensity(beta)
 
 
 def _quad_inf(f):
@@ -142,6 +143,16 @@ def test_master_residual_analytic_solutions():
         dens = GapDensity(beta)
         for g in (0.1, 1.0, 3.0):
             assert abs(master_residual(dens.pdf, beta, g)) <= 1e-8
+
+
+@pytest.mark.parametrize("beta", [1e-3, 0.01, 0.03, 0.1, 1.0, 4.0])
+def test_master_residual_holds_at_small_beta_and_large_gaps(beta):
+    # e^{-g} and cosh(g) sit inside the integrals, so quad's absolute tolerance
+    # bounds the residual's own terms; at beta <= 0.1 and g = 30 the first
+    # integral alone grows like e^{(1 - beta/2) g}
+    dens = GapDensity(beta)
+    for g in (0.1, 1.0, 3.0, 30.0):
+        assert abs(master_residual(dens.pdf, beta, g)) <= 1e-13
 
 
 def test_master_residual_detects_perturbation():
