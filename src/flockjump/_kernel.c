@@ -41,13 +41,16 @@
  * PDE step.  fj_pde runs whole Euler steps of the numpy loop in
  * mean_field.py, one pass over the grid each, until Python has to track the
  * window, record a sample or raise.  It is exact to a tolerance, not to the
- * bit: numpy's vectorized exp and arctan, np.interp's formula and
- * np.trapezoid's pairwise sum round differently from libm and a running sum.
- * The arccot and exponential rates come from a table of w(grid[j] - ref), a
- * scratch array of the record, rebuilt whenever the mean m is more than 1/32
- * (exponential: 1/(32 beta)) from ref, so that a pass makes no libm call:
- * the exponential takes one exp per step, e^(beta (m - ref)), and arccot an
- * odd series of atan.  Exponential nodes within 1 of the clip at EXP_CLAMP,
+ * bit: numpy's vectorized exp and arctan and np.interp's formula round
+ * differently from libm; the Euler update is folded into v + (a s + b tail);
+ * the tail recursion advances two nodes at a time; and the trapezoid mass
+ * and mean are two uniform-grid sums, each in two accumulators, not
+ * np.trapezoid's pairwise sum over cell widths.  The arccot and exponential
+ * rates come from a table of w(grid[j] - ref), a scratch array of the
+ * record, rebuilt whenever the mean m is more than 1/32 (exponential:
+ * 1/(32 beta)) from ref, so that a pass makes no libm call: the exponential
+ * takes one exp per step, e^(beta (m - ref)), and arccot an odd series of
+ * atan.  Exponential nodes within 1 of the clip at EXP_CLAMP,
  * |beta (grid[j] - ref)| >= EXP_CLAMP - 1, keep the direct clipped rate.
  */
 
@@ -413,38 +416,103 @@ static inline double atan_small(double z)
     return z * (p01 + z4 * (p23 + z4 * p45));
 }
 
-/* The running state of one step's pass over the grid. */
+/* How a segment of the pass gets w(grid[j] - m). */
+enum { W_DIRECT, W_EXP_TABLE, W_ARCCOT_TABLE };
+
+/* The constants of one step's pass: the folded Euler coefficients a =
+   dt (w0 - 1) and b = dt c1 of the update v_j += a s_j + b tail_j, the
+   kernel ratio r and r^2, and what the segments need to find w. */
 typedef struct {
-    double tail, s_prev, v_prev, gv_prev, sum0, sum1;
+    double a, b, r, r2;
+    int32_t family;
+    const double *params, *g, *t;
+    int64_t n_params;
+    double m, ref, d, f;        /* table: d = m - ref; exponential: f = e^(beta d) */
+} pde_step;
+
+/* The running state of the pass: tail = tail_j = sum_{d >= 1} r^(d-1)
+   s_(j-d) for the next node j, and two accumulators each of sum v_j and
+   sum g_j v_j, so that no sum is one long chain of additions. */
+typedef struct {
+    double tail, v0, v1, gv0, gv1;
 } pde_pass;
 
-/* Node j of the pass, with w = w(grid[j] - m): s = w v[j], the tail sum of
-   J by its recursion tail_j = sum_{d >= 1} r^(d-1) s_(j-d) = s_(j-1) +
-   r tail_(j-1), the update of v[j] in place and the trapezoid sums. */
-static inline void pde_node(pde_pass *a, const double *g, double *v, int64_t j, double w,
-                            double dt, double r, double w0, double c1)
+static inline __attribute__((always_inline)) double pde_w(int kind, const pde_step *q, int64_t j)
 {
-    double s = w * v[j];
-    a->tail = a->s_prev + r * a->tail;
-    double vj = v[j] + dt * ((w0 * s + c1 * a->tail) - s);
-    double gv = g[j] * vj;
-    if (j) {
-        double d = g[j] - g[j - 1];
-        a->sum0 += d * (vj + a->v_prev);
-        a->sum1 += d * (gv + a->gv_prev);
+    switch (kind) {
+    case W_EXP_TABLE:
+        return q->t[j] * q->f;
+    case W_ARCCOT_TABLE: {
+        double u = q->g[j] - q->ref;
+        return q->t[j] + atan_small(q->d / (1.0 + u * (q->g[j] - q->m)));
     }
-    v[j] = vj;
-    a->s_prev = s;
-    a->v_prev = vj;
-    a->gv_prev = gv;
+    default:
+        return rate(q->family, q->params, q->n_params, q->g[j] - q->m);
+    }
+}
+
+/* Nodes start <= j < end of the pass, with w from `kind`, two per iteration
+   and a last one alone when end - start is odd.  With s_j = w_j v_j, node j
+   takes tail_j and hands on tail_(j+1) = s_j + r tail_j; a pair hands on
+   tail_(j+2) = (s_(j+1) + r s_j) + r^2 tail_j, so the chain that carries
+   the tail from pair to pair is one multiply and one add. */
+static inline __attribute__((always_inline)) void pde_segment(pde_pass *p, const pde_step *q,
+                                                             int kind, double *v,
+                                                             int64_t start, int64_t end)
+{
+    const double *g = q->g;
+    const double a = q->a, b = q->b, r = q->r, r2 = q->r2;
+    int64_t j = start;
+    for (; j + 1 < end; j += 2) {
+        double s0 = pde_w(kind, q, j) * v[j], s1 = pde_w(kind, q, j + 1) * v[j + 1];
+        double t0 = p->tail, t1 = s0 + r * t0;
+        p->tail = (s1 + r * s0) + r2 * t0;
+        double v0 = v[j] + (a * s0 + b * t0), v1 = v[j + 1] + (a * s1 + b * t1);
+        v[j] = v0;
+        v[j + 1] = v1;
+        p->v0 += v0;
+        p->v1 += v1;
+        p->gv0 += g[j] * v0;
+        p->gv1 += g[j + 1] * v1;
+    }
+    if (j < end) {
+        double s = pde_w(kind, q, j) * v[j];
+        double vj = v[j] + (a * s + b * p->tail);
+        p->tail = s + r * p->tail;
+        v[j] = vj;
+        p->v0 += vj;
+        p->gv0 += g[j] * vj;
+    }
+}
+
+/* The trapezoid mass and first moment of v on the uniform grid as
+   np.trapezoid forms them, cell by cell, h (v_j + v_(j-1)) / 2: the pass's
+   sums of v_j run past DBL_MAX once they exceed it, while h times them may
+   not, so a step whose sums are not finite redoes them here and fails only
+   if these are not finite either. */
+static void pde_cell_sums(const double *g, const double *v, int64_t len, double h,
+                          double *mass, double *first)
+{
+    double s0 = 0.0, s1 = 0.0;
+    for (int64_t j = 1; j < len; j++) {
+        s0 += h * (v[j] + v[j - 1]);
+        s1 += h * (g[j] * v[j] + g[j - 1] * v[j - 1]);
+    }
+    *mass = 0.5 * s0;
+    *first = 0.5 * s1;
 }
 
 /* Euler steps of d rho/dt = J(s) - s with s = w(x - m) rho, where J spreads
    s by the geometric node weights W_0 = w0, W_d = c1 r^(d-1): one pass per
    step computes s, the tail sum of J, the update in place and the trapezoid
-   mass and first moment that give the next m.  Arccot and exponential take
-   w(grid[j] - m) from the table rates[j] = w(grid[j] - ref), with one exp
-   per step or no libm call in the pass:
+   mass and first moment that give the next m.  The grid is uniform with
+   spacing h (mean_field._Euler refuses any other), so the trapezoid mass is
+   h (sum_j v_j - (v_0 + v_(len-1)) / 2), and the first moment its twin for
+   g_j v_j (pde_cell_sums redoes both if either is not finite).
+   The pass is one segment of direct rates, or, for arccot and the
+   exponential, a table segment [lo, hi) between two direct ones, where
+   w(grid[j] - m) comes from the table rates[j] = w(grid[j] - ref), with one
+   exp per step or no libm call in the pass:
      exponential  e^(-beta (g - m)) = rates[j] e^(beta (m - ref));
      arccot       pi/2 - atan(u - d) = rates[j] + atan(d / (1 + u (u - d)))
                   with u = g - ref, d = m - ref, |d| <= PDE_TABLE_BOUND. */
@@ -453,12 +521,14 @@ int fj_pde(fj_pde_run *p)
     const int32_t family = p->family;
     const double *params = p->rate_params, *g = p->grid;
     const int64_t n_params = p->n_rate_params, len = p->len;
-    const double dt = p->dt, r = p->r, w0 = p->w0, c1 = p->c1;
+    const double dt = p->dt;
     const int tabulated = family == RATE_ARCCOT || family == RATE_EXPONENTIAL;
-    const double *t = p->rates;
     double *v = p->values;
     double m = p->m, mass = p->mass;
-    int64_t j, k;
+    pde_step q = {.a = dt * (p->w0 - 1.0), .b = dt * p->c1, .r = p->r, .r2 = p->r * p->r,
+                  .family = family, .params = params, .g = g, .t = p->rates,
+                  .n_params = n_params, .f = 1.0};
+    int64_t k;
     int code = PDE_STEPS;
 
     for (k = 0; k < p->steps; k++) {
@@ -468,36 +538,36 @@ int fj_pde(fj_pde_run *p)
             code = PDE_UNSTABLE;
             break;
         }
-        pde_pass a = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-        if (!tabulated) {
-            for (j = 0; j < len; j++)
-                pde_node(&a, g, v, j, rate(family, params, n_params, g[j] - m), dt, r, w0, c1);
-        } else {
-            double d = m - p->ref;
-            if (!(fabs(family == RATE_EXPONENTIAL ? params[0] * d : d) <= PDE_TABLE_BOUND)) {
+        int64_t lo = len, hi = len;
+        q.m = m;
+        if (tabulated) {
+            q.d = m - p->ref;
+            if (!(fabs(family == RATE_EXPONENTIAL ? params[0] * q.d : q.d) <= PDE_TABLE_BOUND)) {
                 pde_tabulate(p, m);
-                d = 0.0;
+                q.d = 0.0;
             }
-            const double ref = p->ref;
-            const int64_t lo = p->lo, hi = p->hi;
-            for (j = 0; j < lo; j++)
-                pde_node(&a, g, v, j, rate(family, params, n_params, g[j] - m), dt, r, w0, c1);
-            if (family == RATE_EXPONENTIAL) {
-                const double f = exp(params[0] * d);
-                for (; j < hi; j++)
-                    pde_node(&a, g, v, j, t[j] * f, dt, r, w0, c1);
-            } else {
-                for (; j < hi; j++) {
-                    double u = g[j] - ref;
-                    pde_node(&a, g, v, j, t[j] + atan_small(d / (1.0 + u * (g[j] - m))),
-                             dt, r, w0, c1);
-                }
-            }
-            for (; j < len; j++)
-                pde_node(&a, g, v, j, rate(family, params, n_params, g[j] - m), dt, r, w0, c1);
+            q.ref = p->ref;
+            lo = p->lo;
+            hi = p->hi;
+            if (family == RATE_EXPONENTIAL)
+                q.f = exp(params[0] * q.d);
         }
-        mass = 0.5 * a.sum0;
-        m = 0.5 * a.sum1 / mass;
+        pde_pass a = {0.0, 0.0, 0.0, 0.0, 0.0};
+        pde_segment(&a, &q, W_DIRECT, v, 0, lo);
+        if (family == RATE_EXPONENTIAL)
+            pde_segment(&a, &q, W_EXP_TABLE, v, lo, hi);
+        else        /* empty unless arccot */
+            pde_segment(&a, &q, W_ARCCOT_TABLE, v, lo, hi);
+        pde_segment(&a, &q, W_DIRECT, v, hi, len);
+        double sum0 = (a.v0 + a.v1) - 0.5 * (v[0] + v[len - 1]);
+        double sum1 = (a.gv0 + a.gv1) - 0.5 * (g[0] * v[0] + g[len - 1] * v[len - 1]);
+        mass = p->h * sum0;
+        m = sum1 / sum0;
+        if (!(isfinite(mass) && isfinite(m))) {
+            double first;
+            pde_cell_sums(g, v, len, p->h, &mass, &first);
+            m = first / mass;
+        }
         if (!(isfinite(mass) && isfinite(m))) {
             k++;
             code = PDE_NOT_FINITE;

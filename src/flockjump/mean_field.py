@@ -31,9 +31,12 @@ is then the entry times one e^{beta(m - ref)} a step, and arccot(u - d) the
 entry plus atan(d / (1 + u(u - d))) by its odd series through the 11th power,
 with u = x - ref and d = m - ref. Exponential nodes within 1 of the EXP_CLAMP
 clip, |beta(x_j - ref)| >= EXP_CLAMP - 1, keep the direct clipped rate. The
-step is not bit-identical to the numpy step (`_Euler._numpy_steps`): numpy's
-vectorized exp and arctan, np.interp and np.trapezoid's pairwise sum round
-differently from libm, the table and a running sum.
+pass folds the Euler update into v_j + (a s_j + b tail_j), advances the tail
+recursion two nodes at a time, and sums the trapezoid mass and mean as
+uniform-grid sums with one spacing h, which is why the grid must be uniform.
+So the step is not bit-identical to the numpy step (`_Euler._numpy_steps`):
+numpy's vectorized exp and arctan, np.interp and np.trapezoid's pairwise sum
+over cell widths round differently from libm, the table and these sums.
 Values, mass and mean agree to 1e-12, and grids, sample times and errors are the
 same (`tests/test_kernel.py`). Where the kernel cannot be built, or for a family
 without a C rate, the numpy step runs instead.
@@ -630,10 +633,30 @@ def _jump_flux(s: np.ndarray, h: float) -> np.ndarray:
     return w0 * s + c1 * tail
 
 
+def _uniform_spacing(grid) -> float:
+    """The spacing h of an increasing uniform grid: its mean step, which the
+    rounding of the nodes moves far less than it moves grid[1] - grid[0].
+
+    DomainError naming the grid unless every step is h to within the rounding
+    of a grid built as a + h * arange(k): 64 ulps of the largest |node|, plus
+    1e-8 h for the rounding a window picks up as `pde_integrate` shifts it.
+    """
+    h = float(grid[-1] - grid[0]) / (len(grid) - 1)
+    steps = np.diff(grid)
+    tol = 1e-8 * h + 64 * np.finfo(float).eps * float(np.max(np.abs(grid)))
+    if not (h > 0 and float(np.max(np.abs(steps - h))) <= tol):
+        raise DomainError(f"grid must be increasing with uniform spacing: its steps are "
+                          f"{float(steps.min()):.6g} to {float(steps.max()):.6g}")
+    return h
+
+
 class _Euler:
     """Explicit Euler steps of the mean-field equation with Exp(1) jumps.
 
     Holds the window (`grid`, `values`) and its trapezoid `mass` and mean `m`.
+    The grid must be uniform (DomainError otherwise): the jump kernel
+    `_exp_kernel(h)` is built for one spacing h, and the compiled step's
+    trapezoid sums use h for every cell.
     A step runs compiled (`fj_pde` in `_kernel.c`) when the kernel loads and
     the family has a `kernel_rate()`, and as the numpy loop `_numpy_steps`
     otherwise; the two agree to roundoff, not to the bit. A run stops after
@@ -649,7 +672,7 @@ class _Euler:
         values = np.array(values, dtype=float)
         self.w, self.dt = w, dt
         self.mass = _checked_mass(grid, values)
-        self.h = float(grid[1] - grid[0])
+        self.h = _uniform_spacing(grid)
         self.m = float(np.trapezoid(grid * values, grid) / self.mass)
         self.offset0 = self.m - grid[0]     # window geometry preserved as the wave moves
         spec = w.kernel_rate()
@@ -768,7 +791,8 @@ def pde_integrate(field: DensityField, w, T: float, dt: float,
     trimmed total is reported), and zero cells are appended on the right,
     keeping the explicit-Euler stability budget satisfiable as the mean
     advances. Mass drift is reported in the diagnostics, never silently
-    corrected. T must be finite and >= 0, and dt finite and > 0.
+    corrected. T must be finite and >= 0, dt finite and > 0, and the field's
+    grid uniform.
 
     Jump mass that lands past the right edge is lost. So wherever the window
     moves or a sample is due, never inside a run of steps, it grows by half

@@ -15,6 +15,7 @@ import math
 import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import ClassVar
 
@@ -354,25 +355,31 @@ class TabulatedRate(RateFamily):
     def rate(self, x):
         return np.interp(x, self.grid, self.values)
 
+    @cached_property
+    def _segments(self):
+        """The integral's segment table: (knots, left, value, half_slope, cum,
+        width). The knots are the grid's and 0; x lies in segment k =
+        searchsorted(knots, x, "right"), flat left of the first knot (k = 0)
+        and right of the last, and there w(x) = value[k] + 2 half_slope[k] dy
+        and the integral from 0 is cum[k] + (value[k] + half_slope[k] dy) dy,
+        dy = x - left[k]. With 0 a knot, the integral is exactly 0 there."""
+        knots = np.union1d(self.grid, [0.0])
+        vals = np.interp(knots, self.grid, self.values)
+        dk = np.diff(knots)
+        # the trapezoid rule is exact for the linear interpolant
+        cum = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * dk)])
+        cum -= cum[np.searchsorted(knots, 0.0)]
+        half_slope = np.concatenate([[0.0], 0.5 * np.diff(vals) / dk, [0.0]])
+        return (knots, np.concatenate([knots[:1], knots]), np.concatenate([vals[:1], vals]),
+                half_slope, np.concatenate([cum[:1], cum]), float(dk.max()))
+
     def integral(self, x):
-        g = np.asarray(self.grid)
-        v = np.asarray(self.values)
-        # Cumulative integral at the knots (trapezoid is exact for a linear interpolant).
-        knot_cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(g))])
-
-        def cum_from_left(y):
-            y = np.asarray(y, dtype=float)
-            below = v[0] * (y - g[0])
-            above = knot_cum[-1] + v[-1] * (y - g[-1])
-            idx = np.clip(np.searchsorted(g, y, side="right") - 1, 0, len(g) - 2)
-            gl, gr = g[idx], g[idx + 1]
-            vl, vr = v[idx], v[idx + 1]
-            frac = np.where(gr > gl, (y - gl) / (gr - gl), 0.0)
-            seg = (vl + 0.5 * frac * (vr - vl)) * (y - gl)
-            inside = knot_cum[idx] + seg
-            return np.where(y < g[0], below, np.where(y > g[-1], above, inside))
-
-        return cum_from_left(x) - cum_from_left(0.0)
+        knots, left, value, half_slope, cum, width = self._segments
+        k = np.searchsorted(knots, x, side="right")
+        dy = np.asarray(x, dtype=float) - left[k]
+        # the slope term sees dy only inside its segment, so that the flat
+        # ends give +-inf at +-inf, not 0 * inf
+        return cum[k] + (value[k] + half_slope[k] * np.clip(dy, 0.0, width)) * dy
 
     def scalar_rate(self):
         g, v = list(self.grid), list(self.values)

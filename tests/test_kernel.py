@@ -93,10 +93,15 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     assert out.returncode == 0, out.stderr
 
 
-@pytest.mark.skipif(shutil.which("nm") is None, reason="no nm")
-def test_kernel_exports_only_its_entry_points():
-    lib = kernel.load()
-    out = subprocess.run(["nm", "-D", "--defined-only", lib._name],
+@pytest.mark.skipif(shutil.which("nm") is None or shutil.which(kernel._CC) is None,
+                    reason="no nm or no C compiler")
+def test_kernel_exports_only_its_entry_points(tmp_path):
+    # a fresh build: the loaded library's file may be gone, since a build of
+    # an edited source removes the cache's other builds
+    lib = tmp_path / "kernel.so"
+    subprocess.run([kernel._CC, *kernel._FLAGS, "-o", str(lib), str(kernel._SOURCE), "-lm"],
+                   capture_output=True, timeout=120, check=True)
+    out = subprocess.run(["nm", "-D", "--defined-only", str(lib)],
                          capture_output=True, text=True, timeout=60, check=True)
     exported = {line.split()[-1] for line in out.stdout.splitlines() if " T " in line}
     assert exported == {"fj_bounded", "fj_exponential", "fj_pde", "fj_residual", "fj_histogram"}
@@ -477,13 +482,45 @@ def test_pde_kernel_matches_numpy_step_when_the_window_widens():
     assert got[0].grid[0] == field.grid[0] and len(got[0].grid) > len(field.grid)
 
 
-def test_pde_kernel_matches_numpy_step_when_the_right_edge_widens():
-    # the Laplace tail reaches the right edge: both steps widen it alike
+@contextlib.contextmanager
+def window_lengths():
+    """The lengths of the windows `_Euler.set_window` binds, in order."""
+    lengths, set_window = [], mf._Euler.set_window
+
+    def spy(self, grid, values):
+        lengths.append(len(grid))
+        set_window(self, grid, values)
+
+    with mock.patch.object(mf._Euler, "set_window", spy):
+        yield lengths
+
+
+@pytest.mark.parametrize("right", [12.0, 11.98], ids=["odd", "even"])
+def test_pde_kernel_matches_numpy_step_when_the_right_edge_widens(right):
+    # the Laplace tail reaches the right edge: both steps widen it alike, from
+    # 751 or 750 nodes through windows of both parities, so the node the
+    # kernel's pass runs alone at an odd end comes and goes mid-run
     w = fj.StepRate(2.0, 1.0)
-    field, dt = gaussian_start(w, left=-3.0, right=12.0, center=-2.5, sigma=1.0)
-    expected, got = pde_both(field, w, T=2.0, dt=dt, samples=20)
+    field, dt = gaussian_start(w, left=-3.0, right=right, center=-2.5, sigma=1.0)
+    with python_loops():
+        expected = pde_outcome(field, w, T=2.0, dt=dt, samples=20)
+    with window_lengths() as lengths:
+        got = pde_outcome(field, w, T=2.0, dt=dt, samples=20)
     assert_pde_close(expected, got)
     assert got[0].grid[-1] - got[0].mean > 2 * (field.grid[-1] - field.mean)
+    assert lengths[0] == len(field.grid) and {n % 2 for n in lengths} == {0, 1}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("w", PDE_FAMILIES, ids=PDE_IDS)
+def test_pde_kernel_matches_numpy_step_on_short_windows(w, n):
+    # the kernel runs its pass two nodes at a time and an odd window's last
+    # node alone; these windows also widen by half at each sample
+    grid = 0.25 * np.arange(n) - 0.5
+    field = mf.DensityField(grid, 1.0 + np.arange(n) % 3)
+    dt = 0.2 / float(w.rate(grid[0] - field.mean))
+    expected, got = pde_both(field, w, T=8 * dt, dt=dt, samples=4)
+    assert_pde_close(expected, got)
 
 
 def kernel_euler(w, field, dt):
@@ -493,12 +530,17 @@ def kernel_euler(w, field, dt):
     return euler
 
 
-@pytest.mark.parametrize("left", [-0.25, -23.4], ids=["right", "both"])
-def test_pde_kernel_matches_numpy_step_inside_the_clamp_margin(left):
+@pytest.mark.parametrize("left, right, parities", [
+    (-0.25, 25.0, (0, 0, 1)), (-0.27, 25.0, (0, 1, 1)),
+    (-23.4, 25.0, (0, 0, 1)), (-23.42, 25.02, (1, 0, 0))],
+    ids=["right", "right-odd", "both", "both-odd"])
+def test_pde_kernel_matches_numpy_step_inside_the_clamp_margin(left, right, parities):
     # beta = 30: the nodes more than 699/30 from the table's ref, here the
-    # window's far right (and far left), keep the direct clipped rate
+    # window's far right (and far left), keep the direct clipped rate; the
+    # kernel's three segments [0, lo), [lo, hi) and [hi, len) each run in
+    # pairs, and across these grids each has an odd length once
     w = fj.ExponentialRate(30.0)
-    field, dt = gaussian_start(w, left=left, right=25.0, sigma=0.02)
+    field, dt = gaussian_start(w, left=left, right=right, sigma=0.02)
     T = 0.02 if left > -1.0 else 10 * dt
     expected, got = pde_both(field, w, T=T, dt=dt, samples=4)
     assert_pde_close(expected, got)
@@ -508,6 +550,7 @@ def test_pde_kernel_matches_numpy_step_inside_the_clamp_margin(left):
     assert run.hi < len(field.grid) and field.grid[run.hi] - run.ref >= edge
     assert field.grid[run.hi - 1] - run.ref < edge
     assert (run.lo > 0) == (left < -1.0)
+    assert (run.lo % 2, (run.hi - run.lo) % 2, (len(field.grid) - run.hi) % 2) == parities
     if run.lo:
         assert field.grid[run.lo - 1] - run.ref <= -edge < field.grid[run.lo] - run.ref
 
@@ -620,6 +663,35 @@ def test_a_bad_density_fails_before_any_step():
                     mf.pde_step(field, w, 1e-3)
 
 
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "numpy"])
+def test_pde_refuses_a_grid_that_is_not_uniform(compiled):
+    # two spacings: the jump kernel and the kernel's trapezoid hold for one;
+    # run anyway, the mass went from 1.0 to 1.31 by T = 0.5
+    grid = np.concatenate([np.arange(-3.0, 0.0, 0.02), np.arange(0.0, 6.0, 0.05)])
+    field = mf.DensityField.gaussian(grid, sigma=0.3)
+    w = fj.StepRate(2.0, 1.0)
+    message = "grid must be increasing with uniform spacing: its steps are 0.02 to 0.05"
+    with contextlib.nullcontext() if compiled else python_loops(), \
+            mock.patch.object(mf._Euler, "advance", side_effect=AssertionError):
+        with pytest.raises(DomainError, match=message):
+            mf.pde_integrate(field, w, T=0.5, dt=1e-3)
+        with pytest.raises(DomainError, match=message):
+            mf.pde_step(field, w, 1e-3)
+
+
+@pytest.mark.parametrize("a", [-1e4, -37.3, 0.1, 1e4])
+@pytest.mark.parametrize("h", [0.005, 0.02, 0.3])
+def test_pde_kernel_matches_numpy_step_on_uniform_grids_far_from_zero(a, h):
+    # a + h arange(k), rounded node by node, is uniform enough, and the
+    # kernel's uniform trapezoid agrees with np.trapezoid's cell widths there
+    w = fj.StepRate(2.0, 1.0)
+    grid = a + h * np.arange(round(12.0 / h))
+    field = mf.DensityField.gaussian(grid, center=a + 3.0, sigma=0.5)
+    dt = 0.2 / float(w.rate(grid[0] - field.mean))
+    expected, got = pde_both(field, w, T=20 * dt, dt=dt, samples=4)
+    assert_pde_close(expected, got)
+
+
 BAD_PDE_TIMES = [
     ({"dt": -1e-3}, "dt must be finite and > 0, got -0.001"),
     ({"dt": 0.0}, "dt must be finite and > 0, got 0.0"),
@@ -657,6 +729,19 @@ def test_a_step_that_overflows_fails_on_both_paths():
         expected, got = pde_both(field, fj.StepRate(2.0, 1.0), T=0.01, dt=1e-3)
     assert expected[0] == "DomainError" and "not finite at t=0.001" in expected[1]
     assert got == expected
+
+
+def test_a_density_whose_node_sum_overflows_runs_on_both_paths():
+    # the kernel's running sums of v_j pass the largest double here, while
+    # the trapezoid mass, h times them, is 1e306: it redoes them cell by
+    # cell, as np.trapezoid forms them, and runs on
+    grid = np.linspace(0.0, 4.995, 1000)
+    field = mf.DensityField(grid, np.full_like(grid, 2e305))
+    (f1, d1), (f2, d2) = pde_both(field, fj.StepRate(2.0, 1.0), T=0.01, dt=1e-3, samples=2)
+    assert np.array_equal(f1.grid, f2.grid) and d1.t.tobytes() == d2.t.tobytes()
+    for a, b in ((f1.values, f2.values), (d1.mass, d2.mass), (d1.mean, d2.mean)):
+        np.testing.assert_allclose(b, a, rtol=1e-12)
+    assert 0.99e306 < d2.mass[-1] < 1e306
 
 
 @st.composite

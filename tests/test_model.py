@@ -99,6 +99,58 @@ def test_rate_integral_matches_quadrature(w):
         assert float(w.integral(x)) == pytest.approx(ref, abs=1e-9)
 
 
+def old_tabulated_integral(w, x):
+    """The per-call formula TabulatedRate.integral used before its segment
+    table: cumulative trapezoid at the knots, the linear piece within one,
+    flat beyond the ends, from the first knot, then differenced at 0."""
+    g, v = np.asarray(w.grid), np.asarray(w.values)
+    knot_cum = np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * np.diff(g))])
+
+    def cum_from_left(y):
+        y = np.asarray(y, dtype=float)
+        below = v[0] * (y - g[0])
+        above = knot_cum[-1] + v[-1] * (y - g[-1])
+        idx = np.clip(np.searchsorted(g, y, side="right") - 1, 0, len(g) - 2)
+        gl, gr, vl, vr = g[idx], g[idx + 1], v[idx], v[idx + 1]
+        frac = np.where(gr > gl, (y - gl) / (gr - gl), 0.0)
+        inside = knot_cum[idx] + (vl + 0.5 * frac * (vr - vl)) * (y - gl)
+        return np.where(y < g[0], below, np.where(y > g[-1], above, inside))
+
+    return cum_from_left(x) - cum_from_left(0.0)
+
+
+TABLES = [fj.TabulatedRate(grid=(-1.5, -0.5, 0.5, 1.5), values=(2.5, 2.0, 1.4, 1.0)),
+          fj.TabulatedRate(grid=(-2.0, -1.0, 0.0, 1.0, 2.0), values=(2.0, 1.8, 1.5, 1.2, 1.0)),
+          fj.TabulatedRate(grid=(0.5, 0.75, 3.0), values=(3.0, 3.0, 0.25)),      # 0 left of the knots
+          fj.TabulatedRate(grid=(-4.0, -0.1), values=(1.25, 0.5))]               # 0 right of them
+
+
+@pytest.mark.parametrize("w", TABLES, ids=lambda w: str(w.grid))
+def test_tabulated_integral_is_the_old_formula_and_exact(w):
+    import mpmath
+
+    g = np.array(w.grid)
+    mids = 0.5 * (g[1:] + g[:-1])
+    x = np.concatenate([g, mids, g[1:] - 1e-9, [g[0] - 3.5, g[0] - 1e-3, g[-1] + 1e-3,
+                                                 g[-1] + 7.25, 0.0, -0.3, 0.3]])
+    got = w.integral(x)
+    assert got.shape == x.shape and w.integral(0.0) == 0.0
+    np.testing.assert_allclose(got, old_tabulated_integral(w, x), rtol=1e-14, atol=1e-14)
+    def rate(s):
+        return mpmath.mpf(float(w.rate(float(s))))
+
+    with mpmath.workdps(30):
+        for xi, gi in zip(x, got):
+            lo, hi = sorted((0.0, float(xi)))
+            pts = [lo, *(k for k in w.grid if lo < k < hi), hi]
+            ref = float(mpmath.quad(rate, pts)) * (1 if xi >= 0 else -1)
+            assert abs(gi - ref) <= 1e-14 * max(1.0, abs(ref)), xi
+    for y in (1e308, -1e308, math.inf, -math.inf, math.nan):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(w.integral(y), old_tabulated_integral(w, y), equal_nan=True), y
+    assert type(w.integral(0.3)) is np.float64
+
+
 def test_exponential_clamp_no_overflow():
     w = fj.ExponentialRate(1.0)
     assert math.isfinite(float(w.rate(-1e6)))
