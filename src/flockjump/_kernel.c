@@ -2,7 +2,8 @@
  * Compiled loops of flockjump: the event loop of the bounded and exponential
  * engines (flockjump.sim), the martingale-residual walk of the step rate and
  * the binning of one centered histogram (flockjump.measures), and the
- * explicit Euler step of the mean-field PDE (flockjump.mean_field).
+ * explicit Euler step of the mean-field PDE and the traveling-wave residual
+ * (flockjump.mean_field).
  *
  * Event loop.  Python draws every random number, in each engine's one
  * refill in sim.py, and this code consumes the batches.  Each entry point is
@@ -52,6 +53,21 @@
  * takes one exp per step, e^(beta (m - ref)), and arccot an odd series of
  * atan.  Exponential nodes within 1 of the clip at EXP_CLAMP,
  * |beta (grid[j] - ref)| >= EXP_CLAMP - 1, keep the direct clipped rate.
+ *
+ * Wave residual.  fj_wave_residual makes one pass over the nodes h j of the
+ * traveling-wave profile and returns the sup-norm residual of its equation,
+ * as the numpy body of mean_field.wave_equation_residual does.  At each node
+ * it evaluates rho = exp(integral(x) / c - x + log K) and w there and at the
+ * two Gauss points of the cell behind, adds the cell to the running
+ * exponential recursion of the convolution, forms the 5-point derivative
+ * from a rolling window of five rho values and takes the sup, NaN-sticky as
+ * np.max is, over the nodes more than 2.5 h from every knot.  It allocates
+ * nothing and writes only its record's outputs.  integral() is the family's
+ * exact integral of w; arccot takes its atan once per point for w and the
+ * integral, and at the Gauss points from the node's by the addition
+ * formulas.  It agrees with the numpy body to roundoff, not to the bit:
+ * libm's exp, atan and log1p round differently from numpy's, and the
+ * kernel factor e^-(x_(j+1) - y) of each Gauss point is one constant.
  */
 
 #include <math.h>
@@ -728,6 +744,206 @@ int fj_residual(fj_residual_walk *r)
     r->sup = py_max(sup, fabs(r->value));
     r->events = e;
     return RESIDUAL_DONE;
+}
+
+/* Mirrored field by field by kernel.WaveResidual. */
+typedef struct {
+    int32_t family;             /* RATE_* */
+    const double *rate_params;  /* w: see rate() */
+    int64_t n_rate_params;
+    const double *integral_params;  /* the integral of w: see integral() */
+    int64_t n_integral_params;
+    const double *knots;        /* ascending; nodes within 2.5 h of one are skipped */
+    int64_t n_knots;
+    double c, h, log_norm;      /* speed, spacing and log K of the profile */
+    int64_t j_lo, j_hi;         /* the nodes h j, j_lo <= j <= j_hi */
+    double sup;                 /* out: sup |residual| over the kept nodes, NaN if one is */
+    double mass;                /* out: trapezoid mass of rho on the nodes */
+    int64_t kept;               /* out: the nodes the sup is over */
+} fj_wave;
+
+/* The integral of w from 0 to x, as the family's integral() in model.py
+   forms it: step (a, b); piecewise linear (a, b); exponential (beta,
+   EXP_CLAMP); tabulated the segment table of TabulatedRate._segments,
+   flattened: K knots, then K + 1 each of left, value, half_slope and cum,
+   then width.  Arccot's, x (pi/2 - atan x) + log1p(x^2) / 2, is formed in
+   wave_point, which shares atan x with w. */
+static inline double integral(int32_t family, const double *q, int64_t n_q, double x)
+{
+    switch (family) {
+    case RATE_STEP:
+        return x < 0.0 ? q[0] * x : q[1] * x;
+    case RATE_PIECEWISE_LINEAR: {
+        const double a = q[0], b = q[1];
+        if (x < -1.0)
+            return (-0.5 * (a + b) - 0.25 * (a - b)) + a * (x + 1.0);
+        if (x > 1.0)
+            return (0.5 * (a + b) - 0.25 * (a - b)) + b * (x - 1.0);
+        return 0.5 * (a + b) * x - 0.25 * (a - b) * x * x;
+    }
+    case RATE_EXPONENTIAL: {
+        double z = q[0] * x;
+        if (z < -q[1])
+            z = -q[1];
+        else if (z > q[1])
+            z = q[1];
+        return (1.0 - exp(-z)) / q[0];
+    }
+    default: {  /* RATE_TABULATED */
+        const int64_t K = (n_q - 5) / 5;
+        const double *knots = q, *left = q + K, *value = left + K + 1,
+                     *half_slope = value + K + 1, *cum = half_slope + K + 1;
+        const double width = q[n_q - 1];
+        int64_t lo = 0, hi = K;
+        while (lo < hi) {   /* searchsorted side="right": the knots <= x */
+            int64_t mid = (lo + hi) / 2;
+            if (knots[mid] <= x)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        double dy = x - left[lo], clipped = dy < 0.0 ? 0.0 : dy > width ? width : dy;
+        return cum[lo] + (value[lo] + half_slope[lo] * clipped) * dy;
+    }
+    }
+}
+
+/* rho(x) = exp(integral(x) / c - x + log_norm) and w(x) in *w.  Arccot
+   forms both from t = atan x and l = log1p(x^2), which the caller gives. */
+static inline __attribute__((always_inline)) double wave_point(const fj_wave *q, int32_t family,
+                                                              double x, double t, double l,
+                                                              double *w)
+{
+    double I;
+    if (family == RATE_ARCCOT) {
+        *w = q->rate_params[0] - t;
+        I = x * (q->integral_params[0] - t) + 0.5 * l;
+    } else {
+        *w = rate(family, q->rate_params, q->n_rate_params, x);
+        I = integral(family, q->integral_params, q->n_integral_params, x);
+    }
+    return exp(I / q->c - x + q->log_norm);
+}
+
+/* log1p z for |z| <= 1/256: the series through z^7, whose truncation error
+   is below 2e-18 |z|, summed in pairs as atan_small is. */
+static inline double log1p_small(double z)
+{
+    double z2 = z * z;
+    double p01 = 1.0 - z * 0.5, p23 = 1.0 / 3 - z * 0.25, p45 = 1.0 / 5 - z * (1.0 / 6);
+    return z * (p01 + z2 * (p23 + z2 * (p45 + z2 * (1.0 / 7))));
+}
+
+/* Arccot at a Gauss point y of the cell behind a node u with atan u = t and
+   log1p(u^2) = l takes atan y = t + atan((y - u) / (1 + u y)) and log1p(y^2)
+   = l + log1p((y - u)(y + u) / (1 + u^2)) by the series, which is libm's
+   cost per node instead of per point.  Both arguments are below 1.01 h in
+   size, as |y - u| < h, 1 + u y > 1 - h^2 and 2 |u| / (1 + u^2) <= 1; up to
+   this h they are below 1/256. */
+#define ARCCOT_NEAR_H (1.0 / 260)
+
+/* np.max's max: d replaces sup when it is larger or NaN, and a NaN sup stays.
+   (py_max, like Python's max(sup, d), drops a NaN d.) */
+static inline double nan_max(double sup, double d)
+{
+    return d > sup || d != d ? d : sup;
+}
+
+/* The pass of fj_wave_residual with the family fixed, so that the switches of
+   rate() and integral() fold away. */
+static inline __attribute__((always_inline)) void wave_pass(fj_wave *q, int32_t family)
+{
+    const double h = q->h, c = q->c, hh = 0.5 * h, band = 2.5 * h, far = 3.0 * h;
+    /* Gauss points mid -+ off of the cell [x_(j-1), x_j]; the kernel factor
+       e^-(x_j - y) of each is the same for every cell */
+    const double off = 0.5 * h * (1.0 / sqrt(3.0));
+    const double k_lo = hh * exp(-(hh + off)), k_hi = hh * exp(-(hh - off));
+    const double decay = exp(-h);
+    const double *knots = q->knots;
+    const int64_t n_knots = q->n_knots;
+    /* rho at nodes j - 4 .. j, w and conv at nodes j - 2 .. j */
+    double r0 = 0.0, r1 = 0.0, r2 = 0.0, r3 = 0.0, r4 = 0.0;
+    double w0 = 0.0, w1 = 0.0, w2 = 0.0, v0 = 0.0, v1 = 0.0, v2 = 0.0;
+    double conv = 0.0, mass = 0.0, sup = 0.0, x_prev = 0.0;
+    /* arccot: atan, log1p(x^2) and 1 / (1 + x^2) at the node behind */
+    double t_prev = 0.0, l_prev = 0.0, inv_prev = 0.0;
+    const int near = family == RATE_ARCCOT && h <= ARCCOT_NEAR_H;
+    int64_t kept = 0, k = 0;
+
+    for (int64_t j = q->j_lo; j <= q->j_hi; j++) {
+        const double x = h * (double)j;
+        if (j > q->j_lo) {
+            /* int_{x_(j-1)}^{x_j} w rho e^-(x_j - y) dy, 2-point Gauss-Legendre,
+               onto conv_j = cell + e^-h conv_(j-1) */
+            double mid = 0.5 * (x_prev + x), ya = mid - off, yb = mid + off;
+            double ta = 0.0, la = 0.0, tb = 0.0, lb = 0.0, wa, wb;
+            if (near) {
+                double da = ya - x_prev, db = yb - x_prev;
+                ta = t_prev + atan_small(da / (1.0 + x_prev * ya));
+                tb = t_prev + atan_small(db / (1.0 + x_prev * yb));
+                la = l_prev + log1p_small(da * (ya + x_prev) * inv_prev);
+                lb = l_prev + log1p_small(db * (yb + x_prev) * inv_prev);
+            } else if (family == RATE_ARCCOT) {
+                ta = atan(ya), la = log1p(ya * ya);
+                tb = atan(yb), lb = log1p(yb * yb);
+            }
+            double ra = wave_point(q, family, ya, ta, la, &wa);
+            double rb = wave_point(q, family, yb, tb, lb, &wb);
+            conv = k_lo * (wa * ra) + k_hi * (wb * rb) + decay * conv;
+        }
+        if (family == RATE_ARCCOT) {
+            t_prev = atan(x), l_prev = log1p(x * x);
+            inv_prev = 1.0 / (1.0 + x * x);
+        }
+        double wx, rx = wave_point(q, family, x, t_prev, l_prev, &wx);
+        if (j > q->j_lo)        /* np.trapezoid's cell */
+            mass += (x - x_prev) * (r4 + rx) * 0.5;
+        r0 = r1, r1 = r2, r2 = r3, r3 = r4, r4 = rx;
+        w0 = w1, w1 = w2, w2 = wx;
+        v0 = v1, v1 = v2, v2 = conv;
+        x_prev = x;
+        if (j - q->j_lo < 4)
+            continue;
+        /* the residual at node j - 2, in numpy's order of operations */
+        const double xi = h * (double)(j - 2);
+        double drho = (r0 - 8.0 * r1 + 8.0 * r3 - r4) / (12.0 * h);
+        double resid = -c * drho + w0 * r2 - v0;
+        while (k < n_knots && knots[k] < xi - far)     /* behind every later node */
+            k++;
+        int keep = 1;
+        for (int64_t i = k; i < n_knots && knots[i] <= xi + far; i++)
+            keep &= fabs(xi - knots[i]) > band;
+        if (keep) {
+            sup = nan_max(sup, fabs(resid));
+            kept++;
+        }
+    }
+    q->mass = mass;
+    q->sup = sup;
+    q->kept = kept;
+}
+
+/* The sup-norm residual of -c rho' + w rho - int_{-inf}^x w rho e^-(x - y) dy
+   on the nodes h j_lo .. h j_hi (see "Wave residual" at the top).  Returns 0. */
+int fj_wave_residual(fj_wave *q)
+{
+    switch (q->family) {
+    case RATE_STEP:
+        wave_pass(q, RATE_STEP);
+        break;
+    case RATE_PIECEWISE_LINEAR:
+        wave_pass(q, RATE_PIECEWISE_LINEAR);
+        break;
+    case RATE_ARCCOT:
+        wave_pass(q, RATE_ARCCOT);
+        break;
+    case RATE_EXPONENTIAL:
+        wave_pass(q, RATE_EXPONENTIAL);
+        break;
+    default:
+        wave_pass(q, RATE_TABULATED);
+    }
+    return 0;
 }
 
 /* Exits of fj_histogram. */

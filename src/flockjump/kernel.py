@@ -1,6 +1,6 @@
 """Build and load the compiled kernel (`_kernel.c`) through ctypes.
 
-The kernel holds four kinds of loop. `fj_bounded` and `fj_exponential` are
+The kernel holds five kinds of loop. `fj_bounded` and `fj_exponential` are
 step functions of the bounded and exponential engines: each runs events on a
 `Run` record until `sim._drive`, the one driver of every engine, must act, and
 returns the reason (EXIT_*). Their exit-for-exit Python twins in `sim` run on
@@ -19,12 +19,16 @@ its counts, below and above are those of the numpy body, which runs when
 `load()` returns None, to the bit. The explicit Euler step of the
 mean-field PDE (`fj_pde`) runs `mean_field`'s numpy step to a tolerance,
 not to the bit, and `mean_field` falls back to the numpy step in the same
-way. The shared library is built with gcc on first use, not at import,
-and cached as `__pycache__/_kernel-<key>.so` next to this file, where the
-key is a sha256 of the source, the compiler and the flags; a build goes to
-a temporary file that is renamed into place, so concurrent builds never
-expose a partial library, and a successful build removes the cache's other
-`_kernel-*.so` files. Any failure to build or load gives None.
+way. `fj_wave_residual` computes `mean_field.wave_equation_residual` in
+one pass over the profile's nodes, on a `WaveResidual` record, from the
+family's C rate and a C integral of it; it agrees with the numpy body,
+which runs when `load()` returns None, to roundoff. The shared library is
+built with gcc on first use, not at import, and cached as
+`__pycache__/_kernel-<key>.so` next to this file, where the key is a sha256
+of the source, the compiler and the flags; a build goes to a temporary file
+that is renamed into place, so concurrent builds never expose a partial
+library, and a successful build removes the cache's other `_kernel-*.so`
+files. Any failure to build or load gives None.
 """
 
 from __future__ import annotations
@@ -153,6 +157,23 @@ class Residual(_Record):
     ]
 
 
+class WaveResidual(_Record):
+    """The fj_wave record of `_kernel.c`: the rate, its integral's parameters,
+    the knots and the profile nodes of one traveling-wave residual
+    (`mean_field.wave_equation_residual`), and its sup, trapezoid mass and
+    count of kept nodes."""
+
+    _arrays = {"rate_params": np.float64, "integral_params": np.float64, "knots": np.float64}
+    _fields_ = [
+        ("family", ctypes.c_int32),
+        ("rate_params", _P), ("n_rate_params", _I64),
+        ("integral_params", _P), ("n_integral_params", _I64),
+        ("knots", _P), ("n_knots", _I64),
+        ("c", _F64), ("h", _F64), ("log_norm", _F64), ("j_lo", _I64), ("j_hi", _I64),
+        ("sup", _F64), ("mass", _F64), ("kept", _I64),
+    ]
+
+
 class Bins(_Record):
     """The fj_bins record of `_kernel.c`: one observation, its window and
     the counts row `fj_histogram` adds it into."""
@@ -196,7 +217,7 @@ def _load(cc: str):
         return None
     for name, record in (("fj_bounded", Run), ("fj_exponential", Run),
                          ("fj_pde", Pde), ("fj_residual", Residual),
-                         ("fj_histogram", Bins)):
+                         ("fj_histogram", Bins), ("fj_wave_residual", WaveResidual)):
         fn = getattr(lib, name)
         fn.argtypes = [ctypes.POINTER(record)]
         fn.restype = ctypes.c_int

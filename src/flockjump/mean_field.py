@@ -39,7 +39,8 @@ numpy's vectorized exp and arctan, np.interp and np.trapezoid's pairwise sum
 over cell widths round differently from libm, the table and these sums.
 Values, mass and mean agree to 1e-12, and grids, sample times and errors are the
 same (`tests/test_kernel.py`). Where the kernel cannot be built, or for a family
-without a C rate, the numpy step runs instead.
+without a C rate, the numpy step runs instead. `wave_equation_residual` runs
+compiled (`fj_wave_residual`) and falls back to its numpy body in the same way.
 """
 
 from __future__ import annotations
@@ -241,8 +242,8 @@ class WaveProfile:
         return float(np.trapezoid(self.grid * self.values, self.grid))
 
 
-def wave_profile(w, c: float, h: float = None, drop: float = 60.0) -> WaveProfile:
-    """Construct the normalized traveling-wave profile at speed c.
+def _profile_nodes(w, c: float, h: float, drop: float):
+    """(h, log K, j_lo, j_hi): the profile's nodes are h * j for j_lo <= j <= j_hi.
 
     The default spacing is 0.005; a discontinuous rate kinks the density, so
     the step family defaults to 0.001 to keep the trapezoid mass within 1e-8.
@@ -253,8 +254,13 @@ def wave_profile(w, c: float, h: float = None, drop: float = 60.0) -> WaveProfil
         raise DomainError(f"h must be finite and > 0, got {h!r}")
     log_norm, x_lo, x_hi = _normalization(w, c, drop)
     # Align nodes with multiples of h so rate knots (integers, 0) fall on nodes.
-    j_lo = math.floor(x_lo / h) - 1
-    j_hi = math.ceil(x_hi / h) + 1
+    return h, log_norm, math.floor(x_lo / h) - 1, math.ceil(x_hi / h) + 1
+
+
+def wave_profile(w, c: float, h: float = None, drop: float = 60.0) -> WaveProfile:
+    """Construct the normalized traveling-wave profile at speed c, on the
+    nodes of `_profile_nodes`."""
+    h, log_norm, j_lo, j_hi = _profile_nodes(w, c, h, drop)
     grid = h * np.arange(j_lo, j_hi + 1)
     exponents = log_profile(w, c, grid) + log_norm
     with np.errstate(under="ignore"):
@@ -504,15 +510,48 @@ def mean_speed_arrays(grid, values, m: float, w) -> float:
 def wave_equation_residual(w, c: float = None, h: float = 0.002, drop: float = 50.0) -> float:
     """Sup-norm residual of -c rho' + w rho - int_{-inf}^x w rho e^{-(x-y)} dy = 0.
 
-    rho is the normalized profile; rho' uses a 5-point stencil; the convolution
-    uses per-cell 2-point Gauss-Legendre against the exact density, chained by
-    the left-to-right exponential recursion. Nodes whose stencils straddle a
-    rate knot are skipped (one-sided limits satisfy the equation separately).
-    """
-    from scipy.signal import lfilter
+    rho is the normalized profile on the nodes of `wave_profile(w, c, h,
+    drop)`; rho' uses a 5-point stencil; the convolution uses per-cell 2-point
+    Gauss-Legendre against the exact density, chained by the left-to-right
+    exponential recursion. Nodes whose stencils straddle a rate knot are
+    skipped (one-sided limits satisfy the equation separately). A NaN on a
+    kept node makes the result NaN.
 
+    It runs compiled (`fj_wave_residual` in `_kernel.c`, one pass over the
+    nodes that allocates nothing) when the kernel loads and the family has a
+    `kernel_rate()`, and as the numpy body `_numpy_wave_residual` otherwise.
+    The two agree to roundoff, about 1e-14 absolute, not to the bit: the
+    kernel's libm exp, atan and log1p round differently from numpy's, and it
+    takes the kernel factor e^{-(x_{j+1} - y)} of a Gauss point as one
+    constant for every cell.
+    """
     if c is None:
         c = wave_speed(w)
+    h, log_norm, j_lo, j_hi = _profile_nodes(w, c, h, drop)
+    spec = w.kernel_rate()
+    lib = kernel.load() if spec is not None else None
+    if lib is None:
+        return _numpy_wave_residual(w, c, h, drop)
+    name, params = spec
+    rate_params = np.array(params, dtype=float)
+    integral_params = np.array(w.kernel_integral(), dtype=float)
+    knots = np.sort(np.array(w.knots, dtype=float))
+    run = kernel.WaveResidual(family=kernel.RATE_CODES[name], n_rate_params=len(rate_params),
+                              n_integral_params=len(integral_params), n_knots=len(knots),
+                              c=c, h=h, log_norm=log_norm, j_lo=j_lo, j_hi=j_hi)
+    run.bind(rate_params=rate_params, integral_params=integral_params, knots=knots)
+    lib.fj_wave_residual(ctypes.byref(run))
+    if not (run.mass > 0 and math.isfinite(run.mass)):
+        raise NonIntegrableError("profile is not normalizable on the requested grid")
+    if not run.kept:
+        return _numpy_wave_residual(w, c, h, drop)      # raises as np.max raises
+    return run.sup
+
+
+def _numpy_wave_residual(w, c: float, h: float, drop: float) -> float:
+    """The numpy body of `wave_equation_residual`: the kernel's fallback and oracle."""
+    from scipy.signal import lfilter
+
     prof = wave_profile(w, c, h=h, drop=drop)
     grid = prof.grid
     rho = prof.values       # density_at(grid), by the same expression
@@ -579,7 +618,9 @@ class DensityField:
 
     @property
     def h(self) -> float:
-        return float(self.grid[1] - self.grid[0])
+        """The grid's spacing, `_uniform_spacing(grid)`: DomainError unless it
+        is uniform."""
+        return _uniform_spacing(self.grid)
 
     @property
     def mass(self) -> float:
@@ -772,8 +813,10 @@ class PdeDiagnostics:
 
 
 def _w1_grid_vs_callable(grid, values, pdf) -> float:
+    """W1 between the density `values` on the uniform `grid` and `pdf`, both
+    integrated by the trapezoid rule with the spacing `_uniform_spacing(grid)`."""
     target = np.asarray(pdf(grid), dtype=float)
-    h = grid[1] - grid[0]
+    h = _uniform_spacing(grid)
     f1 = np.concatenate([[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * h)])
     f2 = np.concatenate([[0.0], np.cumsum(0.5 * (target[1:] + target[:-1]) * h)])
     return float(np.trapezoid(np.abs(f1 - f2), grid))

@@ -56,9 +56,10 @@ class RateFamily:
     the vectorized `rate(x)` and its exact antiderivative `integral(x)` from 0,
     the limits `left_limit` (sup w, as x -> -inf) and `right_limit` (inf w), and
     overrides `continuous`, `knots` (points where w or its derivative jumps),
-    `scalar_rate`, `kernel_rate`, `stationary_law`, `mean_rate` and
-    `rate_overflows` where the defaults below do not fit. Registering the
-    class in RATE_FAMILIES makes it available to configs under its name.
+    `scalar_rate`, `kernel_rate`, `kernel_integral`, `stationary_law`,
+    `mean_rate` and `rate_overflows` where the defaults below do not fit.
+    Registering the class in RATE_FAMILIES makes it available to configs
+    under its name.
     """
 
     continuous: ClassVar[bool] = True
@@ -89,6 +90,13 @@ class RateFamily:
         without one runs both in Python.
         """
         return None
+
+    def kernel_integral(self):
+        """Parameters of the compiled kernel's integral of w (`integral` in
+        `_kernel.c`, which `mean_field.wave_equation_residual` runs) for the
+        family `kernel_rate()` names: its rate parameters, unless the
+        integral needs a table of its own."""
+        return self.kernel_rate()[1]
 
     def stationary_law(self):
         """(name, parameters) of the family's stationary wave in
@@ -397,6 +405,10 @@ class TabulatedRate(RateFamily):
 
     def kernel_rate(self):
         return "tabulated", self.grid + self.values
+
+    def kernel_integral(self):
+        knots, left, value, half_slope, cum, width = self._segments
+        return np.concatenate([knots, left, value, half_slope, cum, [width]])
 
 
 # The only map from a config family name to its class.

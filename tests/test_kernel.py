@@ -104,7 +104,8 @@ def test_kernel_exports_only_its_entry_points(tmp_path):
     out = subprocess.run(["nm", "-D", "--defined-only", str(lib)],
                          capture_output=True, text=True, timeout=60, check=True)
     exported = {line.split()[-1] for line in out.stdout.splitlines() if " T " in line}
-    assert exported == {"fj_bounded", "fj_exponential", "fj_pde", "fj_residual", "fj_histogram"}
+    assert exported == {"fj_bounded", "fj_exponential", "fj_pde", "fj_residual", "fj_histogram",
+                        "fj_wave_residual"}
 
 
 BOUNDED = [fj.StepRate(2.0, 1.0), fj.PiecewiseLinearRate(2.0, 1.0), fj.ArccotRate(),
@@ -991,3 +992,142 @@ def test_refused_observation_leaves_the_averager_as_it_was(compiled):
             avg.add(0.0, [0.1, 0.6, math.nan], 0.0)
         assert avg.add(0.0, [0.9], 0.0) == 0
     assert avg.finalize().counts.tolist() == [0.0, 1.0]
+
+
+# ---------------------------------------------------------------------------
+# traveling-wave residual
+# ---------------------------------------------------------------------------
+
+
+def random_table(rng):
+    """A 4-knot table as perfbench's `waves` workload draws one: knots moved
+    by up to 0.15 and values scaled by up to 7%."""
+    knots = np.array([-1.5, -0.5, 0.5, 1.5]) + rng.uniform(-0.15, 0.15, 4)
+    values = np.array([2.5, 2.0, 1.4, 1.0]) * rng.uniform(0.93, 1.07, 4)
+    return fj.TabulatedRate(grid=tuple(knots), values=tuple(np.sort(values)[::-1]))
+
+
+# (rate, speed or None for wave_speed); step and piecewise-linear with a < 1.2 b
+# have profiles over 1000 units wide
+WAVE_CASES = {
+    "step": (fj.StepRate(2.0, 1.0), 1.5),
+    "pwl": (fj.PiecewiseLinearRate(2.0, 1.0), 1.5),
+    "arccot": (fj.ArccotRate(), 0.5 * math.pi),
+    "exponential": (fj.ExponentialRate(1.0), None),
+    "tabulated": (fj.TabulatedRate(grid=(-1.5, -0.5, 0.5, 1.5), values=(2.5, 2.0, 1.4, 1.0)),
+                  None),
+    "two-point-table": (fj.TabulatedRate(grid=(-1.0, 1.0), values=(2.0, 1.0)), 1.5),
+    "random-table": (random_table(np.random.default_rng(22)), None),
+    "step-narrow": (fj.StepRate(1.18, 1.0), 1.09),
+    "pwl-narrow": (fj.PiecewiseLinearRate(1.18, 1.0), 1.09),
+}
+
+
+def wave_case(name):
+    w, c = WAVE_CASES[name]
+    return w, (mf.wave_speed(w) if c is None else c)
+
+
+def compiled_wave_residual(w, c, **kwargs):
+    """wave_equation_residual with the numpy body barred."""
+    with mock.patch.object(mf, "_numpy_wave_residual", side_effect=AssertionError):
+        return mf.wave_equation_residual(w, c, **kwargs)
+
+
+@pytest.mark.parametrize("name", WAVE_CASES)
+def test_wave_residual_kernel_matches_numpy_body(name):
+    w, c = wave_case(name)
+    expected = mf._numpy_wave_residual(w, c, 0.002, 50.0)
+    got = compiled_wave_residual(w, c)
+    assert abs(got - expected) <= 1e-12
+    assert got <= 1e-6
+
+
+# arccot's Gauss points take series up to h = 1/260 and libm above it
+@pytest.mark.parametrize("h", [None, 0.001, 1 / 260, 0.004, 0.01, 0.05])
+@pytest.mark.parametrize("name", ["arccot", "tabulated", "step", "exponential"])
+def test_wave_residual_kernel_matches_numpy_body_at_other_spacings(name, h):
+    w, c = wave_case(name)
+    with python_loops():
+        expected = mf.wave_equation_residual(w, c, h=h, drop=40.0)
+    assert abs(compiled_wave_residual(w, c, h=h, drop=40.0) - expected) <= 1e-12
+
+
+def test_failed_build_falls_back_to_the_numpy_residual():
+    w, c = wave_case("tabulated")
+    expected = mf._numpy_wave_residual(w, c, 0.002, 50.0)
+    with python_loops():
+        assert kernel.load() is None
+        assert bits(mf.wave_equation_residual(w, c)) == bits(expected)
+    # a family with no C rate runs the numpy body too
+    with mock.patch.object(fj.TabulatedRate, "kernel_rate", return_value=None):
+        assert bits(mf.wave_equation_residual(w, c)) == bits(expected)
+    assert kernel.load() is not None                  # the real compiler's build is kept
+
+
+def off_by_one_percent(w):
+    """kernel_integral() of w with every rate parameter 1% up."""
+    if isinstance(w, fj.ArccotRate):
+        return (1.01 * 0.5 * math.pi,)
+    if isinstance(w, fj.TabulatedRate):
+        return fj.TabulatedRate(w.grid, tuple(1.01 * v for v in w.values)).kernel_integral()
+    if isinstance(w, fj.ExponentialRate):
+        return fj.ExponentialRate(1.01 * w.beta).kernel_integral()
+    return type(w)(1.01 * w.a, 1.01 * w.b).kernel_integral()
+
+
+@pytest.mark.parametrize("name", ["step", "pwl", "arccot", "exponential", "tabulated"])
+def test_wave_residual_kernel_sees_a_profile_one_percent_off_its_rate(name):
+    # the profile from an integral of rates 1% up, the equation with the true
+    # rates: no c makes that a wave, and the pass must say so
+    w, c = wave_case(name)
+    with mock.patch.object(type(w), "kernel_integral", return_value=off_by_one_percent(w)):
+        assert compiled_wave_residual(w, c) > 1e-4
+
+
+def scaled_normalization(log_factor):
+    """A stand-in for mean_field._normalization that scales the profile by
+    e^log_factor."""
+    normalization = mf._normalization
+
+    def scaled(w, c, drop):
+        log_norm, x_lo, x_hi = normalization(w, c, drop)
+        return log_norm + log_factor, x_lo, x_hi
+
+    return mock.patch.object(mf, "_normalization", scaled)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "numpy"])
+def test_a_nan_in_the_wave_residual_comes_back_as_nan(compiled):
+    # a profile of mass 1.5e308: the stencil's 8 rho overflows near the peak,
+    # where -inf + inf is NaN, while the mass and every rho stay finite
+    w = fj.StepRate(2.0, 1.0)
+    with contextlib.nullcontext() if compiled else python_loops(), \
+            scaled_normalization(math.log(1.5e308)), np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(mf.wave_equation_residual(w, 1.5))
+
+
+BAD_WAVES = [
+    ({"h": 0.0}, DomainError, "h must be finite and > 0"),
+    ({"h": math.nan}, DomainError, "h must be finite and > 0"),
+    ({"c": 2.5}, mf.NonIntegrableError, "must lie strictly inside"),
+    ({"c": math.nan}, mf.NonIntegrableError, "must lie strictly inside"),
+    ({"h": 100.0}, ValueError, "zero-size array"),      # no node clears the knot
+]
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "numpy"])
+@pytest.mark.parametrize("bad, error, message", BAD_WAVES, ids=[str(b) for b, _, _ in BAD_WAVES])
+def test_wave_residual_raises_what_the_numpy_body_raises(compiled, bad, error, message):
+    args = {"c": 1.5, **bad}
+    with contextlib.nullcontext() if compiled else python_loops():
+        with pytest.raises(error, match=message):
+            mf.wave_equation_residual(fj.StepRate(2.0, 1.0), **args)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "numpy"])
+def test_a_profile_that_underflows_is_not_normalizable_on_both_paths(compiled):
+    with contextlib.nullcontext() if compiled else python_loops(), \
+            scaled_normalization(-1000.0):
+        with pytest.raises(mf.NonIntegrableError, match="not normalizable on the requested grid"):
+            mf.wave_equation_residual(fj.StepRate(2.0, 1.0), 1.5)

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import flockjump as fj
+from flockjump import mean_field as mf
 from flockjump.mean_field import (
     DensityField,
     NonIntegrableError,
@@ -417,8 +418,10 @@ def test_mean_speed_bounded_by_sup():
 
 
 @pytest.mark.parametrize("w", [fj.StepRate(2.0, 1.0), fj.PiecewiseLinearRate(2.0, 1.0),
-                               fj.ArccotRate(), fj.ExponentialRate(1.0)],
-                         ids=["step", "pwl", "arccot", "exp"])
+                               fj.ArccotRate(), fj.ExponentialRate(1.0),
+                               fj.TabulatedRate(grid=(-1.5, -0.5, 0.5, 1.5),
+                                                values=(2.5, 2.0, 1.4, 1.0))],
+                         ids=["step", "pwl", "arccot", "exp", "tabulated"])
 def test_wave_equation_residual_small(w):
     assert wave_equation_residual(w) <= 1e-6
 
@@ -426,6 +429,20 @@ def test_wave_equation_residual_small(w):
 # ---------------------------------------------------------------------------
 # PDE
 # ---------------------------------------------------------------------------
+
+
+def test_density_field_and_w1_take_the_mean_step_of_the_grid():
+    # far from 0, grid[1] - grid[0] is 1.6e-10 relative off the spacing
+    grid = 1e4 + 0.005 * np.arange(2400)
+    h = (grid[-1] - grid[0]) / 2399
+    field = DensityField.gaussian(grid, center=1e4 + 6.0, sigma=0.5)
+    assert field.h == h != grid[1] - grid[0]
+    uneven = np.concatenate([np.arange(-3.0, 0.0, 0.02), np.arange(0.0, 6.0, 0.05)])
+    field = DensityField.gaussian(uneven, sigma=0.3)
+    with pytest.raises(DomainError, match="uniform spacing"):
+        field.h
+    with pytest.raises(DomainError, match="uniform spacing"):
+        mf._w1_grid_vs_callable(uneven, field.values, lambda x: np.zeros_like(x))
 
 
 def _wave_setup(h=0.01):
