@@ -64,8 +64,7 @@
  * np.max is, over the nodes more than 2.5 h from every knot.  It allocates
  * nothing and writes only its record's outputs.  integral() is the family's
  * exact integral of w; arccot takes its atan once per point for w and the
- * integral, and at the Gauss points from the node's by the addition
- * formulas.  It agrees with the numpy body to roundoff, not to the bit:
+ * integral.  It agrees with the numpy body to roundoff, not to the bit:
  * libm's exp, atan and log1p round differently from numpy's, and the
  * kernel factor e^-(x_(j+1) - y) of each Gauss point is one constant.
  */
@@ -753,7 +752,7 @@ typedef struct {
     int64_t n_rate_params;
     const double *integral_params;  /* the integral of w: see integral() */
     int64_t n_integral_params;
-    const double *knots;        /* ascending; nodes within 2.5 h of one are skipped */
+    const double *knots;        /* nodes within 2.5 h of one are skipped */
     int64_t n_knots;
     double c, h, log_norm;      /* speed, spacing and log K of the profile */
     int64_t j_lo, j_hi;         /* the nodes h j, j_lo <= j <= j_hi */
@@ -825,23 +824,6 @@ static inline __attribute__((always_inline)) double wave_point(const fj_wave *q,
     return exp(I / q->c - x + q->log_norm);
 }
 
-/* log1p z for |z| <= 1/256: the series through z^7, whose truncation error
-   is below 2e-18 |z|, summed in pairs as atan_small is. */
-static inline double log1p_small(double z)
-{
-    double z2 = z * z;
-    double p01 = 1.0 - z * 0.5, p23 = 1.0 / 3 - z * 0.25, p45 = 1.0 / 5 - z * (1.0 / 6);
-    return z * (p01 + z2 * (p23 + z2 * (p45 + z2 * (1.0 / 7))));
-}
-
-/* Arccot at a Gauss point y of the cell behind a node u with atan u = t and
-   log1p(u^2) = l takes atan y = t + atan((y - u) / (1 + u y)) and log1p(y^2)
-   = l + log1p((y - u)(y + u) / (1 + u^2)) by the series, which is libm's
-   cost per node instead of per point.  Both arguments are below 1.01 h in
-   size, as |y - u| < h, 1 + u y > 1 - h^2 and 2 |u| / (1 + u^2) <= 1; up to
-   this h they are below 1/256. */
-#define ARCCOT_NEAR_H (1.0 / 260)
-
 /* np.max's max: d replaces sup when it is larger or NaN, and a NaN sup stays.
    (py_max, like Python's max(sup, d), drops a NaN d.) */
 static inline double nan_max(double sup, double d)
@@ -853,7 +835,7 @@ static inline double nan_max(double sup, double d)
    rate() and integral() fold away. */
 static inline __attribute__((always_inline)) void wave_pass(fj_wave *q, int32_t family)
 {
-    const double h = q->h, c = q->c, hh = 0.5 * h, band = 2.5 * h, far = 3.0 * h;
+    const double h = q->h, c = q->c, hh = 0.5 * h, band = 2.5 * h;
     /* Gauss points mid -+ off of the cell [x_(j-1), x_j]; the kernel factor
        e^-(x_j - y) of each is the same for every cell */
     const double off = 0.5 * h * (1.0 / sqrt(3.0));
@@ -865,10 +847,9 @@ static inline __attribute__((always_inline)) void wave_pass(fj_wave *q, int32_t 
     double r0 = 0.0, r1 = 0.0, r2 = 0.0, r3 = 0.0, r4 = 0.0;
     double w0 = 0.0, w1 = 0.0, w2 = 0.0, v0 = 0.0, v1 = 0.0, v2 = 0.0;
     double conv = 0.0, mass = 0.0, sup = 0.0, x_prev = 0.0;
-    /* arccot: atan, log1p(x^2) and 1 / (1 + x^2) at the node behind */
-    double t_prev = 0.0, l_prev = 0.0, inv_prev = 0.0;
-    const int near = family == RATE_ARCCOT && h <= ARCCOT_NEAR_H;
-    int64_t kept = 0, k = 0;
+    /* arccot: atan x and log1p(x^2) at the node */
+    double t = 0.0, l = 0.0;
+    int64_t kept = 0;
 
     for (int64_t j = q->j_lo; j <= q->j_hi; j++) {
         const double x = h * (double)j;
@@ -877,13 +858,7 @@ static inline __attribute__((always_inline)) void wave_pass(fj_wave *q, int32_t 
                onto conv_j = cell + e^-h conv_(j-1) */
             double mid = 0.5 * (x_prev + x), ya = mid - off, yb = mid + off;
             double ta = 0.0, la = 0.0, tb = 0.0, lb = 0.0, wa, wb;
-            if (near) {
-                double da = ya - x_prev, db = yb - x_prev;
-                ta = t_prev + atan_small(da / (1.0 + x_prev * ya));
-                tb = t_prev + atan_small(db / (1.0 + x_prev * yb));
-                la = l_prev + log1p_small(da * (ya + x_prev) * inv_prev);
-                lb = l_prev + log1p_small(db * (yb + x_prev) * inv_prev);
-            } else if (family == RATE_ARCCOT) {
+            if (family == RATE_ARCCOT) {
                 ta = atan(ya), la = log1p(ya * ya);
                 tb = atan(yb), lb = log1p(yb * yb);
             }
@@ -891,11 +866,9 @@ static inline __attribute__((always_inline)) void wave_pass(fj_wave *q, int32_t 
             double rb = wave_point(q, family, yb, tb, lb, &wb);
             conv = k_lo * (wa * ra) + k_hi * (wb * rb) + decay * conv;
         }
-        if (family == RATE_ARCCOT) {
-            t_prev = atan(x), l_prev = log1p(x * x);
-            inv_prev = 1.0 / (1.0 + x * x);
-        }
-        double wx, rx = wave_point(q, family, x, t_prev, l_prev, &wx);
+        if (family == RATE_ARCCOT)
+            t = atan(x), l = log1p(x * x);
+        double wx, rx = wave_point(q, family, x, t, l, &wx);
         if (j > q->j_lo)        /* np.trapezoid's cell */
             mass += (x - x_prev) * (r4 + rx) * 0.5;
         r0 = r1, r1 = r2, r2 = r3, r3 = r4, r4 = rx;
@@ -908,10 +881,8 @@ static inline __attribute__((always_inline)) void wave_pass(fj_wave *q, int32_t 
         const double xi = h * (double)(j - 2);
         double drho = (r0 - 8.0 * r1 + 8.0 * r3 - r4) / (12.0 * h);
         double resid = -c * drho + w0 * r2 - v0;
-        while (k < n_knots && knots[k] < xi - far)     /* behind every later node */
-            k++;
         int keep = 1;
-        for (int64_t i = k; i < n_knots && knots[i] <= xi + far; i++)
+        for (int64_t i = 0; i < n_knots; i++)
             keep &= fabs(xi - knots[i]) > band;
         if (keep) {
             sup = nan_max(sup, fabs(resid));

@@ -535,7 +535,7 @@ def wave_equation_residual(w, c: float = None, h: float = 0.002, drop: float = 5
     name, params = spec
     rate_params = np.array(params, dtype=float)
     integral_params = np.array(w.kernel_integral(), dtype=float)
-    knots = np.sort(np.array(w.knots, dtype=float))
+    knots = np.array(w.knots, dtype=float)
     run = kernel.WaveResidual(family=kernel.RATE_CODES[name], n_rate_params=len(rate_params),
                               n_integral_params=len(integral_params), n_knots=len(knots),
                               c=c, h=h, log_norm=log_norm, j_lo=j_lo, j_hi=j_hi)

@@ -1043,7 +1043,6 @@ def test_wave_residual_kernel_matches_numpy_body(name):
     assert got <= 1e-6
 
 
-# arccot's Gauss points take series up to h = 1/260 and libm above it
 @pytest.mark.parametrize("h", [None, 0.001, 1 / 260, 0.004, 0.01, 0.05])
 @pytest.mark.parametrize("name", ["arccot", "tabulated", "step", "exponential"])
 def test_wave_residual_kernel_matches_numpy_body_at_other_spacings(name, h):
