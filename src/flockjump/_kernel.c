@@ -62,11 +62,13 @@
  * exponential recursion of the convolution, forms the 5-point derivative
  * from a rolling window of five rho values and takes the sup, NaN-sticky as
  * np.max is, over the nodes more than 2.5 h from every knot.  It allocates
- * nothing and writes only its record's outputs.  integral() is the family's
- * exact integral of w; arccot takes its atan once per point for w and the
- * integral.  It agrees with the numpy body to roundoff, not to the bit:
- * libm's exp, atan and log1p round differently from numpy's, and the
- * kernel factor e^-(x_(j+1) - y) of each Gauss point is one constant.
+ * nothing and writes only its record's outputs.  rate_integral() gives w and
+ * the family's exact integral of w together, from the same parameters as
+ * rate(): the family's kernel_rate() is its one description here.  It
+ * agrees with the numpy body to roundoff, not to the bit: libm's exp, atan
+ * and log1p round differently from numpy's, the tabulated w is read from
+ * the segment table rather than np.interp's formula, and the kernel factor
+ * e^-(x_(j+1) - y) of each Gauss point is one constant.
  */
 
 #include <math.h>
@@ -133,10 +135,29 @@ static double checked_exp(double x, int *range)
     return e;
 }
 
-/* w(d), operation for operation as the family's scalar_rate() in model.py:
-   step (a, b); piecewise linear (a, b, mid, slope); arccot (pi/2);
-   tabulated (grid[k], values[k]); exponential (beta, EXP_CLAMP), as
-   ExponentialRate.rate: exp(-clip(beta d, -EXP_CLAMP, EXP_CLAMP)). */
+/* k = bisect_right(knots, x) in the tabulated table, TabulatedRate._segments
+   flattened: K knots, then K + 1 each of left, value, half_slope and cum,
+   then width.  Callers first find the flat ends, x < knots[0] (k = 0) and
+   x >= knots[K - 1] (k = K); a NaN x gives some k. */
+static inline int64_t tab_search(const double *knots, int64_t K, double x)
+{
+    int64_t lo = 1, hi = K - 1;
+    while (lo < hi) {
+        int64_t mid = (lo + hi) / 2;
+        if (knots[mid] <= x)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* w(d), operation for operation as the family's scalar_rate() in model.py,
+   from the parameters of its kernel_rate(): step (a, b); piecewise linear
+   (a, b, mid, slope); arccot (pi/2); exponential (beta, EXP_CLAMP), as
+   ExponentialRate.rate: exp(-clip(beta d, -EXP_CLAMP, EXP_CLAMP));
+   tabulated the segment table (see tab_search), where w = value[k] in the
+   flat ends and value[k] + 2 half_slope[k] (d - left[k]) between them. */
 static inline double rate(int32_t family, const double *p, int64_t n_params, double d)
 {
     switch (family) {
@@ -159,22 +180,14 @@ static inline double rate(int32_t family, const double *p, int64_t n_params, dou
         return exp(-z);
     }
     default: {  /* RATE_TABULATED */
-        int64_t k = n_params / 2, lo = 0, hi = k;
-        const double *g = p, *v = p + k;
-        if (d <= g[0])
-            return v[0];
-        if (d >= g[k - 1])
-            return v[k - 1];
-        if (d != d)
-            return d;   /* nan in, nan out, as in Python */
-        while (lo < hi) {   /* bisect_left */
-            int64_t mid = (lo + hi) / 2;
-            if (g[mid] < d)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        return v[lo - 1] + (v[lo] - v[lo - 1]) * (d - g[lo - 1]) / (g[lo] - g[lo - 1]);
+        const int64_t K = (n_params - 5) / 5;
+        const double *left = p + K, *value = left + K + 1, *half_slope = value + K + 1;
+        if (d < p[0])
+            return value[0];
+        if (d >= p[K - 1])
+            return value[K];
+        const int64_t k = tab_search(p, K, d);
+        return value[k] + 2.0 * half_slope[k] * (d - left[k]);
     }
     }
 }
@@ -748,10 +761,8 @@ int fj_residual(fj_residual_walk *r)
 /* Mirrored field by field by kernel.WaveResidual. */
 typedef struct {
     int32_t family;             /* RATE_* */
-    const double *rate_params;  /* w: see rate() */
+    const double *rate_params;  /* w and its integral: see rate_integral() */
     int64_t n_rate_params;
-    const double *integral_params;  /* the integral of w: see integral() */
-    int64_t n_integral_params;
     const double *knots;        /* nodes within 2.5 h of one are skipped */
     int64_t n_knots;
     double c, h, log_norm;      /* speed, spacing and log K of the profile */
@@ -761,66 +772,62 @@ typedef struct {
     int64_t kept;               /* out: the nodes the sup is over */
 } fj_wave;
 
-/* The integral of w from 0 to x, as the family's integral() in model.py
-   forms it: step (a, b); piecewise linear (a, b); exponential (beta,
-   EXP_CLAMP); tabulated the segment table of TabulatedRate._segments,
-   flattened: K knots, then K + 1 each of left, value, half_slope and cum,
-   then width.  Arccot's, x (pi/2 - atan x) + log1p(x^2) / 2, is formed in
-   wave_point, which shares atan x with w. */
-static inline double integral(int32_t family, const double *q, int64_t n_q, double x)
+/* w(x), as rate() gives it, and in *I the integral of w from 0 to x, as the
+   family's integral() in model.py forms it, both from the parameters of
+   rate().  Arccot takes one atan for both, the exponential one exp and the
+   tabulated rate one search. */
+static inline double rate_integral(int32_t family, const double *p, int64_t n_params, double x,
+                                   double *I)
 {
     switch (family) {
     case RATE_STEP:
-        return x < 0.0 ? q[0] * x : q[1] * x;
+        *I = x < 0.0 ? p[0] * x : p[1] * x;
+        break;
     case RATE_PIECEWISE_LINEAR: {
-        const double a = q[0], b = q[1];
+        const double a = p[0], b = p[1];
         if (x < -1.0)
-            return (-0.5 * (a + b) - 0.25 * (a - b)) + a * (x + 1.0);
-        if (x > 1.0)
-            return (0.5 * (a + b) - 0.25 * (a - b)) + b * (x - 1.0);
-        return 0.5 * (a + b) * x - 0.25 * (a - b) * x * x;
+            *I = (-0.5 * (a + b) - 0.25 * (a - b)) + a * (x + 1.0);
+        else if (x > 1.0)
+            *I = (0.5 * (a + b) - 0.25 * (a - b)) + b * (x - 1.0);
+        else
+            *I = 0.5 * (a + b) * x - 0.25 * (a - b) * x * x;
+        break;
+    }
+    case RATE_ARCCOT: {
+        const double t = atan(x);
+        *I = x * (p[0] - t) + 0.5 * log1p(x * x);
+        return p[0] - t;
     }
     case RATE_EXPONENTIAL: {
-        double z = q[0] * x;
-        if (z < -q[1])
-            z = -q[1];
-        else if (z > q[1])
-            z = q[1];
-        return (1.0 - exp(-z)) / q[0];
+        double z = p[0] * x;
+        if (z < -p[1])
+            z = -p[1];
+        else if (z > p[1])
+            z = p[1];
+        const double e = exp(-z);
+        *I = (1.0 - e) / p[0];
+        return e;
     }
-    default: {  /* RATE_TABULATED */
-        const int64_t K = (n_q - 5) / 5;
-        const double *knots = q, *left = q + K, *value = left + K + 1,
-                     *half_slope = value + K + 1, *cum = half_slope + K + 1;
-        const double width = q[n_q - 1];
-        int64_t lo = 0, hi = K;
-        while (lo < hi) {   /* searchsorted side="right": the knots <= x */
-            int64_t mid = (lo + hi) / 2;
-            if (knots[mid] <= x)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        double dy = x - left[lo], clipped = dy < 0.0 ? 0.0 : dy > width ? width : dy;
-        return cum[lo] + (value[lo] + half_slope[lo] * clipped) * dy;
+    default: {  /* RATE_TABULATED: w as rate() has it, with one search */
+        const int64_t K = (n_params - 5) / 5;
+        const int64_t k = x < p[0] ? 0 : x >= p[K - 1] ? K : tab_search(p, K, x);
+        const double *left = p + K, *value = left + K + 1, *half_slope = value + K + 1,
+                     *cum = half_slope + K + 1;
+        const double width = p[n_params - 1], dy = x - left[k];
+        const double s = dy < 0.0 ? 0.0 : dy > width ? width : dy;
+        *I = cum[k] + (value[k] + half_slope[k] * s) * dy;
+        return value[k] + 2.0 * half_slope[k] * s;
     }
     }
+    return rate(family, p, n_params, x);
 }
 
-/* rho(x) = exp(integral(x) / c - x + log_norm) and w(x) in *w.  Arccot
-   forms both from t = atan x and l = log1p(x^2), which the caller gives. */
+/* rho(x) = exp(integral(x) / c - x + log K) and w(x) in *w. */
 static inline __attribute__((always_inline)) double wave_point(const fj_wave *q, int32_t family,
-                                                              double x, double t, double l,
-                                                              double *w)
+                                                              double x, double *w)
 {
     double I;
-    if (family == RATE_ARCCOT) {
-        *w = q->rate_params[0] - t;
-        I = x * (q->integral_params[0] - t) + 0.5 * l;
-    } else {
-        *w = rate(family, q->rate_params, q->n_rate_params, x);
-        I = integral(family, q->integral_params, q->n_integral_params, x);
-    }
+    *w = rate_integral(family, q->rate_params, q->n_rate_params, x, &I);
     return exp(I / q->c - x + q->log_norm);
 }
 
@@ -831,8 +838,8 @@ static inline double nan_max(double sup, double d)
     return d > sup || d != d ? d : sup;
 }
 
-/* The pass of fj_wave_residual with the family fixed, so that the switches of
-   rate() and integral() fold away. */
+/* The pass of fj_wave_residual with the family fixed, so that the switch of
+   rate_integral() folds away. */
 static inline __attribute__((always_inline)) void wave_pass(fj_wave *q, int32_t family)
 {
     const double h = q->h, c = q->c, hh = 0.5 * h, band = 2.5 * h;
@@ -847,8 +854,6 @@ static inline __attribute__((always_inline)) void wave_pass(fj_wave *q, int32_t 
     double r0 = 0.0, r1 = 0.0, r2 = 0.0, r3 = 0.0, r4 = 0.0;
     double w0 = 0.0, w1 = 0.0, w2 = 0.0, v0 = 0.0, v1 = 0.0, v2 = 0.0;
     double conv = 0.0, mass = 0.0, sup = 0.0, x_prev = 0.0;
-    /* arccot: atan x and log1p(x^2) at the node */
-    double t = 0.0, l = 0.0;
     int64_t kept = 0;
 
     for (int64_t j = q->j_lo; j <= q->j_hi; j++) {
@@ -856,19 +861,12 @@ static inline __attribute__((always_inline)) void wave_pass(fj_wave *q, int32_t 
         if (j > q->j_lo) {
             /* int_{x_(j-1)}^{x_j} w rho e^-(x_j - y) dy, 2-point Gauss-Legendre,
                onto conv_j = cell + e^-h conv_(j-1) */
-            double mid = 0.5 * (x_prev + x), ya = mid - off, yb = mid + off;
-            double ta = 0.0, la = 0.0, tb = 0.0, lb = 0.0, wa, wb;
-            if (family == RATE_ARCCOT) {
-                ta = atan(ya), la = log1p(ya * ya);
-                tb = atan(yb), lb = log1p(yb * yb);
-            }
-            double ra = wave_point(q, family, ya, ta, la, &wa);
-            double rb = wave_point(q, family, yb, tb, lb, &wb);
+            double mid = 0.5 * (x_prev + x), wa, wb;
+            double ra = wave_point(q, family, mid - off, &wa);
+            double rb = wave_point(q, family, mid + off, &wb);
             conv = k_lo * (wa * ra) + k_hi * (wb * rb) + decay * conv;
         }
-        if (family == RATE_ARCCOT)
-            t = atan(x), l = log1p(x * x);
-        double wx, rx = wave_point(q, family, x, t, l, &wx);
+        double wx, rx = wave_point(q, family, x, &wx);
         if (j > q->j_lo)        /* np.trapezoid's cell */
             mass += (x - x_prev) * (r4 + rx) * 0.5;
         r0 = r1, r1 = r2, r2 = r3, r3 = r4, r4 = rx;

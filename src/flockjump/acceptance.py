@@ -99,10 +99,15 @@ def crit_03_wave_speed_exponential_three_way(quick=False):
 
 
 def crit_04_wave_equation_residual(quick=False):
-    return [(f"{name} sup|residual|", mf.wave_equation_residual(w), 1e-6)
-            for name, w in (("step", StepRate(2.0, 1.0)),
-                            ("pwlinear", PiecewiseLinearRate(2.0, 1.0)),
-                            ("arccot", ArccotRate()), ("exponential", ExponentialRate(1.0)))]
+    # the residual is linear in rho, so only the profile's mass sees a wrong log K
+    checks = []
+    for name, w in (("step", StepRate(2.0, 1.0)), ("pwlinear", PiecewiseLinearRate(2.0, 1.0)),
+                    ("arccot", ArccotRate()), ("exponential", ExponentialRate(1.0))):
+        c = mf.wave_speed(w)
+        mass = mf.wave_profile(w, c, h=0.002, drop=50.0).trapz_mass()
+        checks += [(f"{name} sup|residual|", mf.wave_equation_residual(w, c), 1e-6),
+                   (f"{name} |trapezoid mass - 1|", abs(mass - 1.0), 1e-6)]
+    return checks
 
 
 def _gap(log):
@@ -308,7 +313,7 @@ CRITERIA = [
     (1, "wave speed, step rates (c = 3/2)", crit_01_wave_speed_step),
     (2, "wave speed, arccot (c = pi/2)", crit_02_wave_speed_arccot),
     (3, "wave speed, exponential beta=1 (three-way)", crit_03_wave_speed_exponential_three_way),
-    (4, "traveling-wave residual, four families", crit_04_wave_equation_residual),
+    (4, "traveling-wave residual and mass, four families", crit_04_wave_equation_residual),
     (5, "two-particle birth-death occupancy and piQ = 0", crit_05_two_particle_birth_death),
     (6, "two-particle continuous gap, beta in {1, 2}", crit_06_two_particle_continuous_gap),
     (7, "master-equation residual and boundary identity", crit_07_master_equation_residual),

@@ -21,9 +21,9 @@ mean-field PDE (`fj_pde`) runs `mean_field`'s numpy step to a tolerance,
 not to the bit, and `mean_field` falls back to the numpy step in the same
 way. `fj_wave_residual` computes `mean_field.wave_equation_residual` in
 one pass over the profile's nodes, on a `WaveResidual` record, from the
-family's C rate and a C integral of it; it agrees with the numpy body,
-which runs when `load()` returns None, to roundoff. The shared library is
-built with gcc on first use, not at import, and cached as
+family's `kernel_rate()` block, which gives w and its integral; it agrees
+with the numpy body, which runs when `load()` returns None, to roundoff.
+The shared library is built with gcc on first use, not at import, and cached as
 `__pycache__/_kernel-<key>.so` next to this file, where the key is a sha256
 of the source, the compiler and the flags; a build goes to a temporary file
 that is renamed into place, so concurrent builds never expose a partial
@@ -158,16 +158,15 @@ class Residual(_Record):
 
 
 class WaveResidual(_Record):
-    """The fj_wave record of `_kernel.c`: the rate, its integral's parameters,
-    the knots and the profile nodes of one traveling-wave residual
-    (`mean_field.wave_equation_residual`), and its sup, trapezoid mass and
-    count of kept nodes."""
+    """The fj_wave record of `_kernel.c`: the rate's parameters, which also
+    give its integral, the knots and the profile nodes of one traveling-wave
+    residual (`mean_field.wave_equation_residual`), and its sup, trapezoid
+    mass and count of kept nodes."""
 
-    _arrays = {"rate_params": np.float64, "integral_params": np.float64, "knots": np.float64}
+    _arrays = {"rate_params": np.float64, "knots": np.float64}
     _fields_ = [
         ("family", ctypes.c_int32),
         ("rate_params", _P), ("n_rate_params", _I64),
-        ("integral_params", _P), ("n_integral_params", _I64),
         ("knots", _P), ("n_knots", _I64),
         ("c", _F64), ("h", _F64), ("log_norm", _F64), ("j_lo", _I64), ("j_hi", _I64),
         ("sup", _F64), ("mass", _F64), ("kept", _I64),

@@ -40,7 +40,8 @@ over cell widths round differently from libm, the table and these sums.
 Values, mass and mean agree to 1e-12, and grids, sample times and errors are the
 same (`tests/test_kernel.py`). Where the kernel cannot be built, or for a family
 without a C rate, the numpy step runs instead. `wave_equation_residual` runs
-compiled (`fj_wave_residual`) and falls back to its numpy body in the same way.
+compiled (`fj_wave_residual`), with w and its integral from `kernel_rate()`
+alone, and falls back to its numpy body in the same way.
 """
 
 from __future__ import annotations
@@ -520,10 +521,10 @@ def wave_equation_residual(w, c: float = None, h: float = 0.002, drop: float = 5
     It runs compiled (`fj_wave_residual` in `_kernel.c`, one pass over the
     nodes that allocates nothing) when the kernel loads and the family has a
     `kernel_rate()`, and as the numpy body `_numpy_wave_residual` otherwise.
-    The two agree to roundoff, about 1e-14 absolute, not to the bit: the
-    kernel's libm exp, atan and log1p round differently from numpy's, and it
-    takes the kernel factor e^{-(x_{j+1} - y)} of a Gauss point as one
-    constant for every cell.
+    The two agree to roundoff, about 1e-14 absolute, not to the bit: libm's
+    exp, atan and log1p round differently from numpy's, the tabulated w comes
+    from the segment table, not np.interp, and the kernel factor
+    e^{-(x_{j+1} - y)} of a Gauss point is one constant for every cell.
     """
     if c is None:
         c = wave_speed(w)
@@ -534,12 +535,11 @@ def wave_equation_residual(w, c: float = None, h: float = 0.002, drop: float = 5
         return _numpy_wave_residual(w, c, h, drop)
     name, params = spec
     rate_params = np.array(params, dtype=float)
-    integral_params = np.array(w.kernel_integral(), dtype=float)
     knots = np.array(w.knots, dtype=float)
     run = kernel.WaveResidual(family=kernel.RATE_CODES[name], n_rate_params=len(rate_params),
-                              n_integral_params=len(integral_params), n_knots=len(knots),
-                              c=c, h=h, log_norm=log_norm, j_lo=j_lo, j_hi=j_hi)
-    run.bind(rate_params=rate_params, integral_params=integral_params, knots=knots)
+                              n_knots=len(knots), c=c, h=h, log_norm=log_norm,
+                              j_lo=j_lo, j_hi=j_hi)
+    run.bind(rate_params=rate_params, knots=knots)
     lib.fj_wave_residual(ctypes.byref(run))
     if not (run.mass > 0 and math.isfinite(run.mass)):
         raise NonIntegrableError("profile is not normalizable on the requested grid")

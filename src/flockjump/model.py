@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -56,8 +56,8 @@ class RateFamily:
     the vectorized `rate(x)` and its exact antiderivative `integral(x)` from 0,
     the limits `left_limit` (sup w, as x -> -inf) and `right_limit` (inf w), and
     overrides `continuous`, `knots` (points where w or its derivative jumps),
-    `scalar_rate`, `kernel_rate`, `kernel_integral`, `stationary_law`,
-    `mean_rate` and `rate_overflows` where the defaults below do not fit.
+    `scalar_rate`, `kernel_rate`, `stationary_law`, `mean_rate` and
+    `rate_overflows` where the defaults below do not fit.
     Registering the class in RATE_FAMILIES makes it available to configs
     under its name.
     """
@@ -79,24 +79,17 @@ class RateFamily:
         return lambda d: float(rate(d))
 
     def kernel_rate(self):
-        """(name, parameters) of the compiled kernel's w, or None when the
-        kernel has none for this family.
+        """(name, parameters) of the compiled kernel's w and its integral, or
+        None when the kernel has none for this family.
 
-        The bounded engine's compiled step evaluates it where the Python step
+        The bounded engine's compiled step evaluates w where the Python step
         calls `scalar_rate()`, so it must round the same, operation for
-        operation: runs are bit-identical. The compiled PDE step
-        (`mean_field.pde_integrate`) evaluates it where the numpy step calls
-        `rate()`, and there it only has to agree to a tolerance. A family
-        without one runs both in Python.
+        operation: runs are bit-identical. The compiled PDE step and wave
+        residual (`mean_field`) evaluate w and its integral where numpy calls
+        `rate()` and `integral()`, to a tolerance. A family without one runs
+        all three in Python.
         """
         return None
-
-    def kernel_integral(self):
-        """Parameters of the compiled kernel's integral of w (`integral` in
-        `_kernel.c`, which `mean_field.wave_equation_residual` runs) for the
-        family `kernel_rate()` names: its rate parameters, unless the
-        integral needs a table of its own."""
-        return self.kernel_rate()[1]
 
     def stationary_law(self):
         """(name, parameters) of the family's stationary wave in
@@ -138,7 +131,7 @@ class ExponentialRate(RateFamily):
         return np.exp(-z)
 
     def kernel_rate(self):
-        # For the PDE step only: no thinning engine runs an unbounded rate.
+        # PDE step and wave residual only: no thinning engine runs an unbounded rate.
         return "exponential", (self.beta, EXP_CLAMP)
 
     def stationary_law(self):
@@ -365,12 +358,14 @@ class TabulatedRate(RateFamily):
 
     @cached_property
     def _segments(self):
-        """The integral's segment table: (knots, left, value, half_slope, cum,
-        width). The knots are the grid's and 0; x lies in segment k =
-        searchsorted(knots, x, "right"), flat left of the first knot (k = 0)
-        and right of the last, and there w(x) = value[k] + 2 half_slope[k] dy
-        and the integral from 0 is cum[k] + (value[k] + half_slope[k] dy) dy,
-        dy = x - left[k]. With 0 a knot, the integral is exactly 0 there."""
+        """The segment table of w and its integral, which `scalar_rate`,
+        `integral` and the compiled kernel read: (knots, left, value,
+        half_slope, cum, width). The knots are the grid's and 0; x lies in
+        segment k = searchsorted(knots, x, "right"), flat left of the first
+        knot (k = 0) and right of the last, and there w(x) = value[k] + 2
+        half_slope[k] dy and the integral from 0 is cum[k] + (value[k] +
+        half_slope[k] dy) dy, dy = x - left[k]. With 0 a knot, the integral
+        is exactly 0 there."""
         knots = np.union1d(self.grid, [0.0])
         vals = np.interp(knots, self.grid, self.values)
         dk = np.diff(knots)
@@ -390,25 +385,24 @@ class TabulatedRate(RateFamily):
         return cum[k] + (value[k] + half_slope[k] * np.clip(dy, 0.0, width)) * dy
 
     def scalar_rate(self):
-        g, v = list(self.grid), list(self.values)
+        # w from the segment table, as `integral` reads it: value[k] in the
+        # flat ends, value[k] + 2 half_slope[k] dy between them
+        knots, left, value, half_slope = (a.tolist() for a in self._segments[:4])
+        first, last, w_first, w_last = knots[0], knots[-1], value[0], value[-1]
 
         def rate(d):
-            if d <= g[0]:
-                return v[0]
-            if d >= g[-1]:
-                return v[-1]
-            j = bisect_left(g, d)
-            gl, gr = g[j - 1], g[j]
-            return v[j - 1] + (v[j] - v[j - 1]) * (d - gl) / (gr - gl)
+            if d < first:
+                return w_first
+            if d >= last:
+                return w_last
+            k = bisect_right(knots, d)      # a NaN gives the flat right end: NaN out
+            return value[k] + 2.0 * half_slope[k] * (d - left[k])
 
         return rate
 
     def kernel_rate(self):
-        return "tabulated", self.grid + self.values
-
-    def kernel_integral(self):
         knots, left, value, half_slope, cum, width = self._segments
-        return np.concatenate([knots, left, value, half_slope, cum, [width]])
+        return "tabulated", np.concatenate([knots, left, value, half_slope, cum, [width]])
 
 
 # The only map from a config family name to its class.

@@ -8,10 +8,12 @@ seconds at their stated tolerances plus quick variants of the slow ones.
 
 import math
 import numbers
+from unittest import mock
 
 import pytest
 
 from flockjump import acceptance as acc
+from flockjump import mean_field as mf
 
 FULL = {num: (title, fn) for num, title, fn in acc.CRITERIA}
 
@@ -59,3 +61,19 @@ def test_criterion_full(number):
 def test_criterion_quick_variant(number):
     # reduced-scale smoke of the slow criteria so a fast pass still exercises them
     _run(number, quick=True)
+
+
+def test_criterion_4_sees_a_profile_with_the_wrong_normalization():
+    # the wave equation is linear in rho, so a profile e^7 too small still
+    # passes every residual check; only its trapezoid mass shows it
+    normalization = mf._normalization
+
+    def lowered(w, c, drop):
+        log_norm, x_lo, x_hi = normalization(w, c, drop)
+        return log_norm - 7.0, x_lo, x_hi
+
+    with mock.patch.object(mf, "_normalization", lowered):
+        result = acc.run_criterion(4)
+    assert not result.passed
+    for label, s, t, *_ in result.checks:
+        assert (s <= t) is label.endswith("sup|residual|"), (label, s)

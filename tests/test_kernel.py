@@ -9,6 +9,7 @@ is bit for bit; the PDE step agrees to 1e-12, on the same grids and times.
 
 import contextlib
 import ctypes
+import hashlib
 import math
 import re
 import shutil
@@ -126,6 +127,56 @@ def test_kernel_matches_python_loop(engine, w, n):
             expected, got = both(w, z, n, seed=n, engine=engine, **stop, **extra)
             assert got == expected
             assert got[1] > 0
+
+
+# Two tables, one with 0 among its grid points and one without, whose
+# segment table then splits the segment around 0.
+DIGEST_TABLES = [fj.TabulatedRate(grid=(-1.0, 0.0, 1.5), values=(2.5, 1.5, 0.5)),
+                 fj.TabulatedRate(grid=(-1.37, -0.41, 0.62, 1.55), values=(2.6, 2.1, 1.3, 0.9))]
+# sha256 of their runs below; recorded when the tabulated rate was still the
+# grid-and-values interpolation, so it shows that reading w from the segment
+# table moved no event
+TABULATED_DIGEST = "9a6469af082277619ebda2d9692b98cb6113a2bcd6c3e214f311f2a0754ce778"
+
+
+def test_tabulated_bounded_runs_keep_their_digest():
+    digest = hashlib.sha256()
+    for seed, w in enumerate(DIGEST_TABLES, start=23):
+        expected, got = both(w, fj.ExponentialJump(), 200, seed=seed, max_events=30_000,
+                             engine="bounded", log_events=True)
+        assert got == expected
+        digest.update(repr(expected).encode())
+    assert digest.hexdigest() == TABULATED_DIGEST
+
+
+def compiled_rate(w, x):
+    """The kernel's rate() at x, read off fj_pde's stability check on a
+    one-node grid at x with m = 0 and dt = inf: a finite w(x) > 0 exits
+    unstable with w(x) as its value; a NaN passes the check, and the step
+    that follows makes the mass NaN, which this returns as NaN."""
+    name, params = w.kernel_rate()
+    params = np.array(params, dtype=float)
+    run = kernel.Pde(family=kernel.RATE_CODES[name], n_rate_params=len(params), len=1,
+                     dt=math.inf, h=1.0, steps=1, m=0.0, ref=math.nan)
+    run.bind(rate_params=params, grid=np.array([float(x)]), values=np.array([1.0]),
+             rates=np.empty(1))
+    code = kernel.load().fj_pde(ctypes.byref(run))
+    if code == kernel.PDE_NOT_FINITE:
+        return math.nan
+    assert code == kernel.PDE_UNSTABLE
+    return run.value
+
+
+@pytest.mark.parametrize("w", [*DIGEST_TABLES, fj.TabulatedRate((0.5, 3.0), (3.0, 0.25))],
+                         ids=lambda w: str(w.grid))
+def test_compiled_tabulated_rate_is_scalar_rate_to_the_bit(w):
+    knots = w._segments[0].tolist()
+    points = knots + [np.nextafter(k, -math.inf) for k in knots] + \
+        [0.5 * (lo + hi) for lo, hi in zip(knots, knots[1:])] + [-50.0, 50.0, -math.inf, math.inf]
+    rate = w.scalar_rate()
+    for x in points:
+        assert bits(compiled_rate(w, x)) == bits(rate(x)), x
+    assert math.isnan(compiled_rate(w, math.nan)) and math.isnan(rate(math.nan))
 
 
 def test_one_step_law_runs_on_the_kernel():
@@ -1064,24 +1115,21 @@ def test_failed_build_falls_back_to_the_numpy_residual():
     assert kernel.load() is not None                  # the real compiler's build is kept
 
 
-def off_by_one_percent(w):
-    """kernel_integral() of w with every rate parameter 1% up."""
-    if isinstance(w, fj.ArccotRate):
-        return (1.01 * 0.5 * math.pi,)
-    if isinstance(w, fj.TabulatedRate):
-        return fj.TabulatedRate(w.grid, tuple(1.01 * v for v in w.values)).kernel_integral()
-    if isinstance(w, fj.ExponentialRate):
-        return fj.ExponentialRate(1.01 * w.beta).kernel_integral()
-    return type(w)(1.01 * w.a, 1.01 * w.b).kernel_integral()
-
-
 @pytest.mark.parametrize("name", ["step", "pwl", "arccot", "exponential", "tabulated"])
-def test_wave_residual_kernel_sees_a_profile_one_percent_off_its_rate(name):
-    # the profile from an integral of rates 1% up, the equation with the true
-    # rates: no c makes that a wave, and the pass must say so
+def test_wave_residual_sees_a_profile_one_percent_off_its_rate(name):
+    # the profile from an integral 1% up, the equation with the true rate: no
+    # c makes that a wave, and the residual must say so. It is the numpy
+    # body's, which reads the family's integral(); the kernel reads the same
+    # parameters for w and the integral and matches that body to 1e-12
+    # (test_wave_residual_kernel_matches_numpy_body).
     w, c = wave_case(name)
-    with mock.patch.object(type(w), "kernel_integral", return_value=off_by_one_percent(w)):
-        assert compiled_wave_residual(w, c) > 1e-4
+    integral = type(w).integral
+    mf._normalization.cache_clear()
+    try:
+        with mock.patch.object(type(w), "integral", lambda self, x: 1.01 * integral(self, x)):
+            assert mf._numpy_wave_residual(w, c, 0.002, 50.0) > 1e-4
+    finally:
+        mf._normalization.cache_clear()
 
 
 def scaled_normalization(log_factor):

@@ -72,11 +72,18 @@ def test_rate_families_registry_and_engine_defaults():
                        "TabulatedRate": "bounded"}
 
 
-@pytest.mark.parametrize("w", ALL_RATES, ids=lambda w: type(w).__name__)
+# a table whose grid does not hold 0, so that its segment table splits the
+# segment around 0 in two
+TABLE_WITHOUT_0 = fj.TabulatedRate(grid=(-1.37, -0.41, 0.62, 1.55), values=(2.6, 2.1, 1.3, 0.9))
+
+
+@pytest.mark.parametrize("w", ALL_RATES + [TABLE_WITHOUT_0],
+                         ids=lambda w: "TabulatedRate-without-0" if w is TABLE_WITHOUT_0
+                         else type(w).__name__)
 def test_scalar_rate_matches_vectorized_rate(w):
     knots = sorted(w.knots)
     mids = [0.5 * (lo + hi) for lo, hi in zip(knots, knots[1:])]
-    tails = [-50.0, -5.0, -1.5, -0.3, 0.0, 0.3, 1.5, 5.0, 50.0]
+    tails = [-50.0, -5.0, -1.5, -0.3, 0.0, 0.3, 1.5, 5.0, 50.0, -math.inf, math.inf]
     if knots:
         tails += [knots[0] - 0.25, knots[-1] + 0.25]
     rate = w.scalar_rate()
@@ -84,6 +91,11 @@ def test_scalar_rate_matches_vectorized_rate(w):
         got = rate(x)
         assert type(got) is float
         assert got == pytest.approx(float(w.rate(x)), rel=1e-15, abs=1e-15), x
+    # NaN in, NaN out; only the step rate's test d < 0 sends a NaN to b
+    got, expected = rate(math.nan), float(w.rate(math.nan))
+    assert type(got) is float
+    assert math.isnan(got) and math.isnan(expected) or got == expected == w.right_limit
+    assert math.isnan(got) is not isinstance(w, fj.StepRate)
 
 
 @pytest.mark.parametrize("w", ALL_RATES, ids=lambda w: type(w).__name__)
