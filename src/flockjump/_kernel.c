@@ -40,10 +40,15 @@
  * It adds into a counts row the caller owns and writes nothing else.
  *
  * PDE step.  fj_pde runs whole Euler steps of the numpy loop in
- * mean_field.py, one pass over the grid each, until Python has to track the
- * window, record a sample or raise.  It is exact to a tolerance, not to the
- * bit: numpy's vectorized exp and arctan and np.interp's formula round
- * differently from libm; the Euler update is folded into v + (a s + b tail);
+ * mean_field.py, one pass over the grid each, until Python has to record a
+ * sample, widen the window, grow it on the right or raise.  It trims the
+ * window's empty left cells itself, once the mean has passed them, with the
+ * numpy loop's operations in their order (numpy's pairwise sum included),
+ * so its trim of given values gives the grid, trimmed mass and right-edge
+ * test that the numpy loop's trim of the same values gives, to the bit.  The
+ * step itself is exact to a tolerance, not to the bit: numpy's vectorized
+ * exp and arctan and np.interp's formula round differently from libm; the
+ * Euler update is folded into v + (a s + b tail);
  * the tail recursion advances two nodes at a time; and the trapezoid mass
  * and mean are two uniform-grid sums, each in two accumulators, not
  * np.trapezoid's pairwise sum over cell widths.  The arccot and exponential
@@ -370,7 +375,10 @@ int fj_exponential(fj_run *r)
 /* Exits of fj_pde. */
 enum {
     PDE_STEPS,      /* the requested steps ran */
-    PDE_SHIFT,      /* the window is due to shift; the step is done */
+    PDE_SHIFT,      /* the window is due to shift but its left cells carry mass,
+                       so Python must widen it; the step is done */
+    PDE_GROW,       /* a trim left mass in the window's last unit of length, so
+                       Python must grow it on the right; the step and trim are done */
     PDE_UNSTABLE,   /* dt > 0.5 / w(grid[0] - m) before a step; value = that w */
     PDE_NOT_FINITE, /* the mass or the mean after a step is not finite */
 };
@@ -380,14 +388,18 @@ typedef struct {
     int32_t family;             /* RATE_* */
     const double *rate_params;
     int64_t n_rate_params;
-    const double *grid;
-    double *values;             /* updated in place */
+    double *grid, *values;      /* updated in place: values each step, both by a trim */
     int64_t len;
     double dt, h;
     double r, w0, c1;           /* jump kernel: mean_field._exp_kernel(h) */
     double offset0;             /* the shift is due once (m - grid[0] - offset0) / h >= 1 */
+    double empty;               /* a cell may be trimmed while |value| <= empty */
+    double edge_share;          /* the window grows once h * (sum of its last edge */
+    int64_t edge;               /*   values) > edge_share * mass */
     int64_t steps;              /* run at most this many steps */
     double mass, m;             /* trapezoid mass and mean of values, after each step */
+    double trimmed;             /* running sum of the trimmed values */
+    int64_t trims;              /* running count of the trimmed cells */
     int64_t done;               /* steps this call ran */
     double value;               /* detail of the exit, see PDE_* */
     /* arccot and exponential: rates[j] = w(grid[j] - ref) for lo <= j < hi,
@@ -530,6 +542,70 @@ static void pde_cell_sums(const double *g, const double *v, int64_t len, double 
     *first = 0.5 * s1;
 }
 
+/* The pairwise sum numpy's add.reduce forms over a contiguous float64
+   array: fewer than 8 values in order from -0.0, up to 128 in eight strided
+   accumulators added in pairs, and longer runs split in two at the multiple
+   of 8 at or below half. */
+static double np_pairwise_sum(const double *a, int64_t n)
+{
+    int64_t i, j;
+    if (n < 8) {
+        double res = -0.0;
+        for (i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8], res;
+        for (j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return np_pairwise_sum(a, half) + np_pairwise_sum(a + half, n - half);
+}
+
+/* Move the window right by the k = (int) ahead cells the mean has passed
+   offset0 by, as mean_field._Euler._numpy_steps does, with its operations in
+   its order: unless k >= len or one of the first k values exceeds `empty` in
+   magnitude (PDE_SHIFT: Python widens the window instead), add their sum to
+   trimmed, shift the values left by k with zeros after them, move every node
+   by k h and set ref = nan for the next step to rebuild the rate table.
+   Then PDE_GROW if the window's last `edge` values hold more than edge_share
+   of the mass, else PDE_STEPS. */
+static int pde_trim(fj_pde_run *p, double ahead, double mass)
+{
+    double *g = p->grid, *v = p->values;
+    const int64_t len = p->len;
+    int64_t j;
+    if (!(ahead < (double)len))
+        return PDE_SHIFT;
+    const int64_t k = (int64_t)ahead;
+    for (j = 0; j < k; j++)
+        if (fabs(v[j]) > p->empty)
+            return PDE_SHIFT;
+    p->trimmed += np_pairwise_sum(v, k);
+    p->trims += k;
+    const double dx = (double)k * p->h;
+    for (j = 0; j < len; j++)
+        g[j] = g[j] + dx;
+    for (j = 0; j < len - k; j++)
+        v[j] = v[j + k];
+    for (; j < len; j++)
+        v[j] = 0.0;
+    p->ref = NAN;
+    const int64_t edge = p->edge < len ? p->edge : len;
+    return p->h * np_pairwise_sum(v + len - edge, edge) > p->edge_share * mass ? PDE_GROW
+                                                                              : PDE_STEPS;
+}
+
 /* Euler steps of d rho/dt = J(s) - s with s = w(x - m) rho, where J spreads
    s by the geometric node weights W_0 = w0, W_d = c1 r^(d-1): one pass per
    step computes s, the tail sum of J, the update in place and the trapezoid
@@ -543,7 +619,11 @@ static void pde_cell_sums(const double *g, const double *v, int64_t len, double 
    exp per step or no libm call in the pass:
      exponential  e^(-beta (g - m)) = rates[j] e^(beta (m - ref));
      arccot       pi/2 - atan(u - d) = rates[j] + atan(d / (1 + u (u - d)))
-                  with u = g - ref, d = m - ref, |d| <= PDE_TABLE_BOUND. */
+                  with u = g - ref, d = m - ref, |d| <= PDE_TABLE_BOUND.
+   After a step that leaves the mean a cell or more past offset0, pde_trim
+   moves the window in place, and the steps go on unless the window must
+   widen or grow: a call returns once its steps are done (a sample is due),
+   the window must widen (PDE_SHIFT) or grow (PDE_GROW), or a step fails. */
 int fj_pde(fj_pde_run *p)
 {
     const int32_t family = p->family;
@@ -601,9 +681,9 @@ int fj_pde(fj_pde_run *p)
             code = PDE_NOT_FINITE;
             break;
         }
-        if ((m - g[0] - p->offset0) / p->h >= 1.0) {
+        double ahead = (m - g[0] - p->offset0) / p->h;
+        if (ahead >= 1.0 && (code = pde_trim(p, ahead, mass)) != PDE_STEPS) {
             k++;
-            code = PDE_SHIFT;
             break;
         }
     }

@@ -122,6 +122,7 @@ def _cmd_pde(args):
     final, diags = pde_integrate(field, w, T=T, dt=dt, wave=prof, samples=cfg["samples"])
     print(f"wave speed c = {c:.8g}")
     print(f"mass drift per unit time: {diags.mass_drift_per_unit_time():.3e}")
+    print(f"trimmed on the left: {diags.trims} cells, mass {diags.trimmed_mass:.3e}")
     print(f"final mean: {final.mean:.6g};  W1 to wave (shape): {diags.w1_shape[-1]:.3e}")
     outdir = cfg["outdir"]
     if outdir:

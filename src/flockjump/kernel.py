@@ -19,7 +19,9 @@ its counts, below and above are those of the numpy body, which runs when
 `load()` returns None, to the bit. The explicit Euler step of the
 mean-field PDE (`fj_pde`) runs `mean_field`'s numpy step to a tolerance,
 not to the bit, and `mean_field` falls back to the numpy step in the same
-way. `fj_wave_residual` computes `mean_field.wave_equation_residual` in
+way; it trims the window's empty left cells itself, with the numpy step's
+operations, and leaves the kernel only to sample, to widen or grow the
+window, or to raise. `fj_wave_residual` computes `mean_field.wave_equation_residual` in
 one pass over the profile's nodes, on a `WaveResidual` record, from the
 family's `kernel_rate()` block, which gives w and its integral; it agrees
 with the numpy body, which runs when `load()` returns None, to roundoff.
@@ -59,7 +61,7 @@ ERRORS = {
 }
 
 # Exit codes of fj_pde (the PDE_* enum of _kernel.c).
-PDE_STEPS, PDE_SHIFT, PDE_UNSTABLE, PDE_NOT_FINITE = range(4)
+PDE_STEPS, PDE_SHIFT, PDE_GROW, PDE_UNSTABLE, PDE_NOT_FINITE = range(5)
 
 # Exit codes of fj_residual (the RESIDUAL_* enum of _kernel.c).
 RESIDUAL_DONE, RESIDUAL_BAD_INDEX, RESIDUAL_HEAP_FULL = range(3)
@@ -121,12 +123,13 @@ class Run(_Record):
 
 class Pde(_Record):
     """The fj_pde_run record of `_kernel.c`: the grid, values and mean that
-    one PDE integration shares with the kernel, and `rates`, a scratch array
-    of one entry per grid node that `fj_pde` owns. For the arccot and
-    exponential families it holds the table w(grid[j] - ref), which the
-    kernel rebuilds once the mean is more than 1/32 (exponential: 1/(32
-    beta)) from ref, and on the first step after `ref` is set to nan, as it
-    must be whenever the grid changes."""
+    one PDE integration shares with the kernel, the trimmed mass and cell
+    count it keeps, and `rates`, a scratch array of one entry per grid node
+    that `fj_pde` owns. For the arccot and exponential families it holds the
+    table w(grid[j] - ref), which the kernel rebuilds once the mean is more
+    than 1/32 (exponential: 1/(32 beta)) from ref, and on the first step
+    after `ref` is set to nan: by the kernel when it trims the window, and
+    by the caller whenever it binds a new one."""
 
     _arrays = {"rate_params": np.float64, "grid": np.float64, "values": np.float64,
                "rates": np.float64}
@@ -135,8 +138,10 @@ class Pde(_Record):
         ("rate_params", _P), ("n_rate_params", _I64),
         ("grid", _P), ("values", _P), ("len", _I64),
         ("dt", _F64), ("h", _F64), ("r", _F64), ("w0", _F64), ("c1", _F64),
-        ("offset0", _F64), ("steps", _I64),
-        ("mass", _F64), ("m", _F64), ("done", _I64), ("value", _F64),
+        ("offset0", _F64), ("empty", _F64), ("edge_share", _F64), ("edge", _I64),
+        ("steps", _I64),
+        ("mass", _F64), ("m", _F64), ("trimmed", _F64), ("trims", _I64),
+        ("done", _I64), ("value", _F64),
         ("rates", _P), ("ref", _F64), ("lo", _I64), ("hi", _I64),
     ]
 

@@ -23,10 +23,12 @@ speed-of-mean identity hold to floating-point roundoff by construction.
 The Euler step runs compiled (`fj_pde` in `_kernel.c`) for every family whose
 `kernel_rate()` is not None, which covers the five built-in ones: one pass over
 the grid per step computes the rate, the jump flux, the update in place and the
-trapezoid mass and mean, and returns to Python only when the window must move,
-a diagnostics sample is due or the step fails. For arccot and the exponential
-it takes w(x_j - m) from a table of w(x_j - ref), rebuilt on each new window
-and once |m - ref| (exponential: beta |m - ref|) passes 1/32. e^{-beta(x - m)}
+trapezoid mass and mean. The kernel also drops the window's empty left cells as
+the mean passes them, as the numpy step does, and returns to Python only when a
+diagnostics sample is due, the window must widen or grow, or the step fails.
+For arccot and the exponential it takes w(x_j - m) from a table of
+w(x_j - ref), rebuilt on each new or trimmed window and once |m - ref|
+(exponential: beta |m - ref|) passes 1/32. e^{-beta(x - m)}
 is then the entry times one e^{beta(m - ref)} a step, and arccot(u - d) the
 entry plus atan(d / (1 + u(u - d))) by its odd series through the 11th power,
 with u = x - ref and d = m - ref. Exponential nodes within 1 of the EXP_CLAMP
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -691,19 +694,27 @@ def _uniform_spacing(grid) -> float:
     return h
 
 
+EMPTY_CELL = 1e-30           # the left edge may drop a cell whose |value| is at most this
+RIGHT_EDGE_SHARE = 1e-11     # of the mass, in the window's last unit of length
+
+
 class _Euler:
     """Explicit Euler steps of the mean-field equation with Exp(1) jumps.
 
-    Holds the window (`grid`, `values`) and its trapezoid `mass` and mean `m`.
+    Holds the window (`grid`, `values`), its trapezoid `mass` and mean `m`,
+    and the mass and count of the cells trimmed off its left edge so far.
     The grid must be uniform (DomainError otherwise): the jump kernel
     `_exp_kernel(h)` is built for one spacing h, and the compiled step's
     trapezoid sums use h for every cell.
     A step runs compiled (`fj_pde` in `_kernel.c`) when the kernel loads and
     the family has a `kernel_rate()`, and as the numpy loop `_numpy_steps`
-    otherwise; the two agree to roundoff, not to the bit. A run stops after
-    any step that leaves the mean a cell or more further from the left edge
-    than `offset0`, for `pde_integrate` to move the window or, where it must
-    keep the left edge, to widen it and advance `offset0`.
+    otherwise; the two agree to roundoff, not to the bit. After any step
+    that leaves the mean a cell or more further from the left edge than
+    `offset0`, both move the window right by those cells while the cells
+    are empty (at most EMPTY_CELL), and go on unless its last unit of length
+    then holds more than RIGHT_EDGE_SHARE of the mass. Where the cells carry
+    mass they stop, for `pde_integrate` to widen the window and advance
+    `offset0`. An `offset0` of inf keeps the window where it is.
     """
 
     def __init__(self, w, grid, values, dt: float):
@@ -716,6 +727,8 @@ class _Euler:
         self.h = _uniform_spacing(grid)
         self.m = float(np.trapezoid(grid * values, grid) / self.mass)
         self.offset0 = self.m - grid[0]     # window geometry preserved as the wave moves
+        self.edge = max(1, round(1.0 / self.h))     # cells in the window's last unit of length
+        self.trimmed, self.trims = 0.0, 0
         spec = w.kernel_rate()
         lib = kernel.load() if spec is not None else None
         self._run = None
@@ -724,33 +737,43 @@ class _Euler:
             r, w0, c1 = _exp_kernel(self.h)
             self._fj_pde = lib.fj_pde
             self._run = kernel.Pde(family=kernel.RATE_CODES[name], n_rate_params=len(params),
-                                   dt=dt, h=self.h, r=r, w0=w0, c1=c1)
+                                   dt=dt, h=self.h, r=r, w0=w0, c1=c1, empty=EMPTY_CELL,
+                                   edge_share=RIGHT_EDGE_SHARE, edge=self.edge)
             self._run.bind(rate_params=np.array(params, dtype=float))
         self.set_window(grid, values)
 
     def set_window(self, grid: np.ndarray, values: np.ndarray):
-        """Continue on a new window, contiguous float arrays the steps own, and
-        the current `offset0`; the kernel rebuilds its rate table at the next
+        """Continue on a new window, contiguous float arrays the steps own and
+        may change in place; the kernel rebuilds its rate table at the next
         step."""
         self.grid, self.values = grid, values
         run = self._run
         if run is not None:
             run.bind(grid=grid, values=values, rates=np.empty(len(grid)))
-            run.len, run.offset0, run.ref = len(grid), self.offset0, math.nan
+            run.len, run.ref = len(grid), math.nan
+
+    def right_edge_full(self) -> bool:
+        """Whether the window's last unit of length holds more than
+        RIGHT_EDGE_SHARE of the mass."""
+        return self.h * self.values[-self.edge:].sum() > RIGHT_EDGE_SHARE * self.mass
 
     def advance(self, steps: int, t: float):
-        """Run up to `steps` steps from time t; returns (steps run, time after
-        them, whether the window is due to shift). Raises StepSizeError before
-        a step with dt > 0.5 / w at the left edge, the sup of the
-        non-increasing w over the grid, and DomainError after a step that
-        leaves the mass or mean not finite."""
+        """Run up to `steps` steps from time t, trimming the window as they
+        go; returns (steps run, time after them, exit), where the exit is
+        kernel.PDE_STEPS once the steps are done, PDE_SHIFT when the window
+        must widen on the left and PDE_GROW when it must grow on the right.
+        Raises StepSizeError before a step with dt > 0.5 / w at the left
+        edge, the sup of the non-increasing w over the grid, and DomainError
+        after a step that leaves the mass or mean not finite."""
         run = self._run
         if run is None:
             done, code, wmax = self._numpy_steps(steps)
         else:
-            run.steps, run.m, run.mass = steps, self.m, self.mass
+            run.steps, run.offset0, run.m, run.mass = steps, self.offset0, self.m, self.mass
+            run.trimmed, run.trims = self.trimmed, self.trims
             code = self._fj_pde(ctypes.byref(run))
             done, wmax, self.m, self.mass = run.done, run.value, run.m, run.mass
+            self.trimmed, self.trims = run.trimmed, run.trims
         for _ in range(done):
             t += self.dt
         if code == kernel.PDE_UNSTABLE:
@@ -761,38 +784,50 @@ class _Euler:
         if code == kernel.PDE_NOT_FINITE:
             raise DomainError(f"density mass {self.mass} or mean {self.m} is not finite "
                               f"at t={t:.4g}")
-        return done, t, code == kernel.PDE_SHIFT
+        return done, t, code
 
     def _numpy_steps(self, steps: int):
-        """The numpy step, the kernel's fallback and oracle: (steps run,
-        kernel.PDE_* exit, w at the left edge)."""
+        """The numpy step and trim, the kernel's fallback and oracle: (steps
+        run, kernel.PDE_* exit, w at the left edge)."""
         w, dt, h = self.w, self.dt, self.h
-        grid, values, m, mass = self.grid, self.values, self.m, self.mass
         done, code, wmax = 0, kernel.PDE_STEPS, math.nan
         while done < steps:
+            grid, values, m = self.grid, self.values, self.m
             wmax = float(w.rate(grid[0] - m))
             if dt > 0.5 / wmax:
                 code = kernel.PDE_UNSTABLE
                 break
             s = np.asarray(w.rate(grid - m), dtype=float) * values
-            values = values + dt * (_jump_flux(s, h) - s)
-            mass = float(np.trapezoid(values, grid))
-            m = float(np.trapezoid(grid * values, grid) / mass)
+            self.values = values = values + dt * (_jump_flux(s, h) - s)
+            self.mass = mass = float(np.trapezoid(values, grid))
+            self.m = m = float(np.trapezoid(grid * values, grid) / mass)
             done += 1
             if not (math.isfinite(mass) and math.isfinite(m)):
                 code = kernel.PDE_NOT_FINITE
                 break
-            if (m - grid[0] - self.offset0) / h >= 1.0:
-                code = kernel.PDE_SHIFT
-                break
-        self.values, self.m, self.mass = values, m, mass
+            ahead = (m - grid[0] - self.offset0) / h
+            if ahead >= 1.0:
+                k = int(ahead)
+                dropped = values[:k]
+                if k >= len(values) or np.any(np.abs(dropped) > EMPTY_CELL):
+                    code = kernel.PDE_SHIFT
+                    break
+                self.trimmed += float(dropped.sum())
+                self.trims += k
+                self.grid = grid + k * h
+                self.values = np.concatenate([values[k:], np.zeros(k)])
+                if self.right_edge_full():
+                    code = kernel.PDE_GROW
+                    break
         return done, code, wmax
 
 
 def pde_step(field: DensityField, w, dt: float) -> DensityField:
     """One explicit Euler step of the mean-field equation with Exp(1) jumps:
-    the step, and the stability check, of `pde_integrate`."""
+    the step, and the stability check, of `pde_integrate`, on the field's
+    own window."""
     euler = _Euler(w, field.grid, field.values, dt)
+    euler.offset0 = math.inf
     _, t, _ = euler.advance(1, field.time)
     return DensityField(grid=euler.grid, values=euler.values, time=t)
 
@@ -805,7 +840,8 @@ class PdeDiagnostics:
     speed: np.ndarray
     w1_shape: np.ndarray = None      # W1 to the wave recentered at the field mean
     w1_moving: np.ndarray = None     # W1 to the wave translated at speed c from t=0
-    trimmed_mass: float = 0.0
+    trimmed_mass: float = 0.0        # sum of the values of the cells trimmed on the left
+    trims: int = 0                   # count of those cells
 
     def mass_drift_per_unit_time(self) -> float:
         span = self.t[-1] - self.t[0]
@@ -822,40 +858,49 @@ def _w1_grid_vs_callable(grid, values, pdf) -> float:
     return float(np.trapezoid(np.abs(f1 - f2), grid))
 
 
-RIGHT_EDGE_SHARE = 1e-11     # of the mass, in the window's last unit of length
-
-
 def pde_integrate(field: DensityField, w, T: float, dt: float,
                   samples: int = 200, wave: WaveProfile = None) -> tuple:
-    """Integrate the mean-field equation to horizon T.
+    """Integrate the mean-field equation for round(T/dt) steps of dt.
 
-    Returns (final DensityField, PdeDiagnostics). The active window follows the
-    wave: left cells are dropped only once their density is below 1e-30 (the
-    trimmed total is reported), and zero cells are appended on the right,
-    keeping the explicit-Euler stability budget satisfiable as the mean
-    advances. Mass drift is reported in the diagnostics, never silently
-    corrected. T must be finite and >= 0, dt finite and > 0, and the field's
-    grid uniform.
+    Returns (final DensityField, PdeDiagnostics). The run ends at time
+    round(T/dt) dt after the field's: T = 1 with dt = 0.009 ends at 0.999.
+    T must be finite and >= 0, and a T > 0 must round to one step or more
+    (T = dt/2 rounds to even, to none); dt must be finite and > 0, samples
+    an integer >= 1 and the field's grid uniform. Each fails with a
+    DomainError before any step otherwise. The diagnostics hold the start
+    and about `samples` more evenly spaced samples.
 
-    Jump mass that lands past the right edge is lost. So wherever the window
-    moves or a sample is due, never inside a run of steps, it grows by half
-    its length on the right once its last unit of length holds more than
-    RIGHT_EDGE_SHARE of the mass. What still runs off is the jumps from that
-    last unit, and the bulk's jumps straight past the edge, e^{-d} of its jump
-    rate at distance d; both show as mass drift.
+    The active window follows the wave. Inside each run of steps, compiled
+    or numpy, left cells are dropped once the mean has passed them and their
+    density is at most EMPTY_CELL (the trimmed total and the count of
+    trimmed cells are reported). Where they still carry mass the window
+    widens by as many cells on the right instead, keeping the explicit-Euler
+    stability budget satisfiable as the mean advances. Mass drift is
+    reported in the diagnostics, never silently corrected.
+
+    Jump mass that lands past the right edge is lost. So after each trim,
+    widening and sample, the window grows by half its length on the right
+    once its last unit of length holds more than RIGHT_EDGE_SHARE of the
+    mass. What still runs off is the jumps from that last unit, and the
+    bulk's jumps straight past the edge, e^{-d} of its jump rate at distance
+    d; both show as mass drift.
     """
     if not (is_finite_number(T) and T >= 0):
         raise DomainError(f"T must be finite and >= 0, got {T!r}")
+    if not (isinstance(samples, numbers.Integral) and not isinstance(samples, bool)
+            and samples >= 1):
+        raise DomainError(f"samples: must be an integer >= 1, got {samples!r}")
     euler = _Euler(w, field.grid, field.values, dt)
-    edge = max(1, round(1.0 / euler.h))     # cells in the window's last unit of length
+    n_steps = int(round(T / dt))
+    if n_steps == 0 and T > 0:
+        raise DomainError(f"T={T!r} rounds to zero steps of dt={dt!r}; "
+                          "a T > 0 must exceed dt/2")
     t = t0 = field.time
     m0 = euler.m
-    n_steps = int(round(T / dt))
-    sample_every = max(1, n_steps // max(samples, 1))
+    sample_every = max(1, n_steps // samples)
 
     times, masses, means, speeds = [], [], [], []
     w1s, w1m = [], []
-    trimmed = 0.0
 
     def record():
         grid, values, m = euler.grid, euler.values, euler.m
@@ -872,27 +917,20 @@ def pde_integrate(field: DensityField, w, T: float, dt: float,
     step = 0
     while step < n_steps:
         due = min(n_steps, (step // sample_every + 1) * sample_every)
-        done, t, shift = euler.advance(due - step, t)
+        done, t, code = euler.advance(due - step, t)
         step += done
-        if shift:
+        if code == kernel.PDE_SHIFT:
+            # Never drop cells that still carry mass; widen instead (the
+            # stability check will fail loudly if dt is too big for the
+            # resulting window).
             grid, values, h = euler.grid, euler.values, euler.h
             k = int((euler.m - grid[0] - euler.offset0) / h)       # >= 1
-            dropped = values[:k]
-            if np.any(np.abs(dropped) > 1e-30):
-                # Never drop cells that still carry mass; widen instead
-                # (the stability check will fail loudly if dt is too big
-                # for the resulting window).
-                grid = np.concatenate([grid, grid[-1] + h * np.arange(1, k + 1)])
-                values = np.concatenate([values, np.zeros(k)])
-                euler.offset0 += k * h          # the left edge stays behind
-            else:
-                trimmed += float(dropped.sum())
-                grid = grid + k * h
-                values = np.concatenate([values[k:], np.zeros(k)])
-            euler.set_window(grid, values)
+            euler.offset0 += k * h          # the left edge stays behind
+            euler.set_window(np.concatenate([grid, grid[-1] + h * np.arange(1, k + 1)]),
+                             np.concatenate([values, np.zeros(k)]))
         # past the right edge jump mass is lost: see the docstring
-        if ((shift or step == due)
-                and euler.h * euler.values[-edge:].sum() > RIGHT_EDGE_SHARE * euler.mass):
+        if code == kernel.PDE_GROW or (
+                (code == kernel.PDE_SHIFT or step == due) and euler.right_edge_full()):
             grid, values, k = euler.grid, euler.values, len(euler.grid) // 2
             euler.set_window(np.concatenate([grid, grid[-1] + euler.h * np.arange(1, k + 1)]),
                              np.concatenate([values, np.zeros(k)]))
@@ -904,5 +942,5 @@ def pde_integrate(field: DensityField, w, T: float, dt: float,
         speed=np.asarray(speeds),
         w1_shape=np.asarray(w1s) if wave is not None else None,
         w1_moving=np.asarray(w1m) if wave is not None else None,
-        trimmed_mass=trimmed)
+        trimmed_mass=euler.trimmed, trims=euler.trims)
     return DensityField(grid=euler.grid, values=euler.values, time=t), diags

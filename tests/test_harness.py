@@ -502,8 +502,12 @@ def test_cli_simulate_and_pde(capsys, tmp_path):
                "outdir": str(tmp_path / "pde")}
     pde_path = tmp_path / "pde.json"
     pde_path.write_text(json.dumps(pde_cfg))
+    capsys.readouterr()
     rc = cli.main(["pde", str(pde_path)])
     assert rc == 0
+    trims = re.search(r"^trimmed on the left: (\d+) cells, mass \S+$", capsys.readouterr().out,
+                      re.MULTILINE)
+    assert trims and int(trims[1]) > 0
     assert (tmp_path / "pde" / "pde_diagnostics.csv").exists()
     assert (tmp_path / "pde" / "final_density.csv").exists()
 

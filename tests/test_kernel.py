@@ -535,16 +535,19 @@ def test_pde_kernel_matches_numpy_step_when_the_window_widens():
 
 
 @contextlib.contextmanager
-def window_lengths():
-    """The lengths of the windows `_Euler.set_window` binds, in order."""
-    lengths, set_window = [], mf._Euler.set_window
+def advances():
+    """The (window length, exit) of each `_Euler.advance` call that returns,
+    in order. On the kernel each is one fj_pde call."""
+    calls, advance = [], mf._Euler.advance
 
-    def spy(self, grid, values):
-        lengths.append(len(grid))
-        set_window(self, grid, values)
+    def spy(self, steps, t):
+        n = len(self.grid)
+        done, t, code = advance(self, steps, t)
+        calls.append((n, code))
+        return done, t, code
 
-    with mock.patch.object(mf._Euler, "set_window", spy):
-        yield lengths
+    with mock.patch.object(mf._Euler, "advance", spy):
+        yield calls
 
 
 @pytest.mark.parametrize("right", [12.0, 11.98], ids=["odd", "even"])
@@ -556,11 +559,88 @@ def test_pde_kernel_matches_numpy_step_when_the_right_edge_widens(right):
     field, dt = gaussian_start(w, left=-3.0, right=right, center=-2.5, sigma=1.0)
     with python_loops():
         expected = pde_outcome(field, w, T=2.0, dt=dt, samples=20)
-    with window_lengths() as lengths:
+    with advances() as calls:
         got = pde_outcome(field, w, T=2.0, dt=dt, samples=20)
     assert_pde_close(expected, got)
     assert got[0].grid[-1] - got[0].mean > 2 * (field.grid[-1] - field.mean)
+    lengths = [n for n, _ in calls]
     assert lengths[0] == len(field.grid) and {n % 2 for n in lengths} == {0, 1}
+
+
+@pytest.mark.parametrize("w", PDE_FAMILIES, ids=PDE_IDS)
+def test_pde_kernel_leaves_only_to_sample_on_a_waves_run(w):
+    # the waves benchmark's run: the mean of a narrow Gaussian passes 150-180
+    # empty cells by T = 2, and fj_pde trims each of them inside its run of
+    # steps, so it returns only when one of the 10 samples is due
+    samples, h = 10, 0.02
+    field = mf.DensityField.gaussian(np.arange(-6.0, 40.0 + h / 2, h), sigma=0.1)
+    dt = min(1e-3, 0.25 / float(w.rate(field.grid[0])))
+    with python_loops():
+        expected = pde_outcome(field, w, T=2.0, dt=dt, samples=samples)
+    with advances() as calls:
+        got = pde_outcome(field, w, T=2.0, dt=dt, samples=samples)
+    assert len(calls) <= samples + 1
+    assert {code for _, code in calls} == {kernel.PDE_STEPS}
+    assert got[0].grid.tobytes() == expected[0].grid.tobytes()
+    assert got[1].trims == expected[1].trims > 100
+    assert_pde_close(expected, got)
+
+
+def test_pde_window_grows_right_after_a_trim_on_both_paths():
+    # dt = 0.1 moves the mean about 7 cells a step, and the window's last
+    # unit of length, 3 ahead of the mean, takes up the bulk's jumps: the
+    # first steps each trim the left edge and then find the window must grow
+    w = fj.StepRate(2.0, 1.0)
+    field = mf.DensityField.gaussian(np.arange(-2.0, 3.01, 0.02), sigma=0.1)
+    with python_loops(), advances() as expected_calls:
+        expected = pde_outcome(field, w, T=2.0, dt=0.1, samples=2)
+    with advances() as calls:
+        got = pde_outcome(field, w, T=2.0, dt=0.1, samples=2)
+    assert_pde_close(expected, got)
+    assert got[1].trims == expected[1].trims > 0
+    assert calls == expected_calls and (len(field.grid), kernel.PDE_GROW) in calls
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "numpy"])
+@pytest.mark.parametrize("h, k, right, code", [
+    (0.02, 1, 25.0, kernel.PDE_STEPS), (0.02, 3, 25.0, kernel.PDE_STEPS),
+    (0.02, 8, 2.0, kernel.PDE_GROW), (0.02, 9, 25.0, kernel.PDE_STEPS),
+    (0.02, 130, 25.0, kernel.PDE_STEPS), (0.005, 17, 2.0, kernel.PDE_GROW),
+    (0.005, 300, 25.0, kernel.PDE_STEPS), (0.02, 300, 25.0, kernel.PDE_SHIFT)])
+def test_pde_trim_is_the_numpy_trim_of_the_step(compiled, h, k, right, code):
+    # one step from a Gaussian whose cells left of -3.5 are at most 1e-30,
+    # once with the window held still and once with offset0 placed k + 1/2
+    # cells behind the mean the step leaves: the second drops the first k
+    # cells of the first's values, adding their numpy sum (in order below 8
+    # cells, in 8 accumulators up to 128, split in two above) to the trimmed
+    # mass, then tests the window's last unit (50 or 200 cells) for growth;
+    # 300 cells at h = 0.02 reach past -3.5, so the window must widen instead.
+    # Left of -4 the values are 0.5e-31 to 2.5e-31, so the order of the sum
+    # shows in its last bits.
+    w = fj.StepRate(2.0, 1.0)
+    grid = np.arange(-8.0, right, h)
+    values = mf.DensityField.gaussian(grid, sigma=0.3).values
+    field = mf.DensityField(grid, np.where(grid < -4.0, 1e-31 * (1.5 + np.sin(37.0 * grid)),
+                                           values))
+    with contextlib.nullcontext() if compiled else python_loops():
+        held = mf._Euler(w, field.grid, field.values, 1e-3)
+        held.offset0 = math.inf
+        assert held.advance(1, 0.0)[2] == kernel.PDE_STEPS
+        euler = mf._Euler(w, field.grid, field.values, 1e-3)
+        euler.offset0 = held.m - field.grid[0] - (k + 0.5) * h
+        assert euler.advance(1, 0.0)[2] == code
+    assert (euler._run is not None) == compiled
+    assert bits(euler.m) == bits(held.m) and bits(euler.mass) == bits(held.mass)
+    if code == kernel.PDE_SHIFT:
+        assert euler.grid.tobytes() == field.grid.tobytes()
+        assert euler.values.tobytes() == held.values.tobytes()
+        assert (euler.trims, euler.trimmed) == (0, 0.0)
+        return
+    v = held.values
+    assert euler.grid.tobytes() == (field.grid + k * euler.h).tobytes()
+    assert euler.values.tobytes() == np.concatenate([v[k:], np.zeros(k)]).tobytes()
+    assert euler.trims == k and bits(euler.trimmed) == bits(float(v[:k].sum()))
+    assert euler.right_edge_full() == (code == kernel.PDE_GROW)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9])
@@ -597,7 +677,7 @@ def test_pde_kernel_matches_numpy_step_inside_the_clamp_margin(left, right, pari
     expected, got = pde_both(field, w, T=T, dt=dt, samples=4)
     assert_pde_close(expected, got)
     euler = kernel_euler(w, field, dt)
-    euler.advance(1, 0.0)
+    assert euler.advance(1, 0.0)[2] == kernel.PDE_STEPS       # no trim has reset the table
     run, edge = euler._run, (model.EXP_CLAMP - 1.0) / w.beta
     assert run.hi < len(field.grid) and field.grid[run.hi] - run.ref >= edge
     assert field.grid[run.hi - 1] - run.ref < edge
@@ -618,8 +698,8 @@ def test_pde_kernel_rebuilds_its_rate_table_within_one_call(w):
     assert_pde_close(expected, got)
     euler = kernel_euler(w, field, dt)
     m0 = euler.m
-    _, _, shift = euler.advance(10**6, 0.0)
-    assert shift and euler._run.ref - m0 > 1.0 / 32
+    _, _, code = euler.advance(10**6, 0.0)
+    assert code == kernel.PDE_SHIFT and euler.trims == 0 and euler._run.ref - m0 > 1.0 / 32
 
 
 def test_pde_kernel_matches_numpy_step_for_arccot_far_from_the_mean():
@@ -661,6 +741,31 @@ def test_pde_kernel_step_matches_numpy_step(w):
     with pytest.raises(mf.StepSizeError) as got:
         mf.pde_step(field, w, 1.0)
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "numpy"])
+def test_pde_step_keeps_its_window(compiled):
+    # one step of dt = 0.01 moves the mean 3 cells of h = 0.005 past empty
+    # left cells: pde_integrate trims them, pde_step keeps its window
+    w, h, dt = fj.StepRate(2.0, 1.0), 0.005, 0.01
+    field = mf.DensityField.gaussian(np.arange(-4.0, 12.0, h), sigma=0.3)
+    with contextlib.nullcontext() if compiled else python_loops():
+        stepped = mf.pde_step(field, w, dt)
+        integrated, diag = mf.pde_integrate(field, w, T=dt, dt=dt)
+    assert stepped.mean - field.mean > 2 * h and diag.trims >= 2
+    assert stepped.grid.tobytes() == field.grid.tobytes()
+    k = diag.trims
+    assert abs(integrated.grid[0] - field.grid[k]) < 1e-12
+    assert stepped.values[k:].tobytes() == integrated.values[:len(field.grid) - k].tobytes()
+
+
+def test_pde_run_ends_at_the_rounded_step_count():
+    # T / dt = 111.1 rounds to 111 steps, so the run ends at 0.999
+    w = fj.StepRate(2.0, 1.0)
+    field, _ = gaussian_start(w)
+    (f1, d1), (f2, d2) = pde_both(field, w, T=1.0, dt=0.009, samples=3)
+    assert bits(f1.time) == bits(f2.time) == bits(d2.t[-1])
+    assert abs(f2.time - 0.999) < 1e-12
 
 
 @pytest.mark.parametrize("w", PDE_FAMILIES, ids=PDE_IDS)
@@ -754,6 +859,8 @@ BAD_PDE_TIMES = [
     ({"T": math.inf}, "T must be finite and >= 0, got inf"),
     ({"T": 10**400}, f"T must be finite and >= 0, got {10**400}"),      # ints past the float range
     ({"dt": 10**400}, f"dt must be finite and > 0, got {10**400}"),
+    ({"T": 0.04}, "T=0.04 rounds to zero steps of dt=0.1"),       # dt = 0.1 below
+    ({"T": 0.05}, "T=0.05 rounds to zero steps of dt=0.1"),       # a half rounds to even
 ]
 
 
@@ -771,6 +878,18 @@ def test_pde_refuses_a_bad_dt_or_T_before_any_step(compiled, bad, message):
         if "dt" in bad:
             with pytest.raises(DomainError, match=re.escape(message)):
                 mf.pde_step(field, w, kwargs["dt"])
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "numpy"])
+@pytest.mark.parametrize("samples", [2.5, None, -3, 0, True, "10"])
+def test_pde_refuses_a_bad_samples_before_any_step(compiled, samples):
+    w = fj.StepRate(2.0, 1.0)
+    field, dt = gaussian_start(w)
+    with contextlib.nullcontext() if compiled else python_loops(), \
+            mock.patch.object(mf._Euler, "advance", side_effect=AssertionError):
+        with pytest.raises(DomainError, match=re.escape(
+                f"samples: must be an integer >= 1, got {samples!r}")):
+            mf.pde_integrate(field, w, T=0.1, dt=dt, samples=samples)
 
 
 def test_a_step_that_overflows_fails_on_both_paths():
