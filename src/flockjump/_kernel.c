@@ -40,13 +40,14 @@
  * It adds into a counts row the caller owns and writes nothing else.
  *
  * PDE step.  fj_pde runs whole Euler steps of the numpy loop in
- * mean_field.py, one pass over the grid each, until Python has to record a
- * sample, widen the window, grow it on the right or raise.  It trims the
- * window's empty left cells itself, once the mean has passed them, with the
- * numpy loop's operations in their order (numpy's pairwise sum included),
- * so its trim of given values gives the grid, trimmed mass and right-edge
- * test that the numpy loop's trim of the same values gives, to the bit.  The
- * step itself is exact to a tolerance, not to the bit: numpy's vectorized
+ * mean_field.py, one pass over the grid each, and holds the whole window
+ * policy: it trims the window's empty left cells once the mean has passed
+ * them, widens it where they carry mass and tests its right edge.  It returns
+ * only when its steps are done, when cells are due on the right (PDE_GROW:
+ * Python adds widen, then grow, empty cells) or to raise.  The policy repeats
+ * the numpy loop's operations in their order, its sums in index order as
+ * np.cumsum forms them, so that it moves given values to the bits the numpy
+ * loop moves them to.  The step itself is exact to a tolerance, not to the bit: numpy's vectorized
  * exp and arctan and np.interp's formula round differently from libm; the
  * Euler update is folded into v + (a s + b tail);
  * the tail recursion advances two nodes at a time; and the trapezoid mass
@@ -374,11 +375,8 @@ int fj_exponential(fj_run *r)
 
 /* Exits of fj_pde. */
 enum {
-    PDE_STEPS,      /* the requested steps ran */
-    PDE_SHIFT,      /* the window is due to shift but its left cells carry mass,
-                       so Python must widen it; the step is done */
-    PDE_GROW,       /* a trim left mass in the window's last unit of length, so
-                       Python must grow it on the right; the step and trim are done */
+    PDE_STEPS,      /* the requested steps ran and the window needs no cells */
+    PDE_GROW,       /* Python must add widen, then grow, cells on the right */
     PDE_UNSTABLE,   /* dt > 0.5 / w(grid[0] - m) before a step; value = that w */
     PDE_NOT_FINITE, /* the mass or the mean after a step is not finite */
 };
@@ -392,7 +390,7 @@ typedef struct {
     int64_t len;
     double dt, h;
     double r, w0, c1;           /* jump kernel: mean_field._exp_kernel(h) */
-    double offset0;             /* the shift is due once (m - grid[0] - offset0) / h >= 1 */
+    double offset0;             /* the window moves once (m - grid[0] - offset0) / h >= 1 */
     double empty;               /* a cell may be trimmed while |value| <= empty */
     double edge_share;          /* the window grows once h * (sum of its last edge */
     int64_t edge;               /*   values) > edge_share * mass */
@@ -401,6 +399,7 @@ typedef struct {
     double trimmed;             /* running sum of the trimmed values */
     int64_t trims;              /* running count of the trimmed cells */
     int64_t done;               /* steps this call ran */
+    int64_t widen, grow;        /* PDE_GROW: add widen, then grow, cells on the right */
     double value;               /* detail of the exit, see PDE_* */
     /* arccot and exponential: rates[j] = w(grid[j] - ref) for lo <= j < hi,
        scratch of len entries; ref = nan makes the next step rebuild it */
@@ -542,68 +541,60 @@ static void pde_cell_sums(const double *g, const double *v, int64_t len, double 
     *first = 0.5 * s1;
 }
 
-/* The pairwise sum numpy's add.reduce forms over a contiguous float64
-   array: fewer than 8 values in order from -0.0, up to 128 in eight strided
-   accumulators added in pairs, and longer runs split in two at the multiple
-   of 8 at or below half. */
-static double np_pairwise_sum(const double *a, int64_t n)
+/* x[0] + x[1] + ... + x[n-1] in index order, as np.cumsum(x)[-1] forms it;
+   n >= 1. */
+static double index_sum(const double *x, int64_t n)
 {
-    int64_t i, j;
-    if (n < 8) {
-        double res = -0.0;
-        for (i = 0; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    if (n <= 128) {
-        double r[8], res;
-        for (j = 0; j < 8; j++)
-            r[j] = a[j];
-        for (i = 8; i < n - n % 8; i += 8)
-            for (j = 0; j < 8; j++)
-                r[j] += a[i + j];
-        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    int64_t half = n / 2;
-    half -= half % 8;
-    return np_pairwise_sum(a, half) + np_pairwise_sum(a + half, n - half);
+    double s = x[0];
+    for (int64_t i = 1; i < n; i++)
+        s += x[i];
+    return s;
 }
 
-/* Move the window right by the k = (int) ahead cells the mean has passed
-   offset0 by, as mean_field._Euler._numpy_steps does, with its operations in
-   its order: unless k >= len or one of the first k values exceeds `empty` in
-   magnitude (PDE_SHIFT: Python widens the window instead), add their sum to
-   trimmed, shift the values left by k with zeros after them, move every node
-   by k h and set ref = nan for the next step to rebuild the rate table.
-   Then PDE_GROW if the window's last `edge` values hold more than edge_share
-   of the mass, else PDE_STEPS. */
-static int pde_trim(fj_pde_run *p, double ahead, double mass)
+/* Half the length of the window widened by `widen` zeros if its last `edge`
+   cells hold more than edge_share of the mass, else 0; only the window's own
+   cells among them are summed. */
+static int64_t pde_grow(const fj_pde_run *p, int64_t widen, double mass)
+{
+    const int64_t len = p->len, own = p->edge - widen;
+    if (own <= 0)
+        return 0;
+    const int64_t start = own < len ? len - own : 0;
+    return p->h * index_sum(p->values + start, len - start) > p->edge_share * mass
+               ? (len + widen) / 2 : 0;
+}
+
+/* Once the mean has passed offset0 by k = (int) ahead cells, as
+   mean_field._Euler._numpy_steps does: if k < len and the first k values
+   are at most `empty` in magnitude, add their sum to trimmed, shift the
+   values left by k with zeros after them, move every node by k h and set
+   ref = nan to rebuild the rate table; otherwise set widen = k and advance
+   offset0 by k cells.  Then set grow; PDE_GROW if cells are due. */
+static int pde_move(fj_pde_run *p, double ahead, double mass)
 {
     double *g = p->grid, *v = p->values;
-    const int64_t len = p->len;
+    const int64_t len = p->len, k = (int64_t)ahead;
     int64_t j;
-    if (!(ahead < (double)len))
-        return PDE_SHIFT;
-    const int64_t k = (int64_t)ahead;
-    for (j = 0; j < k; j++)
-        if (fabs(v[j]) > p->empty)
-            return PDE_SHIFT;
-    p->trimmed += np_pairwise_sum(v, k);
-    p->trims += k;
-    const double dx = (double)k * p->h;
-    for (j = 0; j < len; j++)
-        g[j] = g[j] + dx;
-    for (j = 0; j < len - k; j++)
-        v[j] = v[j + k];
-    for (; j < len; j++)
-        v[j] = 0.0;
-    p->ref = NAN;
-    const int64_t edge = p->edge < len ? p->edge : len;
-    return p->h * np_pairwise_sum(v + len - edge, edge) > p->edge_share * mass ? PDE_GROW
-                                                                              : PDE_STEPS;
+    int widen = k >= len;
+    for (j = 0; j < k && !widen; j++)
+        widen = fabs(v[j]) > p->empty;
+    if (widen) {
+        p->widen = k;
+        p->offset0 += (double)k * p->h;
+    } else {
+        p->trimmed += index_sum(v, k);
+        p->trims += k;
+        const double dx = (double)k * p->h;
+        for (j = 0; j < len; j++)
+            g[j] = g[j] + dx;
+        for (j = 0; j < len - k; j++)
+            v[j] = v[j + k];
+        for (; j < len; j++)
+            v[j] = 0.0;
+        p->ref = NAN;
+    }
+    p->grow = pde_grow(p, p->widen, mass);
+    return p->widen || p->grow ? PDE_GROW : PDE_STEPS;
 }
 
 /* Euler steps of d rho/dt = J(s) - s with s = w(x - m) rho, where J spreads
@@ -620,10 +611,10 @@ static int pde_trim(fj_pde_run *p, double ahead, double mass)
      exponential  e^(-beta (g - m)) = rates[j] e^(beta (m - ref));
      arccot       pi/2 - atan(u - d) = rates[j] + atan(d / (1 + u (u - d)))
                   with u = g - ref, d = m - ref, |d| <= PDE_TABLE_BOUND.
-   After a step that leaves the mean a cell or more past offset0, pde_trim
-   moves the window in place, and the steps go on unless the window must
-   widen or grow: a call returns once its steps are done (a sample is due),
-   the window must widen (PDE_SHIFT) or grow (PDE_GROW), or a step fails. */
+   After a step that leaves the mean a cell or more past offset0, pde_move
+   trims the window in place or widens it.  A call returns once cells are
+   due on the right (PDE_GROW), a step fails, or its steps are done (a
+   sample is due) and the last right-edge test finds no cells due. */
 int fj_pde(fj_pde_run *p)
 {
     const int32_t family = p->family;
@@ -639,6 +630,7 @@ int fj_pde(fj_pde_run *p)
     int64_t k;
     int code = PDE_STEPS;
 
+    p->widen = p->grow = 0;
     for (k = 0; k < p->steps; k++) {
         double wmax = rate(family, params, n_params, g[0] - m);
         if (dt > 0.5 / wmax) {
@@ -682,10 +674,14 @@ int fj_pde(fj_pde_run *p)
             break;
         }
         double ahead = (m - g[0] - p->offset0) / p->h;
-        if (ahead >= 1.0 && (code = pde_trim(p, ahead, mass)) != PDE_STEPS) {
+        if (ahead >= 1.0 && (code = pde_move(p, ahead, mass)) != PDE_STEPS) {
             k++;
             break;
         }
+    }
+    if (code == PDE_STEPS) {
+        p->grow = pde_grow(p, 0, mass);
+        code = p->grow ? PDE_GROW : PDE_STEPS;
     }
     p->mass = mass;
     p->m = m;

@@ -123,6 +123,7 @@ def _cmd_pde(args):
     print(f"wave speed c = {c:.8g}")
     print(f"mass drift per unit time: {diags.mass_drift_per_unit_time():.3e}")
     print(f"trimmed on the left: {diags.trims} cells, mass {diags.trimmed_mass:.3e}")
+    print(f"added on the right: {diags.added} cells")
     print(f"final mean: {final.mean:.6g};  W1 to wave (shape): {diags.w1_shape[-1]:.3e}")
     outdir = cfg["outdir"]
     if outdir:

@@ -22,12 +22,11 @@ give the same Y(T) to the bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import DomainError, ModelError, is_finite_number
+from .model import DomainError, ModelError, is_count, is_finite_number
 # The limit law; `mean_field` centers it into the exponential family's wave.
 from .mean_field import generalized_gumbel_cdf, generalized_gumbel_pdf  # noqa: F401
 
@@ -126,7 +125,7 @@ def simulate_record(pool: RecordPool, T: float, rng,
     if T < pool.t:
         raise DomainError(f"T={T} is before the pool's time t={pool.t}; "
                           "a record path only runs forward")
-    if not (isinstance(batch, numbers.Integral) and batch >= 1):
+    if not is_count(batch, 1):
         raise DomainError(f"batch must be an integer >= 1, got {batch!r}")
     beta, c, k = pool.beta, pool.c, pool.k
     n_final = pool_size(beta, c, T)
@@ -226,7 +225,7 @@ def sample_final_uncentered(beta: float, c: float, T: float, runs: int, rng) -> 
     k = _record_k(beta)
     n = pool_size(beta, c, T)
     _check_holds_k(n, k)
-    if not (isinstance(runs, numbers.Integral) and runs >= 0):
+    if not is_count(runs, 0):
         raise DomainError(f"runs must be an integer >= 0, got {runs!r}")
     shift = math.log(n) / beta
     out = np.empty(runs)

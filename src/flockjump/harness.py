@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import get_type_hints
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import measures, mean_field, sim
 from .model import (RATE_FAMILIES, DeterministicJump, ExponentialJump, ModelError,
-                    is_finite_number)
+                    is_count, is_finite_number)
 
 
 class ConfigError(ModelError):
@@ -120,10 +119,6 @@ def parse_rate_string(text: str):
 # ---------------------------------------------------------------------------
 
 
-def _is_integer(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
 @dataclass
 class ExperimentConfig:
     scenario: str
@@ -148,12 +143,12 @@ class ExperimentConfig:
             raise ConfigError(f"scenario: must be a string, got {self.scenario!r}")
         if self.outdir is not None and not isinstance(self.outdir, str):
             raise ConfigError(f"outdir: must be a string or null, got {self.outdir!r}")
-        if not _is_integer(self.n) or self.n < 1:
+        if not is_count(self.n, 1):
             raise ConfigError(f"n: must be an integer >= 1, got {self.n!r}")
         if not is_finite_number(self.T) or self.T <= 0:
             # at T = 0 every observation falls at t = 0 and the speed fit has no spread
             raise ConfigError(f"T: must be a finite number > 0, got {self.T!r}")
-        if not _is_integer(self.seed) or self.seed < 0:
+        if not is_count(self.seed, 0):
             raise ConfigError(f"seed: must be an integer >= 0, got {self.seed!r}")
         if (not isinstance(self.window, (tuple, list)) or len(self.window) != 2
                 or not all(map(is_finite_number, self.window))):
@@ -161,12 +156,12 @@ class ExperimentConfig:
         self.window = tuple(float(x) for x in self.window)
         if not self.window[0] < self.window[1]:
             raise ConfigError(f"window: needs a0 < a1, got {self.window}")
-        if self.bins is not None and not (_is_integer(self.bins) and self.bins >= 1):
+        if self.bins is not None and not is_count(self.bins, 1):
             raise ConfigError(f"bins: must be an integer >= 1, got {self.bins!r}")
         if not (is_finite_number(self.fit_window) and 0.0 < self.fit_window <= 1.0):
             raise ConfigError(f"fit_window: must be a number in (0, 1], got {self.fit_window!r}")
-        if not _is_integer(self.observations):
-            raise ConfigError(f"observations: must be an integer, got {self.observations!r}")
+        if not is_count(self.observations, 1):
+            raise ConfigError(f"observations: must be an integer >= 1, got {self.observations!r}")
         in_fit = self.observations - math.floor(self.observations * (1.0 - self.fit_window))
         if in_fit < FIT_MIN_SAMPLES:
             raise ConfigError(
@@ -238,6 +233,8 @@ def _check_initial(d, n: int):
         if not (isinstance(pos, (list, tuple)) and len(pos) == n
                 and all(map(is_finite_number, pos))):
             raise ConfigError("initial.positions: must list exactly n finite positions")
+    if kind == "iid_uniform" and not d["lo"] <= d["hi"]:
+        raise ConfigError(f"initial.hi: must be >= initial.lo = {d['lo']}, got {d['hi']}")
     if kind == "iid_normal" and not d.get("sd", 1.0) >= 0:
         raise ConfigError(f"initial.sd: must be >= 0, got {d['sd']}")
 
@@ -315,8 +312,12 @@ def pde_config_from_dict(d: dict) -> dict:
         if "x_max" in d:
             raise ConfigError(f"x_max: must exceed x_min, got {out['x_min']} and {out['x_max']}")
         raise ConfigError(f"x_min: must be below x_max = {out['x_max']}, got {out['x_min']}")
+    if not (out["x_max"] + out["h"] / 2 - out["x_min"]) / out["h"] > 1:
+        # np.arange(x_min, x_max + h / 2, h) has ceil of this many nodes
+        raise ConfigError(f"h: must leave two grid nodes or more on [x_min, x_max], "
+                          f"got {out['h']}")
     samples = d.get("samples", 200)
-    if not (_is_integer(samples) and samples >= 1):
+    if not is_count(samples, 1):
         raise ConfigError(f"samples: must be an integer >= 1, got {samples!r}")
     out["samples"] = samples
     init = d.get("initial", {"kind": "wave"})

@@ -19,9 +19,9 @@ its counts, below and above are those of the numpy body, which runs when
 `load()` returns None, to the bit. The explicit Euler step of the
 mean-field PDE (`fj_pde`) runs `mean_field`'s numpy step to a tolerance,
 not to the bit, and `mean_field` falls back to the numpy step in the same
-way; it trims the window's empty left cells itself, with the numpy step's
-operations, and leaves the kernel only to sample, to widen or grow the
-window, or to raise. `fj_wave_residual` computes `mean_field.wave_equation_residual` in
+way. It holds the whole window policy, trim, widen and right-edge test, with
+the numpy step's operations, and leaves the kernel only to sample, to have
+cells added on the right (PDE_GROW) or to raise. `fj_wave_residual` computes `mean_field.wave_equation_residual` in
 one pass over the profile's nodes, on a `WaveResidual` record, from the
 family's `kernel_rate()` block, which gives w and its integral; it agrees
 with the numpy body, which runs when `load()` returns None, to roundoff.
@@ -61,7 +61,7 @@ ERRORS = {
 }
 
 # Exit codes of fj_pde (the PDE_* enum of _kernel.c).
-PDE_STEPS, PDE_SHIFT, PDE_GROW, PDE_UNSTABLE, PDE_NOT_FINITE = range(5)
+PDE_STEPS, PDE_GROW, PDE_UNSTABLE, PDE_NOT_FINITE = range(4)
 
 # Exit codes of fj_residual (the RESIDUAL_* enum of _kernel.c).
 RESIDUAL_DONE, RESIDUAL_BAD_INDEX, RESIDUAL_HEAP_FULL = range(3)
@@ -122,14 +122,15 @@ class Run(_Record):
 
 
 class Pde(_Record):
-    """The fj_pde_run record of `_kernel.c`: the grid, values and mean that
-    one PDE integration shares with the kernel, the trimmed mass and cell
-    count it keeps, and `rates`, a scratch array of one entry per grid node
-    that `fj_pde` owns. For the arccot and exponential families it holds the
-    table w(grid[j] - ref), which the kernel rebuilds once the mean is more
-    than 1/32 (exponential: 1/(32 beta)) from ref, and on the first step
-    after `ref` is set to nan: by the kernel when it trims the window, and
-    by the caller whenever it binds a new one."""
+    """The fj_pde_run record of `_kernel.c`: the grid, values, mean and
+    `offset0` that one PDE integration shares with the kernel, the trimmed
+    mass and cell count it keeps, the `widen` and `grow` of a PDE_GROW exit,
+    and `rates`, a scratch array of one entry per grid node that `fj_pde`
+    owns. For the arccot and exponential families it holds the table
+    w(grid[j] - ref), which the kernel rebuilds once the mean is more than
+    1/32 (exponential: 1/(32 beta)) from ref, and on the first step after
+    `ref` is set to nan: by the kernel when it trims the window, and by the
+    caller whenever it binds a new one."""
 
     _arrays = {"rate_params": np.float64, "grid": np.float64, "values": np.float64,
                "rates": np.float64}
@@ -141,7 +142,7 @@ class Pde(_Record):
         ("offset0", _F64), ("empty", _F64), ("edge_share", _F64), ("edge", _I64),
         ("steps", _I64),
         ("mass", _F64), ("m", _F64), ("trimmed", _F64), ("trims", _I64),
-        ("done", _I64), ("value", _F64),
+        ("done", _I64), ("widen", _I64), ("grow", _I64), ("value", _F64),
         ("rates", _P), ("ref", _F64), ("lo", _I64), ("hi", _I64),
     ]
 

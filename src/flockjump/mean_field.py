@@ -21,43 +21,31 @@ via a left-to-right recursion, and discrete mass conservation plus the discrete
 speed-of-mean identity hold to floating-point roundoff by construction.
 
 The Euler step runs compiled (`fj_pde` in `_kernel.c`) for every family whose
-`kernel_rate()` is not None, which covers the five built-in ones: one pass over
-the grid per step computes the rate, the jump flux, the update in place and the
-trapezoid mass and mean. The kernel also drops the window's empty left cells as
-the mean passes them, as the numpy step does, and returns to Python only when a
-diagnostics sample is due, the window must widen or grow, or the step fails.
-For arccot and the exponential it takes w(x_j - m) from a table of
-w(x_j - ref), rebuilt on each new or trimmed window and once |m - ref|
-(exponential: beta |m - ref|) passes 1/32. e^{-beta(x - m)}
-is then the entry times one e^{beta(m - ref)} a step, and arccot(u - d) the
-entry plus atan(d / (1 + u(u - d))) by its odd series through the 11th power,
-with u = x - ref and d = m - ref. Exponential nodes within 1 of the EXP_CLAMP
-clip, |beta(x_j - ref)| >= EXP_CLAMP - 1, keep the direct clipped rate. The
-pass folds the Euler update into v_j + (a s_j + b tail_j), advances the tail
-recursion two nodes at a time, and sums the trapezoid mass and mean as
-uniform-grid sums with one spacing h, which is why the grid must be uniform.
-So the step is not bit-identical to the numpy step (`_Euler._numpy_steps`):
-numpy's vectorized exp and arctan, np.interp and np.trapezoid's pairwise sum
-over cell widths round differently from libm, the table and these sums.
-Values, mass and mean agree to 1e-12, and grids, sample times and errors are the
-same (`tests/test_kernel.py`). Where the kernel cannot be built, or for a family
-without a C rate, the numpy step runs instead. `wave_equation_residual` runs
-compiled (`fj_wave_residual`), with w and its integral from `kernel_rate()`
-alone, and falls back to its numpy body in the same way.
+`kernel_rate()` is not None, which covers the five built-in ones, and as the
+numpy step (`_Euler._numpy_steps`) where the kernel cannot be built or the
+family has no C rate. Either one holds the whole window policy (`_Euler`) and
+returns to Python only when a diagnostics sample is due, cells are due on the
+right of the window, or the step fails. The compiled pass (a rate table, a
+folded update and uniform-grid sums, described in `_kernel.c`) rounds
+differently from numpy's exp, arctan, np.interp and np.trapezoid, so values,
+mass and mean agree to 1e-12, not to the bit; grids, sample times and errors
+are the same (`tests/test_kernel.py`). `wave_equation_residual` runs compiled
+(`fj_wave_residual`), with w and its integral from `kernel_rate()` alone, and
+falls back to its numpy body in the same way.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import kernel
-from .model import ArccotRate, DomainError, ModelError, PiecewiseLinearRate, is_finite_number
+from .model import (ArccotRate, DomainError, ModelError, PiecewiseLinearRate, is_count,
+                    is_finite_number)
 
 
 class NonIntegrableError(ModelError):
@@ -702,19 +690,21 @@ class _Euler:
     """Explicit Euler steps of the mean-field equation with Exp(1) jumps.
 
     Holds the window (`grid`, `values`), its trapezoid `mass` and mean `m`,
-    and the mass and count of the cells trimmed off its left edge so far.
+    the mass and count of the cells trimmed off its left edge so far, and
+    the count of the cells `added` on its right.
     The grid must be uniform (DomainError otherwise): the jump kernel
     `_exp_kernel(h)` is built for one spacing h, and the compiled step's
     trapezoid sums use h for every cell.
     A step runs compiled (`fj_pde` in `_kernel.c`) when the kernel loads and
     the family has a `kernel_rate()`, and as the numpy loop `_numpy_steps`
-    otherwise; the two agree to roundoff, not to the bit. After any step
-    that leaves the mean a cell or more further from the left edge than
-    `offset0`, both move the window right by those cells while the cells
-    are empty (at most EMPTY_CELL), and go on unless its last unit of length
-    then holds more than RIGHT_EDGE_SHARE of the mass. Where the cells carry
-    mass they stop, for `pde_integrate` to widen the window and advance
-    `offset0`. An `offset0` of inf keeps the window where it is.
+    otherwise; the two agree to roundoff, not to the bit. Both hold the
+    window policy. Once a step leaves the mean k >= 1 cells further from the
+    left edge than `offset0`, the window moves right by those cells if they
+    are empty (at most EMPTY_CELL) and widens otherwise: `offset0` advances
+    k cells and `widen` = k cells are due on the right. After either, and at
+    the end of a run whose steps all ran, `grow` = half the widened length
+    is due if the widened window's last unit of length holds more than
+    RIGHT_EDGE_SHARE of the mass. An `offset0` of inf keeps the window still.
     """
 
     def __init__(self, w, grid, values, dt: float):
@@ -729,6 +719,7 @@ class _Euler:
         self.offset0 = self.m - grid[0]     # window geometry preserved as the wave moves
         self.edge = max(1, round(1.0 / self.h))     # cells in the window's last unit of length
         self.trimmed, self.trims = 0.0, 0
+        self.widen = self.grow = self.added = 0
         spec = w.kernel_rate()
         lib = kernel.load() if spec is not None else None
         self._run = None
@@ -752,18 +743,20 @@ class _Euler:
             run.bind(grid=grid, values=values, rates=np.empty(len(grid)))
             run.len, run.ref = len(grid), math.nan
 
-    def right_edge_full(self) -> bool:
-        """Whether the window's last unit of length holds more than
-        RIGHT_EDGE_SHARE of the mass."""
-        return self.h * self.values[-self.edge:].sum() > RIGHT_EDGE_SHARE * self.mass
+    def extend(self, k: int):
+        """Add k empty cells on the right of the window (none for k = 0)."""
+        if k:
+            grid = self.grid
+            self.set_window(np.concatenate([grid, grid[-1] + self.h * np.arange(1, k + 1)]),
+                            np.concatenate([self.values, np.zeros(k)]))
+            self.added += k
 
     def advance(self, steps: int, t: float):
-        """Run up to `steps` steps from time t, trimming the window as they
+        """Run up to `steps` steps from time t, moving the window as they
         go; returns (steps run, time after them, exit), where the exit is
-        kernel.PDE_STEPS once the steps are done, PDE_SHIFT when the window
-        must widen on the left and PDE_GROW when it must grow on the right.
-        Raises StepSizeError before a step with dt > 0.5 / w at the left
-        edge, the sup of the non-increasing w over the grid, and DomainError
+        kernel.PDE_STEPS once the steps are done and PDE_GROW once `widen`,
+        then `grow`, cells are due on the right for `extend` to add. Raises
+        StepSizeError before a step with dt > 0.5 / w at the left edge, the sup of the non-increasing w over the grid, and DomainError
         after a step that leaves the mass or mean not finite."""
         run = self._run
         if run is None:
@@ -773,7 +766,8 @@ class _Euler:
             run.trimmed, run.trims = self.trimmed, self.trims
             code = self._fj_pde(ctypes.byref(run))
             done, wmax, self.m, self.mass = run.done, run.value, run.m, run.mass
-            self.trimmed, self.trims = run.trimmed, run.trims
+            self.trimmed, self.trims, self.offset0 = run.trimmed, run.trims, run.offset0
+            self.widen, self.grow = run.widen, run.grow
         for _ in range(done):
             t += self.dt
         if code == kernel.PDE_UNSTABLE:
@@ -787,45 +781,56 @@ class _Euler:
         return done, t, code
 
     def _numpy_steps(self, steps: int):
-        """The numpy step and trim, the kernel's fallback and oracle: (steps
-        run, kernel.PDE_* exit, w at the left edge)."""
+        """The numpy step and window policy, the kernel's fallback and oracle:
+        (steps run, kernel.PDE_* exit, w at the left edge), with `offset0`,
+        `widen` and `grow` set as fj_pde sets them."""
         w, dt, h = self.w, self.dt, self.h
-        done, code, wmax = 0, kernel.PDE_STEPS, math.nan
+        done, wmax = 0, math.nan
+        self.widen = self.grow = 0
         while done < steps:
             grid, values, m = self.grid, self.values, self.m
             wmax = float(w.rate(grid[0] - m))
             if dt > 0.5 / wmax:
-                code = kernel.PDE_UNSTABLE
-                break
+                return done, kernel.PDE_UNSTABLE, wmax
             s = np.asarray(w.rate(grid - m), dtype=float) * values
             self.values = values = values + dt * (_jump_flux(s, h) - s)
             self.mass = mass = float(np.trapezoid(values, grid))
             self.m = m = float(np.trapezoid(grid * values, grid) / mass)
             done += 1
             if not (math.isfinite(mass) and math.isfinite(m)):
-                code = kernel.PDE_NOT_FINITE
-                break
+                return done, kernel.PDE_NOT_FINITE, wmax
             ahead = (m - grid[0] - self.offset0) / h
             if ahead >= 1.0:
                 k = int(ahead)
-                dropped = values[:k]
-                if k >= len(values) or np.any(np.abs(dropped) > EMPTY_CELL):
-                    code = kernel.PDE_SHIFT
-                    break
-                self.trimmed += float(dropped.sum())
-                self.trims += k
-                self.grid = grid + k * h
-                self.values = np.concatenate([values[k:], np.zeros(k)])
-                if self.right_edge_full():
-                    code = kernel.PDE_GROW
-                    break
-        return done, code, wmax
+                if k >= len(values) or np.any(np.abs(values[:k]) > EMPTY_CELL):
+                    self.widen = k
+                    self.offset0 += k * h
+                else:
+                    self.trimmed += float(np.cumsum(values[:k])[-1])
+                    self.trims += k
+                    self.grid = grid + k * h
+                    self.values = np.concatenate([values[k:], np.zeros(k)])
+                self.grow = self._grow(self.widen)
+                if self.widen or self.grow:
+                    return done, kernel.PDE_GROW, wmax
+        self.grow = self._grow(0)
+        return steps, kernel.PDE_GROW if self.grow else kernel.PDE_STEPS, wmax
+
+    def _grow(self, widen: int) -> int:
+        """Half the length of the window widened by `widen` zeros if its last
+        `edge` cells hold more than RIGHT_EDGE_SHARE of the mass, else 0; it
+        sums the window's own cells among them in index order."""
+        own = self.edge - widen
+        if own <= 0:
+            return 0
+        full = self.h * np.cumsum(self.values[-own:])[-1] > RIGHT_EDGE_SHARE * self.mass
+        return (len(self.values) + widen) // 2 if full else 0
 
 
 def pde_step(field: DensityField, w, dt: float) -> DensityField:
     """One explicit Euler step of the mean-field equation with Exp(1) jumps:
     the step, and the stability check, of `pde_integrate`, on the field's
-    own window."""
+    own window, which it keeps whatever cells the step reports due."""
     euler = _Euler(w, field.grid, field.values, dt)
     euler.offset0 = math.inf
     _, t, _ = euler.advance(1, field.time)
@@ -842,6 +847,7 @@ class PdeDiagnostics:
     w1_moving: np.ndarray = None     # W1 to the wave translated at speed c from t=0
     trimmed_mass: float = 0.0        # sum of the values of the cells trimmed on the left
     trims: int = 0                   # count of those cells
+    added: int = 0                   # count of the cells added on the right (widen + grow)
 
     def mass_drift_per_unit_time(self) -> float:
         span = self.t[-1] - self.t[0]
@@ -870,25 +876,24 @@ def pde_integrate(field: DensityField, w, T: float, dt: float,
     DomainError before any step otherwise. The diagnostics hold the start
     and about `samples` more evenly spaced samples.
 
-    The active window follows the wave. Inside each run of steps, compiled
-    or numpy, left cells are dropped once the mean has passed them and their
-    density is at most EMPTY_CELL (the trimmed total and the count of
-    trimmed cells are reported). Where they still carry mass the window
-    widens by as many cells on the right instead, keeping the explicit-Euler
-    stability budget satisfiable as the mean advances. Mass drift is
-    reported in the diagnostics, never silently corrected.
+    The active window follows the wave by the step's policy (`_Euler`).
+    Left cells are dropped once the mean has passed them and their density
+    is at most EMPTY_CELL (the trimmed total and cell count are reported).
+    Where they still carry mass the window widens by as many cells on the
+    right instead, keeping the explicit-Euler stability budget satisfiable
+    as the mean advances. Mass drift is reported, never silently corrected.
 
     Jump mass that lands past the right edge is lost. So after each trim,
     widening and sample, the window grows by half its length on the right
     once its last unit of length holds more than RIGHT_EDGE_SHARE of the
-    mass. What still runs off is the jumps from that last unit, and the
-    bulk's jumps straight past the edge, e^{-d} of its jump rate at distance
+    mass; `added` counts the cells added on the right. What still runs off
+    is the jumps from that last unit, and the bulk's jumps straight past the
+    edge, e^{-d} of its jump rate at distance
     d; both show as mass drift.
     """
     if not (is_finite_number(T) and T >= 0):
         raise DomainError(f"T must be finite and >= 0, got {T!r}")
-    if not (isinstance(samples, numbers.Integral) and not isinstance(samples, bool)
-            and samples >= 1):
+    if not is_count(samples, 1):
         raise DomainError(f"samples: must be an integer >= 1, got {samples!r}")
     euler = _Euler(w, field.grid, field.values, dt)
     n_steps = int(round(T / dt))
@@ -917,23 +922,10 @@ def pde_integrate(field: DensityField, w, T: float, dt: float,
     step = 0
     while step < n_steps:
         due = min(n_steps, (step // sample_every + 1) * sample_every)
-        done, t, code = euler.advance(due - step, t)
+        done, t, _ = euler.advance(due - step, t)
         step += done
-        if code == kernel.PDE_SHIFT:
-            # Never drop cells that still carry mass; widen instead (the
-            # stability check will fail loudly if dt is too big for the
-            # resulting window).
-            grid, values, h = euler.grid, euler.values, euler.h
-            k = int((euler.m - grid[0] - euler.offset0) / h)       # >= 1
-            euler.offset0 += k * h          # the left edge stays behind
-            euler.set_window(np.concatenate([grid, grid[-1] + h * np.arange(1, k + 1)]),
-                             np.concatenate([values, np.zeros(k)]))
-        # past the right edge jump mass is lost: see the docstring
-        if code == kernel.PDE_GROW or (
-                (code == kernel.PDE_SHIFT or step == due) and euler.right_edge_full()):
-            grid, values, k = euler.grid, euler.values, len(euler.grid) // 2
-            euler.set_window(np.concatenate([grid, grid[-1] + euler.h * np.arange(1, k + 1)]),
-                             np.concatenate([values, np.zeros(k)]))
+        euler.extend(euler.widen)       # the cells due on the right: widen, then grow
+        euler.extend(euler.grow)
         if step == due:
             record()
 
@@ -942,5 +934,5 @@ def pde_integrate(field: DensityField, w, T: float, dt: float,
         speed=np.asarray(speeds),
         w1_shape=np.asarray(w1s) if wave is not None else None,
         w1_moving=np.asarray(w1m) if wave is not None else None,
-        trimmed_mass=euler.trimmed, trims=euler.trims)
+        trimmed_mass=euler.trimmed, trims=euler.trims, added=euler.added)
     return DensityField(grid=euler.grid, values=euler.values, time=t), diags

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import ctypes
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel
-from .model import DomainError, ModelError, is_finite_number
+from .model import DomainError, ModelError, is_count, is_finite_number
 from . import sim as _sim
 
 
@@ -91,7 +90,7 @@ class Histogram:
 def _check_window(a0, a1, nbins) -> int:
     """nbins as an int, once the window [a0, a1) and nbins make finite bins
     of positive width; otherwise DomainError naming the bad argument."""
-    if not (isinstance(nbins, numbers.Integral) and not isinstance(nbins, bool) and nbins >= 1):
+    if not is_count(nbins, 1):
         raise DomainError(f"nbins: must be an integer >= 1, got {nbins!r}")
     nbins = int(nbins)
     if not (is_finite_number(a0) and is_finite_number(a1) and a0 < a1):
@@ -155,6 +154,8 @@ class TimeAverager:
 
     def __init__(self, a0: float, a1: float, nbins: int, samples: int, burn_in: float = 0.0):
         self.nbins = _check_window(a0, a1, nbins)
+        if not is_count(samples, 0):
+            raise DomainError(f"samples: must be an integer >= 0, got {samples!r}")
         self.a0, self.a1 = a0, a1
         self._h = (a1 - a0) / self.nbins
         self.burn_in = burn_in

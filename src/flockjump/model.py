@@ -33,6 +33,11 @@ class DomainError(ModelError):
     """Argument outside the operation's domain."""
 
 
+def is_count(x, least: int) -> bool:
+    """x is an integer other than a bool, and x >= least."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= least
+
+
 def is_finite_number(x) -> bool:
     """x is a real number other than a bool, finite as a float: an int past the
     float range counts as not finite, where math.isfinite raises OverflowError."""
@@ -543,7 +548,7 @@ def initial_state(n: int, init="zeros", rng=None) -> SystemState:
     ("iid", sampler) where sampler(rng, n) draws the initial positions.
     n must be an integer >= 1.
     """
-    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
+    if not is_count(n, 1):
         raise ModelError(f"n must be an integer >= 1, got {n!r}")
     if isinstance(init, str):
         if init != "zeros":

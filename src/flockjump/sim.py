@@ -48,14 +48,13 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import numbers
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel
-from .model import ModelError, SystemState, initial_state
+from .model import ModelError, SystemState, initial_state, is_count
 
 _BATCH = 1 << 14
 
@@ -157,8 +156,7 @@ def check_engine(w, engine: str = "auto") -> str:
 def _check_stop(T, cap, name):
     """Refuse a stop no run reaches: a cap (named `name`) that is not an integer
     >= 0, a NaN or negative T, or an unbounded T with no cap."""
-    if cap is not None and not (isinstance(cap, numbers.Integral)
-                                and not isinstance(cap, bool) and cap >= 0):
+    if cap is not None and not is_count(cap, 0):
         raise ModelError(f"{name} must be an integer >= 0, got {cap!r}")
     if T is not None and not T >= 0:
         raise ModelError(f"T must be >= 0 and not NaN, got {T!r}")
@@ -181,7 +179,9 @@ def simulate(w, z, n: int, *, T: float = None, max_events: int = None,
     if observer is not None and observe_times is None:
         if T is None or T == math.inf:
             raise ModelError("observer on a default grid needs a finite horizon T")
-        observe_times = np.linspace(0.0, T, max(observations, 1))
+        if not is_count(observations, 1):
+            raise ModelError(f"observations must be an integer >= 1, got {observations!r}")
+        observe_times = np.linspace(0.0, T, observations)
     if observe_times is not None:
         observe_times = np.unique(np.asarray(observe_times, dtype=float))
         bad = observe_times[~np.isfinite(observe_times)]

@@ -234,7 +234,7 @@ class NoDraws:
         raise AssertionError(f"rng.{name} used before the input was checked")
 
 
-@pytest.mark.parametrize("batch", [0, -3, 2.5])
+@pytest.mark.parametrize("batch", [0, -3, 2.5, True])
 def test_simulate_record_rejects_a_batch_below_one(batch):
     # a batch of zero draws never advances the pool; the check comes before any draw
     pool = ex.new_pool(1.0, 1.0, np.random.default_rng(0))
@@ -296,6 +296,7 @@ def test_kth_largest_matches_a_sort_for_any_chunking(k, batch):
     ((1.0, 1.0, 5.0, -1), DomainError, "runs must be an integer >= 0, got -1"),
     ((1.0, 1.0, 5.0, 2.5), DomainError, "runs must be an integer >= 0, got 2.5"),
     ((10**400, 1.0, 5.0, 10), DomainError, "beta must be positive and finite"),   # int past float
+    ((1.0, 1.0, 5.0, True), DomainError, "runs must be an integer >= 0, got True"),
 ])
 def test_sample_final_uncentered_checks_before_any_draw(args, error, match):
     with pytest.raises(error, match=match):

@@ -160,6 +160,7 @@ def test_config_errors_name_keys():
     ({"T": 0}, "T:"),
     ({"log_events": "false"}, "log_events:"),
     ({"log_events": 1}, "log_events:"),
+    ({"initial": {"kind": "iid_uniform", "lo": 2, "hi": 1}}, "initial.hi:"),
 ])
 def test_config_rejects_bad_values_naming_the_key(override, key):
     with pytest.raises(ConfigError, match="^" + re.escape(key)):
@@ -228,7 +229,9 @@ BAD_CONFIG = {
 }
 BAD_PDE_CONFIG = {
     "rate": BAD_RATE,
-    "h": st.one_of(st.none(), NOT_A_NUMBER, NON_FINITE, st.floats(max_value=0.0)),
+    # h >= 62 leaves one node of np.arange(-6, 25 + h / 2, h)
+    "h": st.one_of(st.none(), NOT_A_NUMBER, NON_FINITE, st.floats(max_value=0.0),
+                   st.floats(min_value=62.0, allow_infinity=False)),
     "dt": st.one_of(st.none(), NOT_A_NUMBER, NON_FINITE, st.floats(max_value=0.0)),
     "T": st.one_of(st.none(), NOT_A_NUMBER, NON_FINITE,
                    st.floats(max_value=0.0, exclude_max=True)),
@@ -272,6 +275,8 @@ def test_config_names_the_one_bad_key(case):
 @example(("outdir", 5))
 @example(("x_min", 30))
 @example(("dt", 10**400))
+@example(("h", 100))
+@example(("h", 62.0))
 def test_pde_config_names_the_one_bad_key(case):
     key, value = case
     base = {"rate": {"family": "exponential", "beta": 1.0}}

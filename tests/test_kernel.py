@@ -492,10 +492,12 @@ def pde_both(field, w, **kwargs):
 
 
 def assert_pde_close(expected, got, tol=1e-12):
-    """Equal grids and times, bit for bit; values, mass, mean and speed within
-    tol, relative to the largest value and to max(1, |mean|, |speed|)."""
+    """Equal grids and times, bit for bit, and equal counts of the cells
+    trimmed and added; values, mass, mean and speed within tol, relative to
+    the largest value and to max(1, |mean|, |speed|)."""
     (f1, d1), (f2, d2) = expected, got
     assert np.array_equal(f1.grid, f2.grid)
+    assert (d1.trims, d1.added) == (d2.trims, d2.added)
     assert bits(f1.time) == bits(f2.time)
     assert d1.t.tobytes() == d2.t.tobytes()
     assert np.max(np.abs(f1.values - f2.values)) <= tol * np.max(np.abs(f1.values))
@@ -536,14 +538,14 @@ def test_pde_kernel_matches_numpy_step_when_the_window_widens():
 
 @contextlib.contextmanager
 def advances():
-    """The (window length, exit) of each `_Euler.advance` call that returns,
-    in order. On the kernel each is one fj_pde call."""
+    """The (window length, exit, widen, grow) of each `_Euler.advance` call
+    that returns, in order. On the kernel each is one fj_pde call."""
     calls, advance = [], mf._Euler.advance
 
     def spy(self, steps, t):
         n = len(self.grid)
         done, t, code = advance(self, steps, t)
-        calls.append((n, code))
+        calls.append((n, code, self.widen, self.grow))
         return done, t, code
 
     with mock.patch.object(mf._Euler, "advance", spy):
@@ -563,7 +565,7 @@ def test_pde_kernel_matches_numpy_step_when_the_right_edge_widens(right):
         got = pde_outcome(field, w, T=2.0, dt=dt, samples=20)
     assert_pde_close(expected, got)
     assert got[0].grid[-1] - got[0].mean > 2 * (field.grid[-1] - field.mean)
-    lengths = [n for n, _ in calls]
+    lengths = [n for n, *_ in calls]
     assert lengths[0] == len(field.grid) and {n % 2 for n in lengths} == {0, 1}
 
 
@@ -580,7 +582,7 @@ def test_pde_kernel_leaves_only_to_sample_on_a_waves_run(w):
     with advances() as calls:
         got = pde_outcome(field, w, T=2.0, dt=dt, samples=samples)
     assert len(calls) <= samples + 1
-    assert {code for _, code in calls} == {kernel.PDE_STEPS}
+    assert {code for _, code, *_ in calls} == {kernel.PDE_STEPS}
     assert got[0].grid.tobytes() == expected[0].grid.tobytes()
     assert got[1].trims == expected[1].trims > 100
     assert_pde_close(expected, got)
@@ -598,40 +600,69 @@ def test_pde_window_grows_right_after_a_trim_on_both_paths():
         got = pde_outcome(field, w, T=2.0, dt=0.1, samples=2)
     assert_pde_close(expected, got)
     assert got[1].trims == expected[1].trims > 0
-    assert calls == expected_calls and (len(field.grid), kernel.PDE_GROW) in calls
+    assert calls == expected_calls
+    assert (len(field.grid), kernel.PDE_GROW, 0, len(field.grid) // 2) in calls
+
+
+def test_pde_window_widens_and_grows_in_one_exit_on_both_paths():
+    # the left edge carries mass and dt = 0.1 moves the mean 5-9 cells a
+    # step, 2.5 from the right edge: the first steps each widen the window
+    # and then find that the widened window's last unit must grow too
+    w = fj.StepRate(2.0, 1.0)
+    field = mf.DensityField.gaussian(np.arange(-1.0, 2.01, 0.02), center=-0.5, sigma=0.3)
+    with python_loops(), advances() as expected_calls:
+        expected = pde_outcome(field, w, T=2.0, dt=0.1, samples=2)
+    with advances() as calls:
+        got = pde_outcome(field, w, T=2.0, dt=0.1, samples=2)
+    assert_pde_close(expected, got)
+    assert calls == expected_calls
+    n, code, widen, grow = calls[0]
+    assert code == kernel.PDE_GROW and widen > 0 and grow == (n + widen) // 2
+    assert got[0].grid[0] == field.grid[0] and got[1].trims == 0
+    assert got[1].added == sum(widen + grow for *_, widen, grow in calls)
+    assert len(got[0].grid) == len(field.grid) + got[1].added
+
+
+TRIMS, WIDENS, TRIMS_AND_GROWS = range(3)      # how one step moves the window
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "numpy"])
-@pytest.mark.parametrize("h, k, right, code", [
-    (0.02, 1, 25.0, kernel.PDE_STEPS), (0.02, 3, 25.0, kernel.PDE_STEPS),
-    (0.02, 8, 2.0, kernel.PDE_GROW), (0.02, 9, 25.0, kernel.PDE_STEPS),
-    (0.02, 130, 25.0, kernel.PDE_STEPS), (0.005, 17, 2.0, kernel.PDE_GROW),
-    (0.005, 300, 25.0, kernel.PDE_STEPS), (0.02, 300, 25.0, kernel.PDE_SHIFT)])
-def test_pde_trim_is_the_numpy_trim_of_the_step(compiled, h, k, right, code):
+@pytest.mark.parametrize("h, k, right, moves", [
+    (0.02, 1, 25.0, TRIMS), (0.02, 3, 25.0, TRIMS),
+    (0.02, 8, 2.0, TRIMS_AND_GROWS), (0.02, 9, 25.0, TRIMS),
+    (0.02, 130, 25.0, TRIMS), (0.005, 17, 2.0, TRIMS_AND_GROWS),
+    (0.005, 300, 25.0, TRIMS), (0.02, 300, 25.0, WIDENS)])
+def test_pde_trim_is_the_numpy_trim_of_the_step(compiled, h, k, right, moves):
     # one step from a Gaussian whose cells left of -3.5 are at most 1e-30,
     # once with the window held still and once with offset0 placed k + 1/2
     # cells behind the mean the step leaves: the second drops the first k
-    # cells of the first's values, adding their numpy sum (in order below 8
-    # cells, in 8 accumulators up to 128, split in two above) to the trimmed
-    # mass, then tests the window's last unit (50 or 200 cells) for growth;
-    # 300 cells at h = 0.02 reach past -3.5, so the window must widen instead.
-    # Left of -4 the values are 0.5e-31 to 2.5e-31, so the order of the sum
-    # shows in its last bits.
+    # cells of the first's values, adding their sum in index order to the
+    # trimmed mass, then tests the window's last unit (50 or 200 cells) for
+    # growth; 300 cells at h = 0.02 reach past -3.5, so the window must widen
+    # by k cells instead. Left of -4 the values are 0.5e-31 to 2.5e-31, so the
+    # order of the sum shows in its last bits. Both runs end with the
+    # right-edge test, which the held window's last unit fails at right = 2.
     w = fj.StepRate(2.0, 1.0)
     grid = np.arange(-8.0, right, h)
     values = mf.DensityField.gaussian(grid, sigma=0.3).values
     field = mf.DensityField(grid, np.where(grid < -4.0, 1e-31 * (1.5 + np.sin(37.0 * grid)),
                                            values))
+    n, widens, grows = len(grid), moves == WIDENS, moves == TRIMS_AND_GROWS
     with contextlib.nullcontext() if compiled else python_loops():
         held = mf._Euler(w, field.grid, field.values, 1e-3)
         held.offset0 = math.inf
-        assert held.advance(1, 0.0)[2] == kernel.PDE_STEPS
+        assert held.advance(1, 0.0)[2] == (kernel.PDE_GROW if right < 3 else kernel.PDE_STEPS)
         euler = mf._Euler(w, field.grid, field.values, 1e-3)
-        euler.offset0 = held.m - field.grid[0] - (k + 0.5) * h
-        assert euler.advance(1, 0.0)[2] == code
+        euler.offset0 = offset0 = held.m - field.grid[0] - (k + 0.5) * h
+        code = euler.advance(1, 0.0)[2]
     assert (euler._run is not None) == compiled
+    assert (held.widen, held.grow) == (0, n // 2 if right < 3 else 0)
+    assert held.grid.tobytes() == field.grid.tobytes()
     assert bits(euler.m) == bits(held.m) and bits(euler.mass) == bits(held.mass)
-    if code == kernel.PDE_SHIFT:
+    assert code == (kernel.PDE_GROW if widens or grows else kernel.PDE_STEPS)
+    assert (euler.widen, euler.grow) == (k if widens else 0, n // 2 if grows else 0)
+    if widens:
+        assert bits(euler.offset0) == bits(offset0 + k * euler.h)
         assert euler.grid.tobytes() == field.grid.tobytes()
         assert euler.values.tobytes() == held.values.tobytes()
         assert (euler.trims, euler.trimmed) == (0, 0.0)
@@ -639,8 +670,9 @@ def test_pde_trim_is_the_numpy_trim_of_the_step(compiled, h, k, right, code):
     v = held.values
     assert euler.grid.tobytes() == (field.grid + k * euler.h).tobytes()
     assert euler.values.tobytes() == np.concatenate([v[k:], np.zeros(k)]).tobytes()
-    assert euler.trims == k and bits(euler.trimmed) == bits(float(v[:k].sum()))
-    assert euler.right_edge_full() == (code == kernel.PDE_GROW)
+    assert euler.trims == k and bits(euler.trimmed) == bits(float(np.cumsum(v[:k])[-1]))
+    last_unit = euler.h * np.cumsum(euler.values[-euler.edge:])[-1]
+    assert (last_unit > mf.RIGHT_EDGE_SHARE * euler.mass) == grows
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9])
@@ -699,7 +731,8 @@ def test_pde_kernel_rebuilds_its_rate_table_within_one_call(w):
     euler = kernel_euler(w, field, dt)
     m0 = euler.m
     _, _, code = euler.advance(10**6, 0.0)
-    assert code == kernel.PDE_SHIFT and euler.trims == 0 and euler._run.ref - m0 > 1.0 / 32
+    assert code == kernel.PDE_GROW and euler.widen > 0 and euler.trims == 0
+    assert euler._run.ref - m0 > 1.0 / 32
 
 
 def test_pde_kernel_matches_numpy_step_for_arccot_far_from_the_mean():

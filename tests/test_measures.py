@@ -230,6 +230,12 @@ def test_ks_weighted_matches_unweighted():
     assert a == pytest.approx(b, abs=1e-12)
 
 
+@pytest.mark.parametrize("samples", [-1, 2.5, True])
+def test_time_averager_refuses_a_bad_sample_count(samples):
+    with pytest.raises(DomainError, match="^samples: must be an integer >= 0, got "):
+        ms.TimeAverager(-1.0, 1.0, 4, samples=samples)
+
+
 @pytest.mark.parametrize("samples, weights, message", [
     ([], None, "samples: the KS distance needs at least one sample"),
     ([], [], "samples: the KS distance needs at least one sample"),

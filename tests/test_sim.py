@@ -216,6 +216,17 @@ def test_observer_times_are_grid_and_state_advances():
     assert centers[-1] <= res.final_center
 
 
+@pytest.mark.parametrize("observations", [0, -3, 2.5, True])
+def test_observer_grid_needs_an_integer_count_of_one_or_more(observations):
+    def no_work(rng, n):
+        raise AssertionError("initial state built before observations was checked")
+
+    with pytest.raises(ModelError, match="^observations must be an integer >= 1, got "):
+        fj.simulate(fj.StepRate(2.0, 1.0), fj.DeterministicJump(), 5, T=1.0, seed=1,
+                    init=("iid", no_work), observer=lambda t, pos, m: None,
+                    observations=observations)
+
+
 def test_monotone_paths_and_center_bookkeeping():
     for engine, w in (("bounded", fj.StepRate(2.0, 1.0)),
                       ("exponential", fj.ExponentialRate(1.0)),
