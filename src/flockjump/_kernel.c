@@ -9,12 +9,18 @@
  * refill in sim.py, and this code consumes the batches.  Each entry point is
  * a step function that sim._drive calls: it runs events until something
  * only Python can do is due, stores the loop state back into the fj_run
- * record and returns the reason (EXIT_*): a batch ran out, an observation
- * time was reached, the center of mass is due to be re-summed, the horizon
- * or the event cap was hit, or a total was not finite.  sim._drive does
- * the re-sum itself, correctly rounded in Python, and sets S0 = inf.  The
- * exponential engine selects on a binary sum tree of its weights, and its
- * loop rebuilds the tree (exp_rebase) whenever the total is below half of
+ * record and returns the reason (EXIT_*): a batch ran out, the center of
+ * mass is due to be re-summed, the horizon or the event cap was hit, a total
+ * was not finite, or an observation time was reached.  sim._drive does the
+ * re-sum itself, correctly rounded in Python, and sets S0 = inf.  A run
+ * observed by a time averager (measures.TimeAverager) does not leave at its
+ * observation times: the step bins each one into the averager's next row
+ * (observe, with bin_positions, fj_histogram's binning) and runs on, so it
+ * leaves only to refill, re-sum, stop or raise, and to have Python serve an
+ * observation that TimeAverager.add refuses.  Python serves the observations
+ * due at a re-sum or at the stop through add().  The exponential engine
+ * selects on a binary sum tree of its weights, and its loop rebuilds the
+ * tree (exp_rebase, counted in rebuilds) whenever the total is below half of
  * S0: before the first event, when the total has halved and after each
  * re-sum, so no rebuild returns to Python.
  *
@@ -37,7 +43,8 @@
  * Histogram.  fj_histogram bins one observation, the x_j - m, into the
  * bins of [a0, a1) with the operations of measures._numpy_bins in their
  * order, so its counts, below and above are that numpy body's to the bit.
- * It adds into a counts row the caller owns and writes nothing else.
+ * It adds into a counts row the caller owns and writes nothing else.  The
+ * event steps bin their observations with the same routine, bin_positions.
  *
  * PDE step.  fj_pde runs whole Euler steps of the numpy loop in
  * mean_field.py, one pass over the grid each, and holds the whole window
@@ -130,6 +137,19 @@ typedef struct {
     int64_t *log_i;
     int64_t log_len;
     double value;               /* detail of the exit, see EXIT_* */
+    int64_t rebuilds;           /* exponential: rebases of the sum tree */
+    /* observations: the sorted times obs_t[0 .. n_obs), of which obs_k is the
+       next and next_obs its time.  With a time averager bound (obs_rows !=
+       NULL), the step bins each due observation into the averager's next row
+       *obs_rows, as TimeAverager.add does, instead of exiting: counts row at
+       obs_counts + row nbins over the window [a0, a1), and the row's time,
+       center, size and the positions below and above the window */
+    const double *obs_t;
+    int64_t n_obs, obs_k;
+    double a0, a1;
+    int64_t nbins;
+    double *obs_counts, *obs_time, *obs_m;
+    int64_t *obs_n, *obs_below, *obs_above, *obs_rows;
 } fj_run;
 
 /* libm exp, with the overflow that makes math.exp raise reported in *range. */
@@ -209,6 +229,74 @@ static void log_event(fj_run *r, double t, int64_t i, double z, double m)
     }
 }
 
+/* Exits of fj_histogram. */
+enum {
+    HIST_DONE,      /* every x_j - m was binned, below or above */
+    HIST_NAN,       /* some x_j - m was NaN: in no bin and not outside */
+};
+
+/* Add x_j - m, j < n, into the nbins bins of width h = (a1 - a0) / nbins:
+   the left-closed bin floor((x_j - m - a0) / h), clipped to nbins - 1, as
+   the numpy body of measures._numpy_bins computes it, and count the
+   positions below a0 and at or above a1.  Inside the window
+   x_j - m - a0 >= 0, so the truncation to int64_t is that floor. */
+static int bin_positions(const double *pos, int64_t n, double m, double a0, double a1,
+                         int64_t nbins, double *counts, int64_t *below_out, int64_t *above_out)
+{
+    const double h = (a1 - a0) / (double)nbins;
+    const int64_t last = nbins - 1;
+    int64_t below = 0, above = 0, binned = 0;
+
+    for (int64_t j = 0; j < n; j++) {
+        double c = pos[j] - m;
+        if (c < a0) {
+            below++;
+        } else if (c >= a1) {
+            above++;
+        } else if (c >= a0) {      /* false only for NaN */
+            int64_t k = (int64_t)((c - a0) / h);
+            counts[k < last ? k : last] += 1.0;
+            binned++;
+        }
+    }
+    *below_out = below;
+    *above_out = above;
+    return below + above + binned == n ? HIST_DONE : HIST_NAN;
+}
+
+/* Bin the observations due before t, and with `ties` those at t, from the
+   positions and the center m into the averager's next rows, and move obs_k
+   and next_obs past them.  An observation that TimeAverager.add refuses, at
+   a center that is not finite or with a NaN position, stays due: then this
+   returns 1, and the step exits as it does for a callback, so that Python
+   serves it through add(), which bins the same row again and zeroes it as
+   it raises. */
+static int observe(fj_run *r, double m, double t, int ties)
+{
+    int refused = 0;
+    for (; r->obs_k < r->n_obs; r->obs_k++) {
+        const double tk = r->obs_t[r->obs_k];
+        if (!(tk < t || (ties && tk == t)))
+            break;
+        const int64_t row = *r->obs_rows;
+        int64_t below, above;
+        if (!isfinite(m) || bin_positions(r->pos, r->n, m, r->a0, r->a1, r->nbins,
+                                          r->obs_counts + row * r->nbins, &below,
+                                          &above) != HIST_DONE) {
+            refused = 1;
+            break;
+        }
+        r->obs_time[row] = tk;
+        r->obs_m[row] = m;
+        r->obs_n[row] = r->n;
+        r->obs_below[row] = below;
+        r->obs_above[row] = above;
+        *r->obs_rows = row + 1;
+    }
+    r->next_obs = r->obs_k < r->n_obs ? r->obs_t[r->obs_k] : INFINITY;
+    return refused;
+}
+
 int fj_bounded(fj_run *r)
 {
     double *pos = r->pos;
@@ -231,7 +319,7 @@ int fj_bounded(fj_run *r)
             code = EXIT_HORIZON;
             break;
         }
-        if (r->next_obs < t_next) {
+        if (r->next_obs < t_next && (!r->obs_rows || observe(r, m, t_next, 0))) {
             r->value = t_next;
             code = EXIT_OBSERVE_BEFORE;
             break;
@@ -253,7 +341,7 @@ int fj_bounded(fj_run *r)
             code = EXIT_RESUM;
             break;
         }
-        if (accepted && t == r->next_obs) {
+        if (accepted && t == r->next_obs && (!r->obs_rows || observe(r, m, t, 1))) {
             code = EXIT_OBSERVE_AT;
             break;
         }
@@ -274,6 +362,7 @@ static int exp_rebase(fj_run *r)
     double *tree = r->tree;
     const int64_t P = r->leaves;
     int range = 0;
+    r->rebuilds++;
     r->ref = r->m;
     for (int64_t k = 0; k < r->n && !range; k++)
         tree[P + k] = checked_exp(-r->beta * (r->pos[k] - r->ref), &range);
@@ -330,7 +419,7 @@ int fj_exponential(fj_run *r)
             code = EXIT_HORIZON;
             break;
         }
-        if (r->next_obs < t_next) {
+        if (r->next_obs < t_next && (!r->obs_rows || observe(r, r->m, t_next, 0))) {
             r->value = t_next;
             code = EXIT_OBSERVE_BEFORE;
             break;
@@ -362,7 +451,7 @@ int fj_exponential(fj_run *r)
             code = EXIT_RESUM;
             break;
         }
-        if (t == r->next_obs) {
+        if (t == r->next_obs && (!r->obs_rows || observe(r, r->m, t, 1))) {
             code = EXIT_OBSERVE_AT;
             break;
         }
@@ -991,12 +1080,6 @@ int fj_wave_residual(fj_wave *q)
     return 0;
 }
 
-/* Exits of fj_histogram. */
-enum {
-    HIST_DONE,      /* every x_j - m was binned, below or above */
-    HIST_NAN,       /* some x_j - m was NaN: in no bin and not outside */
-};
-
 /* Mirrored field by field by kernel.Bins. */
 typedef struct {
     const double *pos;          /* n positions */
@@ -1007,32 +1090,31 @@ typedef struct {
     int64_t below, above;       /* positions with x - m < a0, with x - m >= a1 */
 } fj_bins;
 
-/* Bin x_j - m into the nbins bins of width h = (a1 - a0) / nbins: the
-   left-closed bin floor((x_j - m - a0) / h), clipped to nbins - 1, as the
-   numpy body of measures._numpy_bins computes it.  Inside the window
-   x_j - m - a0 >= 0, so the truncation to int64_t is that floor. */
+/* Bin one observation, x_j - m, into the counts row of the record (see
+   bin_positions). */
 int fj_histogram(fj_bins *b)
 {
-    const double *pos = b->pos;
-    const double m = b->m, a0 = b->a0, a1 = b->a1;
-    const double h = (a1 - a0) / (double)b->nbins;
-    const int64_t last = b->nbins - 1;
-    double *counts = b->counts;
-    int64_t below = 0, above = 0, binned = 0;
+    return bin_positions(b->pos, b->n, b->m, b->a0, b->a1, b->nbins, b->counts,
+                         &b->below, &b->above);
+}
 
-    for (int64_t j = 0; j < b->n; j++) {
-        double c = pos[j] - m;
-        if (c < a0) {
-            below++;
-        } else if (c >= a1) {
-            above++;
-        } else if (c >= a0) {      /* false only for NaN */
-            int64_t k = (int64_t)((c - a0) / h);
-            counts[k < last ? k : last] += 1.0;
-            binned++;
-        }
+/* The size of each record that kernel.py mirrors, in the order of
+   kernel.RECORDS, so that loading can refuse a mirror whose layout differs;
+   -1 past them. */
+int64_t fj_record_size(int32_t which)
+{
+    switch (which) {
+    case 0:
+        return sizeof(fj_run);
+    case 1:
+        return sizeof(fj_pde_run);
+    case 2:
+        return sizeof(fj_residual_walk);
+    case 3:
+        return sizeof(fj_wave);
+    case 4:
+        return sizeof(fj_bins);
+    default:
+        return -1;
     }
-    b->below = below;
-    b->above = above;
-    return below + above + binned == b->n ? HIST_DONE : HIST_NAN;
 }

@@ -446,25 +446,15 @@ def run_scenario(cfg: ExperimentConfig, outdir=None) -> ScenarioResult:
 
     averager = measures.TimeAverager(a0, a1, nbins, samples=cfg.observations,
                                      burn_in=cfg.burn_in)
-    mean_times, mean_path = [], []
-    snapshot = {"row": None, "err": math.inf, "t": None}
-
-    def observer(t, positions, m):
-        row = averager.add(t, positions, m)
-        mean_times.append(t)
-        mean_path.append(m)
-        if abs(t - snapshot_time) < snapshot["err"]:
-            snapshot["row"] = row
-            snapshot["err"] = abs(t - snapshot_time)
-            snapshot["t"] = t
-
     result = sim.simulate(w, z, cfg.n, T=cfg.T, rng=rng, init=cfg.build_initial(),
-                          observer=observer, observations=cfg.observations,
+                          observer=averager, observations=cfg.observations,
                           engine=cfg.engine, log_events=cfg.log_events)
+    mean_times, mean_path = averager.t[:averager.rows], averager.m[:averager.rows]
+    snapshot = int(np.argmin(np.abs(mean_times - snapshot_time)))     # the first nearest
 
     wave = mean_field.stationary_wave(w)
     hist_avg = averager.finalize()
-    hist_snapshot = averager.histogram(snapshot["row"])
+    hist_snapshot = averager.histogram(snapshot)
     slope, stderr = fit_speed(mean_times, mean_path, cfg.fit_window)
 
     summary = {
@@ -486,13 +476,13 @@ def run_scenario(cfg: ExperimentConfig, outdir=None) -> ScenarioResult:
         "ks_timeavg": ks_histogram_vs_cdf(hist_avg, wave.cdf),
         "w1_timeavg": w1_histogram_vs_cdf(hist_avg, wave.cdf),
         "ks_snapshot": ks_histogram_vs_cdf(hist_snapshot, wave.cdf),
-        "snapshot_time": snapshot["t"],
+        "snapshot_time": mean_times[snapshot],
         "out_of_window_fraction_timeavg": hist_avg.out_count / hist_avg.n_samples,
     }
 
     out = ScenarioResult(config=cfg, summary=summary, hist_timeavg=hist_avg,
                          hist_snapshot=hist_snapshot,
-                         mean_times=np.asarray(mean_times), mean_path=np.asarray(mean_path),
+                         mean_times=mean_times, mean_path=mean_path,
                          sim_result=result)
     if outdir is not None:
         write_bundle(out, outdir)

@@ -5,11 +5,15 @@ step functions of the bounded and exponential engines: each runs events on a
 `Run` record until `sim._drive`, the one driver of every engine, must act, and
 returns the reason (EXIT_*). Their exit-for-exit Python twins in `sim` run on
 the same record and random batches, with bit-identical results, when `load()`
-returns None. A run leaves the kernel only to refill a batch, to observe, to
-re-sum the center of mass (EXIT_RESUM: `_drive` re-sums it with math.fsum and
-sets S0 = inf), to stop or to raise. The exponential engine's sum tree of
-selection weights is built and rebased inside `fj_exponential`, with libm exp
-as in the Python twin, whenever its total is below half of S0.
+returns None. A run leaves the kernel only to refill a batch, to re-sum the
+center of mass (EXIT_RESUM: `_drive` re-sums it with math.fsum and sets S0 =
+inf), to stop or to raise, and, when a callback observes it, at each
+observation time. A run observed by a `measures.TimeAverager` bins each
+observation into the averager's next row inside the step, through the
+binning of `fj_histogram`, and exits at an observation only for one that
+`TimeAverager.add` refuses. The exponential engine's sum tree of selection
+weights is built and rebased inside `fj_exponential`, with libm exp as in the
+Python twin, whenever its total is below half of S0; `rebuilds` counts it.
 `fj_residual` walks an event log for `measures.residual_path`: the identity
 residual of the step rate, on a `Residual` record whose scratch arrays it
 owns, bit-identical to the Python loop, which runs when `load()` returns None.
@@ -30,7 +34,9 @@ The shared library is built with gcc on first use, not at import, and cached as
 of the source, the compiler and the flags; a build goes to a temporary file
 that is renamed into place, so concurrent builds never expose a partial
 library, and a successful build removes the cache's other `_kernel-*.so`
-files. Any failure to build or load gives None.
+files. Any failure to build or load gives None. Loading compares the C size
+of every record (`fj_record_size`) with its ctypes mirror and raises
+`LayoutError` on a mismatch, before any call could write past a record.
 """
 
 from __future__ import annotations
@@ -77,6 +83,10 @@ _I64 = ctypes.c_int64
 _F64 = ctypes.c_double
 
 
+class LayoutError(RuntimeError):
+    """A ctypes mirror whose size differs from its C record's."""
+
+
 class _Record(ctypes.Structure):
     """A C record that points at numpy arrays. `_arrays` maps each pointer
     field to the dtype of the array it may point at; `bind` attaches arrays
@@ -105,7 +115,10 @@ class Run(_Record):
     _arrays = {"rate_params": np.float64, "pos": np.float64, "waits": np.float64,
                "lengths": np.float64, "uniforms": np.float64, "targets": np.int64,
                "tree": np.float64, "log_t": np.float64, "log_z": np.float64,
-               "log_m": np.float64, "log_i": np.int64}
+               "log_m": np.float64, "log_i": np.int64, "obs_t": np.float64,
+               "obs_counts": np.float64, "obs_time": np.float64, "obs_m": np.float64,
+               "obs_n": np.int64, "obs_below": np.int64, "obs_above": np.int64,
+               "obs_rows": np.int64}
     _fields_ = [
         ("n", _I64), ("inv_n", _F64), ("horizon", _F64), ("max_events", _I64),
         ("resum_interval", _I64), ("family", ctypes.c_int32),
@@ -117,7 +130,11 @@ class Run(_Record):
         ("batch", _I64), ("cursor", _I64),
         ("tree", _P), ("leaves", _I64), ("S0", _F64), ("ref", _F64),
         ("log_t", _P), ("log_z", _P), ("log_m", _P), ("log_i", _P), ("log_len", _I64),
-        ("value", _F64),
+        ("value", _F64), ("rebuilds", _I64),
+        ("obs_t", _P), ("n_obs", _I64), ("obs_k", _I64),
+        ("a0", _F64), ("a1", _F64), ("nbins", _I64),
+        ("obs_counts", _P), ("obs_time", _P), ("obs_m", _P),
+        ("obs_n", _P), ("obs_below", _P), ("obs_above", _P), ("obs_rows", _P),
     ]
 
 
@@ -190,6 +207,10 @@ class Bins(_Record):
     ]
 
 
+# The records in the order of fj_record_size(which).
+RECORDS = (Run, Pde, Residual, WaveResidual, Bins)
+
+
 def _build(cc: str) -> Path:
     """Path of the cached library for compiler cc, building it if needed."""
     source = _SOURCE.read_bytes()
@@ -226,6 +247,13 @@ def _load(cc: str):
         fn = getattr(lib, name)
         fn.argtypes = [ctypes.POINTER(record)]
         fn.restype = ctypes.c_int
+    lib.fj_record_size.argtypes = [ctypes.c_int32]
+    lib.fj_record_size.restype = ctypes.c_int64
+    for which, record in enumerate(RECORDS):
+        size = lib.fj_record_size(which)
+        if size != ctypes.sizeof(record):
+            raise LayoutError(f"kernel.{record.__name__} is {ctypes.sizeof(record)} bytes, "
+                              f"and its C record {size}: the mirror does not match _kernel.c")
     return lib
 
 

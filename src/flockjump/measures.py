@@ -6,7 +6,9 @@ A time average bins each observation into one row of a preallocated counts
 matrix, compiled (`fj_histogram` in `_kernel.c`) with the numpy body of
 `_numpy_bins` as the fallback and the oracle, to the bit, and builds a
 `Histogram` only for one chosen sample and for the average; `build_histogram`
-is the one-shot form on the same binning.
+is the one-shot form on the same binning. Passed to `sim.simulate` as the
+observer, a `TimeAverager` has its rows filled by the bounded and
+exponential engine steps themselves, with the same binning.
 
 The residual integral is a finite sum over inter-event intervals (the
 empirical measure is piecewise constant in time), so its value is exact given
@@ -147,9 +149,13 @@ class TimeAverager:
 
     `add` bins each observation into the next row of a (samples x nbins)
     counts matrix, compiled (`fj_histogram` in `_kernel.c`) when the kernel
-    loads and by `_numpy_bins` otherwise, to the same bits, and keeps its
-    time, size and counts below and above the window beside it. A `Histogram`
-    is made only by `histogram` and `finalize`.
+    loads and by `_numpy_bins` otherwise, to the same bits, and writes its
+    time, center, size and counts below and above the window into the
+    row's entries of `t`, `m`, `n`, `below` and `above`; `rows` counts the
+    rows filled. Passed to `sim.simulate` as the observer, the averager is
+    bound to the run's record (`bind`), and the bounded and exponential
+    steps fill its next rows themselves, as `add` would. A `Histogram` is
+    made only by `histogram` and `finalize`.
     """
 
     def __init__(self, a0: float, a1: float, nbins: int, samples: int, burn_in: float = 0.0):
@@ -160,20 +166,34 @@ class TimeAverager:
         self._h = (a1 - a0) / self.nbins
         self.burn_in = burn_in
         self._counts = np.zeros((samples, self.nbins))
-        self._samples = []          # (t, n, below, above) of each row
+        self.t, self.m = np.zeros(samples), np.zeros(samples)
+        self.n, self.below, self.above = (np.zeros(samples, dtype=np.int64) for _ in range(3))
+        self._rows = np.zeros(1, dtype=np.int64)     # one counter, shared with a bound run
         self._lib = kernel.load()
         if self._lib is not None:
             self._bins = kernel.Bins(a0=a0, a1=a1, nbins=self.nbins)
             self._bins_ref = ctypes.byref(self._bins)
             self._row0 = self._counts.ctypes.data
 
+    @property
+    def rows(self) -> int:
+        """The rows filled, in time order from row 0."""
+        return int(self._rows[0])
+
+    def bind(self, run):
+        """Point the observation block of `run`, a `kernel.Run`, at this
+        averager's window and rows, so that the step fills the next rows."""
+        run.a0, run.a1, run.nbins = self.a0, self.a1, self.nbins
+        run.bind(obs_counts=self._counts.reshape(-1), obs_time=self.t, obs_m=self.m,
+                 obs_n=self.n, obs_below=self.below, obs_above=self.above, obs_rows=self._rows)
+
     def add(self, t: float, positions, m: float) -> int:
         """Bin the observation (t, positions, m) into the next row and return
         its index. Samples must arrive in time order. An m that is not
         finite, no positions or a NaN position raise DomainError naming the
         argument, and leave the averager as it was."""
-        k = len(self._samples)
-        if k and t < self._samples[-1][0]:
+        k = self.rows
+        if k and t < self.t[k - 1]:
             raise ModelError("histogram samples must arrive in time order")
         if k == len(self._counts):
             raise ModelError(f"the averager holds {k} samples, and all are taken")
@@ -200,28 +220,33 @@ class TimeAverager:
         if unbinned:
             self._counts[k] = 0.0
             raise DomainError("positions: must not be NaN")
-        self._samples.append((t, positions.size, below, above))
+        self.t[k], self.m[k], self.n[k], self.below[k], self.above[k] = \
+            t, m, positions.size, below, above
+        self._rows[0] = k + 1
         return k
 
     def histogram(self, k: int) -> Histogram:
         """The histogram of observation k alone."""
-        _t, n, below, above = self._samples[k]
+        if not 0 <= k < self.rows:
+            raise IndexError(f"row {k} of an averager with {self.rows} rows filled")
+        n = int(self.n[k])
         counts = self._counts[k].copy()
         return Histogram(a0=self.a0, a1=self.a1, nbins=self.nbins,
                          values=counts / (n * self._h), n_samples=float(n),
-                         out_below=float(below), out_above=float(above), counts=counts)
+                         out_below=float(self.below[k]), out_above=float(self.above[k]),
+                         counts=counts)
 
     def finalize(self) -> Histogram:
         """The time average of the samples at or after burn_in; the weighted
         rows and scalars are summed in sample order."""
-        size = len(self._samples)
-        samples = np.array(self._samples, dtype=float).reshape(size, 4)
-        first = int(np.searchsorted(samples[:, 0], self.burn_in, side="left"))
+        size = self.rows
+        first = int(np.searchsorted(self.t[:size], self.burn_in, side="left"))
         if first == size:
             raise ModelError("no histogram samples to average")
         if first == size - 1:
             return self.histogram(first)
-        t, n, below, above = samples[first:].T
+        t = self.t[first:size]
+        n, below, above = (col[first:size].astype(float) for col in (self.n, self.below, self.above))
         weights = np.empty_like(t)
         weights[0] = 0.5 * (t[1] - t[0])
         weights[-1] = 0.5 * (t[-1] - t[-2])

@@ -29,14 +29,20 @@ positions.sum() / n.
 
 Every engine is a step function on the kernel's record (``kernel.Run``): it
 runs events until ``_drive``, the one driver, must refill a random batch,
-call the observer, re-sum the center, stop or raise, and returns the reason,
-a ``kernel.EXIT_*`` code. The bounded step (step, piecewise-linear, arccot
-and tabulated rates) and the exponential step (its rebuild included) run
-compiled, as ``fj_bounded`` and ``fj_exponential`` in ``_kernel.c``. They
-consume the batches of the engine's one refill and perform the
-floating-point operations of their exit-for-exit Python twins,
+re-sum the center, stop or raise, or call a callback observer, and returns
+the reason, a ``kernel.EXIT_*`` code. An observer that is a
+``measures.TimeAverager`` is bound to the record instead: the bounded and
+exponential steps bin each observation into its next row in their loop and
+do not leave for it; the reference step leaves, and ``_drive`` serves the
+averager through ``add``, as it does the observations due at a re-sum or at
+the stop and any that ``add`` refuses. The bounded step (step,
+piecewise-linear, arccot and tabulated rates) and the exponential step (its
+rebuild included) run compiled, as ``fj_bounded`` and ``fj_exponential`` in
+``_kernel.c``. They consume the batches of the engine's one refill and
+perform the floating-point operations of their exit-for-exit Python twins,
 ``_bounded_steps`` and ``_exponential_steps``, in their order (libm exp and
-atan), so paths, event logs, observer calls and bundles are bit-identical.
+atan), so paths, event logs, observer calls, averager rows and bundles are
+bit-identical.
 The twins run for a bounded family whose ``kernel_rate()`` is None and where
 the library, built with gcc at the first run of a compiled engine and cached
 in ``__pycache__`` (see ``kernel``), cannot be built. The reference step
@@ -53,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernel
+from . import kernel, measures
 from .model import ModelError, SystemState, initial_state, is_count
 
 _BATCH = 1 << 14
@@ -102,6 +108,10 @@ class SimulationResult:
     state: SystemState
     proposals: int = 0
     log: EventLog = None
+    # engine counters; proposals - events are the thinning rejections
+    resums: int = 0                 # re-sums of the center of mass
+    max_resum_drift: float = 0.0    # largest |incremental m - fsum m| at a re-sum
+    rebuilds: int = 0               # exponential engine: rebases of its sum tree
 
 
 # ---------------------------------------------------------------------------
@@ -110,25 +120,44 @@ class SimulationResult:
 
 
 class _Observer:
-    """Calls callback(t, positions, m) at each scheduled time t, with the
-    right-continuous state; without a callback nothing is scheduled."""
+    """The observation times of one run and what they feed: a callback,
+    called as callback(t, positions, m) with the right-continuous state, or
+    a measures.TimeAverager, whose rows must hold every time. Without
+    either nothing is scheduled."""
 
-    def __init__(self, times, callback):
-        self.times = list(times) if callback is not None else []
-        self.callback = callback
-        self.k = 0
+    def __init__(self, times, observer):
+        self.times = np.asarray(times if observer is not None else [], dtype=float)
+        self.averager = observer if isinstance(observer, measures.TimeAverager) else None
+        if self.averager is None:
+            self.serve = lambda t, positions, m: observer(t, positions.copy(), m)
+            return
+        self.serve = observer.add
+        rows, free = observer.rows, len(observer.t) - observer.rows
+        if free < len(self.times):
+            raise ModelError(f"observer: the averager has {free} free rows for "
+                             f"{len(self.times)} observation times")
+        if rows and len(self.times) and self.times[0] < observer.t[rows - 1]:
+            raise ModelError(f"observer: the averager's last row is at t = {observer.t[rows - 1]}, "
+                             f"after the first observation time {self.times[0]}")
 
-    def next_time(self):
-        return self.times[self.k] if self.k < len(self.times) else math.inf
+    def attach(self, run):
+        """Put the times on run's record, and bind the averager's rows to it."""
+        run.bind(obs_t=self.times)
+        run.n_obs, run.obs_k = len(self.times), 0
+        run.next_obs = self.times[0] if len(self.times) else math.inf
+        if self.averager is not None:
+            self.averager.bind(run)
 
-    def emit(self, t, positions, m, ties):
-        """Emit the times before t, and with `ties` those equal to t. Before an
-        event at t they see the pre-event state; after it, or at the end of a
-        run, the ties see the post-event (right-continuous) state."""
-        while self.k < len(self.times) and (self.times[self.k] < t or
-                                            ties and self.times[self.k] == t):
-            self.callback(self.times[self.k], positions(), m)
-            self.k += 1
+    def emit(self, run, t, positions, m, ties):
+        """Serve the times before t, and with `ties` those equal to t, from
+        the positions and centre m. Before an event at t they see the
+        pre-event state; after it, or at the end of a run, the ties see the
+        post-event (right-continuous) state."""
+        times, k = self.times, run.obs_k
+        while k < len(times) and (times[k] < t or ties and times[k] == t):
+            self.serve(times[k], positions, m)
+            k = run.obs_k = k + 1
+        run.next_obs = times[k] if k < len(times) else math.inf
 
 
 def check_engine(w, engine: str = "auto") -> str:
@@ -171,7 +200,10 @@ def simulate(w, z, n: int, *, T: float = None, max_events: int = None,
     """Run the n-particle process to horizon T and/or an event cap.
 
     `observer(t, positions, m)` is invoked on a fixed time grid (default 1000
-    equispaced samples on [0, T]) with the right-continuous state. Hitting the
+    equispaced samples on [0, T]) with the right-continuous state. An
+    observer that is a `measures.TimeAverager` instead gets each observation
+    binned into its next row, as its `add` would bin it; it must have a free
+    row for every time, or ModelError names it before any draw. Hitting the
     event cap before T sets `truncated` in the summary rather than failing.
     """
     _check_stop(T, max_events, "max_events")
@@ -187,11 +219,11 @@ def simulate(w, z, n: int, *, T: float = None, max_events: int = None,
         bad = observe_times[~np.isfinite(observe_times)]
         if bad.size:
             raise ModelError(f"observe_times must be finite, got {bad.tolist()}")
+    obs = _Observer(observe_times, observer)
     if rng is None:
         rng = np.random.default_rng(seed)
     state0 = initial_state(n, init, rng)
-    return ENGINES[engine](w, z, state0, T, max_events, rng,
-                           _Observer(observe_times, observer), log_events)
+    return ENGINES[engine](w, z, state0, T, max_events, rng, obs, log_events)
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +350,43 @@ def _run_bounded(w, z, state, T, max_events, rng, obs, log_events):
     return _drive(step, run, "bounded", state, T, obs, log_events, refill)
 
 
+def _observe(run, pos, m, t, ties):
+    """`observe` of _kernel.c in Python: bin the observations due before t,
+    and with `ties` those at t, from the positions (a list) and the center m
+    into the averager's next rows bound to run, with measures._numpy_bins.
+    True when one that TimeAverager.add refuses (a center that is not finite,
+    a NaN position) stays due."""
+    times, k, refused = run.arrays["obs_t"], run.obs_k, False
+    rows = run.arrays["obs_rows"]
+    positions = np.array(pos)
+    while k < run.n_obs and (times[k] < t or ties and times[k] == t):
+        if not math.isfinite(m):
+            refused = True
+            break
+        row = rows[0]
+        below, above, unbinned = measures._numpy_bins(
+            positions, m, run.a0, run.a1, run.nbins,
+            run.arrays["obs_counts"][row * run.nbins:(row + 1) * run.nbins])
+        if unbinned:
+            refused = True
+            break
+        for field, value in (("obs_time", times[k]), ("obs_m", m), ("obs_n", run.n),
+                             ("obs_below", below), ("obs_above", above)):
+            run.arrays[field][row] = value
+        rows[0] = row + 1
+        k += 1
+    run.obs_k = k
+    run.next_obs = times[k] if k < run.n_obs else math.inf
+    return refused
+
+
 def _bounded_steps(run, rate):
     """fj_bounded in Python, exit for exit, for a family without a C rate or
     where the kernel cannot be built."""
     pos = run.arrays["pos"].tolist()
     waits, targets, uniforms, lengths, lt, li, lz, lm = _views(
         run, "waits", "targets", "uniforms", "lengths", "log_t", "log_i", "log_z", "log_m")
-    logging = run.log_t is not None
+    logging, averaging = run.log_t is not None, run.obs_rows is not None
     inv_n, horizon, max_events, resum = run.inv_n, run.horizon, run.max_events, run.resum_interval
     a, lam, next_obs, batch = run.a, run.lam, run.next_obs, run.batch
     t, m, events, proposals, c, k = run.t, run.m, run.events, run.proposals, run.cursor, 0
@@ -339,8 +401,10 @@ def _bounded_steps(run, rate):
                 t = horizon
                 return kernel.EXIT_HORIZON
             if next_obs < t_next:
-                run.value = t_next
-                return kernel.EXIT_OBSERVE_BEFORE
+                if not averaging or _observe(run, pos, m, t_next, False):
+                    run.value = t_next
+                    return kernel.EXIT_OBSERVE_BEFORE
+                next_obs = run.next_obs
             t = t_next
             i = targets[c]
             accepted = uniforms[c] * a <= rate(pos[i] - m)
@@ -357,7 +421,9 @@ def _bounded_steps(run, rate):
             if accepted and events % resum == 0:
                 return kernel.EXIT_RESUM
             if accepted and t == next_obs:
-                return kernel.EXIT_OBSERVE_AT
+                if not averaging or _observe(run, pos, m, t, True):
+                    return kernel.EXIT_OBSERVE_AT
+                next_obs = run.next_obs
     finally:
         run.arrays["pos"][:] = pos
         run.t, run.m, run.events, run.proposals = t, m, events, proposals
@@ -411,16 +477,18 @@ def _exponential_steps(run):
     pos, tree = run.arrays["pos"].tolist(), run.arrays["tree"].tolist()
     waits, lengths, uniforms, lt, li, lz, lm = _views(
         run, "waits", "lengths", "uniforms", "log_t", "log_i", "log_z", "log_m")
-    logging = run.log_t is not None
+    logging, averaging = run.log_t is not None, run.obs_rows is not None
     inv_n, horizon, max_events, resum = run.inv_n, run.horizon, run.max_events, run.resum_interval
     beta, leaves, next_obs, batch = run.beta, run.leaves, run.next_obs, run.batch
     t, m, ref, S0, events, c, k = run.t, run.m, run.ref, run.S0, run.events, run.cursor, 0
+    rebuilds = run.rebuilds
     exp_ = math.exp
     try:
         while True:
             # the first build (S0 = inf), a halved total, a resum (S0 = inf)
             if tree[1] < 0.5 * S0:
                 ref = m
+                rebuilds += 1
                 S0 = _rebase(pos, tree, leaves, beta, ref)
                 if not (S0 > 0.0 and S0 < math.inf):
                     run.value = S0
@@ -439,8 +507,10 @@ def _exponential_steps(run):
                 t = horizon
                 return kernel.EXIT_HORIZON
             if next_obs < t_next:
-                run.value = t_next
-                return kernel.EXIT_OBSERVE_BEFORE
+                if not averaging or _observe(run, pos, m, t_next, False):
+                    run.value = t_next
+                    return kernel.EXIT_OBSERVE_BEFORE
+                next_obs = run.next_obs
             t = t_next
             # descend to the leaf whose share of [0, S) holds U*S, never into a
             # subtree of total 0 (padding, underflowed leaves, round-off)
@@ -468,11 +538,13 @@ def _exponential_steps(run):
             if events % resum == 0:
                 return kernel.EXIT_RESUM
             if t == next_obs:
-                return kernel.EXIT_OBSERVE_AT
+                if not averaging or _observe(run, pos, m, t, True):
+                    return kernel.EXIT_OBSERVE_AT
+                next_obs = run.next_obs
     finally:
         run.arrays["pos"][:] = pos
         run.arrays["tree"][:] = tree
-        run.t, run.m, run.ref, run.S0 = t, m, ref, S0
+        run.t, run.m, run.ref, run.S0, run.rebuilds = t, m, ref, S0, rebuilds
         run.events = run.proposals = events
         run.cursor, run.log_len = c, k
 
@@ -484,12 +556,18 @@ def _drive(step, run, engine, state, T, obs, log_events, refill):
     step() runs events on `run` and returns a kernel.EXIT_* code. Only here,
     for every engine, are the exits handled: the center is re-summed (and
     written over the centre of the last log row, the event that made it due),
-    the observer is called, the events a call wrote to the log chunk are
-    appended to the log (a batched step runs at most one batch a call and the
+    the observations due are served (at the exits of a callback run, and for
+    an averager the ones due at a re-sum or at the stop, and the ones its
+    `add` must refuse), the events a call wrote to the log chunk are appended
+    to the log (a batched step runs at most one batch a call and the
     reference step stops at a full chunk, so _BATCH entries hold them),
-    refill() binds the next batch, and the errors are raised.
+    refill() binds the next batch, and the errors are raised. A step leaves
+    for nothing else: the bounded and exponential steps bin an averager's
+    observations in their loop.
     """
-    c0, pos, run.next_obs = run.m, run.arrays["pos"], obs.next_time()
+    c0, pos = run.m, run.arrays["pos"]
+    obs.attach(run)
+    resums, drift = 0, 0.0
     logs = chunk = None
     if log_events:
         logs = array("d"), array("q"), array("d"), array("d")
@@ -499,7 +577,10 @@ def _drive(step, run, engine, state, T, obs, log_events, refill):
     while True:
         code = step()
         if code == kernel.EXIT_RESUM:
-            run.m = math.fsum(pos) * run.inv_n
+            m = math.fsum(pos) * run.inv_n
+            resums += 1
+            drift = max(drift, abs(run.m - m))      # a NaN drift leaves it
+            run.m = m
             if run.log_len:
                 chunk[3][run.log_len - 1] = run.m
             run.S0 = math.inf
@@ -508,11 +589,9 @@ def _drive(step, run, engine, state, T, obs, log_events, refill):
                 column.frombytes(part[:run.log_len].view(np.uint8))
             run.log_len = 0
         if code == kernel.EXIT_OBSERVE_BEFORE:
-            obs.emit(run.value, pos.copy, run.m, ties=False)
-            run.next_obs = obs.next_time()
+            obs.emit(run, run.value, pos, run.m, ties=False)
         elif code in (kernel.EXIT_OBSERVE_AT, kernel.EXIT_RESUM):
-            obs.emit(run.t, pos.copy, run.m, ties=True)
-            run.next_obs = obs.next_time()
+            obs.emit(run, run.t, pos, run.m, ties=True)
         elif code in (kernel.EXIT_CAP, kernel.EXIT_HORIZON):
             break
         elif code == kernel.EXIT_BATCH:
@@ -523,7 +602,7 @@ def _drive(step, run, engine, state, T, obs, log_events, refill):
         else:
             _check_weight_total(run.value, _STALLS[code])
     truncated = code == kernel.EXIT_CAP and T is not None and run.t < run.horizon
-    obs.emit(min(run.horizon, run.t), pos.copy, run.m, ties=True)
+    obs.emit(run, min(run.horizon, run.t), pos, run.m, ties=True)
     state.positions = pos
     log = None
     if logs is not None:
@@ -531,7 +610,8 @@ def _drive(step, run, engine, state, T, obs, log_events, refill):
                        lengths=np.asarray(logs[2]), centers=np.asarray(logs[3]))
     return SimulationResult(n=state.n, engine=engine, events=run.events, final_time=run.t,
                             initial_center=c0, final_center=state.center, truncated=truncated,
-                            state=state, proposals=run.proposals, log=log)
+                            state=state, proposals=run.proposals, log=log, resums=resums,
+                            max_resum_drift=drift, rebuilds=run.rebuilds)
 
 
 ENGINES = {"reference": _run_reference, "bounded": _run_bounded,

@@ -37,14 +37,9 @@ def bits(x):
     return np.float64(x).tobytes()
 
 
-def outcome(w, z, n, **kwargs):
-    """Everything a run shows: its result and log bit for bit, the observer's
-    calls (time, positions, m), or the exception it raised."""
-    calls = []
-    observe = kwargs.pop("observe", None)
-    if observe is not None:
-        kwargs.update(observe_times=observe,
-                      observer=lambda t, pos, m: calls.append((bits(t), pos.tobytes(), bits(m))))
+def run_bits(w, z, n, **kwargs):
+    """A run's result, log and counters (resums, drift, rebuilds) bit for
+    bit, or the exception it raised."""
     try:
         res = fj.simulate(w, z, n, **kwargs)
     except (ArithmeticError, ValueError) as exc:
@@ -53,7 +48,44 @@ def outcome(w, z, n, **kwargs):
         col.tobytes() for col in (res.log.times, res.log.indices, res.log.lengths, res.log.centers))
     return (res.engine, res.events, res.proposals, res.truncated, bits(res.final_time),
             bits(res.initial_center), bits(res.final_center), res.state.positions.tobytes(),
-            log, calls)
+            log, (res.resums, bits(res.max_resum_drift), res.rebuilds))
+
+
+def new_averager(times):
+    """A TimeAverager over [-2, 2) in 7 bins, with a row for each distinct time."""
+    return ms.TimeAverager(-2.0, 2.0, 7, samples=len(np.unique(times)))
+
+
+def rows(averager):
+    """The filled rows of an averager (t, m, counts, n, below, above), bit for
+    bit, and its first unfilled counts row."""
+    k = averager.rows
+    filled = tuple(col[:k].tobytes() for col in (averager.t, averager.m, averager._counts,
+                                                 averager.n, averager.below, averager.above))
+    return filled, averager._counts[k:k + 1].tobytes()
+
+
+def outcome(w, z, n, **kwargs):
+    """Everything a run shows: what run_bits shows, the observer's calls
+    (time, positions, m) and the rows of a TimeAverager. Observed, the run
+    is made twice from its seed: with a callback that also feeds one
+    averager through add(), and with a second averager as the observer,
+    which the steps fill themselves. Both runs must show the same, and both
+    averagers the same rows, to the bit, also when the run raised."""
+    observe = kwargs.pop("observe", None)
+    if observe is None:
+        shown = run_bits(w, z, n, **kwargs)
+        return shown if len(shown) == 2 else shown + ([], None)
+    calls, fed, binned = [], new_averager(observe), new_averager(observe)
+
+    def callback(t, pos, m):
+        calls.append((bits(t), pos.tobytes(), bits(m)))
+        fed.add(t, pos, m)
+
+    shown = run_bits(w, z, n, observe_times=observe, observer=callback, **kwargs)
+    assert run_bits(w, z, n, observe_times=observe, observer=binned, **kwargs) == shown
+    assert rows(binned) == rows(fed)
+    return shown if len(shown) == 2 else shown + (calls, rows(binned))
 
 
 def both(w, z, n, **kwargs):
@@ -106,7 +138,26 @@ def test_kernel_exports_only_its_entry_points(tmp_path):
                          capture_output=True, text=True, timeout=60, check=True)
     exported = {line.split()[-1] for line in out.stdout.splitlines() if " T " in line}
     assert exported == {"fj_bounded", "fj_exponential", "fj_pde", "fj_residual", "fj_histogram",
-                        "fj_wave_residual"}
+                        "fj_wave_residual", "fj_record_size"}
+
+
+def test_every_record_mirror_has_the_size_of_its_c_record():
+    lib = kernel.load()
+    for which, record in enumerate(kernel.RECORDS):
+        assert lib.fj_record_size(which) == ctypes.sizeof(record), record.__name__
+    assert lib.fj_record_size(len(kernel.RECORDS)) == -1
+
+
+def test_a_mirror_of_another_size_fails_to_load():
+    # a mirror one field short would let the kernel write past the record
+    class Short(kernel._Record):
+        _fields_ = kernel.Run._fields_[:-1]
+
+    size = ctypes.sizeof(kernel.Run)
+    with mock.patch.object(kernel, "RECORDS", (Short, *kernel.RECORDS[1:])):
+        with pytest.raises(kernel.LayoutError, match=re.escape(
+                f"kernel.Short is {size - 8} bytes, and its C record {size}")):
+            kernel._load.__wrapped__(kernel._CC)
 
 
 BOUNDED = [fj.StepRate(2.0, 1.0), fj.PiecewiseLinearRate(2.0, 1.0), fj.ArccotRate(),
@@ -145,7 +196,8 @@ def test_tabulated_bounded_runs_keep_their_digest():
         expected, got = both(w, fj.ExponentialJump(), 200, seed=seed, max_events=30_000,
                              engine="bounded", log_events=True)
         assert got == expected
-        digest.update(repr(expected).encode())
+        # the run and its (empty) observer calls, without the later counters
+        digest.update(repr(expected[:9] + expected[10:11]).encode())
     assert digest.hexdigest() == TABULATED_DIGEST
 
 
@@ -274,6 +326,94 @@ class FixedJump:
         return np.full(size, self.length)
 
 
+# ---------------------------------------------------------------------------
+# a time averager as the observer: rows binned in the step's loop
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("engine, w", ENGINE_FAMILIES, ids=[e for e, _ in ENGINE_FAMILIES])
+def test_an_averager_observes_a_run_of_length_zero(engine, w):
+    expected, got = both(w, fj.ExponentialJump(), 5, T=0.0, seed=3, engine=engine,
+                         observe=np.zeros(3))
+    assert got == expected
+    assert expected[1] == 0 and len(expected[10]) == 1 and expected[11][0][0] == bits(0.0)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "python"])
+@pytest.mark.parametrize("engine, w", ENGINE_FAMILIES, ids=[e for e, _ in ENGINE_FAMILIES])
+def test_a_capped_run_leaves_the_later_rows_unfilled(compiled, engine, w):
+    times = np.linspace(0.0, 100.0, 401)
+    with contextlib.nullcontext() if compiled else python_loops():
+        avg, fed = new_averager(times), new_averager(times)
+        res = fj.simulate(w, fj.ExponentialJump(), 20, T=100.0, max_events=60, seed=4,
+                          engine=engine, observe_times=times, observer=avg)
+        fj.simulate(w, fj.ExponentialJump(), 20, T=100.0, max_events=60, seed=4, engine=engine,
+                    observe_times=times, observer=lambda t, pos, m: fed.add(t, pos, m))
+    assert res.truncated and 2 < avg.rows < len(times) // 10
+    assert avg.t[avg.rows - 1] <= res.final_time < times[avg.rows]
+    assert rows(avg) == rows(fed)
+    assert not avg._counts[avg.rows:].any() and not avg.n[avg.rows:].any()
+    got, expected = avg.finalize(), fed.finalize()
+    assert got.values.tobytes() == expected.values.tobytes()
+    assert got.n_samples == expected.n_samples == 20.0
+
+
+class NanStart:
+    """A start with a NaN position and the finite center 0, which
+    initial_state refuses."""
+
+    def __init__(self, n, init, rng):
+        self.positions, self.n, self.center = np.array([0.0, math.nan, 0.5]), 3, 0.0
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "python"])
+@pytest.mark.parametrize("z, start, message", [
+    (FixedJump(math.nan), None, "m: must be finite, got nan"),
+    (FixedJump(math.inf), None, "m: must be finite, got inf"),
+    (fj.ExponentialJump(), NanStart, "positions: must not be NaN")], ids=["nan", "inf", "start"])
+def test_an_observation_add_refuses_raises_its_error_and_leaves_no_row(compiled, z, start,
+                                                                       message):
+    # a center or a position add() refuses stops the in-loop binning; the
+    # step exits, and add() raises at that observation
+    times = np.linspace(0.0, 10.0, 201)
+    with contextlib.nullcontext() if compiled else python_loops(), \
+            mock.patch.object(sim, "initial_state", start or sim.initial_state):
+        avg = new_averager(times)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            fj.simulate(fj.StepRate(2.0, 1.0), z, 3, T=10.0, seed=1, engine="bounded",
+                        observe_times=times, observer=avg)
+    assert (avg.rows == 0) == (start is not None)          # the rows before the first jump stay
+    assert not avg._counts[avg.rows:].any() and not avg.n[avg.rows:].any()
+
+
+@pytest.mark.parametrize("engine, w", ENGINE_FAMILIES, ids=[e for e, _ in ENGINE_FAMILIES])
+def test_simulate_refuses_an_averager_that_cannot_hold_the_run(engine, w):
+    small = ms.TimeAverager(-1.0, 1.0, 4, samples=3)
+    with pytest.raises(ModelError, match=re.escape(
+            "observer: the averager has 3 free rows for 4 observation times")):
+        fj.simulate(w, fj.ExponentialJump(), 5, T=1.0, rng=NoDraws(), engine=engine,
+                    observer=small, observations=4)
+    used = ms.TimeAverager(-1.0, 1.0, 4, samples=8)
+    used.add(2.0, [0.0], 0.0)
+    with pytest.raises(ModelError, match=re.escape(
+            "observer: the averager's last row is at t = 2.0, after the first observation "
+            "time 0.0")):
+        fj.simulate(w, fj.ExponentialJump(), 5, T=1.0, rng=NoDraws(), engine=engine,
+                    observer=used, observations=4)
+
+
+@pytest.mark.parametrize("engine, w", ENGINE_FAMILIES, ids=[e for e, _ in ENGINE_FAMILIES])
+def test_engine_counters_agree_on_both_loops(engine, w):
+    with mock.patch.object(sim, "RESUM_INTERVAL", 13):
+        expected, got = both(w, fj.ExponentialJump(), 30, max_events=500, seed=2, engine=engine)
+    assert got == expected
+    events, proposals, (resums, drift, rebuilds) = expected[1], expected[2], expected[9]
+    assert events == 500 and resums == events // 13
+    assert 0.0 < np.frombuffer(drift)[0] < 1e-12
+    assert rebuilds >= 1 if engine == "exponential" else rebuilds == 0
+    assert proposals - events >= 0 and (proposals > events) == (engine == "bounded")
+
+
 ERROR_CASES = [
     # n = 25: one jump of 10^6 puts exp(beta (m - ref)) past the double range
     ("exponential", fj.ExponentialRate(1.0), np.zeros(25), FixedJump(1e6), 100_000,
@@ -397,9 +537,20 @@ def cases(draw):
     return w, z, n, kwargs, grid, ties, constants
 
 
+# Runs observed at every event time, with re-sums every 13 events, so that
+# ties after an accepted event and ties on a re-sum come up on both engines.
+TIE_CASES = [(w, fj.ExponentialJump(), 30,
+              {"seed": 5, "init": np.linspace(-1.0, 1.0, 30), "engine": engine, "T": 8.0,
+               "max_events": 900}, [0.0, 2.5], 1, {"_BATCH": 64, "RESUM_INTERVAL": 13})
+             for engine, w in (("bounded", fj.StepRate(2.0, 1.0)),
+                               ("exponential", fj.ExponentialRate(1.0)))]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cases())
+@example(TIE_CASES[0])
+@example(TIE_CASES[1])
 def test_kernel_matches_python_loop_on_random_cases(case):
     w, z, n, kwargs, grid, ties, constants = case
     with mock.patch.multiple(sim, **constants), np.errstate(over="ignore"):
