@@ -22,7 +22,13 @@
  * selects on a binary sum tree of its weights, and its loop rebuilds the
  * tree (exp_rebase, counted in rebuilds) whenever the total is below half of
  * S0: before the first event, when the total has halved and after each
- * re-sum, so no rebuild returns to Python.
+ * re-sum, so no rebuild returns to Python.  Between rebuilds an event carries
+ * the jumper's new leaf up the tree in one running sum: each ancestor gets
+ * that sum plus its other child, which is the addition tree[2j] +
+ * tree[2j+1] of a rebuild, its operands swapped at a right child, and IEEE
+ * addition rounds both orders to the same bits.  Each step keeps its loop
+ * state in locals and stores it into the record before any call that reads
+ * it there (exp_rebase reads the center m) and at every exit.
  *
  * Every operation is the one the Python twin (sim._bounded_steps,
  * sim._exponential_steps) performs, in the same order, on IEEE doubles:
@@ -377,33 +383,43 @@ static int exp_rebase(fj_run *r)
     return 0;
 }
 
+/* The exponential engine's step.  m, ref, S0 and next_obs live in locals:
+   m is stored before exp_rebase, which reads it, and at the exit; ref and
+   S0 are read back after a rebase, and next_obs after observe, which takes
+   m as its argument.  to_resum counts the events left to the next multiple
+   of resum_interval. */
 int fj_exponential(fj_run *r)
 {
     double *pos = r->pos, *tree = r->tree;
-    const int64_t P = r->leaves;
-    const double beta = r->beta;
-    double t = r->t;
+    const double *waits = r->waits, *lengths = r->lengths, *uniforms = r->uniforms;
+    const int64_t P = r->leaves, batch = r->batch, max_events = r->max_events;
+    const double beta = r->beta, inv_n = r->inv_n, horizon = r->horizon;
+    double t = r->t, m = r->m, ref = r->ref, S0 = r->S0, next_obs = r->next_obs;
     int64_t events = r->events, c = r->cursor;
+    int64_t to_resum = r->resum_interval - events % r->resum_interval;
     int code;
 
     for (;;) {
         /* the first build (S0 = inf), a halved total, a resum (S0 = inf) */
-        if (tree[1] < 0.5 * r->S0) {
+        if (tree[1] < 0.5 * S0) {
+            r->m = m;
             code = exp_rebase(r);
             if (code)
                 break;
+            ref = r->ref;
+            S0 = r->S0;
         }
-        if (r->max_events >= 0 && events >= r->max_events) {
+        if (max_events >= 0 && events >= max_events) {
             code = EXIT_CAP;
             break;
         }
-        if (c >= r->batch) {
+        if (c >= batch) {
             code = EXIT_BATCH;
             break;
         }
         int range = 0;
         double S = tree[1];
-        double R = S * checked_exp(beta * (r->m - r->ref), &range);
+        double R = S * checked_exp(beta * (m - ref), &range);
         if (range) {
             code = EXIT_EXP_RANGE;
             break;
@@ -413,21 +429,24 @@ int fj_exponential(fj_run *r)
             code = EXIT_RATE_STALL;
             break;
         }
-        double t_next = t + r->waits[c] / R;
-        if (t_next > r->horizon) {
-            t = r->horizon;
+        double t_next = t + waits[c] / R;
+        if (t_next > horizon) {
+            t = horizon;
             code = EXIT_HORIZON;
             break;
         }
-        if (r->next_obs < t_next && (!r->obs_rows || observe(r, r->m, t_next, 0))) {
-            r->value = t_next;
-            code = EXIT_OBSERVE_BEFORE;
-            break;
+        if (next_obs < t_next) {
+            if (!r->obs_rows || observe(r, m, t_next, 0)) {
+                r->value = t_next;
+                code = EXIT_OBSERVE_BEFORE;
+                break;
+            }
+            next_obs = r->next_obs;
         }
         t = t_next;
         /* descend to the leaf whose share of [0, S) holds U*S, never into a
            subtree of total 0 (padding, underflowed leaves, round-off) */
-        double target = r->uniforms[c] * S;
+        double target = uniforms[c] * S;
         int64_t j = 1;
         while (j < P) {
             j *= 2;
@@ -437,26 +456,34 @@ int fj_exponential(fj_run *r)
             }
         }
         int64_t i = j - P;
-        double z = r->lengths[c];
+        double z = lengths[c];
         c++;
         pos[i] += z;
-        r->m += z * r->inv_n;
-        /* pos[i] only grew, so this exp cannot overflow */
-        tree[j] = exp(-beta * (pos[i] - r->ref));
-        for (j /= 2; j >= 1; j /= 2)
-            tree[j] = tree[2 * j] + tree[2 * j + 1];
+        m += z * inv_n;
+        /* pos[i] only grew, so this exp cannot overflow; v carries the new
+           sum up to the root */
+        double v = exp(-beta * (pos[i] - ref));
+        tree[j] = v;
+        for (; j > 1; j /= 2) {
+            v = v + tree[j ^ 1];
+            tree[j / 2] = v;
+        }
         events++;
-        log_event(r, t, i, z, r->m);
-        if (events % r->resum_interval == 0) {
+        log_event(r, t, i, z, m);
+        if (--to_resum == 0) {
             code = EXIT_RESUM;
             break;
         }
-        if (t == r->next_obs && (!r->obs_rows || observe(r, r->m, t, 1))) {
-            code = EXIT_OBSERVE_AT;
-            break;
+        if (t == next_obs) {
+            if (!r->obs_rows || observe(r, m, t, 1)) {
+                code = EXIT_OBSERVE_AT;
+                break;
+            }
+            next_obs = r->next_obs;
         }
     }
     r->t = t;
+    r->m = m;
     r->events = r->proposals = events;     /* every proposal is an event */
     r->cursor = c;
     return code;

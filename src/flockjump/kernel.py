@@ -14,6 +14,10 @@ binning of `fj_histogram`, and exits at an observation only for one that
 `TimeAverager.add` refuses. The exponential engine's sum tree of selection
 weights is built and rebased inside `fj_exponential`, with libm exp as in the
 Python twin, whenever its total is below half of S0; `rebuilds` counts it.
+Between rebuilds each event carries its new leaf up to the root in a running
+sum, each ancestor being that sum plus its other child, as the twin does; the
+parents get the bits of tree[2j] + tree[2j+1], since IEEE addition is
+commutative.
 `fj_residual` walks an event log for `measures.residual_path`: the identity
 residual of the step rate, on a `Residual` record whose scratch arrays it
 owns, bit-identical to the Python loop, which runs when `load()` returns None.

@@ -15,9 +15,10 @@ Three exactly-equivalent engines:
   changes no relative weight and only the jumper's weight changes (it
   decreases). The leaves of a binary sum tree hold exp(-beta*(x_i - ref)) and
   each parent the sum of its children (Wong & Easton 1980). An event draws one
-  uniform and descends from the root to the jumper, sets its leaf and
-  recomputes its ancestors from their children: exact selection in O(log n),
-  with no thinning, so every proposal is an event. The tree is rebuilt at
+  uniform and descends from the root to the jumper, sets its leaf and carries
+  the new value up to the root, each ancestor becoming the running sum plus
+  its other child: exact selection in O(log n), with no thinning, so every
+  proposal is an event. The tree is rebuilt at
   ref = m whenever its total is below half of S0, its value at the last
   rebuild: S0 = inf before the first event and after every resum.
 
@@ -473,7 +474,10 @@ def _rebase(pos, tree, leaves, beta, ref):
 
 def _exponential_steps(run):
     """fj_exponential in Python, exit for exit, where the kernel cannot be
-    built. The positions and the tree are lists while it runs."""
+    built. The positions and the tree are lists while it runs. An event
+    carries its new leaf up to the root as fj_exponential does, v += tree[j ^ 1]
+    at each level, so every ancestor gets the same addition, in the same
+    operand order, as in the kernel."""
     pos, tree = run.arrays["pos"].tolist(), run.arrays["tree"].tolist()
     waits, lengths, uniforms, lt, li, lz, lm = _views(
         run, "waits", "lengths", "uniforms", "log_t", "log_i", "log_z", "log_m")
@@ -526,11 +530,11 @@ def _exponential_steps(run):
             c += 1
             pos[i] += length
             m += length * inv_n
-            tree[j] = exp_(-beta * (pos[i] - ref))
-            j //= 2
-            while j:
-                tree[j] = tree[2 * j] + tree[2 * j + 1]
+            v = tree[j] = exp_(-beta * (pos[i] - ref))
+            while j > 1:
+                v += tree[j ^ 1]
                 j //= 2
+                tree[j] = v
             events += 1
             if logging:
                 lt[k], li[k], lz[k], lm[k] = t, i, length, m

@@ -11,9 +11,12 @@ import contextlib
 import ctypes
 import hashlib
 import math
+import os
 import re
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -126,6 +129,48 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     assert out.returncode == 0, out.stderr
 
 
+# Prints a sha256 of an exponential run (n = 25, a padded tree, re-summed
+# every 13 events, observed by an averager) and a bounded one, on the kernel
+# build named by argv[1], or on the cached build without one.
+SANITIZED_RUNS = """
+import hashlib, sys
+from pathlib import Path
+import flockjump as fj
+from flockjump import kernel, measures, sim
+if len(sys.argv) > 1:
+    kernel._build = lambda cc: Path(sys.argv[1])
+assert kernel.load() is not None
+sim.RESUM_INTERVAL = 13
+digest = hashlib.sha256()
+for engine, w in (("exponential", fj.ExponentialRate(1.0)), ("bounded", fj.StepRate(2.0, 1.0))):
+    avg = measures.TimeAverager(-2.0, 2.0, 7, samples=50)
+    res = fj.simulate(w, fj.ExponentialJump(), 25, T=40.0, max_events=2000, seed=9, engine=engine,
+                      observer=avg, observations=50, log_events=True)
+    for col in (res.state.positions, res.log.times, res.log.indices, res.log.lengths,
+                res.log.centers, avg.t, avg.m, avg._counts, avg.below, avg.above):
+        digest.update(col.tobytes())
+    digest.update(repr((res.events, res.final_time, res.resums, res.max_resum_drift,
+                        res.rebuilds)).encode())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif(shutil.which(kernel._CC) is None, reason="no C compiler")
+def test_kernel_runs_clean_under_the_undefined_behaviour_sanitizer(tmp_path):
+    # -fno-sanitize-recover makes any undefined operation of the event steps
+    # (the tree's index arithmetic, the re-sum countdown) abort the run
+    lib = tmp_path / "kernel-ubsan.so"
+    build = subprocess.run([kernel._CC, *kernel._FLAGS, "-fsanitize=undefined",
+                            "-fno-sanitize-recover=all", "-o", str(lib), str(kernel._SOURCE),
+                            "-lm"], capture_output=True, text=True, timeout=120)
+    if build.returncode != 0:
+        pytest.skip(f"cannot link the sanitizer runtime: {build.stderr.strip()[:200]}")
+    env = {**os.environ, "PYTHONPATH": str(Path(fj.__file__).parent.parent)}
+    runs = [subprocess.run([sys.executable, "-c", SANITIZED_RUNS, *args], capture_output=True,
+                           text=True, timeout=120, env=env) for args in ([str(lib)], [])]
+    for out in runs:
+        assert out.returncode == 0, out.stderr
+    assert runs[0].stdout == runs[1].stdout
 @pytest.mark.skipif(shutil.which("nm") is None or shutil.which(kernel._CC) is None,
                     reason="no nm or no C compiler")
 def test_kernel_exports_only_its_entry_points(tmp_path):
@@ -491,6 +536,41 @@ def test_exponential_tree_is_rebuilt_at_the_start_and_after_every_resum():
     resummed = res.log.centers[12::13].tolist()
     assert len(resummed) == 15
     assert refs == [res.initial_center, *resummed]
+
+
+def final_tree(n, compiled):
+    """The sum tree and leaf count of an exponential run of n particles, read
+    from the record that sim._drive is handed, after the run."""
+    runs = []
+
+    def drive(step, run, *args):
+        runs.append(run)
+        return real(step, run, *args)
+
+    real = sim._drive
+    # 600 events take about 340 / n time units (600 at n = 1)
+    times = np.linspace(0.0, 300.0 / n, 41)
+    averager = new_averager(times)
+    with contextlib.nullcontext() if compiled else python_loops(), \
+            mock.patch.object(sim, "_drive", drive), mock.patch.object(sim, "RESUM_INTERVAL", 13):
+        res = fj.simulate(fj.ExponentialRate(1.0), fj.ExponentialJump(), n, max_events=600,
+                          seed=n, observe_times=times, observer=averager)
+    (run,) = runs
+    # two events after the last re-sum's rebuild, and observations binned
+    assert res.events == 600 and res.rebuilds > 600 // 13 and averager.rows > 20
+    return run.arrays["tree"], run.leaves
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 25, 1000])
+def test_exponential_tree_is_a_sum_tree_after_a_run(n):
+    # Each event carries the new leaf's sum up the tree; every parent must
+    # still be the sum of its children to the bit, and the padding stay 0.
+    tree, leaves = final_tree(n, compiled=True)
+    sums = tree[2:2 * leaves:2] + tree[3:2 * leaves:2]
+    assert tree[1:leaves].tobytes() == sums.tobytes()
+    assert not tree[leaves + n:].any()
+    twin, _ = final_tree(n, compiled=False)
+    assert twin.tobytes() == tree.tobytes()
 
 
 # ---------------------------------------------------------------------------

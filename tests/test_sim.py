@@ -336,6 +336,25 @@ def test_engines_agree_on_two_particle_occupancy_exponential():
         assert occupancy_tv(gap_occupancy(res.log), pi) < 0.02
 
 
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+def test_exponential_engine_runs_two_particles_at_their_exact_speed(beta):
+    # With n = 2 and Exp(1) jumps the centre moves at cosh(beta g / 2) on
+    # average, and the gap law is prop. to sech^(1 + 2/beta)(beta g / 2), so
+    # the speed is v2 = Gamma(1/beta) Gamma(1 + 1/beta) / Gamma(1/beta + 1/2)^2:
+    # 4/pi at beta = 1, pi/2 at beta = 2. The total rate averages 2 v2, so T
+    # holds about 5e5 events; over 8 seeds the se is about 0.1% of v2.
+    v2 = math.gamma(1 / beta) * math.gamma(1 + 1 / beta) / math.gamma(1 / beta + 0.5) ** 2
+    assert v2 == pytest.approx({1.0: 4 / math.pi, 2.0: math.pi / 2}[beta], rel=1e-14)
+    T = 2.5e5 / v2
+    speeds = []
+    for seed in range(2750, 2758):
+        res = fj.simulate(fj.ExponentialRate(beta), fj.ExponentialJump(), 2, T=T, seed=seed,
+                          engine="exponential")
+        speeds.append((res.final_center - res.initial_center) / T)
+    z = (np.mean(speeds) - v2) / (np.std(speeds, ddof=1) / math.sqrt(len(speeds)))
+    assert abs(z) <= 4.0, (speeds, z)
+
+
 @pytest.mark.parametrize("engine, w", [("exponential", fj.ExponentialRate(1.0)),
                                         ("bounded", fj.StepRate(2.0, 1.0)),
                                         ("reference", fj.ExponentialRate(1.0))])
