@@ -138,7 +138,8 @@ typedef struct {
     double *tree;
     int64_t leaves;             /* a power of two >= n */
     double S0, ref;
-    /* event-log chunk, written from 0 each call; log_t == NULL: no log */
+    /* the free tail of the event log's columns: each call writes from 0, and
+       the driver rebinds the tail past those rows; log_t == NULL: no log */
     double *log_t, *log_z, *log_m;
     int64_t *log_i;
     int64_t log_len;

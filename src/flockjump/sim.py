@@ -31,19 +31,20 @@ positions.sum() / n.
 Every engine is a step function on the kernel's record (``kernel.Run``): it
 runs events until ``_drive``, the one driver, must refill a random batch,
 re-sum the center, stop or raise, or call a callback observer, and returns
-the reason, a ``kernel.EXIT_*`` code. An observer that is a
-``measures.TimeAverager`` is bound to the record instead: the bounded and
-exponential steps bin each observation into its next row in their loop and
-do not leave for it; the reference step leaves, and ``_drive`` serves the
-averager through ``add``, as it does the observations due at a re-sum or at
-the stop and any that ``add`` refuses. The bounded step (step,
-piecewise-linear, arccot and tabulated rates) and the exponential step (its
-rebuild included) run compiled, as ``fj_bounded`` and ``fj_exponential`` in
-``_kernel.c``. They consume the batches of the engine's one refill and
-perform the floating-point operations of their exit-for-exit Python twins,
-``_bounded_steps`` and ``_exponential_steps``, in their order (libm exp and
-atan), so paths, event logs, observer calls, averager rows and bundles are
-bit-identical.
+the reason, a ``kernel.EXIT_*`` code. A logged event's row goes straight
+into the ``EventLog`` columns, at the free tail that ``_drive`` binds. An
+observer that is a ``measures.TimeAverager`` is bound to the record instead:
+the bounded and exponential steps bin each observation into its next row in
+their loop and do not leave for it; the reference step leaves, and
+``_drive`` serves the averager through ``add``, as it does the observations
+due at a re-sum or at the stop and any that ``add`` refuses. The bounded
+step (step, piecewise-linear, arccot and tabulated rates) and the
+exponential step (its rebuild included) run compiled, as ``fj_bounded`` and
+``fj_exponential`` in ``_kernel.c``. They consume the batches of the
+engine's one refill and perform the floating-point operations of their
+exit-for-exit Python twins, ``_bounded_steps`` and ``_exponential_steps``,
+in their order (libm exp and atan), so paths, event logs, observer calls,
+averager rows and bundles are bit-identical.
 The twins run for a bounded family whose ``kernel_rate()`` is None and where
 the library, built with gcc at the first run of a compiled engine and cached
 in ``__pycache__`` (see ``kernel``), cannot be built. The reference step
@@ -55,7 +56,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,7 +251,7 @@ def _record(state, T, max_events, **fields):
 
 def _views(run, *fields):
     """Memoryviews of the arrays bound to run's fields (empty while unbound):
-    a Python step reads its batch and writes its log chunk through them."""
+    a Python step reads its batch and writes its log rows through them."""
     return [memoryview(run.arrays.get(field, _UNBOUND)) for field in fields]
 
 
@@ -280,7 +280,7 @@ def _reference_steps(run, w, z, rng):
     the uniform that selects and the length, one event at a time. An event
     whose time falls after an observation keeps that time in run.value, with
     run.cursor = 1, and the next call takes it instead of drawing again. The
-    step exits with EXIT_BATCH once the log chunk is full."""
+    step exits with EXIT_BATCH once the log's free tail is full."""
     pos = run.arrays["pos"]
     lt, li, lz, lm = _views(run, "log_t", "log_i", "log_z", "log_m")
     logging = run.log_t is not None
@@ -562,22 +562,21 @@ def _drive(step, run, engine, state, T, obs, log_events, refill):
     written over the centre of the last log row, the event that made it due),
     the observations due are served (at the exits of a callback run, and for
     an averager the ones due at a re-sum or at the stop, and the ones its
-    `add` must refuse), the events a call wrote to the log chunk are appended
-    to the log (a batched step runs at most one batch a call and the
-    reference step stops at a full chunk, so _BATCH entries hold them),
-    refill() binds the next batch, and the errors are raised. A step leaves
-    for nothing else: the bounded and exponential steps bin an averager's
-    observations in their loop.
+    `add` must refuse), the log rows a call wrote at the free tail are counted
+    and the tail is rebound past them (a batched step writes at most one batch
+    a call, the reference step stops at the tail's end; the columns double
+    whenever fewer than _BATCH rows are free), refill() binds the next batch,
+    and the errors are raised. A step leaves for nothing else: the bounded and
+    exponential steps bin an averager's observations in their loop.
     """
     c0, pos = run.m, run.arrays["pos"]
     obs.attach(run)
     resums, drift = 0, 0.0
-    logs = chunk = None
+    cols, filled, log = None, 0, None
     if log_events:
-        logs = array("d"), array("q"), array("d"), array("d")
-        chunk = (np.empty(_BATCH), np.empty(_BATCH, dtype=np.int64),
-                 np.empty(_BATCH), np.empty(_BATCH))
-        run.bind(log_t=chunk[0], log_i=chunk[1], log_z=chunk[2], log_m=chunk[3])
+        cols = {"log_t": np.empty(_BATCH), "log_i": np.empty(_BATCH, dtype=np.int64),
+                "log_z": np.empty(_BATCH), "log_m": np.empty(_BATCH)}
+        run.bind(**cols)
     while True:
         code = step()
         if code == kernel.EXIT_RESUM:
@@ -586,12 +585,15 @@ def _drive(step, run, engine, state, T, obs, log_events, refill):
             drift = max(drift, abs(run.m - m))      # a NaN drift leaves it
             run.m = m
             if run.log_len:
-                chunk[3][run.log_len - 1] = run.m
+                run.arrays["log_m"][run.log_len - 1] = run.m
             run.S0 = math.inf
         if run.log_len:
-            for column, part in zip(logs, chunk):
-                column.frombytes(part[:run.log_len].view(np.uint8))
-            run.log_len = 0
+            filled, run.log_len = filled + run.log_len, 0
+            if len(cols["log_t"]) - filled < _BATCH:
+                for field, col in cols.items():
+                    cols[field] = np.empty(2 * len(col), dtype=col.dtype)
+                    cols[field][:filled] = col[:filled]
+            run.bind(**{field: col[filled:] for field, col in cols.items()})
         if code == kernel.EXIT_OBSERVE_BEFORE:
             obs.emit(run, run.value, pos, run.m, ties=False)
         elif code in (kernel.EXIT_OBSERVE_AT, kernel.EXIT_RESUM):
@@ -608,10 +610,8 @@ def _drive(step, run, engine, state, T, obs, log_events, refill):
     truncated = code == kernel.EXIT_CAP and T is not None and run.t < run.horizon
     obs.emit(run, min(run.horizon, run.t), pos, run.m, ties=True)
     state.positions = pos
-    log = None
-    if logs is not None:
-        log = EventLog(times=np.asarray(logs[0]), indices=np.asarray(logs[1], dtype=np.int64),
-                       lengths=np.asarray(logs[2]), centers=np.asarray(logs[3]))
+    if cols is not None:
+        log = EventLog(*(cols[field][:filled] for field in ("log_t", "log_i", "log_z", "log_m")))
     return SimulationResult(n=state.n, engine=engine, events=run.events, final_time=run.t,
                             initial_center=c0, final_center=state.center, truncated=truncated,
                             state=state, proposals=run.proposals, log=log, resums=resums,

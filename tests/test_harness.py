@@ -404,11 +404,15 @@ def test_run_scenario_different_seed_differs(tmp_path):
 
 
 def test_run_scenario_emits_events_csv_when_logged(tmp_path):
+    # 18155 events, more than one _BATCH, so the log's columns grow once; the
+    # digest, in the form of PRESET_DIGESTS, pins every byte of the bundle.
     d = tmp_path / "r"
-    run_scenario(_tiny_cfg(log_events=True, T=5.0), outdir=d)
+    out = run_scenario(_tiny_cfg(log_events=True, T=60.0), outdir=d)
     assert (d / "events.csv").exists()
     lines = (d / "events.csv").read_text().splitlines()
     assert lines[0] == "time,particle_index,jump_length,center_of_mass"
+    assert len(lines) - 1 == out.summary["events"] == 18155
+    assert _bundle_digest(d) == "49afd2e82db0a192509a5d9864448f5f5a748a3dadbb96813825c3cbe89b47b1"
 
 
 def _bundle_digest(outdir):

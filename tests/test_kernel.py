@@ -361,6 +361,30 @@ def test_zero_events_and_a_capped_infinite_horizon_run_alike_on_both_loops(engin
                     engine=engine, observer=lambda t, pos, m: None)
 
 
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "python"])
+@pytest.mark.parametrize("engine, w", ENGINE_FAMILIES, ids=[e for e, _ in ENGINE_FAMILIES])
+def test_logging_never_changes_a_run(compiled, engine, w):
+    # The steps write into the free tail of the log's columns, which double
+    # whenever fewer than _BATCH rows are free: with 7 the log of 400 events
+    # doubles six times, and a re-sum every 13 events puts re-summed centres
+    # into the first calls after a growth.
+    kwargs = {"max_events": 400, "seed": 12, "engine": engine}
+    with contextlib.nullcontext() if compiled else python_loops(), \
+            mock.patch.multiple(sim, _BATCH=7, RESUM_INTERVAL=13):
+        logged = run_bits(w, fj.ExponentialJump(), 6, log_events=True, **kwargs)
+        unlogged = run_bits(w, fj.ExponentialJump(), 6, **kwargs)
+        res = fj.simulate(w, fj.ExponentialJump(), 6, log_events=True, **kwargs)
+    assert logged[:8] + logged[9:] == unlogged[:8] + unlogged[9:]
+    assert unlogged[8] is None and logged[8] is not None
+    assert res.events == 400 and res.resums == 400 // 13 and len(res.log) == res.events
+    columns = (res.log.times, res.log.indices, res.log.lengths, res.log.centers)
+    assert tuple(col.tobytes() for col in columns) == logged[8]
+    assert_log_replays(logged, np.zeros(6), 13)
+    for col, dtype in zip(columns, (np.float64, np.int64, np.float64, np.float64)):
+        assert col.dtype == dtype and col.ndim == 1 and col.flags.c_contiguous
+        assert len(col) == res.events
+
+
 class FixedJump:
     """Every jump has the given length: not a unit-mean law, a driver of edge cases."""
 
