@@ -10,19 +10,19 @@
  * a step function that sim._drive calls: it runs events until something
  * only Python can do is due, stores the loop state back into the fj_run
  * record and returns the reason (EXIT_*): a batch ran out, the center of
- * mass is due to be re-summed, the horizon or the event cap was hit, a total
- * was not finite, or an observation time was reached.  sim._drive does the
- * re-sum itself, correctly rounded in Python, and sets S0 = inf.  A run
- * observed by a time averager (measures.TimeAverager) does not leave at its
- * observation times: the step bins each one into the averager's next row
- * (observe, with bin_positions, fj_histogram's binning) and runs on, so it
- * leaves only to refill, re-sum, stop or raise, and to have Python serve an
- * observation that TimeAverager.add refuses.  Python serves the observations
- * due at a re-sum or at the stop through add().  The exponential engine
- * selects on a binary sum tree of its weights, and its loop rebuilds the
- * tree (exp_rebase, counted in rebuilds) whenever the total is below half of
- * S0: before the first event, when the total has halved and after each
- * re-sum, so no rebuild returns to Python.  Between rebuilds an event carries
+ * mass is due to be re-summed, the horizon or the event cap was hit, or a
+ * total was not finite.  sim._drive does the re-sum itself, correctly
+ * rounded in Python, and sets S0 = inf.  A run's observer is a time averager
+ * (measures.TimeAverager), and the step does not leave at its observation
+ * times: it bins each one into the averager's next row (observe, with
+ * bin_positions, fj_histogram's binning) and runs on.  It leaves for an
+ * observation only when TimeAverager.add refuses it (EXIT_OBSERVE), so that
+ * Python serves it through add(), which raises.  Python serves the
+ * observations due at a re-sum or at the stop through add().  The
+ * exponential engine selects on a binary sum tree of its weights, and its
+ * loop rebuilds the tree (exp_rebase, counted in rebuilds) whenever the
+ * total is below half of S0: before the first event, when the total has
+ * halved and after each re-sum, so no rebuild returns to Python.  Between rebuilds an event carries
  * the jumper's new leaf up the tree in one running sum: each ancestor gets
  * that sum plus its other child, which is the addition tree[2j] +
  * tree[2j+1] of a rebuild, its operands swapped at a right child, and IEEE
@@ -34,8 +34,8 @@
  * sim._exponential_steps) performs, in the same order, on IEEE doubles:
  * build with -ffp-contract=off and without -ffast-math, so that no
  * multiply-add is fused.  exp and atan are the libm functions that math.exp
- * and math.atan call.  The event log, the final state and the observer's
- * view are then bit-identical to the Python twin's.
+ * and math.atan call.  The event log, the final state and the averager's
+ * rows are then bit-identical to the Python twin's.
  *
  * Residual walk.  fj_residual walks a whole event log in one call: the
  * identity residual A_{t,id} of measures.residual_path for the step rate,
@@ -97,8 +97,7 @@ enum {
     EXIT_CAP,             /* events reached max_events */
     EXIT_HORIZON,         /* the next event falls after the horizon; t = horizon */
     EXIT_BATCH,           /* the batch is used up, at the start of an event */
-    EXIT_OBSERVE_BEFORE,  /* next_obs < value = the next event time */
-    EXIT_OBSERVE_AT,      /* an event landed exactly on next_obs */
+    EXIT_OBSERVE,         /* TimeAverager.add refuses the observation obs_t[obs_k] */
     EXIT_RESUM,           /* the logged event brought events to a multiple of resum_interval */
     EXIT_RATE_STALL,      /* value = the total jump rate, not finite and positive */
     EXIT_WEIGHT_STALL,    /* value = the rebased weight total, not finite and positive */
@@ -146,11 +145,12 @@ typedef struct {
     double value;               /* detail of the exit, see EXIT_* */
     int64_t rebuilds;           /* exponential: rebases of the sum tree */
     /* observations: the sorted times obs_t[0 .. n_obs), of which obs_k is the
-       next and next_obs its time.  With a time averager bound (obs_rows !=
-       NULL), the step bins each due observation into the averager's next row
-       *obs_rows, as TimeAverager.add does, instead of exiting: counts row at
-       obs_counts + row nbins over the window [a0, a1), and the row's time,
-       center, size and the positions below and above the window */
+       next and next_obs its time.  The step bins each due observation into
+       the time averager's next row *obs_rows, as TimeAverager.add does:
+       counts row at obs_counts + row nbins over the window [a0, a1), and the
+       row's time, center, size and the positions below and above the
+       window.  Without an averager n_obs = 0, next_obs = inf and the
+       averager's pointers are NULL. */
     const double *obs_t;
     int64_t n_obs, obs_k;
     double a0, a1;
@@ -275,9 +275,9 @@ static int bin_positions(const double *pos, int64_t n, double m, double a0, doub
    positions and the center m into the averager's next rows, and move obs_k
    and next_obs past them.  An observation that TimeAverager.add refuses, at
    a center that is not finite or with a NaN position, stays due: then this
-   returns 1, and the step exits as it does for a callback, so that Python
-   serves it through add(), which bins the same row again and zeroes it as
-   it raises. */
+   returns 1, and the step exits with EXIT_OBSERVE, so that Python serves it
+   through add(), which bins the same row again and zeroes it as it
+   raises. */
 static int observe(fj_run *r, double m, double t, int ties)
 {
     int refused = 0;
@@ -326,9 +326,8 @@ int fj_bounded(fj_run *r)
             code = EXIT_HORIZON;
             break;
         }
-        if (r->next_obs < t_next && (!r->obs_rows || observe(r, m, t_next, 0))) {
-            r->value = t_next;
-            code = EXIT_OBSERVE_BEFORE;
+        if (r->next_obs < t_next && observe(r, m, t_next, 0)) {
+            code = EXIT_OBSERVE;
             break;
         }
         t = t_next;
@@ -348,8 +347,8 @@ int fj_bounded(fj_run *r)
             code = EXIT_RESUM;
             break;
         }
-        if (accepted && t == r->next_obs && (!r->obs_rows || observe(r, m, t, 1))) {
-            code = EXIT_OBSERVE_AT;
+        if (accepted && t == r->next_obs && observe(r, m, t, 1)) {
+            code = EXIT_OBSERVE;
             break;
         }
     }
@@ -437,9 +436,8 @@ int fj_exponential(fj_run *r)
             break;
         }
         if (next_obs < t_next) {
-            if (!r->obs_rows || observe(r, m, t_next, 0)) {
-                r->value = t_next;
-                code = EXIT_OBSERVE_BEFORE;
+            if (observe(r, m, t_next, 0)) {
+                code = EXIT_OBSERVE;
                 break;
             }
             next_obs = r->next_obs;
@@ -476,8 +474,8 @@ int fj_exponential(fj_run *r)
             break;
         }
         if (t == next_obs) {
-            if (!r->obs_rows || observe(r, m, t, 1)) {
-                code = EXIT_OBSERVE_AT;
+            if (observe(r, m, t, 1)) {
+                code = EXIT_OBSERVE;
                 break;
             }
             next_obs = r->next_obs;

@@ -7,11 +7,11 @@ returns the reason (EXIT_*). Their exit-for-exit Python twins in `sim` run on
 the same record and random batches, with bit-identical results, when `load()`
 returns None. A run leaves the kernel only to refill a batch, to re-sum the
 center of mass (EXIT_RESUM: `_drive` re-sums it with math.fsum and sets S0 =
-inf), to stop or to raise, and, when a callback observes it, at each
-observation time. A run observed by a `measures.TimeAverager` bins each
-observation into the averager's next row inside the step, through the
-binning of `fj_histogram`, and exits at an observation only for one that
-`TimeAverager.add` refuses. The exponential engine's sum tree of selection
+inf), to stop or to raise. Its observer, a `measures.TimeAverager`, is bound
+to the record, and the step bins each observation due into the averager's
+next row, through the binning of `fj_histogram`; it exits (EXIT_OBSERVE)
+only for one that `TimeAverager.add` refuses, which `_drive` then serves
+through `add`, and `add` raises. The exponential engine's sum tree of selection
 weights is built and rebased inside `fj_exponential`, with libm exp as in the
 Python twin, whenever its total is below half of S0; `rebuilds` counts it.
 Between rebuilds each event carries its new leaf up to the root in a running
@@ -62,8 +62,8 @@ _CC = "gcc"
 _FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 # Exit codes of the event steps, compiled and Python (the EXIT_* enum of _kernel.c).
-(EXIT_CAP, EXIT_HORIZON, EXIT_BATCH, EXIT_OBSERVE_BEFORE, EXIT_OBSERVE_AT, EXIT_RESUM,
- EXIT_RATE_STALL, EXIT_WEIGHT_STALL, EXIT_EXP_RANGE) = range(9)
+(EXIT_CAP, EXIT_HORIZON, EXIT_BATCH, EXIT_OBSERVE, EXIT_RESUM, EXIT_RATE_STALL,
+ EXIT_WEIGHT_STALL, EXIT_EXP_RANGE) = range(8)
 
 # The exceptions math.exp raises where the kernel exits with these.
 ERRORS = {

@@ -6,9 +6,9 @@ A time average bins each observation into one row of a preallocated counts
 matrix, compiled (`fj_histogram` in `_kernel.c`) with the numpy body of
 `_numpy_bins` as the fallback and the oracle, to the bit, and builds a
 `Histogram` only for one chosen sample and for the average; `build_histogram`
-is the one-shot form on the same binning. Passed to `sim.simulate` as the
-observer, a `TimeAverager` has its rows filled by the bounded and
-exponential engine steps themselves, with the same binning.
+is the one-shot form on the same binning. A `TimeAverager` is the one
+observer `sim.simulate` takes: every engine step fills its rows in its loop,
+the Python steps through `add` and the compiled ones with the same binning.
 
 The residual integral is a finite sum over inter-event intervals (the
 empirical measure is piecewise constant in time), so its value is exact given
@@ -153,15 +153,19 @@ class TimeAverager:
     time, center, size and counts below and above the window into the
     row's entries of `t`, `m`, `n`, `below` and `above`; `rows` counts the
     rows filled. Passed to `sim.simulate` as the observer, the averager is
-    bound to the run's record (`bind`), and the bounded and exponential
-    steps fill its next rows themselves, as `add` would. A `Histogram` is
-    made only by `histogram` and `finalize`.
+    bound to the run's record (`bind`), and every engine step fills its next
+    rows in its loop: the Python steps call `add`, and the compiled ones bin
+    each row as `add` would. A `Histogram` is made only by `histogram` and
+    `finalize`. A `burn_in` that is not a finite number raises DomainError
+    naming it.
     """
 
     def __init__(self, a0: float, a1: float, nbins: int, samples: int, burn_in: float = 0.0):
         self.nbins = _check_window(a0, a1, nbins)
         if not is_count(samples, 0):
             raise DomainError(f"samples: must be an integer >= 0, got {samples!r}")
+        if not is_finite_number(burn_in):
+            raise DomainError(f"burn_in: must be a finite number, got {burn_in!r}")
         self.a0, self.a1 = a0, a1
         self._h = (a1 - a0) / self.nbins
         self.burn_in = burn_in
@@ -189,9 +193,11 @@ class TimeAverager:
 
     def add(self, t: float, positions, m: float) -> int:
         """Bin the observation (t, positions, m) into the next row and return
-        its index. Samples must arrive in time order. An m that is not
-        finite, no positions or a NaN position raise DomainError naming the
-        argument, and leave the averager as it was."""
+        its index. Samples must arrive in time order. A t or an m that is
+        not finite, no positions or a NaN position raise DomainError naming
+        the argument, and leave the averager as it was."""
+        if not is_finite_number(t):
+            raise DomainError(f"t: must be a finite number, got {t!r}")
         k = self.rows
         if k and t < self.t[k - 1]:
             raise ModelError("histogram samples must arrive in time order")

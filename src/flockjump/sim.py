@@ -30,21 +30,21 @@ positions.sum() / n.
 
 Every engine is a step function on the kernel's record (``kernel.Run``): it
 runs events until ``_drive``, the one driver, must refill a random batch,
-re-sum the center, stop or raise, or call a callback observer, and returns
-the reason, a ``kernel.EXIT_*`` code. A logged event's row goes straight
-into the ``EventLog`` columns, at the free tail that ``_drive`` binds. An
-observer that is a ``measures.TimeAverager`` is bound to the record instead:
-the bounded and exponential steps bin each observation into its next row in
-their loop and do not leave for it; the reference step leaves, and
-``_drive`` serves the averager through ``add``, as it does the observations
-due at a re-sum or at the stop and any that ``add`` refuses. The bounded
-step (step, piecewise-linear, arccot and tabulated rates) and the
-exponential step (its rebuild included) run compiled, as ``fj_bounded`` and
-``fj_exponential`` in ``_kernel.c``. They consume the batches of the
-engine's one refill and perform the floating-point operations of their
-exit-for-exit Python twins, ``_bounded_steps`` and ``_exponential_steps``,
-in their order (libm exp and atan), so paths, event logs, observer calls,
-averager rows and bundles are bit-identical.
+re-sum the center, stop or raise, and returns the reason, a
+``kernel.EXIT_*`` code. A logged event's row goes straight into the
+``EventLog`` columns, at the free tail that ``_drive`` binds. The one
+observer is a ``measures.TimeAverager``, bound to the record: every step
+adds each observation due in its loop to the averager's next row and does
+not leave for it. The Python steps call ``_Observer.emit``, which calls
+``add``; the compiled ones bin the row as ``add`` would. ``_drive`` serves
+the observations due at a re-sum or at the stop, and the one a compiled
+step leaves for because ``add`` refuses it. The bounded step (step,
+piecewise-linear, arccot and tabulated rates) and the exponential step (its
+rebuild included) run compiled, as ``fj_bounded`` and ``fj_exponential`` in
+``_kernel.c``. They consume the batches of the engine's one refill and
+perform the floating-point operations of their exit-for-exit Python twins,
+``_bounded_steps`` and ``_exponential_steps``, in their order (libm exp and
+atan), so paths, event logs, averager rows and bundles are bit-identical.
 The twins run for a bounded family whose ``kernel_rate()`` is None and where
 the library, built with gcc at the first run of a compiled engine and cached
 in ``__pycache__`` (see ``kernel``), cannot be built. The reference step
@@ -121,18 +121,15 @@ class SimulationResult:
 
 
 class _Observer:
-    """The observation times of one run and what they feed: a callback,
-    called as callback(t, positions, m) with the right-continuous state, or
-    a measures.TimeAverager, whose rows must hold every time. Without
-    either nothing is scheduled."""
+    """The observation times of one run and the measures.TimeAverager they
+    feed, whose rows must hold every time. Without an averager nothing is
+    scheduled."""
 
     def __init__(self, times, observer):
         self.times = np.asarray(times if observer is not None else [], dtype=float)
-        self.averager = observer if isinstance(observer, measures.TimeAverager) else None
-        if self.averager is None:
-            self.serve = lambda t, positions, m: observer(t, positions.copy(), m)
+        self.averager = observer
+        if observer is None:
             return
-        self.serve = observer.add
         rows, free = observer.rows, len(observer.t) - observer.rows
         if free < len(self.times):
             raise ModelError(f"observer: the averager has {free} free rows for "
@@ -150,15 +147,17 @@ class _Observer:
             self.averager.bind(run)
 
     def emit(self, run, t, positions, m, ties):
-        """Serve the times before t, and with `ties` those equal to t, from
-        the positions and centre m. Before an event at t they see the
-        pre-event state; after it, or at the end of a run, the ties see the
-        post-event (right-continuous) state."""
+        """Add the times before t, and with `ties` those equal to t, to the
+        averager from the positions and centre m, and return the next time.
+        Before an event at t they see the pre-event state; after it, or at
+        the end of a run, the ties see the post-event (right-continuous)
+        state. An observation that `add` refuses raises its DomainError."""
         times, k = self.times, run.obs_k
         while k < len(times) and (times[k] < t or ties and times[k] == t):
-            self.serve(times[k], positions, m)
+            self.averager.add(times[k], positions, m)
             k = run.obs_k = k + 1
         run.next_obs = times[k] if k < len(times) else math.inf
+        return run.next_obs
 
 
 def check_engine(w, engine: str = "auto") -> str:
@@ -200,15 +199,18 @@ def simulate(w, z, n: int, *, T: float = None, max_events: int = None,
              engine: str = "auto", log_events: bool = False) -> SimulationResult:
     """Run the n-particle process to horizon T and/or an event cap.
 
-    `observer(t, positions, m)` is invoked on a fixed time grid (default 1000
-    equispaced samples on [0, T]) with the right-continuous state. An
-    observer that is a `measures.TimeAverager` instead gets each observation
-    binned into its next row, as its `add` would bin it; it must have a free
-    row for every time, or ModelError names it before any draw. Hitting the
-    event cap before T sets `truncated` in the summary rather than failing.
+    The observer, a `measures.TimeAverager`, gets the right-continuous state
+    on a fixed time grid (default 1000 equispaced samples on [0, T]) added to
+    its next rows, as its `add` adds it. It must have a free row for every
+    time; ModelError names an observer that is not an averager or cannot
+    hold the run, and observe_times without an observer, before any draw.
+    Hitting the event cap before T sets `truncated` in the summary rather
+    than failing.
     """
     _check_stop(T, max_events, "max_events")
     engine = check_engine(w, engine)
+    if observer is not None and not isinstance(observer, measures.TimeAverager):
+        raise ModelError(f"observer: must be a measures.TimeAverager, got {observer!r}")
     if observer is not None and observe_times is None:
         if T is None or T == math.inf:
             raise ModelError("observer on a default grid needs a finite horizon T")
@@ -220,6 +222,8 @@ def simulate(w, z, n: int, *, T: float = None, max_events: int = None,
         bad = observe_times[~np.isfinite(observe_times)]
         if bad.size:
             raise ModelError(f"observe_times must be finite, got {bad.tolist()}")
+        if observer is None:
+            raise ModelError("observe_times: need an observer, a measures.TimeAverager")
     obs = _Observer(observe_times, observer)
     if rng is None:
         rng = np.random.default_rng(seed)
@@ -271,21 +275,20 @@ def _batches(run, max_events, draw):
 
 def _run_reference(w, z, state, T, max_events, rng, obs, log_events):
     run = _record(state, T, max_events)
-    step = functools.partial(_reference_steps, run, w, z, rng)
+    step = functools.partial(_reference_steps, run, w, z, rng, obs)
     return _drive(step, run, "reference", state, T, obs, log_events, lambda: None)
 
 
-def _reference_steps(run, w, z, rng):
+def _reference_steps(run, w, z, rng, obs):
     """The reference engine's step: recompute every rate, then draw the wait,
-    the uniform that selects and the length, one event at a time. An event
-    whose time falls after an observation keeps that time in run.value, with
-    run.cursor = 1, and the next call takes it instead of drawing again. The
-    step exits with EXIT_BATCH once the log's free tail is full."""
+    the uniform that selects and the length, one event at a time, adding the
+    observations due to the averager through obs.emit. The step exits with
+    EXIT_BATCH once the log's free tail is full."""
     pos = run.arrays["pos"]
     lt, li, lz, lm = _views(run, "log_t", "log_i", "log_z", "log_m")
     logging = run.log_t is not None
     n, inv_n, horizon, max_events = run.n, run.inv_n, run.horizon, run.max_events
-    resum, next_obs, kept = run.resum_interval, run.next_obs, run.cursor
+    resum, next_obs = run.resum_interval, run.next_obs
     t, m, events, k = run.t, run.m, run.events, 0
     try:
         while True:
@@ -302,16 +305,12 @@ def _reference_steps(run, w, z, rng):
                 raise ArithmeticError("total jump rate is not finite")
             if R <= 0.0:
                 raise StallError("total jump rate underflowed to zero")
-            if kept:
-                t_next, kept = run.value, 0
-            else:
-                t_next = t + rng.standard_exponential() / R
+            t_next = t + rng.standard_exponential() / R
             if t_next > horizon:
                 t = horizon
                 return kernel.EXIT_HORIZON
             if next_obs < t_next:
-                run.value, kept = t_next, 1
-                return kernel.EXIT_OBSERVE_BEFORE
+                next_obs = obs.emit(run, t_next, pos, m, False)
             t = t_next
             u = rng.random() * R
             i = int(min(np.searchsorted(np.cumsum(rates), u, side="left"), n - 1))
@@ -325,10 +324,10 @@ def _reference_steps(run, w, z, rng):
             if events % resum == 0:
                 return kernel.EXIT_RESUM
             if t == next_obs:
-                return kernel.EXIT_OBSERVE_AT
+                next_obs = obs.emit(run, t, pos, m, True)
     finally:
         run.t, run.m, run.events, run.proposals = t, m, events, events
-        run.cursor, run.log_len = kept, k
+        run.log_len = k
 
 
 def _run_bounded(w, z, state, T, max_events, rng, obs, log_events):
@@ -338,7 +337,7 @@ def _run_bounded(w, z, state, T, max_events, rng, obs, log_events):
     spec = w.kernel_rate()
     lib = kernel.load() if spec is not None else None
     if lib is None:
-        step = functools.partial(_bounded_steps, run, w.scalar_rate())
+        step = functools.partial(_bounded_steps, run, w.scalar_rate(), obs)
     else:
         name, params = spec
         run.family, run.n_rate_params = kernel.RATE_CODES[name], len(params)
@@ -351,43 +350,15 @@ def _run_bounded(w, z, state, T, max_events, rng, obs, log_events):
     return _drive(step, run, "bounded", state, T, obs, log_events, refill)
 
 
-def _observe(run, pos, m, t, ties):
-    """`observe` of _kernel.c in Python: bin the observations due before t,
-    and with `ties` those at t, from the positions (a list) and the center m
-    into the averager's next rows bound to run, with measures._numpy_bins.
-    True when one that TimeAverager.add refuses (a center that is not finite,
-    a NaN position) stays due."""
-    times, k, refused = run.arrays["obs_t"], run.obs_k, False
-    rows = run.arrays["obs_rows"]
-    positions = np.array(pos)
-    while k < run.n_obs and (times[k] < t or ties and times[k] == t):
-        if not math.isfinite(m):
-            refused = True
-            break
-        row = rows[0]
-        below, above, unbinned = measures._numpy_bins(
-            positions, m, run.a0, run.a1, run.nbins,
-            run.arrays["obs_counts"][row * run.nbins:(row + 1) * run.nbins])
-        if unbinned:
-            refused = True
-            break
-        for field, value in (("obs_time", times[k]), ("obs_m", m), ("obs_n", run.n),
-                             ("obs_below", below), ("obs_above", above)):
-            run.arrays[field][row] = value
-        rows[0] = row + 1
-        k += 1
-    run.obs_k = k
-    run.next_obs = times[k] if k < run.n_obs else math.inf
-    return refused
-
-
-def _bounded_steps(run, rate):
+def _bounded_steps(run, rate, obs):
     """fj_bounded in Python, exit for exit, for a family without a C rate or
-    where the kernel cannot be built."""
+    where the kernel cannot be built. It adds each observation due to the
+    averager through obs.emit, so an observation that `add` refuses raises
+    its DomainError here, where fj_bounded exits with EXIT_OBSERVE."""
     pos = run.arrays["pos"].tolist()
     waits, targets, uniforms, lengths, lt, li, lz, lm = _views(
         run, "waits", "targets", "uniforms", "lengths", "log_t", "log_i", "log_z", "log_m")
-    logging, averaging = run.log_t is not None, run.obs_rows is not None
+    logging = run.log_t is not None
     inv_n, horizon, max_events, resum = run.inv_n, run.horizon, run.max_events, run.resum_interval
     a, lam, next_obs, batch = run.a, run.lam, run.next_obs, run.batch
     t, m, events, proposals, c, k = run.t, run.m, run.events, run.proposals, run.cursor, 0
@@ -402,10 +373,7 @@ def _bounded_steps(run, rate):
                 t = horizon
                 return kernel.EXIT_HORIZON
             if next_obs < t_next:
-                if not averaging or _observe(run, pos, m, t_next, False):
-                    run.value = t_next
-                    return kernel.EXIT_OBSERVE_BEFORE
-                next_obs = run.next_obs
+                next_obs = obs.emit(run, t_next, pos, m, False)
             t = t_next
             i = targets[c]
             accepted = uniforms[c] * a <= rate(pos[i] - m)
@@ -422,9 +390,7 @@ def _bounded_steps(run, rate):
             if accepted and events % resum == 0:
                 return kernel.EXIT_RESUM
             if accepted and t == next_obs:
-                if not averaging or _observe(run, pos, m, t, True):
-                    return kernel.EXIT_OBSERVE_AT
-                next_obs = run.next_obs
+                next_obs = obs.emit(run, t, pos, m, True)
     finally:
         run.arrays["pos"][:] = pos
         run.t, run.m, run.events, run.proposals = t, m, events, proposals
@@ -448,7 +414,7 @@ def _run_exponential(w, z, state, T, max_events, rng, obs, log_events):
     run.bind(tree=np.zeros(2 * leaves))
     lib = kernel.load()
     if lib is None:
-        step = functools.partial(_exponential_steps, run)
+        step = functools.partial(_exponential_steps, run, obs)
     else:
         step = functools.partial(lib.fj_exponential, ctypes.byref(run))
     refill = _batches(run, max_events, lambda size: dict(
@@ -472,16 +438,18 @@ def _rebase(pos, tree, leaves, beta, ref):
     return tree[1]
 
 
-def _exponential_steps(run):
+def _exponential_steps(run, obs):
     """fj_exponential in Python, exit for exit, where the kernel cannot be
     built. The positions and the tree are lists while it runs. An event
     carries its new leaf up to the root as fj_exponential does, v += tree[j ^ 1]
     at each level, so every ancestor gets the same addition, in the same
-    operand order, as in the kernel."""
+    operand order, as in the kernel. It adds each observation due to the
+    averager through obs.emit, so an observation that `add` refuses raises
+    its DomainError here, where fj_exponential exits with EXIT_OBSERVE."""
     pos, tree = run.arrays["pos"].tolist(), run.arrays["tree"].tolist()
     waits, lengths, uniforms, lt, li, lz, lm = _views(
         run, "waits", "lengths", "uniforms", "log_t", "log_i", "log_z", "log_m")
-    logging, averaging = run.log_t is not None, run.obs_rows is not None
+    logging = run.log_t is not None
     inv_n, horizon, max_events, resum = run.inv_n, run.horizon, run.max_events, run.resum_interval
     beta, leaves, next_obs, batch = run.beta, run.leaves, run.next_obs, run.batch
     t, m, ref, S0, events, c, k = run.t, run.m, run.ref, run.S0, run.events, run.cursor, 0
@@ -511,10 +479,7 @@ def _exponential_steps(run):
                 t = horizon
                 return kernel.EXIT_HORIZON
             if next_obs < t_next:
-                if not averaging or _observe(run, pos, m, t_next, False):
-                    run.value = t_next
-                    return kernel.EXIT_OBSERVE_BEFORE
-                next_obs = run.next_obs
+                next_obs = obs.emit(run, t_next, pos, m, False)
             t = t_next
             # descend to the leaf whose share of [0, S) holds U*S, never into a
             # subtree of total 0 (padding, underflowed leaves, round-off)
@@ -542,9 +507,7 @@ def _exponential_steps(run):
             if events % resum == 0:
                 return kernel.EXIT_RESUM
             if t == next_obs:
-                if not averaging or _observe(run, pos, m, t, True):
-                    return kernel.EXIT_OBSERVE_AT
-                next_obs = run.next_obs
+                next_obs = obs.emit(run, t, pos, m, True)
     finally:
         run.arrays["pos"][:] = pos
         run.arrays["tree"][:] = tree
@@ -560,14 +523,15 @@ def _drive(step, run, engine, state, T, obs, log_events, refill):
     step() runs events on `run` and returns a kernel.EXIT_* code. Only here,
     for every engine, are the exits handled: the center is re-summed (and
     written over the centre of the last log row, the event that made it due),
-    the observations due are served (at the exits of a callback run, and for
-    an averager the ones due at a re-sum or at the stop, and the ones its
-    `add` must refuse), the log rows a call wrote at the free tail are counted
-    and the tail is rebound past them (a batched step writes at most one batch
-    a call, the reference step stops at the tail's end; the columns double
-    whenever fewer than _BATCH rows are free), refill() binds the next batch,
-    and the errors are raised. A step leaves for nothing else: the bounded and
-    exponential steps bin an averager's observations in their loop.
+    the observations due at a re-sum or at the stop are served, the log rows
+    a call wrote at the free tail are counted and the tail is rebound past
+    them (a batched step writes at most one batch a call, the reference step
+    stops at the tail's end; the columns double whenever fewer than _BATCH
+    rows are free), refill() binds the next batch, and the errors are raised:
+    at EXIT_OBSERVE, the observation obs_t[obs_k] that a compiled step could
+    not bin is served through obs.emit, whose `add` raises. A step leaves for
+    nothing else: every step adds the observations due to the averager in its
+    loop.
     """
     c0, pos = run.m, run.arrays["pos"]
     obs.attach(run)
@@ -594,10 +558,10 @@ def _drive(step, run, engine, state, T, obs, log_events, refill):
                     cols[field] = np.empty(2 * len(col), dtype=col.dtype)
                     cols[field][:filled] = col[:filled]
             run.bind(**{field: col[filled:] for field, col in cols.items()})
-        if code == kernel.EXIT_OBSERVE_BEFORE:
-            obs.emit(run, run.value, pos, run.m, ties=False)
-        elif code in (kernel.EXIT_OBSERVE_AT, kernel.EXIT_RESUM):
+        if code == kernel.EXIT_RESUM:
             obs.emit(run, run.t, pos, run.m, ties=True)
+        elif code == kernel.EXIT_OBSERVE:
+            obs.emit(run, obs.times[run.obs_k], pos, run.m, ties=True)
         elif code in (kernel.EXIT_CAP, kernel.EXIT_HORIZON):
             break
         elif code == kernel.EXIT_BATCH:

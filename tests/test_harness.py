@@ -599,14 +599,14 @@ NO_SCIPY_SCRIPT = textwrap.dedent("""
     import numpy as np
 
     import flockjump as fj
-    from flockjump import acceptance, cli, extremes
+    from flockjump import acceptance, cli, extremes, measures
     from flockjump.harness import preset_config, run_scenario
 
     out = Path(sys.argv[1])
     for engine, w in (("reference", fj.ArccotRate()), ("bounded", fj.StepRate(2.0, 1.0)),
                       ("exponential", fj.ExponentialRate(1.0))):
         fj.simulate(w, fj.ExponentialJump(), 20, T=2.0, seed=1, engine=engine,
-                    observer=lambda t, pos, m: None, log_events=True)
+                    observer=measures.TimeAverager(-1.0, 1.0, 4, samples=1000), log_events=True)
     for preset in ("fig4_6_small", "fig7_9_small"):
         run_scenario(preset_config(preset, T=2.0), outdir=out / preset)
     extremes.sample_final_uncentered(1.0, 1.0, 5.0, 3, np.random.default_rng(1))

@@ -30,6 +30,8 @@ from flockjump import mean_field as mf
 from flockjump import measures as ms
 from flockjump.model import DomainError, ModelError
 
+from replay import replayed_states
+
 
 def python_loops():
     """Context in which the kernel fails to build, so the Python steps run."""
@@ -68,27 +70,39 @@ def rows(averager):
     return filled, averager._counts[k:k + 1].tobytes()
 
 
+def replayed(times, init, center, final_time, log):
+    """An averager fed through add() with the states that replayed_states
+    rebuilds from a run's log at each distinct time of `times`."""
+    fed = new_averager(times)
+    for t, pos, m in replayed_states(np.unique(times), init, center, final_time, log):
+        fed.add(t, pos, m)
+    return fed
+
+
 def outcome(w, z, n, **kwargs):
-    """Everything a run shows: what run_bits shows, the observer's calls
-    (time, positions, m) and the rows of a TimeAverager. Observed, the run
-    is made twice from its seed: with a callback that also feeds one
-    averager through add(), and with a second averager as the observer,
-    which the steps fill themselves. Both runs must show the same, and both
-    averagers the same rows, to the bit, also when the run raised."""
+    """Everything a run shows: what run_bits shows and, observed, the rows of
+    the TimeAverager that observes it (None unobserved), to the bit, also when
+    the run raised. The rows of a logged run must be those that the state
+    replayed from its log at each observation time gives through add()."""
     observe = kwargs.pop("observe", None)
     if observe is None:
-        shown = run_bits(w, z, n, **kwargs)
-        return shown if len(shown) == 2 else shown + ([], None)
-    calls, fed, binned = [], new_averager(observe), new_averager(observe)
+        return run_bits(w, z, n, **kwargs) + (None,)
+    binned = new_averager(observe)
+    shown = run_bits(w, z, n, observe_times=observe, observer=binned, **kwargs)
+    if not raised(shown) and shown[8] is not None:
+        init = kwargs.get("init", "zeros")
+        init = np.zeros(n) if isinstance(init, str) and init == "zeros" else init
+        log = [np.frombuffer(col, dtype) for col, dtype in
+               zip(shown[8], (float, np.int64, float, float))]
+        center, final_time = np.frombuffer(shown[5] + shown[4], float)
+        assert rows(replayed(observe, init, center, final_time, log)) == rows(binned)
+    return shown + (rows(binned),)
 
-    def callback(t, pos, m):
-        calls.append((bits(t), pos.tobytes(), bits(m)))
-        fed.add(t, pos, m)
 
-    shown = run_bits(w, z, n, observe_times=observe, observer=callback, **kwargs)
-    assert run_bits(w, z, n, observe_times=observe, observer=binned, **kwargs) == shown
-    assert rows(binned) == rows(fed)
-    return shown if len(shown) == 2 else shown + (calls, rows(binned))
+def raised(shown):
+    """Whether a run raised: run_bits shows (name, message) for it, and
+    outcome() adds the averager's rows to that."""
+    return len(shown) in (2, 3)
 
 
 def both(w, z, n, **kwargs):
@@ -241,8 +255,9 @@ def test_tabulated_bounded_runs_keep_their_digest():
         expected, got = both(w, fj.ExponentialJump(), 200, seed=seed, max_events=30_000,
                              engine="bounded", log_events=True)
         assert got == expected
-        # the run and its (empty) observer calls, without the later counters
-        digest.update(repr(expected[:9] + expected[10:11]).encode())
+        # the run without the later counters; the digest was recorded with
+        # the run's (empty) list of callback observer calls after it
+        digest.update(repr(expected[:9] + ([],)).encode())
     assert digest.hexdigest() == TABULATED_DIGEST
 
 
@@ -325,6 +340,7 @@ BAD_STOPS = [
     ({"T": 1.0, "observe_times": [0.5, math.nan]}, "observe_times must be finite, got [nan]"),
     ({"T": 1.0, "observe_times": [math.inf, 0.5, -math.inf]},
      "observe_times must be finite, got [-inf, inf]"),
+    ({"T": 1.0, "observe_times": [0.5]}, "observe_times: need an observer"),
 ]
 
 
@@ -358,7 +374,7 @@ def test_zero_events_and_a_capped_infinite_horizon_run_alike_on_both_loops(engin
         assert expected[1] == events
     with pytest.raises(ModelError, match="observer on a default grid needs a finite horizon T"):
         fj.simulate(w, fj.ExponentialJump(), 5, T=math.inf, max_events=40, rng=NoDraws(),
-                    engine=engine, observer=lambda t, pos, m: None)
+                    engine=engine, observer=ms.TimeAverager(-1.0, 1.0, 4, samples=1000))
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "python"])
@@ -403,9 +419,9 @@ class FixedJump:
 @pytest.mark.parametrize("engine, w", ENGINE_FAMILIES, ids=[e for e, _ in ENGINE_FAMILIES])
 def test_an_averager_observes_a_run_of_length_zero(engine, w):
     expected, got = both(w, fj.ExponentialJump(), 5, T=0.0, seed=3, engine=engine,
-                         observe=np.zeros(3))
+                         observe=np.zeros(3), log_events=True)
     assert got == expected
-    assert expected[1] == 0 and len(expected[10]) == 1 and expected[11][0][0] == bits(0.0)
+    assert expected[1] == 0 and expected[10][0][0] == bits(0.0)      # one row, at t = 0
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "python"])
@@ -413,11 +429,12 @@ def test_an_averager_observes_a_run_of_length_zero(engine, w):
 def test_a_capped_run_leaves_the_later_rows_unfilled(compiled, engine, w):
     times = np.linspace(0.0, 100.0, 401)
     with contextlib.nullcontext() if compiled else python_loops():
-        avg, fed = new_averager(times), new_averager(times)
+        avg = new_averager(times)
         res = fj.simulate(w, fj.ExponentialJump(), 20, T=100.0, max_events=60, seed=4,
-                          engine=engine, observe_times=times, observer=avg)
-        fj.simulate(w, fj.ExponentialJump(), 20, T=100.0, max_events=60, seed=4, engine=engine,
-                    observe_times=times, observer=lambda t, pos, m: fed.add(t, pos, m))
+                          engine=engine, observe_times=times, observer=avg, log_events=True)
+        log = res.log
+        fed = replayed(times, np.zeros(20), res.initial_center, res.final_time,
+                       (log.times, log.indices, log.lengths, log.centers))
     assert res.truncated and 2 < avg.rows < len(times) // 10
     assert avg.t[avg.rows - 1] <= res.final_time < times[avg.rows]
     assert rows(avg) == rows(fed)
@@ -442,8 +459,9 @@ class NanStart:
     (fj.ExponentialJump(), NanStart, "positions: must not be NaN")], ids=["nan", "inf", "start"])
 def test_an_observation_add_refuses_raises_its_error_and_leaves_no_row(compiled, z, start,
                                                                        message):
-    # a center or a position add() refuses stops the in-loop binning; the
-    # step exits, and add() raises at that observation
+    # a center or a position add() refuses stops the in-loop binning: a
+    # compiled step exits with EXIT_OBSERVE and add() raises in _drive at that
+    # observation, and a Python step's add() raises inside the step
     times = np.linspace(0.0, 10.0, 201)
     with contextlib.nullcontext() if compiled else python_loops(), \
             mock.patch.object(sim, "initial_state", start or sim.initial_state):
@@ -453,6 +471,66 @@ def test_an_observation_add_refuses_raises_its_error_and_leaves_no_row(compiled,
                         observe_times=times, observer=avg)
     assert (avg.rows == 0) == (start is not None)          # the rows before the first jump stay
     assert not avg._counts[avg.rows:].any() and not avg.n[avg.rows:].any()
+
+
+@pytest.mark.parametrize("engine, w", ENGINE_FAMILIES[1:], ids=[e for e, _ in ENGINE_FAMILIES[1:]])
+@pytest.mark.parametrize("z, start", [(FixedJump(math.nan), None), (FixedJump(math.inf), None),
+                                      (fj.ExponentialJump(), NanStart)],
+                         ids=["nan", "inf", "start"])
+def test_a_run_that_raises_leaves_the_same_rows_on_both_loops(engine, w, z, start):
+    # the bounded step raises at an observation add() refuses, the
+    # exponential one at its rate total; the rows filled before are compared
+    times = np.linspace(0.0, 10.0, 201)
+    with mock.patch.object(sim, "initial_state", start or sim.initial_state):
+        expected, got = both(w, z, 3, T=10.0, seed=1, engine=engine, observe=times)
+    assert raised(expected) and got == expected
+    filled = len(np.frombuffer(expected[2][0][0], float))
+    assert (filled == 0) == (start is not None)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "python"])
+@pytest.mark.parametrize("engine, w", ENGINE_FAMILIES, ids=[e for e, _ in ENGINE_FAMILIES])
+def test_simulate_refuses_an_observer_that_is_not_an_averager(compiled, engine, w):
+    with contextlib.nullcontext() if compiled else python_loops():
+        for observer in (lambda t, pos, m: None, object()):
+            with pytest.raises(ModelError, match="^observer: must be a measures.TimeAverager, "):
+                fj.simulate(w, fj.ExponentialJump(), 5, T=1.0, rng=NoDraws(), engine=engine,
+                            observer=observer)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "python"])
+@pytest.mark.parametrize("engine, w", ENGINE_FAMILIES, ids=[e for e, _ in ENGINE_FAMILIES])
+def test_an_observed_run_leaves_its_step_only_to_refill_resum_or_stop(compiled, engine, w):
+    # ~1000 observation times and no log: the reference step never leaves
+    # before the stop, and a batched step leaves once per batch and re-sum
+    calls, refills = [0], [0]
+
+    def drive(step, run, engine, state, T, obs, log_events, refill):
+        def counted_step():
+            calls[0] += 1
+            return step()
+
+        def counted_refill():
+            refills[0] += 1
+            refill()
+
+        return real(counted_step, run, engine, state, T, obs, log_events, counted_refill)
+
+    real = sim._drive
+    n, T = (20, 10.0) if engine == "reference" else (50, 400.0)
+    times = np.linspace(0.0, T, 1000)
+    avg = new_averager(times)
+    with contextlib.nullcontext() if compiled else python_loops(), \
+            mock.patch.object(sim, "_drive", drive), \
+            mock.patch.object(sim, "RESUM_INTERVAL", 10_007):
+        res = fj.simulate(w, fj.ExponentialJump(), n, T=T, seed=11, engine=engine,
+                          observe_times=times, observer=avg)
+    assert avg.rows == len(times) and res.log is None
+    if engine == "reference":
+        assert res.events > 100 and calls[0] == 1
+    else:
+        assert refills[0] > 1 and res.resums > 1
+        assert calls[0] <= refills[0] + res.resums + 1
 
 
 @pytest.mark.parametrize("engine, w", ENGINE_FAMILIES, ids=[e for e, _ in ENGINE_FAMILIES])
@@ -505,7 +583,7 @@ ERROR_CASES = [
 def test_kernel_raises_what_the_python_loop_raises(engine, w, init, z, resum, error):
     with mock.patch.object(sim, "RESUM_INTERVAL", resum), np.errstate(all="ignore"):
         expected, got = both(w, z, len(init), T=50.0, seed=3, init=init, engine=engine)
-    assert got == expected == error
+    assert got == expected == error + (None,)        # no observer, no rows
 
 
 class TopUniforms:
@@ -668,7 +746,7 @@ def test_kernel_matches_python_loop_on_random_cases(case):
             grid = grid + list(times[::ties])
         expected, got = both(w, z, n, observe=np.asarray(grid), log_events=True, **kwargs)
     assert got == expected
-    if len(expected) == 2:                            # the run raised
+    if raised(expected):
         return
     assert_log_replays(expected, kwargs["init"], constants["RESUM_INTERVAL"])
 
@@ -714,7 +792,7 @@ def test_resum_after_every_event_is_exact_from_adversarial_starts(engine, w, sta
         expected, got = both(w, fj.ExponentialJump(), len(init), max_events=40, seed=3,
                              init=init, engine=engine, log_events=True)
     assert got == expected
-    if len(expected) == 2:                            # the run raised
+    if raised(expected):
         assert expected[0] in ("DomainError", "OverflowError", "StallError")
         return
     assert expected[1] == 40

@@ -236,6 +236,27 @@ def test_time_averager_refuses_a_bad_sample_count(samples):
         ms.TimeAverager(-1.0, 1.0, 4, samples=samples)
 
 
+@pytest.mark.parametrize("burn_in", [math.nan, math.inf, "x", None, True, 10**400])
+def test_time_averager_refuses_a_burn_in_that_is_not_a_finite_number(burn_in):
+    with pytest.raises(DomainError, match="^burn_in: must be a finite number, got "):
+        ms.TimeAverager(-1.0, 1.0, 4, samples=2, burn_in=burn_in)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, "1.0", None])
+def test_time_averager_refuses_a_time_that_is_not_finite(t):
+    avg = ms.TimeAverager(0.0, 1.0, 2, samples=3)
+    avg.add(0.5, [0.2], 0.0)
+    before = [col.tobytes() for col in (avg.t, avg.m, avg._counts, avg.n, avg.below, avg.above)]
+    with pytest.raises(DomainError, match="^t: must be a finite number, got "):
+        avg.add(t, [0.1], 0.0)
+    assert avg.rows == 1
+    assert [col.tobytes() for col in (avg.t, avg.m, avg._counts, avg.n, avg.below,
+                                      avg.above)] == before
+    # a NaN time no longer slips past the time-order check and poisons the average
+    avg.add(1.0, [0.1], 0.0)
+    assert avg.rows == 2 and np.isfinite(avg.finalize().values).all()
+
+
 @pytest.mark.parametrize("samples, weights, message", [
     ([], None, "samples: the KS distance needs at least one sample"),
     ([], [], "samples: the KS distance needs at least one sample"),

@@ -7,10 +7,13 @@ import pytest
 from scipy import stats
 
 import flockjump as fj
+from flockjump import measures as ms
 from flockjump import sim
 from flockjump.model import DomainError, ModelError, RateFamily
 from flockjump.sim import StallError, UnsupportedSpecError, check_engine
 from flockjump.two_particle import gap_chain, gap_stationary_pmf
+
+from replay import replayed_states
 
 
 def gap_occupancy(log):
@@ -185,13 +188,13 @@ def test_stall_errors_name_the_true_cause():
 
 
 def test_t_zero_observer_sees_initial_state_only():
-    seen = []
+    avg = ms.TimeAverager(-1.0, 1.0, 4, samples=1)
     res = fj.simulate(fj.StepRate(2.0, 1.0), fj.DeterministicJump(), 4, T=0.0, seed=4,
-                      observer=lambda t, pos, m: seen.append((t, pos.copy(), m)),
-                      engine="bounded")
+                      observer=avg, engine="bounded")
     assert res.events == 0
-    assert len(seen) == 1
-    assert seen[0][0] == 0.0 and np.all(seen[0][1] == 0.0)
+    assert avg.rows == 1
+    assert avg.t[0] == 0.0 and avg.m[0] == 0.0
+    assert avg.histogram(0).counts.tolist() == [0.0, 0.0, 4.0, 0.0]   # every x = 0
 
 
 def test_event_cap_sets_truncation_flag():
@@ -205,11 +208,10 @@ def test_event_cap_sets_truncation_flag():
 
 
 def test_observer_times_are_grid_and_state_advances():
-    times = []
-    centers = []
+    avg = ms.TimeAverager(-5.0, 5.0, 10, samples=11)
     res = fj.simulate(fj.ExponentialRate(1.0), fj.ExponentialJump(), 50, T=5.0, seed=6,
-                      observer=lambda t, pos, m: (times.append(t), centers.append(m)),
-                      observations=11)
+                      observer=avg, observations=11)
+    times, centers = avg.t[:avg.rows], avg.m[:avg.rows]
     assert np.allclose(times, np.linspace(0, 5, 11))
     assert centers[0] == 0.0
     assert np.all(np.diff(centers) >= 0)
@@ -223,7 +225,7 @@ def test_observer_grid_needs_an_integer_count_of_one_or_more(observations):
 
     with pytest.raises(ModelError, match="^observations must be an integer >= 1, got "):
         fj.simulate(fj.StepRate(2.0, 1.0), fj.DeterministicJump(), 5, T=1.0, seed=1,
-                    init=("iid", no_work), observer=lambda t, pos, m: None,
+                    init=("iid", no_work), observer=ms.TimeAverager(-1.0, 1.0, 4, samples=10),
                     observations=observations)
 
 
@@ -470,24 +472,29 @@ REFERENCE_DIGEST = "0c5b7bbc4edda5a7234a755438f8b7fd9c9f847a67ac35c51e2a49f19d56
 def test_reference_engine_digest():
     # sha256 over everything the reference runs show: the log columns, the
     # final positions, proposals, truncated, the final time and center, and
-    # every observer call. It pins the reference engine's random stream.
+    # the state (t, positions, m) at every observation time the run reaches,
+    # which the log replayed from the start rebuilds and the averager's rows
+    # must hold. It pins the reference engine's random stream.
     digest = hashlib.sha256()
     for seed, (w, z, n, stop, times, interval, init) in enumerate(REFERENCE_RUNS, start=40):
-        calls = []
-
-        def observe(t, pos, m):
-            calls.append(np.float64(t).tobytes() + pos.tobytes() + np.float64(m).tobytes())
-
+        avg = ms.TimeAverager(-50.0, 50.0, 8, samples=len(times))
         with mock.patch.object(sim, "RESUM_INTERVAL", interval):
             res = fj.simulate(w, z, n, seed=seed, init=init, engine="reference", log_events=True,
-                              observe_times=times, observer=observe, **stop)
-        for col in (res.log.times, res.log.indices, res.log.lengths, res.log.centers):
+                              observe_times=times, observer=avg, **stop)
+        log = res.log
+        for col in (log.times, log.indices, log.lengths, log.centers):
             digest.update(col.tobytes())
         digest.update(res.state.positions.tobytes())
         digest.update(repr((res.events, res.proposals, res.truncated, res.final_time.hex(),
                             float(res.final_center).hex())).encode())
-        for call in calls:
-            digest.update(call)
+        centers = []
+        for t, pos, m in replayed_states(times, np.zeros(n) if isinstance(init, str) else init,
+                                         res.initial_center, res.final_time,
+                                         (log.times, log.indices, log.lengths, log.centers)):
+            digest.update(np.float64(t).tobytes() + pos.tobytes() + np.float64(m).tobytes())
+            centers.append(m)
+        assert avg.t[:avg.rows].tolist() == times[:len(centers)].tolist()
+        assert avg.m[:avg.rows].tolist() == centers
     assert digest.hexdigest() == REFERENCE_DIGEST
 
 
