@@ -276,7 +276,8 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(read_json(path))
 
 
-# `flockjump pde` numeric settings and their defaults
+# `flockjump pde` numeric settings and their defaults; for the wave start, an
+# omitted x_min or x_max is the edge of the wave's own support instead
 _PDE_NUMBERS = {"h": 0.01, "dt": 1e-3, "T": 10.0, "x_min": -6.0, "x_max": 25.0}
 # initial.kind -> its numeric keys and their defaults
 _PDE_INITIAL = {"wave": {}, "gaussian": {"center": 0.0, "sigma": 0.1}}
@@ -286,7 +287,11 @@ def pde_config_from_dict(d: dict) -> dict:
     """Check a `flockjump pde` config and fill in its defaults.
 
     Returns the settings with `rate` built into its rate family; every bad or
-    missing value is a ConfigError naming its key.
+    missing value is a ConfigError naming its key. When the start is the wave
+    and the config omits x_min or x_max, that edge is where the profile at
+    the solved speed falls to e^-60 of its peak (`mean_field.profile_support`,
+    the support of `wave_profile`), so the window holds all but about e^-60
+    of the profile's mass.
     """
     extra = set(d) - {"rate", "initial", "samples", "outdir", *_PDE_NUMBERS}
     if extra:
@@ -297,29 +302,6 @@ def pde_config_from_dict(d: dict) -> dict:
     if outdir is not None and not isinstance(outdir, str):
         raise ConfigError(f"outdir: must be a string or null, got {outdir!r}")
     out = {"rate": rate_spec_from_dict(d["rate"]), "outdir": outdir}
-    for key, default in _PDE_NUMBERS.items():
-        val = d.get(key, default)
-        if not is_finite_number(val):
-            raise ConfigError(f"{key}: must be a finite number, got {val!r}")
-        out[key] = float(val)
-    for key in ("h", "dt"):
-        if not out[key] > 0:
-            raise ConfigError(f"{key}: must be > 0, got {out[key]}")
-    if out["T"] < 0:
-        raise ConfigError(f"T: must be >= 0, got {out['T']}")
-    if not out["x_min"] < out["x_max"]:
-        # name the key the config set: x_min alone, against the default x_max
-        if "x_max" in d:
-            raise ConfigError(f"x_max: must exceed x_min, got {out['x_min']} and {out['x_max']}")
-        raise ConfigError(f"x_min: must be below x_max = {out['x_max']}, got {out['x_min']}")
-    if not (out["x_max"] + out["h"] / 2 - out["x_min"]) / out["h"] > 1:
-        # np.arange(x_min, x_max + h / 2, h) has ceil of this many nodes
-        raise ConfigError(f"h: must leave two grid nodes or more on [x_min, x_max], "
-                          f"got {out['h']}")
-    samples = d.get("samples", 200)
-    if not is_count(samples, 1):
-        raise ConfigError(f"samples: must be an integer >= 1, got {samples!r}")
-    out["samples"] = samples
     init = d.get("initial", {"kind": "wave"})
     if not isinstance(init, dict):
         raise ConfigError(f"initial: expected a dict such as {{'kind': 'wave'}}, got {init!r}")
@@ -338,6 +320,34 @@ def pde_config_from_dict(d: dict) -> dict:
         out["initial"][key] = float(val)
     if kind == "gaussian" and not out["initial"]["sigma"] > 0:
         raise ConfigError(f"initial.sigma: must be > 0, got {init['sigma']!r}")
+    defaults = dict(_PDE_NUMBERS)
+    if kind == "wave" and not {"x_min", "x_max"} <= set(d):
+        w = out["rate"]
+        defaults["x_min"], defaults["x_max"] = mean_field.profile_support(
+            w, mean_field.wave_speed(w))
+    for key, default in defaults.items():
+        val = d.get(key, default)
+        if not is_finite_number(val):
+            raise ConfigError(f"{key}: must be a finite number, got {val!r}")
+        out[key] = float(val)
+    for key in ("h", "dt"):
+        if not out[key] > 0:
+            raise ConfigError(f"{key}: must be > 0, got {out[key]}")
+    if out["T"] < 0:
+        raise ConfigError(f"T: must be >= 0, got {out['T']}")
+    if not out["x_min"] < out["x_max"]:
+        # name the key the config set: x_min alone, against the default or tail x_max
+        if "x_max" in d:
+            raise ConfigError(f"x_max: must exceed x_min, got {out['x_min']} and {out['x_max']}")
+        raise ConfigError(f"x_min: must be below x_max = {out['x_max']}, got {out['x_min']}")
+    if not (out["x_max"] + out["h"] / 2 - out["x_min"]) / out["h"] > 1:
+        # np.arange(x_min, x_max + h / 2, h) has ceil of this many nodes
+        raise ConfigError(f"h: must leave two grid nodes or more on [x_min, x_max], "
+                          f"got {out['h']}")
+    samples = d.get("samples", 200)
+    if not is_count(samples, 1):
+        raise ConfigError(f"samples: must be an integer >= 1, got {samples!r}")
+    out["samples"] = samples
     return out
 
 

@@ -8,10 +8,12 @@ an exact antiderivative of w, so profile exponents carry no quadrature error;
 only normalizations and moments are integrated numerically, by one composite
 Gauss-Legendre pass with panels split at the profile peak and the rate
 function's knots. The speed is the root of the centered first moment, found by
-Brent's method on a verified sign-change bracket. A family's stationary wave
-is the law its `stationary_law()` names in `_LAWS` (the generalized Gumbel law,
-Laplace, or the exact profile at a known speed), and the exact profile at the
-solved speed where it names none.
+Brent's method on a verified sign-change bracket; the method is `_brentq`, a
+port of the loop of scipy's `brentq` that takes the same steps and returns the
+same root to the bit, so solving for a speed loads no scipy module. A
+family's stationary wave is the law its `stationary_law()` names in `_LAWS`
+(the generalized Gumbel law, Laplace, or the exact profile at a known speed),
+and the exact profile at the solved speed where it names none.
 
 The PDE integrator discretizes the jump term by projecting the exponential jump
 law onto the grid cell-by-cell, splitting each cell's mass between its two
@@ -249,6 +251,13 @@ def _profile_nodes(w, c: float, h: float, drop: float):
     return h, log_norm, math.floor(x_lo / h) - 1, math.ceil(x_hi / h) + 1
 
 
+def profile_support(w, c: float, drop: float = 60.0) -> tuple:
+    """(x_lo, x_hi): the profile at speed c is below exp(-drop) of its peak
+    outside this interval. Its exponent is concave, so the profile beyond
+    either end holds at most exp(-drop) / (1 - exp(-drop)) of its mass."""
+    return _normalization(w, c, drop)[1:]
+
+
 def wave_profile(w, c: float, h: float = None, drop: float = 60.0) -> WaveProfile:
     """Construct the normalized traveling-wave profile at speed c, on the
     nodes of `_profile_nodes`."""
@@ -268,20 +277,74 @@ def profile_mean(w, c: float, drop: float = 60.0) -> float:
     return i1 / i0
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int):
+    """(root, converged): Brent's method for a root of f on [xa, xb], whose
+    ends must give f values of opposite signs.
+
+    A port of the loop of scipy's `brentq` (scipy/optimize/Zeros/brentq.c)
+    that does the same floating-point operations in the same order: it
+    evaluates f at the same points, returns the same root to the bit and
+    stops after the same number of iterations. It stops once the bracket
+    is narrower than xtol + rtol * |root|, or at an exact zero of f, and
+    returns converged False after `maxiter` iterations short of that. f must
+    not return NaN, which the loop would take for a value of either sign.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre, True
+    if fcur == 0:
+        return xcur, True
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry         # good short step
+            else:
+                spre = scur = sbis              # bisect
+        else:
+            spre = scur = sbis                  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    return xcur, False
+
+
 def wave_speed(w, max_iter: int = 200, report: dict = None) -> float:
     """Speed of the traveling wave: the c at which the profile is centered.
 
-    Brent's method (`scipy.optimize.brentq`) on the normalized profile's first
-    moment, over a bracket inside (w(+inf), w(-inf)) found by stepping out from
-    a start value. The sign change at the bracket ends is verified rather than
-    assumed from monotonicity, and the moments computed there are reused. The
-    root is resolved to a bracket of width 1e-13 * max(1, |c|) within
-    `max_iter` Brent steps. If given, `report` receives the bracket, its
-    endpoint means, the number of `profile_mean` calls (`evaluations`) and the
-    width of the final bracket (`bracket_width`).
+    Brent's method (`_brentq`, an exact port of the loop of
+    `scipy.optimize.brentq`, so no scipy module loads) on the normalized
+    profile's first moment, over a bracket inside (w(+inf), w(-inf)) found
+    by stepping out from a start value. The sign change at the bracket ends
+    is verified rather than assumed from monotonicity, and the moments
+    computed there are reused. The root is resolved to a bracket of width
+    1e-13 * max(1, |c|) within `max_iter` Brent steps (an integer >= 0,
+    DomainError otherwise); a NaN moment raises SolverError naming its speed. If given, `report` receives the bracket,
+    its endpoint means, the number of `profile_mean` calls (`evaluations`)
+    and the width of the final bracket (`bracket_width`).
     """
-    from scipy.optimize import brentq
-
+    if not is_count(max_iter, 0):
+        raise DomainError(f"max_iter: must be an integer >= 0, got {max_iter!r}")
     w_right, w_left = w.right_limit, w.left_limit
     if not (w_left > w_right):
         raise SolverError("constant rate function has no traveling wave speed")
@@ -290,7 +353,10 @@ def wave_speed(w, max_iter: int = 200, report: dict = None) -> float:
 
     def mean(c):
         if c not in means:
-            means[c] = profile_mean(w, c)
+            m = profile_mean(w, c)
+            if math.isnan(m):
+                raise SolverError(f"the profile mean at c = {c!r} is NaN")
+            means[c] = m
         return means[c]
 
     if math.isfinite(w_left):
@@ -327,18 +393,19 @@ def wave_speed(w, max_iter: int = 200, report: dict = None) -> float:
         report.update(bracket=(c_lo, c_hi), endpoint_means=(m_lo, m_hi),
                       moment_decreasing=m_lo > m_hi)
 
-    # brentq stops once its bracket is narrower than xtol + rtol * |c|.
-    c, res = brentq(mean, c_lo, c_hi, xtol=5e-14, rtol=5e-14, maxiter=max_iter,
-                    full_output=True, disp=False)
-    if not res.converged:
+    # _brentq stops once its bracket is narrower than xtol + rtol * |c|.
+    c, converged = _brentq(mean, c_lo, c_hi, 5e-14, 5e-14, max_iter)
+    if not converged:
         raise SolverError(f"Brent iteration did not converge in {max_iter} steps "
-                          f"on [{c_lo}, {c_hi}]: {res.flag}")
+                          f"on [{c_lo}, {c_hi}]")
     if report is not None:
         # The final bracket is the tightest sign change among the evaluated c,
-        # or the root itself when its moment is exactly zero.
+        # or the root itself when its moment is exactly zero. A zero moment
+        # elsewhere (the start value's, which the bracket search steps past)
+        # ends a sign change on each side.
         pts = sorted(means.items())
         width = 0.0 if means[c] == 0 else min(
-            c2 - c1 for (c1, m1), (c2, m2) in zip(pts, pts[1:]) if m1 * m2 < 0)
+            c2 - c1 for (c1, m1), (c2, m2) in zip(pts, pts[1:]) if m1 * m2 <= 0)
         report.update(evaluations=len(means), bracket_width=width)
     return c
 

@@ -54,6 +54,13 @@ def is_finite_number(x) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _require_finite(**params):
+    """DomainError naming the first parameter that is not a finite number."""
+    for name, x in params.items():
+        if not is_finite_number(x):
+            raise DomainError(f"{name} must be a finite number, got {x!r}")
+
+
 class RateFamily:
     """Base of the jump-rate families.
 
@@ -162,6 +169,7 @@ class StepRate(RateFamily):
     b: float
 
     def __post_init__(self):
+        _require_finite(a=self.a, b=self.b)
         if not (self.a > self.b > 0):
             raise ModelError(f"step rates need a > b > 0, got a={self.a}, b={self.b}")
 
@@ -247,6 +255,7 @@ class PiecewiseLinearRate(RateFamily):
     b: float
 
     def __post_init__(self):
+        _require_finite(a=self.a, b=self.b)
         if not (self.a > self.b > 0):
             raise ModelError(f"piecewise-linear rates need a > b > 0, got a={self.a}, b={self.b}")
 
@@ -333,10 +342,13 @@ class TabulatedRate(RateFamily):
     values: tuple
 
     def __post_init__(self):
+        if not (np.ndim(self.grid) == np.ndim(self.values) == 1
+                and 2 <= len(self.grid) == len(self.values)):
+            raise ModelError("tabulated rate needs matching 1-d grid and values with >= 2 points")
+        _require_finite(**{f"{name}[{i}]": x for name in ("grid", "values")
+                           for i, x in enumerate(getattr(self, name))})
         g = np.asarray(self.grid, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        if g.ndim != 1 or g.size < 2 or v.shape != g.shape:
-            raise ModelError("tabulated rate needs matching 1-d grid and values with >= 2 points")
         if not np.all(np.diff(g) > 0):
             raise ModelError("tabulated grid must be strictly ascending")
         if not np.all(v > 0):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import flockjump as fj
 from flockjump import cli, kernel
+from flockjump import mean_field as mf
 from flockjump.model import RATE_FAMILIES
 from flockjump.sim import UnsupportedSpecError
 from flockjump.harness import (
@@ -183,8 +184,8 @@ def test_config_checks_scenario_and_outdir(override, key):
 
 # One bad value per key, for the property test below: a wrong type, NaN, inf,
 # an int past the float range or a value out of the key's range. The base
-# configs are _minimal() and the PDE's {"rate": exponential}; no value listed
-# is one they accept.
+# configs are _minimal() and the PDE's exponential rate with the Gaussian
+# start; no value listed is one they accept.
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400])
 NOT_A_NUMBER = st.one_of(st.text(max_size=4), st.booleans(), st.lists(st.integers(), max_size=2),
                          st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
@@ -279,10 +280,39 @@ def test_config_names_the_one_bad_key(case):
 @example(("h", 62.0))
 def test_pde_config_names_the_one_bad_key(case):
     key, value = case
-    base = {"rate": {"family": "exponential", "beta": 1.0}}
+    # the Gaussian start keeps the default window, which BAD_PDE_CONFIG's
+    # x_min, x_max and h are bad against
+    base = {"rate": {"family": "exponential", "beta": 1.0}, "initial": {"kind": "gaussian"}}
     with pytest.raises(ConfigError) as exc:
         pde_config_from_dict({**base, key: value})
     assert_names_key(exc, key)
+
+
+def test_pde_config_checks_a_wave_window_edge_against_the_wave_support():
+    rate = {"family": "step", "a": 2.0, "b": 1.0}
+    x_lo, x_hi = mf.profile_support(fj.StepRate(2.0, 1.0), 1.5)
+    for cfg, key, message in (({"x_min": 181.0}, "x_min", f"must be below x_max = {x_hi}"),
+                              ({"x_max": -181.0}, "x_max", "must exceed x_min"),
+                              ({"h": 800.0}, "h", "must leave two grid nodes")):
+        with pytest.raises(ConfigError, match=f"^{key}: {re.escape(message)}"):
+            pde_config_from_dict({"rate": rate, **cfg})
+    cfg = pde_config_from_dict({"rate": rate, "x_min": -10.0})
+    assert (cfg["x_min"], cfg["x_max"]) == (-10.0, x_hi)
+    cfg = pde_config_from_dict({"rate": rate, "initial": {"kind": "gaussian"}})
+    assert (cfg["x_min"], cfg["x_max"]) == (-6.0, 25.0)
+
+
+@pytest.mark.parametrize("rate", [{"family": "step", "a": 2.0, "b": 1.0},
+                                  {"family": "exponential", "beta": 1.0},
+                                  {"family": "exponential", "beta": 2.0}],
+                         ids=lambda rate: rate["family"] + str(rate.get("beta", "")))
+def test_pde_default_window_holds_the_wave_start(rate):
+    # The default x_min = -6 held 93.2% of the step(2, 1) wave's mass; the
+    # window is now the wave's support, outside which e^-60 of it lies.
+    cfg = pde_config_from_dict({"rate": rate})
+    wave = mf.stationary_wave(cfg["rate"])
+    assert wave.cdf(cfg["x_max"]) - wave.cdf(cfg["x_min"]) >= 1 - 1e-9
+    assert wave.cdf(cfg["x_min"]) <= 1e-15 and wave.cdf(cfg["x_max"]) >= 1 - 1e-15
 
 
 def test_config_engine_rule_is_the_simulators():
@@ -521,6 +551,19 @@ def test_cli_simulate_and_pde(capsys, tmp_path):
     assert (tmp_path / "pde" / "final_density.csv").exists()
 
 
+def test_cli_pde_keeps_the_step_wave_on_its_default_window(capsys, tmp_path):
+    # On the old default window [-6, 25] this start read drift 9.7e-5 and W1 2.19.
+    pde_path = tmp_path / "pde.json"
+    pde_path.write_text(json.dumps({"rate": {"family": "step", "a": 2.0, "b": 1.0},
+                                    "T": 1.0, "samples": 5}))
+    assert cli.main(["pde", str(pde_path)]) == 0
+    out = capsys.readouterr().out
+    drift = float(re.search(r"^mass drift per unit time: (\S+)$", out, re.MULTILINE)[1])
+    w1 = float(re.search(r"W1 to wave \(shape\): (\S+)$", out, re.MULTILINE)[1])
+    assert drift <= 1e-12 and w1 <= 1e-3
+    assert re.search(r"^added on the right: [1-9][0-9]* cells$", out, re.MULTILINE)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["extremes", "--beta", "0.4", "--T", "3"], "k = 1/beta a positive integer"),
     (["extremes", "--beta", "1", "--T", "80"], "exceeds 2^62"),
@@ -571,7 +614,8 @@ def test_cli_reports_config_errors(capsys, tmp_path):
                      ({"rate": rate, "x_min": "x"}, "x_min"),
                      ({"rate": rate, "x_max": None}, "x_max"),
                      ({"rate": rate, "x_min": 5, "x_max": 1}, "x_max"),
-                     ({"rate": rate, "x_min": 30}, "x_min"),
+                     ({"rate": rate, "x_min": 30, "initial": {"kind": "gaussian"}}, "x_min"),
+                     ({"rate": rate, "x_min": 70}, "x_min"),        # past the wave's support
                      ({"rate": rate, "samples": "x"}, "samples"),
                      ({"rate": rate, "initial": "wave"}, "initial"),
                      ({"rate": rate, "initial": {"kind": "gaussian", "sigma": 0}},
@@ -588,9 +632,10 @@ def test_cli_reports_config_errors(capsys, tmp_path):
         assert err.count("\n") == 1
 
 
-# Everything the particle system, the record process and the two-particle gap
-# laws need, in one process: scipy serves only the wave solver and residual,
-# the PDE's numpy step, the gap master-equation and boundary oracles and
+# Everything the particle system, the record process, the two-particle gap
+# laws and the traveling waves need, in one process: with the kernel built,
+# scipy serves only the numpy fallbacks of the PDE step and the wave-equation
+# residual, the gap master-equation and boundary oracles and
 # CustomDensityJump.
 NO_SCIPY_SCRIPT = textwrap.dedent("""
     import json, sys
@@ -621,16 +666,60 @@ NO_SCIPY_SCRIPT = textwrap.dedent("""
     print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """)
 
+# The `waves` benchmark path for every family, `flockjump travelwave` and
+# `flockjump pde`: the wave speed, the stationary wave, the compiled residual
+# and the compiled PDE step.
+NO_SCIPY_WAVES_SCRIPT = textwrap.dedent("""
+    import json, sys
+    from pathlib import Path
 
-def test_particles_and_the_record_process_load_no_scipy(tmp_path):
+    import numpy as np
+
+    import flockjump as fj
+    from flockjump import cli, kernel
+    from flockjump import mean_field as mf
+
+    assert kernel.load() is not None
+    out = Path(sys.argv[1])
+    for w in (fj.StepRate(2.0, 1.0), fj.PiecewiseLinearRate(2.0, 1.0), fj.ArccotRate(),
+              fj.ExponentialRate(1.0),
+              fj.TabulatedRate(grid=(-1.5, -0.5, 0.5, 1.5), values=(2.5, 2.0, 1.4, 1.0))):
+        c = mf.wave_speed(w)
+        mf.stationary_wave(w)
+        assert mf.wave_equation_residual(w, c) <= 1e-6
+        grid = np.arange(-6.0, 20.0 + 0.01, 0.02)
+        field = mf.DensityField.gaussian(grid, center=0.0, sigma=0.1)
+        mf.pde_integrate(field, w, T=0.05, dt=1e-3, samples=2)
+    assert cli.main(["travelwave", "--rate", "step:a=2,b=1"]) == 0
+    (out / "pde.json").write_text(json.dumps({"rate": {"family": "exponential", "beta": 1.0},
+                                              "T": 0.05, "samples": 2}))
+    assert cli.main(["pde", str(out / "pde.json")]) == 0
+    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+""")
+
+
+def _scipy_modules_loaded_by(script, tmp_path):
+    """The scipy modules `script` leaves loaded, run on this package in a new
+    interpreter with `tmp_path` as its argument."""
     src = str(Path(fj.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_particles_and_the_record_process_load_no_scipy(tmp_path):
+    assert _scipy_modules_loaded_by(NO_SCIPY_SCRIPT, tmp_path) == []
     assert (tmp_path / "fig4_6_small" / "summary.json").exists()
+
+
+@pytest.mark.skipif(kernel.load() is None, reason="the PDE step and residual fall back to "
+                    "their numpy bodies, which use scipy's lfilter, without the kernel")
+def test_the_waves_path_travelwave_and_pde_load_no_scipy(tmp_path):
+    assert _scipy_modules_loaded_by(NO_SCIPY_WAVES_SCRIPT, tmp_path) == []
+    assert (tmp_path / "pde.json").exists()
 
 
 def test_cli_accept_single_criterion(capsys):

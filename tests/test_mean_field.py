@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import flockjump as fj
@@ -143,6 +145,100 @@ def test_wave_speed_evaluation_budget(family):
 def test_wave_speed_iteration_guard():
     with pytest.raises(SolverError, match="did not converge"):
         wave_speed(fj.ExponentialRate(1.0), max_iter=2)
+    for bad in (-1, 2.5, True):
+        with pytest.raises(DomainError, match="^max_iter: must be an integer >= 0"):
+            wave_speed(fj.ExponentialRate(1.0), max_iter=bad)
+
+
+def test_wave_speed_reports_a_start_value_with_zero_mean():
+    # (a + b) / 2 = 1.75 is the root and its moment is exactly 0, but the
+    # bracket search steps past it; the final bracket still ends there.
+    report = {}
+    c = wave_speed(fj.StepRate(3.0, 0.5), report=report)
+    assert c == 1.7500000000000002
+    assert report["bracket_width"] == 1.7500000000000002 - 1.75
+
+
+def test_wave_speed_refuses_a_nan_moment(monkeypatch):
+    # The bracket is [1, 2]: the first NaN is the Brent loop's first step,
+    # the secant point of the bracket's ends.
+    exact = mf.profile_mean
+    monkeypatch.setattr(mf, "profile_mean",
+                        lambda w, c, drop=60.0: math.nan if 1.1 < c < 1.9 else exact(w, c, drop))
+    with pytest.raises(SolverError, match=r"profile mean at c = 1\.8327461772768672 is NaN"):
+        wave_speed(fj.ExponentialRate(1.0))
+
+
+# ---------------------------------------------------------------------------
+# the Brent loop against scipy.optimize.brentq, which it ports
+# ---------------------------------------------------------------------------
+
+
+def _brent_runs(f, a, b, xtol, rtol, maxiter):
+    """(root bits, converged, bits of each point f is evaluated at, in order)
+    from scipy.optimize.brentq and from mf._brentq on the same problem."""
+    from scipy.optimize import brentq
+
+    def scipy_brentq(g):
+        root, res = brentq(g, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter,
+                           full_output=True, disp=False)
+        return root, res.converged
+
+    runs = []
+    for solve in (scipy_brentq, lambda g: mf._brentq(g, a, b, xtol, rtol, maxiter)):
+        points = []
+
+        def recorded(x):
+            points.append(x.hex())
+            return f(x)
+
+        root, converged = solve(recorded)
+        runs.append((root.hex(), converged, points))
+    return runs
+
+
+@pytest.mark.parametrize("w", [*(entry[0] for entry in SPEED_BRACKETS.values()),
+                               fj.StepRate(3.0, 0.5), fj.ExponentialRate(0.5),
+                               fj.ExponentialRate(0.935), fj.ExponentialRate(2.0),
+                               fj.TabulatedRate(grid=(-1.0, 1.0), values=(3.0, 1.0))],
+                         ids=repr)
+def test_brent_port_matches_scipy_on_the_wave_speed_bracket(w):
+    report = {}
+    c = wave_speed(w, report=report)
+    scipy_run, port_run = _brent_runs(lambda c: profile_mean(w, c), *report["bracket"],
+                                      5e-14, 5e-14, 200)
+    assert port_run == scipy_run
+    assert port_run[:2] == (c.hex(), True)
+
+
+# A root r inside [r - left, r + right] of a decreasing function built from
+# plain floats: a numpy scalar would round some operations (np.float64 **
+# np.int64) differently from the float the loop computes with.
+MONOTONE = {
+    "line": lambda r, s, x: s * (r - x),
+    "odd power": lambda r, s, x: s * (r - x) ** 3,
+    "atan": lambda r, s, x: math.atan(s * (r - x)),
+    "exp": lambda r, s, x: math.exp(-s * x) - math.exp(-s * r),
+    "tanh plus cubic": lambda r, s, x: math.tanh(r - x) + 1e-3 * s * (r - x) ** 3,
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(sorted(MONOTONE)), r=st.floats(-5.0, 5.0),
+       s=st.floats(0.01, 10.0), left=st.floats(1e-6, 5.0), right=st.floats(1e-6, 5.0),
+       swap=st.booleans(), maxiter=st.sampled_from([200, 0, 1, 2, 3]))
+def test_brent_port_matches_scipy_on_monotone_functions(kind, r, s, left, right, swap, maxiter):
+    def f(x):
+        return MONOTONE[kind](r, s, x)
+
+    a, b = r - left, r + right
+    assume(f(a) > 0 > f(b))
+    if swap:
+        a, b = b, a
+    scipy_run, port_run = _brent_runs(f, a, b, 5e-14, 5e-14, maxiter)
+    assert port_run == scipy_run
+    if maxiter in (0, 200):         # no iteration, or enough for any of these
+        assert port_run[1] == (maxiter == 200)
 
 
 @pytest.mark.parametrize("a,b", [(2.0, 1.0), (2.5, 1.18), (3.0, 0.5)])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,42 @@ def test_rate_parameter_validation():
         fj.PiecewiseLinearRate(1.0, 1.0)
     with pytest.raises(TypeError):
         fj.ArccotRate(knots=(3.0,))                # knots belong to the family, not the instance
+
+
+# Each rate parameter is checked before the family's order checks, so that a
+# value no run can use never builds a family.
+NOT_FINITE = [math.inf, -math.inf, math.nan, 10**400, True]
+NOT_FINITE_IDS = ["inf", "-inf", "nan", "10**400", "True"]
+
+
+@pytest.mark.parametrize("bad", NOT_FINITE, ids=NOT_FINITE_IDS)
+def test_step_rate_refuses_a_parameter_that_is_not_a_finite_number(bad):
+    for name, args in (("a", (bad, 1.0)), ("b", (2.0, bad))):
+        with pytest.raises(DomainError, match=f"^{name} must be a finite number, got "):
+            fj.StepRate(*args)
+
+
+@pytest.mark.parametrize("bad", NOT_FINITE, ids=NOT_FINITE_IDS)
+def test_piecewise_linear_rate_refuses_a_parameter_that_is_not_a_finite_number(bad):
+    for name, args in (("a", (bad, 1.0)), ("b", (2.0, bad))):
+        with pytest.raises(DomainError, match=f"^{name} must be a finite number, got "):
+            fj.PiecewiseLinearRate(*args)
+
+
+@pytest.mark.parametrize("bad", NOT_FINITE, ids=NOT_FINITE_IDS)
+def test_tabulated_rate_refuses_an_entry_that_is_not_a_finite_number(bad):
+    for name, kwargs in (("grid[0]", dict(grid=(bad, 1.0), values=(2.0, 1.0))),
+                         ("grid[1]", dict(grid=(0.0, bad), values=(2.0, 1.0))),
+                         ("values[0]", dict(grid=(0.0, 1.0), values=(bad, 1.0))),
+                         ("values[1]", dict(grid=(0.0, 1.0), values=(2.0, bad)))):
+        with pytest.raises(DomainError, match=rf"^{re.escape(name)} must be a finite number"):
+            fj.TabulatedRate(**kwargs)
+
+
+@pytest.mark.parametrize("bad", NOT_FINITE, ids=NOT_FINITE_IDS)
+def test_exponential_rate_refuses_a_beta_that_is_not_a_finite_number(bad):
+    with pytest.raises(DomainError, match="^beta must be positive and finite"):
+        fj.ExponentialRate(bad)
 
 
 def test_rate_families_registry_and_engine_defaults():
