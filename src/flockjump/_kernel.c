@@ -105,7 +105,7 @@ enum {
 };
 
 /* RATE_EXPONENTIAL has no thinning engine (its sup is infinite): fj_pde only. */
-enum { RATE_STEP, RATE_PIECEWISE_LINEAR, RATE_ARCCOT, RATE_TABULATED, RATE_EXPONENTIAL };
+enum { RATE_STEP, RATE_ARCCOT, RATE_TABULATED, RATE_EXPONENTIAL };
 
 /* Mirrored field by field by kernel.Run. */
 typedef struct {
@@ -186,22 +186,17 @@ static inline int64_t tab_search(const double *knots, int64_t K, double x)
 }
 
 /* w(d), operation for operation as the family's scalar_rate() in model.py,
-   from the parameters of its kernel_rate(): step (a, b); piecewise linear
-   (a, b, mid, slope); arccot (pi/2); exponential (beta, EXP_CLAMP), as
-   ExponentialRate.rate: exp(-clip(beta d, -EXP_CLAMP, EXP_CLAMP));
-   tabulated the segment table (see tab_search), where w = value[k] in the
-   flat ends and value[k] + 2 half_slope[k] (d - left[k]) between them. */
+   from the parameters of its kernel_rate(): step (a, b); arccot (pi/2);
+   exponential (beta, EXP_CLAMP), as ExponentialRate.rate:
+   exp(-clip(beta d, -EXP_CLAMP, EXP_CLAMP)); tabulated, the piecewise-linear
+   rate (a two-knot table) among them, the segment table (see tab_search),
+   where w = value[k] in the flat ends and value[k] + 2 half_slope[k]
+   (d - left[k]) between them. */
 static inline double rate(int32_t family, const double *p, int64_t n_params, double d)
 {
     switch (family) {
     case RATE_STEP:
         return d < 0.0 ? p[0] : p[1];
-    case RATE_PIECEWISE_LINEAR:
-        if (d < -1.0)
-            return p[0];
-        if (d > 1.0)
-            return p[1];
-        return p[2] - p[3] * d;
     case RATE_ARCCOT:
         return p[0] - atan(d);
     case RATE_EXPONENTIAL: {
@@ -974,16 +969,6 @@ static inline double rate_integral(int32_t family, const double *p, int64_t n_pa
     case RATE_STEP:
         *I = x < 0.0 ? p[0] * x : p[1] * x;
         break;
-    case RATE_PIECEWISE_LINEAR: {
-        const double a = p[0], b = p[1];
-        if (x < -1.0)
-            *I = (-0.5 * (a + b) - 0.25 * (a - b)) + a * (x + 1.0);
-        else if (x > 1.0)
-            *I = (0.5 * (a + b) - 0.25 * (a - b)) + b * (x - 1.0);
-        else
-            *I = 0.5 * (a + b) * x - 0.25 * (a - b) * x * x;
-        break;
-    }
     case RATE_ARCCOT: {
         const double t = atan(x);
         *I = x * (p[0] - t) + 0.5 * log1p(x * x);
@@ -1090,9 +1075,6 @@ int fj_wave_residual(fj_wave *q)
     switch (q->family) {
     case RATE_STEP:
         wave_pass(q, RATE_STEP);
-        break;
-    case RATE_PIECEWISE_LINEAR:
-        wave_pass(q, RATE_PIECEWISE_LINEAR);
         break;
     case RATE_ARCCOT:
         wave_pass(q, RATE_ARCCOT);

@@ -56,8 +56,9 @@ def _rate_param(key, kind, val):
 def rate_spec_from_dict(d: dict):
     """Build a rate family from {"family": name, **parameters}.
 
-    The parameters are the fields of the family's dataclass in RATE_FAMILIES;
-    a field without a default is required, and any other key is an error.
+    The parameters are the fields of the family's dataclass in RATE_FAMILIES
+    that its constructor takes; one without a default is required, and any
+    other key is an error.
     """
     if not isinstance(d, dict) or "family" not in d:
         raise ConfigError("rate: needs a 'family' key")
@@ -66,7 +67,7 @@ def rate_spec_from_dict(d: dict):
     if cls is None:
         raise ConfigError(f"rate.family: unknown family {fam!r}; have {sorted(RATE_FAMILIES)}")
     kinds = get_type_hints(cls)
-    defaults = {f.name: f.default for f in fields(cls)}
+    defaults = {f.name: f.default for f in fields(cls) if f.init}
     for key in d:
         if key != "family" and key not in defaults:
             raise ConfigError(f"rate.{key}: not a parameter of the {fam} family "

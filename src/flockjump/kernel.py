@@ -80,7 +80,7 @@ RESIDUAL_DONE, RESIDUAL_BAD_INDEX, RESIDUAL_HEAP_FULL = range(3)
 HIST_DONE, HIST_NAN = range(2)
 
 # Rate families with a C rate, by the name their kernel_rate() gives.
-RATE_CODES = {"step": 0, "piecewise_linear": 1, "arccot": 2, "tabulated": 3, "exponential": 4}
+RATE_CODES = {"step": 0, "arccot": 1, "tabulated": 2, "exponential": 3}
 
 _P = ctypes.c_void_p
 _I64 = ctypes.c_int64

@@ -23,7 +23,7 @@ via a left-to-right recursion, and discrete mass conservation plus the discrete
 speed-of-mean identity hold to floating-point roundoff by construction.
 
 The Euler step runs compiled (`fj_pde` in `_kernel.c`) for every family whose
-`kernel_rate()` is not None, which covers the five built-in ones, and as the
+`kernel_rate()` is not None, which covers every built-in family, and as the
 numpy step (`_Euler._numpy_steps`) where the kernel cannot be built or the
 family has no C rate. Either one holds the whole window policy (`_Euler`) and
 returns to Python only when a diagnostics sample is due, cells are due on the
@@ -339,9 +339,11 @@ def wave_speed(w, max_iter: int = 200, report: dict = None) -> float:
     is verified rather than assumed from monotonicity, and the moments
     computed there are reused. The root is resolved to a bracket of width
     1e-13 * max(1, |c|) within `max_iter` Brent steps (an integer >= 0,
-    DomainError otherwise); a NaN moment raises SolverError naming its speed. If given, `report` receives the bracket,
-    its endpoint means, the number of `profile_mean` calls (`evaluations`)
-    and the width of the final bracket (`bracket_width`).
+    DomainError otherwise); a NaN moment raises SolverError naming its
+    speed. A start value whose moment is exactly 0 is returned after that one
+    evaluation. If given, `report` receives the bracket (that start's one
+    point), its endpoint means, the number of `profile_mean` calls
+    (`evaluations`) and the width of the final bracket (`bracket_width`).
     """
     if not is_count(max_iter, 0):
         raise DomainError(f"max_iter: must be an integer >= 0, got {max_iter!r}")
@@ -364,28 +366,31 @@ def wave_speed(w, max_iter: int = 200, report: dict = None) -> float:
     else:
         c0 = max(float(w(0.0)), 2.0 * w_right + 1.0)
 
-    # Expand upward until the centered moment goes negative; every c passed on
-    # the way has a non-negative moment and tightens the lower end.
+    # A start value whose moment is exactly 0 is the root: its one-point
+    # bracket goes to _brentq, which returns it at once.
     c_lo = c_hi = c0
-    for _ in range(200):
-        if mean(c_hi) < 0:
-            break
-        c_lo = c_hi
-        c_hi = 0.5 * (c_hi + w_left) if math.isfinite(w_left) else 2.0 * c_hi
-    else:
-        raise SolverError(f"no c with negative profile mean found below w(-inf)={w_left}")
-    # Expand downward (toward w(+inf)) until the moment goes positive.
-    for _ in range(200):
-        if mean(c_lo) > 0:
-            break
-        if mean(c_lo) < 0:
-            c_hi = c_lo
-        c_lo = 0.5 * (c_lo + w_right)
-    else:
-        raise SolverError(f"no c with positive profile mean found above w(+inf)={w_right}")
+    if mean(c0) != 0:
+        # Expand upward until the centered moment goes negative; every c
+        # passed on the way has a non-negative moment and tightens the lower end.
+        for _ in range(200):
+            if mean(c_hi) < 0:
+                break
+            c_lo = c_hi
+            c_hi = 0.5 * (c_hi + w_left) if math.isfinite(w_left) else 2.0 * c_hi
+        else:
+            raise SolverError(f"no c with negative profile mean found below w(-inf)={w_left}")
+        # Expand downward (toward w(+inf)) until the moment goes positive.
+        for _ in range(200):
+            if mean(c_lo) > 0:
+                break
+            if mean(c_lo) < 0:
+                c_hi = c_lo
+            c_lo = 0.5 * (c_lo + w_right)
+        else:
+            raise SolverError(f"no c with positive profile mean found above w(+inf)={w_right}")
 
     m_lo, m_hi = mean(c_lo), mean(c_hi)
-    if not (m_lo > 0 > m_hi):
+    if not (m_lo > 0 > m_hi or c_lo == c_hi):
         raise SolverError(
             f"bracket endpoints do not straddle zero moment: "
             f"mean({c_lo})={m_lo:.6g}, mean({c_hi})={m_hi:.6g}")
@@ -401,8 +406,7 @@ def wave_speed(w, max_iter: int = 200, report: dict = None) -> float:
     if report is not None:
         # The final bracket is the tightest sign change among the evaluated c,
         # or the root itself when its moment is exactly zero. A zero moment
-        # elsewhere (the start value's, which the bracket search steps past)
-        # ends a sign change on each side.
+        # elsewhere ends a sign change on each side.
         pts = sorted(means.items())
         width = 0.0 if means[c] == 0 else min(
             c2 - c1 for (c1, m1), (c2, m2) in zip(pts, pts[1:]) if m1 * m2 <= 0)
@@ -516,7 +520,9 @@ def _exact_law(w, c: float):
 _LAWS = {
     "generalized_gumbel": _gumbel_law,
     "laplace": _laplace_law,
-    # Gaussian core on [-1, 1], exponential tails
+    # The piecewise-linear rate's wave at its speed (a+b)/2, a Gaussian core on
+    # [-1, 1] with exponential tails: a check of the rate's stationary_wave,
+    # which, as for any table, is the exact profile at the solved speed.
     "piecewise_gauss_exp": lambda a, b: _exact_law(PiecewiseLinearRate(a, b), 0.5 * (a + b)),
     "arccot": lambda: _exact_law(ArccotRate(), 0.5 * math.pi),
 }

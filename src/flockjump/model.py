@@ -5,7 +5,8 @@ relative to the center of mass; particles behind the center jump faster. Five
 rate families are supported (exponential, step, piecewise-linear, arccot, and a
 bounded tabulated function), each exposing both a pointwise evaluation and the
 exact antiderivative of w from 0, which the traveling-wave solver needs at full
-precision. Jump lengths are normalized to mean 1 with a finite third moment.
+precision. The piecewise-linear rate is the two-knot table, and has no code of
+its own. Jump lengths are normalized to mean 1 with a finite third moment.
 `initial_state` builds a run's starting positions as a validated SystemState.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import ClassVar
@@ -248,64 +249,6 @@ class _StepMeanRate:
 
 
 @dataclass(frozen=True)
-class PiecewiseLinearRate(RateFamily):
-    """Continuous rate: a left of -1, b right of 1, linear in between (a > b > 0)."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        _require_finite(a=self.a, b=self.b)
-        if not (self.a > self.b > 0):
-            raise ModelError(f"piecewise-linear rates need a > b > 0, got a={self.a}, b={self.b}")
-
-    knots = (-1.0, 1.0)
-
-    @property
-    def left_limit(self):
-        return self.a
-
-    @property
-    def right_limit(self):
-        return self.b
-
-    def rate(self, x):
-        x = np.asarray(x, dtype=float)
-        mid = 0.5 * (self.a + self.b) - 0.5 * (self.a - self.b) * x
-        return np.where(x < -1.0, self.a, np.where(x > 1.0, self.b, mid))
-
-    def integral(self, x):
-        x = np.asarray(x, dtype=float)
-        a, b = self.a, self.b
-        # On [-1, 1]: int_0^x w = (a+b)/2 * x - (a-b)/4 * x^2.
-        mid = 0.5 * (a + b) * x - 0.25 * (a - b) * x * x
-        at_hi = 0.5 * (a + b) - 0.25 * (a - b)
-        at_lo = -0.5 * (a + b) - 0.25 * (a - b)
-        return np.where(x < -1.0, at_lo + a * (x + 1.0),
-                        np.where(x > 1.0, at_hi + b * (x - 1.0), mid))
-
-    def scalar_rate(self):
-        a, b = self.a, self.b
-        slope, mid = 0.5 * (a - b), 0.5 * (a + b)
-
-        def rate(d):
-            if d < -1.0:
-                return a
-            if d > 1.0:
-                return b
-            return mid - slope * d
-
-        return rate
-
-    def kernel_rate(self):
-        a, b = self.a, self.b
-        return "piecewise_linear", (a, b, 0.5 * (a + b), 0.5 * (a - b))
-
-    def stationary_law(self):
-        return "piecewise_gauss_exp", {"a": self.a, "b": self.b}
-
-
-@dataclass(frozen=True)
 class ArccotRate(RateFamily):
     """w(x) = arccot(x) on (0, pi), the smooth monotone example."""
 
@@ -420,6 +363,25 @@ class TabulatedRate(RateFamily):
     def kernel_rate(self):
         knots, left, value, half_slope, cum, width = self._segments
         return "tabulated", np.concatenate([knots, left, value, half_slope, cum, [width]])
+
+
+@dataclass(frozen=True)
+class PiecewiseLinearRate(TabulatedRate):
+    """Continuous rate: a left of -1, b right of 1, linear in between (a > b > 0);
+    the two-knot table TabulatedRate((-1, 1), (a, b)), whose parameters are a, b."""
+
+    grid: tuple = field(init=False, repr=False)
+    values: tuple = field(init=False, repr=False)
+    a: float
+    b: float
+
+    def __post_init__(self):
+        _require_finite(a=self.a, b=self.b)
+        if not (self.a > self.b > 0):
+            raise ModelError(f"piecewise-linear rates need a > b > 0, got a={self.a}, b={self.b}")
+        object.__setattr__(self, "grid", (-1.0, 1.0))
+        object.__setattr__(self, "values", (self.a, self.b))
+        super().__post_init__()
 
 
 # The only map from a config family name to its class.

@@ -38,17 +38,18 @@ adds each observation due in its loop to the averager's next row and does
 not leave for it. The Python steps call ``_Observer.emit``, which calls
 ``add``; the compiled ones bin the row as ``add`` would. ``_drive`` serves
 the observations due at a re-sum or at the stop, and the one a compiled
-step leaves for because ``add`` refuses it. The bounded step (step,
-piecewise-linear, arccot and tabulated rates) and the exponential step (its
-rebuild included) run compiled, as ``fj_bounded`` and ``fj_exponential`` in
-``_kernel.c``. They consume the batches of the engine's one refill and
-perform the floating-point operations of their exit-for-exit Python twins,
-``_bounded_steps`` and ``_exponential_steps``, in their order (libm exp and
-atan), so paths, event logs, averager rows and bundles are bit-identical.
-The twins run for a bounded family whose ``kernel_rate()`` is None and where
-the library, built with gcc at the first run of a compiled engine and cached
-in ``__pycache__`` (see ``kernel``), cannot be built. The reference step
-draws per event and has no compiled twin.
+step leaves for because ``add`` refuses it. The bounded step (step, arccot
+and tabulated rates, the piecewise-linear rate being a two-knot table) and
+the exponential step (its rebuild included) run compiled, as ``fj_bounded``
+and ``fj_exponential`` in ``_kernel.c``. They consume the batches of the
+engine's one refill and perform the floating-point operations of their
+exit-for-exit Python twins, ``_bounded_steps`` and ``_exponential_steps``,
+in their order (libm exp and atan), so paths, event logs, averager rows and
+bundles are bit-identical. The twins run for a bounded family whose
+``kernel_rate()`` is None and where the library, built with gcc at the first
+run of a compiled engine and cached in ``__pycache__`` (see ``kernel``),
+cannot be built. The reference step draws per event and has no compiled
+twin.
 """
 
 from __future__ import annotations

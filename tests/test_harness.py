@@ -65,8 +65,10 @@ def test_rate_spec_from_dict():
     ({"family": "nope"}, "rate.family"),
     ({"family": ["step"]}, "rate.family"),
     ("step:a=2,b=1,c=5", "rate.c"),
+    ({"family": "piecewise_linear", "a": 2.0, "b": 1.0, "grid": [-1.0, 1.0]},
+     "rate.grid: not a parameter of the piecewise_linear family (parameters: a, b)"),
 ], ids=["missing-key", "extra-key", "not-a-number", "not-a-list", "invalid-values",
-        "unknown-family", "family-not-a-string", "extra-key-in-string"])
+        "unknown-family", "family-not-a-string", "extra-key-in-string", "table-key"])
 def test_bad_rate_spec_names_the_key(bad, key):
     build = parse_rate_string if isinstance(bad, str) else rate_spec_from_dict
     with pytest.raises(ConfigError, match=re.escape(key)):
@@ -80,6 +82,7 @@ def test_parse_rate_string():
     assert parse_rate_string("step:a=2,b=1") == fj.StepRate(2.0, 1.0)
     assert parse_rate_string("exponential:beta=2") == fj.ExponentialRate(2.0)
     assert parse_rate_string("arccot") == fj.ArccotRate()
+    assert parse_rate_string("piecewise_linear:a=2,b=1") == fj.PiecewiseLinearRate(2.0, 1.0)
     with pytest.raises(ConfigError):
         parse_rate_string("step:a=2,b")
     with pytest.raises(ConfigError):

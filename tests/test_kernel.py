@@ -261,6 +261,26 @@ def test_tabulated_bounded_runs_keep_their_digest():
     assert digest.hexdigest() == TABULATED_DIGEST
 
 
+# Bounded runs of the piecewise-linear rate, Exp(1) jumps at n = 200 and unit
+# jumps at n = 7; sha256 of their runs below, recorded when the family still
+# had its own Python and C rate, before it was the two-knot table, so it
+# shows that the table moved no event
+PWL_DIGEST_RUNS = [(w, z, n) for w in (fj.PiecewiseLinearRate(2.0, 1.0),
+                                       fj.PiecewiseLinearRate(2.41, 1.12))
+                   for z, n in ((fj.ExponentialJump(), 200), (fj.DeterministicJump(), 7))]
+PWL_DIGEST = "a01954a580008cfa4aa8ee51919d72bcc200f5d7094c66103d4da58ad57e5d6f"
+
+
+def test_piecewise_linear_bounded_runs_keep_their_digest():
+    digest = hashlib.sha256()
+    for seed, (w, z, n) in enumerate(PWL_DIGEST_RUNS, start=41):
+        expected, got = both(w, z, n, seed=seed, max_events=30_000, engine="bounded",
+                             log_events=True)
+        assert got == expected
+        digest.update(repr(expected).encode())
+    assert digest.hexdigest() == PWL_DIGEST
+
+
 def compiled_rate(w, x):
     """The kernel's rate() at x, read off fj_pde's stability check on a
     one-node grid at x with m = 0 and dt = inf: a finite w(x) > 0 exits
@@ -289,6 +309,30 @@ def test_compiled_tabulated_rate_is_scalar_rate_to_the_bit(w):
     for x in points:
         assert bits(compiled_rate(w, x)) == bits(rate(x)), x
     assert math.isnan(compiled_rate(w, math.nan)) and math.isnan(rate(math.nan))
+
+
+def pwl_formula(a, b, x):
+    """The piecewise-linear rate by its own formula: a left of -1, b right of
+    1 and (a + b)/2 - (a - b)x/2 between."""
+    if x < -1.0:
+        return a
+    if x > 1.0:
+        return b
+    return 0.5 * (a + b) - 0.5 * (a - b) * x
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 1.0), (3.0, 2.0), (2.41, 1.12), (3.0, 0.5), (1.18, 1.0),
+                                  (2.2, 1.0)])
+def test_piecewise_linear_rate_is_its_formula_to_two_ulp(a, b):
+    # the two-knot table's w, in numpy, in Python and compiled; to the bit
+    # where (a + b)/2 and (a - b)/2 are dyadic
+    w = fj.PiecewiseLinearRate(a, b)
+    rate, ulps = w.scalar_rate(), 0 if (a, b) in ((2.0, 1.0), (3.0, 2.0)) else 2
+    edges = [np.nextafter(k, d) for k in (-1.0, 1.0) for d in (-math.inf, math.inf)]
+    for x in [*np.linspace(-1.5, 1.5, 601).tolist(), -1.0, 0.0, 1.0, *edges, -50.0, 50.0]:
+        want = np.float64(pwl_formula(a, b, x)).view(np.int64)
+        for got in (float(w.rate(x)), rate(x), compiled_rate(w, x)):
+            assert abs(int(np.float64(got).view(np.int64)) - int(want)) <= ulps, (x, got)
 
 
 def test_one_step_law_runs_on_the_kernel():

@@ -101,8 +101,9 @@ def test_wave_speed_exponential_three_way():
 
 
 def test_wave_speed_reports_bracket():
+    # the exponential rate's start value w(0) = 1 is not its root
     report = {}
-    wave_speed(fj.StepRate(2.0, 1.0), report=report)
+    wave_speed(fj.ExponentialRate(1.0), report=report)
     c_lo, c_hi = report["bracket"]
     m_lo, m_hi = report["endpoint_means"]
     assert m_lo > 0 > m_hi
@@ -151,12 +152,13 @@ def test_wave_speed_iteration_guard():
 
 
 def test_wave_speed_reports_a_start_value_with_zero_mean():
-    # (a + b) / 2 = 1.75 is the root and its moment is exactly 0, but the
-    # bracket search steps past it; the final bracket still ends there.
+    # (a + b) / 2 = 1.75 is the root and its moment is exactly 0: it is
+    # returned after that one evaluation, with its one-point bracket
     report = {}
     c = wave_speed(fj.StepRate(3.0, 0.5), report=report)
-    assert c == 1.7500000000000002
-    assert report["bracket_width"] == 1.7500000000000002 - 1.75
+    assert c == 1.75
+    assert report == {"bracket": (1.75, 1.75), "endpoint_means": (0.0, 0.0),
+                      "moment_decreasing": False, "evaluations": 1, "bracket_width": 0.0}
 
 
 def test_wave_speed_refuses_a_nan_moment(monkeypatch):
@@ -382,23 +384,22 @@ def test_laplace_coefficient():
     assert np.all(np.diff(cdf) >= 0) and cdf[0] < 1e-3 and cdf[-1] > 1 - 1e-3
 
 
-def test_piecewise_gauss_exp_density():
-    # continuous at |x| = 1 and matches the profile construction pointwise
-    a, b = 2.0, 1.0
-
-    def pdf(x):
-        return closed_form_density("piecewise_gauss_exp", x, a=a, b=b)
-
-    left = pdf(1.0 - 1e-12)
-    right = pdf(1.0 + 1e-12)
-    assert abs(left - right) <= 1e-12
-    prof = wave_profile(fj.PiecewiseLinearRate(a, b), 1.5)
-    xs = np.linspace(-6, 6, 201)
-    assert np.max(np.abs(pdf(xs) - prof.density_at(xs))) < 1e-10
-    from scipy.integrate import quad
-
-    total, _ = quad(lambda x: float(pdf(x)), -90, 90, points=[-1, 0, 1], limit=300)
-    assert total == pytest.approx(1.0, abs=1e-8)
+@pytest.mark.parametrize("a, b", [(2.0, 1.0), (2.5, 1.18), (3.0, 0.5), (2.41, 1.12)])
+def test_piecewise_linear_wave_is_its_closed_form(a, b):
+    # An oracle apart from the profile code: with r = (a - b)/(a + b), the
+    # wave moves at (a + b)/2 and its density is proportional to
+    # exp(-r x^2/2) on [-1, 1] and exp(-r/2 - r(|x| - 1)) outside, of mass
+    # sqrt(2 pi/r) erf(sqrt(r/2)) + 2 e^(-r/2)/r.
+    r = (a - b) / (a + b)
+    mass = (math.sqrt(2.0 * math.pi / r) * math.erf(math.sqrt(0.5 * r))
+            + 2.0 * math.exp(-0.5 * r) / r)
+    xs = np.linspace(-60.0, 60.0, 12001)
+    exact = np.where(np.abs(xs) <= 1.0, np.exp(-0.5 * r * xs * xs),
+                     np.exp(-0.5 * r - r * (np.abs(xs) - 1.0))) / mass
+    wave = stationary_wave(fj.PiecewiseLinearRate(a, b))
+    assert wave.c == pytest.approx(0.5 * (a + b), abs=1e-13)
+    for pdf in (wave.pdf(xs), closed_form_density("piecewise_gauss_exp", xs, a=a, b=b)):
+        assert np.max(np.abs(pdf - exact)) <= 1e-15
 
 
 def test_arccot_density_symmetric():
@@ -455,7 +456,6 @@ def test_every_family_has_a_stationary_wave_and_engines(family):
 @pytest.mark.parametrize("name, params, w", [
     ("generalized_gumbel", {"beta": 0.8}, fj.ExponentialRate(0.8)),
     ("laplace", {"a": 2.0, "b": 1.0}, fj.StepRate(2.0, 1.0)),
-    ("piecewise_gauss_exp", {"a": 2.0, "b": 1.0}, fj.PiecewiseLinearRate(2.0, 1.0)),
     ("arccot", {}, fj.ArccotRate()),
 ])
 def test_closed_form_density_is_the_stationary_wave_pdf(name, params, w):

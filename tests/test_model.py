@@ -107,6 +107,9 @@ def test_rate_families_registry_and_engine_defaults():
     assert engines == {"ExponentialRate": "exponential", "StepRate": "bounded",
                        "PiecewiseLinearRate": "bounded", "ArccotRate": "bounded",
                        "TabulatedRate": "bounded"}
+    # the piecewise-linear family is the two-knot table, built from a and b
+    w = fj.PiecewiseLinearRate(2.0, 1.0)
+    assert isinstance(w, fj.TabulatedRate) and (w.grid, w.values) == ((-1.0, 1.0), (2.0, 1.0))
 
 
 # a table whose grid does not hold 0, so that its segment table splits the
