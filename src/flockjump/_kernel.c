@@ -1,9 +1,8 @@
 /*
  * Compiled loops of flockjump: the event loop of the bounded and exponential
- * engines (flockjump.sim), the martingale-residual walk of the step rate and
- * the binning of one centered histogram (flockjump.measures), and the
- * explicit Euler step of the mean-field PDE and the traveling-wave residual
- * (flockjump.mean_field).
+ * engines (flockjump.sim), the martingale-residual walk of the step rate
+ * (flockjump.measures), and the explicit Euler step of the mean-field PDE and
+ * the traveling-wave residual (flockjump.mean_field).
  *
  * Event loop.  Python draws every random number, in each engine's one
  * refill in sim.py, and this code consumes the batches.  Each entry point is
@@ -15,9 +14,9 @@
  * rounded in Python, and sets S0 = inf.  A run's observer is a time averager
  * (measures.TimeAverager), and the step does not leave at its observation
  * times: it bins each one into the averager's next row (observe, with
- * bin_positions, fj_histogram's binning) and runs on.  It leaves for an
- * observation only when TimeAverager.add refuses it (EXIT_OBSERVE), so that
- * Python serves it through add(), which raises.  Python serves the
+ * bin_positions) and runs on.  It leaves for an observation only when
+ * TimeAverager.add refuses it (EXIT_OBSERVE), so that Python serves it
+ * through add(), which raises.  Python serves the
  * observations due at a re-sum or at the stop through add().  The
  * exponential engine selects on a binary sum tree of its weights, and its
  * loop rebuilds the tree (exp_rebase, counted in rebuilds) whenever the
@@ -46,11 +45,11 @@
  * writes no array but those, and stops with an exit code instead of reading
  * or writing outside them.
  *
- * Histogram.  fj_histogram bins one observation, the x_j - m, into the
- * bins of [a0, a1) with the operations of measures._numpy_bins in their
- * order, so its counts, below and above are that numpy body's to the bit.
- * It adds into a counts row the caller owns and writes nothing else.  The
- * event steps bin their observations with the same routine, bin_positions.
+ * Histogram.  bin_positions bins one observation of an event step, the
+ * x_j - m, into the bins of [a0, a1) with the operations of
+ * measures._numpy_bins in their order, so its counts, below and above are
+ * that numpy body's to the bit.  It adds into the averager's next counts row
+ * and writes nothing else.
  *
  * PDE step.  fj_pde runs whole Euler steps of the numpy loop in
  * mean_field.py, one pass over the grid each, and holds the whole window
@@ -231,19 +230,15 @@ static void log_event(fj_run *r, double t, int64_t i, double z, double m)
     }
 }
 
-/* Exits of fj_histogram. */
-enum {
-    HIST_DONE,      /* every x_j - m was binned, below or above */
-    HIST_NAN,       /* some x_j - m was NaN: in no bin and not outside */
-};
-
 /* Add x_j - m, j < n, into the nbins bins of width h = (a1 - a0) / nbins:
    the left-closed bin floor((x_j - m - a0) / h), clipped to nbins - 1, as
    the numpy body of measures._numpy_bins computes it, and count the
    positions below a0 and at or above a1.  Inside the window
-   x_j - m - a0 >= 0, so the truncation to int64_t is that floor. */
-static int bin_positions(const double *pos, int64_t n, double m, double a0, double a1,
-                         int64_t nbins, double *counts, int64_t *below_out, int64_t *above_out)
+   x_j - m - a0 >= 0, so the truncation to int64_t is that floor.  Returns
+   the count of positions with x_j - m NaN, which are in no bin and not
+   outside. */
+static int64_t bin_positions(const double *pos, int64_t n, double m, double a0, double a1,
+                             int64_t nbins, double *counts, int64_t *below_out, int64_t *above_out)
 {
     const double h = (a1 - a0) / (double)nbins;
     const int64_t last = nbins - 1;
@@ -263,7 +258,7 @@ static int bin_positions(const double *pos, int64_t n, double m, double a0, doub
     }
     *below_out = below;
     *above_out = above;
-    return below + above + binned == n ? HIST_DONE : HIST_NAN;
+    return n - below - above - binned;
 }
 
 /* Bin the observations due before t, and with `ties` those at t, from the
@@ -284,7 +279,7 @@ static int observe(fj_run *r, double m, double t, int ties)
         int64_t below, above;
         if (!isfinite(m) || bin_positions(r->pos, r->n, m, r->a0, r->a1, r->nbins,
                                           r->obs_counts + row * r->nbins, &below,
-                                          &above) != HIST_DONE) {
+                                          &above)) {
             refused = 1;
             break;
         }
@@ -1088,24 +1083,6 @@ int fj_wave_residual(fj_wave *q)
     return 0;
 }
 
-/* Mirrored field by field by kernel.Bins. */
-typedef struct {
-    const double *pos;          /* n positions */
-    int64_t n;
-    double m, a0, a1;           /* the center and the window [a0, a1) */
-    int64_t nbins;
-    double *counts;             /* nbins counts, added into */
-    int64_t below, above;       /* positions with x - m < a0, with x - m >= a1 */
-} fj_bins;
-
-/* Bin one observation, x_j - m, into the counts row of the record (see
-   bin_positions). */
-int fj_histogram(fj_bins *b)
-{
-    return bin_positions(b->pos, b->n, b->m, b->a0, b->a1, b->nbins, b->counts,
-                         &b->below, &b->above);
-}
-
 /* The size of each record that kernel.py mirrors, in the order of
    kernel.RECORDS, so that loading can refuse a mirror whose layout differs;
    -1 past them. */
@@ -1120,8 +1097,6 @@ int64_t fj_record_size(int32_t which)
         return sizeof(fj_residual_walk);
     case 3:
         return sizeof(fj_wave);
-    case 4:
-        return sizeof(fj_bins);
     default:
         return -1;
     }

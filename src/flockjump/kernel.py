@@ -1,6 +1,6 @@
 """Build and load the compiled kernel (`_kernel.c`) through ctypes.
 
-The kernel holds five kinds of loop. `fj_bounded` and `fj_exponential` are
+The kernel holds four kinds of loop. `fj_bounded` and `fj_exponential` are
 step functions of the bounded and exponential engines: each runs events on a
 `Run` record until `sim._drive`, the one driver of every engine, must act, and
 returns the reason (EXIT_*). Their exit-for-exit Python twins in `sim` run on
@@ -9,30 +9,27 @@ returns None. A run leaves the kernel only to refill a batch, to re-sum the
 center of mass (EXIT_RESUM: `_drive` re-sums it with math.fsum and sets S0 =
 inf), to stop or to raise. Its observer, a `measures.TimeAverager`, is bound
 to the record, and the step bins each observation due into the averager's
-next row, through the binning of `fj_histogram`; it exits (EXIT_OBSERVE)
-only for one that `TimeAverager.add` refuses, which `_drive` then serves
-through `add`, and `add` raises. The exponential engine's sum tree of selection
-weights is built and rebased inside `fj_exponential`, with libm exp as in the
-Python twin, whenever its total is below half of S0; `rebuilds` counts it.
-Between rebuilds each event carries its new leaf up to the root in a running
-sum, each ancestor being that sum plus its other child, as the twin does; the
-parents get the bits of tree[2j] + tree[2j+1], since IEEE addition is
-commutative.
+next row, with the operations of `measures._numpy_bins`, the body of
+`TimeAverager.add`, to the bit; it exits (EXIT_OBSERVE) only for one that
+`add` refuses, which `_drive` then serves through `add`, and `add` raises.
+The exponential engine's sum tree of selection weights is built and rebased
+inside `fj_exponential`, with libm exp as in the Python twin, whenever its
+total is below half of S0; `rebuilds` counts it. Between rebuilds each event
+carries its new leaf up to the root in a running sum, each ancestor being
+that sum plus its other child, as the twin does; the parents get the bits of
+tree[2j] + tree[2j+1], since IEEE addition is commutative.
 `fj_residual` walks an event log for `measures.residual_path`: the identity
 residual of the step rate, on a `Residual` record whose scratch arrays it
 owns, bit-identical to the Python loop, which runs when `load()` returns None.
-`fj_histogram` bins one observation for `measures` (`build_histogram` and
-`TimeAverager.add`) into a counts row the caller owns, on a `Bins` record;
-its counts, below and above are those of the numpy body, which runs when
-`load()` returns None, to the bit. The explicit Euler step of the
-mean-field PDE (`fj_pde`) runs `mean_field`'s numpy step to a tolerance,
-not to the bit, and `mean_field` falls back to the numpy step in the same
-way. It holds the whole window policy, trim, widen and right-edge test, with
-the numpy step's operations, and leaves the kernel only to sample, to have
-cells added on the right (PDE_GROW) or to raise. `fj_wave_residual` computes `mean_field.wave_equation_residual` in
-one pass over the profile's nodes, on a `WaveResidual` record, from the
-family's `kernel_rate()` block, which gives w and its integral; it agrees
-with the numpy body, which runs when `load()` returns None, to roundoff.
+The explicit Euler step of the mean-field PDE (`fj_pde`) runs `mean_field`'s
+numpy step to a tolerance, not to the bit, and `mean_field` falls back to the
+numpy step in the same way. It holds the whole window policy, trim, widen and
+right-edge test, with the numpy step's operations, and leaves the kernel only
+to sample, to have cells added on the right (PDE_GROW) or to raise.
+`fj_wave_residual` computes `mean_field.wave_equation_residual` in one pass
+over the profile's nodes, on a `WaveResidual` record, from the family's
+`kernel_rate()` block, which gives w and its integral; it agrees with the
+numpy body, which runs when `load()` returns None, to roundoff.
 The shared library is built with gcc on first use, not at import, and cached as
 `__pycache__/_kernel-<key>.so` next to this file, where the key is a sha256
 of the source, the compiler and the flags; a build goes to a temporary file
@@ -75,9 +72,6 @@ PDE_STEPS, PDE_GROW, PDE_UNSTABLE, PDE_NOT_FINITE = range(4)
 
 # Exit codes of fj_residual (the RESIDUAL_* enum of _kernel.c).
 RESIDUAL_DONE, RESIDUAL_BAD_INDEX, RESIDUAL_HEAP_FULL = range(3)
-
-# Exit codes of fj_histogram (the HIST_* enum of _kernel.c).
-HIST_DONE, HIST_NAN = range(2)
 
 # Rate families with a C rate, by the name their kernel_rate() gives.
 RATE_CODES = {"step": 0, "arccot": 1, "tabulated": 2, "exponential": 3}
@@ -200,19 +194,8 @@ class WaveResidual(_Record):
     ]
 
 
-class Bins(_Record):
-    """The fj_bins record of `_kernel.c`: one observation, its window and
-    the counts row `fj_histogram` adds it into."""
-
-    _arrays = {"pos": np.float64, "counts": np.float64}
-    _fields_ = [
-        ("pos", _P), ("n", _I64), ("m", _F64), ("a0", _F64), ("a1", _F64), ("nbins", _I64),
-        ("counts", _P), ("below", _I64), ("above", _I64),
-    ]
-
-
 # The records in the order of fj_record_size(which).
-RECORDS = (Run, Pde, Residual, WaveResidual, Bins)
+RECORDS = (Run, Pde, Residual, WaveResidual)
 
 
 def _build(cc: str) -> Path:
@@ -247,7 +230,7 @@ def _load(cc: str):
         return None
     for name, record in (("fj_bounded", Run), ("fj_exponential", Run),
                          ("fj_pde", Pde), ("fj_residual", Residual),
-                         ("fj_histogram", Bins), ("fj_wave_residual", WaveResidual)):
+                         ("fj_wave_residual", WaveResidual)):
         fn = getattr(lib, name)
         fn.argtypes = [ctypes.POINTER(record)]
         fn.restype = ctypes.c_int

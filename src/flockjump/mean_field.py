@@ -580,7 +580,8 @@ def wave_equation_residual(w, c: float = None, h: float = 0.002, drop: float = 5
     Gauss-Legendre against the exact density, chained by the left-to-right
     exponential recursion. Nodes whose stencils straddle a rate knot are
     skipped (one-sided limits satisfy the equation separately). A NaN on a
-    kept node makes the result NaN.
+    kept node makes the result NaN; an h that leaves no node to keep raises
+    DomainError naming it.
 
     It runs compiled (`fj_wave_residual` in `_kernel.c`, one pass over the
     nodes that allocates nothing) when the kernel loads and the family has a
@@ -608,17 +609,28 @@ def wave_equation_residual(w, c: float = None, h: float = 0.002, drop: float = 5
     if not (run.mass > 0 and math.isfinite(run.mass)):
         raise NonIntegrableError("profile is not normalizable on the requested grid")
     if not run.kept:
-        return _numpy_wave_residual(w, c, h, drop)      # raises as np.max raises
+        raise _no_node(h)
     return run.sup
+
+
+def _no_node(h) -> DomainError:
+    """The error of an h that leaves the wave residual no node to check."""
+    return DomainError(f"h = {h!r} leaves no profile node more than 2.5 h from every "
+                       "rate knot, so the residual has no node to check")
 
 
 def _numpy_wave_residual(w, c: float, h: float, drop: float) -> float:
     """The numpy body of `wave_equation_residual`: the kernel's fallback and oracle."""
-    from scipy.signal import lfilter
-
     prof = wave_profile(w, c, h=h, drop=drop)
     grid = prof.grid
     rho = prof.values       # density_at(grid), by the same expression
+    inner = grid[2:-2]
+    keep = np.ones(len(inner), dtype=bool)
+    for knot in w.knots:
+        keep &= np.abs(inner - knot) > 2.5 * h
+    if not keep.any():
+        raise _no_node(h)
+    from scipy.signal import lfilter
 
     # Per-cell integral of w(y) rho(y) e^{-(x_{j+1} - y)} by 2-pt Gauss-Legendre.
     gl = 1.0 / math.sqrt(3.0)
@@ -634,12 +646,8 @@ def _numpy_wave_residual(w, c: float, h: float, drop: float) -> float:
     conv[1:] = lfilter([1.0], [1.0, -decay], contrib)
 
     # 5-point derivative at the inner nodes, skipping stencils that straddle a knot.
-    inner = grid[2:-2]
     drho = (rho[:-4] - 8 * rho[1:-3] + 8 * rho[3:-1] - rho[4:]) / (12 * h)
     resid = -c * drho + np.asarray(w.rate(inner), dtype=float) * rho[2:-2] - conv[2:-2]
-    keep = np.ones(len(inner), dtype=bool)
-    for knot in w.knots:
-        keep &= np.abs(inner - knot) > 2.5 * h
     return float(np.max(np.abs(resid[keep])))
 
 

@@ -3,12 +3,13 @@ averages, the 1-Wasserstein and Kolmogorov-Smirnov distances, and the
 test-function residual A_{t,f} whose fluctuations vanish like n^{-1/2}.
 
 A time average bins each observation into one row of a preallocated counts
-matrix, compiled (`fj_histogram` in `_kernel.c`) with the numpy body of
-`_numpy_bins` as the fallback and the oracle, to the bit, and builds a
-`Histogram` only for one chosen sample and for the average; `build_histogram`
-is the one-shot form on the same binning. A `TimeAverager` is the one
-observer `sim.simulate` takes: every engine step fills its rows in its loop,
-the Python steps through `add` and the compiled ones with the same binning.
+matrix and builds a `Histogram` only for one chosen sample and for the
+average; `build_histogram` is the one-shot form on the same binning. A
+`TimeAverager` is the one observer `sim.simulate` takes: every engine step
+fills its rows in its loop, the Python steps through `add`, whose binning is
+the numpy body `_numpy_bins`, and the compiled ones with `bin_positions` in
+`_kernel.c`, which repeats that body's operations, so the rows are the same
+to the bit.
 
 The residual integral is a finite sum over inter-event intervals (the
 empirical measure is piecewise constant in time), so its value is exact given
@@ -106,7 +107,7 @@ def _check_window(a0, a1, nbins) -> int:
 
 def _numpy_bins(positions, m, a0, a1, nbins, row):
     """Add the positions x with x - m in [a0, a1) into their bins of `row`,
-    the numpy body of `fj_histogram`; (below, above, unbinned) counts the
+    as `bin_positions` in `_kernel.c` does; (below, above, unbinned) counts the
     positions under the window, at or over a1, and with x - m NaN."""
     centered = positions - m
     h = (a1 - a0) / nbins
@@ -148,14 +149,13 @@ class TimeAverager:
     they are not averaged.
 
     `add` bins each observation into the next row of a (samples x nbins)
-    counts matrix, compiled (`fj_histogram` in `_kernel.c`) when the kernel
-    loads and by `_numpy_bins` otherwise, to the same bits, and writes its
-    time, center, size and counts below and above the window into the
-    row's entries of `t`, `m`, `n`, `below` and `above`; `rows` counts the
-    rows filled. Passed to `sim.simulate` as the observer, the averager is
-    bound to the run's record (`bind`), and every engine step fills its next
-    rows in its loop: the Python steps call `add`, and the compiled ones bin
-    each row as `add` would. A `Histogram` is made only by `histogram` and
+    counts matrix with `_numpy_bins`, and writes its time, center, size and
+    counts below and above the window into the row's entries of `t`, `m`,
+    `n`, `below` and `above`; `rows` counts the rows filled. Passed to
+    `sim.simulate` as the observer, the averager is bound to the run's record
+    (`bind`), and every engine step fills its next rows in its loop: the
+    Python steps call `add`, and the compiled ones bin each row as `add`
+    would, to the bit. A `Histogram` is made only by `histogram` and
     `finalize`. A `burn_in` that is not a finite number raises DomainError
     naming it.
     """
@@ -173,11 +173,6 @@ class TimeAverager:
         self.t, self.m = np.zeros(samples), np.zeros(samples)
         self.n, self.below, self.above = (np.zeros(samples, dtype=np.int64) for _ in range(3))
         self._rows = np.zeros(1, dtype=np.int64)     # one counter, shared with a bound run
-        self._lib = kernel.load()
-        if self._lib is not None:
-            self._bins = kernel.Bins(a0=a0, a1=a1, nbins=self.nbins)
-            self._bins_ref = ctypes.byref(self._bins)
-            self._row0 = self._counts.ctypes.data
 
     @property
     def rows(self) -> int:
@@ -212,17 +207,8 @@ class TimeAverager:
         positions = np.ascontiguousarray(positions, dtype=float)
         if positions.size == 0:
             raise DomainError("positions: the histogram needs at least one position")
-        if self._lib is None:
-            below, above, unbinned = _numpy_bins(positions, m, self.a0, self.a1, self.nbins,
-                                                 self._counts[k])
-        else:
-            bins = self._bins
-            bins.pos = positions.ctypes.data
-            bins.n = positions.size
-            bins.m = m
-            bins.counts = self._row0 + 8 * self.nbins * k
-            unbinned = self._lib.fj_histogram(self._bins_ref) != kernel.HIST_DONE
-            below, above = bins.below, bins.above
+        below, above, unbinned = _numpy_bins(positions, m, self.a0, self.a1, self.nbins,
+                                             self._counts[k])
         if unbinned:
             self._counts[k] = 0.0
             raise DomainError("positions: must not be NaN")
@@ -296,8 +282,9 @@ def ks_distance(samples, cdf, weights=None) -> float:
     """Two-sided Kolmogorov-Smirnov statistic of samples against a model CDF.
 
     With `weights`, the empirical CDF steps by the normalized weights
-    (time-weighted stationary sampling). An empty sample, or weights whose
-    sum is not positive, raise DomainError naming the input."""
+    (time-weighted stationary sampling). An empty sample, and weights that
+    are not one finite weight >= 0 per sample with a positive sum, raise
+    DomainError naming the input."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise DomainError("samples: the KS distance needs at least one sample")
@@ -307,10 +294,17 @@ def ks_distance(samples, cdf, weights=None) -> float:
         cum = np.arange(1, s.size + 1) / s.size
         prev = np.arange(0, s.size) / s.size
     else:
-        wts = np.asarray(weights, dtype=float)[order]
+        wts = np.asarray(weights, dtype=float)
+        if wts.shape != samples.shape or wts.ndim != 1:
+            raise DomainError(f"weights: must be 1-d with one weight per sample, got shape "
+                              f"{wts.shape} for samples of shape {samples.shape}")
+        wts = wts[order]
         total = wts.sum()
         if not total > 0.0:
             raise DomainError(f"weights: must have a positive sum, got {total}")
+        bad = wts[~(np.isfinite(wts) & (wts >= 0.0))]
+        if bad.size:
+            raise DomainError(f"weights: must be finite and >= 0, got {np.unique(bad).tolist()}")
         cum = np.cumsum(wts) / total
         prev = cum - wts / total
     model = np.asarray(cdf(s), dtype=float)
@@ -489,8 +483,14 @@ def residual_scaling(ns, seeds: int, t: float, w, z, f: TestFunction = IDENTITY,
 
     Runs `seeds` independent trajectories per population size with the
     family's default engine and evaluates the residual path exactly; the
-    expected slope is -1/2.
+    expected slope is -1/2. Unless `ns` holds at least two distinct integers
+    >= 1 and `seeds` is an integer >= 1, DomainError names the argument
+    before any run.
     """
+    if np.ndim(ns) != 1 or not (all(is_count(n, 1) for n in ns) and len(set(ns)) >= 2):
+        raise DomainError(f"ns: must hold at least two distinct integers >= 1, got {ns!r}")
+    if not is_count(seeds, 1):
+        raise DomainError(f"seeds: must be an integer >= 1, got {seeds!r}")
     rms = []
     values = {}
     for n in ns:

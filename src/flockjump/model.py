@@ -469,10 +469,18 @@ class CustomDensityJump:
         object.__setattr__(self, "second_moment", m2)
 
     def sample(self, rng, size=None):
-        out = self.sampler(rng, size if size is not None else 1)
-        out = np.asarray(out, dtype=float)
-        if np.any(out < 0):
-            raise ModelError("custom jump sampler returned a negative length")
+        """`size` lengths from the sampler, or one as a float for size=None.
+        ModelError names the sampler unless it returns exactly that many
+        lengths, each finite and >= 0."""
+        count = 1 if size is None else size
+        out = np.asarray(self.sampler(rng, count), dtype=float)
+        if out.shape != (count,):
+            raise ModelError(f"custom jump sampler must return an array of shape ({count},), "
+                             f"got shape {out.shape}")
+        bad = out[~(np.isfinite(out) & (out >= 0))]
+        if bad.size:
+            raise ModelError(f"custom jump sampler must return lengths finite and >= 0, "
+                             f"got {np.unique(bad).tolist()}")
         return float(out[0]) if size is None else out
 
     def expect_shifted(self, f, x):

@@ -196,7 +196,7 @@ def test_kernel_exports_only_its_entry_points(tmp_path):
     out = subprocess.run(["nm", "-D", "--defined-only", str(lib)],
                          capture_output=True, text=True, timeout=60, check=True)
     exported = {line.split()[-1] for line in out.stdout.splitlines() if " T " in line}
-    assert exported == {"fj_bounded", "fj_exponential", "fj_pde", "fj_residual", "fj_histogram",
+    assert exported == {"fj_bounded", "fj_exponential", "fj_pde", "fj_residual",
                         "fj_wave_residual", "fj_record_size"}
 
 
@@ -443,6 +443,38 @@ def test_logging_never_changes_a_run(compiled, engine, w):
     for col, dtype in zip(columns, (np.float64, np.int64, np.float64, np.float64)):
         assert col.dtype == dtype and col.ndim == 1 and col.flags.c_contiguous
         assert len(col) == res.events
+
+
+# Samplers that every engine must refuse, asked for 100 lengths by a batched
+# engine and for 1 by the reference engine: a short batch would send a
+# compiled step past its end, and a length that is not finite would make the
+# run end at a center of nan or inf.
+BAD_SAMPLERS = [
+    (lambda rng, size: np.ones(3), "must return an array of shape ({size},), got shape (3,)"),
+    (lambda rng, size: np.ones(size + 1),
+     "must return an array of shape ({size},), got shape ({more},)"),
+    (lambda rng, size: np.ones((size, 1)),
+     "must return an array of shape ({size},), got shape ({size}, 1)"),
+    (lambda rng, size: 1.0, "must return an array of shape ({size},), got shape ()"),
+    (lambda rng, size: np.full(size, math.nan), "must return lengths finite and >= 0, got [nan]"),
+    (lambda rng, size: np.r_[np.ones(size - 1), math.inf],
+     "must return lengths finite and >= 0, got [inf]"),
+    (lambda rng, size: -np.ones(size), "must return lengths finite and >= 0, got [-1.0]"),
+]
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "python"])
+@pytest.mark.parametrize("engine, w", ENGINE_FAMILIES, ids=[e for e, _ in ENGINE_FAMILIES])
+@pytest.mark.parametrize("sampler, message", BAD_SAMPLERS, ids=[m for _, m in BAD_SAMPLERS])
+def test_a_custom_sampler_of_the_wrong_size_or_values_is_refused(compiled, engine, w, sampler,
+                                                                 message):
+    size = 1 if engine == "reference" else 100
+    message = message.format(size=size, more=size + 1)
+    z = fj.CustomDensityJump(density=lambda u: np.where((u >= 0) & (u <= 2), 0.5, 0.0),
+                             sampler=sampler, third_moment=2.0, upper=2.0)
+    with contextlib.nullcontext() if compiled else python_loops():
+        with pytest.raises(ModelError, match="^custom jump sampler " + re.escape(message) + "$"):
+            fj.simulate(w, z, 5, max_events=100, seed=1, engine=engine)
 
 
 class FixedJump:
@@ -1523,17 +1555,29 @@ def observations(draw):
 @given(observations())
 @example((np.array([math.nextafter(1.0, 0.0)]), 0.0, 0.0, 1.0, 3))   # quotient 3.0: clipped
 @example((np.array([1e15 + 0.125, 1e15 - 10.0, 1e15 + 10.0]), 1e15, -10.0, 10.0, 64))
-def test_fj_histogram_is_the_numpy_body(case):
+def test_fj_bounded_bins_an_observation_as_the_numpy_body(case):
+    # observe, inside fj_bounded, bins the observation at t = 0 before the
+    # step's one proposal, at t = 1, which the step rate (0, 0) never accepts
     positions, m, a0, a1, nbins = case
     expected = np.zeros(nbins)
     below, above, unbinned = ms._numpy_bins(positions, m, a0, a1, nbins, expected)
-    got = np.zeros(nbins)
-    bins = kernel.Bins(n=positions.size, m=m, a0=a0, a1=a1, nbins=nbins)
-    bins.bind(pos=positions, counts=got)
-    code = kernel.load().fj_histogram(ctypes.byref(bins))
-    assert got.tobytes() == expected.tobytes()
-    assert (bins.below, bins.above) == (below, above)
-    assert code == (kernel.HIST_NAN if unbinned else kernel.HIST_DONE)
+    averager = ms.TimeAverager(a0, a1, nbins, samples=1)
+    run = kernel.Run(n=positions.size, inv_n=1.0 / positions.size, horizon=math.inf,
+                     max_events=-1, resum_interval=1, family=kernel.RATE_CODES["step"],
+                     n_rate_params=2, a=1.0, lam=1.0, m=m, n_obs=1, next_obs=0.0, batch=1)
+    run.bind(rate_params=np.zeros(2), pos=positions.copy(), obs_t=np.zeros(1),
+             waits=np.ones(1), targets=np.zeros(1, dtype=np.int64), uniforms=np.ones(1),
+             lengths=np.ones(1))
+    averager.bind(run)
+    code = kernel.load().fj_bounded(ctypes.byref(run))
+    assert averager._counts[0].tobytes() == expected.tobytes()
+    assert run.events == 0
+    if unbinned:
+        assert (code, run.proposals, averager.rows) == (kernel.EXIT_OBSERVE, 0, 0)
+    else:
+        assert (code, run.proposals, averager.rows) == (kernel.EXIT_BATCH, 1, 1)
+        assert (averager.below[0], averager.above[0]) == (below, above)
+        assert (averager.t[0], averager.m[0], averager.n[0]) == (0.0, m, positions.size)
     assert expected.sum() + below + above + unbinned == positions.size
 
 
@@ -1688,7 +1732,7 @@ BAD_WAVES = [
     ({"h": math.nan}, DomainError, "h must be finite and > 0"),
     ({"c": 2.5}, mf.NonIntegrableError, "must lie strictly inside"),
     ({"c": math.nan}, mf.NonIntegrableError, "must lie strictly inside"),
-    ({"h": 100.0}, ValueError, "zero-size array"),      # no node clears the knot
+    ({"h": 100.0}, DomainError, "h = 100.0 leaves no profile node"),    # none clears the knot
 ]
 
 

@@ -263,6 +263,16 @@ def test_time_averager_refuses_a_time_that_is_not_finite(t):
     ([0.5, 1.5], [0.0, 0.0], "weights: must have a positive sum, got 0.0"),
     ([0.5, 1.5], [1.0, -1.0], "weights: must have a positive sum, got 0.0"),
     ([0.5, 1.5], [1.0, math.nan], "weights: must have a positive sum, got nan"),
+    ([0.5, 1.5], [1.0], "weights: must be 1-d with one weight per sample, got shape (1,) "
+                        "for samples of shape (2,)"),
+    ([0.5, 1.5], [1.0, 1.0, 1.0], "weights: must be 1-d with one weight per sample, got "
+                                  "shape (3,) for samples of shape (2,)"),
+    ([0.5, 1.5], [[1.0, 1.0]], "weights: must be 1-d with one weight per sample, got "
+                               "shape (1, 2) for samples of shape (2,)"),
+    ([0.5], 1.0, "weights: must be 1-d with one weight per sample, got shape () for "
+                 "samples of shape (1,)"),
+    ([0.5, 1.5, 2.5], [1.0, -1.0, 3.0], "weights: must be finite and >= 0, got [-1.0]"),
+    ([0.5, 1.5], [1.0, math.inf], "weights: must be finite and >= 0, got [inf]"),
 ])
 def test_ks_refuses_what_it_cannot_score(samples, weights, message):
     cdf = lambda x: np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
@@ -462,6 +472,25 @@ def test_residual_scaling_slope():
     assert -0.75 <= study.slope <= -0.25
     assert all(r > 0 for r in study.rms_sup)
     assert study.rms_sup[0] > study.rms_sup[-1]      # decreasing in n
+
+
+@pytest.mark.parametrize("ns, seeds, message", [
+    ([10], 2, "ns: must hold at least two distinct integers >= 1, got [10]"),
+    ([10, 10], 2, "ns: must hold at least two distinct integers >= 1, got [10, 10]"),
+    ([0, 10], 2, "ns: must hold at least two distinct integers >= 1, got [0, 10]"),
+    ([10, 2.5], 2, "ns: must hold at least two distinct integers >= 1, got [10, 2.5]"),
+    ([True, 10], 2, "ns: must hold at least two distinct integers >= 1, got [True, 10]"),
+    (10, 2, "ns: must hold at least two distinct integers >= 1, got 10"),
+    ([[10, 20]], 2, "ns: must hold at least two distinct integers >= 1, got [[10, 20]]"),
+    ([10, 20], 0, "seeds: must be an integer >= 1, got 0"),
+    ([10, 20], 2.0, "seeds: must be an integer >= 1, got 2.0"),
+    ([10, 20], True, "seeds: must be an integer >= 1, got True"),
+])
+def test_residual_scaling_refuses_a_study_it_cannot_fit(ns, seeds, message, monkeypatch):
+    monkeypatch.setattr(ms._sim, "simulate", None)      # no run may start
+    with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+        ms.residual_scaling(ns, seeds=seeds, t=1.0, w=fj.StepRate(2.0, 1.0),
+                            z=fj.DeterministicJump())
 
 
 def test_residual_scaling_runs_the_familys_default_engine():
