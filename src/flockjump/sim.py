@@ -32,7 +32,10 @@ Every engine is a step function on the kernel's record (``kernel.Run``): it
 runs events until ``_drive``, the one driver, must refill a random batch,
 re-sum the center, stop or raise, and returns the reason, a
 ``kernel.EXIT_*`` code. A logged event's row goes straight into the
-``EventLog`` columns, at the free tail that ``_drive`` binds. The one
+``EventLog`` columns, at the free tail that ``_drive`` binds; the four
+columns are the rows of one float64 block, sized to the event cap of a run
+that has one (up to ``_LOG_ROWS`` rows), so a run that reaches its cap
+allocates its log once and never grows it. The one
 observer is a ``measures.TimeAverager``, bound to the record: every step
 adds each observation due in its loop to the averager's next row and does
 not leave for it. The Python steps call ``_Observer.emit``, which calls
@@ -66,6 +69,10 @@ from .model import ModelError, SystemState, initial_state, is_count
 
 _BATCH = 1 << 14
 
+# The most rows a capped run's first event-log block holds (32 MiB): a run
+# capped at most this high logs into one block sized to its cap.
+_LOG_ROWS = 1 << 20
+
 # Every engine re-sums the center of mass from the positions this often,
 # which bounds the drift of its incremental updates.
 RESUM_INTERVAL = 100_000
@@ -81,7 +88,10 @@ class UnsupportedSpecError(ModelError):
 
 @dataclass
 class EventLog:
-    """Columnar event log (one entry per accepted jump)."""
+    """Columnar event log (one entry per accepted jump).
+
+    The four columns are views of one float64 block (`indices` an int64 view
+    of its rows), so holding any one of them keeps the whole block alive."""
 
     times: np.ndarray
     indices: np.ndarray
@@ -194,6 +204,12 @@ def _check_stop(T, cap, name):
         raise ModelError(f"T = {T} needs an event cap {name}")
 
 
+def _check_seed(seed):
+    """Refuse a seed that is not None or an integer >= 0 (a bool is not one)."""
+    if seed is not None and not is_count(seed, 0):
+        raise ModelError(f"seed must be None or an integer >= 0, got {seed!r}")
+
+
 def simulate(w, z, n: int, *, T: float = None, max_events: int = None,
              rng=None, seed: int = None, init="zeros", observer=None,
              observe_times=None, observations: int = 1000,
@@ -204,11 +220,15 @@ def simulate(w, z, n: int, *, T: float = None, max_events: int = None,
     on a fixed time grid (default 1000 equispaced samples on [0, T]) added to
     its next rows, as its `add` adds it. It must have a free row for every
     time; ModelError names an observer that is not an averager or cannot
-    hold the run, and observe_times without an observer, before any draw.
-    Hitting the event cap before T sets `truncated` in the summary rather
-    than failing.
+    hold the run, observe_times without an observer, a seed that is not None
+    or an integer >= 0 and a log_events that is not a bool, all before any
+    draw. Hitting the event cap before T sets `truncated` in the summary
+    rather than failing.
     """
     _check_stop(T, max_events, "max_events")
+    _check_seed(seed)
+    if not isinstance(log_events, (bool, np.bool_)):
+        raise ModelError(f"log_events must be a bool, got {log_events!r}")
     engine = check_engine(w, engine)
     if observer is not None and not isinstance(observer, measures.TimeAverager):
         raise ModelError(f"observer: must be a measures.TimeAverager, got {observer!r}")
@@ -517,6 +537,13 @@ def _exponential_steps(run, obs):
         run.cursor, run.log_len = c, k
 
 
+def _log_columns(block):
+    """The event log's columns log_t, log_i, log_z and log_m: the rows of a
+    (4, rows) float64 block, log_i as an int64 view of its second row."""
+    t, i, z, m = block
+    return {"log_t": t, "log_i": i.view(np.int64), "log_z": z, "log_m": m}
+
+
 def _drive(step, run, engine, state, T, obs, log_events, refill):
     """Call step() until the horizon or the event cap stops the run, and
     build the result.
@@ -526,22 +553,27 @@ def _drive(step, run, engine, state, T, obs, log_events, refill):
     written over the centre of the last log row, the event that made it due),
     the observations due at a re-sum or at the stop are served, the log rows
     a call wrote at the free tail are counted and the tail is rebound past
-    them (a batched step writes at most one batch a call, the reference step
-    stops at the tail's end; the columns double whenever fewer than _BATCH
-    rows are free), refill() binds the next batch, and the errors are raised:
+    them, refill() binds the next batch, and the errors are raised:
     at EXIT_OBSERVE, the observation obs_t[obs_k] that a compiled step could
     not bin is served through obs.emit, whose `add` raises. A step leaves for
     nothing else: every step adds the observations due to the averager in its
     loop.
+
+    The log's columns are the rows of one (4, rows) float64 block. It starts
+    at the cap, or at _LOG_ROWS rows if the cap is higher, and at _BATCH rows
+    without a cap. It doubles whenever fewer than min(_BATCH, cap - filled)
+    rows are free, since a batched step writes at most one batch a call and
+    no step runs past the cap; the reference step stops at the tail's end.
+    A capped run that the horizon stops with less than half its block filled
+    copies its rows into a block of their own size.
     """
-    c0, pos = run.m, run.arrays["pos"]
+    c0, pos, cap = run.m, run.arrays["pos"], run.max_events
     obs.attach(run)
     resums, drift = 0, 0.0
-    cols, filled, log = None, 0, None
+    block, filled, log = None, 0, None
     if log_events:
-        cols = {"log_t": np.empty(_BATCH), "log_i": np.empty(_BATCH, dtype=np.int64),
-                "log_z": np.empty(_BATCH), "log_m": np.empty(_BATCH)}
-        run.bind(**cols)
+        block = np.empty((4, _BATCH if cap < 0 else min(cap, _LOG_ROWS)))
+        run.bind(**_log_columns(block))
     while True:
         code = step()
         if code == kernel.EXIT_RESUM:
@@ -554,11 +586,11 @@ def _drive(step, run, engine, state, T, obs, log_events, refill):
             run.S0 = math.inf
         if run.log_len:
             filled, run.log_len = filled + run.log_len, 0
-            if len(cols["log_t"]) - filled < _BATCH:
-                for field, col in cols.items():
-                    cols[field] = np.empty(2 * len(col), dtype=col.dtype)
-                    cols[field][:filled] = col[:filled]
-            run.bind(**{field: col[filled:] for field, col in cols.items()})
+            if block.shape[1] - filled < (_BATCH if cap < 0 else min(_BATCH, cap - filled)):
+                grown = np.empty((4, 2 * block.shape[1]))
+                grown[:, :filled] = block[:, :filled]
+                block = grown
+            run.bind(**_log_columns(block[:, filled:]))
         if code == kernel.EXIT_RESUM:
             obs.emit(run, run.t, pos, run.m, ties=True)
         elif code == kernel.EXIT_OBSERVE:
@@ -575,8 +607,10 @@ def _drive(step, run, engine, state, T, obs, log_events, refill):
     truncated = code == kernel.EXIT_CAP and T is not None and run.t < run.horizon
     obs.emit(run, min(run.horizon, run.t), pos, run.m, ties=True)
     state.positions = pos
-    if cols is not None:
-        log = EventLog(*(cols[field][:filled] for field in ("log_t", "log_i", "log_z", "log_m")))
+    if block is not None:
+        if cap >= 0 and 2 * filled < block.shape[1]:
+            block = block[:, :filled].copy()
+        log = EventLog(*_log_columns(block[:, :filled]).values())
     return SimulationResult(n=state.n, engine=engine, events=run.events, final_time=run.t,
                             initial_center=c0, final_center=state.center, truncated=truncated,
                             state=state, proposals=run.proposals, log=log, resums=resums,
@@ -622,11 +656,14 @@ def simulate_coupled(w, z, n: int, *, proposals: int = None, T: float = None,
     interval increment dominance is verified per particle over a
     _INCREMENT_WINDOWS-piece partition of [0, t] using exact (fsum) sums of
     the logged jump lengths, so a zero violation count carries no tolerance.
+    A seed that is not None or an integer >= 0 raises ModelError before any
+    draw.
     """
     if not math.isfinite(w.left_limit):
         raise UnsupportedSpecError(
             "the dominating coupling needs a bounded rate function (sup w = a < inf)")
     _check_stop(T, proposals, "proposals")
+    _check_seed(seed)
     if rng is None:
         rng = np.random.default_rng(seed)
     base = initial_state(n, init, rng).positions.tolist()

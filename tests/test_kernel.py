@@ -385,6 +385,12 @@ BAD_STOPS = [
     ({"T": 1.0, "observe_times": [math.inf, 0.5, -math.inf]},
      "observe_times must be finite, got [-inf, inf]"),
     ({"T": 1.0, "observe_times": [0.5]}, "observe_times: need an observer"),
+    ({"T": 1.0, "seed": -1}, "seed must be None or an integer >= 0, got -1"),
+    ({"T": 1.0, "seed": 1.5}, "seed must be None or an integer >= 0, got 1.5"),
+    ({"T": 1.0, "seed": True}, "seed must be None or an integer >= 0, got True"),
+    ({"T": 1.0, "seed": "7"}, "seed must be None or an integer >= 0, got '7'"),
+    ({"T": 1.0, "log_events": "no"}, "log_events must be a bool, got 'no'"),
+    ({"T": 1.0, "log_events": 1}, "log_events must be a bool, got 1"),
 ]
 
 
@@ -400,13 +406,24 @@ def test_simulate_refuses_a_stop_it_cannot_run(compiled, engine, w, stop, messag
 # The stop rows of BAD_STOPS, with simulate_coupled's cap in place of max_events.
 COUPLED_STOPS = [({"proposals" if k == "max_events" else k: v for k, v in stop.items()},
                   message.replace("max_events", "proposals"))
-                 for stop, message in BAD_STOPS if not stop.keys() & {"n", "observe_times"}]
+                 for stop, message in BAD_STOPS
+                 if not stop.keys() & {"n", "observe_times", "log_events"}]
 
 
 @pytest.mark.parametrize("stop, message", COUPLED_STOPS, ids=[str(s) for s, _ in COUPLED_STOPS])
 def test_simulate_coupled_refuses_a_stop_it_cannot_run(stop, message):
     with pytest.raises(ModelError, match=re.escape(message)):
         fj.simulate_coupled(fj.StepRate(2.0, 1.0), fj.ExponentialJump(), 5, **stop, rng=NoDraws())
+
+
+def test_a_seed_may_be_any_integer_and_log_events_a_numpy_bool():
+    w, z = fj.StepRate(2.0, 1.0), fj.ExponentialJump()
+    for seed in (2**70, np.uint64(5), np.int8(0)):
+        got = run_bits(w, z, 4, T=3.0, seed=seed, log_events=np.bool_(True))
+        assert got == run_bits(w, z, 4, T=3.0, rng=np.random.default_rng(seed), log_events=True)
+        pair = [fj.simulate_coupled(w, z, 4, T=3.0, **given)
+                for given in ({"seed": seed}, {"rng": np.random.default_rng(seed)})]
+        assert len({(res.proposals, res.base_positions.tobytes()) for res in pair}) == 1
 
 
 @pytest.mark.parametrize("engine, w", ENGINE_FAMILIES, ids=[e for e, _ in ENGINE_FAMILIES])
@@ -424,25 +441,51 @@ def test_zero_events_and_a_capped_infinite_horizon_run_alike_on_both_loops(engin
 @pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "python"])
 @pytest.mark.parametrize("engine, w", ENGINE_FAMILIES, ids=[e for e, _ in ENGINE_FAMILIES])
 def test_logging_never_changes_a_run(compiled, engine, w):
-    # The steps write into the free tail of the log's columns, which double
-    # whenever fewer than _BATCH rows are free: with 7 the log of 400 events
-    # doubles six times, and a re-sum every 13 events puts re-summed centres
+    # The steps write into the free tail of the log's block. A run capped at
+    # 400 events allocates one block of 400 rows and never grows it. An
+    # uncapped one starts at _BATCH rows and doubles whenever fewer than
+    # _BATCH are free: with 7 the run to T = 40 (about 400 events) doubles at
+    # least three times, and a re-sum every 13 events puts re-summed centres
     # into the first calls after a growth.
-    kwargs = {"max_events": 400, "seed": 12, "engine": engine}
-    with contextlib.nullcontext() if compiled else python_loops(), \
-            mock.patch.multiple(sim, _BATCH=7, RESUM_INTERVAL=13):
-        logged = run_bits(w, fj.ExponentialJump(), 6, log_events=True, **kwargs)
-        unlogged = run_bits(w, fj.ExponentialJump(), 6, **kwargs)
-        res = fj.simulate(w, fj.ExponentialJump(), 6, log_events=True, **kwargs)
-    assert logged[:8] + logged[9:] == unlogged[:8] + unlogged[9:]
-    assert unlogged[8] is None and logged[8] is not None
-    assert res.events == 400 and res.resums == 400 // 13 and len(res.log) == res.events
-    columns = (res.log.times, res.log.indices, res.log.lengths, res.log.centers)
-    assert tuple(col.tobytes() for col in columns) == logged[8]
-    assert_log_replays(logged, np.zeros(6), 13)
-    for col, dtype in zip(columns, (np.float64, np.int64, np.float64, np.float64)):
-        assert col.dtype == dtype and col.ndim == 1 and col.flags.c_contiguous
-        assert len(col) == res.events
+    for stop in ({"max_events": 400}, {"T": 40.0}):
+        kwargs = {**stop, "seed": 12, "engine": engine}
+        with contextlib.nullcontext() if compiled else python_loops(), \
+                mock.patch.multiple(sim, _BATCH=7, RESUM_INTERVAL=13):
+            logged = run_bits(w, fj.ExponentialJump(), 6, log_events=True, **kwargs)
+            unlogged = run_bits(w, fj.ExponentialJump(), 6, **kwargs)
+            res = fj.simulate(w, fj.ExponentialJump(), 6, log_events=True, **kwargs)
+        assert logged[:8] + logged[9:] == unlogged[:8] + unlogged[9:]
+        assert unlogged[8] is None and logged[8] is not None
+        assert res.resums == res.events // 13 and len(res.log) == res.events
+        columns = (res.log.times, res.log.indices, res.log.lengths, res.log.centers)
+        assert tuple(col.tobytes() for col in columns) == logged[8]
+        assert_log_replays(logged, np.zeros(6), 13)
+        for col, dtype in zip(columns, (np.float64, np.int64, np.float64, np.float64)):
+            assert col.dtype == dtype and col.ndim == 1 and col.flags.c_contiguous
+            assert len(col) == res.events
+        block = res.log.times.base
+        assert all(col.base is block for col in columns)
+        if "max_events" in stop:
+            assert res.events == 400 and block.shape == (4, 400)
+        else:
+            doublings = (block.shape[1] // 7).bit_length() - 1
+            assert block.shape[1] == 7 << doublings and doublings >= 3, block.shape
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "python"])
+@pytest.mark.parametrize("engine, w", ENGINE_FAMILIES, ids=[e for e, _ in ENGINE_FAMILIES])
+def test_a_capped_log_keeps_at_most_twice_its_rows(compiled, engine, w):
+    # A cap far past the run's events reserves no block of its size, and a
+    # capped run that the horizon stops copies its rows into their own block.
+    with contextlib.nullcontext() if compiled else python_loops():
+        for cap, T in ((10**15, 1.0), (10**5, 1.0), (0, None)):
+            res = fj.simulate(w, fj.ExponentialJump(), 6, T=T, max_events=cap, seed=4,
+                              engine=engine, log_events=True)
+            columns = (res.log.times, res.log.indices, res.log.lengths, res.log.centers)
+            assert len(res.log) == res.events and (res.events > 0) == (cap > 0)
+            assert res.log.times.base.shape[1] <= 2 * res.events
+            for col, dtype in zip(columns, (np.float64, np.int64, np.float64, np.float64)):
+                assert col.dtype == dtype and col.ndim == 1 and len(col) == res.events
 
 
 # Samplers that every engine must refuse, asked for 100 lengths by a batched
