@@ -10,8 +10,10 @@
  * only Python can do is due, stores the loop state back into the fj_run
  * record and returns the reason (EXIT_*): a batch ran out, the center of
  * mass is due to be re-summed, the horizon or the event cap was hit, or a
- * total was not finite.  sim._drive does the re-sum itself, correctly
- * rounded in Python, and sets S0 = inf.  A run's observer is a time averager
+ * total was not finite and positive (an exp that overflows is inf): the
+ * total is in value, and sim._drive raises its StallError.  sim._drive does
+ * the re-sum itself, correctly rounded in Python, and sets S0 = inf.  A
+ * run's observer is a time averager
  * (measures.TimeAverager), and the step does not leave at its observation
  * times: it bins each one into the averager's next row (observe, with
  * bin_positions) and runs on.  It leaves for an observation only when
@@ -100,7 +102,6 @@ enum {
     EXIT_RESUM,           /* the logged event brought events to a multiple of resum_interval */
     EXIT_RATE_STALL,      /* value = the total jump rate, not finite and positive */
     EXIT_WEIGHT_STALL,    /* value = the rebased weight total, not finite and positive */
-    EXIT_EXP_RANGE,       /* exp overflowed: math.exp raises OverflowError */
 };
 
 /* RATE_EXPONENTIAL has no thinning engine (its sup is infinite): fj_pde only. */
@@ -157,15 +158,6 @@ typedef struct {
     double *obs_counts, *obs_time, *obs_m;
     int64_t *obs_n, *obs_below, *obs_above, *obs_rows;
 } fj_run;
-
-/* libm exp, with the overflow that makes math.exp raise reported in *range. */
-static double checked_exp(double x, int *range)
-{
-    double e = exp(x);
-    if (isinf(e) && isfinite(x))
-        *range = 1;
-    return e;
-}
 
 /* k = bisect_right(knots, x) in the tabulated table, TabulatedRate._segments
    flattened: K knots, then K + 1 each of left, value, half_slope and cum,
@@ -351,20 +343,18 @@ int fj_bounded(fj_run *r)
 }
 
 /* Rebase the exponential engine's tree to ref = m: recompute every leaf and
-   then every parent.  An overflow, caught as OverflowError in Python, makes
-   the total infinite. */
+   then every parent.  A leaf that overflows is inf, and so is the total. */
 static int exp_rebase(fj_run *r)
 {
     double *tree = r->tree;
     const int64_t P = r->leaves;
-    int range = 0;
     r->rebuilds++;
     r->ref = r->m;
-    for (int64_t k = 0; k < r->n && !range; k++)
-        tree[P + k] = checked_exp(-r->beta * (r->pos[k] - r->ref), &range);
-    for (int64_t j = P - 1; j >= 1 && !range; j--)
+    for (int64_t k = 0; k < r->n; k++)
+        tree[P + k] = exp(-r->beta * (r->pos[k] - r->ref));
+    for (int64_t j = P - 1; j >= 1; j--)
         tree[j] = tree[2 * j] + tree[2 * j + 1];
-    double S0 = range ? INFINITY : tree[1];
+    double S0 = tree[1];
     if (!(S0 > 0.0 && isfinite(S0))) {
         r->value = S0;
         return EXIT_WEIGHT_STALL;
@@ -407,13 +397,9 @@ int fj_exponential(fj_run *r)
             code = EXIT_BATCH;
             break;
         }
-        int range = 0;
+        /* an overflowing factor makes R = inf */
         double S = tree[1];
-        double R = S * checked_exp(beta * (m - ref), &range);
-        if (range) {
-            code = EXIT_EXP_RANGE;
-            break;
-        }
+        double R = S * exp(beta * (m - ref));
         if (!(R > 0.0 && isfinite(R))) {
             r->value = R;
             code = EXIT_RATE_STALL;

@@ -7,11 +7,13 @@ returns the reason (EXIT_*). Their exit-for-exit Python twins in `sim` run on
 the same record and random batches, with bit-identical results, when `load()`
 returns None. A run leaves the kernel only to refill a batch, to re-sum the
 center of mass (EXIT_RESUM: `_drive` re-sums it with math.fsum and sets S0 =
-inf), to stop or to raise. Its observer, a `measures.TimeAverager`, is bound
-to the record, and the step bins each observation due into the averager's
-next row, with the operations of `measures._numpy_bins`, the body of
-`TimeAverager.add`, to the bit; it exits (EXIT_OBSERVE) only for one that
-`add` refuses, which `_drive` then serves through `add`, and `add` raises.
+inf), to stop, or to stall (a total not finite and positive, in `value`, which
+`_drive` raises as every engine's StallError). Its observer, a
+`measures.TimeAverager`, is bound to the record, and the step bins each
+observation due into the averager's next row, with the operations of
+`measures._numpy_bins`, the body of `TimeAverager.add`, to the bit; it exits
+(EXIT_OBSERVE) only for one that `add` refuses, which `_drive` then serves
+through `add`, and `add` raises.
 The exponential engine's sum tree of selection weights is built and rebased
 inside `fj_exponential`, with libm exp as in the Python twin, whenever its
 total is below half of S0; `rebuilds` counts it. Between rebuilds each event
@@ -29,7 +31,8 @@ to sample, to have cells added on the right (PDE_GROW) or to raise.
 `fj_wave_residual` computes `mean_field.wave_equation_residual` in one pass
 over the profile's nodes, on a `WaveResidual` record, from the family's
 `kernel_rate()` block, which gives w and its integral; it agrees with the
-numpy body, which runs when `load()` returns None, to roundoff.
+numpy body, which runs when `load()` returns None, to roundoff. `bind_rate`
+binds a family's `kernel_rate()` block to a record, for all three loops.
 The shared library is built with gcc on first use, not at import, and cached as
 `__pycache__/_kernel-<key>.so` next to this file, where the key is a sha256
 of the source, the compiler and the flags; a build goes to a temporary file
@@ -60,12 +63,7 @@ _FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 # Exit codes of the event steps, compiled and Python (the EXIT_* enum of _kernel.c).
 (EXIT_CAP, EXIT_HORIZON, EXIT_BATCH, EXIT_OBSERVE, EXIT_RESUM, EXIT_RATE_STALL,
- EXIT_WEIGHT_STALL, EXIT_EXP_RANGE) = range(8)
-
-# The exceptions math.exp raises where the kernel exits with these.
-ERRORS = {
-    EXIT_EXP_RANGE: (OverflowError, "math range error"),
-}
+ EXIT_WEIGHT_STALL) = range(7)
 
 # Exit codes of fj_pde (the PDE_* enum of _kernel.c).
 PDE_STEPS, PDE_GROW, PDE_UNSTABLE, PDE_NOT_FINITE = range(4)
@@ -248,3 +246,16 @@ def load():
     """The kernel library, built and cached on first use, or None when it
     cannot be built or loaded here."""
     return _load(_CC)
+
+
+def bind_rate(record, w):
+    """Bind rate family w's C rate, its `kernel_rate()` block, to a `Run`,
+    `Pde` or `WaveResidual` record, and return the library. Returns None,
+    binding nothing, when w has no C rate or the kernel cannot be built."""
+    spec = w.kernel_rate()
+    lib = load() if spec is not None else None
+    if lib is not None:
+        name, params = spec
+        record.family, record.n_rate_params = RATE_CODES[name], len(params)
+        record.bind(rate_params=np.array(params, dtype=float))
+    return lib

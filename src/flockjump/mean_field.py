@@ -594,17 +594,13 @@ def wave_equation_residual(w, c: float = None, h: float = 0.002, drop: float = 5
     if c is None:
         c = wave_speed(w)
     h, log_norm, j_lo, j_hi = _profile_nodes(w, c, h, drop)
-    spec = w.kernel_rate()
-    lib = kernel.load() if spec is not None else None
+    knots = np.array(w.knots, dtype=float)
+    run = kernel.WaveResidual(n_knots=len(knots), c=c, h=h, log_norm=log_norm,
+                              j_lo=j_lo, j_hi=j_hi)
+    lib = kernel.bind_rate(run, w)
     if lib is None:
         return _numpy_wave_residual(w, c, h, drop)
-    name, params = spec
-    rate_params = np.array(params, dtype=float)
-    knots = np.array(w.knots, dtype=float)
-    run = kernel.WaveResidual(family=kernel.RATE_CODES[name], n_rate_params=len(rate_params),
-                              n_knots=len(knots), c=c, h=h, log_norm=log_norm,
-                              j_lo=j_lo, j_hi=j_hi)
-    run.bind(rate_params=rate_params, knots=knots)
+    run.bind(knots=knots)
     lib.fj_wave_residual(ctypes.byref(run))
     if not (run.mass > 0 and math.isfinite(run.mass)):
         raise NonIntegrableError("profile is not normalizable on the requested grid")
@@ -801,17 +797,11 @@ class _Euler:
         self.edge = max(1, round(1.0 / self.h))     # cells in the window's last unit of length
         self.trimmed, self.trims = 0.0, 0
         self.widen = self.grow = self.added = 0
-        spec = w.kernel_rate()
-        lib = kernel.load() if spec is not None else None
-        self._run = None
-        if lib is not None:
-            name, params = spec
-            r, w0, c1 = _exp_kernel(self.h)
-            self._fj_pde = lib.fj_pde
-            self._run = kernel.Pde(family=kernel.RATE_CODES[name], n_rate_params=len(params),
-                                   dt=dt, h=self.h, r=r, w0=w0, c1=c1, empty=EMPTY_CELL,
-                                   edge_share=RIGHT_EDGE_SHARE, edge=self.edge)
-            self._run.bind(rate_params=np.array(params, dtype=float))
+        r, w0, c1 = _exp_kernel(self.h)
+        run = kernel.Pde(dt=dt, h=self.h, r=r, w0=w0, c1=c1, empty=EMPTY_CELL,
+                         edge_share=RIGHT_EDGE_SHARE, edge=self.edge)
+        lib = kernel.bind_rate(run, w)
+        self._run, self._fj_pde = (None, None) if lib is None else (run, lib.fj_pde)
         self.set_window(grid, values)
 
     def set_window(self, grid: np.ndarray, values: np.ndarray):

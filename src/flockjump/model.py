@@ -99,8 +99,9 @@ class RateFamily:
         calls `scalar_rate()`, so it must round the same, operation for
         operation: runs are bit-identical. The compiled PDE step and wave
         residual (`mean_field`) evaluate w and its integral where numpy calls
-        `rate()` and `integral()`, to a tolerance. A family without one runs
-        all three in Python.
+        `rate()` and `integral()`, to a tolerance. It is bound to their
+        records by `kernel.bind_rate`. A family without one runs all three
+        in Python.
         """
         return None
 

@@ -30,13 +30,15 @@ positions.sum() / n.
 
 Every engine is a step function on the kernel's record (``kernel.Run``): it
 runs events until ``_drive``, the one driver, must refill a random batch,
-re-sum the center, stop or raise, and returns the reason, a
-``kernel.EXIT_*`` code. A logged event's row goes straight into the
-``EventLog`` columns, at the free tail that ``_drive`` binds; the four
-columns are the rows of one float64 block, sized to the event cap of a run
-that has one (up to ``_LOG_ROWS`` rows), so a run that reaches its cap
-allocates its log once and never grows it. The one
-observer is a ``measures.TimeAverager``, bound to the record: every step
+re-sum the center, stop or stall, and returns the reason, a
+``kernel.EXIT_*`` code: a total that is not finite and positive is a stall
+exit with the total in ``run.value``, which ``_drive`` raises as
+``StallError``. A logged event's row goes straight into the ``EventLog``
+columns, at the free tail that ``_drive`` binds; the four columns are the
+rows of one float64 block, sized to the event cap of a run that has one (up
+to ``_LOG_ROWS`` rows), so a run that reaches its cap allocates its log once
+and never grows it; any other block grows only before another step call.
+The one observer is a ``measures.TimeAverager``, bound to the record: every step
 adds each observation due in its loop to the averager's next row and does
 not leave for it. The Python steps call ``_Observer.emit``, which calls
 ``add``; the compiled ones bin the row as ``add`` would. ``_drive`` serves
@@ -304,7 +306,8 @@ def _reference_steps(run, w, z, rng, obs):
     """The reference engine's step: recompute every rate, then draw the wait,
     the uniform that selects and the length, one event at a time, adding the
     observations due to the averager through obs.emit. The step exits with
-    EXIT_BATCH once the log's free tail is full."""
+    EXIT_BATCH once the log's free tail is full, and stalls with R = inf where
+    `w.rate_overflows`."""
     pos = run.arrays["pos"]
     lt, li, lz, lm = _views(run, "log_t", "log_i", "log_z", "log_m")
     logging = run.log_t is not None
@@ -318,14 +321,11 @@ def _reference_steps(run, w, z, rng, obs):
             if logging and k == len(lt):
                 return kernel.EXIT_BATCH
             rel = pos - m
-            if w.rate_overflows(rel):
-                raise StallError("jump rate overflowed; configuration too spread out")
             rates = np.asarray(w.rate(rel), dtype=float)
-            R = float(rates.sum())
-            if not math.isfinite(R):
-                raise ArithmeticError("total jump rate is not finite")
-            if R <= 0.0:
-                raise StallError("total jump rate underflowed to zero")
+            R = math.inf if w.rate_overflows(rel) else float(rates.sum())
+            if not (R > 0.0 and R < math.inf):
+                run.value = R
+                return kernel.EXIT_RATE_STALL
             t_next = t + rng.standard_exponential() / R
             if t_next > horizon:
                 t = horizon
@@ -355,14 +355,10 @@ def _run_bounded(w, z, state, T, max_events, rng, obs, log_events):
     n = state.n
     a = float(w.left_limit)
     run = _record(state, T, max_events, a=a, lam=n * a)
-    spec = w.kernel_rate()
-    lib = kernel.load() if spec is not None else None
+    lib = kernel.bind_rate(run, w)
     if lib is None:
         step = functools.partial(_bounded_steps, run, w.scalar_rate(), obs)
     else:
-        name, params = spec
-        run.family, run.n_rate_params = kernel.RATE_CODES[name], len(params)
-        run.bind(rate_params=np.array(params, dtype=float))
         step = functools.partial(lib.fj_bounded, ctypes.byref(run))
     refill = _batches(run, max_events, lambda size: dict(
         waits=rng.standard_exponential(size), targets=rng.integers(0, n, size),
@@ -447,13 +443,13 @@ def _run_exponential(w, z, state, T, max_events, rng, obs, log_events):
 
 def _rebase(pos, tree, leaves, beta, ref):
     """Rebase the sum tree, as lists, to ref: every leaf, then every parent.
-    Returns the total, inf where math.exp overflows (libm exp's inf in C)."""
+    A leaf where math.exp overflows is inf, libm exp's value in C."""
     exp_ = math.exp
-    try:
-        for k, x in enumerate(pos):
+    for k, x in enumerate(pos):
+        try:
             tree[leaves + k] = exp_(-beta * (x - ref))
-    except OverflowError:
-        return math.inf
+        except OverflowError:
+            tree[leaves + k] = math.inf
     for j in range(leaves - 1, 0, -1):
         tree[j] = tree[2 * j] + tree[2 * j + 1]
     return tree[1]
@@ -491,7 +487,10 @@ def _exponential_steps(run, obs):
             if c >= batch:
                 return kernel.EXIT_BATCH
             S = tree[1]
-            R = S * exp_(beta * (m - ref))
+            try:
+                R = S * exp_(beta * (m - ref))
+            except OverflowError:       # libm exp's inf in C
+                R = S * math.inf
             if not (R > 0.0 and R < math.inf):
                 run.value = R
                 return kernel.EXIT_RATE_STALL
@@ -552,20 +551,22 @@ def _drive(step, run, engine, state, T, obs, log_events, refill):
     for every engine, are the exits handled: the center is re-summed (and
     written over the centre of the last log row, the event that made it due),
     the observations due at a re-sum or at the stop are served, the log rows
-    a call wrote at the free tail are counted and the tail is rebound past
-    them, refill() binds the next batch, and the errors are raised:
-    at EXIT_OBSERVE, the observation obs_t[obs_k] that a compiled step could
-    not bin is served through obs.emit, whose `add` raises. A step leaves for
-    nothing else: every step adds the observations due to the averager in its
-    loop.
+    a call wrote at the free tail are counted and, when another call
+    follows, the tail is rebound past them, refill() binds the next batch,
+    and the errors are raised: at a stall exit, the StallError of the total
+    in run.value (`_check_weight_total`), and at EXIT_OBSERVE, the
+    observation obs_t[obs_k] that a compiled step could not bin is served
+    through obs.emit, whose `add` raises. A step leaves for nothing else:
+    every step adds the observations due to the averager in its loop.
 
     The log's columns are the rows of one (4, rows) float64 block. It starts
     at the cap, or at _LOG_ROWS rows if the cap is higher, and at _BATCH rows
-    without a cap. It doubles whenever fewer than min(_BATCH, cap - filled)
-    rows are free, since a batched step writes at most one batch a call and
-    no step runs past the cap; the reference step stops at the tail's end.
-    A capped run that the horizon stops with less than half its block filled
-    copies its rows into a block of their own size.
+    without a cap. Before a step call that would find fewer than
+    min(_BATCH, cap - filled) rows free it doubles, since a batched step
+    writes at most one batch a call and no step runs past the cap; the
+    reference step stops at the tail's end. It does not grow after the last
+    call, and a run that ends with less than half its block filled copies
+    its rows into a block of their own size.
     """
     c0, pos, cap = run.m, run.arrays["pos"], run.max_events
     obs.attach(run)
@@ -584,13 +585,7 @@ def _drive(step, run, engine, state, T, obs, log_events, refill):
             if run.log_len:
                 run.arrays["log_m"][run.log_len - 1] = run.m
             run.S0 = math.inf
-        if run.log_len:
-            filled, run.log_len = filled + run.log_len, 0
-            if block.shape[1] - filled < (_BATCH if cap < 0 else min(_BATCH, cap - filled)):
-                grown = np.empty((4, 2 * block.shape[1]))
-                grown[:, :filled] = block[:, :filled]
-                block = grown
-            run.bind(**_log_columns(block[:, filled:]))
+        wrote, filled, run.log_len = run.log_len, filled + run.log_len, 0
         if code == kernel.EXIT_RESUM:
             obs.emit(run, run.t, pos, run.m, ties=True)
         elif code == kernel.EXIT_OBSERVE:
@@ -599,16 +594,19 @@ def _drive(step, run, engine, state, T, obs, log_events, refill):
             break
         elif code == kernel.EXIT_BATCH:
             refill()
-        elif code in kernel.ERRORS:
-            exc, message = kernel.ERRORS[code]
-            raise exc(message)
         else:
             _check_weight_total(run.value, _STALLS[code])
+        if wrote:           # another step call follows, writing past these rows
+            if block.shape[1] - filled < (_BATCH if cap < 0 else min(_BATCH, cap - filled)):
+                grown = np.empty((4, 2 * block.shape[1]))
+                grown[:, :filled] = block[:, :filled]
+                block = grown
+            run.bind(**_log_columns(block[:, filled:]))
     truncated = code == kernel.EXIT_CAP and T is not None and run.t < run.horizon
     obs.emit(run, min(run.horizon, run.t), pos, run.m, ties=True)
     state.positions = pos
     if block is not None:
-        if cap >= 0 and 2 * filled < block.shape[1]:
+        if 2 * filled < block.shape[1]:
             block = block[:, :filled].copy()
         log = EventLog(*_log_columns(block[:, :filled]).values())
     return SimulationResult(n=state.n, engine=engine, events=run.events, final_time=run.t,

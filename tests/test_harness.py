@@ -437,8 +437,9 @@ def test_run_scenario_different_seed_differs(tmp_path):
 
 
 def test_run_scenario_emits_events_csv_when_logged(tmp_path):
-    # 18155 events, more than one _BATCH, so the log's columns grow once; the
-    # digest, in the form of PRESET_DIGESTS, pins every byte of the bundle.
+    # 18155 events, more than one _BATCH, so the log's block doubles once, to
+    # 32768 rows, before a later step call; the digest, in the form of
+    # PRESET_DIGESTS, pins every byte of the bundle.
     d = tmp_path / "r"
     out = run_scenario(_tiny_cfg(log_events=True, T=60.0), outdir=d)
     assert (d / "events.csv").exists()

@@ -286,13 +286,10 @@ def compiled_rate(w, x):
     one-node grid at x with m = 0 and dt = inf: a finite w(x) > 0 exits
     unstable with w(x) as its value; a NaN passes the check, and the step
     that follows makes the mass NaN, which this returns as NaN."""
-    name, params = w.kernel_rate()
-    params = np.array(params, dtype=float)
-    run = kernel.Pde(family=kernel.RATE_CODES[name], n_rate_params=len(params), len=1,
-                     dt=math.inf, h=1.0, steps=1, m=0.0, ref=math.nan)
-    run.bind(rate_params=params, grid=np.array([float(x)]), values=np.array([1.0]),
-             rates=np.empty(1))
-    code = kernel.load().fj_pde(ctypes.byref(run))
+    run = kernel.Pde(len=1, dt=math.inf, h=1.0, steps=1, m=0.0, ref=math.nan)
+    lib = kernel.bind_rate(run, w)
+    run.bind(grid=np.array([float(x)]), values=np.array([1.0]), rates=np.empty(1))
+    code = lib.fj_pde(ctypes.byref(run))
     if code == kernel.PDE_NOT_FINITE:
         return math.nan
     assert code == kernel.PDE_UNSTABLE
@@ -355,6 +352,36 @@ def test_failed_build_falls_back_to_the_python_loops():
                                  observe=np.linspace(0.0, 5.0, 11), log_events=True)
             assert got == expected
     assert kernel.load() is not None                  # the real compiler's build is kept
+
+
+def test_bind_rate_binds_a_family_s_c_rate_or_nothing():
+    def unbound(record):
+        return (record.family, record.n_rate_params, record.rate_params,
+                "rate_params" in record.arrays) == (0, 0, None, False)
+
+    records = (kernel.Run, kernel.Pde, kernel.WaveResidual)
+    # no C rate, and no kernel to bind one to
+    for no_c_rate in (mock.patch.object(fj.ArccotRate, "kernel_rate", return_value=None),
+                      python_loops()):
+        with no_c_rate:
+            for record in records:
+                run = record()
+                assert kernel.bind_rate(run, fj.ArccotRate()) is None and unbound(run)
+    for w in PDE_FAMILIES:
+        name, params = w.kernel_rate()
+        for record in records:
+            run = record()
+            assert kernel.bind_rate(run, w) is kernel.load() is not None
+            bound = run.arrays["rate_params"]
+            assert (run.family, run.n_rate_params) == (kernel.RATE_CODES[name], len(params))
+            assert bound.dtype == np.float64 and bound.tobytes() == np.array(params).tobytes()
+            assert run.rate_params == bound.ctypes.data
+
+
+def test_the_kernel_has_no_exception_table():
+    # A step reports a total that is not finite and positive with a stall
+    # exit, which sim._drive raises as StallError for every engine.
+    assert not hasattr(kernel, "ERRORS") and not hasattr(kernel, "EXIT_EXP_RANGE")
 
 
 class NoDraws:
@@ -443,10 +470,10 @@ def test_zero_events_and_a_capped_infinite_horizon_run_alike_on_both_loops(engin
 def test_logging_never_changes_a_run(compiled, engine, w):
     # The steps write into the free tail of the log's block. A run capped at
     # 400 events allocates one block of 400 rows and never grows it. An
-    # uncapped one starts at _BATCH rows and doubles whenever fewer than
-    # _BATCH are free: with 7 the run to T = 40 (about 400 events) doubles at
-    # least three times, and a re-sum every 13 events puts re-summed centres
-    # into the first calls after a growth.
+    # uncapped one starts at _BATCH rows and doubles before a step call that
+    # would find fewer than _BATCH free: with 7 the run to T = 40 (about 400
+    # events) doubles at least three times, and a re-sum every 13 events puts
+    # re-summed centres into the first calls after a growth.
     for stop in ({"max_events": 400}, {"T": 40.0}):
         kwargs = {**stop, "seed": 12, "engine": engine}
         with contextlib.nullcontext() if compiled else python_loops(), \
@@ -486,6 +513,29 @@ def test_a_capped_log_keeps_at_most_twice_its_rows(compiled, engine, w):
             assert res.log.times.base.shape[1] <= 2 * res.events
             for col, dtype in zip(columns, (np.float64, np.int64, np.float64, np.float64)):
                 assert col.dtype == dtype and col.ndim == 1 and len(col) == res.events
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "python"])
+def test_an_uncapped_log_grows_only_before_another_step_call(compiled):
+    # 23741 events: the block doubles to 32768 rows while batches remain, and
+    # not at the horizon's exit; a run of no events copies down to no rows.
+    blocks = []
+    empty = np.empty
+
+    def spy(shape, *args, **kwargs):
+        if isinstance(shape, tuple) and shape[0] == 4:
+            blocks.append(shape[1])
+        return empty(shape, *args, **kwargs)
+
+    w, z = fj.StepRate(2.0, 1.0), fj.DeterministicJump()
+    with contextlib.nullcontext() if compiled else python_loops(), \
+            mock.patch.object(sim.np, "empty", spy):
+        res = fj.simulate(w, z, 1600, T=10.0, seed=7, log_events=True)
+        assert (res.events, blocks, res.log.times.base.shape) == (23741, [16384, 32768],
+                                                                   (4, 32768))
+        blocks.clear()
+        res = fj.simulate(w, z, 1600, T=0.0, seed=7, log_events=True)
+        assert (res.events, blocks, res.log.times.base.shape) == (0, [16384], (4, 0))
 
 
 # Samplers that every engine must refuse, asked for 100 lengths by a batched
@@ -571,6 +621,14 @@ class NanStart:
         self.positions, self.n, self.center = np.array([0.0, math.nan, 0.5]), 3, 0.0
 
 
+class NanLaggardStart(NanStart):
+    """NanStart with a laggard whose weight e^{10^4} overflows in the first
+    rebase: the NaN leaf makes the weight total NaN on both loops."""
+
+    def __init__(self, n, init, rng):
+        self.positions, self.n, self.center = np.array([0.0, math.nan, -1e4]), 3, 0.0
+
+
 @pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "python"])
 @pytest.mark.parametrize("z, start, message", [
     (FixedJump(math.nan), None, "m: must be finite, got nan"),
@@ -594,8 +652,9 @@ def test_an_observation_add_refuses_raises_its_error_and_leaves_no_row(compiled,
 
 @pytest.mark.parametrize("engine, w", ENGINE_FAMILIES[1:], ids=[e for e, _ in ENGINE_FAMILIES[1:]])
 @pytest.mark.parametrize("z, start", [(FixedJump(math.nan), None), (FixedJump(math.inf), None),
-                                      (fj.ExponentialJump(), NanStart)],
-                         ids=["nan", "inf", "start"])
+                                      (fj.ExponentialJump(), NanStart),
+                                      (fj.ExponentialJump(), NanLaggardStart)],
+                         ids=["nan", "inf", "start", "laggard"])
 def test_a_run_that_raises_leaves_the_same_rows_on_both_loops(engine, w, z, start):
     # the bounded step raises at an observation add() refuses, the
     # exponential one at its rate total; the rows filled before are compared
@@ -681,9 +740,10 @@ def test_engine_counters_agree_on_both_loops(engine, w):
 
 
 ERROR_CASES = [
-    # n = 25: one jump of 10^6 puts exp(beta (m - ref)) past the double range
+    # n = 25: one jump of 10^6 puts exp(beta (m - ref)) past the double range,
+    # and the total, 24 e^40000, with it
     ("exponential", fj.ExponentialRate(1.0), np.zeros(25), FixedJump(1e6), 100_000,
-     ("OverflowError", "math range error")),
+     ("StallError", "total jump rate overflowed; configuration too spread out")),
     # n = 2: a NaN length makes the total jump rate NaN
     ("exponential", fj.ExponentialRate(1.0), np.zeros(2), FixedJump(math.nan), 100_000,
      ("StallError", "total jump rate is NaN; positions must be finite")),
@@ -1605,14 +1665,19 @@ def test_fj_bounded_bins_an_observation_as_the_numpy_body(case):
     expected = np.zeros(nbins)
     below, above, unbinned = ms._numpy_bins(positions, m, a0, a1, nbins, expected)
     averager = ms.TimeAverager(a0, a1, nbins, samples=1)
+
+    class NeverAccepts(model.RateFamily):
+        def kernel_rate(self):
+            return "step", (0.0, 0.0)
+
     run = kernel.Run(n=positions.size, inv_n=1.0 / positions.size, horizon=math.inf,
-                     max_events=-1, resum_interval=1, family=kernel.RATE_CODES["step"],
-                     n_rate_params=2, a=1.0, lam=1.0, m=m, n_obs=1, next_obs=0.0, batch=1)
-    run.bind(rate_params=np.zeros(2), pos=positions.copy(), obs_t=np.zeros(1),
-             waits=np.ones(1), targets=np.zeros(1, dtype=np.int64), uniforms=np.ones(1),
-             lengths=np.ones(1))
+                     max_events=-1, resum_interval=1, a=1.0, lam=1.0, m=m, n_obs=1,
+                     next_obs=0.0, batch=1)
+    lib = kernel.bind_rate(run, NeverAccepts())
+    run.bind(pos=positions.copy(), obs_t=np.zeros(1), waits=np.ones(1),
+             targets=np.zeros(1, dtype=np.int64), uniforms=np.ones(1), lengths=np.ones(1))
     averager.bind(run)
-    code = kernel.load().fj_bounded(ctypes.byref(run))
+    code = lib.fj_bounded(ctypes.byref(run))
     assert averager._counts[0].tobytes() == expected.tobytes()
     assert run.events == 0
     if unbinned:

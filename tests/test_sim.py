@@ -181,6 +181,32 @@ def test_stall_errors_name_the_true_cause():
     with pytest.raises(StallError, match="underflowed to zero"):
         fj.simulate(Vanishing(), fj.DeterministicJump(), 2, T=1.0, seed=1, engine="reference")
 
+    class Huge(RateFamily):
+        # every rate is finite and their total is not
+        def rate(self, x):
+            return np.full(np.shape(x), 1e308)
+
+    class Undefined(RateFamily):
+        def rate(self, x):
+            return np.full(np.shape(x), math.nan)
+
+    # 1410 apart at beta = 1: the laggard's weight e^705 is a finite double,
+    # which the exponential engine runs with, but rate() clamps it to e^700,
+    # so the reference engine stalls already, with the overflow message
+    init = np.array([0.0, 1410.0])
+    res = fj.simulate(w, fj.DeterministicJump(), 2, T=1.0, max_events=5, seed=1, init=init,
+                      engine="exponential")
+    assert res.events == 5
+    with pytest.raises(StallError, match="^total jump rate overflowed; configuration too spread out$"):
+        fj.simulate(w, fj.DeterministicJump(), 2, T=1.0, max_events=5, seed=1, init=init,
+                    engine="reference")
+
+    # the reference engine stalls with the messages of the fast engines
+    for family, message in ((Huge(), "total jump rate overflowed; configuration too spread out"),
+                            (Undefined(), "total jump rate is NaN; positions must be finite")):
+        with np.errstate(over="ignore"), pytest.raises(StallError, match=f"^{message}$"):
+            fj.simulate(family, fj.DeterministicJump(), 2, T=1.0, seed=1, engine="reference")
+
 
 # ---------------------------------------------------------------------------
 # simulate(): horizons, observers, caps
