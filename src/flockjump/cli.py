@@ -12,13 +12,17 @@ Verbs:
 Rate SPEC strings: 'exponential:beta=1', 'step:a=2,b=1',
 'piecewise_linear:a=2,b=1', 'arccot'.
 
-A model or configuration error is reported as one line on stderr,
-"flockjump: error: <message>", with exit status 2.
+A model or configuration error, or a flag out of its range, is reported as
+one line on stderr, "flockjump: error: <message>", with exit status 2. A bad
+flag or configuration is refused before the verb prints or writes anything.
+Every file a verb writes goes through `harness.write_csv` (CSVs, every number
+`.17g`) or `harness.write_bundle`.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -41,7 +45,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_travelwave(args):
-    from .harness import parse_rate_string, write_profile_csv
+    from .harness import parse_rate_string, write_csv
     from .mean_field import wave_profile, wave_speed
 
     w = parse_rate_string(args.rate)
@@ -55,39 +59,43 @@ def _cmd_travelwave(args):
           f"{len(prof.grid)} points, trapz mass {prof.trapz_mass():.12g}, "
           f"mean {prof.trapz_mean():.3e}")
     if args.out:
-        write_profile_csv(prof, args.out)
+        write_csv(args.out, "x,density", prof.grid, prof.values)
         print(f"profile written to {args.out}")
     return 0
 
 
 def _cmd_gap(args):
-    from .harness import parse_rate_string
+    from .harness import parse_rate_string, write_csv
     from .two_particle import GapDensity, gap_chain, gap_stationary_pmf
 
+    if not (math.isfinite(args.gmax) and args.gmax > 0):
+        raise ModelError(f"gmax: must be a finite number > 0, got {args.gmax}")
+    if args.npts < 1:
+        raise ModelError(f"npts: must be an integer >= 1, got {args.npts}")
     w = parse_rate_string(args.rate)
     chain = gap_chain(w)
     pi = gap_stationary_pmf(chain)
+    dens = GapDensity(args.beta) if args.beta is not None else None
     print(f"# birth-death gap chain (deterministic unit jumps), kmax = {chain.kmax}")
     for k in range(min(len(pi), args.kprint)):
         print(f"pi[{k}] = {pi[k]:.12g}")
-    if args.beta is not None:
-        dens = GapDensity(args.beta)
+    if dens is not None:
         print(f"# continuous gap density for w = exp(-{args.beta} x), exponential jumps")
         print(f"normalizer c = {dens.normalizer:.12g}")
         if args.out:
             gs = np.linspace(0.0, args.gmax, args.npts)
-            with open(args.out, "w") as fh:
-                fh.write("g,density\n")
-                for g, v in zip(gs, dens.pdf(gs)):
-                    fh.write(f"{g:.17g},{v:.17g}\n")
+            write_csv(args.out, "g,density", gs, dens.pdf(gs))
             print(f"density written to {args.out}")
     return 0
 
 
 def _cmd_extremes(args):
     from .extremes import new_pool, simulate_record
+    from .harness import write_csv
     from .mean_field import stationary_wave
 
+    if args.seed < 0:
+        raise ModelError(f"seed: must be an integer >= 0, got {args.seed}")
     beta = args.beta
     c = args.c if args.c is not None else stationary_wave(ExponentialRate(beta)).c
     rng = np.random.default_rng(args.seed)
@@ -97,16 +105,13 @@ def _cmd_extremes(args):
     print(f"k = {pool.k}, c = {c:.6g}, pool size at T: {path.pool.pool_count}")
     print(f"jumps of Y: {len(path.yk_jumps)}, Y(T) - (1/beta) log N(T) = {final:.6g}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("t,Y\n")
-            for t, y in zip(path.times, path.values):
-                fh.write(f"{t:.17g},{y:.17g}\n")
+        write_csv(args.out, "t,Y", path.times, path.values)
         print(f"jump path written to {args.out}")
     return 0
 
 
 def _cmd_pde(args):
-    from .harness import pde_config_from_dict, read_json, write_pde_diagnostics_csv
+    from .harness import pde_config_from_dict, read_json, write_csv
     from .mean_field import DensityField, pde_integrate, wave_profile, wave_speed
 
     cfg = pde_config_from_dict(read_json(args.config))
@@ -128,11 +133,10 @@ def _cmd_pde(args):
     outdir = cfg["outdir"]
     if outdir:
         os.makedirs(outdir, exist_ok=True)
-        write_pde_diagnostics_csv(diags, os.path.join(outdir, "pde_diagnostics.csv"))
-        with open(os.path.join(outdir, "final_density.csv"), "w") as fh:
-            fh.write("x,density\n")
-            for x, v in zip(final.grid, final.values):
-                fh.write(f"{x:.17g},{v:.17g}\n")
+        write_csv(os.path.join(outdir, "pde_diagnostics.csv"), "t,mass,mean,speed,w1",
+                  diags.t, diags.mass, diags.mean, diags.speed, diags.w1_shape)
+        write_csv(os.path.join(outdir, "final_density.csv"), "x,density",
+                  final.grid, final.values)
         print(f"diagnostics written to {outdir}")
     return 0
 

@@ -1,15 +1,18 @@
 """Experiment harness: JSON configs, seeded reproducible scenario runs
-(including the built-in wave presets), and the output bundle.
+(including the built-in wave presets), and the output bundle. The one module
+that writes files: `write_csv` writes every CSV the package writes, the
+CLI's included.
 
 A run bundle directory contains `config.snapshot` (canonical JSON),
 `summary.json`, `hist_timeavg.csv`, `hist_snapshot.csv`, `mean_path.csv`, and
-optionally `events.csv`. CSV floats are written `.17g` (round-trips, but 0.1
+optionally `events.csv`. CSV numbers are written `.17g` (round-trips, but 0.1
 is 0.10000000000000001), JSON floats as Python's shortest round-trip repr, so
 (config, seed) determines every output byte.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -33,6 +36,9 @@ class FitError(ModelError):
 
 # fewest mean-path samples the speed fit accepts in its trailing window
 FIT_MIN_SAMPLES = 10
+
+# rows `write_csv` formats at a time
+_CSV_ROWS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +264,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Sorted, indented JSON; a numpy scalar is written as its Python value."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=lambda x: x.item()) + "\n"
 
 
 def read_json(path) -> dict:
@@ -504,39 +511,32 @@ def write_bundle(res: ScenarioResult, outdir):
     os.makedirs(outdir, exist_ok=True)
     save_config(res.config, os.path.join(outdir, "config.snapshot"))
     with open(os.path.join(outdir, "summary.json"), "w") as fh:
-        fh.write(canonical_json(_jsonable(res.summary)))
-    res.hist_timeavg.write_csv(os.path.join(outdir, "hist_timeavg.csv"))
-    res.hist_snapshot.write_csv(os.path.join(outdir, "hist_snapshot.csv"))
-    with open(os.path.join(outdir, "mean_path.csv"), "w") as fh:
-        fh.write("t,mean\n")
-        for t, m in zip(res.mean_times, res.mean_path):
-            fh.write(f"{t:.17g},{m:.17g}\n")
-    if res.sim_result.log is not None:
-        res.sim_result.log.write_csv(os.path.join(outdir, "events.csv"))
+        fh.write(canonical_json(res.summary))
+    for name, hist in (("hist_timeavg.csv", res.hist_timeavg),
+                       ("hist_snapshot.csv", res.hist_snapshot)):
+        edges = hist.edges
+        write_csv(os.path.join(outdir, name), "bin_left,bin_right,density",
+                  edges[:-1], edges[1:], hist.values)
+    write_csv(os.path.join(outdir, "mean_path.csv"), "t,mean", res.mean_times, res.mean_path)
+    log = res.sim_result.log
+    if log is not None:
+        write_csv(os.path.join(outdir, "events.csv"),
+                  "time,particle_index,jump_length,center_of_mass",
+                  log.times, log.indices, log.lengths, log.centers)
 
 
-def _jsonable(d: dict) -> dict:
-    out = {}
-    for key, val in d.items():
-        if isinstance(val, (np.floating, np.integer)):
-            val = val.item()
-        out[key] = val
-    return out
+def write_csv(path, header, *columns):
+    """Write the numpy `columns` side by side under the comma-separated
+    `header`, every number as `.17g`, which reads back as the same double.
 
-
-def write_profile_csv(profile: mean_field.WaveProfile, path):
+    The one place the package formats a number for a file. Rows go out
+    `_CSV_ROWS` at a time: each chunk becomes Python numbers (`.tolist()`)
+    and one format call of the row template, so memory stays bounded by the
+    chunk however long the columns are.
+    """
+    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
     with open(path, "w") as fh:
-        fh.write("x,density\n")
-        for x, v in zip(profile.grid, profile.values):
-            fh.write(f"{x:.17g},{v:.17g}\n")
-
-
-def write_pde_diagnostics_csv(diags: mean_field.PdeDiagnostics, path):
-    has_w1 = diags.w1_shape is not None
-    with open(path, "w") as fh:
-        fh.write("t,mass,mean,speed,w1\n" if has_w1 else "t,mass,mean,speed\n")
-        for i in range(len(diags.t)):
-            row = [diags.t[i], diags.mass[i], diags.mean[i], diags.speed[i]]
-            if has_w1:
-                row.append(diags.w1_shape[i])
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        fh.write(header + "\n")
+        for lo in range(0, len(columns[0]), _CSV_ROWS):
+            chunk = [col[lo:lo + _CSV_ROWS].tolist() for col in columns]
+            fh.write((row * len(chunk[0])).format(*itertools.chain.from_iterable(zip(*chunk))))

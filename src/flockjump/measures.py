@@ -9,7 +9,8 @@ average; `build_histogram` is the one-shot form on the same binning. A
 fills its rows in its loop, the Python steps through `add`, whose binning is
 the numpy body `_numpy_bins`, and the compiled ones with `bin_positions` in
 `_kernel.c`, which repeats that body's operations, so the rows are the same
-to the bit.
+to the bit. This module opens no files: `harness.write_csv` writes a
+histogram's edges and values into a bundle.
 
 The residual integral is a finite sum over inter-event intervals (the
 empirical measure is piecewise constant in time), so its value is exact given
@@ -81,13 +82,6 @@ class Histogram:
         """Empirical CDF of the full sample evaluated at the bin edges."""
         inside = np.concatenate([[0.0], np.cumsum(self.bin_mass())])
         return self.out_below / self.n_samples + inside
-
-    def write_csv(self, path):
-        edges = self.edges
-        with open(path, "w") as fh:
-            fh.write("bin_left,bin_right,density\n")
-            for j in range(self.nbins):
-                fh.write(f"{edges[j]:.17g},{edges[j + 1]:.17g},{self.values[j]:.17g}\n")
 
 
 def _check_window(a0, a1, nbins) -> int:

