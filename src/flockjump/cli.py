@@ -14,7 +14,8 @@ Rate SPEC strings: 'exponential:beta=1', 'step:a=2,b=1',
 
 A model or configuration error, or a flag out of its range, is reported as
 one line on stderr, "flockjump: error: <message>", with exit status 2. A bad
-flag or configuration is refused before the verb prints or writes anything.
+flag or configuration is refused before the verb prints or writes anything:
+an --out in a directory that does not exist, or gap's --out without --beta.
 Every file a verb writes goes through `harness.write_csv` (CSVs, every number
 `.17g`) or `harness.write_bundle`.
 """
@@ -191,7 +192,12 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_accept)
 
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)
     try:
+        if out and args.verb == "gap" and args.beta is None:
+            raise ModelError("out: gap writes the gap density, which needs --beta")
+        if out and not os.path.isdir(os.path.dirname(out) or "."):
+            raise ModelError(f"out: no directory to write {out!r} in")
         return args.fn(args)
     except ModelError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

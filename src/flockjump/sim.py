@@ -8,8 +8,8 @@ Three exactly-equivalent engines:
 * ``bounded`` -- constant-rate thinning for bounded rate families: proposals
   arrive at rate n*a (a = sup w), the target particle is uniform, and each
   proposal is accepted with probability w(x_i - m)/a. ``simulate_coupled``
-  runs the same construction as a dominating coupled pair, in a loop of its
-  own that draws one random number at a time.
+  runs it twice on one random stream, at w and at the flat rate a, as the
+  dominating coupled pair.
 * ``exponential`` -- for w(x) = exp(-beta*x) the selection weights factor as
   exp(beta*(m - ref)) * exp(-beta*(x_i - ref)), so a move of the center
   changes no relative weight and only the jumper's weight changes (it
@@ -61,6 +61,7 @@ twin.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import functools
 import math
@@ -69,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel, measures
-from .model import ModelError, SystemState, initial_state, is_count
+from .model import ModelError, SystemState, TabulatedRate, initial_state, is_count
 
 _BATCH = 1 << 14
 
@@ -644,14 +645,22 @@ def simulate_coupled(w, z, n: int, *, proposals: int = None, T: float = None,
                      rng=None, seed: int = None, init="zeros") -> CoupledResult:
     """Run the dominating coupled pair (x, x-tilde) from a common start.
 
-    The dominating layer jumps at rate a per particle; the base layer accepts
-    each proposal with probability w(x_i - m)/a and, when it does, jumps the
-    same length. Position dominance is checked at every proposal epoch; the
-    interval increment dominance is verified per particle over a
-    _INCREMENT_WINDOWS-piece partition of [0, t] using exact (fsum) sums of
-    the logged jump lengths, so a zero violation count carries no tolerance.
-    A seed that is not None or an integer >= 0 raises ModelError before any
-    draw.
+    Both layers are bounded-engine runs from one start on one random stream:
+    the dominating layer at the flat rate a = sup w on a copy of rng, so it
+    accepts every proposal and its event log is the proposal log, and the
+    base layer at w on rng, with the same cap, to the dominating layer's
+    final time. So the base layer sees the same proposals and accepts each
+    with probability w(x_i - m)/a. A sampler of z must draw only from the
+    generator it is given; one that draws elsewhere gives the layers
+    different proposals, which shows as position violations.
+
+    Each base event must be the next proposal with the same (t, i, z), or it
+    counts as a position violation, and position dominance is checked at
+    every proposal. The interval increment dominance is verified per particle
+    over a _INCREMENT_WINDOWS-piece partition of [0, t] using exact (fsum)
+    sums of the logged jump lengths, so a zero violation count carries no
+    tolerance. A seed that is not None or an integer >= 0 raises ModelError
+    before any draw.
     """
     if not math.isfinite(w.left_limit):
         raise UnsupportedSpecError(
@@ -660,53 +669,33 @@ def simulate_coupled(w, z, n: int, *, proposals: int = None, T: float = None,
     _check_seed(seed)
     if rng is None:
         rng = np.random.default_rng(seed)
-    base = initial_state(n, init, rng).positions.tolist()
-    dom = list(base)
-    m = math.fsum(base) / n
+    start = initial_state(n, init, rng).positions
     a = float(w.left_limit)
-    lam = n * a
-    rate = w.scalar_rate()
-    inv_n = 1.0 / n
+    dom = simulate(TabulatedRate((-1.0, 1.0), (a, a)), z, n, T=T, max_events=proposals,
+                   rng=copy.deepcopy(rng), init=start, engine="bounded", log_events=True)
+    base = simulate(w, z, n, T=dom.final_time, max_events=proposals, rng=rng, init=start,
+                    engine="bounded", log_events=True)
 
-    t = 0.0
-    count = accepted = 0
-    pos_violations = 0
-    times, targets, lengths, accmask = [], [], [], []
-    horizon = math.inf if T is None else T
-    cap = math.inf if proposals is None else proposals
-
-    while count < cap:
-        t_next = t + rng.standard_exponential() / lam
-        if t_next > horizon:
-            t = horizon
-            break
-        t = t_next
-        i = int(rng.integers(0, n))
-        length = float(z.sample(rng))
-        dom[i] += length
-        ok = rng.random() * a <= rate(base[i] - m)
-        if ok:
-            base[i] += length
-            m += length * inv_n
-            accepted += 1
-        if dom[i] < base[i]:
-            pos_violations += 1
-        times.append(t)
-        targets.append(i)
-        lengths.append(length)
-        accmask.append(ok)
-        count += 1
-
-    times = np.asarray(times)
-    targets = np.asarray(targets, dtype=np.int64)
-    lengths = np.asarray(lengths)
-    accmask = np.asarray(accmask, dtype=bool)
+    times, targets, lengths = dom.log.times, dom.log.indices, dom.log.lengths
+    events = [*zip(base.log.times.tolist(), base.log.indices.tolist(),
+                   base.log.lengths.tolist()), None]
+    accmask = np.zeros(dom.events, dtype=bool)
+    x, y = start.tolist(), start.tolist()       # the dominating and base layers
+    matched = pos_violations = 0
+    for k, (t, i, length) in enumerate(zip(times.tolist(), targets.tolist(), lengths.tolist())):
+        x[i] += length
+        if events[matched] == (t, i, length):
+            y[i] += length
+            accmask[k] = True
+            matched += 1
+        pos_violations += x[i] < y[i]
+    pos_violations += base.events - matched
 
     # Interval increment dominance (exact): for each particle and each window,
     # the dominating layer's summed jumps must weakly exceed the base layer's.
     inc_violations = 0
     if len(times):
-        edges = np.linspace(0.0, t, _INCREMENT_WINDOWS + 1)
+        edges = np.linspace(0.0, dom.final_time, _INCREMENT_WINDOWS + 1)
         window = np.clip(np.searchsorted(edges, times, side="right") - 1, 0,
                          _INCREMENT_WINDOWS - 1)
         for wi in range(_INCREMENT_WINDOWS):
@@ -719,6 +708,6 @@ def simulate_coupled(w, z, n: int, *, proposals: int = None, T: float = None,
                     inc_violations += 1
 
     return CoupledResult(
-        n=n, proposals=count, accepted=accepted, final_time=t,
-        base_positions=np.asarray(base), dominating_positions=np.asarray(dom),
+        n=n, proposals=dom.events, accepted=base.events, final_time=dom.final_time,
+        base_positions=base.state.positions, dominating_positions=dom.state.positions,
         position_violations=pos_violations, increment_violations=inc_violations)

@@ -720,6 +720,14 @@ def test_write_csv_writes_every_double_as_17g(tmp_path, monkeypatch):
      "beta must be positive, got 0.0"),
     (["gap", "--rate", "step:a=2,b=1", "--beta", "nan", "--out", "g.csv"],
      "beta must be positive, got nan"),
+    (["travelwave", "--rate", "step:a=2,b=1", "--out", "missing/w.csv"],
+     "out: no directory to write 'missing/w.csv' in"),
+    (["gap", "--rate", "step:a=2,b=1", "--beta", "1", "--out", "missing/g.csv"],
+     "out: no directory to write 'missing/g.csv' in"),
+    (["extremes", "--beta", "1", "--T", "5", "--out", "missing/y.csv"],
+     "out: no directory to write 'missing/y.csv' in"),
+    (["gap", "--rate", "step:a=2,b=1", "--out", "g.csv"],
+     "out: gap writes the gap density, which needs --beta"),
 ])
 def test_cli_reports_model_errors_in_one_line(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)

@@ -453,6 +453,19 @@ def test_a_seed_may_be_any_integer_and_log_events_a_numpy_bool():
         assert len({(res.proposals, res.base_positions.tobytes()) for res in pair}) == 1
 
 
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernel", "python"])
+def test_the_coupled_layers_are_the_bounded_runs_of_w_and_of_its_flat_bound(compiled, flat_rate):
+    w, z = fj.StepRate(2.0, 1.0), fj.ExponentialJump()
+    with contextlib.nullcontext() if compiled else python_loops():
+        pair = fj.simulate_coupled(w, z, 50, T=40.0, seed=21)
+        base = fj.simulate(w, z, 50, T=40.0, seed=21, engine="bounded")
+        dom = fj.simulate(flat_rate(2.0), z, 50, T=40.0, seed=21, engine="bounded")
+    assert pair.base_positions.tobytes() == base.state.positions.tobytes()
+    assert pair.dominating_positions.tobytes() == dom.state.positions.tobytes()
+    assert (pair.proposals, pair.accepted, pair.final_time) == (dom.events, base.events, 40.0)
+    assert pair.position_violations == pair.increment_violations == 0
+
+
 @pytest.mark.parametrize("engine, w", ENGINE_FAMILIES, ids=[e for e, _ in ENGINE_FAMILIES])
 def test_zero_events_and_a_capped_infinite_horizon_run_alike_on_both_loops(engine, w):
     for stop, events in (({"max_events": 0}, 0), ({"T": math.inf, "max_events": np.int64(40)}, 40)):

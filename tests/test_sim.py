@@ -585,3 +585,34 @@ def test_coupled_dominating_layer_rate():
                              T=40.0, seed=21)
     lam = 25 * 2.0 * 40.0
     assert abs(cr.proposals - lam) < 4 * math.sqrt(lam)
+
+
+@pytest.mark.parametrize("cap", [10, 20_000])
+def test_coupled_proposal_cap_below_and_above_one_batch(cap):
+    # a cap below one batch cuts both layers' first batch to it
+    assert 10 < sim._BATCH < 20_000
+    cr = fj.simulate_coupled(fj.StepRate(2.0, 1.0), fj.ExponentialJump(), 50, proposals=cap,
+                             seed=22, init=("iid", lambda rng, n: rng.normal(size=n)))
+    assert cr.proposals == cap
+    assert cr.position_violations == cr.increment_violations == 0
+    assert np.all(cr.dominating_positions >= cr.base_positions)
+
+
+def test_coupled_sampler_that_ignores_its_generator_shows_as_violations():
+    # lengths from numpy's global generator differ between the two layers, so
+    # no base event is a proposal of the dominating layer
+    stray = fj.CustomDensityJump(density=lambda u: np.where((u >= 0) & (u <= 2), 0.5, 0.0),
+                                 sampler=lambda rng, size: np.random.uniform(0.0, 2.0, size),
+                                 third_moment=2.0, upper=2.0)
+    cr = fj.simulate_coupled(fj.StepRate(2.0, 1.0), stray, 50, proposals=2000, seed=23)
+    assert cr.position_violations == cr.accepted > 0
+
+
+@pytest.mark.parametrize("stop", [{"T": 40.0}, {"proposals": 10}], ids=["T", "proposals"])
+def test_coupled_leaves_rng_where_a_bounded_run_of_w_at_its_stop_does(stop):
+    w, z = fj.StepRate(2.0, 1.0), fj.ExponentialJump()
+    mine, theirs = np.random.default_rng(24), np.random.default_rng(24)
+    cr = fj.simulate_coupled(w, z, 50, rng=mine, **stop)
+    fj.simulate(w, z, 50, T=cr.final_time, max_events=stop.get("proposals"), rng=theirs,
+                engine="bounded")
+    assert mine.bit_generator.state == theirs.bit_generator.state
