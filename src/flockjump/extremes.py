@@ -13,10 +13,14 @@ Python: each batch is scanned once in chunks that grow with the pool index,
 so a run does O(k log N) Python steps.
 
 `sample_final_uncentered` needs only Y(T), which is k times one order
-statistic of the N(T) draws. It draws them in chunks and keeps a running
-top k with numpy, so a run does O(N / batch) Python steps and walks no
-ledger. Both consume the generator identically, so for the same seed they
-give the same Y(T) to the bit.
+statistic of the N(T) draws, so it walks no ledger. It draws whole runs as
+the rows of one buffer of at most `_BLOCK` values, allocated once per call,
+and picks each row's k-th largest with k - 1 argmax passes (each pick
+overwritten with -inf) and one max; a run longer than the buffer is drawn
+in pieces, each merged into the run's running top k. The Python work is
+thus O(k) numpy calls per block, not per run, on top of the draws. Both
+consume the generator identically, so for the same seed they give the same
+Y(T) to the bit.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .model import DomainError, ModelError, is_count, is_finite_number
 from .mean_field import generalized_gumbel_cdf, generalized_gumbel_pdf  # noqa: F401
 
 _POOL_CAP_LOG = 62 * math.log(2.0)   # keep the pool inside 2^62
-_ARRIVAL_BATCH = 1 << 16
+_BLOCK = 1 << 15        # values per draw call: simulate_record's batch, the sampler's buffer
 
 
 class HorizonError(ModelError):
@@ -111,7 +115,7 @@ class RecordPath:
 
 
 def simulate_record(pool: RecordPool, T: float, rng,
-                    batch: int = _ARRIVAL_BATCH) -> RecordPath:
+                    batch: int = _BLOCK) -> RecordPath:
     """Advance the pool to time T, recording every jump of Y = k * Y_k.
 
     Arrivals are drawn in index batches and each batch is walked once, in
@@ -186,49 +190,68 @@ def simulate_record(pool: RecordPool, T: float, rng,
                       yk_jumps=np.asarray(jumps), pool=out)
 
 
-def _top(values: np.ndarray, k: int) -> np.ndarray:
-    """The k largest entries of `values` (all of them if it has no more),
-    partitioned in place, in no particular order."""
-    if values.size > k:
-        values.partition(values.size - k)
-        values = values[values.size - k:]
-    return values
+def _top_k(block: np.ndarray, k: int) -> np.ndarray:
+    """The k largest entries of each row of the 2-d `block`, in descending
+    order, as a (rows, k) array. It makes k - 1 argmax passes, each one
+    overwriting its picks with -inf, then one max; a value that occurs twice
+    is picked twice, as a sort counts it. A row shorter than k pads with
+    -inf. `block` is left overwritten."""
+    rows = np.arange(block.shape[0])
+    top = np.empty((block.shape[0], k))
+    for i in range(k - 1):
+        j = block.argmax(axis=1)
+        top[:, i] = block[rows, j]
+        block[rows, j] = -np.inf
+    top[:, k - 1] = block.max(axis=1)
+    return top
 
 
-def _kth_largest(k: int, n: int, rng, batch: int = _ARRIVAL_BATCH):
-    """The k-th largest of n fresh unit exponentials, drawn in chunks of at
-    most `batch` so that memory stays O(batch): a running max for k = 1,
-    otherwise the top k of each chunk merged into the running top k."""
-    top = None
-    while n:
-        draws = rng.standard_exponential(min(batch, n))
-        n -= draws.size
-        if k == 1:
-            best = draws.max()
-            top = best if top is None else max(top, best)
-        else:
-            draws = _top(draws, k)
-            top = draws if top is None else _top(np.concatenate((top, draws)), k)
-    return top if k == 1 else top.min()
+def _kth_largest_of_runs(k: int, n: int, runs: int, rng) -> np.ndarray:
+    """The k-th largest of n fresh unit exponentials, for each of `runs` runs.
+
+    One buffer of at most `_BLOCK` values is allocated and refilled with
+    `standard_exponential(out=...)`. It holds floor(_BLOCK / n) whole runs
+    as rows, and `_top_k` picks each row's k-th largest. A run longer than
+    the buffer is drawn in pieces, and each piece's top k merges into the
+    run's running top k. Runs are drawn one after another, each in index
+    order.
+    """
+    yk = np.empty(runs)
+    if n <= _BLOCK:
+        per = max(1, min(_BLOCK // n, runs))            # whole runs per block
+        buf = np.empty(per * n)
+        for r in range(0, runs, per):
+            block = buf[: min(per, runs - r) * n]
+            rng.standard_exponential(out=block)
+            yk[r:r + per] = _top_k(block.reshape(-1, n), k)[:, -1]
+    else:
+        buf = np.empty(_BLOCK)
+        tops = np.empty((1, 2 * k))             # the run's top k, then the piece's
+        for r in range(runs):
+            tops[0, :k] = -np.inf
+            for s in range(0, n, _BLOCK):
+                piece = buf[: min(_BLOCK, n - s)]
+                rng.standard_exponential(out=piece)
+                tops[0, k:] = _top_k(piece[None], k)
+                tops[0, :k] = _top_k(tops, k)
+            yk[r] = tops[0, k - 1]
+    return yk
 
 
 def sample_final_uncentered(beta: float, c: float, T: float, runs: int, rng) -> np.ndarray:
     """Y(T) - (1/beta) log N(T) over independent runs (the Gumbel-limit sample).
 
-    Y(T) is k times the k-th largest of the N(T) pool values, so each run
-    draws its pool and keeps only a running top k; no path is built. The
-    draws are those of `new_pool` and `simulate_record` in the same order,
-    so each sample equals that run's `RecordPath.uncentered_final()` to the
-    bit and the generator ends in the same state. Every argument is checked
-    before the first draw; a pool smaller than k at T raises DomainError.
+    Y(T) is k times the k-th largest of the N(T) pool values, so no path is
+    built: `_kth_largest_of_runs` draws whole runs into one reused block and
+    picks each k-th largest by max passes. The draws are those of `new_pool`
+    and `simulate_record` in the same order, so each sample equals that
+    run's `RecordPath.uncentered_final()` to the bit and the generator ends
+    in the same state. Every argument is checked before the first draw; a
+    pool smaller than k at T raises DomainError.
     """
     k = _record_k(beta)
     n = pool_size(beta, c, T)
     _check_holds_k(n, k)
     if not is_count(runs, 0):
         raise DomainError(f"runs must be an integer >= 0, got {runs!r}")
-    shift = math.log(n) / beta
-    out = np.empty(runs)
-    for r in range(runs):
-        out[r] = k * _kth_largest(k, n, rng) - shift
-    return out
+    return k * _kth_largest_of_runs(k, n, runs, rng) - math.log(n) / beta

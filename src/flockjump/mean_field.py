@@ -419,11 +419,17 @@ def wave_speed(w, max_iter: int = 200, report: dict = None) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _check_gumbel_beta(beta) -> None:
+    """The generalized Gumbel law needs beta a finite number > 0; checked before
+    1/beta, Gamma(1/beta) or the integer order round(1/beta) is formed."""
+    if not (is_finite_number(beta) and beta > 0):
+        raise DomainError(f"beta must be a finite number > 0, got {beta!r}")
+
+
 def generalized_gumbel_pdf(beta: float, x):
     """Generalized Gumbel density (beta / Gamma(1/beta)) exp(-x - e^{-beta x}),
     uncentered: the limit law of the record process (`extremes`)."""
-    if beta <= 0:
-        raise DomainError("beta must be positive")
+    _check_gumbel_beta(beta)
     x = np.asarray(x, dtype=float)
     with np.errstate(under="ignore", over="ignore"):
         z = np.exp(-np.clip(beta * x, -700.0, 700.0))
@@ -434,6 +440,7 @@ def generalized_gumbel_pdf(beta: float, x):
 def generalized_gumbel_cdf(beta: float, x):
     """CDF of the uncentered generalized Gumbel law; closed Poisson-tail form at
     integer 1/beta."""
+    _check_gumbel_beta(beta)
     k = 1.0 / beta
     x = np.asarray(x, dtype=float)
     if abs(k - round(k)) < 1e-12:
@@ -455,8 +462,7 @@ def gumbel_wave_cdf(beta: float, x):
 
 
 def _gumbel_shift(beta: float) -> float:
-    if beta <= 0:
-        raise DomainError("beta must be positive")
+    _check_gumbel_beta(beta)
     return digamma(1.0 / beta) / beta
 
 

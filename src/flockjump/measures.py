@@ -276,14 +276,17 @@ def ks_distance(samples, cdf, weights=None) -> float:
     """Two-sided Kolmogorov-Smirnov statistic of samples against a model CDF.
 
     With `weights`, the empirical CDF steps by the normalized weights
-    (time-weighted stationary sampling). An empty sample, and weights that
-    are not one finite weight >= 0 per sample with a positive sum, raise
+    (time-weighted stationary sampling). An empty sample or a NaN in it,
+    weights that are not one finite weight >= 0 per sample with a positive
+    sum, and a cdf that does not return one value per sample raise
     DomainError naming the input."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise DomainError("samples: the KS distance needs at least one sample")
     order = np.argsort(samples)
     s = samples[order]
+    if np.isnan(s[-1]):                         # argsort puts NaN last
+        raise DomainError("samples: the KS distance needs samples that are not NaN")
     if weights is None:
         cum = np.arange(1, s.size + 1) / s.size
         prev = np.arange(0, s.size) / s.size
@@ -302,6 +305,9 @@ def ks_distance(samples, cdf, weights=None) -> float:
         cum = np.cumsum(wts) / total
         prev = cum - wts / total
     model = np.asarray(cdf(s), dtype=float)
+    if model.shape != s.shape:
+        raise DomainError(f"cdf: must return one value per sample, got shape {model.shape} "
+                          f"for samples of shape {s.shape}")
     return float(max(np.max(np.abs(cum - model)), np.max(np.abs(prev - model))))
 
 

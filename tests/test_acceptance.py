@@ -6,14 +6,18 @@ full-size preset runs and long PDE/extreme-value runs carry the
 seconds at their stated tolerances plus quick variants of the slow ones.
 """
 
+import hashlib
 import math
 import numbers
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from flockjump import acceptance as acc
+from flockjump import extremes as ex
 from flockjump import mean_field as mf
+from flockjump.model import ExponentialRate
 
 FULL = {num: (title, fn) for num, title, fn in acc.CRITERIA}
 
@@ -77,3 +81,26 @@ def test_criterion_4_sees_a_profile_with_the_wrong_normalization():
     assert not result.passed
     for label, s, t, *_ in result.checks:
         assert (s <= t) is label.endswith("sup|residual|"), (label, s)
+
+
+# Criterion 13's random stream, pinned: later changes that resize or reseed
+# the criterion are compared against these values.
+CRIT_13_QUICK_SHA256 = {
+    1.0: "f2312231aa7f7ccf17946dcccddf52620ff4f7aa91f327f14ed1e335190a189d",
+    0.5: "4354cb5512722a76066c33d5a5bec2a6975fb9920a7e7986040fa1ceb71a0d9e",
+}
+CRIT_13_FULL_KS = [0.01949042046930538, 0.014186689566605126]
+
+
+@pytest.mark.parametrize("beta", sorted(CRIT_13_QUICK_SHA256))
+def test_criterion_13_quick_sample_is_pinned(beta):
+    # the quick inputs: seed 3, 400 runs, pool 10^4
+    c = mf.stationary_wave(ExponentialRate(beta)).c
+    T = math.log(10_000 * beta * c) / (beta * c) + 1e-9
+    smp = ex.sample_final_uncentered(beta, c, T, runs=400, rng=np.random.default_rng(3))
+    assert hashlib.sha256(smp.tobytes()).hexdigest() == CRIT_13_QUICK_SHA256[beta]
+
+
+@pytest.mark.slow
+def test_criterion_13_full_ks_values_are_pinned():
+    assert [s for _, s, *_ in acc.crit_13_extreme_value_oracle()] == CRIT_13_FULL_KS

@@ -124,7 +124,7 @@ def test_record_top_matches_brute_force_small():
     assert path.values[-1] == pytest.approx(k * allv[k - 1])
 
 
-def _reference_simulate_record(pool, T, rng, batch=ex._ARRIVAL_BATCH):
+def _reference_simulate_record(pool, T, rng, batch=ex._BLOCK):
     """`simulate_record` as it was before the chunked pass: a fill loop, a
     per-candidate loop filtered against the k-th maximum at the batch start,
     and a separate pass for the (k+1)-st entry. Kept as the bit-identity
@@ -190,7 +190,7 @@ def _reference_simulate_record(pool, T, rng, batch=ex._ARRIVAL_BATCH):
                          yk_jumps=np.asarray(jumps), pool=out)
 
 
-@pytest.mark.parametrize("batch", [64, ex._ARRIVAL_BATCH])
+@pytest.mark.parametrize("batch", [64, ex._BLOCK])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_record_path_bit_identical_to_reference(k, batch):
     # same draws, same path: every output equal with ==, over 300 runs, with
@@ -254,12 +254,12 @@ def test_sample_final_uncentered_bit_identical_to_the_record_path(k, pool_target
     # the order-statistic sampler against new_pool -> simulate_record ->
     # uncentered_final: the same bytes, and the generator ends in the same
     # state, so both drew the same number of values. A pool of 10^5 draws
-    # more than one _ARRIVAL_BATCH per run.
+    # more than one _BLOCK per run.
     beta = 1.0 / k
     c = wave_c(beta)
     T = math.log(pool_target * beta * c) / (beta * c) + 1e-9
-    assert (ex.pool_size(beta, c, T) > ex._ARRIVAL_BATCH) == (pool_target > ex._ARRIVAL_BATCH)
-    runs = 20 if pool_target < ex._ARRIVAL_BATCH else 3
+    assert (ex.pool_size(beta, c, T) > ex._BLOCK) == (pool_target > ex._BLOCK)
+    runs = 20 if pool_target < ex._BLOCK else 3
     for seed in (0, 1, 2, 3):
         rngs = [np.random.default_rng([k, pool_target, seed]) for _ in range(2)]
         new = ex.sample_final_uncentered(beta, c, T, runs, rngs[0])
@@ -268,15 +268,64 @@ def test_sample_final_uncentered_bit_identical_to_the_record_path(k, pool_target
         assert rngs[0].random() == rngs[1].random()
 
 
+@pytest.mark.parametrize("n", [ex._BLOCK // 2, ex._BLOCK - 1, ex._BLOCK, ex._BLOCK + 1])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_sample_final_uncentered_bit_identical_at_the_block_edges(k, n):
+    # two runs to a block, one run filling the block to one value short of it
+    # or exactly, and one run in two pieces; 3 runs is not a multiple of 2
+    beta, c = 1.0 / k, float(k)                     # beta * c = 1: N(T) = ceil(e^T)
+    T = math.log(n)
+    assert ex.pool_size(beta, c, T) == n
+    rngs = [np.random.default_rng([k, n]) for _ in range(2)]
+    new = ex.sample_final_uncentered(beta, c, T, 3, rngs[0])
+    old = _path_final_uncentered(beta, c, T, 3, rngs[1])
+    assert new.tobytes() == old.tobytes()
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
 @pytest.mark.parametrize("batch", [1, 2, 7, 64])
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
-def test_kth_largest_matches_a_sort_for_any_chunking(k, batch):
-    # chunks smaller than k, equal to it and larger, merged into the running top k
+def test_kth_largest_matches_a_sort_for_any_chunking(k, batch, monkeypatch):
+    # blocks smaller than k, equal to it and larger: whole runs as rows, and
+    # runs in pieces merged into the running top k
+    monkeypatch.setattr(ex, "_BLOCK", batch)
     for n in (k, k + 1, 50, 131):
         rngs = [np.random.default_rng([k, batch, n]) for _ in range(2)]
-        got = ex._kth_largest(k, n, rngs[0], batch=batch)
-        assert got == np.sort(rngs[1].standard_exponential(n))[n - k]
-        assert rngs[0].random() == rngs[1].random()
+        got = ex._kth_largest_of_runs(k, n, 4, rngs[0])
+        want = [np.sort(rngs[1].standard_exponential(n))[n - k] for _ in range(4)]
+        assert got.tolist() == want
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+class ScriptedDraws:
+    """A generator whose `standard_exponential(out=...)` fills in a fixed script."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.used = 0
+
+    def standard_exponential(self, out):
+        out[...] = self.values[self.used:self.used + out.size]
+        self.used += out.size
+        return out
+
+
+@pytest.mark.parametrize("block", [3, 8, 12, ex._BLOCK])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_kth_largest_counts_a_repeated_maximum_as_a_sort_does(k, block, monkeypatch):
+    # every run repeats its maximum (twice to five times) and some a lower
+    # value; the k-th largest counts each copy, as np.sort does, whether a run
+    # is a row of a block or drawn in pieces
+    monkeypatch.setattr(ex, "_BLOCK", block)
+    runs = [[2.0, 0.5, 2.0, 1.0, 0.25, 1.0],
+            [3.0, 3.0, 3.0, 0.5, 0.0, 1.5],
+            [0.75, 4.0, 4.0, 4.0, 4.0, 4.0],
+            [1.0, 1.0, 0.5, 0.5, 0.5, 0.125],
+            [5.0, 0.0, 0.0, 5.0, 0.0, 0.0]]
+    gen = ScriptedDraws(np.concatenate(runs))
+    got = ex._kth_largest_of_runs(k, 6, len(runs), gen)
+    assert gen.used == gen.values.size
+    assert got.tolist() == [np.sort(run)[6 - k] for run in runs]
 
 
 @pytest.mark.parametrize("args, error, match", [

@@ -477,6 +477,24 @@ def test_gumbel_cdf_integer_k():
     assert fd == pytest.approx(float(gumbel_wave_pdf(0.5, mid)), rel=1e-5)
 
 
+@pytest.mark.parametrize("law, beta", [
+    (mf.generalized_gumbel_cdf, 0.0),         # was ZeroDivisionError
+    (mf.generalized_gumbel_cdf, math.nan),    # was "cannot convert float NaN to integer"
+    (mf.generalized_gumbel_pdf, math.nan),    # was nan with no error
+    (mf.generalized_gumbel_pdf, math.inf),    # was "math domain error"
+    (mf.generalized_gumbel_cdf, math.inf),    # blamed the integer order k
+    (mf.generalized_gumbel_pdf, 10**400),     # was OverflowError: an int past float
+    (mf.generalized_gumbel_cdf, 10**400),
+    (mf.generalized_gumbel_pdf, -1.0),
+    (mf.generalized_gumbel_pdf, True),
+    (gumbel_wave_pdf, math.nan),
+    (gumbel_wave_cdf, 0.0),
+])
+def test_gumbel_laws_refuse_a_beta_that_is_not_a_finite_number_above_zero(law, beta):
+    with pytest.raises(DomainError, match="^beta must be a finite number > 0, got "):
+        law(beta, 1.0)
+
+
 def test_upper_gamma_regularized():
     assert float(upper_gamma_regularized(1, 0.7)) == pytest.approx(math.exp(-0.7))
     # k=3 against the Poisson tail identity Q(3, z) = P(Poisson(z) <= 2)

@@ -273,10 +273,26 @@ def test_time_averager_refuses_a_time_that_is_not_finite(t):
                  "samples of shape (1,)"),
     ([0.5, 1.5, 2.5], [1.0, -1.0, 3.0], "weights: must be finite and >= 0, got [-1.0]"),
     ([0.5, 1.5], [1.0, math.inf], "weights: must be finite and >= 0, got [inf]"),
+    ([1.0, math.nan], None, "samples: the KS distance needs samples that are not NaN"),
+    ([1.0, math.nan], [1.0, 1.0], "samples: the KS distance needs samples that are not NaN"),
+    ([math.nan, 0.5, math.nan], None, "samples: the KS distance needs samples that are not NaN"),
 ])
 def test_ks_refuses_what_it_cannot_score(samples, weights, message):
     cdf = lambda x: np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
     with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+        ms.ks_distance(samples, cdf, weights=weights)
+
+
+@pytest.mark.parametrize("samples, cdf, shape", [
+    ([0.1, 0.2], lambda x: np.array([0.5]), "(1,)"),      # used to broadcast to 0.5
+    ([0.1], lambda x: 0.5, "()"),
+    ([0.1, 0.2], lambda x: np.full((2, 2), 0.5), "(2, 2)"),
+])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_ks_refuses_a_cdf_of_the_wrong_shape(samples, cdf, shape, weighted):
+    weights = np.ones(len(samples)) if weighted else None
+    message = f"cdf: must return one value per sample, got shape {shape} for samples of shape "
+    with pytest.raises(DomainError, match="^" + re.escape(message)):
         ms.ks_distance(samples, cdf, weights=weights)
 
 
